@@ -1,24 +1,23 @@
-// PlanEngine hot-path performance: what the zero-allocation solve path and
-// the monotone plan memo buy on the warm replan loop.
+// PlanEngine hot-path performance: what the cached artifacts, the
+// zero-allocation solve path and the verified ranked-head check buy on the
+// warm replan loop.
 //
-// Three timings per fleet size, all on scenario #8 (the paper's holistic
+// Two timings per fleet size, both on scenario #8 (the paper's holistic
 // Optimal + AC + consolidation arm) over a 16-load operating cycle:
 //
-//   cold      construct-and-solve once: the pre-engine call pattern, full
-//             model validation + Algorithm 1 preprocessing (context line —
-//             not gated here; perf_scale owns the cold-path targets);
-//   full      warm engine with the memo disabled (PlannerOptions::
-//             enable_memo = false): every solve walks the consolidation
-//             ranking — the pre-memo warm path, on the same scratch arena;
-//   memo      warm engine with the memo enabled (the default): same-cycle
-//             loads answer from the (k, segment) fast path after the first
-//             lap seeds it.
+//   cold      construct-and-solve: the pre-engine call pattern, full model
+//             validation + Algorithm 1 preprocessing (one fresh engine per
+//             sample, first solve only);
+//   warm      one long-lived engine replanning the cycle through a reused
+//             result slot. The ranked-head check answers a solve whenever
+//             the ranking's head provably wins, and the consolidation walk
+//             runs otherwise.
 //
 // Targets (exit nonzero when missed):
-//   * warm-solve p50 with the memo >= 2x better than without at n = 200;
-//   * the memo actually engages (hit counter advances) at every n;
-//   * memo-on plans are bit-for-bit the memo-off plans at every load —
-//     the fast path may change WHEN a plan is computed, never WHAT.
+//   * the ranked-head check engages (its counter advances) at every n;
+//   * warm plans are byte-for-byte a fresh engine's at every cycle load
+//     (encode_plan_response bytes) — a warm engine may change how fast a
+//     plan is computed, never what it is.
 //
 // Emits BENCH_engine.json (override with --json-out); tools/check_bench.sh
 // validates the shape of every BENCH_*.json in CI.
@@ -27,6 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +35,7 @@
 #include "core/synthetic.h"
 #include "obs/json_writer.h"
 #include "obs/session.h"
+#include "service/wire.h"
 #include "util/cli.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -49,10 +50,16 @@ double us_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+double p50(std::vector<double> samples) {
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                   samples.end());
+  return samples[samples.size() / 2];
+}
+
 /// SKU-structured fleet (8 machine classes replicated across n slots) with
 /// 3x capacity headroom, as in perf_scale: per-machine caps stay slack at
-/// the cycle's operating points, so both arms run the pure closed-form
-/// walk and the timing isolates ranking-vs-memo, not LP fallbacks.
+/// the cycle's operating points, so solves stay on the closed form and the
+/// timing isolates the Algorithm 1 query, not LP fallbacks.
 core::RoomModel sku_model(size_t machines, uint64_t seed) {
   constexpr size_t kSkus = 8;
   core::SyntheticModelOptions opt;
@@ -68,7 +75,7 @@ core::RoomModel sku_model(size_t machines, uint64_t seed) {
 
 /// The repeating operating cycle: 16 loads between 15% and 35% of (the
 /// headroom-inflated) capacity — a day of demand levels the planner keeps
-/// revisiting, which is exactly the shape the memo exists for.
+/// revisiting.
 std::vector<double> load_cycle(const core::RoomModel& model) {
   constexpr size_t kPoints = 16;
   std::vector<double> loads(kPoints);
@@ -80,91 +87,68 @@ std::vector<double> load_cycle(const core::RoomModel& model) {
   return loads;
 }
 
-bool plans_identical(const core::PlanResult& a, const core::PlanResult& b) {
-  if (a.plan.has_value() != b.plan.has_value()) return false;
-  if (a.shed_load != b.shed_load) return false;
-  if (!a.plan.has_value()) return true;
-  return a.plan->allocation.on == b.plan->allocation.on &&
-         a.plan->allocation.loads == b.plan->allocation.loads &&
-         a.plan->allocation.t_ac == b.plan->allocation.t_ac &&
-         a.plan->allocation.total_power_w == b.plan->allocation.total_power_w;
-}
-
 struct CaseResult {
   size_t n = 0;
-  double cold_us = 0.0;
-  double full_p50_us = 0.0;  ///< warm, memo disabled
-  double memo_p50_us = 0.0;  ///< warm, memo enabled
-  uint64_t memo_hits = 0;
+  double cold_p50_us = 0.0;  ///< fresh engine: construct + one solve
+  double warm_p50_us = 0.0;  ///< long-lived engine, reused result slot
+  uint64_t head_answers = 0;  ///< warm solves the ranked-head check answered
   bool identical = false;
-  double speedup() const {
-    return memo_p50_us > 0.0 ? full_p50_us / memo_p50_us : 0.0;
-  }
 };
 
-/// Warm p50: `rounds` laps of the cycle through one PlanResult slot (the
-/// zero-allocation call shape), timed per solve.
-double warm_p50_us(const core::PlanEngine& engine,
-                   const std::vector<double>& loads, size_t rounds) {
+CaseResult run_case(size_t n, size_t rounds, size_t cold_samples) {
+  CaseResult r;
+  r.n = n;
+  const core::SharedRoomModel shared = core::share_model(sku_model(n, 42));
+  const std::vector<double> loads = load_cycle(*shared);
   const core::Scenario holistic = core::Scenario::by_number(8);
+
+  // Warm arm: one lap to build the caches, then `rounds` timed laps through
+  // one PlanResult slot (the zero-allocation call shape).
+  const core::PlanEngine warm(shared);
   core::PlanRequest req(holistic, 0.0);
   core::PlanResult slot;
+  for (const double load : loads) {
+    req.load = load;
+    warm.solve_into(req, core::SolveScratch::local(), slot);
+  }
   std::vector<double> samples;
   samples.reserve(rounds * loads.size());
-  for (size_t r = 0; r < rounds; ++r) {
+  for (size_t lap = 0; lap < rounds; ++lap) {
     for (const double load : loads) {
       req.load = load;
       const auto t0 = std::chrono::steady_clock::now();
-      engine.solve_into(req, core::SolveScratch::local(), slot);
+      warm.solve_into(req, core::SolveScratch::local(), slot);
       samples.push_back(us_since(t0));
     }
   }
-  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
-                   samples.end());
-  return samples[samples.size() / 2];
-}
+  r.warm_p50_us = p50(samples);
+  r.head_answers = warm.counters().memo_hits;
 
-CaseResult run_case(size_t n, size_t rounds) {
-  CaseResult r;
-  r.n = n;
-  const core::RoomModel room = sku_model(n, 42);
-  const core::SharedRoomModel shared = core::share_model(room);
-  const std::vector<double> loads = load_cycle(room);
-  const core::Scenario holistic = core::Scenario::by_number(8);
-
-  {  // cold reference: construct + first solve, preprocessing included
-    const auto t0 = std::chrono::steady_clock::now();
-    core::PlanEngine cold(shared);
-    (void)cold.solve(core::PlanRequest(holistic, loads.front()));
-    r.cold_us = us_since(t0);
-  }
-
-  core::PlannerOptions no_memo;
-  no_memo.enable_memo = false;
-  const core::PlanEngine full(shared, no_memo);
-  const core::PlanEngine memo(shared);
-
-  // Prime both arms with one full lap: caches hot, memo seeded.
-  for (const double load : loads) {
-    (void)full.solve(core::PlanRequest(holistic, load));
-    (void)memo.solve(core::PlanRequest(holistic, load));
-  }
-
-  r.full_p50_us = warm_p50_us(full, loads, rounds);
-  r.memo_p50_us = warm_p50_us(memo, loads, rounds);
-  r.memo_hits = memo.counters().memo_hits;
-
-  // The fast path may change when a plan is computed, never what: every
-  // cycle load must produce bit-identical plans on both arms.
+  // Cold arm, doubling as the identity check: at every load the warm engine
+  // must encode exactly a fresh engine's first answer. The first
+  // `cold_samples` loads each get their own timed engine; later loads ask
+  // the last of them, which has still never seen that load.
+  samples.clear();
   r.identical = true;
-  for (const double load : loads) {
-    const core::PlanResult a = full.solve(core::PlanRequest(holistic, load));
-    const core::PlanResult b = memo.solve(core::PlanRequest(holistic, load));
-    if (!plans_identical(a, b)) {
+  std::unique_ptr<core::PlanEngine> cold;
+  for (size_t i = 0; i < loads.size(); ++i) {
+    req.load = loads[i];
+    core::PlanResult fresh;
+    if (i < cold_samples) {
+      const auto t0 = std::chrono::steady_clock::now();
+      cold = std::make_unique<core::PlanEngine>(shared);
+      fresh = cold->solve(req);
+      samples.push_back(us_since(t0));
+    } else {
+      fresh = cold->solve(req);
+    }
+    warm.solve_into(req, core::SolveScratch::local(), slot);
+    if (service::encode_plan_response(0, slot) !=
+        service::encode_plan_response(0, fresh)) {
       r.identical = false;
-      break;
     }
   }
+  r.cold_p50_us = p50(samples);
   return r;
 }
 
@@ -188,26 +172,24 @@ int main(int argc, char** argv) {
   }
   const size_t rounds = static_cast<size_t>(flags.get_int("rounds", 32));
 
-  std::printf("PlanEngine hot path: scratch arena + plan memo\n\n");
+  std::printf("PlanEngine hot path: scratch arena + ranked-head check\n\n");
 
   std::vector<CaseResult> results;
-  results.push_back(run_case(200, rounds));
-  // The big room gets fewer laps: its memo-off arm re-walks a ~10k-wide
-  // ranking per solve and exists to show the asymptotic gap, not to soak.
-  results.push_back(run_case(10000, std::max<size_t>(2, rounds / 8)));
+  results.push_back(run_case(200, rounds, 16));
+  // The big room gets fewer laps and cold samples (its preprocessing takes
+  // seconds): it exists to show the asymptotics, not to soak.
+  results.push_back(run_case(10000, std::max<size_t>(2, rounds / 8), 3));
 
-  util::TextTable table({"n", "cold (us)", "full p50 (us)", "memo p50 (us)",
-                         "speedup", "memo hits", "identical"});
+  util::TextTable table({"n", "cold p50 (us)", "warm p50 (us)",
+                         "head answers", "identical"});
   bool pass = true;
   for (const CaseResult& r : results) {
-    table.row({util::strf("%zu", r.n), util::strf("%.0f", r.cold_us),
-               util::strf("%.1f", r.full_p50_us),
-               util::strf("%.1f", r.memo_p50_us),
-               util::strf("%.2f", r.speedup()),
-               util::strf("%llu", static_cast<unsigned long long>(r.memo_hits)),
+    table.row({util::strf("%zu", r.n), util::strf("%.0f", r.cold_p50_us),
+               util::strf("%.1f", r.warm_p50_us),
+               util::strf("%llu",
+                          static_cast<unsigned long long>(r.head_answers)),
                r.identical ? "yes" : "NO"});
-    if (!r.identical || r.memo_hits == 0) pass = false;
-    if (r.n == 200 && r.speedup() < 2.0) pass = false;
+    if (!r.identical || r.head_answers == 0) pass = false;
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -227,11 +209,9 @@ int main(int argc, char** argv) {
   for (const CaseResult& r : results) {
     w.begin_object();
     w.kv("n", static_cast<uint64_t>(r.n));
-    w.kv("cold_us", r.cold_us);
-    w.kv("full_p50_us", r.full_p50_us);
-    w.kv("memo_p50_us", r.memo_p50_us);
-    w.kv("speedup", r.speedup());
-    w.kv("memo_hits", r.memo_hits);
+    w.kv("cold_p50_us", r.cold_p50_us);
+    w.kv("warm_p50_us", r.warm_p50_us);
+    w.kv("head_answers", r.head_answers);
     w.kv("identical", r.identical);
     w.end_object();
   }
@@ -242,8 +222,8 @@ int main(int argc, char** argv) {
   std::printf("(JSON written to %s)\n", json_path.c_str());
 
   std::printf(
-      "Targets (memo p50 >= 2x the full walk at n = 200; memo engages and "
-      "plans stay bit-for-bit at every n): %s\n",
+      "Targets (the ranked-head check engages and warm plans stay "
+      "byte-for-byte a fresh engine's at every n): %s\n",
       pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

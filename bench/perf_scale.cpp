@@ -13,7 +13,7 @@
 //                water-filling split, parallel shard solves and the merge.
 //
 // Plus the incremental-vs-rebuild comparison: with a warm table, quarantine
-// ONE machine and replan (set_active + query_best) against a from-scratch
+// ONE machine and replan (set_active + query_best_into) against a from-scratch
 // cold build answering the same query at the same active set.
 //
 // Targets (exit nonzero when missed):
@@ -149,7 +149,7 @@ MonoBaseline run_monolithic(const core::RoomModel& room, double load) {
   return mono;
 }
 
-/// Warm table + one-machine quarantine replan (delta patch + query_best)
+/// Warm table + one-machine quarantine replan (delta patch + query_best_into)
 /// vs a from-scratch build answering the same query.
 IncrementalResult run_incremental(const core::SharedRoomModel& model,
                                   double load) {
@@ -161,24 +161,24 @@ IncrementalResult run_incremental(const core::SharedRoomModel& model,
   mask[model->size() / 2] = 0;  // one machine quarantined
   auto t0 = std::chrono::steady_clock::now();
   inc.set_active(mask);
-  const std::optional<core::ConsolidationChoice> best = inc.query_best(load);
+  core::ConsolidationChoice best;
+  const bool found = inc.query_best_into(load, best);
   r.replan_ms = ms_since(t0);
 
   t0 = std::chrono::steady_clock::now();
   core::IncrementalConsolidator rebuilt(model, core::kPreValidated);
   rebuilt.set_active(mask);
-  const std::optional<core::ConsolidationChoice> best_cold =
-      rebuilt.query_best(load);
+  core::ConsolidationChoice best_cold;
+  const bool found_cold = rebuilt.query_best_into(load, best_cold);
   r.rebuild_ms = ms_since(t0);
 
   // Bit-for-bit: the patched table equals the rebuilt one, both queries
-  // agree, and query_best is exactly the head of the full ranking.
+  // agree, and query_best_into is exactly the head of the full ranking.
   const std::vector<core::ConsolidationChoice> ranked = inc.rank_all_k(load);
-  r.identical = tables_identical(inc.table(), rebuilt.table()) &&
-                best.has_value() && best_cold.has_value() &&
-                !ranked.empty() &&
-                choices_identical({*best}, {*best_cold}) &&
-                choices_identical({*best}, {ranked.front()});
+  r.identical = tables_identical(inc.table(), rebuilt.table()) && found &&
+                found_cold && !ranked.empty() &&
+                choices_identical({best}, {best_cold}) &&
+                choices_identical({best}, {ranked.front()});
   return r;
 }
 

@@ -1,12 +1,25 @@
 #include "core/baselines.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "util/strings.h"
 
 namespace coolopt::core {
+namespace {
+
+/// Summing the same n positive capacities in two different orders can
+/// disagree by up to about n ulps of the total. A load within that band of
+/// a capacity sum IS that capacity (PlanEngine admits load == the room's
+/// capacity, folded in machine order), so the allocators below accept it
+/// instead of throwing — only where they would otherwise have thrown.
+double reorder_slack(double total, size_t n) {
+  return static_cast<double>(n) * std::numeric_limits<double>::epsilon() * total;
+}
+
+}  // namespace
 
 std::vector<size_t> coolness_order(const RoomModel& model, double reference_t_ac) {
   std::vector<size_t> order(model.size());
@@ -32,6 +45,9 @@ size_t min_machines_for(const RoomModel& model, double load,
     covered += model.machines[order[k]].capacity;
     if (covered >= load - 1e-9) return k + 1;
   }
+  if (load - covered <= 1e-9 + reorder_slack(covered, order.size())) {
+    return order.size();
+  }
   throw std::invalid_argument(util::strf(
       "min_machines_for: load %.3f exceeds room capacity %.3f", load,
       model.total_capacity()));
@@ -50,6 +66,7 @@ Allocation even_allocation(const RoomModel& model, double load,
   double remaining = load;
   while (remaining > 1e-12) {
     if (free.empty()) {
+      if (remaining <= reorder_slack(load, on_set.size())) break;
       throw std::invalid_argument(
           "even_allocation: load exceeds the ON set's capacity");
     }
@@ -98,7 +115,7 @@ Allocation bottom_up_allocation(const RoomModel& model, double load,
     alloc.loads[i] = take;
     remaining -= take;
   }
-  if (remaining > 1e-9) {
+  if (remaining > 1e-9 + reorder_slack(load, on_set.size())) {
     throw std::invalid_argument(
         "bottom_up_allocation: load exceeds the ON set's capacity");
   }

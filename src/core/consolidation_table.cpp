@@ -232,8 +232,9 @@ std::optional<ConsolidationChoice> ConsolidationTable::solve_for_k(
   return make_choice(ps, model, operating_segment(ps, load, k), k, load);
 }
 
-std::optional<ConsolidationChoice> ConsolidationTable::query_best(
-    const ParticleSystem& ps, const RoomModel& model, double load) const {
+bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
+                                         const RoomModel& model, double load,
+                                         ConsolidationChoice& out) const {
   size_t best_k = 0;
   size_t best_segment = 0;
   double best_power = 0.0;
@@ -248,32 +249,6 @@ std::optional<ConsolidationChoice> ConsolidationTable::query_best(
     // touching the on_set. (make_choice sums machine-by-machine; the two
     // differ by at most accumulated rounding, far below the >= ~w2-scale
     // power gaps that separate distinct k.)
-    const double it_w = static_cast<double>(k) * ps.w2 + ps.w1 * load;
-    const double power = it_w + model.cooler.predict(t_ac, it_w);
-    if (best_k == 0 || power < best_power) {
-      best_k = k;
-      best_segment = s;
-      best_power = power;
-    }
-  }
-  if (best_k == 0) return std::nullopt;
-  return make_choice(ps, model, best_segment, best_k, load);
-}
-
-bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
-                                         const RoomModel& model, double load,
-                                         ConsolidationChoice& out) const {
-  size_t best_k = 0;
-  size_t best_segment = 0;
-  double best_power = 0.0;
-  for (size_t k = 1; k <= width(); ++k) {
-    if (g(k, ps.t_lo) < load - kFeasEps) continue;
-    if (g(k, 0.0) < load - kFeasEps) continue;
-    const size_t s = operating_segment(ps, load, k);
-    const Segment& seg = segments[s];
-    const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
-    const double t_ac = ps.w1 * std::clamp(t_subset, ps.t_lo, ps.t_hi);
-    // Same k * w2 approximation as query_best (see the comment there).
     const double it_w = static_cast<double>(k) * ps.w2 + ps.w1 * load;
     const double power = it_w + model.cooler.predict(t_ac, it_w);
     if (best_k == 0 || power < best_power) {

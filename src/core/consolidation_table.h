@@ -36,8 +36,8 @@ struct ConsolidationChoice {
   double t_param = 0.0;        ///< clamped particle time actually used
   double t_ac = 0.0;           ///< w1 * t_param
   double predicted_total_power_w = 0.0;
-  /// Table segment the choice was materialized from (the memo layer's key;
-  /// only meaningful for choices produced by a ConsolidationTable).
+  /// Table segment the choice was materialized from (only meaningful for
+  /// choices produced by a ConsolidationTable).
   size_t segment = 0;
 };
 
@@ -117,8 +117,8 @@ struct ConsolidationTable {
   size_t segment_at(double t) const;
   /// Segment the k-subset operates in for this load: last segment whose
   /// start-value of g_k still covers the load, then the (clamped) subset
-  /// time mapped back through segment_at. Shared by solve_for_k and
-  /// query_best so both see the identical operating segment.
+  /// time mapped back through segment_at. Shared by solve_for_k, peek_k
+  /// and query_best_into so all see the identical operating segment.
   size_t operating_segment(const ParticleSystem& ps, double load,
                            size_t k) const;
   /// Exact per-k solve; nullopt if k machines cannot serve the load.
@@ -130,12 +130,9 @@ struct ConsolidationTable {
   /// the prefix sums (w2 is validated uniform), so the scan is
   /// O(n lg #segments) + O(k) for the winner, versus the O(n^2) on_set
   /// copies of the full ranking. This is what makes a one-delta replan
-  /// cheap end to end: table patch + query_best, no quadratic step.
-  std::optional<ConsolidationChoice> query_best(const ParticleSystem& ps,
-                                                const RoomModel& model,
-                                                double load) const;
-  /// query_best writing into a caller-owned choice (on_set buffer reused).
-  /// Returns false when no k is feasible. Bit-for-bit the query_best result.
+  /// cheap end to end: table patch + query_best_into, no quadratic step.
+  /// Writes into a caller-owned choice (on_set buffer reused); returns
+  /// false when no k is feasible.
   bool query_best_into(const ParticleSystem& ps, const RoomModel& model,
                        double load, ConsolidationChoice& out) const;
   ConsolidationChoice make_choice(const ParticleSystem& ps, const RoomModel& model,
@@ -148,8 +145,8 @@ struct ConsolidationTable {
   /// materializing the on_set. `sum_w2_k` must be the iterated sum of the
   /// subset's w2 draws; when w2 is bitwise-uniform across machines (the
   /// engine checks), any k-subset folds to the same double, so the power
-  /// here is bit-for-bit what make_choice computes. This is the memo layer's
-  /// segment probe. Returns false when k machines cannot serve the load.
+  /// here is bit-for-bit what make_choice computes. This is the engine's
+  /// ranked-head probe. Returns false when k machines cannot serve the load.
   bool peek_k(const ParticleSystem& ps, const RoomModel& model, double load,
               size_t k, double sum_w2_k, size_t* segment_out,
               double* power_out) const;

@@ -24,11 +24,6 @@ double now_us() {
   return std::chrono::duration<double, std::micro>(t).count();
 }
 
-/// Memo entries are cheap (8 bytes) but unbounded load sweeps could still
-/// accumulate one per (k, segment); clear-and-restart far above any
-/// realistic working set.
-constexpr size_t kMemoMaxEntries = 4096;
-
 }  // namespace
 
 PlanEngine::PlanEngine(SharedRoomModel model, PlannerOptions options)
@@ -102,7 +97,7 @@ const ModelAggregates& PlanEngine::aggregates() const {
                 return m.machines[x].power.w2 < m.machines[y].power.w2;
               });
     agg->soa = RoomSoA::from(m);
-    // The memo fast path folds k * w2 as an iterated prefix sum and needs
+    // The ranked-head check folds k * w2 as an iterated prefix sum and needs
     // that fold to equal make_choice's machine-by-machine sum bit-for-bit,
     // which holds exactly when every w2 is the same double.
     const double w2_front = m.machines.front().power.w2;
@@ -161,12 +156,11 @@ const ParticleSystem* PlanEngine::particles() const {
 
 bool PlanEngine::exact_paths() const { return aggregates().uniform_w1; }
 
-bool PlanEngine::incremental_rank_into(const std::vector<char>& active_mask,
-                                       double load,
-                                       std::vector<ConsolidationChoice>& out,
-                                       size_t& count) const {
+PlanEngine::TableAnswer PlanEngine::incremental_query(
+    const std::vector<char>& active_mask, double load, SolveScratch& scr,
+    size_t& ranked_count) const {
   const ModelAggregates& agg = aggregates();
-  if (!agg.uniform_w1 || !agg.uniform_w2) return false;
+  if (!agg.uniform_w1 || !agg.uniform_w2) return TableAnswer::kNoTable;
 
   std::scoped_lock lock(incremental_mu_);
   const double t0 = now_us();
@@ -194,9 +188,14 @@ bool PlanEngine::incremental_rank_into(const std::vector<char>& active_mask,
     obs::count("engine.incremental.restored",
                static_cast<uint64_t>(stats.restored));
   }
-  count = incremental_->rank_all_k_into(load, out);
+  TableAnswer answer = TableAnswer::kRankedHead;
+  if (!ranked_head_into(incremental_->table(), incremental_->particles(), load,
+                        scr, scr.best_alloc)) {
+    ranked_count = incremental_->rank_all_k_into(load, scr.ranked);
+    answer = TableAnswer::kRanking;
+  }
   obs::observe("engine.incremental.apply_us", now_us() - t0);
-  return true;
+  return answer;
 }
 
 bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
@@ -220,12 +219,13 @@ bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
   return lp().solve_into(on_set, count, load, scr.lp, out);
 }
 
-bool PlanEngine::try_memo_plan(double load, SolveScratch& scr,
-                               Allocation& out) const {
-  const EventConsolidator* cons = consolidator();
-  const detail::ConsolidationTable& table = cons->table();
-  const ParticleSystem& ps = cons->particles();
+bool PlanEngine::ranked_head_into(const detail::ConsolidationTable& table,
+                                  const ParticleSystem& ps, double load,
+                                  SolveScratch& scr, Allocation& out) const {
   const ModelAggregates& agg = aggregates();
+  // peek_k's power is bit-for-bit make_choice's only when every k-subset's
+  // w2 fold is the same double.
+  if (!agg.w2_exact_uniform) return false;
   const RoomModel& planning = *margin_model_;
 
   // Two-min scan over k: the winner and runner-up of the (power, k)-
@@ -257,38 +257,24 @@ bool PlanEngine::try_memo_plan(double load, SolveScratch& scr,
   }
   if (best_k == 0) return false;  // no feasible k; the full walk will agree
 
-  const uint64_t key =
-      (static_cast<uint64_t>(best_k) << 32) | static_cast<uint64_t>(best_seg);
-  {
-    std::scoped_lock lock(memo_mu_);
-    if (memo_.find(key) == memo_.end()) {
-      counters_.memo_misses.fetch_add(1, std::memory_order_relaxed);
-      obs::count("engine.memo.miss");
-      return false;
-    }
-  }
-
-  // Hit candidate. Materialize the ranked head's subset from the segment
-  // order and re-run the walk's own acceptance conditions at THIS load:
-  // the closed form must be pure and within bounds (the walk's inner
-  // cutoff), and the runner-up's relaxation bound must already be beaten
-  // (the walk's branch-and-bound outer cutoff). When both hold, the full
-  // walk provably returns this exact allocation.
-  const auto& head_order = table.segments[best_seg].order;
-  scr.memo_on_set.clear();
-  for (size_t j = 0; j < best_k; ++j) {
-    scr.memo_on_set.push_back(head_order[j]);
-  }
-  bool pure = true;
-  const bool ok =
-      plan_optimal_into(scr.memo_on_set.data(), best_k, load, scr, out, pure);
-  if (!ok || !pure || (have_runner && runner_p < out.total_power_w - 1e-12)) {
-    counters_.memo_segment_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.memo.segment_fallback");
+  // Materialize the head's subset from its segment order and re-run the
+  // walk's own acceptance conditions at this load: the closed form must be
+  // within bounds (the walk's inner cutoff), and the runner-up's relaxation
+  // bound must already be beaten (the outer cutoff). When both hold, the
+  // full walk provably returns this exact allocation. An out-of-bounds
+  // closed form is left to the walk, which owns the LP fallback, so no LP
+  // is ever solved twice.
+  const std::vector<uint32_t>& head_order = table.segments[best_seg].order;
+  scr.head_on_set.assign(head_order.begin(),
+                         head_order.begin() + static_cast<long>(best_k));
+  analytic()->solve_into(scr.head_on_set.data(), best_k, load, scr.cf);
+  if (!scr.cf.within_bounds() ||
+      (have_runner && runner_p < scr.cf.allocation.total_power_w - 1e-12)) {
     return false;
   }
+  std::swap(out, scr.cf.allocation);
   counters_.memo_hits.fetch_add(1, std::memory_order_relaxed);
-  obs::count("engine.memo.hit");
+  obs::count("engine.path.ranked_head");
   return true;
 }
 
@@ -346,108 +332,89 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
       const std::vector<size_t>& capacity_order =
           restricted ? scr.capacity_order : agg.capacity_desc;
 
-      // Unrestricted solves use the cached full-fleet Algorithm 1 table;
-      // restricted (quarantine) solves use the delta-maintained incremental
-      // table over the surviving machines. Both yield a ranking walked with
-      // the same branch and bound. The memo fast path sits in front of the
-      // unrestricted walk only (its keys index the immutable full-fleet
-      // table, so quarantine churn can never stale them).
-      const EventConsolidator* cons = restricted ? nullptr : consolidator();
-      const bool memo_eligible =
-          options_.enable_memo && cons != nullptr && agg.w2_exact_uniform;
-      if (memo_eligible && try_memo_plan(load, scr, scr.best_alloc)) {
+      // Algorithm 2's online query. Unrestricted solves read the cached
+      // full-fleet Algorithm 1 table; restricted (quarantine) solves read
+      // the delta-maintained incremental table over the survivors. Both run
+      // the verified ranked-head check first and fall back to walking the
+      // full ranking with the same branch and bound.
+      size_t ranked_count = 0;
+      TableAnswer answer = TableAnswer::kNoTable;
+      if (restricted) {
+        answer = incremental_query(scr.mask, load, scr, ranked_count);
+      } else if (const EventConsolidator* cons = consolidator()) {
+        answer = TableAnswer::kRankedHead;
+        if (!ranked_head_into(cons->table(), cons->particles(), load, scr,
+                              scr.best_alloc)) {
+          ranked_count = cons->rank_all_k_into(load, scr.ranked);
+          answer = TableAnswer::kRanking;
+        }
+      }
+
+      auto probe_subset = [&](const size_t* sub,
+                              size_t count) -> std::pair<bool, bool> {
+        bool pure = true;
+        const bool ok =
+            plan_optimal_into(sub, count, load, scr, scr.trial_alloc, pure);
+        if (ok && (!have_best || scr.trial_alloc.total_power_w <
+                                     scr.best_alloc.total_power_w - 1e-12)) {
+          std::swap(scr.best_alloc, scr.trial_alloc);
+          have_best = true;
+          best_pure = pure;
+        }
+        return {ok, pure};
+      };
+      auto probe_k = [&](size_t k, const size_t* first_subset) {
+        if (first_subset != nullptr) {
+          // The leading subset is the relaxation's optimal k-subset; when
+          // its closed form lands within bounds it attains the k-wide
+          // lower bound, so no heuristic subset of the same k can improve
+          // on it — skip them and their (cubic) LP fallbacks. When the
+          // closed form fails bounds, the heuristics are exactly the
+          // recovery they were added for, and still run.
+          const auto [ok, pure] = probe_subset(first_subset, k);
+          if (ok && pure) return;
+        }
+        probe_subset(capacity_order.data(), k);
+        probe_subset(order.data(), k);
+      };
+
+      if (answer == TableAnswer::kRankedHead) {
         have_best = true;
         best_pure = true;
-      } else {
-        auto probe_subset = [&](const size_t* sub,
-                                size_t count) -> std::pair<bool, bool> {
-          bool pure = true;
-          const bool ok = plan_optimal_into(sub, count, load, scr,
-                                            scr.trial_alloc, pure);
-          if (ok && (!have_best ||
-                     scr.trial_alloc.total_power_w <
-                         scr.best_alloc.total_power_w - 1e-12)) {
-            std::swap(scr.best_alloc, scr.trial_alloc);
-            have_best = true;
-            best_pure = pure;
+      } else if (answer == TableAnswer::kRanking) {
+        // Walk the optimal consolidation ranking; candidates may fail the
+        // bounded validation (capacities are invisible to the particle
+        // reduction), so for every k we also probe capacity-greedy and
+        // coolest-first k-subsets and keep the best feasible plan overall.
+        //
+        // Branch and bound: cand.predicted_total_power_w is the Eq. 23
+        // relaxation (capacity and nonnegativity dropped; both can only
+        // lower T_ac, i.e. raise power), so it lower-bounds every bounded
+        // plan of its own k — and, since the ranking ascends in predicted
+        // power, of every later candidate too. Once the incumbent is at or
+        // below the next candidate's bound, nothing further can win, which
+        // collapses the walk from O(n) LP probes to the one or two leaders.
+        for (size_t ci = 0; ci < ranked_count; ++ci) {
+          const ConsolidationChoice& cand = scr.ranked[ci];
+          if (have_best && cand.predicted_total_power_w >=
+                               scr.best_alloc.total_power_w - 1e-12) {
+            break;
           }
-          return {ok, pure};
-        };
-        auto probe_k = [&](size_t k, const size_t* first_subset) -> bool {
-          if (first_subset != nullptr) {
-            // The leading subset is the relaxation's optimal k-subset; when
-            // its closed form lands within bounds it attains the k-wide
-            // lower bound, so no heuristic subset of the same k can improve
-            // on it — skip them and their (cubic) LP fallbacks. When the
-            // closed form fails bounds, the heuristics are exactly the
-            // recovery they were added for, and still run.
-            const auto [ok, pure] = probe_subset(first_subset, k);
-            if (ok && pure) return true;
-          }
-          probe_subset(capacity_order.data(), k);
-          probe_subset(order.data(), k);
-          return false;
-        };
-
-        bool ranked_available = false;
-        size_t ranked_count = 0;
-        if (cons != nullptr) {
-          ranked_count = cons->rank_all_k_into(load, scr.ranked);
-          ranked_available = true;
-        } else if (restricted) {
-          ranked_available =
-              incremental_rank_into(scr.mask, load, scr.ranked, ranked_count);
+          probe_k(cand.k, cand.on_set.data());
         }
-        if (ranked_available) {
-          // Walk the optimal consolidation ranking; candidates may fail the
-          // bounded validation (capacities are invisible to the particle
-          // reduction), so for every k we also probe capacity-greedy and
-          // coolest-first k-subsets and keep the best feasible plan overall.
-          //
-          // Branch and bound: cand.predicted_total_power_w is the Eq. 23
-          // relaxation (capacity and nonnegativity dropped; both can only
-          // lower T_ac, i.e. raise power), so it lower-bounds every bounded
-          // plan of its own k — and, since the ranking ascends in predicted
-          // power, of every later candidate too. Once the incumbent is at or
-          // below the next candidate's bound, nothing further can win, which
-          // collapses the walk from O(n) LP probes to the one or two leaders.
-          bool head_pure_win = false;
-          size_t probed = 0;
-          for (size_t ci = 0; ci < ranked_count; ++ci) {
-            const ConsolidationChoice& cand = scr.ranked[ci];
-            if (have_best && cand.predicted_total_power_w >=
-                                 scr.best_alloc.total_power_w - 1e-12) {
-              break;
-            }
-            const bool pure_win = probe_k(cand.k, cand.on_set.data());
-            if (probed == 0) head_pure_win = pure_win;
-            ++probed;
-          }
-          // The walk reduced to a single pure solve of the ranked head:
-          // exactly the shape the memo fast path reproduces. Remember the
-          // head's (k, segment) so same-segment loads skip the walk.
-          if (memo_eligible && head_pure_win && probed == 1 && have_best) {
-            const uint64_t key =
-                (static_cast<uint64_t>(scr.ranked[0].k) << 32) |
-                static_cast<uint64_t>(scr.ranked[0].segment);
-            std::scoped_lock lock(memo_mu_);
-            if (memo_.size() >= kMemoMaxEntries) memo_.clear();
-            memo_.insert(key);
-          }
-        } else {
-          // Heterogeneous fleet: no particle reduction, so neither table
-          // applies. Probe a window of ON-set sizes above the capacity
-          // minimum with heuristic subset shapes, evaluating each with the
-          // bounded LP. The idle-draw order prefers cheap-idle nodes for
-          // padding.
-          if (restricted) filter_order(agg.idle_asc, scr.idle_order);
-          const std::vector<size_t>& idle_order =
-              restricted ? scr.idle_order : agg.idle_asc;
-          const size_t k_min = min_machines_for(planning, load, capacity_order);
-          const size_t k_hi = std::min(capacity_order.size(), k_min + 4);
-          for (size_t k = std::max<size_t>(1, k_min); k <= k_hi; ++k) {
-            probe_k(k, idle_order.data());
-          }
+      } else {
+        // Heterogeneous fleet: no particle reduction, so neither table
+        // applies. Probe a window of ON-set sizes above the capacity
+        // minimum with heuristic subset shapes, evaluating each with the
+        // bounded LP. The idle-draw order prefers cheap-idle nodes for
+        // padding.
+        if (restricted) filter_order(agg.idle_asc, scr.idle_order);
+        const std::vector<size_t>& idle_order =
+            restricted ? scr.idle_order : agg.idle_asc;
+        const size_t k_min = min_machines_for(planning, load, capacity_order);
+        const size_t k_hi = std::min(capacity_order.size(), k_min + 4);
+        for (size_t k = std::max<size_t>(1, k_min); k <= k_hi; ++k) {
+          probe_k(k, idle_order.data());
         }
       }
     }
@@ -742,9 +709,6 @@ EngineCounters PlanEngine::counters() const {
   c.incremental_event_rebuilds =
       counters_.incremental_event_rebuilds.load(std::memory_order_relaxed);
   c.memo_hits = counters_.memo_hits.load(std::memory_order_relaxed);
-  c.memo_misses = counters_.memo_misses.load(std::memory_order_relaxed);
-  c.memo_segment_fallbacks =
-      counters_.memo_segment_fallbacks.load(std::memory_order_relaxed);
   return c;
 }
 

@@ -32,7 +32,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/closed_form.h"
@@ -133,8 +132,8 @@ struct ModelAggregates {
   /// unchanged.
   RoomSoA soa;
   /// True when every machine's w2 is the SAME double bit-for-bit (stricter
-  /// than the tolerance-based uniform_w2). Required by the memo fast path,
-  /// whose prefix-folded w2 sums must reproduce make_choice's
+  /// than the tolerance-based uniform_w2). Required by the ranked-head
+  /// check, whose prefix-folded w2 sums must reproduce make_choice's
   /// machine-by-machine folds exactly.
   bool w2_exact_uniform = false;
   /// w2_prefix[k] = iterated fold of k copies of w2 (only meaningful when
@@ -166,15 +165,10 @@ struct EngineCounters {
   /// Deltas where the collapsed event list changed, forcing a segment
   /// re-sort instead of the order-patching fast path.
   uint64_t incremental_event_rebuilds = 0;
-  /// Optimal-consolidation solves answered from the (k, segment) memo with
-  /// a single verified closed-form solve instead of the full ranked walk.
+  /// Optimal-consolidation solves (restricted or not) answered by the
+  /// verified ranked-head check — one closed-form solve of the ranking's
+  /// head — instead of the full ranked walk (`engine.path.ranked_head`).
   uint64_t memo_hits = 0;
-  /// Memo lookups that found no entry (the full walk ran and, when its
-  /// winner met the memoization conditions, seeded the cache).
-  uint64_t memo_misses = 0;
-  /// Memo entries that failed re-verification at the requested load (the
-  /// load crossed a segment/bound boundary); the full walk ran instead.
-  uint64_t memo_segment_fallbacks = 0;
 };
 
 class PlanEngine {
@@ -280,8 +274,13 @@ class PlanEngine {
     std::atomic<uint64_t> incremental_cold_builds{0};
     std::atomic<uint64_t> incremental_event_rebuilds{0};
     std::atomic<uint64_t> memo_hits{0};
-    std::atomic<uint64_t> memo_misses{0};
-    std::atomic<uint64_t> memo_segment_fallbacks{0};
+  };
+
+  /// What the Algorithm 1 query over a request's table produced.
+  enum class TableAnswer {
+    kNoTable,     ///< particle reduction inapplicable (heterogeneous w1/w2)
+    kRankedHead,  ///< the verified ranked head, already in scr.best_alloc
+    kRanking,     ///< the full ranking, in scr.ranked[0, ranked_count)
   };
 
   /// Runs `build` exactly once (first caller = cache miss, everyone else =
@@ -298,21 +297,26 @@ class PlanEngine {
   bool compute_plan_into(const Scenario& s, double load,
                          const std::vector<size_t>* allowed,
                          SolveScratch& scratch, Plan& out) const;
-  /// Memo fast path for the unrestricted optimal-consolidation branch:
-  /// two-min peek scan over k, cache lookup on the winner's (k, segment),
-  /// then a verified closed-form solve of the head subset. True only when
-  /// the result provably equals the full ranked walk's (the walk's own
-  /// pure/bounds/branch-and-bound acceptance conditions are re-checked).
-  bool try_memo_plan(double load, SolveScratch& scratch, Allocation& out) const;
-  /// Consolidation ranking over the active subset via the delta-maintained
-  /// Algorithm 1 table, into a grow-only buffer (entries [0, count)).
-  /// False when the particle reduction does not apply (heterogeneous
-  /// w1/w2). Thread-safe; the table is a pure function of the mask, so
-  /// concurrent callers with different masks still see deterministic
-  /// rankings.
-  bool incremental_rank_into(const std::vector<char>& active_mask, double load,
-                             std::vector<ConsolidationChoice>& out,
-                             size_t& count) const;
+  /// The verified ranked-head check in front of the consolidation walk,
+  /// shared by the full-fleet and incremental tables: a two-min peek_k scan
+  /// finds the ranking's head (k, segment) and its runner-up's power
+  /// without materializing the ranking, then the head subset is solved by
+  /// the closed form alone. True — with the plan in `out` — only when the
+  /// walk provably returns that exact allocation: the closed form is within
+  /// bounds (the walk's inner cutoff) and the runner-up's relaxation bound
+  /// cannot beat it (the outer branch-and-bound cutoff). Never runs the LP;
+  /// false leaves `out` untouched and the walk decides.
+  bool ranked_head_into(const detail::ConsolidationTable& table,
+                        const ParticleSystem& ps, double load,
+                        SolveScratch& scratch, Allocation& out) const;
+  /// Restricted (quarantine) Algorithm 1 query: moves the delta-maintained
+  /// incremental table to `active_mask`, then runs the ranked-head check
+  /// and, when it declines, ranks every k into scratch.ranked. Thread-safe;
+  /// the table is a pure function of the mask, so concurrent callers with
+  /// different masks still see deterministic answers.
+  TableAnswer incremental_query(const std::vector<char>& active_mask,
+                                double load, SolveScratch& scratch,
+                                size_t& ranked_count) const;
   /// Optimal split over a fixed ON set: closed form, LP fallback. Writes
   /// into `out` (false = infeasible); workspaces from `scratch`.
   bool plan_optimal_into(const size_t* on_set, size_t count, double load,
@@ -337,17 +341,6 @@ class PlanEngine {
   mutable std::unique_ptr<ParticleSystem> particles_;
   mutable std::mutex incremental_mu_;
   mutable std::unique_ptr<IncrementalConsolidator> incremental_;
-
-  /// Memoized (k << 32 | segment) keys for which the full consolidation
-  /// walk previously reduced to its ranked head with a pure closed form and
-  /// an immediate branch-and-bound cutoff. Presence is a *promise to
-  /// re-verify*, not to trust: the hit path re-runs the acceptance checks
-  /// at the requested load, so stale entries cost a fallback, never a wrong
-  /// plan. Restricted (quarantine) solves bypass the memo entirely — the
-  /// keys index the immutable full-fleet table, so membership deltas need
-  /// no invalidation here. Bounded (cleared at 4096 entries).
-  mutable std::mutex memo_mu_;
-  mutable std::unordered_set<uint64_t> memo_;
 
   mutable std::mutex pool_mu_;
   mutable std::unique_ptr<util::ThreadPool> pool_;

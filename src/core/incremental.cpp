@@ -210,11 +210,6 @@ std::vector<ConsolidationChoice> IncrementalConsolidator::rank_all_k(
   return table_.rank_all_k(particles_, *model_, load);
 }
 
-std::optional<ConsolidationChoice> IncrementalConsolidator::query_best(
-    double load) const {
-  return table_.query_best(particles_, *model_, load);
-}
-
 bool IncrementalConsolidator::query_best_into(double load,
                                               ConsolidationChoice& out) const {
   return table_.query_best_into(particles_, *model_, load, out);

@@ -70,12 +70,10 @@ class IncrementalConsolidator {
 
   /// The winning choice alone — rank_all_k(load).front() — in
   /// O(n lg #segments) instead of the full ranking's O(n^2) on_set
-  /// materialization. With it, a single-machine delta replans end to end
-  /// in o(n^2): table patch + query, no quadratic step anywhere.
-  std::optional<ConsolidationChoice> query_best(double load) const;
-
-  /// query_best writing into a caller-owned choice (buffers reused, no
-  /// allocation once grown). Returns false when no subset is feasible.
+  /// materialization, written into a caller-owned choice (buffers reused,
+  /// no allocation once grown). With it, a single-machine delta replans end
+  /// to end in o(n^2): table patch + query, no quadratic step anywhere.
+  /// Returns false when no subset is feasible.
   bool query_best_into(double load, ConsolidationChoice& out) const;
 
   /// rank_all_k into a grow-only buffer; entries [0, returned count) are

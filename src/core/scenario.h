@@ -52,13 +52,6 @@ struct PlannerOptions {
   /// error on the real system (or simulator) does not push a CPU over the
   /// ceiling. 0 for pure-model studies.
   double t_max_margin = 0.0;
-  /// Monotone plan memoization (scenario-8 fast path): remember which
-  /// (k, operating segment) won the consolidation walk and answer later
-  /// same-segment optimal solves with a single closed-form solve, verified
-  /// against the walk's own acceptance conditions before reuse. Results are
-  /// bit-for-bit identical either way — the knob exists so benches can
-  /// measure the speedup and tests can compare both paths.
-  bool enable_memo = true;
 };
 
 /// A planned operating point plus provenance diagnostics.

@@ -14,7 +14,7 @@ size_t plan_bytes(const Plan& p) { return allocation_bytes(p.allocation); }
 size_t SolveScratch::bytes() const {
   size_t b = (allowed.capacity() + order.capacity() + capacity_order.capacity() +
               idle_order.capacity() + subset.capacity() +
-              memo_on_set.capacity()) *
+              head_on_set.capacity()) *
                  sizeof(size_t) +
              quarantined_mask.capacity() + mask.capacity();
   b += ranked.capacity() * sizeof(ConsolidationChoice);

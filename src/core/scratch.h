@@ -37,7 +37,7 @@ struct SolveScratch {
   std::vector<size_t> capacity_order;   ///< filtered capacity-descending
   std::vector<size_t> idle_order;       ///< filtered idle-draw ascending
   std::vector<size_t> subset;           ///< heuristic probe subset
-  std::vector<size_t> memo_on_set;      ///< memo fast-path head subset
+  std::vector<size_t> head_on_set;      ///< ranked-head check subset
   /// Consolidation ranking (grow-only; rank_all_k_into count is transient).
   std::vector<ConsolidationChoice> ranked;
   // --- solver workspaces and result slots ---

@@ -1,15 +1,14 @@
 // ConsolidationTable::operating_segment edge coverage — the boundaries the
-// memo layer's (k, segment) keys live on.
+// engine's ranked-head check reads its head subset from.
 //
 // Loads exactly AT segment breakpoints are the worst case for any
 // segment-indexed fast path: the operating segment must be the same one
-// solve_for_k, peek_k, and query_best all resolve, or a memoized plan
-// could be materialized from a neighboring segment's order. These tests
-// pin the agreements bit-for-bit: peek_k's (segment, power) against
-// solve_for_k's, query_best against the full ranking's head, and the
-// _into variants against their allocating twins — across breakpoint
-// loads, single-segment (homogeneous) tables, and quarantine masks up to
-// fully-quarantined (width-zero) tables.
+// solve_for_k, peek_k, and query_best_into all resolve, or a ranked-head
+// plan could be materialized from a neighboring segment's order. These
+// tests pin the agreements bit-for-bit: peek_k's (segment, power) against
+// solve_for_k's and query_best_into against the full ranking's head —
+// across breakpoint loads, single-segment (homogeneous) tables, and
+// quarantine masks up to fully-quarantined (width-zero) tables.
 
 #include <gtest/gtest.h>
 
@@ -82,21 +81,16 @@ void expect_peek_matches_solve(const core::detail::ConsolidationTable& table,
   EXPECT_EQ(solved->k, solved->on_set.size());
 }
 
-/// query_best (and its _into twin) must be exactly the ranking's head.
+/// query_best_into must be exactly the ranking's head.
 void expect_best_matches_ranking(const core::detail::ConsolidationTable& table,
                                  const core::ParticleSystem& ps,
                                  const core::RoomModel& model, double load) {
-  const std::optional<core::ConsolidationChoice> best =
-      table.query_best(ps, model, load);
   const std::vector<core::ConsolidationChoice> ranked =
       table.rank_all_k(ps, model, load);
-  ASSERT_EQ(best.has_value(), !ranked.empty()) << "load " << load;
-  core::ConsolidationChoice into;
-  const bool got = table.query_best_into(ps, model, load, into);
-  ASSERT_EQ(got, best.has_value()) << "load " << load;
-  if (!best.has_value()) return;
-  expect_identical(*best, ranked.front());
-  expect_identical(into, *best);
+  core::ConsolidationChoice best;
+  const bool got = table.query_best_into(ps, model, load, best);
+  ASSERT_EQ(got, !ranked.empty()) << "load " << load;
+  if (got) expect_identical(best, ranked.front());
 }
 
 TEST(ConsolidationSegment, BreakpointLoadsAgreeAcrossAllQueryPaths) {
@@ -136,8 +130,8 @@ TEST(ConsolidationSegment, BreakpointOperatingSegmentIsSelfConsistent) {
           table.solve_for_k(ps, model, load, k);
       if (!solved.has_value()) continue;
       // The segment recorded on the choice is operating_segment's answer —
-      // re-deriving it must agree exactly (this is the equality the memo's
-      // (k, segment) keys stand on).
+      // re-deriving it must agree exactly (this is the equality the
+      // ranked-head check's peek_k segment stands on).
       EXPECT_EQ(solved->segment, table.operating_segment(ps, load, k))
           << "segment " << s << ", k " << k;
       // t_param itself may land one ULP below the segment start at an exact
@@ -189,25 +183,18 @@ TEST(ConsolidationSegment, QuarantineMasksAgreeWithQueryBest) {
   std::vector<char> mask(model->size(), 1);
 
   // Quarantine a growing prefix; at each step the patched table's
-  // query_best must be exactly the head of its full ranking, via both the
-  // allocating and the _into call shapes.
+  // query_best_into must be exactly the head of its full ranking.
   const double load = model->total_capacity() * 0.3;
   for (size_t quarantined = 0; quarantined < model->size();
        quarantined += 3) {
     for (size_t i = 0; i < quarantined; ++i) mask[i] = 0;
     inc.set_active(mask);
-    const std::optional<core::ConsolidationChoice> best =
-        inc.query_best(load);
     const std::vector<core::ConsolidationChoice> ranked =
         inc.rank_all_k(load);
-    core::ConsolidationChoice into;
-    const bool got = inc.query_best_into(load, into);
-    ASSERT_EQ(best.has_value(), !ranked.empty());
-    ASSERT_EQ(got, best.has_value());
-    if (best.has_value()) {
-      expect_identical(*best, ranked.front());
-      expect_identical(into, *best);
-    }
+    core::ConsolidationChoice best;
+    const bool got = inc.query_best_into(load, best);
+    ASSERT_EQ(got, !ranked.empty());
+    if (got) expect_identical(best, ranked.front());
   }
 }
 
@@ -218,7 +205,6 @@ TEST(ConsolidationSegment, AllQuarantinedMaskIsCleanlyInfeasible) {
   inc.set_active(none);
 
   const double load = model->total_capacity() * 0.2;
-  EXPECT_FALSE(inc.query_best(load).has_value());
   core::ConsolidationChoice into;
   EXPECT_FALSE(inc.query_best_into(load, into));
   EXPECT_TRUE(inc.rank_all_k(load).empty());

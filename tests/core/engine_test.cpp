@@ -9,8 +9,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/incremental.h"
 #include "core/synthetic.h"
 #include "obs/obs.h"
+#include "util/rng.h"
 
 namespace coolopt::core {
 namespace {
@@ -265,61 +267,177 @@ TEST(PlanEngine, CountersTrackBatches) {
   EXPECT_EQ(counters.solves, 4u);
 }
 
-TEST(PlanEngine, MemoPlansMatchMemoOffBitForBit) {
-  // Two engines over the same model: the default (memo on) against a
-  // memo-off twin. Every plan must agree bit-for-bit across the full
-  // determinism sweep — twice, so the second lap runs with a warm cache —
-  // and across quarantined requests (which bypass the memo entirely).
-  const SharedRoomModel model = share_model(uniform_model());
-  PlannerOptions memo_off;
-  memo_off.enable_memo = false;
-  const PlanEngine memoized(model);
-  const PlanEngine walker(model, memo_off);
+/// The ranked-head property. For every fully served solve the verified
+/// ranked-head check answered (a memo_hits delta), the plan must be what the
+/// consolidation walk itself accepts at its first candidate: the ON set is
+/// the head of rank_all_k on the request's own table (the full-fleet table,
+/// or an IncrementalConsolidator moved to the request's mask), the closed
+/// form served it alone and within bounds, and the runner-up's relaxation
+/// bound cannot beat it.
+/// Adds how many of `requests` the check answered to `answered`.
+void expect_head_answers_match_walk(const PlanEngine& engine,
+                                    const std::vector<PlanRequest>& requests,
+                                    size_t& answered) {
+  IncrementalConsolidator restricted_table(engine.shared_model());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const PlanRequest& req = requests[i];
+    const uint64_t before = engine.counters().memo_hits;
+    const PlanResult result = engine.solve(req);
+    // A degraded solve bisects over many loads (each may run the check);
+    // the property is about the one query of a fully served solve.
+    if (engine.counters().memo_hits == before || !result.feasible()) continue;
+    ++answered;
+    SCOPED_TRACE("request " + std::to_string(i) + ", load " +
+                 std::to_string(req.load) + ", quarantined " +
+                 std::to_string(req.quarantined.size()));
+    EXPECT_EQ(engine.counters().memo_hits, before + 1);
+    const Plan& plan = *result.plan;
 
-  std::vector<PlanRequest> requests = sweep_requests(*model);
-  const std::vector<PlanRequest> base = requests;
-  for (PlanRequest r : base) {
-    r.quarantined = {0, 3, 7};
-    requests.push_back(r);
-  }
-
-  for (int lap = 0; lap < 2; ++lap) {
-    SCOPED_TRACE("lap " + std::to_string(lap));
-    for (size_t i = 0; i < requests.size(); ++i) {
-      expect_identical(memoized.solve(requests[i]), walker.solve(requests[i]),
-                       i);
+    std::vector<ConsolidationChoice> ranked;
+    if (req.quarantined.empty()) {
+      ranked = engine.consolidator()->rank_all_k(plan.load);
+    } else {
+      std::vector<char> mask(engine.model().size(), 1);
+      for (size_t q : req.quarantined) mask[q] = 0;
+      restricted_table.set_active(mask);
+      ranked = restricted_table.rank_all_k(plan.load);
+    }
+    ASSERT_FALSE(ranked.empty());
+    std::vector<bool> head_on(engine.model().size(), false);
+    for (size_t m : ranked.front().on_set) head_on[m] = true;
+    EXPECT_EQ(plan.allocation.on, head_on);
+    EXPECT_TRUE(plan.closed_form_pure);
+    // The closed form alone, re-solved on the head set, must land within
+    // bounds and be the served split bit-for-bit.
+    const ClosedFormResult cf =
+        engine.analytic()->solve(ranked.front().on_set, plan.load);
+    EXPECT_TRUE(cf.within_bounds());
+    EXPECT_EQ(cf.allocation.loads, plan.allocation.loads);
+    if (ranked.size() > 1) {
+      EXPECT_GE(ranked[1].predicted_total_power_w,
+                plan.allocation.total_power_w - 1e-12);
     }
   }
-  // The memo-off engine must never touch the cache.
-  EXPECT_EQ(walker.counters().memo_hits, 0u);
-  EXPECT_EQ(walker.counters().memo_misses, 0u);
 }
 
-TEST(PlanEngine, MemoHitsOnRepeatedLoadsAndSkipsRestrictedSolves) {
-  // Capacity headroom keeps the holistic scenario on the pure closed-form
-  // walk, where single-probe winners seed the (k, segment) memo.
-  RoomModel roomy = uniform_model();
-  for (MachineModel& m : roomy.machines) m.capacity *= 3.0;
-  const PlanEngine engine(std::move(roomy));
+/// The rooms and loads the ranked-head tests sweep: seeded rooms at n = 12
+/// and 24, with and without 3x capacity headroom, each at a seeded load sweep
+/// plus the table's breakpoint loads (each k-subset exactly at a segment
+/// start, where operating_segment tips over). Calls `visit(engine, loads)`.
+template <typename Visit>
+void for_each_ranked_head_room(Visit&& visit) {
+  for (const size_t n : {12u, 24u}) {
+    for (const uint64_t seed : {3u, 7u}) {
+      for (const double headroom : {1.0, 3.0}) {
+        SCOPED_TRACE("n " + std::to_string(n) + ", seed " +
+                     std::to_string(seed) + ", headroom " +
+                     std::to_string(headroom));
+        RoomModel room = uniform_model(n, seed);
+        for (MachineModel& m : room.machines) m.capacity *= headroom;
+        const PlanEngine engine(std::move(room));
+        const double capacity = engine.model().total_capacity();
+
+        std::vector<double> loads;
+        for (int step = 1; step <= 16; ++step) {
+          loads.push_back(capacity * step / 17.0);
+        }
+        const detail::ConsolidationTable& table =
+            engine.consolidator()->table();
+        const size_t stride = 1 + table.segments.size() / 12;
+        for (size_t si = 0; si < table.segments.size(); si += stride) {
+          for (const size_t k : {size_t{1}, size_t{2}, table.width() / 2,
+                                 table.width()}) {
+            const double load = table.g(k, table.segments[si].start);
+            if (load > 0.0 && load < capacity) loads.push_back(load);
+          }
+        }
+        visit(engine, loads);
+      }
+    }
+  }
+}
+
+TEST(PlanEngine, RankedHeadAnswersAreWhatTheWalkAccepts) {
   const Scenario holistic = Scenario::by_number(8);
-  const double load = engine.model().total_capacity() * 0.25;
+  size_t answers = 0;
+  for_each_ranked_head_room([&](const PlanEngine& engine,
+                                const std::vector<double>& loads) {
+    std::vector<PlanRequest> requests;
+    for (const double load : loads) requests.emplace_back(holistic, load);
+    expect_head_answers_match_walk(engine, requests, answers);
+    // A warm engine answers bit-for-bit like a fresh one: the check keeps no
+    // state across solves, so history cannot change a plan.
+    const PlanEngine fresh(engine.shared_model());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      expect_identical(engine.solve(requests[i]), fresh.solve(requests[i]), i);
+    }
+  });
+  EXPECT_GT(answers, 0u);
+}
 
-  const PlanResult cold = engine.solve(PlanRequest{holistic, load});
-  const PlanResult warm = engine.solve(PlanRequest{holistic, load});
-  expect_identical(cold, warm, 0);
-  const EngineCounters after_warm = engine.counters();
-  EXPECT_GT(after_warm.memo_hits, 0u);
+TEST(PlanEngine, RestrictedSolvesRunTheRankedHeadCheck) {
+  const Scenario holistic = Scenario::by_number(8);
+  size_t answers = 0;
+  for_each_ranked_head_room([&](const PlanEngine& engine,
+                                const std::vector<double>& loads) {
+    const size_t n = engine.model().size();
+    std::vector<PlanRequest> requests;
+    for (const double load : loads) {
+      requests.push_back(PlanRequest(holistic, load, {0, n / 2}));
+      requests.push_back(PlanRequest(holistic, load, {1, 4, n - 1}));
+    }
+    expect_head_answers_match_walk(engine, requests, answers);
+  });
+  // The IncrementalConsolidator table runs the same check as the full-fleet
+  // one: quarantined solves register head answers too.
+  EXPECT_GT(answers, 0u);
+}
 
-  // Quarantine restricts the membership set: those solves bypass the memo
-  // in both directions (no lookups, no seeding), so the counters freeze.
-  const PlanRequest restricted{holistic, load, {1, 4}};
-  (void)engine.solve(restricted);
-  (void)engine.solve(restricted);
-  const EngineCounters after_restricted = engine.counters();
-  EXPECT_EQ(after_restricted.memo_hits, after_warm.memo_hits);
-  EXPECT_EQ(after_restricted.memo_misses, after_warm.memo_misses);
-  EXPECT_EQ(after_restricted.memo_segment_fallbacks,
-            after_warm.memo_segment_fallbacks);
+/// The benchmark's SKU room (perfbench/workload.cpp): the first 8 machine
+/// classes of synthetic seed 42 in equal shares over `machines` slots, in an
+/// order drawn from `seed`, with 3x capacity headroom.
+RoomModel sku_room(size_t machines, uint64_t seed) {
+  RoomModel model = uniform_model(machines, 42);
+  std::vector<size_t> classes(machines);
+  for (size_t i = 0; i < machines; ++i) classes[i] = i % 8;
+  util::Rng(seed).fork("room").shuffle(classes);
+  const std::vector<MachineModel> skus(model.machines.begin(),
+                                       model.machines.begin() + 8);
+  for (size_t i = 0; i < machines; ++i) {
+    model.machines[i] = skus[classes[i]];
+    model.machines[i].id = static_cast<int>(i);
+    model.machines[i].capacity *= 3.0;
+  }
+  return model;
+}
+
+// load == total_capacity() is admitted, but the baselines fold the same
+// capacities in other orders (coolest-first, pin order), which can land a
+// few ulps short of it. On these rooms scenarios 1/4 (n = 1250) and 3/7
+// (n = 2000) used to throw "exceeds capacity" instead of planning.
+TEST(PlanEngineCapacity, LoadExactlyAtCapacityPlansEveryScenario) {
+  for (const size_t n : {1250u, 2000u}) {
+    const PlanEngine engine(sku_room(n, 1));
+    const double capacity = engine.model().total_capacity();
+    // Scenario 6 runs the bounded LP over every machine at this load; it is
+    // covered on the smaller room below.
+    for (const int s : {1, 2, 3, 4, 5, 7, 8}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", scenario " + std::to_string(s));
+      PlanResult result;
+      ASSERT_NO_THROW(result = engine.solve(
+                          PlanRequest{Scenario::by_number(s), capacity}));
+      ASSERT_TRUE(result.plan.has_value());
+      EXPECT_TRUE(result.feasible() || result.shed_load > 0.0);
+    }
+  }
+  const PlanEngine small(sku_room(200, 1));
+  for (const int s : {1, 2, 3, 4, 5, 6, 7, 8}) {
+    SCOPED_TRACE("n 200, scenario " + std::to_string(s));
+    PlanResult result;
+    ASSERT_NO_THROW(result = small.solve(PlanRequest{
+                        Scenario::by_number(s), small.model().total_capacity()}));
+    ASSERT_TRUE(result.plan.has_value());
+  }
 }
 
 TEST(PlanEngine, ZeroLoadWithConsolidationTurnsEverythingOff) {

@@ -124,10 +124,10 @@ void run_churn(const RoomModel& room, uint64_t seed, size_t steps,
       expect_choices_identical(ranked, rebuilt.rank_all_k(frac * capacity));
       // The O(n lg) single-winner query must agree with the head of the
       // full O(n^2) ranking (it's what a one-delta replan actually runs).
-      const std::optional<ConsolidationChoice> best =
-          inc.query_best(frac * capacity);
-      ASSERT_EQ(best.has_value(), !ranked.empty());
-      if (best) expect_choices_identical({*best}, {ranked.front()});
+      ConsolidationChoice best;
+      const bool got = inc.query_best_into(frac * capacity, best);
+      ASSERT_EQ(got, !ranked.empty());
+      if (got) expect_choices_identical({best}, {ranked.front()});
     }
   }
 }

@@ -16,6 +16,7 @@
 #include "service/client.h"
 #include "service/server.h"
 #include "service/wire.h"
+#include "util/rng.h"
 
 namespace coolopt::fleet {
 namespace {
@@ -25,6 +26,25 @@ core::RoomModel test_room(size_t machines = 20, uint64_t seed = 7) {
   options.machines = machines;
   options.seed = seed;
   return core::make_synthetic_model(options);
+}
+
+/// The benchmark's 10k-machine SKU room (perfbench/workload.cpp): the first
+/// 8 machine classes of synthetic seed 42 in equal shares, in an order drawn
+/// from seed 1, with 3x capacity headroom.
+core::RoomModel sku_room_10k() {
+  constexpr size_t kMachines = 10000;
+  core::RoomModel model = test_room(kMachines, 42);
+  std::vector<size_t> classes(kMachines);
+  for (size_t i = 0; i < kMachines; ++i) classes[i] = i % 8;
+  util::Rng(1).fork("room").shuffle(classes);
+  const std::vector<core::MachineModel> skus(model.machines.begin(),
+                                             model.machines.begin() + 8);
+  for (size_t i = 0; i < kMachines; ++i) {
+    model.machines[i] = skus[classes[i]];
+    model.machines[i].id = static_cast<int>(i);
+    model.machines[i].capacity *= 3.0;
+  }
+  return model;
 }
 
 std::string error_of(const std::function<void()>& f) {
@@ -162,6 +182,23 @@ TEST(FleetEngine, SolveIsWorkerCountInvariant) {
       EXPECT_EQ(r1.shard_results[s].plan->allocation.on,
                 rw.shard_results[s].plan->allocation.on);
     }
+  }
+}
+
+// Frontier sampling solves every shard at exactly its capacity. For the
+// Even scenarios on these 1250-machine shards that load used to throw
+// ("even_allocation: load exceeds the ON set's capacity"), failing every
+// fleet solve of scenarios 1 and 4.
+TEST(FleetEngine, EvenScenariosSampleShardsUpToExactCapacity) {
+  const FleetEngine fleet(partition_room(sku_room_10k(), 8));
+  for (const int s : {1, 4}) {
+    SCOPED_TRACE("scenario " + std::to_string(s));
+    FleetPlanRequest request;
+    request.scenario = core::Scenario::by_number(s);
+    request.load = 0.25 * fleet.total_capacity();
+    FleetPlanResult result;
+    ASSERT_NO_THROW(result = fleet.solve(request));
+    EXPECT_TRUE(result.feasible());
   }
 }
 

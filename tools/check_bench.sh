@@ -52,21 +52,25 @@ for f in "${files[@]}"; do
     failures=$((failures + 1))
     continue
   fi
-  # Bench-specific schema: the engine hot-path artifact carries the warm
-  # p50 pair, the derived speedup, the memo hit count, and the bit-equality
-  # verdict per case (perf_engine's self-gated targets).
+  # Bench-specific schema: the engine hot-path artifact carries the cold and
+  # warm p50, the ranked-head answer count, and the byte-identity verdict
+  # per case (perf_engine's self-gated targets).
   if [ "$(jq -r '.bench' "$f")" = "engine" ]; then
-    if ! jq -e '.cases | all((.full_p50_us | type == "number")
-                             and (.memo_p50_us | type == "number")
-                             and (.speedup | type == "number")
-                             and (.memo_hits | type == "number")
+    if ! jq -e '.cases | all((.cold_p50_us | type == "number")
+                             and (.warm_p50_us | type == "number")
+                             and (.head_answers | type == "number")
                              and (.identical | type == "boolean"))' "$f" >/dev/null; then
-      echo "check_bench: $f lacks the engine case schema (numeric full_p50_us/memo_p50_us/speedup/memo_hits, boolean identical)" >&2
+      echo "check_bench: $f lacks the engine case schema (numeric cold_p50_us/warm_p50_us/head_answers, boolean identical)" >&2
       failures=$((failures + 1))
       continue
     fi
     if ! jq -e '.cases | all(.identical)' "$f" >/dev/null; then
-      echo "check_bench: $f reports a case where memo-on plans diverged from memo-off (identical=false)" >&2
+      echo "check_bench: $f reports a case where warm plans diverged from a fresh engine's (identical=false)" >&2
+      failures=$((failures + 1))
+      continue
+    fi
+    if ! jq -e '.cases | all(.head_answers > 0)' "$f" >/dev/null; then
+      echo "check_bench: $f reports a case where the ranked-head check never engaged (head_answers=0)" >&2
       failures=$((failures + 1))
       continue
     fi
