@@ -34,6 +34,12 @@ FaultCampaignResult run_fault_campaign(const FaultCampaignOptions& options) {
     throw std::invalid_argument(
         "run_fault_campaign: duration, dt, and control period must be > 0");
   }
+  // Checked before the profiling pass, which would otherwise run in full
+  // before the controller rejects the demand.
+  if (!(options.demand_fraction >= 0.0 && options.demand_fraction <= 1.0)) {
+    throw std::invalid_argument(
+        "run_fault_campaign: demand fraction must be in [0, 1]");
+  }
 
   // Profile a pristine replica; the campaign room is built fresh from the
   // same config so its sensor streams start from the configured seed, not

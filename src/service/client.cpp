@@ -168,22 +168,6 @@ std::optional<std::string> ServiceClient::call(std::string_view line) {
   return recv_line();
 }
 
-bool ServiceClient::idempotent(Verb verb) {
-  switch (verb) {
-    case Verb::kPing:
-    case Verb::kPlan:
-    case Verb::kFleetplan:
-    case Verb::kMeasure:
-    case Verb::kSweep:
-    case Verb::kHealth:
-      return true;
-    case Verb::kInject:
-    case Verb::kSubscribe:
-      return false;
-  }
-  return false;
-}
-
 std::optional<std::string> ServiceClient::call_with_retry(
     const WireRequest& request) {
   return call_with_retry(request, RetryPolicy{});

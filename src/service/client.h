@@ -90,10 +90,6 @@ class ServiceClient {
   /// Attempts consumed by the last call_with_retry (1 == first try won).
   int last_attempts() const { return last_attempts_; }
 
-  /// Pure reads are idempotent; inject (runs a campaign) and subscribe
-  /// (mutates connection state) are not.
-  static bool idempotent(Verb verb);
-
   const std::string& last_error() const { return error_; }
 
  private:

@@ -74,11 +74,9 @@ PlanningService::PlanningService(ServiceConfig config)
                              : util::ThreadPool::default_workers();
   config_.workers = workers;
   if (config_.model != nullptr) {
-    sim_backed_ = false;
     plan_engine_ =
         std::make_shared<core::PlanEngine>(config_.model, config_.planner);
   } else {
-    sim_backed_ = true;
     eval_engine_ = std::make_unique<control::EvalEngine>(config_.eval);
     plan_engine_ = eval_engine_->plan_engine();
   }
@@ -98,7 +96,7 @@ PlanningService::PlanningService(ServiceConfig config)
   info_.capacity_files_s = plan_engine_->aggregates().total_capacity;
   info_.queue_capacity = queue_.capacity();
   info_.workers = workers;
-  info_.sim_backed = sim_backed_;
+  info_.sim_backed = eval_engine_ != nullptr;
   info_.fleet_shards = config_.fleet_shards;
   pool_ = std::make_unique<util::ThreadPool>(workers);
   slots_.release(static_cast<std::ptrdiff_t>(workers));
@@ -373,10 +371,23 @@ void PlanningService::handle_line(const std::shared_ptr<Session>& session,
                encode_error(request.id, request.verb, kErrBadRequest, error));
     return;
   }
-  if (request.verb == Verb::kHealth) {
-    // Probe plane: answered right here on the reader thread, never queued,
-    // so liveness checks keep answering under a saturated admission queue
-    // and during a drain (reported as draining:true, not shed).
+  if (const char* needs = missing_backend(request.verb, info_)) {
+    write_line(session,
+               encode_error(request.id, request.verb, kErrUnsupportedVerb,
+                            util::strf("verb %s needs %s",
+                                       to_string(request.verb), needs)));
+    return;
+  }
+  if (answered_on_reader(request.verb)) {
+    if (request.verb == Verb::kSubscribe) {
+      // Control plane: never admitted, so streaming cannot contend with
+      // solves.
+      handle_subscribe(session, request);
+      return;
+    }
+    // Probe plane: never queued, so liveness checks keep answering under a
+    // saturated admission queue and during a drain (reported as
+    // draining:true, not shed).
     HealthInfo health;
     health.queue_depth = queue_.size();
     health.queue_capacity = queue_.capacity();
@@ -388,29 +399,6 @@ void PlanningService::handle_line(const std::shared_ptr<Session>& session,
     }
     obs::count("service.health.requests");
     write_line(session, encode_health_response(request.id, health));
-    return;
-  }
-  if (!sim_backed_ && request.verb != Verb::kPing &&
-      request.verb != Verb::kPlan && request.verb != Verb::kFleetplan &&
-      request.verb != Verb::kSubscribe) {
-    write_line(session,
-               encode_error(request.id, request.verb, kErrUnsupportedVerb,
-                            util::strf("verb %s needs a simulator-backed "
-                                       "server (started without --model)",
-                                       to_string(request.verb))));
-    return;
-  }
-  if (request.verb == Verb::kFleetplan && fleet_engine_ == nullptr) {
-    write_line(session,
-               encode_error(request.id, request.verb, kErrUnsupportedVerb,
-                            "verb fleetplan needs a fleet topology (started "
-                            "without --fleet-shards)"));
-    return;
-  }
-  if (request.verb == Verb::kSubscribe) {
-    // Control plane: registered right here on the reader thread, never
-    // admitted to the queue — streaming cannot contend with solves.
-    handle_subscribe(session, request);
     return;
   }
 
@@ -667,6 +655,12 @@ void PlanningService::run_job(const Job& job) {
   std::string response;
   try {
     response = handle_request(job.request);
+  } catch (const std::invalid_argument& e) {
+    // How the engines reject a well-formed request they cannot serve: a
+    // negative or over-capacity load, a bad quarantine index, an unknown
+    // fault or defense name.
+    response = encode_error(job.request.id, job.request.verb,
+                            kErrInvalidArgument, e.what());
   } catch (const std::exception& e) {
     response = encode_error(job.request.id, job.request.verb, kErrInternal,
                             e.what());
@@ -686,98 +680,14 @@ std::string PlanningService::handle_request(const WireRequest& request) {
   switch (request.verb) {
     case Verb::kPing:
       return encode_ping_response(request.id, info_);
-    case Verb::kPlan: {
-      const double load =
-          request.load_files_s.has_value()
-              ? *request.load_files_s
-              : request.load_pct / 100.0 * info_.capacity_files_s;
-      core::PlanRequest plan_request(core::Scenario::by_number(request.scenario),
-                                     load, request.quarantined);
-      try {
-        // Pool workers are long-lived, so each keeps one PlanResult slot
-        // (plus its SolveScratch) warm across requests: a steady stream of
-        // plan queries reuses the same buffers instead of allocating a
-        // result per request. The span context is reused the same way, so
-        // traced warm solves stay allocation-free too.
-        thread_local core::PlanResult slot;
-        thread_local obs::SpanContext spans;
-        const bool traced = request.trace_id.has_value();
-        int root = -1;
-        if (traced) {
-          spans.reset(*request.trace_id);
-          root = spans.begin("service.request");
-          plan_request.spans = &spans;
-          obs::count("service.trace.requests");
-        }
-        plan_engine_->solve_into(plan_request, core::SolveScratch::local(),
-                                 slot);
-        if (!traced) {
-          return encode_plan_response(request.id, slot, nullptr,
-                                      request.deadline_ms);
-        }
-        spans.end(root);
-        return encode_plan_response(request.id, slot, &spans,
-                                    request.deadline_ms);
-      } catch (const std::invalid_argument& e) {
-        return encode_error(request.id, Verb::kPlan, kErrInvalidArgument,
-                            e.what());
-      }
-    }
-    case Verb::kFleetplan: {
-      // handle_line rejects fleetplan before admission when no fleet is
-      // configured, so fleet_engine_ is non-null here.
-      const double load =
-          request.load_files_s.has_value()
-              ? *request.load_files_s
-              : request.load_pct / 100.0 * info_.capacity_files_s;
-      fleet::FleetPlanRequest fleet_request;
-      fleet_request.scenario = core::Scenario::by_number(request.scenario);
-      fleet_request.load = load;
-      fleet_request.quarantined = request.fleet_quarantined;
-      fleet_request.down_shards = request.down_shards;
-      try {
-        thread_local obs::SpanContext spans;
-        const bool traced = request.trace_id.has_value();
-        int root = -1;
-        if (traced) {
-          spans.reset(*request.trace_id);
-          root = spans.begin("service.request");
-          fleet_request.spans = &spans;
-          obs::count("service.trace.requests");
-        }
-        const fleet::FleetPlanResult result = fleet_engine_->solve(fleet_request);
-        {
-          // Remember the statuses for the health verb's probe answers.
-          std::lock_guard<std::mutex> lock(health_mu_);
-          for (size_t s = 0; s < result.shard_status.size() &&
-                             s < shard_status_.size();
-               ++s) {
-            shard_status_[s] = fleet::to_string(result.shard_status[s]);
-          }
-        }
-        if (!traced) {
-          return encode_fleetplan_response(request.id, result, nullptr,
-                                           request.deadline_ms);
-        }
-        spans.end(root);
-        return encode_fleetplan_response(request.id, result, &spans,
-                                         request.deadline_ms);
-      } catch (const std::invalid_argument& e) {
-        return encode_error(request.id, Verb::kFleetplan, kErrInvalidArgument,
-                            e.what());
-      }
-    }
-    case Verb::kMeasure: {
-      try {
-        return encode_measure_response(
-            request.id,
-            eval_engine_->measure(core::Scenario::by_number(request.scenario),
-                                  request.load_pct));
-      } catch (const std::invalid_argument& e) {
-        return encode_error(request.id, Verb::kMeasure, kErrInvalidArgument,
-                            e.what());
-      }
-    }
+    case Verb::kPlan:
+    case Verb::kFleetplan:
+      return handle_plan(request);
+    case Verb::kMeasure:
+      return encode_measure_response(
+          request.id,
+          eval_engine_->measure(core::Scenario::by_number(request.scenario),
+                                request.load_pct));
     case Verb::kSweep: {
       std::vector<core::Scenario> scenarios;
       if (request.scenarios.empty()) {
@@ -790,25 +700,14 @@ std::string PlanningService::handle_request(const WireRequest& request) {
       const std::vector<double> load_pcts = request.load_pcts.empty()
                                                 ? control::paper_load_axis()
                                                 : request.load_pcts;
-      try {
-        const std::vector<control::EvalPoint> points =
-            eval_engine_->sweep(scenarios, load_pcts);
-        return encode_sweep_response(request.id, points);
-      } catch (const std::invalid_argument& e) {
-        return encode_error(request.id, Verb::kSweep, kErrInvalidArgument,
-                            e.what());
-      }
+      return encode_sweep_response(request.id,
+                                   eval_engine_->sweep(scenarios, load_pcts));
     }
     case Verb::kInject: {
       control::FaultCampaignOptions options;
       options.room = config_.eval.room;
-      try {
-        options.scenario = sim::FaultScenario::named(request.fault);
-        options.defense = control::parse_defense(request.defense);
-      } catch (const std::invalid_argument& e) {
-        return encode_error(request.id, Verb::kInject, kErrInvalidArgument,
-                            e.what());
-      }
+      options.scenario = sim::FaultScenario::named(request.fault);
+      options.defense = control::parse_defense(request.defense);
       options.demand_fraction = request.load_pct / 100.0;
       options.duration_s = request.duration_s;
       options.control_period_s = request.control_period_s;
@@ -821,6 +720,54 @@ std::string PlanningService::handle_request(const WireRequest& request) {
       break;
   }
   return encode_error(request.id, request.verb, kErrInternal, "unreachable");
+}
+
+std::string PlanningService::handle_plan(const WireRequest& request) {
+  const double load = request.load_files_s.has_value()
+                          ? *request.load_files_s
+                          : request.load_pct / 100.0 * info_.capacity_files_s;
+  const core::Scenario scenario = core::Scenario::by_number(request.scenario);
+  // Pool workers are long-lived, so each keeps one PlanResult slot (plus
+  // its SolveScratch) and one span context warm across requests: a steady
+  // stream of plan queries, traced or not, reuses the same buffers instead
+  // of allocating per request.
+  thread_local obs::SpanContext spans;
+  obs::SpanContext* trace = nullptr;
+  int root = -1;
+  if (request.trace_id.has_value()) {
+    spans.reset(*request.trace_id);
+    root = spans.begin("service.request");
+    trace = &spans;
+    obs::count("service.trace.requests");
+  }
+  if (request.verb == Verb::kPlan) {
+    thread_local core::PlanResult slot;
+    core::PlanRequest plan_request(scenario, load, request.quarantined);
+    plan_request.spans = trace;
+    plan_engine_->solve_into(plan_request, core::SolveScratch::local(), slot);
+    if (trace != nullptr) spans.end(root);
+    return encode_plan_response(request.id, slot, trace, request.deadline_ms);
+  }
+  // handle_line rejects fleetplan before admission when no fleet is
+  // configured, so fleet_engine_ is non-null here.
+  fleet::FleetPlanRequest fleet_request;
+  fleet_request.scenario = scenario;
+  fleet_request.load = load;
+  fleet_request.quarantined = request.fleet_quarantined;
+  fleet_request.down_shards = request.down_shards;
+  fleet_request.spans = trace;
+  const fleet::FleetPlanResult result = fleet_engine_->solve(fleet_request);
+  {
+    // Remember the statuses for the health verb's probe answers.
+    std::lock_guard<std::mutex> lock(health_mu_);
+    for (size_t s = 0;
+         s < result.shard_status.size() && s < shard_status_.size(); ++s) {
+      shard_status_[s] = fleet::to_string(result.shard_status[s]);
+    }
+  }
+  if (trace != nullptr) spans.end(root);
+  return encode_fleetplan_response(request.id, result, trace,
+                                   request.deadline_ms);
 }
 
 bool PlanningService::write_line(const std::shared_ptr<Session>& session,

@@ -227,13 +227,14 @@ class PlanningService {
   /// The request -> response-bytes pure function (also what the
   /// determinism tests replicate in-process).
   std::string handle_request(const WireRequest& request);
+  /// plan and fleetplan: one load resolution, trace setup and solve path.
+  std::string handle_plan(const WireRequest& request);
 
   bool write_line(const std::shared_ptr<Session>& session,
                   std::string_view line);
   void observe_latency(Verb verb, double us);
 
   ServiceConfig config_;
-  bool sim_backed_ = false;
   std::unique_ptr<control::EvalEngine> eval_engine_;  // sim-backed mode
   std::shared_ptr<core::PlanEngine> plan_engine_;     // always set
   std::unique_ptr<fleet::FleetEngine> fleet_engine_;  // fleet_shards > 0

@@ -1,9 +1,13 @@
 #include "service/wire.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "obs/json_writer.h"
 #include "util/jsonio.h"
@@ -238,52 +242,191 @@ bool parse_json(std::string_view text, JsonValue& out, std::string& error) {
   return JsonParser(text).parse(out, error);
 }
 
-// --- verbs / priorities ---
-
-const char* to_string(Verb verb) {
-  switch (verb) {
-    case Verb::kPing: return "ping";
-    case Verb::kPlan: return "plan";
-    case Verb::kFleetplan: return "fleetplan";
-    case Verb::kMeasure: return "measure";
-    case Verb::kSweep: return "sweep";
-    case Verb::kInject: return "inject";
-    case Verb::kSubscribe: return "subscribe";
-    case Verb::kHealth: return "health";
-  }
-  return "?";
-}
-
-const char* to_string(Priority priority) {
-  switch (priority) {
-    case Priority::kHigh: return "high";
-    case Priority::kNormal: return "normal";
-    case Priority::kLow: return "low";
-  }
-  return "?";
-}
+// --- the protocol table ---
+//
+// One row per verb and one per request field. Parsing, encoding, the verb
+// names, the unknown-field check, the ping `verbs` list and the server's
+// availability gate all read these rows, and a service test checks the
+// field tables of docs/service.md against them.
 
 namespace {
 
-bool parse_verb(const std::string& name, Verb& out) {
-  if (name == "ping") out = Verb::kPing;
-  else if (name == "plan") out = Verb::kPlan;
-  else if (name == "fleetplan") out = Verb::kFleetplan;
-  else if (name == "measure") out = Verb::kMeasure;
-  else if (name == "sweep") out = Verb::kSweep;
-  else if (name == "inject") out = Verb::kInject;
-  else if (name == "subscribe") out = Verb::kSubscribe;
-  else if (name == "health") out = Verb::kHealth;
-  else return false;
-  return true;
+/// The WireRequest member a field decodes into. Its type fixes the JSON
+/// kind: a non-negative integer (uint64_t, int, size_t), a finite number
+/// (double), a string, one of an enum's names, an array of those, or a
+/// {"shard","machine"} object.
+template <typename T>
+using Member = T WireRequest::*;
+using Target = std::variant<
+    Member<uint64_t>, Member<int>, Member<double>, Member<std::string>,
+    Member<Verb>, Member<Priority>, Member<std::optional<uint64_t>>,
+    Member<std::optional<double>>, Member<std::vector<size_t>>,
+    Member<std::vector<int>>, Member<std::vector<double>>,
+    Member<std::vector<fleet::ShardMachine>>>;
+
+struct Field {
+  const char* name;
+  Target target;
+  /// The error for a malformed integer, string or array is `"name" must be
+  /// <must>`; a number's is "a finite number", an enum's lists its names.
+  const char* must = nullptr;
+  /// Arrays: a malformed entry is `"name" entries must be <entries>`, or
+  /// the entry's own error when null.
+  const char* entries = nullptr;
+  bool positive = false;  ///< values (array entries) must be > 0 ...
+  double max = std::numeric_limits<double>::infinity();  ///< ... and <= max
+  bool non_empty = false;  ///< arrays: at least one entry
+};
+
+constexpr Field kId{"id", &WireRequest::id, "a non-negative integer"};
+constexpr Field kVerbField{"verb", &WireRequest::verb};
+constexpr Field kPriority{"priority", &WireRequest::priority};
+/// Every request carries these, ahead of its verb's fields.
+constexpr const Field* kEnvelope[] = {&kId, &kVerbField, &kPriority};
+
+constexpr Field kScenario{.name = "scenario", .target = &WireRequest::scenario,
+                          .must = "a Fig. 4 number in 1..8",
+                          .positive = true, .max = 8};
+constexpr Field kLoadPct{"load_pct", &WireRequest::load_pct};
+constexpr Field kLoad{"load", &WireRequest::load_files_s};
+constexpr Field kQuarantined{"quarantined", &WireRequest::quarantined,
+                             "an array of machine indices",
+                             "non-negative integers"};
+constexpr Field kShardQuarantined{
+    kQuarantined.name, &WireRequest::fleet_quarantined,
+    "an array of {\"shard\",\"machine\"} objects",
+    "objects with exactly non-negative integer \"shard\" and \"machine\""};
+constexpr Field kDownShards{"down_shards", &WireRequest::down_shards,
+                            "an array of shard indices",
+                            "non-negative integers"};
+constexpr Field kTraceId{"trace_id", &WireRequest::trace_id,
+                         "a non-negative integer"};
+constexpr Field kDeadline{.name = "deadline_ms",
+                          .target = &WireRequest::deadline_ms,
+                          .must = "a positive integer", .positive = true};
+constexpr Field kScenarios{.name = "scenarios",
+                           .target = &WireRequest::scenarios,
+                           .must = "a non-empty array of Fig. 4 numbers",
+                           .entries = "Fig. 4 numbers in 1..8",
+                           .positive = true, .max = 8, .non_empty = true};
+constexpr Field kLoadPcts{.name = "load_pcts",
+                          .target = &WireRequest::load_pcts,
+                          .must = "a non-empty array of numbers",
+                          .non_empty = true};
+constexpr Field kFault{"fault", &WireRequest::fault, "a scenario name string"};
+constexpr Field kDefense{"defense", &WireRequest::defense,
+                         "none|watchdog|supervisor"};
+constexpr Field kDuration{.name = "duration_s",
+                          .target = &WireRequest::duration_s,
+                          .positive = true, .max = kMaxInjectDurationS};
+constexpr Field kControlPeriod{.name = "control_period_s",
+                               .target = &WireRequest::control_period_s,
+                               .positive = true};
+constexpr Field kInterval{.name = "interval_ms",
+                          .target = &WireRequest::interval_ms,
+                          .must = "a positive integer", .positive = true};
+constexpr Field kTicks{"ticks", &WireRequest::ticks,
+                       "a non-negative integer (0 = unbounded)"};
+
+/// A field as one verb takes it. Fields are checked in this order, so the
+/// first error a line reports follows it.
+struct Use {
+  const Field* field;
+  Presence presence;
+  std::optional<double> preset = std::nullopt;  ///< this verb's default
+};
+
+using P = Presence;
+constexpr Use kPlanFields[] = {
+    {&kScenario, P::kDefault}, {&kLoadPct, P::kRequired},
+    {&kLoad, P::kRequired},    {&kQuarantined, P::kOptional},
+    {&kTraceId, P::kOptional}, {&kDeadline, P::kOptional}};
+constexpr Use kFleetplanFields[] = {
+    {&kScenario, P::kDefault},          {&kLoadPct, P::kRequired},
+    {&kLoad, P::kRequired},             {&kShardQuarantined, P::kOptional},
+    {&kDownShards, P::kOptional},       {&kTraceId, P::kOptional},
+    {&kDeadline, P::kOptional}};
+constexpr Use kMeasureFields[] = {{&kScenario, P::kDefault},
+                                  {&kLoadPct, P::kRequired}};
+constexpr Use kSweepFields[] = {{&kScenarios, P::kOptional},
+                                {&kLoadPcts, P::kOptional}};
+constexpr Use kInjectFields[] = {
+    {&kFault, P::kDefault},         {&kDefense, P::kDefault},
+    {&kLoadPct, P::kDefault, 60.0}, {&kDuration, P::kDefault},
+    {&kControlPeriod, P::kDefault}};
+constexpr Use kSubscribeFields[] = {{&kInterval, P::kDefault},
+                                    {&kTicks, P::kOptional}};
+
+enum class Backend { kAny, kSim, kFleet };
+
+struct VerbRow {
+  const char* name;
+  Backend backend;  ///< what the server needs to serve the verb
+  bool on_reader;   ///< answered on the reader thread, never queued
+  bool idempotent;  ///< safe for clients to retry
+  std::span<const Use> fields;
+};
+
+// Indexed by Verb; the ping `verbs` list keeps this order.
+constexpr VerbRow kVerbs[] = {
+    // name       backend          reader idempotent fields
+    {"ping",      Backend::kAny,   false, true,  {}},
+    {"plan",      Backend::kAny,   false, true,  kPlanFields},
+    {"fleetplan", Backend::kFleet, false, true,  kFleetplanFields},
+    {"measure",   Backend::kSim,   false, true,  kMeasureFields},
+    {"sweep",     Backend::kSim,   false, true,  kSweepFields},
+    {"inject",    Backend::kSim,   false, false, kInjectFields},
+    {"subscribe", Backend::kAny,   true,  false, kSubscribeFields},
+    {"health",    Backend::kAny,   true,  true,  {}},
+};
+static_assert(std::size(kVerbs) == kVerbCount);
+
+constexpr const char* kPriorities[] = {"high", "normal", "low"};
+
+const VerbRow& row_of(Verb verb) { return kVerbs[static_cast<size_t>(verb)]; }
+
+}  // namespace
+
+const char* to_string(Verb verb) {
+  const auto i = static_cast<size_t>(verb);
+  return i < std::size(kVerbs) ? kVerbs[i].name : "?";
 }
 
-bool parse_priority(const std::string& name, Priority& out) {
-  if (name == "high") out = Priority::kHigh;
-  else if (name == "normal") out = Priority::kNormal;
-  else if (name == "low") out = Priority::kLow;
-  else return false;
-  return true;
+const char* to_string(Priority priority) {
+  const auto i = static_cast<size_t>(priority);
+  return i < std::size(kPriorities) ? kPriorities[i] : "?";
+}
+
+std::vector<RequestField> request_fields(Verb verb) {
+  std::vector<RequestField> out;
+  for (const Use& use : row_of(verb).fields) {
+    out.push_back({use.field->name, use.presence});
+  }
+  return out;
+}
+
+const char* missing_backend(Verb verb, const ServerInfo& info) {
+  const Backend backend = row_of(verb).backend;
+  if (backend == Backend::kSim && !info.sim_backed) {
+    return "a simulator-backed server (started without --model)";
+  }
+  if (backend == Backend::kFleet && info.fleet_shards == 0) {
+    return "a fleet topology (started without --fleet-shards)";
+  }
+  return nullptr;
+}
+
+bool answered_on_reader(Verb verb) { return row_of(verb).on_reader; }
+
+bool idempotent(Verb verb) { return row_of(verb).idempotent; }
+
+// --- decoding ---
+
+namespace {
+
+bool fail(std::string& error, const Field& field, const char* must) {
+  error = util::strf("\"%s\" must be %s", field.name, must);
+  return false;
 }
 
 /// Non-negative integral number (ids, scenario numbers, machine indices).
@@ -295,34 +438,125 @@ bool as_uint(const JsonValue& v, uint64_t& out) {
   return true;
 }
 
-/// The per-verb field whitelist: every key of the request object must be
-/// either common or listed for the verb, so typos are rejected by name.
-bool field_allowed(Verb verb, const std::string& key) {
-  static constexpr std::string_view kCommon[] = {"id", "verb", "priority"};
-  for (std::string_view f : kCommon) {
-    if (key == f) return true;
+template <typename T>
+  requires std::is_integral_v<T>
+bool read(const JsonValue& v, const Field& field, T& out, std::string& error) {
+  uint64_t n = 0;
+  if (!as_uint(v, n) || (field.positive && n == 0) ||
+      static_cast<double>(n) > field.max) {
+    return fail(error, field, field.must);
   }
-  switch (verb) {
-    case Verb::kPing:
-    case Verb::kHealth:
+  out = static_cast<T>(n);
+  return true;
+}
+
+bool read(const JsonValue& v, const Field& field, double& out,
+          std::string& error) {
+  if (!v.is_number() || !std::isfinite(v.as_number())) {
+    return fail(error, field, "a finite number");
+  }
+  out = v.as_number();
+  if (field.positive && out <= 0.0) return fail(error, field, "positive");
+  if (out > field.max) {
+    return fail(error, field, util::strf("at most %g", field.max).c_str());
+  }
+  return true;
+}
+
+bool read(const JsonValue& v, const Field& field, std::string& out,
+          std::string& error) {
+  if (!v.is_string()) return fail(error, field, field.must);
+  out = v.as_string();
+  return true;
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+bool read(const JsonValue& v, const Field& field, E& out, std::string& error) {
+  constexpr size_t n = std::is_same_v<E, Verb> ? kVerbCount
+                                               : std::size(kPriorities);
+  for (size_t i = 0; i < n; ++i) {
+    if (v.is_string() && v.as_string() == to_string(static_cast<E>(i))) {
+      out = static_cast<E>(i);
+      return true;
+    }
+  }
+  std::string names = "one of ";
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0) names += '|';
+    names += to_string(static_cast<E>(i));
+  }
+  return fail(error, field, names.c_str());
+}
+
+bool read(const JsonValue& v, const Field& field, fleet::ShardMachine& out,
+          std::string& error) {
+  const JsonValue* shard = v.find("shard");
+  const JsonValue* machine = v.find("machine");
+  if (!v.is_object() || v.members().size() != 2 || shard == nullptr ||
+      machine == nullptr || !as_uint(*shard, out.shard) ||
+      !as_uint(*machine, out.machine)) {
+    return fail(error, field, field.entries);
+  }
+  return true;
+}
+
+template <typename T>
+bool read(const JsonValue& v, const Field& field, std::optional<T>& out,
+          std::string& error) {
+  return read(v, field, out.emplace(), error);
+}
+
+template <typename T>
+bool read(const JsonValue& v, const Field& field, std::vector<T>& out,
+          std::string& error) {
+  if (!v.is_array() || (field.non_empty && v.items().empty())) {
+    return fail(error, field, field.must);
+  }
+  for (const JsonValue& item : v.items()) {
+    if (!read(item, field, out.emplace_back(), error)) {
+      if (field.entries != nullptr) {
+        error = util::strf("\"%s\" entries must be %s", field.name,
+                           field.entries);
+      }
       return false;
-    case Verb::kPlan:
-      return key == "scenario" || key == "load_pct" || key == "load" ||
-             key == "quarantined" || key == "trace_id" || key == "deadline_ms";
-    case Verb::kFleetplan:
-      return key == "scenario" || key == "load_pct" || key == "load" ||
-             key == "quarantined" || key == "trace_id" ||
-             key == "deadline_ms" || key == "down_shards";
-    case Verb::kMeasure:
-      return key == "scenario" || key == "load_pct";
-    case Verb::kSweep:
-      return key == "scenarios" || key == "load_pcts";
-    case Verb::kInject:
-      return key == "fault" || key == "defense" || key == "load_pct" ||
-             key == "duration_s" || key == "control_period_s";
-    case Verb::kSubscribe:
-      return key == "interval_ms" || key == "ticks";
+    }
   }
+  return true;
+}
+
+bool read_field(const JsonValue& v, const Field& field, WireRequest& out,
+                std::string& error) {
+  return std::visit(
+      [&](auto member) { return read(v, field, out.*member, error); },
+      field.target);
+}
+
+bool takes(const VerbRow& row, std::string_view key) {
+  const auto named = [&](const Field* f) { return key == f->name; };
+  return std::ranges::any_of(kEnvelope, named) ||
+         std::ranges::any_of(row.fields,
+                             [&](const Use& u) { return named(u.field); });
+}
+
+/// Exactly one of a verb's required fields must be present.
+bool check_required(const JsonValue& doc, const VerbRow& row,
+                    std::string& error) {
+  size_t present = 0;
+  for (const Use& use : row.fields) {
+    present += use.presence == Presence::kRequired &&
+               doc.find(use.field->name) != nullptr;
+  }
+  if (present == 1) return true;
+  std::string names;
+  for (const Use& use : row.fields) {
+    if (use.presence != Presence::kRequired) continue;
+    names += names.empty() ? "\"" : " or \"";
+    names += use.field->name;
+    names += '"';
+  }
+  error = util::strf(present == 0 ? "%s needs %s" : "%s takes %s, not both",
+                     row.name, names.c_str());
   return false;
 }
 
@@ -338,276 +572,36 @@ bool parse_request(std::string_view line, WireRequest& out, std::string& error) 
   }
   // Recover the id first so even a rejected request gets a correlated
   // error response.
-  if (const JsonValue* id = doc.find("id")) {
-    if (!as_uint(*id, out.id)) {
-      error = "\"id\" must be a non-negative integer";
-      return false;
-    }
-  }
-  const JsonValue* verb = doc.find("verb");
-  if (verb == nullptr || !verb->is_string() ||
-      !parse_verb(verb->as_string(), out.verb)) {
-    error = "\"verb\" must be one of "
-            "ping|plan|fleetplan|measure|sweep|inject|subscribe|health";
+  const JsonValue* id = doc.find(kId.name);
+  if (id != nullptr && !read_field(*id, kId, out, error)) return false;
+  static const JsonValue kAbsent;  // a missing verb reads as null
+  const JsonValue* verb = doc.find(kVerbField.name);
+  if (!read_field(verb != nullptr ? *verb : kAbsent, kVerbField, out, error)) {
     return false;
   }
-  for (const auto& [key, value] : doc.members()) {
-    (void)value;
-    if (!field_allowed(out.verb, key)) {
-      error = util::strf("unknown field \"%s\" for verb %s", key.c_str(),
-                         to_string(out.verb));
+  const VerbRow& row = row_of(out.verb);
+  for (const auto& member : doc.members()) {
+    if (!takes(row, member.first)) {
+      error = util::strf("unknown field \"%s\" for verb %s",
+                         member.first.c_str(), row.name);
       return false;
     }
   }
-  if (const JsonValue* prio = doc.find("priority")) {
-    if (!prio->is_string() || !parse_priority(prio->as_string(), out.priority)) {
-      error = "\"priority\" must be one of high|normal|low";
-      return false;
-    }
+  const JsonValue* priority = doc.find(kPriority.name);
+  if (priority != nullptr && !read_field(*priority, kPriority, out, error)) {
+    return false;
   }
-
-  auto scenario_field = [&](const JsonValue& v, int& dst) {
-    uint64_t n = 0;
-    if (!as_uint(v, n) || n < 1 || n > 8) {
-      error = "\"scenario\" must be a Fig. 4 number in 1..8";
-      return false;
+  bool required_checked = false;
+  for (const Use& use : row.fields) {
+    if (use.presence == Presence::kRequired && !required_checked) {
+      required_checked = true;
+      if (!check_required(doc, row, error)) return false;
     }
-    dst = static_cast<int>(n);
-    return true;
-  };
-  auto finite_number = [&](const JsonValue& v, const char* name, double& dst) {
-    if (!v.is_number() || !std::isfinite(v.as_number())) {
-      error = util::strf("\"%s\" must be a finite number", name);
-      return false;
+    if (const JsonValue* v = doc.find(use.field->name)) {
+      if (!read_field(*v, *use.field, out, error)) return false;
+    } else if (use.preset.has_value()) {
+      out.*std::get<double WireRequest::*>(use.field->target) = *use.preset;
     }
-    dst = v.as_number();
-    return true;
-  };
-  auto trace_field = [&]() {
-    if (const JsonValue* t = doc.find("trace_id")) {
-      uint64_t v = 0;
-      if (!as_uint(*t, v)) {
-        error = "\"trace_id\" must be a non-negative integer";
-        return false;
-      }
-      out.trace_id = v;
-    }
-    return true;
-  };
-  auto deadline_field = [&]() {
-    if (const JsonValue* d = doc.find("deadline_ms")) {
-      uint64_t v = 0;
-      if (!as_uint(*d, v) || v == 0) {
-        error = "\"deadline_ms\" must be a positive integer";
-        return false;
-      }
-      out.deadline_ms = v;
-    }
-    return true;
-  };
-
-  switch (out.verb) {
-    case Verb::kPing:
-      break;
-    case Verb::kPlan: {
-      if (const JsonValue* s = doc.find("scenario")) {
-        if (!scenario_field(*s, out.scenario)) return false;
-      }
-      const JsonValue* pct = doc.find("load_pct");
-      const JsonValue* abs = doc.find("load");
-      if (pct == nullptr && abs == nullptr) {
-        error = "plan needs \"load_pct\" or \"load\"";
-        return false;
-      }
-      if (pct != nullptr && abs != nullptr) {
-        error = "plan takes \"load_pct\" or \"load\", not both";
-        return false;
-      }
-      if (pct != nullptr && !finite_number(*pct, "load_pct", out.load_pct)) {
-        return false;
-      }
-      if (abs != nullptr) {
-        double v = 0.0;
-        if (!finite_number(*abs, "load", v)) return false;
-        out.load_files_s = v;
-      }
-      if (const JsonValue* q = doc.find("quarantined")) {
-        if (!q->is_array()) {
-          error = "\"quarantined\" must be an array of machine indices";
-          return false;
-        }
-        for (const JsonValue& item : q->items()) {
-          uint64_t index = 0;
-          if (!as_uint(item, index)) {
-            error = "\"quarantined\" entries must be non-negative integers";
-            return false;
-          }
-          out.quarantined.push_back(static_cast<size_t>(index));
-        }
-      }
-      if (!trace_field()) return false;
-      if (!deadline_field()) return false;
-      break;
-    }
-    case Verb::kFleetplan: {
-      if (const JsonValue* s = doc.find("scenario")) {
-        if (!scenario_field(*s, out.scenario)) return false;
-      }
-      const JsonValue* pct = doc.find("load_pct");
-      const JsonValue* abs = doc.find("load");
-      if (pct == nullptr && abs == nullptr) {
-        error = "fleetplan needs \"load_pct\" or \"load\"";
-        return false;
-      }
-      if (pct != nullptr && abs != nullptr) {
-        error = "fleetplan takes \"load_pct\" or \"load\", not both";
-        return false;
-      }
-      if (pct != nullptr && !finite_number(*pct, "load_pct", out.load_pct)) {
-        return false;
-      }
-      if (abs != nullptr) {
-        double v = 0.0;
-        if (!finite_number(*abs, "load", v)) return false;
-        out.load_files_s = v;
-      }
-      if (const JsonValue* q = doc.find("quarantined")) {
-        if (!q->is_array()) {
-          error = "\"quarantined\" must be an array of "
-                  "{\"shard\",\"machine\"} objects";
-          return false;
-        }
-        for (const JsonValue& item : q->items()) {
-          const JsonValue* shard = item.find("shard");
-          const JsonValue* machine = item.find("machine");
-          uint64_t s_index = 0;
-          uint64_t m_index = 0;
-          if (!item.is_object() || item.members().size() != 2 ||
-              shard == nullptr || machine == nullptr ||
-              !as_uint(*shard, s_index) || !as_uint(*machine, m_index)) {
-            error = "\"quarantined\" entries must be objects with exactly "
-                    "non-negative integer \"shard\" and \"machine\"";
-            return false;
-          }
-          out.fleet_quarantined.push_back(
-              fleet::ShardMachine{static_cast<size_t>(s_index),
-                                  static_cast<size_t>(m_index)});
-        }
-      }
-      if (const JsonValue* d = doc.find("down_shards")) {
-        if (!d->is_array()) {
-          error = "\"down_shards\" must be an array of shard indices";
-          return false;
-        }
-        for (const JsonValue& item : d->items()) {
-          uint64_t index = 0;
-          if (!as_uint(item, index)) {
-            error = "\"down_shards\" entries must be non-negative integers";
-            return false;
-          }
-          out.down_shards.push_back(static_cast<size_t>(index));
-        }
-      }
-      if (!trace_field()) return false;
-      if (!deadline_field()) return false;
-      break;
-    }
-    case Verb::kMeasure: {
-      if (const JsonValue* s = doc.find("scenario")) {
-        if (!scenario_field(*s, out.scenario)) return false;
-      }
-      const JsonValue* pct = doc.find("load_pct");
-      if (pct == nullptr) {
-        error = "measure needs \"load_pct\"";
-        return false;
-      }
-      if (!finite_number(*pct, "load_pct", out.load_pct)) return false;
-      break;
-    }
-    case Verb::kSweep: {
-      if (const JsonValue* s = doc.find("scenarios")) {
-        if (!s->is_array() || s->items().empty()) {
-          error = "\"scenarios\" must be a non-empty array of Fig. 4 numbers";
-          return false;
-        }
-        for (const JsonValue& item : s->items()) {
-          int number = 0;
-          if (!scenario_field(item, number)) {
-            error = "\"scenarios\" entries must be Fig. 4 numbers in 1..8";
-            return false;
-          }
-          out.scenarios.push_back(number);
-        }
-      }
-      if (const JsonValue* l = doc.find("load_pcts")) {
-        if (!l->is_array() || l->items().empty()) {
-          error = "\"load_pcts\" must be a non-empty array of numbers";
-          return false;
-        }
-        for (const JsonValue& item : l->items()) {
-          double v = 0.0;
-          if (!finite_number(item, "load_pcts", v)) return false;
-          out.load_pcts.push_back(v);
-        }
-      }
-      break;
-    }
-    case Verb::kInject: {
-      if (const JsonValue* f = doc.find("fault")) {
-        if (!f->is_string()) {
-          error = "\"fault\" must be a scenario name string";
-          return false;
-        }
-        out.fault = f->as_string();
-      }
-      if (const JsonValue* d = doc.find("defense")) {
-        if (!d->is_string()) {
-          error = "\"defense\" must be none|watchdog|supervisor";
-          return false;
-        }
-        out.defense = d->as_string();
-      }
-      out.load_pct = 60.0;
-      if (const JsonValue* pct = doc.find("load_pct")) {
-        if (!finite_number(*pct, "load_pct", out.load_pct)) return false;
-      }
-      if (const JsonValue* dur = doc.find("duration_s")) {
-        if (!finite_number(*dur, "duration_s", out.duration_s)) return false;
-        if (out.duration_s <= 0.0) {
-          error = "\"duration_s\" must be positive";
-          return false;
-        }
-      }
-      if (const JsonValue* cp = doc.find("control_period_s")) {
-        if (!finite_number(*cp, "control_period_s", out.control_period_s)) {
-          return false;
-        }
-        if (out.control_period_s <= 0.0) {
-          error = "\"control_period_s\" must be positive";
-          return false;
-        }
-      }
-      break;
-    }
-    case Verb::kSubscribe: {
-      if (const JsonValue* i = doc.find("interval_ms")) {
-        uint64_t v = 0;
-        if (!as_uint(*i, v) || v == 0) {
-          error = "\"interval_ms\" must be a positive integer";
-          return false;
-        }
-        out.interval_ms = v;  // clamped to the server bounds at admission
-      }
-      if (const JsonValue* t = doc.find("ticks")) {
-        if (!as_uint(*t, out.ticks)) {
-          error = "\"ticks\" must be a non-negative integer (0 = unbounded)";
-          return false;
-        }
-      }
-      break;
-    }
-    case Verb::kHealth:
-      break;
   }
   return true;
 }
@@ -724,16 +718,10 @@ std::string encode_ping_response(uint64_t id, const ServerInfo& info) {
   }
   w.key("verbs");
   w.begin_array();
-  w.value("ping");
-  w.value("plan");
-  if (info.fleet_shards > 0) w.value("fleetplan");
-  if (info.sim_backed) {
-    w.value("measure");
-    w.value("sweep");
-    w.value("inject");
+  for (size_t i = 0; i < kVerbCount; ++i) {
+    const Verb verb = static_cast<Verb>(i);
+    if (missing_backend(verb, info) == nullptr) w.value(to_string(verb));
   }
-  w.value("subscribe");
-  w.value("health");
   w.end_array();
   w.end_object();
   w.end_object();
@@ -969,100 +957,79 @@ std::string encode_telemetry_tick(uint64_t subscription_id, uint64_t tick,
   return os.str();
 }
 
+namespace {
+
+template <typename T>
+  requires std::is_integral_v<T>
+void write(obs::JsonWriter& w, T v) {
+  w.value(static_cast<uint64_t>(v));
+}
+void write(obs::JsonWriter& w, double v) { w.value(v); }
+void write(obs::JsonWriter& w, const std::string& v) { w.value(v); }
+void write(obs::JsonWriter& w, Verb v) { w.value(to_string(v)); }
+void write(obs::JsonWriter& w, Priority v) { w.value(to_string(v)); }
+void write(obs::JsonWriter& w, const fleet::ShardMachine& q) {
+  w.begin_object();
+  w.kv("shard", static_cast<uint64_t>(q.shard));
+  w.kv("machine", static_cast<uint64_t>(q.machine));
+  w.end_object();
+}
+template <typename T>
+void write(obs::JsonWriter& w, const std::optional<T>& v) {
+  write(w, *v);
+}
+template <typename T>
+void write(obs::JsonWriter& w, const std::vector<T>& v) {
+  w.begin_array();
+  for (const T& item : v) write(w, item);
+  w.end_array();
+}
+
+/// Set: an engaged optional, a non-empty array, a non-zero scalar.
+template <typename T>
+bool is_set(const T& v) {
+  return v != T{};
+}
+template <typename T>
+bool is_set(const std::optional<T>& v) {
+  return v.has_value();
+}
+template <typename T>
+bool is_set(const std::vector<T>& v) {
+  return !v.empty();
+}
+
+}  // namespace
+
 std::string encode_request(const WireRequest& request) {
   std::ostringstream os;
   obs::JsonWriter w(os);
+  const auto set = [&](const Field& field) {
+    return std::visit([&](auto member) { return is_set(request.*member); },
+                      field.target);
+  };
+  const auto put = [&](const Field& field) {
+    w.key(field.name);
+    std::visit([&](auto member) { write(w, request.*member); }, field.target);
+  };
+  // Defaulted fields are always written, optional ones when set. Of the
+  // required fields, the last one set is written (plan's absolute `load`
+  // wins), else the first.
+  const std::span<const Use> fields = row_of(request.verb).fields;
+  const Use* required = nullptr;
+  for (const Use& use : fields) {
+    if (use.presence == Presence::kRequired &&
+        (required == nullptr || set(*use.field))) {
+      required = &use;
+    }
+  }
   w.begin_object();
-  w.kv("id", static_cast<uint64_t>(request.id));
-  w.kv("verb", to_string(request.verb));
-  w.kv("priority", to_string(request.priority));
-  switch (request.verb) {
-    case Verb::kPing:
-      break;
-    case Verb::kPlan:
-      w.kv("scenario", static_cast<uint64_t>(request.scenario));
-      if (request.load_files_s.has_value()) {
-        w.kv("load", *request.load_files_s);
-      } else {
-        w.kv("load_pct", request.load_pct);
-      }
-      if (!request.quarantined.empty()) {
-        w.key("quarantined");
-        w.begin_array();
-        for (const size_t index : request.quarantined) {
-          w.value(static_cast<uint64_t>(index));
-        }
-        w.end_array();
-      }
-      if (request.trace_id.has_value()) w.kv("trace_id", *request.trace_id);
-      if (request.deadline_ms.has_value()) {
-        w.kv("deadline_ms", *request.deadline_ms);
-      }
-      break;
-    case Verb::kFleetplan:
-      w.kv("scenario", static_cast<uint64_t>(request.scenario));
-      if (request.load_files_s.has_value()) {
-        w.kv("load", *request.load_files_s);
-      } else {
-        w.kv("load_pct", request.load_pct);
-      }
-      if (!request.fleet_quarantined.empty()) {
-        w.key("quarantined");
-        w.begin_array();
-        for (const fleet::ShardMachine& q : request.fleet_quarantined) {
-          w.begin_object();
-          w.kv("shard", static_cast<uint64_t>(q.shard));
-          w.kv("machine", static_cast<uint64_t>(q.machine));
-          w.end_object();
-        }
-        w.end_array();
-      }
-      if (!request.down_shards.empty()) {
-        w.key("down_shards");
-        w.begin_array();
-        for (const size_t index : request.down_shards) {
-          w.value(static_cast<uint64_t>(index));
-        }
-        w.end_array();
-      }
-      if (request.trace_id.has_value()) w.kv("trace_id", *request.trace_id);
-      if (request.deadline_ms.has_value()) {
-        w.kv("deadline_ms", *request.deadline_ms);
-      }
-      break;
-    case Verb::kMeasure:
-      w.kv("scenario", static_cast<uint64_t>(request.scenario));
-      w.kv("load_pct", request.load_pct);
-      break;
-    case Verb::kSweep:
-      if (!request.scenarios.empty()) {
-        w.key("scenarios");
-        w.begin_array();
-        for (const int number : request.scenarios) {
-          w.value(static_cast<uint64_t>(number));
-        }
-        w.end_array();
-      }
-      if (!request.load_pcts.empty()) {
-        w.key("load_pcts");
-        w.begin_array();
-        for (const double pct : request.load_pcts) w.value(pct);
-        w.end_array();
-      }
-      break;
-    case Verb::kInject:
-      w.kv("fault", request.fault);
-      w.kv("defense", request.defense);
-      w.kv("load_pct", request.load_pct);
-      w.kv("duration_s", request.duration_s);
-      w.kv("control_period_s", request.control_period_s);
-      break;
-    case Verb::kSubscribe:
-      w.kv("interval_ms", request.interval_ms);
-      if (request.ticks > 0) w.kv("ticks", request.ticks);
-      break;
-    case Verb::kHealth:
-      break;
+  for (const Field* field : kEnvelope) put(*field);
+  for (const Use& use : fields) {
+    if (use.presence == Presence::kDefault || &use == required ||
+        (use.presence == Presence::kOptional && set(*use.field))) {
+      put(*use.field);
+    }
   }
   w.end_object();
   return os.str();

@@ -88,8 +88,27 @@ enum class Verb {
 };
 enum class Priority { kHigh, kNormal, kLow };
 
+inline constexpr size_t kVerbCount = static_cast<size_t>(Verb::kHealth) + 1;
+
 const char* to_string(Verb verb);
 const char* to_string(Priority priority);
+
+/// How a verb takes one of its request fields (docs/service.md's
+/// "Required" column).
+enum class Presence {
+  kRequired,  ///< must be sent; a verb with several takes exactly one of them
+  kDefault,   ///< optional; absence means the default, always encoded
+  kOptional,  ///< optional; encoded only when set (non-empty, engaged, non-0)
+};
+
+struct RequestField {
+  const char* name;
+  Presence presence;
+};
+
+/// The fields `verb` takes besides id/verb/priority, in the order
+/// parse_request checks them (and encode_request writes them).
+std::vector<RequestField> request_fields(Verb verb);
 
 /// One decoded request line. Defaults are what an omitted optional field
 /// means (docs/service.md lists required vs optional per verb).
@@ -148,6 +167,11 @@ struct WireRequest {
 inline constexpr uint64_t kMinTickIntervalMs = 100;
 inline constexpr uint64_t kMaxTickIntervalMs = 60000;
 
+/// Ceiling on inject's simulated `duration_s`: one simulated day, 24x the
+/// default. A campaign holds a pool worker for time linear in its simulated
+/// length, so an unbounded value could pin a worker (and a drain) for days.
+inline constexpr double kMaxInjectDurationS = 86400.0;
+
 /// Hard ceiling on one request line (terminator included). A connection
 /// that exceeds it gets a `bad_request` error response and is closed —
 /// the server never buffers an unbounded frame from a hostile or broken
@@ -194,6 +218,18 @@ struct ServerInfo {
   /// ping response omits the field and the verb, keeping old bytes).
   size_t fleet_shards = 0;
 };
+
+/// What serving `verb` takes that a server with `info`'s backends lacks
+/// (the tail of its unsupported_verb message), or nullptr when it serves it.
+const char* missing_backend(Verb verb, const ServerInfo& info);
+
+/// Whether the connection's reader thread answers `verb` itself instead of
+/// admitting it to the queue (health, subscribe).
+bool answered_on_reader(Verb verb);
+
+/// Whether a client may safely retry `verb` (everything but inject and
+/// subscribe, whose repeats run another campaign or open another stream).
+bool idempotent(Verb verb);
 
 std::string encode_ping_response(uint64_t id, const ServerInfo& info);
 /// Plan responses: `spans` non-null appends a "trace" block (trace_id +

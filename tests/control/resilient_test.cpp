@@ -193,6 +193,23 @@ TEST(FaultCampaign, SupervisorBeatsNoDefenseAndReplaysDeterministically) {
   EXPECT_EQ(sup.emergency_overrides, replay.emergency_overrides);
 }
 
+TEST(FaultCampaign, DemandFractionOutsideUnitIntervalIsInvalidArgument) {
+  FaultCampaignOptions options;
+  options.room.num_servers = 6;
+  options.duration_s = 60.0;
+  // Rejected before the profiling pass: -0.1 used to reach the controller's
+  // own invalid_argument, 2.0 its runtime_error, each after profiling.
+  for (const double fraction : {-0.1, -1e-12, 1.0 + 1e-12, 2.0}) {
+    options.demand_fraction = fraction;
+    EXPECT_THROW(run_fault_campaign(options), std::invalid_argument)
+        << fraction;
+  }
+  for (const double fraction : {0.0, 1.0}) {
+    options.demand_fraction = fraction;
+    EXPECT_NO_THROW(run_fault_campaign(options)) << fraction;
+  }
+}
+
 TEST(FaultCampaign, ParseDefenseRoundTrips) {
   for (const DefenseArm arm : {DefenseArm::kNone, DefenseArm::kWatchdog,
                                DefenseArm::kSupervisor}) {

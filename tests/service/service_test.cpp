@@ -370,6 +370,29 @@ TEST(PlanningService, SimBackedMeasureMatchesDirectCall) {
   server.stop();
 }
 
+/// An inject load outside 0-100% is the campaign's invalid_argument, not an
+/// internal_error; 200% is rejected before the profiling pass runs.
+TEST(PlanningService, InjectLoadOutsideCapacityIsInvalidArgument) {
+  ServiceConfig config;
+  config.eval.room.num_servers = 6;
+  config.eval.room.seed = 81;
+  PlanningService server(std::move(config));
+  server.start();
+  ServiceClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  for (const char* load : {"-10", "200"}) {
+    const auto response = client.call(util::strf(
+        R"({"id":6,"verb":"inject","load_pct":%s,"duration_s":60})", load));
+    ASSERT_TRUE(response.has_value()) << client.last_error();
+    EXPECT_EQ(*response,
+              encode_error(6, Verb::kInject, kErrInvalidArgument,
+                           "run_fault_campaign: demand fraction must be in "
+                           "[0, 1]"))
+        << load;
+  }
+  server.stop();
+}
+
 // --- telemetry streaming + request tracing (issue 9) ---
 
 JsonValue must_parse(const std::string& line) {

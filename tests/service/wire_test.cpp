@@ -6,6 +6,7 @@
 
 #include "core/synthetic.h"
 #include "obs/json_writer.h"
+#include "util/strings.h"
 
 namespace coolopt::service {
 namespace {
@@ -212,6 +213,20 @@ TEST(ParseRequest, InjectFieldsAndDefaults) {
   EXPECT_EQ(s.defense, "none");
   EXPECT_DOUBLE_EQ(s.duration_s, 600.0);
   request_fail(R"({"id":1,"verb":"inject","duration_s":-5})", 1);
+}
+
+TEST(ParseRequest, InjectDurationIsBoundedByOneSimulatedDay) {
+  EXPECT_EQ(kMaxInjectDurationS, 86400.0);
+  const WireRequest r =
+      request_ok(R"({"id":1,"verb":"inject","duration_s":86400})");
+  EXPECT_EQ(r.duration_s, kMaxInjectDurationS);
+  for (const char* duration : {"86400.5", "1e6", "1e12"}) {
+    EXPECT_EQ(request_fail(util::strf(
+                               R"({"id":2,"verb":"inject","duration_s":%s})",
+                               duration),
+                           2),
+              "\"duration_s\" must be at most 86400");
+  }
 }
 
 TEST(ParseRequest, NonObjectAndBadIdRejected) {
