@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/consolidation.h"
+#include "core/incremental.h"
 
 using namespace coolopt;
 
@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
               "exactly-k machines\n\n");
 
   control::EvalHarness harness(benchsup::standard_options());
-  const core::EventConsolidator consolidator(harness.model());
+  const core::IncrementalConsolidator consolidator(
+      core::share_model(harness.model()));
 
   const std::vector<double> budgets = {400, 700, 1000, 1400, 1900, 2500};
   const std::vector<size_t> ks = {4, 8, 12, 16, 20};

@@ -14,6 +14,7 @@
 #include <set>
 
 #include "core/consolidation.h"
+#include "core/incremental.h"
 #include "obs/session.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", particles.render().c_str());
 
-  const core::EventConsolidator ec(model);
+  const core::IncrementalConsolidator ec(core::share_model(model));
   std::printf("Crossing events in t > 0: %zu (the figure has 2)\n",
               ec.event_count());
   std::printf("Coordinate orders over time:\n");
@@ -106,12 +107,13 @@ int main(int argc, char** argv) {
   // And the machinery agrees with brute force on this instance.
   const core::BruteForceConsolidator brute(model);
   bool agree = true;
+  core::ConsolidationChoice fast;
   for (const double load : {0.5, 2.0, 5.0, 9.0}) {
-    const auto fast = ec.query(load);
+    const bool found = ec.query_best_into(load, fast);
     const auto slow = brute.best(load);
-    if (fast.has_value() != slow.has_value() ||
-        (fast && std::abs(fast->predicted_total_power_w -
-                          slow->predicted_total_power_w) > 1e-9)) {
+    if (found != slow.has_value() ||
+        (found && std::abs(fast.predicted_total_power_w -
+                           slow->predicted_total_power_w) > 1e-9)) {
       agree = false;
     }
   }

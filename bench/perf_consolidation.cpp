@@ -1,11 +1,12 @@
-// Algorithm performance for Section III-B: Algorithm 1's O(n^3 lg n)
-// offline preprocessing, Algorithm 2's O(lg n) online query (paper mode) vs
-// the exact per-k query (O(n lg n)) vs the naive O(n 2^n) enumeration the
-// paper argues against.
+// Algorithm performance for Section III-B: Algorithm 1's cold build,
+// Algorithm 2's O(lg n) online query (against a prebuilt allStatus index)
+// vs the exact per-k query (O(n lg n)) vs the naive O(n 2^n) enumeration
+// the paper argues against.
 
 #include <benchmark/benchmark.h>
 
 #include "core/consolidation.h"
+#include "core/incremental.h"
 #include "core/synthetic.h"
 #include "obs/session.h"
 
@@ -13,19 +14,19 @@ using namespace coolopt;
 
 namespace {
 
-core::RoomModel model_of_size(size_t n) {
+core::SharedRoomModel model_of_size(size_t n) {
   core::SyntheticModelOptions options;
   options.machines = n;
   options.seed = 11;
-  return core::make_synthetic_model(options);
+  return core::share_model(core::make_synthetic_model(options));
 }
 
 void BM_Algorithm1Preprocess(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const core::RoomModel model = model_of_size(n);
+  const core::SharedRoomModel model = model_of_size(n);
   for (auto _ : state) {
-    core::EventConsolidator consolidator(model);
-    benchmark::DoNotOptimize(consolidator.status_count());
+    core::IncrementalConsolidator consolidator(model);
+    benchmark::DoNotOptimize(consolidator.segment_count());
   }
   state.SetComplexityN(static_cast<int64_t>(n));
 }
@@ -33,12 +34,15 @@ BENCHMARK(BM_Algorithm1Preprocess)->RangeMultiplier(2)->Range(8, 256)->Complexit
 
 void BM_Algorithm2QueryPaper(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const core::RoomModel model = model_of_size(n);
-  const core::EventConsolidator consolidator(model);
-  const double load = model.total_capacity() * 0.4;
+  const core::SharedRoomModel model = model_of_size(n);
+  const core::IncrementalConsolidator consolidator(model);
+  const auto& table = consolidator.table();
+  const std::vector<core::detail::ConsolidationTable::Status> statuses =
+      table.all_status();
+  const double load = model->total_capacity() * 0.4;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(consolidator.query(
-        load, core::EventConsolidator::QueryMode::kPaperBinarySearch));
+    benchmark::DoNotOptimize(table.query_paper(
+        consolidator.particles(), *model, statuses, load));
   }
   state.SetComplexityN(static_cast<int64_t>(n));
 }
@@ -46,12 +50,12 @@ BENCHMARK(BM_Algorithm2QueryPaper)->RangeMultiplier(2)->Range(8, 256)->Complexit
 
 void BM_QueryExactPerK(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const core::RoomModel model = model_of_size(n);
-  const core::EventConsolidator consolidator(model);
-  const double load = model.total_capacity() * 0.4;
+  const core::SharedRoomModel model = model_of_size(n);
+  const core::IncrementalConsolidator consolidator(model);
+  const double load = model->total_capacity() * 0.4;
+  core::ConsolidationChoice choice;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        consolidator.query(load, core::EventConsolidator::QueryMode::kExactPerK));
+    benchmark::DoNotOptimize(consolidator.query_best_into(load, choice));
   }
   state.SetComplexityN(static_cast<int64_t>(n));
 }
@@ -59,9 +63,9 @@ BENCHMARK(BM_QueryExactPerK)->RangeMultiplier(2)->Range(8, 256)->Complexity();
 
 void BM_BruteForceNaive(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const core::RoomModel model = model_of_size(n);
-  const core::BruteForceConsolidator brute(model);
-  const double load = model.total_capacity() * 0.4;
+  const core::SharedRoomModel model = model_of_size(n);
+  const core::BruteForceConsolidator brute(*model);
+  const double load = model->total_capacity() * 0.4;
   for (auto _ : state) {
     benchmark::DoNotOptimize(brute.best(load));
   }
@@ -71,9 +75,9 @@ BENCHMARK(BM_BruteForceNaive)->DenseRange(8, 18, 2)->Complexity();
 
 void BM_RankAllKInto(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const core::RoomModel model = model_of_size(n);
-  const core::EventConsolidator consolidator(model);
-  const double load = model.total_capacity() * 0.4;
+  const core::SharedRoomModel model = model_of_size(n);
+  const core::IncrementalConsolidator consolidator(model);
+  const double load = model->total_capacity() * 0.4;
   // Grow-only ranking buffer reused across iterations — the engine's warm
   // candidate-walk call shape, vs the allocating rank_all_k().
   std::vector<core::ConsolidationChoice> ranked;
@@ -85,8 +89,7 @@ void BM_RankAllKInto(benchmark::State& state) {
 BENCHMARK(BM_RankAllKInto)->RangeMultiplier(2)->Range(8, 256)->Complexity();
 
 void BM_MaxLoadForBudget(benchmark::State& state) {
-  const core::RoomModel model = model_of_size(64);
-  const core::EventConsolidator consolidator(model);
+  const core::IncrementalConsolidator consolidator(model_of_size(64));
   for (auto _ : state) {
     benchmark::DoNotOptimize(consolidator.max_load_for_budget(2000.0, 24));
   }

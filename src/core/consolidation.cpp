@@ -3,13 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
-#include <numeric>
 #include <stdexcept>
-
-#include "obs/obs.h"
-#include "obs/scoped_timer.h"
-#include "util/strings.h"
 
 namespace coolopt::core {
 namespace {
@@ -94,7 +88,7 @@ BruteForceConsolidator::BruteForceConsolidator(RoomModel model)
   if (model_.size() > 20) {
     throw std::invalid_argument(
         "BruteForceConsolidator: refusing n > 20 (O(n 2^n) reference "
-        "implementation; use EventConsolidator)");
+        "implementation; use IncrementalConsolidator)");
   }
 }
 
@@ -147,117 +141,6 @@ std::optional<ConsolidationChoice> BruteForceConsolidator::best_of_size(
     }
   }
   return best;
-}
-
-// ---------------------------------------------------------------------------
-// EventConsolidator — Algorithm 1 (preprocessing)
-// ---------------------------------------------------------------------------
-
-EventConsolidator::EventConsolidator(RoomModel model)
-    : EventConsolidator(share_model(std::move(model))) {}
-
-EventConsolidator::EventConsolidator(SharedRoomModel model)
-    : model_(std::move(model)) {
-  model_->validate();
-  preprocess();
-}
-
-EventConsolidator::EventConsolidator(SharedRoomModel model, PreValidated)
-    : model_(std::move(model)) {
-  preprocess();
-}
-
-void EventConsolidator::preprocess() {
-  obs::ScopedTimer timer(obs::maybe_histogram("consolidation.preprocess_us"));
-  particles_ = ParticleSystem::from_model(*model_, kPreValidated);
-  const size_t n = particles_.size();
-
-  // All pairwise crossing times in t > 0 (the paper's Events loop).
-  std::vector<double> times;
-  for (size_t p = 0; p < n; ++p) {
-    for (size_t q = p + 1; q < n; ++q) {
-      const double db = particles_.b[p] - particles_.b[q];
-      if (db == 0.0) continue;  // parallel particles never cross
-      const double t = (particles_.a[p] - particles_.a[q]) / db;
-      if (t > 0.0 && std::isfinite(t)) times.push_back(t);
-    }
-  }
-  std::sort(times.begin(), times.end());
-
-  std::vector<uint32_t> ids(n);
-  std::iota(ids.begin(), ids.end(), 0u);
-  table_.build(particles_, ids,
-               detail::ConsolidationTable::collapse_events(times),
-               /*with_statuses=*/true);
-
-  obs::count("consolidation.preprocesses");
-  obs::gauge_set("consolidation.events", static_cast<double>(table_.events.size()));
-  obs::gauge_set("consolidation.segments",
-                 static_cast<double>(table_.segments.size()));
-  obs::gauge_set("consolidation.statuses",
-                 static_cast<double>(table_.statuses.size()));
-}
-
-std::optional<ConsolidationChoice> EventConsolidator::query(double load,
-                                                            QueryMode mode) const {
-  if (load < 0.0) throw std::invalid_argument("EventConsolidator: negative load");
-
-  obs::ScopedTimer timer(obs::maybe_histogram("consolidation.query_us"));
-  obs::count("consolidation.queries");
-  const auto report = [&](const std::optional<ConsolidationChoice>& choice)
-      -> const std::optional<ConsolidationChoice>& {
-    if (!choice) obs::count("consolidation.infeasible_queries");
-    if (obs::RunTrace* tr = obs::trace()) {
-      tr->record_solve(obs::SolveSample{
-          "consolidation.query", static_cast<uint64_t>(particles_.size()), 0,
-          timer.elapsed_us(), choice.has_value(), 0.0});
-    }
-    return choice;
-  };
-
-  if (mode == QueryMode::kExactPerK) {
-    std::optional<ConsolidationChoice> best;
-    for (size_t k = 1; k <= particles_.size(); ++k) {
-      const auto cand = table_.solve_for_k(particles_, *model_, load, k);
-      if (!cand) continue;
-      if (!best ||
-          cand->predicted_total_power_w < best->predicted_total_power_w - 1e-12) {
-        best = cand;
-      }
-    }
-    return report(best);
-  }
-
-  return report(table_.query_paper(particles_, *model_, load));
-}
-
-std::vector<ConsolidationChoice> EventConsolidator::rank_all_k(double load) const {
-  std::vector<ConsolidationChoice> out;
-  out.resize(rank_all_k_into(load, out));
-  return out;
-}
-
-size_t EventConsolidator::rank_all_k_into(
-    double load, std::vector<ConsolidationChoice>& out) const {
-  // Instrumented as a query: this is the Algorithm 2 machinery run once per
-  // k, and it is the entry point the scenario planner actually exercises.
-  obs::ScopedTimer timer(obs::maybe_histogram("consolidation.query_us"));
-  obs::count("consolidation.queries");
-  const size_t count = table_.rank_all_k_into(particles_, *model_, load, out);
-  if (count == 0) obs::count("consolidation.infeasible_queries");
-  if (obs::RunTrace* tr = obs::trace()) {
-    tr->record_solve(obs::SolveSample{
-        "consolidation.rank_all_k", static_cast<uint64_t>(particles_.size()),
-        0, timer.elapsed_us(), count != 0, 0.0});
-  }
-  return count;
-}
-
-double EventConsolidator::max_load_for_budget(double power_budget_w, size_t k) const {
-  if (k == 0 || k > particles_.size()) {
-    throw std::invalid_argument("max_load_for_budget: bad k");
-  }
-  return table_.max_load_for_budget(particles_, *model_, power_budget_w, k);
 }
 
 }  // namespace coolopt::core

@@ -15,8 +15,11 @@
 // Eq. 22. Maximizing t_S for fixed |S| = picking the k largest coordinates
 // at the fixed point; the top-k set only changes when two particles cross,
 // so there are O(n^2) crossing events and O(n^2) coordinate orders in
-// total. Algorithm 1 precomputes them in O(n^3 lg n); Algorithm 2 answers a
-// load query from the precomputed statuses.
+// total. Algorithm 1 precomputes them in O(n^3 lg n)
+// (IncrementalConsolidator, incremental.h, over detail::ConsolidationTable);
+// Algorithm 2 answers a load query by binary search over the allStatus
+// list (ConsolidationTable::query_paper), and the exact per-k queries
+// (query_best_into, rank_all_k) are what the planner runs.
 //
 // Physical actuation limits enter as bounds on the particle time:
 // t in [t_ac_min/w1, t_ac_max/w1]. Below the lower bound the subset cannot
@@ -57,70 +60,8 @@ class BruteForceConsolidator {
   /// Best subset of exactly k machines.
   std::optional<ConsolidationChoice> best_of_size(double load, size_t k) const;
 
-  const RoomModel& model() const { return model_; }
-
  private:
   RoomModel model_;
-};
-
-/// Algorithm 1 (offline preprocessing) + Algorithm 2 (online query).
-class EventConsolidator {
- public:
-  explicit EventConsolidator(RoomModel model);
-
-  /// Shares an immutable model instead of copying it (the PlanEngine path).
-  explicit EventConsolidator(SharedRoomModel model);
-
-  /// Shares a model the caller has already validated: skips the
-  /// RoomModel::validate() pass (the O(n^3 lg n) Algorithm 1 preprocessing
-  /// still runs — that is precisely what the PlanEngine caches so it
-  /// happens once per model).
-  EventConsolidator(SharedRoomModel model, PreValidated);
-
-  enum class QueryMode {
-    /// The paper's Algorithm 2 verbatim: one binary search over all
-    /// statuses sorted by Lmax; O(lg n) after preprocessing.
-    kPaperBinarySearch,
-    /// Per-k segment search with the exact within-segment crossing solve;
-    /// O(n lg n) per query and provably optimal under the model (the
-    /// property tests pin both modes against brute force).
-    kExactPerK,
-  };
-
-  std::optional<ConsolidationChoice> query(
-      double load, QueryMode mode = QueryMode::kExactPerK) const;
-
-  /// Best subset for every feasible k, sorted by predicted power
-  /// (ascending). Lets callers walk down the ranking when the best choice
-  /// fails external validation (capacity/LP).
-  std::vector<ConsolidationChoice> rank_all_k(double load) const;
-
-  /// rank_all_k into a grow-only buffer (see ConsolidationTable::
-  /// rank_all_k_into): entries [0, returned count) are the ranking, spare
-  /// slots keep their heap blocks for reuse. Same instrumentation, same
-  /// bit-for-bit sequence as rank_all_k.
-  size_t rank_all_k_into(double load, std::vector<ConsolidationChoice>& out) const;
-
-  /// The paper's maxL(A, P_b, k): largest load exactly-k machines can
-  /// serve with predicted total power <= power_budget_w. 0 if even L=0 is
-  /// over budget; capped at the load that drives t to t_lo.
-  double max_load_for_budget(double power_budget_w, size_t k) const;
-
-  // --- introspection for tests/benches ---
-  size_t event_count() const { return table_.events.size(); }
-  size_t segment_count() const { return table_.segments.size(); }
-  size_t status_count() const { return table_.statuses.size(); }
-  const ParticleSystem& particles() const { return particles_; }
-  const detail::ConsolidationTable& table() const { return table_; }
-
-  const RoomModel& model() const { return *model_; }
-
- private:
-  void preprocess();
-
-  SharedRoomModel model_;
-  ParticleSystem particles_;
-  detail::ConsolidationTable table_;  // the shared Algorithm 1 structure
 };
 
 }  // namespace coolopt::core

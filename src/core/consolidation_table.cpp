@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace coolopt::core::detail {
@@ -19,11 +18,9 @@ std::vector<double> ConsolidationTable::collapse_events(
 
 void ConsolidationTable::build(const ParticleSystem& ps,
                                const std::vector<uint32_t>& ids,
-                               std::vector<double> collapsed_events,
-                               bool with_statuses) {
+                               std::vector<double> collapsed_events) {
   events = std::move(collapsed_events);
   segments.clear();
-  statuses.clear();
   const size_t n = ids.size();
 
   // One segment per inter-event interval, [0, e1), [e1, e2), ..., [em, inf).
@@ -58,34 +55,11 @@ void ConsolidationTable::build(const ParticleSystem& ps,
     }
     segments.push_back(std::move(seg));
   }
-
-  if (!with_statuses) return;
-
-  // The paper's allStatus: one (event time, k) entry per segment and k,
-  // sorted by Lmax for the Algorithm 2 binary search.
-  statuses.reserve(segments.size() * n);
-  for (uint32_t s = 0; s < segments.size(); ++s) {
-    const Segment& seg = segments[s];
-    for (uint32_t k = 1; k <= n; ++k) {
-      Status st;
-      st.t = seg.start;
-      st.segment = s;
-      st.k = k;
-      st.l_max = seg.prefix_a[k] - seg.start * seg.prefix_b[k];
-      statuses.push_back(st);
-    }
-  }
-  std::sort(statuses.begin(), statuses.end(),
-            [](const Status& x, const Status& y) { return x.l_max < y.l_max; });
 }
 
 void ConsolidationTable::apply_membership_delta(
     const ParticleSystem& ps, const std::vector<uint32_t>& removed,
     const std::vector<uint32_t>& added) {
-  if (!statuses.empty()) {
-    throw std::logic_error(
-        "ConsolidationTable: membership delta on a table with statuses");
-  }
   std::vector<char> gone(ps.size(), 0);
   for (const uint32_t id : removed) gone[id] = 1;
 
@@ -139,15 +113,6 @@ size_t ConsolidationTable::segment_at(double t) const {
   return lo;
 }
 
-ConsolidationChoice ConsolidationTable::make_choice(const ParticleSystem& ps,
-                                                    const RoomModel& model,
-                                                    size_t segment, size_t k,
-                                                    double load) const {
-  ConsolidationChoice choice;
-  make_choice_into(ps, model, segment, k, load, choice);
-  return choice;
-}
-
 void ConsolidationTable::make_choice_into(const ParticleSystem& ps,
                                           const RoomModel& model,
                                           size_t segment, size_t k, double load,
@@ -166,17 +131,28 @@ void ConsolidationTable::make_choice_into(const ParticleSystem& ps,
       model.cooler.predict(out.t_ac, sum_w2 + ps.w1 * load);
 }
 
+bool ConsolidationTable::feasible_k(const ParticleSystem& ps, double load,
+                                    size_t k, size_t& segment) const {
+  if (k == 0 || k > width()) return false;
+  // Even the coldest allowed air cannot serve this load on k machines.
+  if (g(k, ps.t_lo) < load - kFeasEps) return false;
+  // Load not servable even at t = 0; only possible when t_lo < 0 is
+  // clamped to 0 and the check above used the same t — unreachable, but
+  // keep the guard for safety.
+  if (g(k, 0.0) < load - kFeasEps) return false;
+  segment = operating_segment(ps, load, k);
+  return true;
+}
+
 bool ConsolidationTable::peek_k(const ParticleSystem& ps,
                                 const RoomModel& model, double load, size_t k,
                                 double sum_w2_k, size_t* segment_out,
                                 double* power_out) const {
-  // Mirrors solve_for_k's feasibility gates and make_choice's arithmetic,
-  // with the iterated machine-by-machine w2 sum replaced by the caller's
-  // precomputed fold (identical double when w2 is bitwise-uniform).
-  if (k == 0 || k > width()) return false;
-  if (g(k, ps.t_lo) < load - kFeasEps) return false;
-  if (g(k, 0.0) < load - kFeasEps) return false;
-  const size_t s = operating_segment(ps, load, k);
+  // make_choice_into's arithmetic, with the iterated machine-by-machine w2
+  // sum replaced by the caller's precomputed fold (identical double when
+  // w2 is bitwise-uniform).
+  size_t s = 0;
+  if (!feasible_k(ps, load, k, s)) return false;
   const Segment& seg = segments[s];
   const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
   const double t_param = std::clamp(t_subset, ps.t_lo, ps.t_hi);
@@ -220,37 +196,30 @@ size_t ConsolidationTable::operating_segment(const ParticleSystem& ps,
 std::optional<ConsolidationChoice> ConsolidationTable::solve_for_k(
     const ParticleSystem& ps, const RoomModel& model, double load,
     size_t k) const {
-  if (k == 0 || k > width()) return std::nullopt;
-  // Even the coldest allowed air cannot serve this load on k machines.
-  if (g(k, ps.t_lo) < load - kFeasEps) return std::nullopt;
-  if (g(k, 0.0) < load - kFeasEps) {
-    // Load not servable even at t = 0; only possible when t_lo < 0 is
-    // clamped to 0 and the check above used the same t — unreachable, but
-    // keep the guard for safety.
-    return std::nullopt;
-  }
-  return make_choice(ps, model, operating_segment(ps, load, k), k, load);
+  size_t s = 0;
+  if (!feasible_k(ps, load, k, s)) return std::nullopt;
+  ConsolidationChoice choice;
+  make_choice_into(ps, model, s, k, load, choice);
+  return choice;
 }
 
 bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
                                          const RoomModel& model, double load,
                                          ConsolidationChoice& out) const {
+  // w2 is validated uniform, so the subset's idle draw is k * w2 without
+  // touching the on_set. (make_choice_into sums machine-by-machine; the
+  // two differ by at most accumulated rounding, far below the >= ~w2-scale
+  // power gaps that separate distinct k.)
   size_t best_k = 0;
   size_t best_segment = 0;
   double best_power = 0.0;
   for (size_t k = 1; k <= width(); ++k) {
-    if (g(k, ps.t_lo) < load - kFeasEps) continue;
-    if (g(k, 0.0) < load - kFeasEps) continue;
-    const size_t s = operating_segment(ps, load, k);
-    const Segment& seg = segments[s];
-    const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
-    const double t_ac = ps.w1 * std::clamp(t_subset, ps.t_lo, ps.t_hi);
-    // w2 is validated uniform, so the subset's idle draw is k * w2 without
-    // touching the on_set. (make_choice sums machine-by-machine; the two
-    // differ by at most accumulated rounding, far below the >= ~w2-scale
-    // power gaps that separate distinct k.)
-    const double it_w = static_cast<double>(k) * ps.w2 + ps.w1 * load;
-    const double power = it_w + model.cooler.predict(t_ac, it_w);
+    size_t s = 0;
+    double power = 0.0;
+    if (!peek_k(ps, model, load, k, static_cast<double>(k) * ps.w2, &s,
+                &power)) {
+      continue;
+    }
     if (best_k == 0 || power < best_power) {
       best_k = k;
       best_segment = s;
@@ -262,25 +231,15 @@ bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
   return true;
 }
 
-std::vector<ConsolidationChoice> ConsolidationTable::rank_all_k(
-    const ParticleSystem& ps, const RoomModel& model, double load) const {
-  std::vector<ConsolidationChoice> out;
-  const size_t count = rank_all_k_into(ps, model, load, out);
-  out.resize(count);
-  return out;
-}
-
 size_t ConsolidationTable::rank_all_k_into(
     const ParticleSystem& ps, const RoomModel& model, double load,
     std::vector<ConsolidationChoice>& out) const {
   size_t count = 0;
   for (size_t k = 1; k <= width(); ++k) {
-    // solve_for_k's feasibility gates, inlined to skip the optional.
-    if (g(k, ps.t_lo) < load - kFeasEps) continue;
-    if (g(k, 0.0) < load - kFeasEps) continue;
+    size_t s = 0;
+    if (!feasible_k(ps, load, k, s)) continue;
     if (count == out.size()) out.emplace_back();
-    make_choice_into(ps, model, operating_segment(ps, load, k), k, load,
-                     out[count]);
+    make_choice_into(ps, model, s, k, load, out[count]);
     ++count;
   }
   std::sort(out.begin(), out.begin() + static_cast<long>(count),
@@ -293,11 +252,28 @@ size_t ConsolidationTable::rank_all_k_into(
   return count;
 }
 
+std::vector<ConsolidationTable::Status> ConsolidationTable::all_status() const {
+  const uint32_t n = static_cast<uint32_t>(width());
+  std::vector<Status> statuses;
+  statuses.reserve(segments.size() * n);
+  for (uint32_t s = 0; s < segments.size(); ++s) {
+    const Segment& seg = segments[s];
+    for (uint32_t k = 1; k <= n; ++k) {
+      statuses.push_back(
+          Status{seg.prefix_a[k] - seg.start * seg.prefix_b[k], s, k});
+    }
+  }
+  std::sort(statuses.begin(), statuses.end(),
+            [](const Status& x, const Status& y) { return x.l_max < y.l_max; });
+  return statuses;
+}
+
 std::optional<ConsolidationChoice> ConsolidationTable::query_paper(
-    const ParticleSystem& ps, const RoomModel& model, double load) const {
+    const ParticleSystem& ps, const RoomModel& model,
+    const std::vector<Status>& statuses, double load) const {
   // The paper's Algorithm 2: binary search allStatus (sorted by Lmax) for
   // the first status whose Lmax exceeds the load, then read off its
-  // (event time, k) and take the first k machines of that order.
+  // (segment, k) and take the first k machines of that order.
   const auto it = std::upper_bound(
       statuses.begin(), statuses.end(), load,
       [](double l, const Status& st) { return l < st.l_max; });
@@ -309,7 +285,9 @@ std::optional<ConsolidationChoice> ConsolidationTable::query_paper(
     const double t_subset =
         (seg.prefix_a[cand->k] - load) / seg.prefix_b[cand->k];
     if (t_subset < ps.t_lo - kFeasEps) continue;
-    return make_choice(ps, model, cand->segment, cand->k, load);
+    ConsolidationChoice choice;
+    make_choice_into(ps, model, cand->segment, cand->k, load, choice);
+    return choice;
   }
   return std::nullopt;
 }

@@ -1,16 +1,14 @@
-// The Algorithm 1 data structure itself — events, per-segment coordinate
-// orders with prefix sums, and the allStatus list — factored out of
-// EventConsolidator so that two owners can share one implementation:
+// The Algorithm 1 data structure itself: events and per-segment coordinate
+// orders with prefix sums. Its one owner is IncrementalConsolidator
+// (incremental.h), which builds it cold over a room and maintains it under
+// single-machine join/leave/quarantine deltas; every build funnels through
+// ConsolidationTable::build, so a delta-maintained table is bit-for-bit the
+// one a cold build produces at the same active set.
 //
-//   * EventConsolidator (consolidation.h): full O(n^3 lg n) rebuild over a
-//     whole room, the paper's preprocessing verbatim.
-//   * IncrementalConsolidator (incremental.h): maintains the same table
-//     under single-machine join/leave/quarantine deltas.
-//
-// Sharing the build and query code is what makes the incremental path's
-// "bit-for-bit identical to a rebuilt table" guarantee hold by
-// construction rather than by accident: both owners funnel through
-// ConsolidationTable::build / the unique sorted segment order.
+// The paper's allStatus list (Algorithm 2's binary-search index) is not
+// part of the table: it holds segments x n entries and only the reference
+// query reads it, so callers that want it build it on demand with
+// all_status() and pass it to query_paper().
 //
 // A note on determinism: within a segment no two entries of `order`
 // compare equivalent (coordinates tie-break by particle id), so the sorted
@@ -76,16 +74,14 @@ struct ConsolidationTable {
     std::vector<double> prefix_a;  // prefix_a[k] = sum of top-k a
     std::vector<double> prefix_b;  // prefix_b[k] = sum of top-k b
   };
-  struct Status {  // one (event-time, k) entry of the paper's allStatus
+  struct Status {  // one (segment start, k) entry of the paper's allStatus
     double l_max = 0.0;
-    double t = 0.0;
     uint32_t segment = 0;
     uint32_t k = 0;
   };
 
   std::vector<double> events;      // sorted collapsed crossing times > 0
   std::vector<Segment> segments;   // segments[0].start == 0
-  std::vector<Status> statuses;    // sorted by l_max ascending (optional)
 
   /// Tolerance-collapse of an ascending-sorted crossing-time list
   /// (duplicates allowed): keeps a time iff it is >= kEventMergeEps past
@@ -94,16 +90,15 @@ struct ConsolidationTable {
   /// distinct.
   static std::vector<double> collapse_events(const std::vector<double>& sorted_times);
 
-  /// Builds segments (and optionally statuses) over the particles named in
-  /// `ids` (ascending original ids) from an already-collapsed event list.
+  /// Builds segments over the particles named in `ids` (ascending original
+  /// ids) from an already-collapsed event list.
   void build(const ParticleSystem& ps, const std::vector<uint32_t>& ids,
-             std::vector<double> collapsed_events, bool with_statuses);
+             std::vector<double> collapsed_events);
 
   /// Membership-only delta: `removed`/`added` particles leave/join every
   /// segment order while the event list is UNCHANGED (caller checked).
   /// Erase/insert against the unique sorted order reproduces exactly what
-  /// a full rebuild would sort. Only valid for tables built without
-  /// statuses.
+  /// a full rebuild would sort.
   void apply_membership_delta(const ParticleSystem& ps,
                               const std::vector<uint32_t>& removed,
                               const std::vector<uint32_t>& added);
@@ -117,27 +112,29 @@ struct ConsolidationTable {
   size_t segment_at(double t) const;
   /// Segment the k-subset operates in for this load: last segment whose
   /// start-value of g_k still covers the load, then the (clamped) subset
-  /// time mapped back through segment_at. Shared by solve_for_k, peek_k
-  /// and query_best_into so all see the identical operating segment.
+  /// time mapped back through segment_at. Every query reads it through
+  /// feasible_k, so all see the identical operating segment.
   size_t operating_segment(const ParticleSystem& ps, double load,
                            size_t k) const;
+  /// The per-k core every query shares: false when k machines cannot
+  /// serve the load (k out of range, or g_k below the load at t_lo);
+  /// otherwise the operating segment.
+  bool feasible_k(const ParticleSystem& ps, double load, size_t k,
+                  size_t& segment) const;
   /// Exact per-k solve; nullopt if k machines cannot serve the load.
   std::optional<ConsolidationChoice> solve_for_k(const ParticleSystem& ps,
                                                  const RoomModel& model,
                                                  double load, size_t k) const;
-  /// The single best choice — rank_all_k(...).front() — without
-  /// materializing an on_set per k: the per-k predicted power is O(1) from
-  /// the prefix sums (w2 is validated uniform), so the scan is
+  /// The single best choice — the ranking's head — without
+  /// materializing an on_set per k: a strict-< scan of peek_k with the
+  /// subset idle draw k * w2 (w2 is validated uniform), so the scan is
   /// O(n lg #segments) + O(k) for the winner, versus the O(n^2) on_set
-  /// copies of the full ranking. This is what makes a one-delta replan
-  /// cheap end to end: table patch + query_best_into, no quadratic step.
-  /// Writes into a caller-owned choice (on_set buffer reused); returns
-  /// false when no k is feasible.
+  /// copies of the full ranking. Writes into a caller-owned choice (on_set
+  /// buffer reused); returns false when no k is feasible.
   bool query_best_into(const ParticleSystem& ps, const RoomModel& model,
                        double load, ConsolidationChoice& out) const;
-  ConsolidationChoice make_choice(const ParticleSystem& ps, const RoomModel& model,
-                                  size_t segment, size_t k, double load) const;
-  /// make_choice writing into a caller-owned choice (on_set buffer reused).
+  /// Materializes the k-subset of `segment` at this load into a caller-owned
+  /// choice (on_set buffer reused), summing the subset's w2 one by one.
   void make_choice_into(const ParticleSystem& ps, const RoomModel& model,
                         size_t segment, size_t k, double load,
                         ConsolidationChoice& out) const;
@@ -145,27 +142,29 @@ struct ConsolidationTable {
   /// materializing the on_set. `sum_w2_k` must be the iterated sum of the
   /// subset's w2 draws; when w2 is bitwise-uniform across machines (the
   /// engine checks), any k-subset folds to the same double, so the power
-  /// here is bit-for-bit what make_choice computes. This is the engine's
-  /// ranked-head probe. Returns false when k machines cannot serve the load.
+  /// here is bit-for-bit what make_choice_into computes. This is the
+  /// engine's ranked-head probe. Returns false when k machines cannot serve
+  /// the load.
   bool peek_k(const ParticleSystem& ps, const RoomModel& model, double load,
               size_t k, double sum_w2_k, size_t* segment_out,
               double* power_out) const;
-  /// Best subset for every feasible k, sorted by predicted power then k.
-  std::vector<ConsolidationChoice> rank_all_k(const ParticleSystem& ps,
-                                              const RoomModel& model,
-                                              double load) const;
-  /// rank_all_k into a grow-only buffer: entries [0, returned count) of
-  /// `out` are the ranked choices; slots past the count are untouched spare
-  /// capacity (their on_set heap blocks get reused next call). Bit-for-bit
-  /// the rank_all_k sequence.
+  /// Best subset for every feasible k, sorted by predicted power then k,
+  /// into a grow-only buffer: entries [0, returned count) of `out` are the
+  /// ranked choices; slots past the count are untouched spare capacity
+  /// (their on_set heap blocks get reused next call).
   size_t rank_all_k_into(const ParticleSystem& ps, const RoomModel& model,
                          double load,
                          std::vector<ConsolidationChoice>& out) const;
-  /// The paper's Algorithm 2: binary search over statuses (requires a
-  /// table built with statuses).
-  std::optional<ConsolidationChoice> query_paper(const ParticleSystem& ps,
-                                                 const RoomModel& model,
-                                                 double load) const;
+  /// The paper's allStatus list for this table: one (segment start, k)
+  /// entry per segment and k, sorted by Lmax — Algorithm 2's index, built
+  /// on demand (segments x width() entries).
+  std::vector<Status> all_status() const;
+  /// The paper's Algorithm 2: binary search over an all_status() list of
+  /// this table. O(lg n) per query once the list is built; the reference
+  /// the exact per-k queries are measured against.
+  std::optional<ConsolidationChoice> query_paper(
+      const ParticleSystem& ps, const RoomModel& model,
+      const std::vector<Status>& statuses, double load) const;
   /// The paper's maxL(A, P_b, k) by bisection on [0, g_k(t_lo)].
   double max_load_for_budget(const ParticleSystem& ps, const RoomModel& model,
                              double power_budget_w, size_t k) const;

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/baselines.h"
-#include "core/incremental.h"
 #include "core/scratch.h"
 #include "obs/obs.h"
 #include "obs/span.h"
@@ -132,26 +131,20 @@ const LpOptimizer& PlanEngine::lp() const {
   return *lp_;
 }
 
-const EventConsolidator* PlanEngine::consolidator() const {
+const IncrementalConsolidator* PlanEngine::consolidator() const {
   ensure(consolidator_once_, [&] {
     const ModelAggregates& agg = aggregates();
     if (agg.uniform_w1 && agg.uniform_w2) {
       consolidator_ =
-          std::make_unique<EventConsolidator>(margin_model_, kPreValidated);
+          std::make_unique<IncrementalConsolidator>(margin_model_, kPreValidated);
     }
   });
   return consolidator_.get();
 }
 
 const ParticleSystem* PlanEngine::particles() const {
-  ensure(particles_once_, [&] {
-    const ModelAggregates& agg = aggregates();
-    if (agg.uniform_w1 && agg.uniform_w2) {
-      particles_ = std::make_unique<ParticleSystem>(
-          ParticleSystem::from_model(*margin_model_, kPreValidated));
-    }
-  });
-  return particles_.get();
+  const IncrementalConsolidator* cons = consolidator();
+  return cons != nullptr ? &cons->particles() : nullptr;
 }
 
 bool PlanEngine::exact_paths() const { return aggregates().uniform_w1; }
@@ -188,14 +181,19 @@ PlanEngine::TableAnswer PlanEngine::incremental_query(
     obs::count("engine.incremental.restored",
                static_cast<uint64_t>(stats.restored));
   }
-  TableAnswer answer = TableAnswer::kRankedHead;
-  if (!ranked_head_into(incremental_->table(), incremental_->particles(), load,
-                        scr, scr.best_alloc)) {
-    ranked_count = incremental_->rank_all_k_into(load, scr.ranked);
-    answer = TableAnswer::kRanking;
-  }
+  const TableAnswer answer = table_query(*incremental_, load, scr, ranked_count);
   obs::observe("engine.incremental.apply_us", now_us() - t0);
   return answer;
+}
+
+PlanEngine::TableAnswer PlanEngine::table_query(
+    const IncrementalConsolidator& cons, double load, SolveScratch& scr,
+    size_t& ranked_count) const {
+  if (ranked_head_into(cons, load, scr, scr.best_alloc)) {
+    return TableAnswer::kRankedHead;
+  }
+  ranked_count = cons.rank_all_k_into(load, scr.ranked);
+  return TableAnswer::kRanking;
 }
 
 bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
@@ -219,14 +217,16 @@ bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
   return lp().solve_into(on_set, count, load, scr.lp, out);
 }
 
-bool PlanEngine::ranked_head_into(const detail::ConsolidationTable& table,
-                                  const ParticleSystem& ps, double load,
-                                  SolveScratch& scr, Allocation& out) const {
+bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
+                                  double load, SolveScratch& scr,
+                                  Allocation& out) const {
   const ModelAggregates& agg = aggregates();
-  // peek_k's power is bit-for-bit make_choice's only when every k-subset's
-  // w2 fold is the same double.
+  // peek_k's power is bit-for-bit make_choice_into's only when every
+  // k-subset's w2 fold is the same double.
   if (!agg.w2_exact_uniform) return false;
   const RoomModel& planning = *margin_model_;
+  const detail::ConsolidationTable& table = cons.table();
+  const ParticleSystem& ps = cons.particles();
 
   // Two-min scan over k: the winner and runner-up of the (power, k)-
   // ascending ranking, via O(1) prefix-sum peeks — no on_set materialized.
@@ -341,13 +341,8 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
       TableAnswer answer = TableAnswer::kNoTable;
       if (restricted) {
         answer = incremental_query(scr.mask, load, scr, ranked_count);
-      } else if (const EventConsolidator* cons = consolidator()) {
-        answer = TableAnswer::kRankedHead;
-        if (!ranked_head_into(cons->table(), cons->particles(), load, scr,
-                              scr.best_alloc)) {
-          ranked_count = cons->rank_all_k_into(load, scr.ranked);
-          answer = TableAnswer::kRanking;
-        }
+      } else if (const IncrementalConsolidator* cons = consolidator()) {
+        answer = table_query(*cons, load, scr, ranked_count);
       }
 
       auto probe_subset = [&](const size_t* sub,
@@ -572,10 +567,15 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
   if (result.shed_load <= 1e-9) result.shed_load = 0.0;
   if (result.shed_load > 0.0) {
     // Shedding order: quarantined machines first (their load is already
-    // gone), then the survivors from thermally worst to best — the order a
-    // supervisor should walk when it must drop more work.
-    result.shed_priority.assign(request.quarantined.begin(),
-                                request.quarantined.end());
+    // gone), each once in first-appearance order (its mask entry turns 2
+    // once listed), then the survivors from thermally worst to best — the
+    // order a supervisor should walk when it must drop more work.
+    for (size_t idx : request.quarantined) {
+      if (scr.quarantined_mask[idx] == 1) {
+        result.shed_priority.push_back(idx);
+        scr.quarantined_mask[idx] = 2;
+      }
+    }
     const ModelAggregates& agg = aggregates();
     for (auto it = agg.coolness.rbegin(); it != agg.coolness.rend(); ++it) {
       if (!restricted || !scr.quarantined_mask[*it]) {

@@ -14,7 +14,8 @@
 //
 //   model  ->  cached aggregates (K_i, alpha_i/beta_i, sums, sort orders)
 //          ->  cached solvers (closed form, bounded LP)
-//          ->  cached Algorithm 1 event table + particle system
+//          ->  cached Algorithm 1 tables: the full fleet's (built once,
+//              read lock-free) and a restricted one quarantines move
 //          ->  dispatch: closed form -> LP fallback -> consolidation ranking
 //          ->  solve_batch fan-out over a util::ThreadPool
 //
@@ -35,7 +36,7 @@
 #include <vector>
 
 #include "core/closed_form.h"
-#include "core/consolidation.h"
+#include "core/incremental.h"
 #include "core/lp_optimizer.h"
 #include "core/model.h"
 #include "core/scenario.h"
@@ -50,7 +51,6 @@ class SpanContext;
 
 namespace coolopt::core {
 
-class IncrementalConsolidator;
 struct SolveScratch;
 
 /// One planning query: which policy, how much load (files/s).
@@ -202,10 +202,13 @@ class PlanEngine {
   /// nullptr for heterogeneous-w1 fleets (no closed form).
   const AnalyticOptimizer* analytic() const;
   const LpOptimizer& lp() const;
-  /// nullptr unless w1 AND w2 are uniform (Eq. 23 reduction). First access
-  /// pays the Algorithm 1 preprocessing; every later access is a cache hit.
-  const EventConsolidator* consolidator() const;
-  /// nullptr unless the particle reduction applies.
+  /// The full-fleet Algorithm 1 table: nullptr unless w1 AND w2 are uniform
+  /// (Eq. 23 reduction). First access pays the cold build; every later
+  /// access is a cache hit. Never moved off the full mask, so unrestricted
+  /// solves read it without a lock.
+  const IncrementalConsolidator* consolidator() const;
+  /// consolidator()'s particle system; nullptr unless the particle
+  /// reduction applies.
   const ParticleSystem* particles() const;
 
   // --- solving ---
@@ -297,8 +300,13 @@ class PlanEngine {
   bool compute_plan_into(const Scenario& s, double load,
                          const std::vector<size_t>* allowed,
                          SolveScratch& scratch, Plan& out) const;
+  /// The Algorithm 1 query over one table (the full-fleet one, or the
+  /// restricted one already moved to the request's mask): the ranked-head
+  /// check and, when it declines, every k ranked into scratch.ranked.
+  TableAnswer table_query(const IncrementalConsolidator& cons, double load,
+                          SolveScratch& scratch, size_t& ranked_count) const;
   /// The verified ranked-head check in front of the consolidation walk,
-  /// shared by the full-fleet and incremental tables: a two-min peek_k scan
+  /// shared by the full-fleet and restricted tables: a two-min peek_k scan
   /// finds the ranking's head (k, segment) and its runner-up's power
   /// without materializing the ranking, then the head subset is solved by
   /// the closed form alone. True — with the plan in `out` — only when the
@@ -306,14 +314,12 @@ class PlanEngine {
   /// bounds (the walk's inner cutoff) and the runner-up's relaxation bound
   /// cannot beat it (the outer branch-and-bound cutoff). Never runs the LP;
   /// false leaves `out` untouched and the walk decides.
-  bool ranked_head_into(const detail::ConsolidationTable& table,
-                        const ParticleSystem& ps, double load,
+  bool ranked_head_into(const IncrementalConsolidator& cons, double load,
                         SolveScratch& scratch, Allocation& out) const;
   /// Restricted (quarantine) Algorithm 1 query: moves the delta-maintained
-  /// incremental table to `active_mask`, then runs the ranked-head check
-  /// and, when it declines, ranks every k into scratch.ranked. Thread-safe;
-  /// the table is a pure function of the mask, so concurrent callers with
-  /// different masks still see deterministic answers.
+  /// restricted table to `active_mask`, then runs table_query on it.
+  /// Thread-safe; the table is a pure function of the mask, so concurrent
+  /// callers with different masks still see deterministic answers.
   TableAnswer incremental_query(const std::vector<char>& active_mask,
                                 double load, SolveScratch& scratch,
                                 size_t& ranked_count) const;
@@ -336,9 +342,7 @@ class PlanEngine {
   mutable std::once_flag lp_once_;
   mutable std::unique_ptr<LpOptimizer> lp_;
   mutable std::once_flag consolidator_once_;
-  mutable std::unique_ptr<EventConsolidator> consolidator_;
-  mutable std::once_flag particles_once_;
-  mutable std::unique_ptr<ParticleSystem> particles_;
+  mutable std::unique_ptr<IncrementalConsolidator> consolidator_;  // full mask
   mutable std::mutex incremental_mu_;
   mutable std::unique_ptr<IncrementalConsolidator> incremental_;
 

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "obs/obs.h"
+#include "obs/scoped_timer.h"
 #include "util/strings.h"
 
 namespace coolopt::core {
@@ -25,15 +27,30 @@ double pair_crossing(const ParticleSystem& ps, size_t i, size_t j) {
   return -1.0;
 }
 
+SharedRoomModel validated(SharedRoomModel model) {
+  model->validate();
+  return model;
+}
+
+/// Runs one table query with the `consolidation.*` query instrumentation;
+/// `query` returns how many choices it produced (0 = infeasible).
+template <typename Query>
+size_t instrumented(const char* solver, size_t n, Query&& query) {
+  obs::ScopedTimer timer(obs::maybe_histogram("consolidation.query_us"));
+  obs::count("consolidation.queries");
+  const size_t count = query();
+  if (count == 0) obs::count("consolidation.infeasible_queries");
+  if (obs::RunTrace* tr = obs::trace()) {
+    tr->record_solve(obs::SolveSample{solver, static_cast<uint64_t>(n), 0,
+                                      timer.elapsed_us(), count != 0, 0.0});
+  }
+  return count;
+}
+
 }  // namespace
 
 IncrementalConsolidator::IncrementalConsolidator(SharedRoomModel model)
-    : model_(std::move(model)) {
-  model_->validate();
-  particles_ = ParticleSystem::from_model(*model_, kPreValidated);
-  active_.assign(particles_.size(), 1);
-  cold_build();
-}
+    : IncrementalConsolidator(validated(std::move(model)), kPreValidated) {}
 
 IncrementalConsolidator::IncrementalConsolidator(SharedRoomModel model, PreValidated)
     : model_(std::move(model)) {
@@ -43,6 +60,7 @@ IncrementalConsolidator::IncrementalConsolidator(SharedRoomModel model, PreValid
 }
 
 void IncrementalConsolidator::cold_build() {
+  obs::ScopedTimer timer(obs::maybe_histogram("consolidation.preprocess_us"));
   const size_t n = particles_.size();
   ids_.clear();
   for (size_t i = 0; i < n; ++i) {
@@ -66,14 +84,19 @@ void IncrementalConsolidator::cold_build() {
   }
   std::sort(raw_.begin(), raw_.end(),
             [](const RawEvent& x, const RawEvent& y) { return x.t < y.t; });
+  table_.build(particles_, ids_, collapsed_events());
 
+  obs::count("consolidation.preprocesses");
+  obs::gauge_set("consolidation.events", static_cast<double>(table_.events.size()));
+  obs::gauge_set("consolidation.segments",
+                 static_cast<double>(table_.segments.size()));
+}
+
+std::vector<double> IncrementalConsolidator::collapsed_events() const {
   std::vector<double> distinct;
   distinct.reserve(raw_.size());
   for (const RawEvent& e : raw_) distinct.push_back(e.t);
-  table_.build(particles_, ids_,
-               detail::ConsolidationTable::collapse_events(distinct),
-               /*with_statuses=*/false);
-  built_ = true;
+  return detail::ConsolidationTable::collapse_events(distinct);
 }
 
 std::vector<double> IncrementalConsolidator::crossings_with(size_t i) const {
@@ -137,12 +160,7 @@ void IncrementalConsolidator::raw_add(const std::vector<double>& times) {
 void IncrementalConsolidator::rebuild_table(const std::vector<uint32_t>& removed,
                                             const std::vector<uint32_t>& added,
                                             IncrementalApplyStats& stats) {
-  std::vector<double> distinct;
-  distinct.reserve(raw_.size());
-  for (const RawEvent& e : raw_) distinct.push_back(e.t);
-  std::vector<double> collapsed =
-      detail::ConsolidationTable::collapse_events(distinct);
-
+  std::vector<double> collapsed = collapsed_events();
   if (collapsed == table_.events) {
     // Same segment boundaries, hence same order times: patching the
     // membership of each (uniquely) sorted order reproduces the rebuild.
@@ -150,7 +168,7 @@ void IncrementalConsolidator::rebuild_table(const std::vector<uint32_t>& removed
     return;
   }
   stats.events_changed = true;
-  table_.build(particles_, ids_, std::move(collapsed), /*with_statuses=*/false);
+  table_.build(particles_, ids_, std::move(collapsed));
 }
 
 IncrementalApplyStats IncrementalConsolidator::set_active(
@@ -175,7 +193,7 @@ IncrementalApplyStats IncrementalConsolidator::set_active(
   IncrementalApplyStats stats;
   stats.removed = removed.size();
   stats.restored = added.size();
-  if (removed.empty() && added.empty() && built_) return stats;
+  if (removed.empty() && added.empty()) return stats;
 
   size_t next_active = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -184,7 +202,7 @@ IncrementalApplyStats IncrementalConsolidator::set_active(
   // A delta touching a large fraction of the fleet costs about as much as
   // starting over; the cutoff only affects speed — both paths produce the
   // identical table.
-  if (!built_ || (removed.size() + added.size()) * 3 > next_active + 1) {
+  if ((removed.size() + added.size()) * 3 > next_active + 1) {
     active_ = active_mask;
     stats.cold_rebuild = true;
     cold_build();
@@ -207,17 +225,33 @@ IncrementalApplyStats IncrementalConsolidator::set_active(
 
 std::vector<ConsolidationChoice> IncrementalConsolidator::rank_all_k(
     double load) const {
-  return table_.rank_all_k(particles_, *model_, load);
+  std::vector<ConsolidationChoice> out;
+  out.resize(rank_all_k_into(load, out));
+  return out;
 }
 
 bool IncrementalConsolidator::query_best_into(double load,
                                               ConsolidationChoice& out) const {
-  return table_.query_best_into(particles_, *model_, load, out);
+  if (load < 0.0) {
+    throw std::invalid_argument("IncrementalConsolidator: negative load");
+  }
+  return instrumented("consolidation.query", ids_.size(), [&]() -> size_t {
+           return table_.query_best_into(particles_, *model_, load, out);
+         }) != 0;
 }
 
 size_t IncrementalConsolidator::rank_all_k_into(
     double load, std::vector<ConsolidationChoice>& out) const {
-  return table_.rank_all_k_into(particles_, *model_, load, out);
+  // Instrumented as a query: this is the Algorithm 2 machinery run once per
+  // k, and it is the entry point the planner's ranked walk exercises.
+  return instrumented("consolidation.rank_all_k", ids_.size(), [&] {
+    return table_.rank_all_k_into(particles_, *model_, load, out);
+  });
+}
+
+double IncrementalConsolidator::max_load_for_budget(double power_budget_w,
+                                                    size_t k) const {
+  return table_.max_load_for_budget(particles_, *model_, power_budget_w, k);
 }
 
 }  // namespace coolopt::core

@@ -1,7 +1,9 @@
-// Incremental Algorithm 1: maintains the event/segment table of the
-// consolidation reduction under single-machine join/leave/quarantine
-// deltas — the exact churn ResilientController generates — instead of the
-// O(n^3 lg n) full rebuild.
+// Algorithm 1 (Section III-B): the event/segment table of the
+// consolidation reduction over a room's active machines. This is the one
+// owner of detail::ConsolidationTable. A cold build enumerates every
+// active pair's crossing time; after that the table is maintained under
+// single-machine join/leave/quarantine deltas — the exact churn
+// ResilientController generates — instead of the O(n^3 lg n) full rebuild.
 //
 // How it stays bit-for-bit identical to a rebuilt table:
 //
@@ -13,10 +15,10 @@
 //     raw state is a pure function of the active set, independent of the
 //     churn history that produced it.
 //   * The collapsed event list is re-derived from the raw multiset with
-//     the same tolerance collapse a cold build uses. A walk over sorted
-//     distinct values keeps exactly the same representatives as the
-//     historical sort+unique over the duplicated list (duplicates of a
-//     kept value never move the comparison anchor).
+//     the same tolerance collapse as the paper's sort-then-collapse over
+//     the duplicated list. A walk over sorted distinct values keeps
+//     exactly the same representatives (duplicates of a kept value never
+//     move the comparison anchor); the reference-build tests pin this.
 //   * Segments/orders are rebuilt through the shared
 //     detail::ConsolidationTable::build — or, when the event list is
 //     unchanged (the common case for quarantine churn in SKU-structured
@@ -25,21 +27,21 @@
 //     full rebuild would compute.
 //
 // Hence: for any churn history ending at active set A, the table equals
-// the one a cold IncrementalConsolidator (or, for A = everything, an
-// EventConsolidator) builds directly at A — verified bit-for-bit by the
-// `scale`-labelled tests.
+// the one a cold IncrementalConsolidator builds directly at A — verified
+// bit-for-bit by the `scale`-labelled tests.
 //
 // Cost per single-machine delta: O(n) divisions against the active set,
 // a linear merge over the raw multiset, and O(#segments * n) order
 // patching — versus the Theta(n^2) pair enumeration (plus sort) of a cold
-// build. The `engine.incremental.*` metrics expose the hit/rebuild mix.
+// build. The `engine.incremental.*` metrics expose the hit/rebuild mix;
+// cold builds and queries record the `consolidation.*` metrics.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "core/consolidation.h"
+#include "core/consolidation_table.h"
 #include "core/model.h"
 
 namespace coolopt::core {
@@ -55,6 +57,7 @@ struct IncrementalApplyStats {
 
 class IncrementalConsolidator {
  public:
+  /// Cold-builds the table over every machine of the room.
   explicit IncrementalConsolidator(SharedRoomModel model);
   /// Skips RoomModel::validate() (caller already ran it).
   IncrementalConsolidator(SharedRoomModel model, PreValidated);
@@ -65,23 +68,30 @@ class IncrementalConsolidator {
   IncrementalApplyStats set_active(const std::vector<char>& active_mask);
 
   /// Best subset of active machines for every feasible k, sorted by
-  /// predicted power then k. Machine ids are ORIGINAL model indices.
+  /// predicted power then k. Machine ids are ORIGINAL model indices. Lets
+  /// callers walk down the ranking when the best choice fails external
+  /// validation (capacity/LP).
   std::vector<ConsolidationChoice> rank_all_k(double load) const;
 
-  /// The winning choice alone — rank_all_k(load).front() — in
-  /// O(n lg #segments) instead of the full ranking's O(n^2) on_set
-  /// materialization, written into a caller-owned choice (buffers reused,
-  /// no allocation once grown). With it, a single-machine delta replans end
-  /// to end in o(n^2): table patch + query, no quadratic step anywhere.
-  /// Returns false when no subset is feasible.
+  /// The exact query: the winning choice alone — rank_all_k(load).front()
+  /// — in O(n lg #segments) instead of the full ranking's O(n^2) on_set
+  /// materialization, written into a caller-owned choice (buffers reused).
+  /// Returns false when no subset is feasible; throws
+  /// std::invalid_argument on a negative load.
   bool query_best_into(double load, ConsolidationChoice& out) const;
 
   /// rank_all_k into a grow-only buffer; entries [0, returned count) are
-  /// the ranking. Same bit-for-bit sequence as rank_all_k.
+  /// the ranking, spare slots keep their heap blocks for reuse. Same
+  /// bit-for-bit sequence as rank_all_k.
   size_t rank_all_k_into(double load, std::vector<ConsolidationChoice>& out) const;
 
+  /// The paper's maxL(A, P_b, k): largest load exactly-k active machines
+  /// can serve with predicted total power <= power_budget_w. 0 if even L=0
+  /// is over budget; capped at the load that drives t to t_lo. Throws
+  /// std::invalid_argument unless 1 <= k <= the active machine count.
+  double max_load_for_budget(double power_budget_w, size_t k) const;
+
   // --- introspection for tests/benches ---
-  size_t active_count() const { return ids_.size(); }
   const std::vector<uint32_t>& active_ids() const { return ids_; }
   size_t event_count() const { return table_.events.size(); }
   size_t segment_count() const { return table_.segments.size(); }
@@ -96,6 +106,8 @@ class IncrementalConsolidator {
   };
 
   void cold_build();
+  /// The raw multiset's distinct times through the tolerance collapse.
+  std::vector<double> collapsed_events() const;
   /// Crossing times of machine i against every currently-active machine
   /// except i itself, sorted ascending.
   std::vector<double> crossings_with(size_t i) const;
@@ -110,8 +122,7 @@ class IncrementalConsolidator {
   std::vector<char> active_;
   std::vector<uint32_t> ids_;     // active ids, ascending
   std::vector<RawEvent> raw_;     // sorted by t, strictly increasing
-  detail::ConsolidationTable table_;  // built WITHOUT statuses
-  bool built_ = false;
+  detail::ConsolidationTable table_;
 };
 
 }  // namespace coolopt::core

@@ -230,7 +230,7 @@ TEST(AllocGuard, WarmRebalanceIsAllocationFree) {
 
 TEST(AllocGuard, WarmQueryBestIsAllocationFree) {
   const core::PlanEngine engine(test_model(100));
-  const core::EventConsolidator* cons = engine.consolidator();
+  const core::IncrementalConsolidator* cons = engine.consolidator();
   ASSERT_NE(cons, nullptr);
   const double load = engine.model().total_capacity() * 0.25;
   core::ConsolidationChoice choice;

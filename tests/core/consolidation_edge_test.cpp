@@ -4,10 +4,17 @@
 #include <gtest/gtest.h>
 
 #include "core/consolidation.h"
+#include "core/incremental.h"
 #include "core/synthetic.h"
+#include "tests/core/consolidation_support.h"
 
 namespace coolopt::core {
 namespace {
+
+using test_support::best_of;
+using test_support::expect_tables_identical;
+using test_support::paper_query;
+using test_support::reference_table;
 
 RoomModel identical_machines(size_t n) {
   RoomModel model;
@@ -29,15 +36,16 @@ RoomModel identical_machines(size_t n) {
 
 TEST(ConsolidationEdge, IdenticalMachinesHaveNoEvents) {
   const RoomModel model = identical_machines(6);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   // All particles coincide: parallel AND co-located -> zero crossings.
   EXPECT_EQ(ec.event_count(), 0u);
   EXPECT_EQ(ec.segment_count(), 1u);
+  expect_tables_identical(ec.table(), reference_table(ec.particles()));
   // Queries still work and agree with brute force.
   const BruteForceConsolidator bf(model);
   for (const double frac : {0.1, 0.5, 0.9}) {
     const double load = model.total_capacity() * frac;
-    const auto fast = ec.query(load);
+    const auto fast = best_of(ec, load);
     const auto slow = bf.best(load);
     ASSERT_EQ(fast.has_value(), slow.has_value());
     if (fast) {
@@ -54,11 +62,11 @@ TEST(ConsolidationEdge, ParallelDistinctParticles) {
   for (size_t i = 0; i < 4; ++i) {
     model.machines[i].thermal.gamma = 0.3 * static_cast<double>(i);
   }
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   EXPECT_EQ(ec.event_count(), 0u);
   const BruteForceConsolidator bf(model);
   const double load = model.total_capacity() * 0.4;
-  const auto fast = ec.query(load);
+  const auto fast = best_of(ec, load);
   const auto slow = bf.best(load);
   ASSERT_TRUE(fast && slow);
   EXPECT_NEAR(fast->predicted_total_power_w, slow->predicted_total_power_w, 1e-9);
@@ -69,9 +77,10 @@ TEST(ConsolidationEdge, SingleMachineFleet) {
   o.machines = 1;
   o.seed = 9;
   const RoomModel model = make_synthetic_model(o);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   EXPECT_EQ(ec.event_count(), 0u);
-  const auto choice = ec.query(model.machines[0].capacity * 0.5);
+  expect_tables_identical(ec.table(), reference_table(ec.particles()));
+  const auto choice = best_of(ec, model.machines[0].capacity * 0.5);
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->k, 1u);
   EXPECT_EQ(choice->on_set, std::vector<size_t>{0});
@@ -81,8 +90,8 @@ TEST(ConsolidationEdge, ZeroLoadPrefersOneMachine) {
   // With L = 0, power = k*w2 + cooling(t_hi): minimized at k = 1 (the
   // consolidator cannot return an empty set; the planner handles all-off).
   const RoomModel model = identical_machines(5);
-  const EventConsolidator ec(model);
-  const auto choice = ec.query(0.0);
+  const IncrementalConsolidator ec(share_model(model));
+  const auto choice = best_of(ec, 0.0);
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->k, 1u);
 }
@@ -93,9 +102,9 @@ TEST(ConsolidationEdge, LoadAtTheExactFeasibilityEdge) {
   // Max servable with all 3 at the coldest allowed air:
   double l_edge = 0.0;
   for (size_t i = 0; i < 3; ++i) l_edge += ps.coordinate(i, ps.t_lo);
-  const EventConsolidator ec(model);
-  EXPECT_TRUE(ec.query(l_edge * 0.999).has_value());
-  EXPECT_FALSE(ec.query(l_edge * 1.001).has_value());
+  const IncrementalConsolidator ec(share_model(model));
+  EXPECT_TRUE(best_of(ec, l_edge * 0.999).has_value());
+  EXPECT_FALSE(best_of(ec, l_edge * 1.001).has_value());
 }
 
 TEST(ConsolidationEdge, RankAllKShrinksWithLoad) {
@@ -104,7 +113,7 @@ TEST(ConsolidationEdge, RankAllKShrinksWithLoad) {
   o.machines = 8;
   o.seed = 13;
   const RoomModel model = make_synthetic_model(o);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   const size_t low = ec.rank_all_k(model.total_capacity() * 0.1).size();
   const size_t high = ec.rank_all_k(model.total_capacity() * 0.9).size();
   EXPECT_GT(low, high);
@@ -113,10 +122,9 @@ TEST(ConsolidationEdge, RankAllKShrinksWithLoad) {
 
 TEST(ConsolidationEdge, PaperQueryOnDegenerateModel) {
   const RoomModel model = identical_machines(6);
-  const EventConsolidator ec(model);
-  const auto paper = ec.query(model.total_capacity() * 0.5,
-                              EventConsolidator::QueryMode::kPaperBinarySearch);
-  const auto exact = ec.query(model.total_capacity() * 0.5);
+  const IncrementalConsolidator ec(share_model(model));
+  const auto paper = paper_query(ec, model.total_capacity() * 0.5);
+  const auto exact = best_of(ec, model.total_capacity() * 0.5);
   ASSERT_TRUE(paper && exact);
   EXPECT_GE(paper->predicted_total_power_w,
             exact->predicted_total_power_w - 1e-9);
@@ -124,7 +132,7 @@ TEST(ConsolidationEdge, PaperQueryOnDegenerateModel) {
 
 TEST(ConsolidationEdge, BudgetBelowIdleServesNothing) {
   const RoomModel model = identical_machines(4);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   // One idle machine + cooling floor costs more than 10 W.
   EXPECT_DOUBLE_EQ(ec.max_load_for_budget(10.0, 1), 0.0);
 }

@@ -16,7 +16,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/consolidation.h"
 #include "core/incremental.h"
 #include "core/synthetic.h"
 
@@ -85,8 +84,8 @@ void expect_peek_matches_solve(const core::detail::ConsolidationTable& table,
 void expect_best_matches_ranking(const core::detail::ConsolidationTable& table,
                                  const core::ParticleSystem& ps,
                                  const core::RoomModel& model, double load) {
-  const std::vector<core::ConsolidationChoice> ranked =
-      table.rank_all_k(ps, model, load);
+  std::vector<core::ConsolidationChoice> ranked;
+  ranked.resize(table.rank_all_k_into(ps, model, load, ranked));
   core::ConsolidationChoice best;
   const bool got = table.query_best_into(ps, model, load, best);
   ASSERT_EQ(got, !ranked.empty()) << "load " << load;
@@ -95,7 +94,7 @@ void expect_best_matches_ranking(const core::detail::ConsolidationTable& table,
 
 TEST(ConsolidationSegment, BreakpointLoadsAgreeAcrossAllQueryPaths) {
   const core::RoomModel model = synthetic_room(24);
-  const core::EventConsolidator cons(model);
+  const core::IncrementalConsolidator cons(core::share_model(model));
   const core::detail::ConsolidationTable& table = cons.table();
   const core::ParticleSystem& ps = cons.particles();
   ASSERT_GT(table.segments.size(), 1u)
@@ -118,7 +117,7 @@ TEST(ConsolidationSegment, BreakpointLoadsAgreeAcrossAllQueryPaths) {
 
 TEST(ConsolidationSegment, BreakpointOperatingSegmentIsSelfConsistent) {
   const core::RoomModel model = synthetic_room(16);
-  const core::EventConsolidator cons(model);
+  const core::IncrementalConsolidator cons(core::share_model(model));
   const core::detail::ConsolidationTable& table = cons.table();
   const core::ParticleSystem& ps = cons.particles();
 
@@ -155,7 +154,7 @@ TEST(ConsolidationSegment, BreakpointOperatingSegmentIsSelfConsistent) {
 
 TEST(ConsolidationSegment, SingleSegmentTableAnswersEveryLoad) {
   const core::RoomModel model = homogeneous_room(12);
-  const core::EventConsolidator cons(model);
+  const core::IncrementalConsolidator cons(core::share_model(model));
   const core::detail::ConsolidationTable& table = cons.table();
   const core::ParticleSystem& ps = cons.particles();
   ASSERT_EQ(table.segments.size(), 1u)

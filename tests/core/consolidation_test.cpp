@@ -8,42 +8,22 @@
 #include <set>
 
 #include "core/closed_form.h"
+#include "core/incremental.h"
 #include "core/synthetic.h"
+#include "tests/core/consolidation_support.h"
 
 namespace coolopt::core {
 namespace {
+
+using test_support::best_of;
+using test_support::model_from_particles;
+using test_support::paper_query;
 
 RoomModel model_n(size_t n, uint64_t seed) {
   SyntheticModelOptions o;
   o.machines = n;
   o.seed = seed;
   return make_synthetic_model(o);
-}
-
-/// Builds a RoomModel whose particle system is exactly (a_i, b_i): the
-/// inverse of the Eq. 23 reduction, for testing against paper examples.
-RoomModel model_from_particles(const std::vector<double>& a,
-                               const std::vector<double>& b) {
-  RoomModel model;
-  const double w1 = 1.0;
-  const double w2 = 1.0;
-  const double t_max = 50.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    MachineModel m;
-    m.id = static_cast<int>(i);
-    m.power = {w1, w2};
-    m.thermal.alpha = 1.0;
-    m.thermal.beta = 1.0 / b[i];
-    m.thermal.gamma = t_max - m.thermal.beta * w2 - a[i] * m.thermal.beta * w1;
-    m.capacity = 1000.0;
-    model.machines.push_back(m);
-  }
-  model.cooler = {1.0, 100.0, 0.0, 0.0, -1e300};
-  model.t_max = t_max;
-  model.t_ac_min = 0.0;
-  model.t_ac_max = 1000.0;  // effectively unbounded, as in the paper
-  model.validate();
-  return model;
 }
 
 std::set<size_t> as_set(const std::vector<size_t>& v) {
@@ -104,17 +84,17 @@ TEST(EvaluateSubset, InfeasibleWhenTooColdWouldBeNeeded) {
   EXPECT_FALSE(choice.has_value());
 }
 
-TEST(EventConsolidator, EventAndStatusCounts) {
+TEST(Algorithm1, EventAndStatusCounts) {
   const RoomModel model = model_n(10, 45);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   // At most n(n-1)/2 crossings; one segment per event plus the initial one;
   // n statuses per segment (the paper's allStatus).
   EXPECT_LE(ec.event_count(), 45u);
   EXPECT_EQ(ec.segment_count(), ec.event_count() + 1);
-  EXPECT_EQ(ec.status_count(), ec.segment_count() * 10);
+  EXPECT_EQ(ec.table().all_status().size(), ec.segment_count() * 10);
 }
 
-TEST(EventConsolidator, PaperFigure1HasTwoOrderChanges) {
+TEST(Algorithm1, PaperFigure1HasTwoOrderChanges) {
   // Fig. 1's system: n = 4 with exactly two crossing events in t > 0, so
   // three distinct coordinate orders. Constructed directly: particle 0
   // starts highest but falls fastest; 1 passes it at t=1; 3 passes 2 at 3.
@@ -127,12 +107,12 @@ TEST(EventConsolidator, PaperFigure1HasTwoOrderChanges) {
   // (1,2) at 4; (1,3) at 3.684 — fine, more crossings exist; just check the
   // machinery counts them all.
   const RoomModel model = model_from_particles(a, b);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   EXPECT_EQ(ec.event_count(), 6u);  // all pairs cross in t > 0 here
   EXPECT_EQ(ec.segment_count(), 7u);
 }
 
-TEST(EventConsolidator, FootnoteHeuristicsFailExample) {
+TEST(Algorithm1, FootnoteHeuristicsFailExample) {
   // The paper's footnote example A = {(10,7),(2,3),(1,2),(0.2,1.34)}:
   // sorting by a_i/b_i and greedy both pick {0,1} for k = 2, but at small
   // loads the true optimum is a different pair.
@@ -153,7 +133,7 @@ TEST(EventConsolidator, FootnoteHeuristicsFailExample) {
             heuristic->predicted_total_power_w - 1e-9);
 
   // And the event-based algorithm finds the same optimum.
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   const auto ranked = ec.rank_all_k(load);
   const auto it = std::find_if(ranked.begin(), ranked.end(),
                                [](const ConsolidationChoice& c) { return c.k == 2; });
@@ -162,9 +142,9 @@ TEST(EventConsolidator, FootnoteHeuristicsFailExample) {
   EXPECT_NEAR(it->predicted_total_power_w, best2->predicted_total_power_w, 1e-9);
 }
 
-TEST(EventConsolidator, RankAllKIsSortedAndConsistentWithQuery) {
+TEST(Algorithm1, RankAllKIsSortedAndConsistentWithQuery) {
   const RoomModel model = model_n(12, 46);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   const double load = model.total_capacity() * 0.35;
   const auto ranked = ec.rank_all_k(load);
   ASSERT_FALSE(ranked.empty());
@@ -172,15 +152,15 @@ TEST(EventConsolidator, RankAllKIsSortedAndConsistentWithQuery) {
     EXPECT_LE(ranked[i - 1].predicted_total_power_w,
               ranked[i].predicted_total_power_w + 1e-9);
   }
-  const auto best = ec.query(load);
+  const auto best = best_of(ec, load);
   ASSERT_TRUE(best.has_value());
   EXPECT_NEAR(best->predicted_total_power_w,
               ranked.front().predicted_total_power_w, 1e-9);
 }
 
-TEST(EventConsolidator, ChoicesRespectActuationBounds) {
+TEST(Algorithm1, ChoicesRespectActuationBounds) {
   const RoomModel model = model_n(10, 47);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   for (const double frac : {0.1, 0.4, 0.9}) {
     const auto ranked = ec.rank_all_k(model.total_capacity() * frac);
     for (const auto& c : ranked) {
@@ -191,22 +171,22 @@ TEST(EventConsolidator, ChoicesRespectActuationBounds) {
   }
 }
 
-TEST(EventConsolidator, InfeasibleLoadReturnsNothing) {
+TEST(Algorithm1, InfeasibleLoadReturnsNothing) {
   const RoomModel model = model_n(5, 48);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   // More than the whole fleet can serve under T_max at the coldest air.
   double max_possible = 0.0;
   const ParticleSystem ps = ParticleSystem::from_model(model);
   for (size_t i = 0; i < ps.size(); ++i) {
     max_possible += ps.coordinate(i, ps.t_lo);
   }
-  EXPECT_FALSE(ec.query(max_possible * 1.2).has_value());
-  EXPECT_THROW(ec.query(-1.0), std::invalid_argument);
+  EXPECT_FALSE(best_of(ec, max_possible * 1.2).has_value());
+  EXPECT_THROW(best_of(ec, -1.0), std::invalid_argument);
 }
 
-TEST(EventConsolidator, MaxLoadForBudgetInverseProperty) {
+TEST(Algorithm1, MaxLoadForBudgetInverseProperty) {
   const RoomModel model = model_n(10, 49);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   for (const size_t k : {3u, 6u, 9u}) {
     for (const double budget : {500.0, 900.0, 1400.0}) {
       const double l_max = ec.max_load_for_budget(budget, k);
@@ -235,11 +215,11 @@ TEST_P(EventVsBruteForce, ExactQueryMatchesEnumeration) {
   o.machines = 9;
   o.seed = GetParam();
   const RoomModel model = make_synthetic_model(o);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   const BruteForceConsolidator brute(model);
   for (const double frac : {0.08, 0.22, 0.47, 0.71, 0.93}) {
     const double load = model.total_capacity() * frac;
-    const auto fast = ec.query(load, EventConsolidator::QueryMode::kExactPerK);
+    const auto fast = best_of(ec, load);
     const auto slow = brute.best(load);
     ASSERT_EQ(fast.has_value(), slow.has_value()) << "load frac " << frac;
     if (!fast) continue;
@@ -254,12 +234,11 @@ TEST_P(EventVsBruteForce, PaperQueryNeverBeatsExactAndStaysFeasible) {
   o.machines = 9;
   o.seed = GetParam();
   const RoomModel model = make_synthetic_model(o);
-  const EventConsolidator ec(model);
+  const IncrementalConsolidator ec(share_model(model));
   for (const double frac : {0.15, 0.5, 0.85}) {
     const double load = model.total_capacity() * frac;
-    const auto paper =
-        ec.query(load, EventConsolidator::QueryMode::kPaperBinarySearch);
-    const auto exact = ec.query(load, EventConsolidator::QueryMode::kExactPerK);
+    const auto paper = paper_query(ec, load);
+    const auto exact = best_of(ec, load);
     if (!exact) {
       EXPECT_FALSE(paper.has_value());
       continue;

@@ -518,6 +518,21 @@ TEST(PlanEngineDegraded, BadQuarantineIndexThrows) {
                std::invalid_argument);
 }
 
+TEST(PlanEngineDegraded, RepeatedQuarantineIndexIsShedOnce) {
+  // {2, 2, 4} quarantines two machines: the shed order lists each once, in
+  // first-appearance order, and the plan is the one {2, 4} gets.
+  const PlanEngine engine(uniform_model(6, 3));
+  const double load = engine.model().total_capacity() * 0.98;
+  const Scenario holistic = Scenario::by_number(8);
+  const PlanResult repeated = engine.solve(PlanRequest{holistic, load, {2, 2, 4}});
+  const PlanResult once = engine.solve(PlanRequest{holistic, load, {2, 4}});
+  ASSERT_GT(repeated.shed_load, 0.0);
+  EXPECT_EQ(repeated.shed_priority, (std::vector<size_t>{2, 4, 1, 5, 0, 3}));
+  EXPECT_EQ(repeated.shed_priority, once.shed_priority);
+  EXPECT_EQ(repeated.shed_load, once.shed_load);
+  expect_identical(repeated, once, 0);
+}
+
 TEST(PlanEngineDegraded, DegradedSolvesCountInCounters) {
   const PlanEngine engine(uniform_model(6));
   std::vector<size_t> all(6);

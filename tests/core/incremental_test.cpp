@@ -13,10 +13,13 @@
 
 #include "core/engine.h"
 #include "core/synthetic.h"
+#include "tests/core/consolidation_support.h"
 #include "util/rng.h"
 
 namespace coolopt::core {
 namespace {
+
+using test_support::expect_tables_identical;
 
 /// SKU-structured fleet: `skus` distinct machine classes replicated across
 /// `machines` slots, the regime where crossing-time multiplicities are high
@@ -40,22 +43,6 @@ RoomModel diverse_model(size_t machines, uint64_t seed) {
   opt.machines = machines;
   opt.seed = seed;
   return make_synthetic_model(opt);
-}
-
-void expect_tables_identical(const detail::ConsolidationTable& a,
-                             const detail::ConsolidationTable& b) {
-  // Exact double equality throughout: the incremental path must reproduce
-  // the rebuilt table to the last bit, not within a tolerance.
-  ASSERT_EQ(a.events, b.events);
-  ASSERT_EQ(a.segments.size(), b.segments.size());
-  for (size_t s = 0; s < a.segments.size(); ++s) {
-    SCOPED_TRACE("segment " + std::to_string(s));
-    EXPECT_EQ(a.segments[s].start, b.segments[s].start);
-    EXPECT_EQ(a.segments[s].order_time, b.segments[s].order_time);
-    EXPECT_EQ(a.segments[s].order, b.segments[s].order);
-    EXPECT_EQ(a.segments[s].prefix_a, b.segments[s].prefix_a);
-    EXPECT_EQ(a.segments[s].prefix_b, b.segments[s].prefix_b);
-  }
 }
 
 void expect_choices_identical(const std::vector<ConsolidationChoice>& a,
@@ -129,26 +116,6 @@ void run_churn(const RoomModel& room, uint64_t seed, size_t steps,
       ASSERT_EQ(got, !ranked.empty());
       if (got) expect_choices_identical({best}, {ranked.front()});
     }
-  }
-}
-
-TEST(IncrementalConsolidator, FullActiveMatchesEventConsolidator) {
-  const SharedRoomModel model = share_model(sku_model(24, 4, 11));
-  EventConsolidator cons(model);
-  IncrementalConsolidator inc(model);
-  inc.set_active(std::vector<char>(model->size(), 1));
-
-  // Same events, same segment boundaries and orders as Algorithm 1's
-  // full preprocess (statuses are the query index only — not compared,
-  // the incremental table never builds them).
-  ASSERT_EQ(inc.event_count(), cons.event_count());
-  ASSERT_EQ(inc.segment_count(), cons.segment_count());
-  expect_tables_identical(inc.table(), cons.table());
-
-  const double capacity = model->total_capacity();
-  for (const double frac : {0.2, 0.5, 0.95}) {
-    expect_choices_identical(inc.rank_all_k(frac * capacity),
-                             cons.rank_all_k(frac * capacity));
   }
 }
 

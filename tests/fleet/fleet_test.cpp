@@ -28,18 +28,17 @@ core::RoomModel test_room(size_t machines = 20, uint64_t seed = 7) {
   return core::make_synthetic_model(options);
 }
 
-/// The benchmark's 10k-machine SKU room (perfbench/workload.cpp): the first
-/// 8 machine classes of synthetic seed 42 in equal shares, in an order drawn
+/// The benchmark's SKU room layout (perfbench/workload.cpp): the first 8
+/// machine classes of synthetic seed 42 in equal shares, in an order drawn
 /// from seed 1, with 3x capacity headroom.
-core::RoomModel sku_room_10k() {
-  constexpr size_t kMachines = 10000;
-  core::RoomModel model = test_room(kMachines, 42);
-  std::vector<size_t> classes(kMachines);
-  for (size_t i = 0; i < kMachines; ++i) classes[i] = i % 8;
+core::RoomModel sku_room(size_t machines) {
+  core::RoomModel model = test_room(machines, 42);
+  std::vector<size_t> classes(machines);
+  for (size_t i = 0; i < machines; ++i) classes[i] = i % 8;
   util::Rng(1).fork("room").shuffle(classes);
   const std::vector<core::MachineModel> skus(model.machines.begin(),
                                              model.machines.begin() + 8);
-  for (size_t i = 0; i < kMachines; ++i) {
+  for (size_t i = 0; i < machines; ++i) {
     model.machines[i] = skus[classes[i]];
     model.machines[i].id = static_cast<int>(i);
     model.machines[i].capacity *= 3.0;
@@ -185,12 +184,43 @@ TEST(FleetEngine, SolveIsWorkerCountInvariant) {
   }
 }
 
+// A repeated {shard, machine} entry quarantines that machine once: the
+// shard's shed order lists it once, and the whole result is the one the
+// de-duplicated list gets. With 3x capacity headroom the thermal ceiling
+// binds, so shard 1 sheds at this load.
+TEST(FleetEngine, RepeatedQuarantineEntryIsShedOnce) {
+  const FleetEngine fleet(partition_room(sku_room(40), 2));
+  FleetPlanRequest repeated;
+  repeated.load = 0.4 * fleet.total_capacity();
+  repeated.quarantined = {ShardMachine{1, 2}, ShardMachine{1, 2},
+                          ShardMachine{0, 1}};
+  FleetPlanRequest once = repeated;
+  once.quarantined = {ShardMachine{1, 2}, ShardMachine{0, 1}};
+
+  const FleetPlanResult a = fleet.solve(repeated, 1);
+  const FleetPlanResult b = fleet.solve(once, 1);
+  EXPECT_EQ(a.shard_loads, b.shard_loads);
+  EXPECT_EQ(a.shed_load, b.shed_load);
+  ASSERT_EQ(a.shard_results.size(), 2u);
+  for (size_t s = 0; s < 2; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    EXPECT_EQ(a.shard_results[s].shed_priority,
+              b.shard_results[s].shed_priority);
+    EXPECT_EQ(a.shard_results[s].plan->allocation.loads,
+              b.shard_results[s].plan->allocation.loads);
+  }
+  const core::PlanResult& shedding = a.shard_results[1];
+  ASSERT_GT(shedding.shed_load, 0.0);
+  EXPECT_EQ(shedding.shed_priority.size(), fleet.engine(1).model().size());
+  EXPECT_EQ(shedding.shed_priority.front(), 2u);
+}
+
 // Frontier sampling solves every shard at exactly its capacity. For the
 // Even scenarios on these 1250-machine shards that load used to throw
 // ("even_allocation: load exceeds the ON set's capacity"), failing every
 // fleet solve of scenarios 1 and 4.
 TEST(FleetEngine, EvenScenariosSampleShardsUpToExactCapacity) {
-  const FleetEngine fleet(partition_room(sku_room_10k(), 8));
+  const FleetEngine fleet(partition_room(sku_room(10000), 8));
   for (const int s : {1, 4}) {
     SCOPED_TRACE("scenario " + std::to_string(s));
     FleetPlanRequest request;

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/consolidation.h"
+#include "core/incremental.h"
 #include "core/lp_optimizer.h"
 #include "core/synthetic.h"
 #include "obs/json_writer.h"
@@ -132,11 +132,10 @@ TEST(Instrumentation, OptimizerAndConsolidatorRecordMetrics) {
     core::LpOptimizer lp(model);
     ASSERT_TRUE(lp.solve_all(0.5 * model.total_capacity()).has_value());
 
-    core::EventConsolidator consolidator(model);
-    ASSERT_TRUE(consolidator
-                    .query(0.5 * model.total_capacity(),
-                           core::EventConsolidator::QueryMode::kPaperBinarySearch)
-                    .has_value());
+    const core::IncrementalConsolidator consolidator(core::share_model(model));
+    core::ConsolidationChoice choice;
+    ASSERT_TRUE(
+        consolidator.query_best_into(0.5 * model.total_capacity(), choice));
   }
 
   EXPECT_EQ(registry.counter("optimizer.lp.solves").value(), 1u);

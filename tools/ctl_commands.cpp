@@ -274,7 +274,7 @@ int cmd_frontier(util::CliFlags& flags, int argc, const char* const* argv,
     return 2;
   }
   const core::PlanEngine engine(std::move(model));
-  const core::EventConsolidator* consolidator = engine.consolidator();
+  const core::IncrementalConsolidator* consolidator = engine.consolidator();
   if (consolidator == nullptr) {
     err << "frontier needs the particle reduction (Eq. 23), which requires "
            "uniform w1/w2 across the fleet; this model is heterogeneous\n";
