@@ -319,7 +319,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
     return 2;
   }
-  obs::JsonWriter w(out);
+  std::string json;
+  obs::JsonWriter w(json);
   w.begin_object();
   w.kv("bench", "chaos");
   w.kv("machines", static_cast<uint64_t>(machines));
@@ -366,7 +367,7 @@ int main(int argc, char** argv) {
   w.kv("health_shards_down", static_cast<uint64_t>(health_shards_down));
   w.kv("pass", pass);
   w.end_object();
-  out << "\n";
+  out << json << "\n";
   std::printf("(JSON written to %s)\n", json_path.c_str());
 
   std::printf("Targets (goodput >= 95%% per case; zero mismatched bytes; "

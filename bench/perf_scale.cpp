@@ -297,7 +297,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
     return 2;
   }
-  obs::JsonWriter w(out);
+  std::string json;
+  obs::JsonWriter w(json);
   w.begin_object();
   w.kv("bench", "scale");
   w.kv("skus", static_cast<uint64_t>(8));
@@ -320,7 +321,7 @@ int main(int argc, char** argv) {
   w.end_array();
   w.kv("pass", pass);
   w.end_object();
-  out << "\n";
+  out << json << "\n";
   std::printf("(JSON written to %s)\n", json_path.c_str());
 
   std::printf(

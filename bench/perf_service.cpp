@@ -410,7 +410,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
     return 2;
   }
-  obs::JsonWriter w(out);
+  std::string json;
+  obs::JsonWriter w(json);
   w.begin_object();
   w.kv("bench", "service");
   w.kv("machines", static_cast<uint64_t>(machines));
@@ -444,7 +445,7 @@ int main(int argc, char** argv) {
   w.end_object();
   w.kv("pass", pass);
   w.end_object();
-  out << "\n";
+  out << json << "\n";
   std::printf("(JSON written to %s)\n", json_path.c_str());
 
   std::printf("Targets (>= 5000 req/s at 8 clients; all responses "

@@ -180,7 +180,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
     return 2;
   }
-  obs::JsonWriter w(out);
+  std::string json;
+  obs::JsonWriter w(json);
   w.begin_object();
   w.kv("bench", "sweep");
   w.kv("room_servers", static_cast<uint64_t>(20));
@@ -202,7 +203,7 @@ int main(int argc, char** argv) {
   w.end_array();
   w.kv("pass", pass);
   w.end_object();
-  out << "\n";
+  out << json << "\n";
   std::printf("(JSON written to %s)\n", json_path.c_str());
 
   std::printf("Targets (warm >= 10x cold; parallel > 1x serial at the large "

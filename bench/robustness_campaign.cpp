@@ -172,7 +172,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
     return 2;
   }
-  obs::JsonWriter w(out);
+  std::string json;
+  obs::JsonWriter w(json);
   w.begin_object();
   w.kv("bench", "robustness");
   w.kv("scenario", supervisor.scenario);
@@ -205,7 +206,7 @@ int main(int argc, char** argv) {
   w.kv("reproducible", reproducible);
   w.kv("pass", pass);
   w.end_object();
-  out << "\n";
+  out << json << "\n";
   std::printf("(JSON written to %s)\n", json_path.c_str());
 
   std::printf("Targets (violation < 10%% of no-defense; power within 5%% of "

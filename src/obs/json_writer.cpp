@@ -1,8 +1,8 @@
 #include "obs/json_writer.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 #include "util/jsonio.h"
@@ -10,37 +10,38 @@
 
 namespace coolopt::obs {
 
-std::string json_quote(std::string_view s) { return util::json_quote(s); }
-
-JsonWriter::JsonWriter(std::ostream& os) : os_(os) {}
-
 void JsonWriter::before_value() {
+  if (key_pending_) {  // the key already wrote the separator
+    key_pending_ = false;
+    return;
+  }
   if (root_done_) throw std::logic_error("JsonWriter: document already complete");
-  if (stack_.empty()) return;  // the root container itself
-  if (stack_.back() == Scope::kObject && !key_pending_) {
+  if (depth_ == 0) return;  // the root container itself
+  if (stack_[depth_ - 1] == Scope::kObject) {
     throw std::logic_error("JsonWriter: value in object without a key");
   }
-  if (stack_.back() == Scope::kArray && has_items_.back()) os_ << ',';
-  has_items_.back() = true;
-  key_pending_ = false;
+  if (has_items_[depth_ - 1]) out_.push_back(',');
+  has_items_[depth_ - 1] = true;
 }
 
 void JsonWriter::push(Scope s) {
+  if (depth_ == kMaxDepth) {
+    throw std::logic_error("JsonWriter: nesting deeper than kMaxDepth");
+  }
   before_value();
-  os_ << (s == Scope::kObject ? '{' : '[');
-  stack_.push_back(s);
-  has_items_.push_back(false);
+  out_.push_back(s == Scope::kObject ? '{' : '[');
+  stack_[depth_] = s;
+  has_items_[depth_] = false;
+  ++depth_;
 }
 
 void JsonWriter::pop(Scope s) {
-  if (stack_.empty() || stack_.back() != s) {
+  if (depth_ == 0 || stack_[depth_ - 1] != s) {
     throw std::logic_error("JsonWriter: mismatched container close");
   }
   if (key_pending_) throw std::logic_error("JsonWriter: dangling key at close");
-  os_ << (s == Scope::kObject ? '}' : ']');
-  stack_.pop_back();
-  has_items_.pop_back();
-  if (stack_.empty()) root_done_ = true;
+  out_.push_back(s == Scope::kObject ? '}' : ']');
+  if (--depth_ == 0) root_done_ = true;
 }
 
 void JsonWriter::begin_object() { push(Scope::kObject); }
@@ -49,27 +50,20 @@ void JsonWriter::begin_array() { push(Scope::kArray); }
 void JsonWriter::end_array() { pop(Scope::kArray); }
 
 void JsonWriter::key(std::string_view name) {
-  if (stack_.empty() || stack_.back() != Scope::kObject) {
+  if (depth_ == 0 || stack_[depth_ - 1] != Scope::kObject) {
     throw std::logic_error("JsonWriter: key outside an object");
   }
   if (key_pending_) throw std::logic_error("JsonWriter: two keys in a row");
-  if (has_items_.back()) os_ << ',';
-  has_items_.back() = true;
-  os_ << json_quote(name) << ':';
+  if (has_items_[depth_ - 1]) out_.push_back(',');
+  has_items_[depth_ - 1] = true;
+  util::json_append_quoted(out_, name);
+  out_.push_back(':');
   key_pending_ = true;
-  // The upcoming value's separator was emitted here; mark "no item yet" so
-  // before_value() does not add a second comma.
-  has_items_.back() = true;
 }
 
 void JsonWriter::value(std::string_view s) {
-  if (key_pending_) {
-    key_pending_ = false;
-    os_ << json_quote(s);
-    return;
-  }
   before_value();
-  os_ << json_quote(s);
+  util::json_append_quoted(out_, s);
 }
 
 void JsonWriter::value(const char* s) { value(std::string_view(s)); }
@@ -79,57 +73,31 @@ void JsonWriter::value(double v) {
     value_null();
     return;
   }
-  const std::string text = util::json_number(v);
-  if (key_pending_) {
-    key_pending_ = false;
-    os_ << text;
-    return;
-  }
   before_value();
-  os_ << text;
+  char buf[util::kJsonNumberBuffer];
+  out_.append(util::json_number(v, buf));
 }
 
 void JsonWriter::value(bool v) {
-  const char* text = v ? "true" : "false";
-  if (key_pending_) {
-    key_pending_ = false;
-    os_ << text;
-    return;
-  }
   before_value();
-  os_ << text;
+  out_.append(v ? "true" : "false");
 }
 
 void JsonWriter::value(uint64_t v) {
-  const std::string text = util::strf("%llu", static_cast<unsigned long long>(v));
-  if (key_pending_) {
-    key_pending_ = false;
-    os_ << text;
-    return;
-  }
   before_value();
-  os_ << text;
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void JsonWriter::value(int64_t v) {
-  const std::string text = util::strf("%lld", static_cast<long long>(v));
-  if (key_pending_) {
-    key_pending_ = false;
-    os_ << text;
-    return;
-  }
   before_value();
-  os_ << text;
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void JsonWriter::value_null() {
-  if (key_pending_) {
-    key_pending_ = false;
-    os_ << "null";
-    return;
-  }
   before_value();
-  os_ << "null";
+  out_.append("null");
 }
 
 // ---------------------------------------------------------------------------

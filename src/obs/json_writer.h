@@ -1,30 +1,31 @@
-// Minimal streaming JSON emission (and a syntax checker for tests).
+// Minimal JSON emission (and a syntax checker for tests).
 //
-// The observability exports (metrics registry dump, run traces) need JSON
-// with zero third-party dependencies. JsonWriter produces a single
-// well-formed document on an ostream: objects, arrays, strings (escaped per
-// RFC 8259), numbers (non-finite doubles become null, which strict parsers
-// accept where NaN would not), and booleans. Nesting is tracked so keys and
-// values cannot be emitted in an invalid position — misuse throws
-// std::logic_error rather than producing silently broken output.
+// The observability exports (metrics registry dump, run traces) and the
+// cooloptd wire responses need JSON with zero third-party dependencies.
+// JsonWriter appends a single well-formed document to a caller-owned
+// std::string: objects, arrays, strings (escaped per RFC 8259), numbers
+// (util::json_number's "%.12g"; non-finite doubles become null, which strict
+// parsers accept where NaN would not), and booleans. Nesting is tracked in a
+// fixed-depth stack so keys and values cannot be emitted in an invalid
+// position — misuse (including nesting deeper than kMaxDepth) throws
+// std::logic_error rather than producing silently broken output. A writer
+// never allocates beyond the growth of the caller's string, so encoding
+// into a warm, reused buffer is allocation-free.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace coolopt::obs {
 
-/// Escapes `s` into a double-quoted JSON string literal.
-std::string json_quote(std::string_view s);
-
 class JsonWriter {
  public:
-  /// Writes to an external stream (not owned). The document root may be an
+  /// Appends to `out` (not owned, not cleared). The document root may be an
   /// object or an array; one root per writer.
-  explicit JsonWriter(std::ostream& os);
+  explicit JsonWriter(std::string& out) : out_(out) {}
   ~JsonWriter() = default;
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
@@ -59,15 +60,19 @@ class JsonWriter {
   /// True once the root container has been closed.
   bool complete() const { return root_done_; }
 
+  /// Deepest container nesting a document may use.
+  static constexpr size_t kMaxDepth = 32;
+
  private:
   enum class Scope : uint8_t { kObject, kArray };
   void before_value();  // separators + state checks
   void push(Scope s);
   void pop(Scope s);
 
-  std::ostream& os_;
-  std::vector<Scope> stack_;
-  std::vector<bool> has_items_;  // parallel to stack_
+  std::string& out_;
+  std::array<Scope, kMaxDepth> stack_{};
+  std::array<bool, kMaxDepth> has_items_{};  // parallel to stack_
+  size_t depth_ = 0;
   bool key_pending_ = false;
   bool root_done_ = false;
 };

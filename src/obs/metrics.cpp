@@ -12,7 +12,8 @@
 
 namespace coolopt::obs {
 
-Histogram::Histogram(size_t sample_cap) : sample_cap_(std::max<size_t>(1, sample_cap)) {
+Histogram::Histogram(size_t sample_cap)
+    : sample_cap_(std::clamp<size_t>(sample_cap, 1, kPercentileBudget)) {
   samples_.reserve(std::min<size_t>(sample_cap_, 1024));
 }
 
@@ -42,6 +43,11 @@ uint64_t Histogram::count() const {
   return count_;
 }
 
+size_t Histogram::retained() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return samples_.size();
+}
+
 double Histogram::percentile(double p) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (samples_.empty()) return 0.0;
@@ -67,18 +73,7 @@ HistogramSnapshot Histogram::snapshot() const {
     s.min = count_ > 0 ? min_ : 0.0;
     s.max = count_ > 0 ? max_ : 0.0;
     s.mean = count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
-    const size_t n = samples_.size();
-    if (n <= kPercentileBudget) {
-      sorted = samples_;
-    } else {
-      // Deterministic stride subsample: bounds the copy (under the lock,
-      // where observers wait) and the sort below to kPercentileBudget
-      // elements. The broadcaster snapshots every registry histogram once
-      // per tick interval, so this cost is on the streaming steady state.
-      const size_t stride = (n + kPercentileBudget - 1) / kPercentileBudget;
-      sorted.reserve((n + stride - 1) / stride);
-      for (size_t i = 0; i < n; i += stride) sorted.push_back(samples_[i]);
-    }
+    sorted = samples_;  // at most kPercentileBudget samples
   }
   if (!sorted.empty()) {
     std::sort(sorted.begin(), sorted.end());
@@ -210,8 +205,10 @@ void MetricsRegistry::write_json(JsonWriter& w) const {
 }
 
 void MetricsRegistry::to_json(std::ostream& os) const {
-  JsonWriter w(os);
+  std::string json;
+  JsonWriter w(json);
   write_json(w);
+  os << json;
 }
 
 void MetricsRegistry::to_csv(std::ostream& os) const {

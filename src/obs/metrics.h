@@ -9,11 +9,12 @@
 // with relaxed atomics (counters/gauges) or a short critical section
 // (histograms).
 //
-// Histograms retain exact samples up to a cap and then switch to uniform
-// reservoir sampling (Vitter's Algorithm R with a deterministic LCG), so
-// p50/p95/p99 stay exact for every workload this repo ships and remain
-// unbiased estimates for pathological multi-million-sample runs. count,
-// sum, min and max are always exact.
+// Histograms retain exact samples up to a cap of kPercentileBudget (4096)
+// and then switch to uniform reservoir sampling (Vitter's Algorithm R with
+// a deterministic LCG), so p50/p95/p99 are exact up to 4096 observations
+// and unbiased estimates beyond, while a histogram's memory and snapshot
+// cost stay fixed no matter how many requests a daemon serves. count, sum,
+// min and max are always exact.
 #pragma once
 
 #include <atomic>
@@ -63,22 +64,22 @@ struct HistogramSnapshot {
 
 class Histogram {
  public:
-  /// `sample_cap` bounds retained samples (>= 1); beyond it, reservoir
-  /// sampling keeps an unbiased subset.
+  /// `sample_cap` bounds retained samples (clamped to [1,
+  /// kPercentileBudget]); beyond it, reservoir sampling keeps an unbiased
+  /// subset.
   explicit Histogram(size_t sample_cap = kDefaultSampleCap);
 
   void observe(double v);
 
   uint64_t count() const;
-  /// Aggregates are exact; the p50/p95/p99 fields interpolate over at most
-  /// kPercentileBudget retained samples — beyond that, a deterministic
-  /// stride subsample (every ceil(n/budget)-th sample) bounds the copy-and-
-  /// sort cost so interval snapshotting (the telemetry broadcaster samples
-  /// every subscriber interval) stays cheap no matter how full the buffer.
+  /// Samples currently retained (at most the cap).
+  size_t retained() const;
+  /// Aggregates are exact; the p50/p95/p99 fields interpolate over every
+  /// retained sample, so they equal percentile(). The cap bounds the copy-
+  /// and-sort cost, which keeps interval snapshotting (the telemetry
+  /// broadcaster samples every subscriber interval) cheap.
   HistogramSnapshot snapshot() const;
   /// Linear-interpolated percentile over the retained samples, p in [0,100].
-  /// Exact over the full retained set (no stride): this is the offline /
-  /// test-assertion accessor, not the streaming one.
   double percentile(double p) const;
 
   /// Discards every retained sample and aggregate (count/sum/min/max) while
@@ -88,8 +89,8 @@ class Histogram {
   /// reset_window() to start the next interval from empty.
   void reset_window();
 
-  static constexpr size_t kDefaultSampleCap = 1 << 18;
   static constexpr size_t kPercentileBudget = 4096;
+  static constexpr size_t kDefaultSampleCap = kPercentileBudget;
   static constexpr uint64_t kLcgSeed = 0x9e3779b97f4a7c15ull;
 
  private:

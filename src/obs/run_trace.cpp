@@ -133,8 +133,10 @@ void RunTrace::write_json(JsonWriter& w) const {
 }
 
 void RunTrace::to_json(std::ostream& os) const {
-  JsonWriter w(os);
+  std::string json;
+  JsonWriter w(json);
   write_json(w);
+  os << json;
 }
 
 void RunTrace::steps_to_csv(std::ostream& os) const {

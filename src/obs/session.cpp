@@ -105,7 +105,8 @@ void ObsSession::flush() {
     if (!os) {
       throw std::runtime_error("ObsSession: cannot open " + metrics_path_);
     }
-    JsonWriter w(os);
+    std::string json;
+    JsonWriter w(json);
     w.begin_object();
     w.kv("schema", "coolopt.obs.v1");
     w.kv("sequence", registry_->advance_sequence());
@@ -114,7 +115,7 @@ void ObsSession::flush() {
     w.key("trace");
     trace_->write_json(w);
     w.end_object();
-    os << "\n";
+    os << json << "\n";
   }
   if (!trace_path_.empty()) {
     std::ofstream os(trace_path_);

@@ -652,21 +652,26 @@ void PlanningService::run_job(const Job& job) {
       return;
     }
   }
-  std::string response;
+  // Pool workers are long-lived, so each encodes into one buffer it keeps
+  // across requests: a warm worker's response costs no allocation, and
+  // write_line frames and sends it in place.
+  thread_local std::string response;
+  response.clear();
+  const auto fail = [&](std::string_view code, std::string_view message) {
+    response.clear();
+    response += encode_error(job.request.id, job.request.verb, code, message);
+  };
   try {
-    response = handle_request(job.request);
+    handle_request(job.request, response);
   } catch (const std::invalid_argument& e) {
     // How the engines reject a well-formed request they cannot serve: a
     // negative or over-capacity load, a bad quarantine index, an unknown
     // fault or defense name.
-    response = encode_error(job.request.id, job.request.verb,
-                            kErrInvalidArgument, e.what());
+    fail(kErrInvalidArgument, e.what());
   } catch (const std::exception& e) {
-    response = encode_error(job.request.id, job.request.verb, kErrInternal,
-                            e.what());
+    fail(kErrInternal, e.what());
   } catch (...) {
-    response = encode_error(job.request.id, job.request.verb, kErrInternal,
-                            "unknown failure");
+    fail(kErrInternal, "unknown failure");
   }
   write_line(job.session, response);
   const double us =
@@ -676,18 +681,22 @@ void PlanningService::run_job(const Job& job) {
   observe_latency(job.request.verb, us);
 }
 
-std::string PlanningService::handle_request(const WireRequest& request) {
+void PlanningService::handle_request(const WireRequest& request,
+                                     std::string& out) {
   switch (request.verb) {
     case Verb::kPing:
-      return encode_ping_response(request.id, info_);
+      out += encode_ping_response(request.id, info_);
+      return;
     case Verb::kPlan:
     case Verb::kFleetplan:
-      return handle_plan(request);
+      handle_plan(request, out);
+      return;
     case Verb::kMeasure:
-      return encode_measure_response(
+      out += encode_measure_response(
           request.id,
           eval_engine_->measure(core::Scenario::by_number(request.scenario),
                                 request.load_pct));
+      return;
     case Verb::kSweep: {
       std::vector<core::Scenario> scenarios;
       if (request.scenarios.empty()) {
@@ -700,8 +709,9 @@ std::string PlanningService::handle_request(const WireRequest& request) {
       const std::vector<double> load_pcts = request.load_pcts.empty()
                                                 ? control::paper_load_axis()
                                                 : request.load_pcts;
-      return encode_sweep_response(request.id,
+      out += encode_sweep_response(request.id,
                                    eval_engine_->sweep(scenarios, load_pcts));
+      return;
     }
     case Verb::kInject: {
       control::FaultCampaignOptions options;
@@ -711,18 +721,20 @@ std::string PlanningService::handle_request(const WireRequest& request) {
       options.demand_fraction = request.load_pct / 100.0;
       options.duration_s = request.duration_s;
       options.control_period_s = request.control_period_s;
-      return encode_inject_response(request.id,
+      out += encode_inject_response(request.id,
                                     control::run_fault_campaign(options));
+      return;
     }
     case Verb::kSubscribe:
     case Verb::kHealth:
       // Both answered on the reader thread; never admitted.
       break;
   }
-  return encode_error(request.id, request.verb, kErrInternal, "unreachable");
+  out += encode_error(request.id, request.verb, kErrInternal, "unreachable");
 }
 
-std::string PlanningService::handle_plan(const WireRequest& request) {
+void PlanningService::handle_plan(const WireRequest& request,
+                                  std::string& out) {
   const double load = request.load_files_s.has_value()
                           ? *request.load_files_s
                           : request.load_pct / 100.0 * info_.capacity_files_s;
@@ -746,7 +758,8 @@ std::string PlanningService::handle_plan(const WireRequest& request) {
     plan_request.spans = trace;
     plan_engine_->solve_into(plan_request, core::SolveScratch::local(), slot);
     if (trace != nullptr) spans.end(root);
-    return encode_plan_response(request.id, slot, trace, request.deadline_ms);
+    encode_plan_response(out, request.id, slot, trace, request.deadline_ms);
+    return;
   }
   // handle_line rejects fleetplan before admission when no fleet is
   // configured, so fleet_engine_ is non-null here.
@@ -766,27 +779,24 @@ std::string PlanningService::handle_plan(const WireRequest& request) {
     }
   }
   if (trace != nullptr) spans.end(root);
-  return encode_fleetplan_response(request.id, result, trace,
-                                   request.deadline_ms);
+  encode_fleetplan_response(out, request.id, result, trace,
+                            request.deadline_ms);
 }
 
 bool PlanningService::write_line(const std::shared_ptr<Session>& session,
-                                 std::string_view line) {
+                                 std::string& line) {
+  line.push_back('\n');
   std::lock_guard<std::mutex> lock(session->write_mu);
   if (!session->open.load(std::memory_order_acquire)) return false;
-  std::string framed;
-  framed.reserve(line.size() + 1);
-  framed.append(line);
-  framed.push_back('\n');
   // Chaos: a crash mid-write. The peer gets a strict prefix of the frame
   // (never corrupted bytes) and then EOF — a desync it must detect by
   // framing, never by content. The reader sees the shutdown and closes.
   if (chaos_ != nullptr && chaos_->truncate_write()) {
-    send_all(session->fd, std::string_view(framed).substr(0, framed.size() / 2));
+    send_all(session->fd, std::string_view(line).substr(0, line.size() / 2));
     ::shutdown(session->fd, SHUT_RDWR);
     return false;
   }
-  return send_all(session->fd, framed);
+  return send_all(session->fd, line);
 }
 
 void PlanningService::observe_latency(Verb verb, double us) {

@@ -225,13 +225,18 @@ class PlanningService {
   /// exceptions, so failures become internal_error responses instead).
   void run_job(const Job& job);
   /// The request -> response-bytes pure function (also what the
-  /// determinism tests replicate in-process).
-  std::string handle_request(const WireRequest& request);
+  /// determinism tests replicate in-process); appends the response to `out`.
+  void handle_request(const WireRequest& request, std::string& out);
   /// plan and fleetplan: one load resolution, trace setup and solve path.
-  std::string handle_plan(const WireRequest& request);
+  void handle_plan(const WireRequest& request, std::string& out);
 
+  /// Frames `line` in place (appends the '\n') and sends it from that
+  /// buffer. False when the session is closed or the write failed.
+  bool write_line(const std::shared_ptr<Session>& session, std::string& line);
   bool write_line(const std::shared_ptr<Session>& session,
-                  std::string_view line);
+                  std::string&& line) {
+    return write_line(session, line);
+  }
   void observe_latency(Verb verb, double us);
 
   ServiceConfig config_;

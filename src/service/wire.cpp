@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
 #include <type_traits>
 #include <variant>
 
@@ -690,8 +689,8 @@ void write_point_object(obs::JsonWriter& w, const control::EvalPoint& point) {
 
 std::string encode_error(uint64_t id, Verb verb, std::string_view code,
                          std::string_view message, size_t queue_depth) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+  std::string out;
+  obs::JsonWriter w(out);
   begin_response(w, id, verb, false);
   w.kv("error_code", code);
   w.kv("error", message);
@@ -699,12 +698,12 @@ std::string encode_error(uint64_t id, Verb verb, std::string_view code,
     w.kv("queue_depth", static_cast<uint64_t>(queue_depth));
   }
   w.end_object();
-  return os.str();
+  return out;
 }
 
 std::string encode_ping_response(uint64_t id, const ServerInfo& info) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+  std::string out;
+  obs::JsonWriter w(out);
   begin_response(w, id, Verb::kPing, true);
   w.key("result");
   w.begin_object();
@@ -725,17 +724,18 @@ std::string encode_ping_response(uint64_t id, const ServerInfo& info) {
   w.end_array();
   w.end_object();
   w.end_object();
-  return os.str();
+  return out;
 }
 
-std::string encode_plan_response(uint64_t id, const core::PlanResult& result,
-                                 const obs::SpanContext* spans,
-                                 std::optional<uint64_t> deadline_ms) {
+void encode_plan_response(std::string& out, uint64_t id,
+                          const core::PlanResult& result,
+                          const obs::SpanContext* spans,
+                          std::optional<uint64_t> deadline_ms) {
   if (!result.error.empty()) {
-    return encode_error(id, Verb::kPlan, kErrInvalidArgument, result.error);
+    out += encode_error(id, Verb::kPlan, kErrInvalidArgument, result.error);
+    return;
   }
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+  obs::JsonWriter w(out);
   begin_response(w, id, Verb::kPlan, true);
   w.key("result");
   w.begin_object();
@@ -764,15 +764,21 @@ std::string encode_plan_response(uint64_t id, const core::PlanResult& result,
   if (spans != nullptr) write_trace_object(w, *spans);
   if (deadline_ms.has_value()) w.kv("deadline_ms", *deadline_ms);
   w.end_object();
-  return os.str();
 }
 
-std::string encode_fleetplan_response(uint64_t id,
-                                      const fleet::FleetPlanResult& result,
-                                      const obs::SpanContext* spans,
-                                      std::optional<uint64_t> deadline_ms) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+std::string encode_plan_response(uint64_t id, const core::PlanResult& result,
+                                 const obs::SpanContext* spans,
+                                 std::optional<uint64_t> deadline_ms) {
+  std::string out;
+  encode_plan_response(out, id, result, spans, deadline_ms);
+  return out;
+}
+
+void encode_fleetplan_response(std::string& out, uint64_t id,
+                               const fleet::FleetPlanResult& result,
+                               const obs::SpanContext* spans,
+                               std::optional<uint64_t> deadline_ms) {
+  obs::JsonWriter w(out);
   begin_response(w, id, Verb::kFleetplan, true);
   w.key("result");
   w.begin_object();
@@ -818,24 +824,32 @@ std::string encode_fleetplan_response(uint64_t id,
   if (spans != nullptr) write_trace_object(w, *spans);
   if (deadline_ms.has_value()) w.kv("deadline_ms", *deadline_ms);
   w.end_object();
-  return os.str();
+}
+
+std::string encode_fleetplan_response(uint64_t id,
+                                      const fleet::FleetPlanResult& result,
+                                      const obs::SpanContext* spans,
+                                      std::optional<uint64_t> deadline_ms) {
+  std::string out;
+  encode_fleetplan_response(out, id, result, spans, deadline_ms);
+  return out;
 }
 
 std::string encode_measure_response(uint64_t id,
                                     const control::EvalPoint& point) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+  std::string out;
+  obs::JsonWriter w(out);
   begin_response(w, id, Verb::kMeasure, true);
   w.key("result");
   write_point_object(w, point);
   w.end_object();
-  return os.str();
+  return out;
 }
 
 std::string encode_sweep_response(uint64_t id,
                                   std::span<const control::EvalPoint> points) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+  std::string out;
+  obs::JsonWriter w(out);
   begin_response(w, id, Verb::kSweep, true);
   w.key("result");
   w.begin_object();
@@ -846,13 +860,13 @@ std::string encode_sweep_response(uint64_t id,
   w.end_array();
   w.end_object();
   w.end_object();
-  return os.str();
+  return out;
 }
 
 std::string encode_inject_response(uint64_t id,
                                    const control::FaultCampaignResult& result) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+  std::string out;
+  obs::JsonWriter w(out);
   begin_response(w, id, Verb::kInject, true);
   w.key("result");
   w.begin_object();
@@ -875,13 +889,13 @@ std::string encode_inject_response(uint64_t id,
        static_cast<uint64_t>(result.watchdog_interventions));
   w.end_object();
   w.end_object();
-  return os.str();
+  return out;
 }
 
 std::string encode_subscribe_response(uint64_t id, uint64_t interval_ms,
                                       uint64_t ticks) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+  std::string out;
+  obs::JsonWriter w(out);
   begin_response(w, id, Verb::kSubscribe, true);
   w.key("result");
   w.begin_object();
@@ -889,12 +903,12 @@ std::string encode_subscribe_response(uint64_t id, uint64_t interval_ms,
   w.kv("ticks", ticks);
   w.end_object();
   w.end_object();
-  return os.str();
+  return out;
 }
 
 std::string encode_health_response(uint64_t id, const HealthInfo& health) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+  std::string out;
+  obs::JsonWriter w(out);
   begin_response(w, id, Verb::kHealth, true);
   w.key("result");
   w.begin_object();
@@ -915,14 +929,14 @@ std::string encode_health_response(uint64_t id, const HealthInfo& health) {
   }
   w.end_object();
   w.end_object();
-  return os.str();
+  return out;
 }
 
 std::string encode_telemetry_tick(uint64_t subscription_id, uint64_t tick,
                                   const obs::MetricsDelta& delta,
                                   bool closing) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+  std::string out;
+  obs::JsonWriter w(out);
   w.begin_object();
   // Ticks lead with "verb":"telemetry" while responses lead with "id", so
   // a client multiplexing plans and a subscription on one connection can
@@ -954,7 +968,7 @@ std::string encode_telemetry_tick(uint64_t subscription_id, uint64_t tick,
   }
   w.end_object();
   w.end_object();
-  return os.str();
+  return out;
 }
 
 namespace {
@@ -1002,8 +1016,8 @@ bool is_set(const std::vector<T>& v) {
 }  // namespace
 
 std::string encode_request(const WireRequest& request) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
+  std::string out;
+  obs::JsonWriter w(out);
   const auto set = [&](const Field& field) {
     return std::visit([&](auto member) { return is_set(request.*member); },
                       field.target);
@@ -1032,7 +1046,7 @@ std::string encode_request(const WireRequest& request) {
     }
   }
   w.end_object();
-  return os.str();
+  return out;
 }
 
 }  // namespace coolopt::service

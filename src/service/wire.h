@@ -2,7 +2,8 @@
 // responses (one document per line), fully specified in docs/service.md.
 //
 // Encoding reuses the dependency-free obs::JsonWriter, so responses carry
-// the same escaping/number guarantees as every other export in the repo.
+// the same escaping/number guarantees as every other export in the repo;
+// it appends to a std::string, never through an iostream.
 // Decoding is a small *strict* recursive-descent parser: full RFC 8259
 // grammar, duplicate object keys rejected, bounded nesting depth, and —
 // at the protocol layer — unknown request fields rejected by name, so a
@@ -236,6 +237,13 @@ std::string encode_ping_response(uint64_t id, const ServerInfo& info);
 /// every recorded span) after "result"; null keeps the historical bytes.
 /// `deadline_ms` echoes the request's relative deadline after the result
 /// (and trace, when present); absence keeps the historical bytes.
+/// The `out` form appends the response to `out` (the service encodes into
+/// a per-worker buffer it reuses across requests); the string form returns
+/// the same bytes.
+void encode_plan_response(std::string& out, uint64_t id,
+                          const core::PlanResult& result,
+                          const obs::SpanContext* spans = nullptr,
+                          std::optional<uint64_t> deadline_ms = std::nullopt);
 std::string encode_plan_response(
     uint64_t id, const core::PlanResult& result,
     const obs::SpanContext* spans = nullptr,
@@ -243,7 +251,11 @@ std::string encode_plan_response(
 /// Fleet solve: global split + per-shard plans, each with attribution.
 /// Degraded solves additionally carry per-shard "status" entries plus the
 /// "shards_down"/"redistributed_load" accounting; fully healthy solves
-/// keep their exact historical bytes.
+/// keep their exact historical bytes. Same two forms as plan.
+void encode_fleetplan_response(
+    std::string& out, uint64_t id, const fleet::FleetPlanResult& result,
+    const obs::SpanContext* spans = nullptr,
+    std::optional<uint64_t> deadline_ms = std::nullopt);
 std::string encode_fleetplan_response(
     uint64_t id, const fleet::FleetPlanResult& result,
     const obs::SpanContext* spans = nullptr,

@@ -1,31 +1,42 @@
 // Shared JSON text primitives (RFC 8259), used by BOTH JSON stacks in the
 // tree: the obs emission side (obs::JsonWriter and its syntax checker) and
 // the service wire side (the strict request parser in service/wire.cpp).
-// Before this header each side carried its own copy of the string-escape
-// and number grammar; the two had to stay bit-for-bit in sync by hand
-// because the service's responses are asserted byte-identical against the
-// obs writer's output. Now there is exactly one implementation of each:
+// There is exactly one implementation of each:
 //
-//   json_quote        escape + double-quote a string literal
-//   json_number       canonical number formatting ("%.12g", finite input)
-//   json_scan_number  the RFC 8259 number grammar (shared by the parser
-//                     and the syntax checker, so both accept the same set)
+//   json_append_quoted  escape + double-quote a string literal onto a buffer
+//   json_number         canonical number text (printf "%.12g"), written
+//                       into a caller's stack buffer without allocating
+//   json_scan_number    the RFC 8259 number grammar (shared by the parser
+//                       and the syntax checker, so both accept the same set)
+//
+// json_number reproduces glibc's "%.12g" byte for byte without calling it on
+// the hot path: integral values below 1e12 print as integers, values with
+// 1e-10 <= |v| < 1e37 are scaled to twelve digits exactly in 128-bit integer
+// arithmetic and rounded half to even (printf under the default
+// round-to-nearest mode), and everything else (subnormals, huge magnitudes,
+// non-finite input) falls back to snprintf. It deliberately uses neither
+// std::to_chars(double) nor libm: both page lookup tables into a process
+// that otherwise never touches them.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
 namespace coolopt::util {
 
-/// Escapes `s` into a double-quoted JSON string literal (RFC 8259 §7:
+/// Appends `s` to `out` as a double-quoted JSON string literal (RFC 8259 §7:
 /// quote, backslash and control characters escaped; everything else is
 /// passed through byte-for-byte).
-std::string json_quote(std::string_view s);
+void json_append_quoted(std::string& out, std::string_view s);
 
-/// Canonical JSON text for a finite double: printf "%.12g", the format
-/// every JSON document in the tree has always used. The caller handles
-/// non-finite values (the writer emits null for them).
-std::string json_number(double v);
+/// Size of the buffer json_number writes into.
+inline constexpr size_t kJsonNumberBuffer = 32;
+
+/// printf "%.12g" of `v`, written into `buf`; the returned view points into
+/// `buf`. The format every JSON document in the tree uses; callers that
+/// must emit valid JSON map non-finite values to null first.
+std::string_view json_number(double v, char (&buf)[kJsonNumberBuffer]);
 
 /// Scans one RFC 8259 number starting at `pos` (optional minus, no leading
 /// zeros, optional fraction and exponent). On success advances `pos` just

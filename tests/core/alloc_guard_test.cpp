@@ -7,7 +7,9 @@
 // — serial solve_into, solve_batch_into over 200 requests on the default
 // pool, rebalance_into, and the consolidation query-best path — perform
 // ZERO heap allocations: every buffer lives in the grow-only SolveScratch
-// arena (or a caller-owned slot) after warm-up.
+// arena (or a caller-owned slot) after warm-up. The served path's last step
+// is held to the same bar: encoding a warm plan response into a reused
+// buffer allocates nothing either.
 //
 // The batch case retries a few times before judging: pool workers join a
 // parallel_for range on a wakeup, and a worker that slept through both
@@ -35,6 +37,7 @@
 #include "core/scratch.h"
 #include "core/synthetic.h"
 #include "obs/span.h"
+#include "service/wire.h"
 
 namespace {
 std::atomic<unsigned long long> g_news{0};
@@ -241,6 +244,39 @@ TEST(AllocGuard, WarmQueryBestIsAllocationFree) {
                                             load, choice));
   EXPECT_EQ(allocs() - before, 0u);
   EXPECT_GT(choice.k, 0u);
+}
+
+/// The cooloptd worker's encode step: a 200-machine plan response (traced
+/// and deadline-echoing, the longest plan envelope) appended to a buffer
+/// already grown by earlier responses must not allocate — the writer's
+/// nesting stack is fixed-size and numbers format on the stack.
+TEST(AllocGuard, WarmPlanEncodeIsAllocationFree) {
+  const core::PlanEngine engine(test_model(200));
+  const std::vector<core::PlanRequest> requests =
+      cycle_requests(engine.model(), 16);
+  std::vector<core::PlanResult> results;
+  engine.solve_batch_into(requests, results, /*workers=*/1);
+  obs::SpanContext spans;
+  spans.reset(7);
+  const int root = spans.begin("service.request");
+  spans.begin("engine.solve");
+  spans.end(root + 1);
+  spans.end(root);
+  std::string buffer;
+  const auto encode_all = [&] {
+    for (size_t i = 0; i < results.size(); ++i) {
+      buffer.clear();
+      service::encode_plan_response(buffer, i, results[i], &spans,
+                                    uint64_t{250});
+      buffer.push_back('\n');
+    }
+  };
+  encode_all();
+  const unsigned long long before = allocs();
+  encode_all();
+  EXPECT_EQ(allocs() - before, 0u);
+  EXPECT_GT(buffer.size(), 200u * 6);
+  EXPECT_EQ(buffer.back(), '\n');
 }
 
 }  // namespace

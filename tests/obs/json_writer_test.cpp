@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
+#include <string>
+
+#include "util/jsonio.h"
 
 namespace coolopt::obs {
 namespace {
+
+std::string json_quote(std::string_view s) {
+  std::string out;
+  util::json_append_quoted(out, s);
+  return out;
+}
 
 TEST(JsonQuote, EscapesControlAndSpecialCharacters) {
   EXPECT_EQ(json_quote("plain"), "\"plain\"");
@@ -14,10 +22,16 @@ TEST(JsonQuote, EscapesControlAndSpecialCharacters) {
   EXPECT_EQ(json_quote("a\\b"), "\"a\\\\b\"");
   EXPECT_EQ(json_quote("line\nbreak"), "\"line\\nbreak\"");
   EXPECT_EQ(json_quote(std::string("nul\0byte", 8)), "\"nul\\u0000byte\"");
+  EXPECT_EQ(json_quote("\x1f\t\r\b\f/\xc3\xa9"),
+            "\"\\u001f\\t\\r\\b\\f/\xc3\xa9\"");
+  // Appends: an existing prefix stays.
+  std::string out = "k=";
+  util::json_append_quoted(out, "v");
+  EXPECT_EQ(out, "k=\"v\"");
 }
 
 TEST(JsonWriter, EmitsNestedDocument) {
-  std::ostringstream os;
+  std::string os;
   JsonWriter w(os);
   w.begin_object();
   w.kv("name", "room");
@@ -31,54 +45,79 @@ TEST(JsonWriter, EmitsNestedDocument) {
   w.end_array();
   w.end_object();
   EXPECT_TRUE(w.complete());
-  EXPECT_EQ(os.str(),
+  EXPECT_EQ(os,
             "{\"name\":\"room\",\"power\":410.5,\"on\":true,\"steps\":42,"
             "\"series\":[1,2]}");
-  EXPECT_TRUE(json_syntax_valid(os.str()));
+  EXPECT_TRUE(json_syntax_valid(os));
 }
 
 // Regression: a C string literal must serialize as a JSON string, not decay
 // to the bool overload ("schema":true).
 TEST(JsonWriter, CStringKvIsAString) {
-  std::ostringstream os;
+  std::string os;
   JsonWriter w(os);
   w.begin_object();
   w.kv("schema", "coolopt.obs.v1");
   w.end_object();
-  EXPECT_EQ(os.str(), "{\"schema\":\"coolopt.obs.v1\"}");
+  EXPECT_EQ(os, "{\"schema\":\"coolopt.obs.v1\"}");
 }
 
 TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
-  std::ostringstream os;
+  std::string os;
   JsonWriter w(os);
   w.begin_array();
   w.value(std::nan(""));
   w.value(INFINITY);
   w.value(1.5);
   w.end_array();
-  EXPECT_EQ(os.str(), "[null,null,1.5]");
-  EXPECT_TRUE(json_syntax_valid(os.str()));
+  EXPECT_EQ(os, "[null,null,1.5]");
+  EXPECT_TRUE(json_syntax_valid(os));
 }
 
 TEST(JsonWriter, MisuseThrows) {
   {
-    std::ostringstream os;
+    std::string os;
     JsonWriter w(os);
     w.begin_object();
     EXPECT_THROW(w.value(1.0), std::logic_error);  // value without key
   }
   {
-    std::ostringstream os;
+    std::string os;
     JsonWriter w(os);
     w.begin_array();
     EXPECT_THROW(w.key("x"), std::logic_error);  // key inside array
   }
   {
-    std::ostringstream os;
+    std::string os;
     JsonWriter w(os);
     w.begin_object();
     EXPECT_THROW(w.end_array(), std::logic_error);  // mismatched close
   }
+  {
+    // The nesting stack is fixed-depth: one level too many throws, and
+    // the maximum itself closes into a valid document.
+    std::string os;
+    JsonWriter w(os);
+    for (size_t i = 0; i < JsonWriter::kMaxDepth; ++i) w.begin_array();
+    EXPECT_THROW(w.begin_array(), std::logic_error);
+    EXPECT_THROW(w.begin_object(), std::logic_error);
+    for (size_t i = 0; i < JsonWriter::kMaxDepth; ++i) w.end_array();
+    EXPECT_TRUE(w.complete());
+    EXPECT_TRUE(json_syntax_valid(os));
+  }
+}
+
+TEST(JsonWriter, AppendsToTheCallersString) {
+  std::string out = "prefix ";
+  JsonWriter w(out);
+  w.begin_array();
+  w.value(int64_t{-3});
+  w.value(uint64_t{18446744073709551615ull});
+  w.value(-0.0);
+  w.value(1e-7);
+  w.value_null();
+  w.end_array();
+  EXPECT_EQ(out, "prefix [-3,18446744073709551615,-0,1e-07,null]");
 }
 
 TEST(JsonSyntaxValid, AcceptsValidDocuments) {

@@ -88,47 +88,44 @@ TEST(Histogram, ReservoirKeepsExactAggregatesBeyondTheCap) {
   EXPECT_LT(s.p50, 0.9 * n);
 }
 
-TEST(Histogram, SnapshotPercentilesUseABoundedDeterministicSubsample) {
-  // Above kPercentileBudget retained samples, snapshot() interpolates over
-  // every ceil(n/budget)-th sample instead of the full set — the telemetry
-  // broadcaster snapshots each histogram once per tick, so the cost must
-  // not grow with the buffer. The subsample is a pure function of the
-  // retained order, so the values are pinned here.
-  Histogram h;  // default cap; 10000 observations are retained verbatim
-  const size_t n = 10000;
-  ASSERT_GT(n, Histogram::kPercentileBudget);
-  for (size_t i = 1; i <= n; ++i) h.observe(static_cast<double>(i));
-
-  const HistogramSnapshot a = h.snapshot();
-  const HistogramSnapshot b = h.snapshot();
-  EXPECT_DOUBLE_EQ(a.p50, b.p50);
-  EXPECT_DOUBLE_EQ(a.p99, b.p99);
-
-  // Replay the stride rule over the known retained order (1..n inserted
-  // under the cap, so samples_[i] == i + 1).
-  const size_t stride =
-      (n + Histogram::kPercentileBudget - 1) / Histogram::kPercentileBudget;
-  std::vector<double> expected;
-  for (size_t i = 0; i < n; i += stride) {
-    expected.push_back(static_cast<double>(i + 1));
-  }
-  std::sort(expected.begin(), expected.end());
-  const auto at = [&](double p) {
-    const double rank = p / 100.0 * static_cast<double>(expected.size() - 1);
-    const size_t lo = static_cast<size_t>(rank);
-    const size_t hi = std::min(lo + 1, expected.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return expected[lo] * (1.0 - frac) + expected[hi] * frac;
+TEST(Histogram, RetentionIsBoundedAndSnapshotPercentilesAreExact) {
+  // A served daemon feeds several histograms per request, so retention is
+  // capped at kPercentileBudget samples no matter how many observations
+  // arrive; snapshot() then interpolates over every retained sample, so its
+  // percentiles equal the exact accessor at every count.
+  Histogram h;
+  const size_t n = 1000000;
+  const auto check = [&](size_t count) {
+    const HistogramSnapshot s = h.snapshot();
+    ASSERT_EQ(s.count, static_cast<uint64_t>(count));
+    EXPECT_EQ(s.p50, h.percentile(50.0)) << count;
+    EXPECT_EQ(s.p95, h.percentile(95.0)) << count;
+    EXPECT_EQ(s.p99, h.percentile(99.0)) << count;
   };
-  EXPECT_DOUBLE_EQ(a.p50, at(50.0));
-  EXPECT_DOUBLE_EQ(a.p95, at(95.0));
-  EXPECT_DOUBLE_EQ(a.p99, at(99.0));
+  size_t next_check = 1;
+  for (size_t i = 1; i <= n; ++i) {
+    h.observe(static_cast<double>((i * 7919) % 10007));
+    EXPECT_LE(h.retained(), Histogram::kPercentileBudget);
+    if (i == next_check || i == Histogram::kPercentileBudget ||
+        i == Histogram::kPercentileBudget + 1) {
+      check(i);
+      if (i == next_check) next_check *= 3;
+    }
+  }
+  check(n);
+  EXPECT_EQ(h.retained(), Histogram::kPercentileBudget);
 
-  // Aggregates and the exact accessor are untouched by the stride.
-  EXPECT_EQ(a.count, static_cast<uint64_t>(n));
-  EXPECT_DOUBLE_EQ(a.min, 1.0);
-  EXPECT_DOUBLE_EQ(a.max, static_cast<double>(n));
-  EXPECT_DOUBLE_EQ(h.percentile(50.0), (1.0 + n) / 2.0);
+  // Aggregates stay exact past the cap.
+  const HistogramSnapshot s = h.snapshot();
+  EXPECT_DOUBLE_EQ(s.min, 0.0);
+  EXPECT_DOUBLE_EQ(s.max, 10006.0);
+
+  // A larger requested cap is clamped to the budget.
+  Histogram wide(/*sample_cap=*/1 << 20);
+  for (size_t i = 0; i < 2 * Histogram::kPercentileBudget; ++i) {
+    wide.observe(static_cast<double>(i));
+  }
+  EXPECT_EQ(wide.retained(), Histogram::kPercentileBudget);
 }
 
 TEST(Histogram, PercentileInterpolationIsExactAtTheReservoirBoundary) {
