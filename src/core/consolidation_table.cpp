@@ -1,25 +1,14 @@
 #include "core/consolidation_table.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace coolopt::core::detail {
 
-std::vector<double> ConsolidationTable::collapse_events(
-    const std::vector<double>& sorted_times) {
-  std::vector<double> out;
-  out.reserve(sorted_times.size());
-  for (const double t : sorted_times) {
-    if (out.empty() || std::abs(t - out.back()) >= kEventMergeEps) out.push_back(t);
-  }
-  return out;
-}
-
 void ConsolidationTable::build(const ParticleSystem& ps,
                                const std::vector<uint32_t>& ids,
-                               std::vector<double> collapsed_events) {
-  events = std::move(collapsed_events);
+                               const std::vector<double>& collapsed_events) {
+  events = collapsed_events;
   segments.clear();
   const size_t n = ids.size();
 
@@ -60,42 +49,44 @@ void ConsolidationTable::build(const ParticleSystem& ps,
 void ConsolidationTable::apply_membership_delta(
     const ParticleSystem& ps, const std::vector<uint32_t>& removed,
     const std::vector<uint32_t>& added) {
-  std::vector<char> gone(ps.size(), 0);
-  for (const uint32_t id : removed) gone[id] = 1;
-
   for (Segment& seg : segments) {
-    if (!removed.empty()) {
-      seg.order.erase(std::remove_if(seg.order.begin(), seg.order.end(),
-                                     [&](uint32_t id) { return gone[id] != 0; }),
-                      seg.order.end());
+    // The order is the unique sequence sorted by (coordinate descending,
+    // id ascending), so an id's lower bound under that comparator is where
+    // it sits (removal) or where a full re-sort would put it (insertion).
+    const auto before = [&](uint32_t x, uint32_t y) {
+      const double cx = ps.coordinate(x, seg.order_time);
+      const double cy = ps.coordinate(y, seg.order_time);
+      if (cx != cy) return cx > cy;
+      return x < y;
+    };
+    size_t first = seg.order.size();
+    for (const uint32_t id : removed) {
+      const auto pos =
+          std::lower_bound(seg.order.begin(), seg.order.end(), id, before);
+      if (pos == seg.order.end() || *pos != id) {
+        throw std::logic_error(
+            "ConsolidationTable: removed particle is not at its sorted "
+            "position (delta drifted from the table)");
+      }
+      first = std::min(first, static_cast<size_t>(pos - seg.order.begin()));
+      seg.order.erase(pos);
     }
     for (const uint32_t id : added) {
-      // The order is the unique sequence sorted by (coordinate descending,
-      // id ascending); inserting at the lower bound reproduces the full
-      // re-sort exactly.
-      const double c = ps.coordinate(id, seg.order_time);
-      const auto pos = std::lower_bound(
-          seg.order.begin(), seg.order.end(), id, [&](uint32_t x, uint32_t y) {
-            const double cx = (x == id) ? c : ps.coordinate(x, seg.order_time);
-            const double cy = (y == id) ? c : ps.coordinate(y, seg.order_time);
-            if (cx != cy) return cx > cy;
-            return x < y;
-          });
+      const auto pos =
+          std::lower_bound(seg.order.begin(), seg.order.end(), id, before);
+      first = std::min(first, static_cast<size_t>(pos - seg.order.begin()));
       seg.order.insert(pos, id);
     }
+    // Positions below `first` hold the same particles as before, so their
+    // prefix sums already are the rebuild's; refold only the tail.
     const size_t n = seg.order.size();
-    seg.prefix_a.assign(n + 1, 0.0);
-    seg.prefix_b.assign(n + 1, 0.0);
-    for (size_t k = 0; k < n; ++k) {
+    seg.prefix_a.resize(n + 1);
+    seg.prefix_b.resize(n + 1);
+    for (size_t k = first; k < n; ++k) {
       seg.prefix_a[k + 1] = seg.prefix_a[k] + ps.a[seg.order[k]];
       seg.prefix_b[k + 1] = seg.prefix_b[k] + ps.b[seg.order[k]];
     }
   }
-}
-
-double ConsolidationTable::g(size_t k, double t) const {
-  const Segment& seg = segments[segment_at(t)];
-  return seg.prefix_a[k] - t * seg.prefix_b[k];
 }
 
 size_t ConsolidationTable::segment_at(double t) const {
@@ -131,28 +122,29 @@ void ConsolidationTable::make_choice_into(const ParticleSystem& ps,
       model.cooler.predict(out.t_ac, sum_w2 + ps.w1 * load);
 }
 
-bool ConsolidationTable::feasible_k(const ParticleSystem& ps, double load,
-                                    size_t k, size_t& segment) const {
+bool ConsolidationTable::feasible_k(const ParticleSystem& ps,
+                                    const Anchors& at, double load, size_t k,
+                                    size_t& segment) const {
   if (k == 0 || k > width()) return false;
   // Even the coldest allowed air cannot serve this load on k machines.
-  if (g(k, ps.t_lo) < load - kFeasEps) return false;
+  if (g_in(at.lo, k, ps.t_lo) < load - kFeasEps) return false;
   // Load not servable even at t = 0; only possible when t_lo < 0 is
   // clamped to 0 and the check above used the same t — unreachable, but
   // keep the guard for safety.
-  if (g(k, 0.0) < load - kFeasEps) return false;
+  if (g_in(at.zero, k, 0.0) < load - kFeasEps) return false;
   segment = operating_segment(ps, load, k);
   return true;
 }
 
 bool ConsolidationTable::peek_k(const ParticleSystem& ps,
-                                const RoomModel& model, double load, size_t k,
-                                double sum_w2_k, size_t* segment_out,
-                                double* power_out) const {
+                                const RoomModel& model, const Anchors& at,
+                                double load, size_t k, double sum_w2_k,
+                                size_t* segment_out, double* power_out) const {
   // make_choice_into's arithmetic, with the iterated machine-by-machine w2
   // sum replaced by the caller's precomputed fold (identical double when
   // w2 is bitwise-uniform).
   size_t s = 0;
-  if (!feasible_k(ps, load, k, s)) return false;
+  if (!feasible_k(ps, at, load, k, s)) return false;
   const Segment& seg = segments[s];
   const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
   const double t_param = std::clamp(t_subset, ps.t_lo, ps.t_hi);
@@ -171,12 +163,9 @@ size_t ConsolidationTable::operating_segment(const ParticleSystem& ps,
   // Binary search: last segment whose start-value is still >= load.
   size_t lo = 0;
   size_t hi = segments.size();
-  const auto g_at_start = [&](size_t s) {
-    return segments[s].prefix_a[k] - segments[s].start * segments[s].prefix_b[k];
-  };
   while (lo + 1 < hi) {
     const size_t mid = (lo + hi) / 2;
-    if (g_at_start(mid) >= load) {
+    if (g_in(mid, k, segments[mid].start) >= load) {
       lo = mid;
     } else {
       hi = mid;
@@ -197,7 +186,7 @@ std::optional<ConsolidationChoice> ConsolidationTable::solve_for_k(
     const ParticleSystem& ps, const RoomModel& model, double load,
     size_t k) const {
   size_t s = 0;
-  if (!feasible_k(ps, load, k, s)) return std::nullopt;
+  if (!feasible_k(ps, anchors(ps), load, k, s)) return std::nullopt;
   ConsolidationChoice choice;
   make_choice_into(ps, model, s, k, load, choice);
   return choice;
@@ -210,13 +199,14 @@ bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
   // touching the on_set. (make_choice_into sums machine-by-machine; the
   // two differ by at most accumulated rounding, far below the >= ~w2-scale
   // power gaps that separate distinct k.)
+  const Anchors at = anchors(ps);
   size_t best_k = 0;
   size_t best_segment = 0;
   double best_power = 0.0;
   for (size_t k = 1; k <= width(); ++k) {
     size_t s = 0;
     double power = 0.0;
-    if (!peek_k(ps, model, load, k, static_cast<double>(k) * ps.w2, &s,
+    if (!peek_k(ps, model, at, load, k, static_cast<double>(k) * ps.w2, &s,
                 &power)) {
       continue;
     }
@@ -234,10 +224,11 @@ bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
 size_t ConsolidationTable::rank_all_k_into(
     const ParticleSystem& ps, const RoomModel& model, double load,
     std::vector<ConsolidationChoice>& out) const {
+  const Anchors at = anchors(ps);
   size_t count = 0;
   for (size_t k = 1; k <= width(); ++k) {
     size_t s = 0;
-    if (!feasible_k(ps, load, k, s)) continue;
+    if (!feasible_k(ps, at, load, k, s)) continue;
     if (count == out.size()) out.emplace_back();
     make_choice_into(ps, model, s, k, load, out[count]);
     ++count;

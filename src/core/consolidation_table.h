@@ -18,6 +18,7 @@
 // the identical permutation. apply_membership_delta relies on this.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -83,22 +84,31 @@ struct ConsolidationTable {
   std::vector<double> events;      // sorted collapsed crossing times > 0
   std::vector<Segment> segments;   // segments[0].start == 0
 
-  /// Tolerance-collapse of an ascending-sorted crossing-time list
-  /// (duplicates allowed): keeps a time iff it is >= kEventMergeEps past
-  /// the previously kept one. Equivalent to the historical
-  /// sort-then-std::unique pass for any ascending input, duplicated or
-  /// distinct.
-  static std::vector<double> collapse_events(const std::vector<double>& sorted_times);
+  /// One step of the tolerance collapse of an ascending crossing-time list
+  /// (duplicates allowed): appends `t` (>= every kept time) to the kept
+  /// list unless it lies within kEventMergeEps of the last kept time.
+  /// Applied over any ascending input, duplicated or distinct, it keeps
+  /// what the historical sort-then-std::unique pass kept.
+  static void collapse_append(std::vector<double>& kept, double t) {
+    if (kept.empty() || std::abs(t - kept.back()) >= kEventMergeEps) {
+      kept.push_back(t);
+    }
+  }
 
   /// Builds segments over the particles named in `ids` (ascending original
   /// ids) from an already-collapsed event list.
   void build(const ParticleSystem& ps, const std::vector<uint32_t>& ids,
-             std::vector<double> collapsed_events);
+             const std::vector<double>& collapsed_events);
 
   /// Membership-only delta: `removed`/`added` particles leave/join every
   /// segment order while the event list is UNCHANGED (caller checked).
-  /// Erase/insert against the unique sorted order reproduces exactly what
-  /// a full rebuild would sort.
+  /// Each id is located by binary search under the order's unique
+  /// comparator and erased/inserted there, so the order is exactly what a
+  /// full rebuild would sort; the prefix sums are refolded only from the
+  /// first changed position, which leaves every value bit-for-bit the
+  /// rebuild's (the head of the left-to-right fold is untouched). Throws
+  /// std::logic_error when a removed id is not at its comparator position
+  /// (the delta drifted from the table).
   void apply_membership_delta(const ParticleSystem& ps,
                               const std::vector<uint32_t>& removed,
                               const std::vector<uint32_t>& added);
@@ -106,10 +116,25 @@ struct ConsolidationTable {
   /// Number of particles each segment covers (k ranges over 1..width()).
   size_t width() const { return segments.empty() ? 0 : segments.front().order.size(); }
 
+  /// The k-invariant lookups of feasible_k: the segments holding t_lo and
+  /// t = 0. A query over every k computes them once (anchors()) and passes
+  /// them to each feasible_k/peek_k call.
+  struct Anchors {
+    size_t lo = 0;    // segment_at(ps.t_lo)
+    size_t zero = 0;  // segment_at(0.0)
+  };
+
   /// Max of sum of k largest coordinates at time t.
-  double g(size_t k, double t) const;
+  double g(size_t k, double t) const { return g_in(segment_at(t), k, t); }
+  /// g(k, t) with the segment holding t already looked up.
+  double g_in(size_t segment, size_t k, double t) const {
+    return segments[segment].prefix_a[k] - t * segments[segment].prefix_b[k];
+  }
   /// Segment containing particle time t (last segment whose start <= t).
   size_t segment_at(double t) const;
+  Anchors anchors(const ParticleSystem& ps) const {
+    return Anchors{segment_at(ps.t_lo), segment_at(0.0)};
+  }
   /// Segment the k-subset operates in for this load: last segment whose
   /// start-value of g_k still covers the load, then the (clamped) subset
   /// time mapped back through segment_at. Every query reads it through
@@ -118,9 +143,9 @@ struct ConsolidationTable {
                            size_t k) const;
   /// The per-k core every query shares: false when k machines cannot
   /// serve the load (k out of range, or g_k below the load at t_lo);
-  /// otherwise the operating segment.
-  bool feasible_k(const ParticleSystem& ps, double load, size_t k,
-                  size_t& segment) const;
+  /// otherwise the operating segment. `at` is anchors(ps).
+  bool feasible_k(const ParticleSystem& ps, const Anchors& at, double load,
+                  size_t k, size_t& segment) const;
   /// Exact per-k solve; nullopt if k machines cannot serve the load.
   std::optional<ConsolidationChoice> solve_for_k(const ParticleSystem& ps,
                                                  const RoomModel& model,
@@ -144,10 +169,10 @@ struct ConsolidationTable {
   /// engine checks), any k-subset folds to the same double, so the power
   /// here is bit-for-bit what make_choice_into computes. This is the
   /// engine's ranked-head probe. Returns false when k machines cannot serve
-  /// the load.
-  bool peek_k(const ParticleSystem& ps, const RoomModel& model, double load,
-              size_t k, double sum_w2_k, size_t* segment_out,
-              double* power_out) const;
+  /// the load. `at` is anchors(ps).
+  bool peek_k(const ParticleSystem& ps, const RoomModel& model,
+              const Anchors& at, double load, size_t k, double sum_w2_k,
+              size_t* segment_out, double* power_out) const;
   /// Best subset for every feasible k, sorted by predicted power then k,
   /// into a grow-only buffer: entries [0, returned count) of `out` are the
   /// ranked choices; slots past the count are untouched spare capacity

@@ -231,6 +231,7 @@ bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
   // Two-min scan over k: the winner and runner-up of the (power, k)-
   // ascending ranking, via O(1) prefix-sum peeks — no on_set materialized.
   // Ascending k with strict < reproduces the ranking's tie-break exactly.
+  const detail::ConsolidationTable::Anchors at = table.anchors(ps);
   size_t best_k = 0;
   size_t best_seg = 0;
   double best_p = 0.0;
@@ -239,7 +240,8 @@ bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
   for (size_t k = 1; k <= table.width(); ++k) {
     size_t seg = 0;
     double p = 0.0;
-    if (!table.peek_k(ps, planning, load, k, agg.w2_prefix[k], &seg, &p)) {
+    if (!table.peek_k(ps, planning, at, load, k, agg.w2_prefix[k], &seg,
+                      &p)) {
       continue;
     }
     if (best_k == 0 || p < best_p) {

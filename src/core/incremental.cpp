@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "obs/obs.h"
 #include "obs/scoped_timer.h"
@@ -14,9 +15,9 @@ namespace coolopt::core {
 namespace {
 
 /// Crossing time of particles p and q in canonical p<q orientation, or a
-/// negative sentinel when they never cross in t > 0. Both the cold pair
-/// enumeration and the per-machine delta use THIS function, so the double
-/// inserted and the double removed for a pair are bitwise identical.
+/// negative sentinel when they never cross in t > 0. Applied to two class
+/// representatives it is bitwise the crossing time of every member pair of
+/// those classes (see the header), whichever member has the lower id.
 double pair_crossing(const ParticleSystem& ps, size_t i, size_t j) {
   const size_t p = std::min(i, j);
   const size_t q = std::max(i, j);
@@ -49,13 +50,90 @@ size_t instrumented(const char* solver, size_t n, Query&& query) {
 
 }  // namespace
 
+namespace detail {
+
+void CrossingMultiset::normalize(std::vector<Run>& runs) {
+  std::sort(runs.begin(), runs.end(),
+            [](const Run& x, const Run& y) { return x.t < y.t; });
+  size_t write = 0;
+  for (size_t read = 0; read < runs.size(); ++read) {
+    if (write > 0 && runs[write - 1].t == runs[read].t) {
+      runs[write - 1].count += runs[read].count;
+    } else {
+      runs[write++] = runs[read];
+    }
+  }
+  runs.resize(write);
+}
+
+void CrossingMultiset::add(const std::vector<Run>& normalized) {
+  merged_.clear();
+  size_t ri = 0;
+  size_t ti = 0;
+  while (ri < runs_.size() || ti < normalized.size()) {
+    if (ti == normalized.size() ||
+        (ri < runs_.size() && runs_[ri].t < normalized[ti].t)) {
+      merged_.push_back(runs_[ri++]);
+      continue;
+    }
+    Run run = normalized[ti++];
+    if (ri < runs_.size() && runs_[ri].t == run.t) run.count += runs_[ri++].count;
+    merged_.push_back(run);
+  }
+  runs_.swap(merged_);
+}
+
+void CrossingMultiset::remove(const std::vector<Run>& normalized) {
+  size_t write = 0;
+  size_t ti = 0;
+  for (size_t read = 0; read < runs_.size(); ++read) {
+    Run run = runs_[read];
+    if (ti < normalized.size() && normalized[ti].t == run.t) {
+      if (run.count < normalized[ti].count) {
+        throw std::logic_error(
+            "IncrementalConsolidator: crossing-time multiplicity underflow");
+      }
+      run.count -= normalized[ti++].count;
+    }
+    if (run.count > 0) runs_[write++] = run;
+  }
+  if (ti != normalized.size()) {
+    throw std::logic_error(
+        "IncrementalConsolidator: crossing time to remove is not in the "
+        "multiset (delta drifted from the active set)");
+  }
+  runs_.resize(write);
+}
+
+}  // namespace detail
+
 IncrementalConsolidator::IncrementalConsolidator(SharedRoomModel model)
     : IncrementalConsolidator(validated(std::move(model)), kPreValidated) {}
 
 IncrementalConsolidator::IncrementalConsolidator(SharedRoomModel model, PreValidated)
     : model_(std::move(model)) {
   particles_ = ParticleSystem::from_model(*model_, kPreValidated);
-  active_.assign(particles_.size(), 1);
+  const size_t n = particles_.size();
+
+  // Classes: runs of machines whose (a, b) bits agree, found by sorting on
+  // the bits with the id as tie-break, so each run starts at its lowest id.
+  const auto bits = [&](uint32_t i) {
+    return std::pair{std::bit_cast<uint64_t>(particles_.a[i]),
+                     std::bit_cast<uint64_t>(particles_.b[i])};
+  };
+  std::vector<uint32_t> by_bits(n);
+  std::iota(by_bits.begin(), by_bits.end(), 0u);
+  std::sort(by_bits.begin(), by_bits.end(), [&](uint32_t x, uint32_t y) {
+    return std::pair{bits(x), x} < std::pair{bits(y), y};
+  });
+  class_of_.resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    const uint32_t i = by_bits[r];
+    if (r == 0 || bits(i) != bits(by_bits[r - 1])) class_rep_.push_back(i);
+    class_of_[i] = static_cast<uint32_t>(class_rep_.size() - 1);
+  }
+
+  active_.assign(n, 1);
   cold_build();
 }
 
@@ -63,28 +141,30 @@ void IncrementalConsolidator::cold_build() {
   obs::ScopedTimer timer(obs::maybe_histogram("consolidation.preprocess_us"));
   const size_t n = particles_.size();
   ids_.clear();
+  class_active_.assign(class_rep_.size(), 0);
   for (size_t i = 0; i < n; ++i) {
-    if (active_[i] != 0) ids_.push_back(static_cast<uint32_t>(i));
+    if (active_[i] == 0) continue;
+    ids_.push_back(static_cast<uint32_t>(i));
+    ++class_active_[class_of_[i]];
   }
 
-  // Accumulate multiplicities keyed by the exact double bits: with
-  // SKU-structured fleets the distinct-time count is tiny even when the
-  // pair count is quadratic, so this never materializes the O(n^2) list.
-  std::unordered_map<uint64_t, uint64_t> counts;
-  for (size_t x = 0; x < ids_.size(); ++x) {
-    for (size_t y = x + 1; y < ids_.size(); ++y) {
-      const double t = pair_crossing(particles_, ids_[x], ids_[y]);
-      if (t > 0.0) ++counts[std::bit_cast<uint64_t>(t)];
+  // One division per pair of active classes, weighted by the number of
+  // active machine pairs it stands for: the multiset the paper's
+  // enumeration of every machine pair would produce.
+  std::vector<detail::CrossingMultiset::Run> runs;
+  for (uint32_t c = 0; c < class_rep_.size(); ++c) {
+    if (class_active_[c] == 0) continue;
+    for (uint32_t d = c + 1; d < class_rep_.size(); ++d) {
+      if (class_active_[d] == 0) continue;
+      const double t = pair_crossing(particles_, class_rep_[c], class_rep_[d]);
+      if (t > 0.0) runs.push_back({t, class_active_[c] * class_active_[d]});
     }
   }
-  raw_.clear();
-  raw_.reserve(counts.size());
-  for (const auto& [bits, count] : counts) {
-    raw_.push_back(RawEvent{std::bit_cast<double>(bits), count});
-  }
-  std::sort(raw_.begin(), raw_.end(),
-            [](const RawEvent& x, const RawEvent& y) { return x.t < y.t; });
-  table_.build(particles_, ids_, collapsed_events());
+  detail::CrossingMultiset::normalize(runs);
+  crossings_.clear();
+  crossings_.add(runs);
+  collapse_crossings();
+  table_.build(particles_, ids_, collapsed_);
 
   obs::count("consolidation.preprocesses");
   obs::gauge_set("consolidation.events", static_cast<double>(table_.events.size()));
@@ -92,83 +172,33 @@ void IncrementalConsolidator::cold_build() {
                  static_cast<double>(table_.segments.size()));
 }
 
-std::vector<double> IncrementalConsolidator::collapsed_events() const {
-  std::vector<double> distinct;
-  distinct.reserve(raw_.size());
-  for (const RawEvent& e : raw_) distinct.push_back(e.t);
-  return detail::ConsolidationTable::collapse_events(distinct);
+void IncrementalConsolidator::class_crossings(uint32_t c) {
+  delta_.clear();
+  for (uint32_t d = 0; d < class_rep_.size(); ++d) {
+    if (d == c || class_active_[d] == 0) continue;
+    const double t = pair_crossing(particles_, class_rep_[c], class_rep_[d]);
+    if (t > 0.0) delta_.push_back({t, class_active_[d]});
+  }
+  detail::CrossingMultiset::normalize(delta_);
 }
 
-std::vector<double> IncrementalConsolidator::crossings_with(size_t i) const {
-  std::vector<double> times;
-  times.reserve(ids_.size());
-  for (const uint32_t j : ids_) {
-    if (j == i) continue;
-    const double t = pair_crossing(particles_, i, j);
-    if (t > 0.0) times.push_back(t);
+void IncrementalConsolidator::collapse_crossings() {
+  collapsed_.clear();
+  for (const auto& run : crossings_.runs()) {
+    detail::ConsolidationTable::collapse_append(collapsed_, run.t);
   }
-  std::sort(times.begin(), times.end());
-  return times;
 }
 
-void IncrementalConsolidator::raw_remove(const std::vector<double>& times) {
-  size_t read = 0;
-  size_t write = 0;
-  size_t ti = 0;
-  while (read < raw_.size()) {
-    RawEvent e = raw_[read++];
-    while (ti < times.size() && times[ti] == e.t) {
-      if (e.count == 0) {
-        throw std::logic_error(
-            "IncrementalConsolidator: crossing-time multiplicity underflow");
-      }
-      --e.count;
-      ++ti;
-    }
-    if (e.count > 0) raw_[write++] = e;
-  }
-  if (ti != times.size()) {
-    throw std::logic_error(
-        "IncrementalConsolidator: crossing time to remove is not in the "
-        "multiset (delta drifted from the active set)");
-  }
-  raw_.resize(write);
-}
-
-void IncrementalConsolidator::raw_add(const std::vector<double>& times) {
-  std::vector<RawEvent> merged;
-  merged.reserve(raw_.size() + times.size());
-  size_t ri = 0;
-  size_t ti = 0;
-  while (ri < raw_.size() || ti < times.size()) {
-    if (ti >= times.size() ||
-        (ri < raw_.size() && raw_[ri].t < times[ti])) {
-      merged.push_back(raw_[ri++]);
-      continue;
-    }
-    RawEvent e{times[ti], 0};
-    if (ri < raw_.size() && raw_[ri].t == times[ti]) e = raw_[ri++];
-    while (ti < times.size() && times[ti] == e.t) {
-      ++e.count;
-      ++ti;
-    }
-    merged.push_back(e);
-  }
-  raw_ = std::move(merged);
-}
-
-void IncrementalConsolidator::rebuild_table(const std::vector<uint32_t>& removed,
-                                            const std::vector<uint32_t>& added,
-                                            IncrementalApplyStats& stats) {
-  std::vector<double> collapsed = collapsed_events();
-  if (collapsed == table_.events) {
+void IncrementalConsolidator::rebuild_table(IncrementalApplyStats& stats) {
+  collapse_crossings();
+  if (collapsed_ == table_.events) {
     // Same segment boundaries, hence same order times: patching the
     // membership of each (uniquely) sorted order reproduces the rebuild.
-    table_.apply_membership_delta(particles_, removed, added);
+    table_.apply_membership_delta(particles_, removed_, added_);
     return;
   }
   stats.events_changed = true;
-  table_.build(particles_, ids_, std::move(collapsed));
+  table_.build(particles_, ids_, collapsed_);
 }
 
 IncrementalApplyStats IncrementalConsolidator::set_active(
@@ -181,45 +211,46 @@ IncrementalApplyStats IncrementalConsolidator::set_active(
         active_mask.size(), n));
   }
 
-  std::vector<uint32_t> removed;
-  std::vector<uint32_t> added;
+  removed_.clear();
+  added_.clear();
   for (size_t i = 0; i < n; ++i) {
     const bool was = active_[i] != 0;
     const bool now = active_mask[i] != 0;
-    if (was && !now) removed.push_back(static_cast<uint32_t>(i));
-    if (!was && now) added.push_back(static_cast<uint32_t>(i));
+    if (was && !now) removed_.push_back(static_cast<uint32_t>(i));
+    if (!was && now) added_.push_back(static_cast<uint32_t>(i));
   }
 
   IncrementalApplyStats stats;
-  stats.removed = removed.size();
-  stats.restored = added.size();
-  if (removed.empty() && added.empty()) return stats;
+  stats.removed = removed_.size();
+  stats.restored = added_.size();
+  if (removed_.empty() && added_.empty()) return stats;
 
-  size_t next_active = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (active_mask[i] != 0) ++next_active;
-  }
+  const size_t next_active = ids_.size() - removed_.size() + added_.size();
   // A delta touching a large fraction of the fleet costs about as much as
   // starting over; the cutoff only affects speed — both paths produce the
   // identical table.
-  if ((removed.size() + added.size()) * 3 > next_active + 1) {
+  if ((removed_.size() + added_.size()) * 3 > next_active + 1) {
     active_ = active_mask;
     stats.cold_rebuild = true;
     cold_build();
     return stats;
   }
 
-  for (const uint32_t i : removed) {
-    raw_remove(crossings_with(i));
+  for (const uint32_t i : removed_) {
+    class_crossings(class_of_[i]);
+    crossings_.remove(delta_);
+    --class_active_[class_of_[i]];
     active_[i] = 0;
-    ids_.erase(std::find(ids_.begin(), ids_.end(), i));
+    ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), i));
   }
-  for (const uint32_t i : added) {
-    raw_add(crossings_with(i));
+  for (const uint32_t i : added_) {
+    class_crossings(class_of_[i]);
+    crossings_.add(delta_);
+    ++class_active_[class_of_[i]];
     active_[i] = 1;
     ids_.insert(std::lower_bound(ids_.begin(), ids_.end(), i), i);
   }
-  rebuild_table(removed, added, stats);
+  rebuild_table(stats);
   return stats;
 }
 

@@ -5,7 +5,8 @@
 // is process-wide and must not perturb (or be perturbed by) any other
 // suite. The tests warm a PlanEngine, then assert that further warm solves
 // — serial solve_into, solve_batch_into over 200 requests on the default
-// pool, rebalance_into, and the consolidation query-best path — perform
+// pool, rebalance_into, the consolidation query-best path, and restricted
+// solves under one-machine quarantine churn — perform
 // ZERO heap allocations: every buffer lives in the grow-only SolveScratch
 // arena (or a caller-owned slot) after warm-up. The served path's last step
 // is held to the same bar: encoding a warm plan response into a reused
@@ -244,6 +245,51 @@ TEST(AllocGuard, WarmQueryBestIsAllocationFree) {
                                             load, choice));
   EXPECT_EQ(allocs() - before, 0u);
   EXPECT_GT(choice.k, 0u);
+}
+
+/// Restricted solves under quarantine churn: each request is one machine
+/// away from the one before, so every solve moves the incremental
+/// Algorithm 1 table by one delta (class multiset merge, segment patch,
+/// tail refold) and queries it. After one warm lap of the walk every
+/// per-delta buffer is grown, and a second lap allocates nothing.
+TEST(AllocGuard, WarmQuarantineChurnSolveIsAllocationFree) {
+  // 2000 machines in 8 classes, the layout real fleets and the cooloptd
+  // benchmark use.
+  core::RoomModel model = test_model(2000);
+  for (size_t i = 8; i < model.size(); ++i) {
+    model.machines[i] = model.machines[i % 8];
+    model.machines[i].id = static_cast<int>(i);
+  }
+  const core::PlanEngine engine(model);
+  const core::Scenario holistic = core::Scenario::by_number(8);
+  // Walk out: quarantine one more machine per step (a spread of slots, so
+  // every class loses members); then walk back, readmitting one per step.
+  std::vector<size_t> walk;
+  for (size_t j = 0; j < 12; ++j) walk.push_back((j * 997 + 13) % model.size());
+  std::vector<core::PlanRequest> requests;
+  std::vector<size_t> quarantined;
+  for (size_t j = 0; j < walk.size(); ++j) {
+    quarantined.push_back(walk[j]);
+    requests.emplace_back(holistic, model.total_capacity() * (0.15 + 0.01 * j),
+                          quarantined);
+  }
+  for (size_t j = walk.size(); j-- > 1;) {
+    quarantined.pop_back();
+    requests.emplace_back(holistic, model.total_capacity() * (0.15 + 0.01 * j),
+                          quarantined);
+  }
+  core::SolveScratch& scratch = core::SolveScratch::local();
+  core::PlanResult slot;
+  for (const core::PlanRequest& r : requests) engine.solve_into(r, scratch, slot);
+  const unsigned long long before = allocs();
+  for (const core::PlanRequest& r : requests) engine.solve_into(r, scratch, slot);
+  EXPECT_EQ(allocs() - before, 0u);
+  ASSERT_TRUE(slot.error.empty()) << slot.error;
+  ASSERT_TRUE(slot.plan.has_value());
+  const core::EngineCounters counters = engine.counters();
+  EXPECT_EQ(counters.incremental_replans, 2 * requests.size());
+  EXPECT_EQ(counters.incremental_cold_builds, 1u);
+  EXPECT_EQ(counters.incremental_event_rebuilds, 0u);
 }
 
 /// The cooloptd worker's encode step: a 200-machine plan response (traced

@@ -66,8 +66,8 @@ void expect_peek_matches_solve(const core::detail::ConsolidationTable& table,
                                size_t k) {
   size_t seg = 0;
   double power = 0.0;
-  const bool peeked = table.peek_k(ps, model, load, k, sum_w2(ps, k), &seg,
-                                   &power);
+  const bool peeked = table.peek_k(ps, model, table.anchors(ps), load, k,
+                                   sum_w2(ps, k), &seg, &power);
   const std::optional<core::ConsolidationChoice> solved =
       table.solve_for_k(ps, model, load, k);
   ASSERT_EQ(peeked, solved.has_value())

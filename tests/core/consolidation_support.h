@@ -46,6 +46,31 @@ inline RoomModel model_from_particles(const std::vector<double>& a,
   return model;
 }
 
+/// A room whose particle system is EXACTLY (a_i, b_i), bit for bit, for
+/// any a_i > 0 and b_i > 0: w1 = beta = 1, w2 = 0, alpha = b_i and
+/// t_max = 0 with gamma = -a_i make K_i = (0 - 0 - (-a_i)) / 1 = a_i and
+/// alpha/beta = b_i without a rounding step.
+inline RoomModel exact_particle_model(const std::vector<double>& a,
+                                      const std::vector<double>& b) {
+  RoomModel model;
+  for (size_t i = 0; i < a.size(); ++i) {
+    MachineModel m;
+    m.id = static_cast<int>(i);
+    m.power = {1.0, 0.0};
+    m.thermal.alpha = b[i];
+    m.thermal.beta = 1.0;
+    m.thermal.gamma = -a[i];
+    m.capacity = 1000.0;
+    model.machines.push_back(m);
+  }
+  model.cooler = {1.0, 100.0, 0.0, 0.0, -1e300};
+  model.t_max = 0.0;
+  model.t_ac_min = 0.0;
+  model.t_ac_max = 1000.0;
+  model.validate();
+  return model;
+}
+
 /// The exact query as an optional: query_best_into's winner, or nullopt.
 inline std::optional<ConsolidationChoice> best_of(
     const IncrementalConsolidator& cons, double load) {
@@ -63,13 +88,16 @@ inline std::optional<ConsolidationChoice> paper_query(
 }
 
 /// Algorithm 1 as the paper states it, independent of the incremental
-/// owner's multiset: enumerate every pair's crossing time in t > 0, sort
-/// the duplicated list, collapse it, then build over every machine.
-inline detail::ConsolidationTable reference_table(const ParticleSystem& ps) {
-  const size_t n = ps.size();
+/// owner's multiset: enumerate every pair of the given (ascending) ids,
+/// p < q, for its crossing time in t > 0, sort the duplicated list,
+/// collapse it, then build over those machines.
+inline detail::ConsolidationTable reference_table(
+    const ParticleSystem& ps, const std::vector<uint32_t>& ids) {
   std::vector<double> times;
-  for (size_t p = 0; p < n; ++p) {
-    for (size_t q = p + 1; q < n; ++q) {
+  for (size_t x = 0; x < ids.size(); ++x) {
+    for (size_t y = x + 1; y < ids.size(); ++y) {
+      const uint32_t p = ids[x];
+      const uint32_t q = ids[y];
       const double db = ps.b[p] - ps.b[q];
       if (db == 0.0) continue;  // parallel particles never cross
       const double t = (ps.a[p] - ps.a[q]) / db;
@@ -77,11 +105,20 @@ inline detail::ConsolidationTable reference_table(const ParticleSystem& ps) {
     }
   }
   std::sort(times.begin(), times.end());
-  std::vector<uint32_t> ids(n);
-  std::iota(ids.begin(), ids.end(), 0u);
+  std::vector<double> events;
+  for (const double t : times) {
+    detail::ConsolidationTable::collapse_append(events, t);
+  }
   detail::ConsolidationTable table;
-  table.build(ps, ids, detail::ConsolidationTable::collapse_events(times));
+  table.build(ps, ids, events);
   return table;
+}
+
+/// The reference build over every machine.
+inline detail::ConsolidationTable reference_table(const ParticleSystem& ps) {
+  std::vector<uint32_t> ids(ps.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  return reference_table(ps, ids);
 }
 
 /// Exact double equality throughout: two routes to the same table must

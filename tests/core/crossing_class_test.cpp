@@ -1,0 +1,361 @@
+// The class-grouped crossing multiset against the paper's pair enumeration.
+// IncrementalConsolidator computes one crossing time per pair of particle
+// classes (machines whose (a, b) agree bit for bit) and weights it by the
+// classes' active counts; the paper enumerates every machine pair in p<q
+// orientation. The two agree only because fl(x - y) = -fl(y - x) and
+// fl((-x) / (-y)) = fl(x / y) under round-to-nearest, so these rooms aim at
+// the places that argument could break: 1-ulp neighbours in a and in b,
+// equal coordinates whose crossing time is +0.0 or -0.0 depending on the
+// orientation, ids interleaved so a member's p<q orientation is the
+// reverse of its representative's, one class, every machine its own class,
+// and singleton classes beside large ones. Each cold build must equal the
+// reference build byte for byte, and every step of a seeded churn history
+// must equal a reference build at that active set. The drift checks — the
+// multiset's absent-time and underflow errors and the segment patch's
+// misplaced-id error — are pinned here too.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/incremental.h"
+#include "tests/core/consolidation_support.h"
+#include "util/rng.h"
+
+namespace coolopt::core {
+namespace {
+
+using test_support::exact_particle_model;
+using test_support::expect_tables_identical;
+using test_support::reference_table;
+
+struct Room {
+  std::vector<double> a;
+  std::vector<double> b;
+  /// Adds `count` members of the particle (a, b).
+  void add(double a_i, double b_i, size_t count = 1) {
+    for (size_t j = 0; j < count; ++j) {
+      a.push_back(a_i);
+      b.push_back(b_i);
+    }
+  }
+};
+
+double up(double x, int ulps = 1) {
+  for (int i = 0; i < ulps; ++i) {
+    x = std::nextafter(x, std::numeric_limits<double>::infinity());
+  }
+  return x;
+}
+
+/// Classes whose a values are 1-ulp neighbours; their mutual crossing
+/// times are a few ulps over a speed gap.
+Room ulp_a_room() {
+  Room r;
+  const double x = 7.3;
+  for (int j = 0; j < 4; ++j) {
+    r.add(up(x, j), 1.0 + 0.25 * j, 3);
+    r.add(up(x, 3 - j), 2.1 - 0.3 * j, 2);
+  }
+  return r;
+}
+
+/// Classes whose b values are 1-ulp neighbours: crossing times are a
+/// coordinate gap over one ulp of speed (huge, some overflow to inf), and
+/// equal-a pairs among them cross at +0.0 / -0.0.
+Room ulp_b_room() {
+  Room r;
+  const double y = 1.7;
+  for (int j = 0; j < 4; ++j) {
+    r.add(5.0 + 1e-9 * j, up(y, j), 2);
+    r.add(5.0, up(y, j + 1), 1);
+    r.add(1e300, up(y, j), 1);
+  }
+  r.add(1e-300, y, 2);
+  return r;
+}
+
+/// Equal a, distinct b: every such pair's numerator is zero, so its time
+/// is +0.0 in one orientation and -0.0 in the other; neither is an event.
+/// Ids alternate between the classes so member orientations vary.
+Room equal_coordinate_room() {
+  Room r;
+  for (int j = 0; j < 6; ++j) {
+    r.add(4.0, 1.0);
+    r.add(4.0, 3.0);
+    r.add(4.0, 2.0 + j);  // singletons
+    r.add(9.0, 2.5);
+  }
+  return r;
+}
+
+/// Two classes laid out so the representatives are ids 0 (class A) and
+/// 1 (class B), then members alternate B, A, B, A...: the pair (member of
+/// A at id 3, representative of B at id 1) is oriented B-before-A, the
+/// reverse of the representatives' A-before-B. A third class with a
+/// different crossing against each keeps several events alive.
+Room interleaved_room() {
+  Room r;
+  r.add(8.0, 3.0);  // A rep
+  r.add(5.0, 1.0);  // B rep
+  for (int j = 0; j < 7; ++j) {
+    r.add(5.0, 1.0);
+    r.add(8.0, 3.0);
+    if (j % 3 == 0) r.add(6.5, 1.75);
+  }
+  return r;
+}
+
+/// One class: no crossings at all.
+Room single_class_room() {
+  Room r;
+  r.add(3.25, 0.5, 20);
+  return r;
+}
+
+/// Every machine its own class (seeded).
+Room distinct_room(uint64_t seed) {
+  util::Rng rng(seed);
+  Room r;
+  for (int j = 0; j < 24; ++j) r.add(rng.uniform(1.0, 50.0), rng.uniform(0.2, 4.0));
+  return r;
+}
+
+/// A few large classes, some 1-ulp perturbations of them as singletons,
+/// and independent singletons, shuffled over the slots.
+Room mixed_room(uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::pair<double, double>> slots;
+  for (int c = 0; c < 4; ++c) {
+    const double a_c = rng.uniform(1.0, 50.0);
+    const double b_c = rng.uniform(0.2, 4.0);
+    for (int j = 0; j < 6; ++j) slots.emplace_back(a_c, b_c);
+    slots.emplace_back(up(a_c), b_c);
+    slots.emplace_back(a_c, up(b_c));
+  }
+  for (int j = 0; j < 5; ++j) {
+    slots.emplace_back(rng.uniform(1.0, 50.0), rng.uniform(0.2, 4.0));
+  }
+  rng.shuffle(slots);
+  Room r;
+  for (const auto& [a_i, b_i] : slots) r.add(a_i, b_i);
+  return r;
+}
+
+size_t distinct_classes(const Room& r) {
+  size_t count = 0;
+  for (size_t i = 0; i < r.a.size(); ++i) {
+    bool seen = false;
+    for (size_t j = 0; j < i && !seen; ++j) {
+      seen = std::bit_cast<uint64_t>(r.a[i]) == std::bit_cast<uint64_t>(r.a[j]) &&
+             std::bit_cast<uint64_t>(r.b[i]) == std::bit_cast<uint64_t>(r.b[j]);
+    }
+    if (!seen) ++count;
+  }
+  return count;
+}
+
+/// Paths a churn history took, so a room can assert it covered them.
+struct PathCounts {
+  size_t patched = 0;
+  size_t events_changed = 0;
+  size_t cold = 0;
+};
+
+/// Cold build vs the reference, then a seeded churn history (1-3 toggles
+/// per step, every ninth step a large jump) checked against a reference
+/// build at every step's active set; counts the paths the deltas took.
+void check_room_into(const Room& r, uint64_t seed, size_t steps,
+                     PathCounts& paths) {
+  const SharedRoomModel model = share_model(exact_particle_model(r.a, r.b));
+  IncrementalConsolidator inc(model);
+  const ParticleSystem& ps = inc.particles();
+  const size_t n = ps.size();
+  // Premise: the room reaches the consolidator bit for bit.
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(ps.a[i]), std::bit_cast<uint64_t>(r.a[i]));
+    ASSERT_EQ(std::bit_cast<uint64_t>(ps.b[i]), std::bit_cast<uint64_t>(r.b[i]));
+  }
+  EXPECT_EQ(inc.class_count(), distinct_classes(r));
+  expect_tables_identical(inc.table(), reference_table(ps));
+
+  util::Rng rng(seed);
+  std::vector<char> mask(n, 1);
+  for (size_t step = 0; step < steps; ++step) {
+    SCOPED_TRACE("churn step " + std::to_string(step));
+    const size_t flips =
+        step % 9 == 8 ? n / 2 : 1 + static_cast<size_t>(rng.next_u64() % 3);
+    for (size_t f = 0; f < flips; ++f) {
+      mask[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
+    }
+    mask[step % n] = 1;  // never empty
+
+    const IncrementalApplyStats stats = inc.set_active(mask);
+    if (stats.cold_rebuild) {
+      ++paths.cold;
+    } else if (stats.events_changed) {
+      ++paths.events_changed;
+    } else if (stats.removed + stats.restored > 0) {
+      ++paths.patched;
+    }
+
+    std::vector<uint32_t> ids;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (mask[i] != 0) ids.push_back(i);
+    }
+    ASSERT_EQ(inc.active_ids(), ids);
+    expect_tables_identical(inc.table(), reference_table(ps, ids));
+    if (testing::Test::HasFatalFailure()) return;
+  }
+}
+
+PathCounts check_room(const Room& r, uint64_t seed, size_t steps) {
+  PathCounts paths;
+  check_room_into(r, seed, steps, paths);
+  return paths;
+}
+
+TEST(CrossingClasses, OneUlpNeighboursInA) {
+  const PathCounts paths = check_room(ulp_a_room(), 11, 60);
+  EXPECT_GT(paths.patched, 0u);
+}
+
+TEST(CrossingClasses, OneUlpNeighboursInB) {
+  check_room(ulp_b_room(), 12, 60);
+}
+
+TEST(CrossingClasses, SignedZeroCrossingTimesAreNeverEvents) {
+  const Room r = equal_coordinate_room();
+  // Premise: the 4.0-coordinate pairs really produce a signed zero in one
+  // orientation and the other sign in the reverse one.
+  const double forward = (r.a[0] - r.a[1]) / (r.b[0] - r.b[1]);
+  const double reverse = (r.a[1] - r.a[0]) / (r.b[1] - r.b[0]);
+  ASSERT_EQ(forward, 0.0);
+  ASSERT_NE(std::signbit(forward), std::signbit(reverse));
+  check_room(r, 13, 60);
+}
+
+TEST(CrossingClasses, MemberOrientationOppositeToRepresentatives) {
+  const Room r = interleaved_room();
+  // Premise: ids 0 and 1 are the representatives of classes A and B, and
+  // id 3 (class A) sits after id 1 (class B), so the pair's canonical
+  // orientation is reversed relative to the representatives'.
+  ASSERT_EQ(r.a[3], r.a[0]);
+  ASSERT_EQ(r.b[3], r.b[0]);
+  ASSERT_EQ(r.a[2], r.a[1]);
+  const PathCounts paths = check_room(r, 14, 60);
+  EXPECT_GT(paths.patched, 0u);
+}
+
+TEST(CrossingClasses, OneClass) {
+  const PathCounts paths = check_room(single_class_room(), 15, 40);
+  EXPECT_GT(paths.patched, 0u);
+}
+
+TEST(CrossingClasses, EveryMachineItsOwnClass) {
+  const PathCounts paths = check_room(distinct_room(16), 16, 40);
+  EXPECT_GT(paths.events_changed, 0u);
+  EXPECT_GT(paths.cold, 0u);
+}
+
+TEST(CrossingClasses, SingletonsBesideLargeClasses) {
+  for (const uint64_t seed : {uint64_t{21}, uint64_t{22}, uint64_t{23}}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const PathCounts paths = check_room(mixed_room(seed), seed, 60);
+    EXPECT_GT(paths.patched + paths.events_changed, 0u);
+  }
+}
+
+TEST(CrossingMultiset, ClassMultiplicitiesAddAndRemoveExactly) {
+  using Run = detail::CrossingMultiset::Run;
+  detail::CrossingMultiset set;
+  // Class pairs (2 x 3 members) at t = 1.5 and (1 x 4) at t = 0.5, then a
+  // second pair crossing at 1.5 too.
+  std::vector<Run> runs = {{1.5, 6}, {0.5, 4}, {1.5, 2}};
+  detail::CrossingMultiset::normalize(runs);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].t, 0.5);
+  EXPECT_EQ(runs[1].count, 8u);
+  set.add(runs);
+  set.remove({{1.5, 3}});
+  ASSERT_EQ(set.runs().size(), 2u);
+  EXPECT_EQ(set.runs()[1].count, 5u);
+  set.remove({{0.5, 4}, {1.5, 5}});
+  EXPECT_TRUE(set.runs().empty());
+}
+
+TEST(CrossingMultiset, RemovingAnAbsentTimeThrows) {
+  detail::CrossingMultiset set;
+  set.add({{0.5, 4}, {1.5, 6}});
+  try {
+    set.remove({{std::nextafter(1.5, 2.0), 1}});
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not in the multiset"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CrossingMultiset, MultiplicityUnderflowThrows) {
+  detail::CrossingMultiset set;
+  set.add({{0.5, 4}, {1.5, 6}});
+  try {
+    set.remove({{1.5, 7}});
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("underflow"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ConsolidationTablePatch, RemovingAnAbsentIdThrows) {
+  const Room r = mixed_room(31);
+  const RoomModel room = exact_particle_model(r.a, r.b);
+  const ParticleSystem ps = ParticleSystem::from_model(room);
+  std::vector<uint32_t> ids;
+  for (uint32_t i = 1; i < ps.size(); ++i) ids.push_back(i);
+  detail::ConsolidationTable table = reference_table(ps, ids);
+  ASSERT_GT(table.segments.size(), 1u);
+  // Id 0 is not in any segment order.
+  EXPECT_THROW(table.apply_membership_delta(ps, {0}, {}), std::logic_error);
+}
+
+TEST(ConsolidationTablePatch, PatchEqualsReferenceBuild) {
+  const Room r = mixed_room(32);
+  const ParticleSystem ps =
+      ParticleSystem::from_model(exact_particle_model(r.a, r.b));
+  std::vector<uint32_t> all(ps.size());
+  for (uint32_t i = 0; i < ps.size(); ++i) all[i] = i;
+  detail::ConsolidationTable table = reference_table(ps, all);
+  // Two members of a large class: it keeps other members, so removing
+  // them leaves the events alone.
+  const auto members_like = [&](uint32_t c) {
+    std::vector<uint32_t> out;
+    for (const uint32_t i : all) {
+      if (ps.a[i] == ps.a[c] && ps.b[i] == ps.b[c]) out.push_back(i);
+    }
+    return out;
+  };
+  uint32_t large = 0;
+  while (members_like(large).size() < 4) ++large;
+  const std::vector<uint32_t> members = members_like(large);
+  const std::vector<uint32_t> removed = {members[1], members[3]};
+  std::vector<uint32_t> rest;
+  for (const uint32_t i : all) {
+    if (i != removed[0] && i != removed[1]) rest.push_back(i);
+  }
+  const detail::ConsolidationTable reduced = reference_table(ps, rest);
+  ASSERT_EQ(reduced.events, table.events);
+  table.apply_membership_delta(ps, removed, {});
+  expect_tables_identical(table, reduced);
+  table.apply_membership_delta(ps, {}, removed);
+  expect_tables_identical(table, reference_table(ps, all));
+}
+
+}  // namespace
+}  // namespace coolopt::core
