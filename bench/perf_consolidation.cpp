@@ -1,7 +1,8 @@
 // Algorithm performance for Section III-B: Algorithm 1's cold build,
 // Algorithm 2's O(lg n) online query (against a prebuilt allStatus index)
-// vs the exact per-k query (O(n lg n)) vs the naive O(n 2^n) enumeration
-// the paper argues against.
+// vs the exact per-k query (a k-scan stopped at an exact power floor:
+// O(n) comparisons, O(lg #segments) searches only for the k that can win)
+// vs the naive O(n 2^n) enumeration the paper argues against.
 
 #include <benchmark/benchmark.h>
 

@@ -1,9 +1,25 @@
 #include "core/consolidation_table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace coolopt::core::detail {
+
+namespace {
+
+/// Predicted room power of a k-subset whose idle draws fold to `sum_w2_k`,
+/// serving `load` at particle time `t_param`. The one power expression of
+/// make_choice_into, peek_k and power_floor, so the floor's monotone-
+/// rounding argument compares like with like.
+double subset_power(const ParticleSystem& ps, const RoomModel& model,
+                    double load, double sum_w2_k, double t_param) {
+  const double t_ac = ps.w1 * t_param;
+  return sum_w2_k + ps.w1 * load +
+         model.cooler.predict(t_ac, sum_w2_k + ps.w1 * load);
+}
+
+}  // namespace
 
 void ConsolidationTable::build(const ParticleSystem& ps,
                                const std::vector<uint32_t>& ids,
@@ -118,8 +134,7 @@ void ConsolidationTable::make_choice_into(const ParticleSystem& ps,
   double sum_w2 = 0.0;
   for (const size_t i : out.on_set) sum_w2 += model.machines[i].power.w2;
   out.predicted_total_power_w =
-      sum_w2 + ps.w1 * load +
-      model.cooler.predict(out.t_ac, sum_w2 + ps.w1 * load);
+      subset_power(ps, model, load, sum_w2, out.t_param);
 }
 
 bool ConsolidationTable::feasible_k(const ParticleSystem& ps,
@@ -148,11 +163,20 @@ bool ConsolidationTable::peek_k(const ParticleSystem& ps,
   const Segment& seg = segments[s];
   const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
   const double t_param = std::clamp(t_subset, ps.t_lo, ps.t_hi);
-  const double t_ac = ps.w1 * t_param;
   *segment_out = s;
-  *power_out = sum_w2_k + ps.w1 * load +
-               model.cooler.predict(t_ac, sum_w2_k + ps.w1 * load);
+  *power_out = subset_power(ps, model, load, sum_w2_k, t_param);
   return true;
+}
+
+double ConsolidationTable::power_floor(const ParticleSystem& ps,
+                                       const RoomModel& model, double load,
+                                       double sum_w2_k) {
+  // A negative q_coeff makes the cooler cheaper as the idle draw grows, so
+  // the bound would not hold across k; prune nothing.
+  if (!(model.cooler.q_coeff >= 0.0)) return -HUGE_VAL;
+  // std::clamp(t, t_lo, t_hi) never exceeds max(t_lo, t_hi) (== t_hi in
+  // any room with t_ac_max >= 0), the warmest air any k may run at.
+  return subset_power(ps, model, load, sum_w2_k, std::max(ps.t_lo, ps.t_hi));
 }
 
 size_t ConsolidationTable::operating_segment(const ParticleSystem& ps,
@@ -204,12 +228,14 @@ bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
   size_t best_segment = 0;
   double best_power = 0.0;
   for (size_t k = 1; k <= width(); ++k) {
+    const double sum_w2_k = static_cast<double>(k) * ps.w2;
+    // No k from here on can undercut the winner (power_floor).
+    if (best_k != 0 && power_floor(ps, model, load, sum_w2_k) >= best_power) {
+      break;
+    }
     size_t s = 0;
     double power = 0.0;
-    if (!peek_k(ps, model, at, load, k, static_cast<double>(k) * ps.w2, &s,
-                &power)) {
-      continue;
-    }
+    if (!peek_k(ps, model, at, load, k, sum_w2_k, &s, &power)) continue;
     if (best_k == 0 || power < best_power) {
       best_k = k;
       best_segment = s;

@@ -151,11 +151,14 @@ struct ConsolidationTable {
                                                  const RoomModel& model,
                                                  double load, size_t k) const;
   /// The single best choice — the ranking's head — without
-  /// materializing an on_set per k: a strict-< scan of peek_k with the
-  /// subset idle draw k * w2 (w2 is validated uniform), so the scan is
-  /// O(n lg #segments) + O(k) for the winner, versus the O(n^2) on_set
-  /// copies of the full ranking. Writes into a caller-owned choice (on_set
-  /// buffer reused); returns false when no k is feasible.
+  /// materializing an on_set per k: an ascending-k, strict-< scan of
+  /// peek_k with the subset idle draw k * w2 (w2 is validated uniform),
+  /// which stops at the first k whose power_floor reaches the winner's
+  /// power. Infeasible k cost two prefix-sum reads; only the feasible k
+  /// up to that stop pay peek_k's O(lg #segments), plus O(k) for the
+  /// winner's on_set — versus the O(n^2) on_set copies of the full
+  /// ranking. Writes into a caller-owned choice (on_set buffer reused);
+  /// returns false when no k is feasible.
   bool query_best_into(const ParticleSystem& ps, const RoomModel& model,
                        double load, ConsolidationChoice& out) const;
   /// Materializes the k-subset of `segment` at this load into a caller-owned
@@ -173,6 +176,18 @@ struct ConsolidationTable {
   bool peek_k(const ParticleSystem& ps, const RoomModel& model,
               const Anchors& at, double load, size_t k, double sum_w2_k,
               size_t* segment_out, double* power_out) const;
+  /// A lower bound on peek_k's power for this k and every larger k, at
+  /// the bit level: peek_k's power expression with the subset run at the
+  /// warmest allowed air (t_param = t_hi, which std::clamp never exceeds).
+  /// Exact because every rounded step is monotone: the cooler's predict
+  /// cannot rise with t_ac (cfac > 0) nor fall with its IT-heat argument
+  /// (q_coeff >= 0), and the idle fold `sum_w2_k` cannot fall with k
+  /// (w2 >= 0). So the floor never decreases in k, and an ascending-k scan
+  /// whose best (or runner-up) power is already <= the floor at k has
+  /// seen its final answer under strict-< updates. Returns -HUGE_VAL
+  /// (prune nothing) when q_coeff < 0.
+  static double power_floor(const ParticleSystem& ps, const RoomModel& model,
+                            double load, double sum_w2_k);
   /// Best subset for every feasible k, sorted by predicted power then k,
   /// into a grow-only buffer: entries [0, returned count) of `out` are the
   /// ranked choices; slots past the count are untouched spare capacity

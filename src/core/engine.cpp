@@ -231,6 +231,8 @@ bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
   // Two-min scan over k: the winner and runner-up of the (power, k)-
   // ascending ranking, via O(1) prefix-sum peeks — no on_set materialized.
   // Ascending k with strict < reproduces the ranking's tie-break exactly.
+  // The scan stops once the power floor reaches the runner-up: no larger k
+  // can then displace either of the two (ConsolidationTable::power_floor).
   const detail::ConsolidationTable::Anchors at = table.anchors(ps);
   size_t best_k = 0;
   size_t best_seg = 0;
@@ -238,6 +240,11 @@ bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
   double runner_p = 0.0;
   bool have_runner = false;
   for (size_t k = 1; k <= table.width(); ++k) {
+    if (have_runner &&
+        detail::ConsolidationTable::power_floor(
+            ps, planning, load, agg.w2_prefix[k]) >= runner_p) {
+      break;
+    }
     size_t seg = 0;
     double p = 0.0;
     if (!table.peek_k(ps, planning, at, load, k, agg.w2_prefix[k], &seg,

@@ -308,12 +308,15 @@ class PlanEngine {
   /// The verified ranked-head check in front of the consolidation walk,
   /// shared by the full-fleet and restricted tables: a two-min peek_k scan
   /// finds the ranking's head (k, segment) and its runner-up's power
-  /// without materializing the ranking, then the head subset is solved by
-  /// the closed form alone. True — with the plan in `out` — only when the
-  /// walk provably returns that exact allocation: the closed form is within
-  /// bounds (the walk's inner cutoff) and the runner-up's relaxation bound
-  /// cannot beat it (the outer branch-and-bound cutoff). Never runs the LP;
-  /// false leaves `out` untouched and the walk decides.
+  /// without materializing the ranking, stopping at the first k whose
+  /// exact power floor (ConsolidationTable::power_floor) reaches the
+  /// runner-up — so it peeks the few feasible k that can win, not all n.
+  /// The head subset is then solved by the closed form alone. True — with
+  /// the plan in `out` — only when the walk provably returns that exact
+  /// allocation: the closed form is within bounds (the walk's inner cutoff)
+  /// and the runner-up's relaxation bound cannot beat it (the outer
+  /// branch-and-bound cutoff). Never runs the LP; false leaves `out`
+  /// untouched and the walk decides.
   bool ranked_head_into(const IncrementalConsolidator& cons, double load,
                         SolveScratch& scratch, Allocation& out) const;
   /// Restricted (quarantine) Algorithm 1 query: moves the delta-maintained

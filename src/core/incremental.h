@@ -115,8 +115,10 @@ class IncrementalConsolidator {
   std::vector<ConsolidationChoice> rank_all_k(double load) const;
 
   /// The exact query: the winning choice alone — rank_all_k(load).front()
-  /// — in O(n lg #segments) instead of the full ranking's O(n^2) on_set
-  /// materialization, written into a caller-owned choice (buffers reused).
+  /// — from a k-scan that stops at an exact power floor
+  /// (ConsolidationTable::query_best_into) instead of the full ranking's
+  /// O(n^2) on_set materialization, written into a caller-owned choice
+  /// (buffers reused).
   /// Returns false when no subset is feasible; throws
   /// std::invalid_argument on a negative load.
   bool query_best_into(double load, ConsolidationChoice& out) const;

@@ -1,8 +1,10 @@
 #include "obs/json_writer.h"
 
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/jsonio.h"
@@ -98,6 +100,50 @@ void JsonWriter::value(int64_t v) {
 void JsonWriter::value_null() {
   before_value();
   out_.append("null");
+}
+
+namespace {
+
+/// Appends the comma-separated `text(v)` of every element (each at most
+/// kJsonNumberBuffer bytes) through a stack chunk, one append per chunk.
+template <typename Range, typename Text>
+void append_elements(std::string& out, const Range& values, Text text) {
+  char chunk[4096];
+  size_t len = 0;
+  bool first = true;
+  for (const auto v : values) {
+    if (len + 1 + util::kJsonNumberBuffer > sizeof chunk) {
+      out.append(chunk, len);
+      len = 0;
+    }
+    if (!first) chunk[len++] = ',';
+    first = false;
+    const std::string_view s = text(v);
+    std::memcpy(chunk + len, s.data(), s.size());
+    len += s.size();
+  }
+  out.append(chunk, len);
+}
+
+}  // namespace
+
+void JsonWriter::array(std::span<const double> values) {
+  begin_array();
+  char buf[util::kJsonNumberBuffer];
+  append_elements(out_, values, [&](double v) -> std::string_view {
+    if (std::bit_cast<uint64_t>(v) == 0) return "0";  // +0.0; -0.0 is "-0"
+    if (!std::isfinite(v)) return "null";
+    return util::json_number(v, buf);
+  });
+  end_array();
+}
+
+void JsonWriter::array(const std::vector<bool>& values) {
+  begin_array();
+  append_elements(out_, values, [](bool v) -> std::string_view {
+    return v ? "true" : "false";
+  });
+  end_array();
 }
 
 // ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace coolopt::obs {
 
@@ -46,6 +48,14 @@ class JsonWriter {
   void value(uint64_t v);
   void value(int64_t v);
   void value_null();
+
+  // --- whole arrays ---
+  /// The same bytes as begin_array(), value(v) per element, end_array(),
+  /// written through a stack chunk flushed with one append per chunk and
+  /// without the per-element state checks. The per-machine arrays of a plan
+  /// response hold thousands of elements.
+  void array(std::span<const double> values);
+  void array(const std::vector<bool>& values);
 
   // --- conveniences ---
   void kv(std::string_view name, std::string_view v) { key(name); value(v); }

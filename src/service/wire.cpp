@@ -628,13 +628,9 @@ void write_plan_object(obs::JsonWriter& w, const core::Plan& plan) {
   w.kv("total_power_w", plan.allocation.total_power_w);
   w.kv("machines_on", static_cast<uint64_t>(plan.allocation.count_on()));
   w.key("on");
-  w.begin_array();
-  for (const bool on : plan.allocation.on) w.value(on);
-  w.end_array();
+  w.array(plan.allocation.on);
   w.key("loads");
-  w.begin_array();
-  for (const double load : plan.allocation.loads) w.value(load);
-  w.end_array();
+  w.array(plan.allocation.loads);
   w.end_object();
 }
 
@@ -793,9 +789,7 @@ void encode_fleetplan_response(std::string& out, uint64_t id,
     w.kv("redistributed_load", result.redistributed_load);
   }
   w.key("shard_loads");
-  w.begin_array();
-  for (const double load : result.shard_loads) w.value(load);
-  w.end_array();
+  w.array(result.shard_loads);
   w.key("shards");
   w.begin_array();
   for (size_t s = 0; s < result.shard_results.size(); ++s) {

@@ -9,8 +9,8 @@
 // solves under one-machine quarantine churn — perform
 // ZERO heap allocations: every buffer lives in the grow-only SolveScratch
 // arena (or a caller-owned slot) after warm-up. The served path's last step
-// is held to the same bar: encoding a warm plan response into a reused
-// buffer allocates nothing either.
+// is held to the same bar: encoding a warm plan or fleetplan response into
+// a reused buffer allocates nothing either.
 //
 // The batch case retries a few times before judging: pool workers join a
 // parallel_for range on a wakeup, and a worker that slept through both
@@ -37,6 +37,7 @@
 #include "core/engine.h"
 #include "core/scratch.h"
 #include "core/synthetic.h"
+#include "fleet/fleet_engine.h"
 #include "obs/span.h"
 #include "service/wire.h"
 
@@ -322,6 +323,43 @@ TEST(AllocGuard, WarmPlanEncodeIsAllocationFree) {
   encode_all();
   EXPECT_EQ(allocs() - before, 0u);
   EXPECT_GT(buffer.size(), 200u * 6);
+  EXPECT_EQ(buffer.back(), '\n');
+}
+
+/// The largest response cooloptd sends: a fleetplan over 4 shards of a
+/// 400-machine room (healthy, with a down shard, and traced with a
+/// deadline echo), appended to a buffer already grown by earlier responses.
+TEST(AllocGuard, WarmFleetplanEncodeIsAllocationFree) {
+  const fleet::FleetEngine fleet(fleet::partition_room(test_model(400), 4));
+  std::vector<fleet::FleetPlanResult> results;
+  for (const double frac : {0.2, 0.45, 0.7}) {
+    fleet::FleetPlanRequest request;
+    request.load = fleet.total_capacity() * frac;
+    results.push_back(fleet.solve(request, /*workers=*/1));
+    request.down_shards = {2};
+    results.push_back(fleet.solve(request, /*workers=*/1));
+  }
+  obs::SpanContext spans;
+  spans.reset(9);
+  const int root = spans.begin("service.request");
+  spans.begin("fleet.solve");
+  spans.end(root + 1);
+  spans.end(root);
+  std::string buffer;
+  const auto encode_all = [&] {
+    for (size_t i = 0; i < results.size(); ++i) {
+      buffer.clear();
+      service::encode_fleetplan_response(buffer, i, results[i],
+                                         i % 2 == 0 ? nullptr : &spans,
+                                         uint64_t{250});
+      buffer.push_back('\n');
+    }
+  };
+  encode_all();
+  const unsigned long long before = allocs();
+  encode_all();
+  EXPECT_EQ(allocs() - before, 0u);
+  EXPECT_GT(buffer.size(), 300u * 6);
   EXPECT_EQ(buffer.back(), '\n');
 }
 

@@ -15,9 +15,7 @@
 
 #include "core/consolidation.h"
 #include "core/incremental.h"
-#include "core/synthetic.h"
 #include "tests/core/consolidation_support.h"
-#include "util/rng.h"
 
 namespace coolopt::core {
 namespace {
@@ -27,32 +25,8 @@ using test_support::expect_tables_identical;
 using test_support::model_from_particles;
 using test_support::paper_query;
 using test_support::reference_table;
-
-RoomModel seeded_room(size_t n, uint64_t seed) {
-  SyntheticModelOptions o;
-  o.machines = n;
-  o.seed = seed;
-  return make_synthetic_model(o);
-}
-
-/// The cooloptd benchmark's room layout: eight machine classes (the
-/// synthetic draws of seed 42), equal shares laid out over the slots in
-/// seeded order, capacities tripled.
-RoomModel sku_room(size_t n, uint64_t seed) {
-  constexpr size_t kSkus = 8;
-  RoomModel model = seeded_room(n, 42);
-  std::vector<size_t> classes(n);
-  for (size_t i = 0; i < n; ++i) classes[i] = i % kSkus;
-  util::Rng(seed).fork("room").shuffle(classes);
-  const std::vector<MachineModel> skus(model.machines.begin(),
-                                       model.machines.begin() + kSkus);
-  for (size_t i = 0; i < n; ++i) {
-    model.machines[i] = skus[classes[i]];
-    model.machines[i].id = static_cast<int>(i);
-    model.machines[i].capacity *= 3.0;
-  }
-  return model;
-}
+using test_support::seeded_room;
+using test_support::sku_room;
 
 /// The owner's cold build equals the reference build of the same room.
 void expect_matches_reference(const RoomModel& room) {

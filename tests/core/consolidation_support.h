@@ -1,12 +1,16 @@
-// Test support for the Algorithm 1 suites: the optional-returning query
-// shapes the assertions read naturally, the paper's Algorithm 2 over an
-// on-demand allStatus index, and an independent reference build of the
-// table (the paper's preprocessing verbatim) for byte-for-byte checks.
+// Test support for the Algorithm 1 suites: the seeded and SKU rooms they
+// share, the optional-returning query shapes the assertions read
+// naturally, the paper's Algorithm 2 over an on-demand allStatus index, an
+// independent reference build of the table (the paper's preprocessing
+// verbatim) for byte-for-byte checks, the unpruned best-k scan the
+// power-floor stop is checked against, and the cooler variants that
+// scan's exactness argument depends on.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -17,6 +21,8 @@
 #include "core/consolidation_table.h"
 #include "core/incremental.h"
 #include "core/model.h"
+#include "core/synthetic.h"
+#include "util/rng.h"
 
 namespace coolopt::core::test_support {
 
@@ -71,6 +77,34 @@ inline RoomModel exact_particle_model(const std::vector<double>& a,
   return model;
 }
 
+/// The synthetic room of this seed (uniform w1/w2, distinct machines).
+inline RoomModel seeded_room(size_t n, uint64_t seed) {
+  SyntheticModelOptions o;
+  o.machines = n;
+  o.seed = seed;
+  return make_synthetic_model(o);
+}
+
+/// The cooloptd benchmark's room layout: eight machine classes (the
+/// synthetic draws of seed 42), equal shares laid out over the slots in
+/// seeded order, capacities tripled.
+inline RoomModel sku_room(size_t n, uint64_t seed) {
+  constexpr size_t kSkus = 8;
+  RoomModel model = seeded_room(std::max(n, kSkus), 42);
+  std::vector<size_t> classes(n);
+  for (size_t i = 0; i < n; ++i) classes[i] = i % kSkus;
+  util::Rng(seed).fork("room").shuffle(classes);
+  const std::vector<MachineModel> skus(model.machines.begin(),
+                                       model.machines.begin() + kSkus);
+  model.machines.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    model.machines[i] = skus[classes[i]];
+    model.machines[i].id = static_cast<int>(i);
+    model.machines[i].capacity *= 3.0;
+  }
+  return model;
+}
+
 /// The exact query as an optional: query_best_into's winner, or nullopt.
 inline std::optional<ConsolidationChoice> best_of(
     const IncrementalConsolidator& cons, double load) {
@@ -85,6 +119,116 @@ inline std::optional<ConsolidationChoice> paper_query(
   const detail::ConsolidationTable& table = cons.table();
   return table.query_paper(cons.particles(), cons.model(), table.all_status(),
                            load);
+}
+
+/// ConsolidationTable::query_best_into without its power-floor stop: the
+/// strict-< peek_k scan over every k with the subset idle draw k * w2, the
+/// winner materialized by make_choice_into. The reference the pruned
+/// production scan must reproduce bit for bit; false when no k is
+/// feasible.
+inline bool unpruned_best_into(const detail::ConsolidationTable& table,
+                               const ParticleSystem& ps,
+                               const RoomModel& model, double load,
+                               ConsolidationChoice& out) {
+  const detail::ConsolidationTable::Anchors at = table.anchors(ps);
+  size_t best_k = 0;
+  size_t best_segment = 0;
+  double best_power = 0.0;
+  for (size_t k = 1; k <= table.width(); ++k) {
+    size_t s = 0;
+    double power = 0.0;
+    if (!table.peek_k(ps, model, at, load, k, static_cast<double>(k) * ps.w2,
+                      &s, &power)) {
+      continue;
+    }
+    if (best_k == 0 || power < best_power) {
+      best_k = k;
+      best_segment = s;
+      best_power = power;
+    }
+  }
+  if (best_k == 0) return false;
+  table.make_choice_into(ps, model, best_segment, best_k, load, out);
+  return true;
+}
+
+/// The production query against the unpruned scan: same feasibility, and
+/// the same k, segment, subset and doubles to the last bit.
+inline void expect_best_matches_unpruned(const detail::ConsolidationTable& table,
+                                         const ParticleSystem& ps,
+                                         const RoomModel& model, double load) {
+  ConsolidationChoice got;
+  ConsolidationChoice want;
+  const bool got_any = table.query_best_into(ps, model, load, got);
+  ASSERT_EQ(got_any, unpruned_best_into(table, ps, model, load, want))
+      << "load " << load;
+  if (!got_any) return;
+  EXPECT_EQ(got.k, want.k) << "load " << load;
+  EXPECT_EQ(got.segment, want.segment) << "load " << load;
+  EXPECT_EQ(got.on_set, want.on_set) << "load " << load;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.t_param),
+            std::bit_cast<uint64_t>(want.t_param)) << "load " << load;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.predicted_total_power_w),
+            std::bit_cast<uint64_t>(want.predicted_total_power_w))
+      << "load " << load;
+}
+
+/// Cooler and idle-draw variants the power floor's exactness argument
+/// rests on: the fitted default (q_coeff > 0), no IT-heat term, a negative
+/// one (the floor must prune nothing), a min_power_w floor that binds for
+/// warm air, and machines with no idle draw.
+enum class CoolerVariant {
+  kDefault,
+  kNoHeatTerm,
+  kNegativeHeatTerm,
+  kMinPowerFloor,
+  kZeroIdle,
+};
+
+inline constexpr CoolerVariant kCoolerVariants[] = {
+    CoolerVariant::kDefault, CoolerVariant::kNoHeatTerm,
+    CoolerVariant::kNegativeHeatTerm, CoolerVariant::kMinPowerFloor,
+    CoolerVariant::kZeroIdle};
+
+inline std::string to_string(CoolerVariant v) {
+  switch (v) {
+    case CoolerVariant::kDefault: return "default";
+    case CoolerVariant::kNoHeatTerm: return "q_coeff = 0";
+    case CoolerVariant::kNegativeHeatTerm: return "q_coeff < 0";
+    case CoolerVariant::kMinPowerFloor: return "min_power_w";
+    case CoolerVariant::kZeroIdle: return "w2 = 0";
+  }
+  return "?";
+}
+
+inline RoomModel with_cooler(RoomModel model, CoolerVariant v) {
+  CoolerModel& c = model.cooler;
+  switch (v) {
+    case CoolerVariant::kDefault:
+      break;
+    case CoolerVariant::kNoHeatTerm:
+      c.q_coeff = 0.0;
+      break;
+    case CoolerVariant::kNegativeHeatTerm:
+      c.q_coeff = -0.4;
+      break;
+    case CoolerVariant::kMinPowerFloor: {
+      // Binds whenever the supply air runs warmer than the actuation
+      // midpoint at a third of the room's IT heat.
+      double it_heat = 0.0;
+      for (const MachineModel& m : model.machines) {
+        it_heat += m.power.w2 + m.power.w1 * m.capacity;
+      }
+      c.min_power_w =
+          c.predict(0.5 * (model.t_ac_min + model.t_ac_max), it_heat / 3.0);
+      break;
+    }
+    case CoolerVariant::kZeroIdle:
+      for (MachineModel& m : model.machines) m.power.w2 = 0.0;
+      break;
+  }
+  model.validate();
+  return model;
 }
 
 /// Algorithm 1 as the paper states it, independent of the incremental

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "util/jsonio.h"
+#include "util/rng.h"
 
 namespace coolopt::obs {
 namespace {
@@ -118,6 +121,134 @@ TEST(JsonWriter, AppendsToTheCallersString) {
   w.value_null();
   w.end_array();
   EXPECT_EQ(out, "prefix [-3,18446744073709551615,-0,1e-07,null]");
+}
+
+// --- JsonWriter::array: the bulk path against the per-element one ---
+
+/// Where an array sits in its document: the separators before and after it
+/// differ in each position.
+enum class Position { kRoot, kAfterKey, kInsideArray };
+
+/// A document holding `emit`'s array at `pos`, appended after a prefix.
+template <typename Emit>
+std::string document(Position pos, Emit emit) {
+  std::string out = "prefix ";
+  JsonWriter w(out);
+  switch (pos) {
+    case Position::kRoot:
+      emit(w);
+      break;
+    case Position::kAfterKey:
+      w.begin_object();
+      w.kv("first", 1.0);
+      w.key("array");
+      emit(w);
+      w.kv("last", true);
+      w.end_object();
+      break;
+    case Position::kInsideArray:
+      w.begin_array();
+      w.value(1.0);
+      emit(w);
+      emit(w);
+      w.value_null();
+      w.end_array();
+      break;
+  }
+  EXPECT_TRUE(w.complete());
+  EXPECT_TRUE(json_syntax_valid(std::string_view(out).substr(7)));
+  return out;
+}
+
+void expect_bulk_matches_per_element(const std::vector<double>& values) {
+  for (const Position pos :
+       {Position::kRoot, Position::kAfterKey, Position::kInsideArray}) {
+    SCOPED_TRACE("position " + std::to_string(static_cast<int>(pos)));
+    const std::string bulk =
+        document(pos, [&](JsonWriter& w) { w.array(values); });
+    const std::string per_element = document(pos, [&](JsonWriter& w) {
+      w.begin_array();
+      for (const double v : values) w.value(v);
+      w.end_array();
+    });
+    EXPECT_EQ(bulk, per_element);
+  }
+}
+
+void expect_bulk_matches_per_element(const std::vector<bool>& values) {
+  for (const Position pos :
+       {Position::kRoot, Position::kAfterKey, Position::kInsideArray}) {
+    SCOPED_TRACE("position " + std::to_string(static_cast<int>(pos)));
+    const std::string bulk =
+        document(pos, [&](JsonWriter& w) { w.array(values); });
+    const std::string per_element = document(pos, [&](JsonWriter& w) {
+      w.begin_array();
+      for (const bool v : values) w.value(v);
+      w.end_array();
+    });
+    EXPECT_EQ(bulk, per_element);
+  }
+}
+
+TEST(JsonWriterArray, DoublesMatchThePerElementPath) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> cases = {
+      {},
+      {+0.0},
+      {-0.0},
+      {std::numeric_limits<double>::denorm_min(), 2.2e-310},
+      {1e-11},  // below the scaled path: snprintf
+      {1e37, -1e37},
+      {std::nan(""), inf, -inf},
+      {0.0, -0.0, 1.5, 0.0, std::nan(""), 40.125, -inf, 0.0},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    expect_bulk_matches_per_element(cases[c]);
+  }
+}
+
+TEST(JsonWriterArray, LongDoubleArraysSpanSeveralChunks) {
+  // Twelve significant digits in every element, at magnitudes that print in
+  // fixed and in exponent style, with the longest "%.12g" renderings.
+  util::Rng rng(19);
+  std::vector<double> values;
+  for (size_t i = 0; i < 5000; ++i) {
+    const double m = rng.uniform(1.0, 10.0);
+    switch (i % 4) {
+      case 0: values.push_back(m * 1e5); break;
+      case 1: values.push_back(-m * 1e-5); break;
+      case 2: values.push_back(-m * 1e-300); break;
+      default: values.push_back(m * 1e36); break;
+    }
+  }
+  expect_bulk_matches_per_element(values);
+  std::string out;
+  JsonWriter w(out);
+  w.array(values);
+  EXPECT_GT(out.size(), 5000u * 12);
+}
+
+TEST(JsonWriterArray, SignedZeroAndNonFiniteBytes) {
+  std::string out;
+  JsonWriter w(out);
+  w.array(std::vector<double>{0.0, -0.0, std::nan(""),
+                              std::numeric_limits<double>::infinity(), 0.5});
+  EXPECT_EQ(out, "[0,-0,null,null,0.5]");
+}
+
+TEST(JsonWriterArray, BoolsMatchThePerElementPath) {
+  expect_bulk_matches_per_element(std::vector<bool>{});
+  expect_bulk_matches_per_element(std::vector<bool>{true});
+  expect_bulk_matches_per_element(std::vector<bool>{false});
+  util::Rng rng(23);
+  std::vector<bool> values(5000);
+  for (size_t i = 0; i < values.size(); ++i) values[i] = rng.next_u64() % 2 == 0;
+  expect_bulk_matches_per_element(values);
+  std::string out;
+  JsonWriter w(out);
+  w.array(std::vector<bool>{true, false});
+  EXPECT_EQ(out, "[true,false]");
 }
 
 TEST(JsonSyntaxValid, AcceptsValidDocuments) {
