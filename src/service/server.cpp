@@ -19,6 +19,7 @@
 #include "obs/obs.h"
 #include "sim/fault_scheduler.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace coolopt::service {
 
@@ -66,13 +67,10 @@ size_t priority_limit(Priority priority, size_t capacity) {
 }  // namespace
 
 PlanningService::PlanningService(ServiceConfig config)
-    : config_(std::move(config)),
-      queue_(config_.queue_capacity),
-      slots_(0) {
-  const size_t workers = config_.workers != 0
-                             ? config_.workers
-                             : util::ThreadPool::default_workers();
-  config_.workers = workers;
+    : config_(std::move(config)), queue_(config_.queue_capacity) {
+  if (config_.workers == 0) {
+    config_.workers = util::ThreadPool::default_workers();
+  }
   if (config_.model != nullptr) {
     plan_engine_ =
         std::make_shared<core::PlanEngine>(config_.model, config_.planner);
@@ -95,11 +93,9 @@ PlanningService::PlanningService(ServiceConfig config)
   info_.machines = plan_engine_->model().size();
   info_.capacity_files_s = plan_engine_->aggregates().total_capacity;
   info_.queue_capacity = queue_.capacity();
-  info_.workers = workers;
+  info_.workers = config_.workers;
   info_.sim_backed = eval_engine_ != nullptr;
   info_.fleet_shards = config_.fleet_shards;
-  pool_ = std::make_unique<util::ThreadPool>(workers);
-  slots_.release(static_cast<std::ptrdiff_t>(workers));
 }
 
 PlanningService::~PlanningService() { stop(); }
@@ -139,7 +135,10 @@ void PlanningService::start() {
   bound_port_ = ntohs(bound.sin_port);
 
   accept_thread_ = std::thread([this] { accept_loop(); });
-  dispatch_thread_ = std::thread([this] { dispatch_loop(); });
+  workers_.reserve(config_.workers);
+  for (size_t i = 0; i < config_.workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
   stop_broadcaster_.store(false, std::memory_order_release);
   broadcaster_thread_ = std::thread([this] { broadcaster_loop(); });
 }
@@ -156,20 +155,15 @@ void PlanningService::stop() {
     listen_fd_ = -1;
   }
 
-  // 2. Finish the admitted backlog. close() wakes the dispatcher, which
-  //    drains the queue (a pause is overridden below), then waits for the
-  //    pool to write every in-flight response.
+  // 2. Finish the admitted backlog. close() overrides a pause and wakes
+  //    every worker; they drain the queue, write every response, and exit.
   queue_.close();
-  {
-    std::lock_guard<std::mutex> lock(pause_mu_);
-    paused_ = false;
-  }
-  pause_cv_.notify_all();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
 
   // 2b. Stop streaming: join the broadcaster, then write one best-effort
-  //     closing tick per live subscriber directly (the workers are idle
-  //     now, so the direct write cannot interleave with a response).
+  //     closing tick per live subscriber directly (the workers have
+  //     exited, so the direct write cannot interleave with a response).
   stop_broadcaster_.store(true, std::memory_order_release);
   subs_cv_.notify_all();
   if (broadcaster_thread_.joinable()) broadcaster_thread_.join();
@@ -230,11 +224,7 @@ void PlanningService::stop() {
 }
 
 void PlanningService::pause_dispatch(bool paused) {
-  {
-    std::lock_guard<std::mutex> lock(pause_mu_);
-    paused_ = paused;
-  }
-  pause_cv_.notify_all();
+  queue_.set_paused(paused);
 }
 
 PlanningService::Stats PlanningService::stats() const {
@@ -351,7 +341,7 @@ void PlanningService::reader_loop(std::shared_ptr<Session> session) {
       break;
     }
   }
-  // Serialized with write_line so a pool worker never writes to (or past)
+  // Serialized with write_line so a worker never writes to (or past)
   // a closed — possibly reused — descriptor.
   std::lock_guard<std::mutex> lock(session->write_mu);
   if (session->open.exchange(false)) ::close(session->fd);
@@ -416,36 +406,35 @@ void PlanningService::handle_line(const std::shared_ptr<Session>& session,
     shed(kErrShedDraining, "server is draining", queue_.size());
     return;
   }
-  const size_t depth = queue_.size();
-  const size_t limit = priority_limit(request.priority, queue_.capacity());
-  if (depth >= limit) {
-    if (limit == queue_.capacity()) {
-      shed(kErrShedQueueFull, "admission queue is full", depth);
-    } else {
-      shed(kErrShedPriority,
-           util::strf("queue depth %zu is beyond the %s-priority share %zu",
-                      depth, to_string(request.priority), limit)
-               .c_str(),
-           depth);
-    }
-    return;
-  }
-
-  Job job{session, std::move(request), std::chrono::steady_clock::now()};
-  switch (queue_.try_push(std::move(job))) {
+  // The priority share is checked under the queue's lock, together with
+  // the push, so concurrent readers cannot overshoot it.
+  const Priority priority = request.priority;
+  const size_t limit = priority_limit(priority, queue_.capacity());
+  size_t depth = 0;
+  switch (queue_.try_push(
+      Job{session, std::move(request), std::chrono::steady_clock::now()},
+      limit, &depth)) {
     case PushResult::kOk:
       obs::count("service.requests.admitted");
-      obs::gauge_set("service.queue.depth", static_cast<double>(queue_.size()));
+      obs::gauge_set("service.queue.depth", static_cast<double>(depth));
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.admitted;
       }
       break;
     case PushResult::kFull:
-      shed(kErrShedQueueFull, "admission queue is full", queue_.size());
+      if (limit == queue_.capacity()) {
+        shed(kErrShedQueueFull, "admission queue is full", depth);
+      } else {
+        shed(kErrShedPriority,
+             util::strf("queue depth %zu is beyond the %s-priority share %zu",
+                        depth, to_string(priority), limit)
+                 .c_str(),
+             depth);
+      }
       break;
     case PushResult::kClosed:
-      shed(kErrShedDraining, "server is draining", queue_.size());
+      shed(kErrShedDraining, "server is draining", depth);
       break;
   }
 }
@@ -590,30 +579,13 @@ void PlanningService::broadcast_round(obs::MetricsSnapshot& current,
   }
 }
 
-// --- dispatch + execution ---
+// --- execution ---
 
-void PlanningService::dispatch_loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(pause_mu_);
-      pause_cv_.wait(lock, [this] { return !paused_ || queue_.closed(); });
-    }
-    slots_.acquire();
-    std::optional<Job> job = queue_.pop();
-    if (!job.has_value()) {
-      slots_.release();
-      break;
-    }
+void PlanningService::worker_loop() {
+  while (std::optional<Job> job = queue_.pop()) {
     obs::gauge_set("service.queue.depth", static_cast<double>(queue_.size()));
-    auto shared = std::make_shared<Job>(std::move(*job));
-    pool_->submit([this, shared] {
-      run_job(*shared);
-      slots_.release();
-    });
+    run_job(*job);
   }
-  // Close-out: every admitted request has been submitted; wait for the
-  // last responses to be written before stop() tears sessions down.
-  pool_->wait_idle();
 }
 
 void PlanningService::run_job(const Job& job) {
@@ -652,7 +624,7 @@ void PlanningService::run_job(const Job& job) {
       return;
     }
   }
-  // Pool workers are long-lived, so each encodes into one buffer it keeps
+  // Workers are long-lived, so each encodes into one buffer it keeps
   // across requests: a warm worker's response costs no allocation, and
   // write_line frames and sends it in place.
   thread_local std::string response;
@@ -739,7 +711,7 @@ void PlanningService::handle_plan(const WireRequest& request,
                           ? *request.load_files_s
                           : request.load_pct / 100.0 * info_.capacity_files_s;
   const core::Scenario scenario = core::Scenario::by_number(request.scenario);
-  // Pool workers are long-lived, so each keeps one PlanResult slot (plus
+  // Workers are long-lived, so each keeps one PlanResult slot (plus
   // its SolveScratch) and one span context warm across requests: a steady
   // stream of plan queries, traced or not, reuses the same buffers instead
   // of allocating per request.

@@ -7,15 +7,15 @@
 // Thread architecture (all joined by stop()):
 //
 //   accept thread ──► one reader thread per connection (parse + admission)
-//                         │ MpscQueue<Job>  (bounded; the admission seam)
+//                         │ AdmissionQueue<Job>  (bounded; the admission seam)
 //                         ▼
-//                  dispatch thread ──► util::ThreadPool workers
-//                         (slot-limited)      (solve/measure, write response)
+//                  `workers` worker threads, each popping its next job
+//                  when free (deadline gate, solve/measure, write response)
 //
 //   broadcaster thread: samples obs registry deltas and deposits telemetry
 //   ticks into per-session one-slot mailboxes, which each session's own
 //   reader thread flushes (subscribe verb). Entirely off the solve path —
-//   it shares no lock with admission, dispatch, or the workers, and a slow
+//   it shares no lock with admission or the workers, and a slow
 //   subscriber costs a dropped tick, never a stall.
 //
 // Admission control happens on the reader threads: a request is either
@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <semaphore>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,10 +48,9 @@
 #include "core/engine.h"
 #include "fleet/fleet_engine.h"
 #include "obs/telemetry.h"
+#include "service/admission_queue.h"
 #include "service/chaos.h"
-#include "service/mpsc_queue.h"
 #include "service/wire.h"
-#include "util/thread_pool.h"
 
 namespace coolopt::service {
 
@@ -61,7 +59,7 @@ struct ServiceConfig {
   std::string host = "127.0.0.1";  ///< bind address (IPv4 dotted quad)
   uint16_t port = 0;               ///< 0 == pick an ephemeral port
 
-  /// Bound on accepted-but-not-dispatched requests; beyond it requests
+  /// Bound on accepted-but-not-started requests; beyond it requests
   /// shed with shed_queue_full (see docs/service.md "Admission control").
   size_t queue_capacity = 256;
   /// Concurrent in-flight engine calls. 0 == ThreadPool::default_workers().
@@ -106,7 +104,7 @@ class PlanningService {
   PlanningService(const PlanningService&) = delete;
   PlanningService& operator=(const PlanningService&) = delete;
 
-  /// Binds, listens, and spawns the accept + dispatch threads. Throws
+  /// Binds, listens, and spawns the accept and worker threads. Throws
   /// std::runtime_error when the socket cannot be bound.
   void start();
 
@@ -137,12 +135,11 @@ class PlanningService {
   /// counters to the chaos tests and bench.
   const ChaosInjector* chaos() const { return chaos_.get(); }
 
-  /// Test seam: while paused the dispatch thread leaves admitted requests
-  /// in the queue, so tests can fill it to known depths and observe shed
-  /// behavior deterministically. Pause *before* start() for exact depths —
-  /// the pause gate sits ahead of the blocking pop, so a dispatcher
-  /// already waiting inside pop() still consumes one item after a late
-  /// pause. stop() overrides a pause (drain would otherwise deadlock).
+  /// Test seam: while paused no worker takes an admitted request off the
+  /// queue, so tests can fill it to known depths and observe shed behavior
+  /// deterministically. Exact at any time, before or after start(): the
+  /// pause sits inside the workers' pop. stop() overrides a pause (drain
+  /// would otherwise deadlock).
   void pause_dispatch(bool paused);
 
   /// Monotonic books (also exported as the service.* metrics family).
@@ -156,7 +153,7 @@ class PlanningService {
     uint64_t subscriptions = 0;     ///< subscribe verbs accepted
     uint64_t telemetry_ticks = 0;   ///< tick lines handed to sessions
     uint64_t dropped_ticks = 0;     ///< ticks dropped on slow subscribers
-    uint64_t deadline_expired = 0;  ///< admitted jobs dropped at dispatch
+    uint64_t deadline_expired = 0;  ///< admitted jobs dropped unsolved
   };
   Stats stats() const;
 
@@ -174,7 +171,7 @@ class PlanningService {
     /// tick here (dropping it when the previous one is still unclaimed);
     /// the session's OWN reader thread flushes it with a blocking
     /// write_line each poll iteration. A slow subscriber therefore stalls
-    /// only its own reader — never the broadcaster, dispatcher or workers.
+    /// only its own reader — never the broadcaster or the workers.
     std::mutex tick_mu;
     std::string pending_tick;
     bool has_tick = false;
@@ -201,10 +198,12 @@ class PlanningService {
 
   void accept_loop();
   void reader_loop(std::shared_ptr<Session> session);
-  void dispatch_loop();
+  /// One worker thread: pops admitted jobs until the queue is closed and
+  /// drained.
+  void worker_loop();
   /// Samples registry deltas and deposits encoded ticks into subscriber
   /// mailboxes at each subscription's own cadence. Fully off the solve
-  /// path: never blocks on a socket and never touches queue_ or pool_.
+  /// path: never blocks on a socket and never touches queue_ or workers_.
   void broadcaster_loop();
   /// One sampling round: purge dead subscriptions, snapshot the registry
   /// once, deliver a delta tick to every due subscriber.
@@ -220,9 +219,8 @@ class PlanningService {
   /// Parse + admission for one request line (reader threads).
   void handle_line(const std::shared_ptr<Session>& session,
                    std::string_view line);
-  /// Executes one admitted request on a pool worker and writes the
-  /// response. Never throws (ThreadPool::wait_idle rethrows raw job
-  /// exceptions, so failures become internal_error responses instead).
+  /// Executes one admitted request on a worker thread and writes the
+  /// response. Never throws: failures become internal_error responses.
   void run_job(const Job& job);
   /// The request -> response-bytes pure function (also what the
   /// determinism tests replicate in-process); appends the response to `out`.
@@ -257,19 +255,12 @@ class PlanningService {
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_readers_{false};
 
-  MpscQueue<Job> queue_;
-  std::unique_ptr<util::ThreadPool> pool_;
-  /// Counts free pool workers; the dispatcher acquires a slot before
-  /// popping so backlog stays in the bounded queue (where admission and
-  /// the depth gauge can see it), not in the pool's unbounded deque.
-  std::counting_semaphore<> slots_;
-
-  std::mutex pause_mu_;
-  std::condition_variable pause_cv_;
-  bool paused_ = false;
+  AdmissionQueue<Job> queue_;
+  /// Popped only when free, so backlog stays in the bounded queue (where
+  /// admission and the depth gauge can see it).
+  std::vector<std::thread> workers_;
 
   std::thread accept_thread_;
-  std::thread dispatch_thread_;
   std::thread broadcaster_thread_;
   std::atomic<bool> stop_broadcaster_{false};
   std::mutex subs_mu_;

@@ -1,7 +1,5 @@
 #include "util/thread_pool.h"
 
-#include "util/log.h"
-
 #include <algorithm>
 #include <limits>
 #include <utility>
@@ -28,35 +26,6 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  if (submit_error_) {
-    // Nobody called wait_idle() after the failure: log-and-drop (throwing
-    // from a destructor is not an option).
-    try {
-      std::rethrow_exception(submit_error_);
-    } catch (const std::exception& e) {
-      log_warn("ThreadPool: dropping unsurfaced job exception: %s", e.what());
-    } catch (...) {
-      log_warn("ThreadPool: dropping unsurfaced non-std job exception");
-    }
-  }
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-  if (submit_error_) {
-    std::exception_ptr err = std::exchange(submit_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
 }
 
 void ThreadPool::worker_loop() {
@@ -64,58 +33,28 @@ void ThreadPool::worker_loop() {
   // single notify_all can wake every worker exactly once per range.
   uint64_t last_pf_gen = 0;
   for (;;) {
-    std::function<void()> job;
     const std::function<void(size_t)>* pf_fn = nullptr;
     size_t pf_count = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
-        return stopping_ || !queue_.empty() ||
-               (pf_fn_ != nullptr && pf_gen_ != last_pf_gen);
+        return stopping_ || (pf_fn_ != nullptr && pf_gen_ != last_pf_gen);
       });
-      if (pf_fn_ != nullptr && pf_gen_ != last_pf_gen) {
-        // Join the active range. The membership count is taken under the
-        // lock, so the caller cannot observe completion (and retire pf_fn_)
-        // while this worker is inside.
-        last_pf_gen = pf_gen_;
-        ++pf_workers_inside_;
-        pf_fn = pf_fn_;
-        pf_count = pf_count_;
-      } else if (!queue_.empty()) {
-        job = std::move(queue_.front());
-        queue_.pop_front();
-        ++in_flight_;
-      } else {
-        return;  // stopping_ with a drained queue and no pending range
-      }
+      if (pf_fn_ == nullptr || pf_gen_ == last_pf_gen) return;  // stopping_
+      // Join the active range. The membership count is taken under the
+      // lock, so the caller cannot observe completion (and retire pf_fn_)
+      // while this worker is inside.
+      last_pf_gen = pf_gen_;
+      ++pf_workers_inside_;
+      pf_fn = pf_fn_;
+      pf_count = pf_count_;
     }
-    if (pf_fn != nullptr) {
-      pf_run_range(*pf_fn, pf_count);
-      std::unique_lock<std::mutex> lock(mu_);
-      --pf_workers_inside_;
-      if (pf_workers_inside_ == 0 &&
-          pf_cursor_.load(std::memory_order_relaxed) >= pf_count_) {
-        pf_done_cv_.notify_all();
-      }
-      continue;
-    }
-    try {
-      job();
-    } catch (...) {
-      // Contain per-job: one bad callback must not std::terminate the
-      // worker (and with it the process). First error wins; it surfaces on
-      // the next wait_idle().
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!submit_error_) submit_error_ = std::current_exception();
-    }
-    // Drop the job's captured state before signalling idle, so every
-    // reference a task held (shared result slots, exception storage) is
-    // released strictly before a wait_idle() caller can observe completion.
-    job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
+    pf_run_range(*pf_fn, pf_count);
+    std::unique_lock<std::mutex> lock(mu_);
+    --pf_workers_inside_;
+    if (pf_workers_inside_ == 0 &&
+        pf_cursor_.load(std::memory_order_relaxed) >= pf_count_) {
+      pf_done_cv_.notify_all();
     }
   }
 }
@@ -155,8 +94,8 @@ void ThreadPool::parallel_for(size_t count,
   }
   work_cv_.notify_all();
 
-  // Work the range on the calling thread too: progress never depends on a
-  // worker being free (they may all be deep in raw submit() jobs).
+  // Work the range on the calling thread too: progress never waits on a
+  // worker waking up.
   pf_run_range(fn, count);
 
   {

@@ -1,25 +1,25 @@
-// A small fixed-size worker pool for batch solves.
+// A small fixed-size worker pool for batch solves: parallel_for is its one
+// entry point (PlanEngine, FleetEngine and EvalEngine fan out through it).
 //
 // Design goals, in order: deterministic result placement (callers index
 // output slots by task id, so the schedule never affects results),
-// exception transparency (the first task exception is rethrown on the
-// caller's thread), and zero cleverness — a mutex + condvar queue is
-// plenty for the "tens of solves per batch" workloads the PlanEngine
-// fans out. Workers are started once and live for the pool's lifetime.
+// exception transparency (the first task exception, in task order, is
+// rethrown on the caller's thread), and zero cleverness — a mutex + condvar
+// rendezvous is plenty for the "tens of solves per batch" workloads the
+// engines fan out. Workers are started once and live for the pool's
+// lifetime.
 //
-// parallel_for is additionally allocation-free in steady state: instead of
-// enqueueing per-lane closures, the range is published through persistent
-// members (a generation counter wakes the workers) and indices are pulled
-// off a shared atomic cursor. The only allocations are the grow-only error
-// slot array on the first (or widest) call, and the exception objects
-// themselves when a callback actually throws.
+// parallel_for is allocation-free in steady state: the range is published
+// through persistent members (a generation counter wakes the workers) and
+// indices are pulled off a shared atomic cursor. The only allocations are
+// the grow-only error slot array on the first (or widest) call, and the
+// exception objects themselves when a callback actually throws.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -34,7 +34,7 @@ class ThreadPool {
   /// to kMaxDefaultWorkers so a big host doesn't oversubscribe a small
   /// batch).
   explicit ThreadPool(size_t workers = 0);
-  /// Drains outstanding work, then joins the workers.
+  /// Joins the workers (no range can be in flight: parallel_for blocks).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -42,29 +42,14 @@ class ThreadPool {
 
   size_t worker_count() const { return workers_.size(); }
 
-  /// Enqueues one job. Jobs must not submit to the same pool (no nested
-  /// submission — the pool is for leaf-level fan-out).
-  ///
-  /// Exception policy: a throwing job cannot kill its worker. The first
-  /// exception thrown by a raw-submitted job is captured and rethrown on
-  /// the next wait_idle() call (later ones are dropped — workers keep
-  /// draining the queue either way). An exception nobody waits for is
-  /// logged and discarded when the pool is destroyed.
-  void submit(std::function<void()> job);
-
-  /// Blocks until every submitted job has finished, then rethrows the
-  /// first exception any raw-submitted job threw since the last wait
-  /// (clearing it). parallel_for callbacks report through their own
-  /// per-index channel and never appear here.
-  void wait_idle();
-
   /// Runs fn(i) for every i in [0, count) across the pool and blocks until
   /// all complete. The calling thread works the range alongside the
   /// workers, so progress never depends on a worker being free. If any
   /// invocation throws, the first exception (in task order, not completion
   /// order — deterministic) is rethrown here after the whole range has
   /// been attempted. Concurrent parallel_for calls on one pool serialize
-  /// against each other; raw submit() traffic interleaves freely.
+  /// against each other. fn must not call parallel_for on the same pool
+  /// (the pool is for leaf-level fan-out).
   void parallel_for(size_t count, const std::function<void(size_t)>& fn);
 
   /// Default worker count used when the constructor is passed 0.
@@ -78,11 +63,7 @@ class ThreadPool {
   void pf_run_range(const std::function<void(size_t)>& fn, size_t count);
 
   std::mutex mu_;
-  std::condition_variable work_cv_;   // signals workers: job available / stop
-  std::condition_variable idle_cv_;   // signals waiters: all work finished
-  std::deque<std::function<void()>> queue_;
-  size_t in_flight_ = 0;              // dequeued but not yet finished
-  std::exception_ptr submit_error_;   // first uncaught raw-job exception
+  std::condition_variable work_cv_;   // signals workers: new range / stop
   bool stopping_ = false;
 
   // --- parallel_for rendezvous (all non-atomics guarded by mu_) ---

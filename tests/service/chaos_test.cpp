@@ -179,13 +179,13 @@ TEST(ChaosService, DelayAndStallHooksSlowButNeverChangeBytes) {
 }
 
 /// The probe plane: health answers on the reader thread, so it keeps
-/// working while the dispatch queue is saturated — and reports the depth.
+/// working while the admission queue is saturated — and reports the depth.
 TEST(ChaosService, HealthVerbAnswersWhileTheQueueIsBacklogged) {
   ServiceConfig config;
   config.model = test_model();
   PlanningService server(std::move(config));
-  server.pause_dispatch(true);
   server.start();
+  server.pause_dispatch(true);
   ServiceClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
   for (uint64_t id = 0; id < 3; ++id) {

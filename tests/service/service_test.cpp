@@ -205,10 +205,8 @@ TEST(PlanningService, AdmissionShedsWithExplicitReasons) {
   ServiceConfig config = model_config();
   config.queue_capacity = 8;  // normal limit 7, low limit 4
   PlanningService server(std::move(config));
-  // Pause before start(): a dispatcher already blocked inside pop() would
-  // consume one item past a late pause and skew the depth arithmetic.
-  server.pause_dispatch(true);
   server.start();
+  server.pause_dispatch(true);
   ServiceClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
 
@@ -294,7 +292,7 @@ TEST(PlanningService, GracefulDrainAnswersTheBacklog) {
   ServiceConfig config = model_config();
   config.queue_capacity = 16;
   PlanningService server(std::move(config));
-  server.pause_dispatch(true);  // before start(), see AdmissionSheds above
+  server.pause_dispatch(true);
   server.start();
   ServiceClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
@@ -766,6 +764,122 @@ TEST(PlanningService, DrainRacingDeadlineExpiryAnswersEachExactlyOnce) {
   stopper.join();
   EXPECT_TRUE(saw_closing);
   EXPECT_EQ(server.stats().deadline_expired, 4u);
+}
+
+// --- admission under concurrency ---
+
+/// The priority share is checked under the queue's lock together with the
+/// push: four connections racing eight `normal` plans each into a paused
+/// capacity-8 queue admit exactly the normal share (7) — never more — and
+/// every other request sheds by priority at the depth it saw. Repeated so
+/// a check-then-push window would show.
+TEST(PlanningService, ConcurrentReadersNeverOvershootThePriorityShare) {
+  constexpr size_t kClients = 4;
+  constexpr size_t kPerClient = 8;
+  for (int round = 0; round < 20; ++round) {
+    ServiceConfig config = model_config();
+    config.queue_capacity = 8;  // normal share 7
+    PlanningService server(std::move(config));
+    server.start();
+    server.pause_dispatch(true);
+
+    std::vector<ServiceClient> clients(kClients);
+    for (ServiceClient& client : clients) {
+      ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    }
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> senders;
+    for (size_t c = 0; c < kClients; ++c) {
+      senders.emplace_back([&, c] {
+        ready.fetch_add(1);
+        while (ready.load() < kClients) std::this_thread::yield();
+        for (size_t i = 0; i < kPerClient; ++i) {
+          EXPECT_TRUE(clients[c].send_line(util::strf(
+              R"({"id":%zu,"verb":"plan","priority":"normal","load_pct":50})",
+              c * kPerClient + i)));
+        }
+      });
+    }
+    for (std::thread& t : senders) t.join();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    auto settled = [&] {
+      const auto stats = server.stats();
+      return stats.admitted + stats.shed;
+    };
+    while (settled() < kClients * kPerClient &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.stats().admitted, 7u) << "round " << round;
+    ASSERT_EQ(server.stats().shed, 25u) << "round " << round;
+
+    server.pause_dispatch(false);
+    size_t ok = 0;
+    size_t shed_priority = 0;
+    for (ServiceClient& client : clients) {
+      for (size_t i = 0; i < kPerClient; ++i) {
+        const auto line = client.recv_line();
+        ASSERT_TRUE(line.has_value()) << client.last_error();
+        const JsonValue doc = must_parse(*line);
+        if (doc.find("ok")->as_bool()) {
+          ++ok;
+          continue;
+        }
+        EXPECT_EQ(doc.find("error_code")->as_string(), kErrShedPriority);
+        EXPECT_DOUBLE_EQ(doc.find("queue_depth")->as_number(), 7.0);
+        ++shed_priority;
+      }
+    }
+    EXPECT_EQ(ok, 7u) << "round " << round;
+    EXPECT_EQ(shed_priority, 25u) << "round " << round;
+    server.stop();
+  }
+}
+
+/// A pause taken after start(), while the workers sit idle inside the
+/// queue's pop, holds every later admission: none leaks to a worker that
+/// was already waiting.
+TEST(PlanningService, LatePauseHoldsEveryAdmittedRequest) {
+  constexpr uint64_t kRequests = 5;
+  ServiceConfig config = model_config();
+  config.workers = 2;
+  PlanningService server(std::move(config));
+  server.start();
+  ServiceClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+  // ping is served by a worker: once it answers, the workers are idle.
+  ASSERT_TRUE(client.call(R"({"id":100,"verb":"ping"})").has_value());
+  server.pause_dispatch(true);
+  for (uint64_t id = 0; id < kRequests; ++id) {
+    ASSERT_TRUE(client.send_line(util::strf(
+        R"({"id":%llu,"verb":"plan","load_pct":30})",
+        static_cast<unsigned long long>(id))));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().admitted < kRequests + 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.stats().admitted, kRequests + 1);  // + the ping
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  ServiceClient probe;
+  ASSERT_TRUE(probe.connect("127.0.0.1", server.port()));
+  const auto health = probe.call(R"({"id":9,"verb":"health"})");
+  ASSERT_TRUE(health.has_value()) << probe.last_error();
+  EXPECT_DOUBLE_EQ(
+      must_parse(*health).find("result")->find("queue_depth")->as_number(),
+      static_cast<double>(kRequests));
+
+  server.pause_dispatch(false);
+  for (uint64_t i = 0; i < kRequests; ++i) {
+    const auto line = client.recv_line();
+    ASSERT_TRUE(line.has_value()) << client.last_error();
+    EXPECT_TRUE(must_parse(*line).find("ok")->as_bool());
+  }
+  server.stop();
 }
 
 /// Satellite bugfix: a server that dies mid-response (or stalls forever)

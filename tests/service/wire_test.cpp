@@ -520,7 +520,7 @@ TEST(ParseRequest, DeadlineMustBeAPositiveInteger) {
 }
 
 TEST(ParseRequest, DeadlineScopedToPlanVerbs) {
-  // Only plan/fleetplan queue behind the dispatcher, so only they take a
+  // Only plan/fleetplan queue for a worker, so only they take a
   // deadline; elsewhere the field is rejected by name like any stranger.
   const std::string error = request_fail(
       R"({"id":5,"verb":"measure","load_pct":10,"deadline_ms":100})", 5);
