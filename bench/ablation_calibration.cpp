@@ -25,16 +25,16 @@ struct CalibResult {
 };
 
 CalibResult run(bool operational) {
-  control::HarnessOptions options = benchsup::standard_options();
+  control::EvalOptions options = benchsup::standard_options();
   options.profiling.cooler.operational_fit = operational;
-  control::EvalHarness harness(options);
+  control::EvalEngine eval(options);
   const std::vector<double> loads = {10, 20, 30, 40, 50, 60, 70, 80, 90};
   const auto table = benchsup::run_sweep(
-      harness, {core::Scenario::by_number(7), core::Scenario::by_number(8)},
+      eval, {core::Scenario::by_number(7), core::Scenario::by_number(8)},
       loads);
 
   CalibResult r;
-  r.cfac = harness.model().cooler.cfac;
+  r.cfac = eval.model().cooler.cfac;
   double sum7 = 0.0;
   double sum8 = 0.0;
   r.worst_saving_pct = 1e9;

@@ -25,11 +25,11 @@ int main(int argc, char** argv) {
 
   std::vector<double> avg_savings;
   for (const double scale : scales) {
-    control::HarnessOptions options = benchsup::standard_options();
+    control::EvalOptions options = benchsup::standard_options();
     options.room.diversity_scale = scale;
-    control::EvalHarness harness(options);
+    control::EvalEngine eval(options);
     const auto table = benchsup::run_sweep(
-        harness, {core::Scenario::by_number(7), core::Scenario::by_number(8)},
+        eval, {core::Scenario::by_number(7), core::Scenario::by_number(8)},
         loads);
 
     double sum7 = 0.0;

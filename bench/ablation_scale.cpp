@@ -14,8 +14,8 @@ using namespace coolopt;
 
 namespace {
 
-control::HarnessOptions scaled_room(size_t n) {
-  control::HarnessOptions options = benchsup::standard_options();
+control::EvalOptions scaled_room(size_t n) {
+  control::EvalOptions options = benchsup::standard_options();
   options.room.num_servers = n;
   const double scale = static_cast<double>(n) / 20.0;
   options.room.crac.flow_m3s *= scale;
@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
 
   std::vector<double> savings;
   for (const size_t n : sizes) {
-    control::EvalHarness harness(scaled_room(n));
+    control::EvalEngine eval(scaled_room(n));
     const auto table = benchsup::run_sweep(
-        harness, {core::Scenario::by_number(7), core::Scenario::by_number(8)},
+        eval, {core::Scenario::by_number(7), core::Scenario::by_number(8)},
         loads);
     double sum7 = 0.0;
     double sum8 = 0.0;

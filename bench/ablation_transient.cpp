@@ -50,15 +50,16 @@ struct StepResult {
   double settle_s = 0.0;
 };
 
-StepResult run_step(control::EvalHarness& harness,
+StepResult run_step(control::EvalEngine& eval,
                     const control::SetPointPlanner& sp, double from_pct,
                     double to_pct) {
-  sim::MachineRoom& room = harness.room();
+  sim::MachineRoom& room = eval.room();
   const core::Scenario s8 = core::Scenario::by_number(8);
+  const core::PlanEngine& planner = *eval.plan_engine();
   const auto plan_a =
-      harness.planner().plan(s8, harness.capacity_files_s() * from_pct / 100.0);
+      planner.solve({s8, eval.capacity_files_s() * from_pct / 100.0}).plan;
   const auto plan_b =
-      harness.planner().plan(s8, harness.capacity_files_s() * to_pct / 100.0);
+      planner.solve({s8, eval.capacity_files_s() * to_pct / 100.0}).plan;
   if (!plan_a || !plan_b) throw std::runtime_error("infeasible step endpoints");
 
   apply_plan(room, sp, *plan_a);
@@ -68,7 +69,7 @@ StepResult run_step(control::EvalHarness& harness,
   // Final state for the settling criterion.
   std::vector<double> final_temps;
   {
-    sim::MachineRoom probe(harness.room().config());
+    sim::MachineRoom probe(eval.room().config());
     apply_plan(probe, sp, *plan_b);
     probe.settle();
     for (size_t i = 0; i < probe.size(); ++i) {
@@ -111,10 +112,10 @@ int main(int argc, char** argv) {
   coolopt::obs::ObsSession obs_session(argc, argv);
   std::printf("Ablation: load-step transients under the holistic policy (#8)\n\n");
 
-  control::EvalHarness harness(benchsup::standard_options());
+  control::EvalEngine eval(benchsup::standard_options());
   const control::SetPointPlanner sp =
-      control::SetPointPlanner::from_profile(harness.profile().cooler);
-  const double t_max = harness.model().t_max;
+      control::SetPointPlanner::from_profile(eval.profile().cooler);
+  const double t_max = eval.model().t_max;
 
   util::TextTable out({"step", "transient peak (C)", "steady peak (C)",
                        "excursion (C)", "settle to 0.3C (s)"});
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<double, double>> steps = {
       {20.0, 85.0}, {85.0, 20.0}, {40.0, 60.0}, {90.0, 50.0}};
   for (const auto& [from, to] : steps) {
-    const StepResult r = run_step(harness, sp, from, to);
+    const StepResult r = run_step(eval, sp, from, to);
     out.row({util::strf("%.0f%% -> %.0f%%", from, to),
              util::strf("%.2f", r.transient_peak_c),
              util::strf("%.2f", r.steady_peak_c),

@@ -1,5 +1,5 @@
 // Shared plumbing for the figure-reproduction binaries: one standard
-// harness configuration (the 20-machine testbed stand-in), scenario-sweep
+// evaluation configuration (the 20-machine testbed stand-in), scenario-sweep
 // tables in the layout of the paper's figures, and optional CSV export via
 // the COOLOPT_BENCH_CSV_DIR environment variable.
 #pragma once
@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "control/harness.h"
+#include "control/eval_engine.h"
 #include "obs/session.h"
 #include "util/csv.h"
 #include "util/strings.h"
@@ -20,10 +20,10 @@
 
 namespace coolopt::benchsup {
 
-/// The standard evaluation harness: 20 machines, fixed seed, 1 K planning
+/// The standard evaluation campaign: 20 machines, fixed seed, 1 K planning
 /// margin, steady-state runs.
-inline control::HarnessOptions standard_options(uint64_t seed = 42) {
-  control::HarnessOptions options;
+inline control::EvalOptions standard_options(uint64_t seed = 42) {
+  control::EvalOptions options;
   options.room.num_servers = 20;
   options.room.seed = seed;
   return options;
@@ -49,7 +49,7 @@ struct SweepTable {
   }
 };
 
-inline SweepTable run_sweep(control::EvalHarness& harness,
+inline SweepTable run_sweep(control::EvalEngine& eval,
                             const std::vector<core::Scenario>& scenarios,
                             const std::vector<double>& loads) {
   SweepTable table;
@@ -57,7 +57,7 @@ inline SweepTable run_sweep(control::EvalHarness& harness,
   table.loads = loads;
   // One parallel, memoized sweep through the shared EvalEngine —
   // scenario-major, bit-for-bit what the serial measure() loop returns.
-  std::vector<control::EvalPoint> rows = harness.sweep(scenarios, loads);
+  std::vector<control::EvalPoint> rows = eval.sweep(scenarios, loads);
   size_t r = 0;
   for (const core::Scenario& s : scenarios) {
     for (const double pct : loads) {

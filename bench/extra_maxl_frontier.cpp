@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
   std::printf("maxL frontier: servable load (files/s) vs power budget, "
               "exactly-k machines\n\n");
 
-  control::EvalHarness harness(benchsup::standard_options());
+  control::EvalEngine eval(benchsup::standard_options());
   const core::IncrementalConsolidator consolidator(
-      core::share_model(harness.model()));
+      core::share_model(eval.model()));
 
   const std::vector<double> budgets = {400, 700, 1000, 1400, 1900, 2500};
   const std::vector<size_t> ks = {4, 8, 12, 16, 20};

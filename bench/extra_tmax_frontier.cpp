@@ -13,8 +13,9 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/closed_form.h"
 #include "control/setpoint_planner.h"
+#include "core/closed_form.h"
+#include "core/engine.h"
 
 using namespace coolopt;
 
@@ -40,9 +41,9 @@ int main(int argc, char** argv) {
   for (const double t_max : ceilings) {
     core::RoomModel model = profile.model;
     model.t_max = t_max;
-    const core::ScenarioPlanner planner(model, core::PlannerOptions{1.0});
+    const core::PlanEngine planner(model, core::PlannerOptions{1.0});
     control::ExperimentRunner runner(room, sp, model);
-    const auto plan = planner.plan(core::Scenario::by_number(8), load);
+    const auto plan = planner.solve({core::Scenario::by_number(8), load}).plan;
     if (!plan) {
       out.row({util::strf("%.0f", t_max), "infeasible", "-", "-", "-"});
       powers.push_back(-1.0);

@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   coolopt::obs::ObsSession obs_session(argc, argv);
   std::printf("Fig. 10 reproduction: average power of all methods\n\n");
 
-  control::EvalHarness harness(benchsup::standard_options());
-  const auto table = benchsup::run_sweep(harness, core::Scenario::all8(),
+  control::EvalEngine eval(benchsup::standard_options());
+  const auto table = benchsup::run_sweep(eval, core::Scenario::all8(),
                                          control::paper_load_axis());
 
   util::TextTable out({"method", "average power (W)", "vs #8 (%)"});

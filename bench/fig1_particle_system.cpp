@@ -56,7 +56,7 @@ std::string order_at(const core::ParticleSystem& ps, double t) {
   });
   std::vector<std::string> names;
   for (const size_t i : idx) names.push_back(util::strf("%zu", i));
-  return "(" + util::join(names, ",") + ")";
+  return util::strf("(%s)", util::join(names, ",").c_str());
 }
 
 }  // namespace

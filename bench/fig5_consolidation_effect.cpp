@@ -16,14 +16,14 @@ int main(int argc, char** argv) {
   coolopt::obs::ObsSession obs_session(argc, argv);
   std::printf("Fig. 5 reproduction: matched methods with vs without consolidation\n\n");
 
-  control::EvalHarness harness(benchsup::standard_options());
+  control::EvalEngine eval(benchsup::standard_options());
   const std::vector<core::Scenario> scenarios = {
       core::Scenario::by_number(2), core::Scenario::by_number(3),
       core::Scenario::by_number(5), core::Scenario::by_number(7),
       core::Scenario::by_number(6), core::Scenario::by_number(8),
   };
   const auto table =
-      benchsup::run_sweep(harness, scenarios, control::paper_load_axis());
+      benchsup::run_sweep(eval, scenarios, control::paper_load_axis());
 
   benchsup::print_power_table(table, "Measured total power (W):");
   benchsup::maybe_export_csv(table, "fig5_consolidation_effect");

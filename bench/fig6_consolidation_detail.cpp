@@ -15,13 +15,13 @@ int main(int argc, char** argv) {
   coolopt::obs::ObsSession obs_session(argc, argv);
   std::printf("Fig. 6 reproduction: consolidation benefit vs load\n\n");
 
-  control::EvalHarness harness(benchsup::standard_options());
+  control::EvalEngine eval(benchsup::standard_options());
   const std::vector<core::Scenario> scenarios = {
       core::Scenario::by_number(5), core::Scenario::by_number(7),
       core::Scenario::by_number(6), core::Scenario::by_number(8),
   };
   const auto table =
-      benchsup::run_sweep(harness, scenarios, control::paper_load_axis());
+      benchsup::run_sweep(eval, scenarios, control::paper_load_axis());
 
   util::TextTable out({"load %", "#5 power (W)", "#7 power (W)", "machines off",
                        "saving (W)", "saving (%)", "#6 vs #8 saving (%)"});
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     savings.push_back(saving_pct);
     out.row({util::strf("%.0f", pct), util::strf("%.0f", p5.total_power_w),
              util::strf("%.0f", p7.total_power_w),
-             util::strf("%zu", harness.model().size() - p7.machines_on),
+             util::strf("%zu", eval.model().size() - p7.machines_on),
              util::strf("%.0f", saving_w), util::strf("%.1f", saving_pct),
              util::strf("%.1f", benchsup::saving_pct(p6.total_power_w,
                                                      p8.total_power_w))});

@@ -16,12 +16,12 @@ int main(int argc, char** argv) {
   std::printf("Fig. 7 reproduction: Even vs Bottom-up vs Optimal "
               "(AC control, no consolidation)\n\n");
 
-  control::EvalHarness harness(benchsup::standard_options());
+  control::EvalEngine eval(benchsup::standard_options());
   const std::vector<core::Scenario> scenarios = {
       core::Scenario::by_number(4), core::Scenario::by_number(5),
       core::Scenario::by_number(6)};
   const auto table =
-      benchsup::run_sweep(harness, scenarios, control::paper_load_axis());
+      benchsup::run_sweep(eval, scenarios, control::paper_load_axis());
 
   benchsup::print_power_table(table, "Measured total power (W):");
   benchsup::maybe_export_csv(table, "fig7_no_consolidation");

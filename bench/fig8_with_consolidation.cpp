@@ -17,13 +17,13 @@ int main(int argc, char** argv) {
   std::printf("Fig. 8 reproduction: Even vs Bottom-up vs Optimal "
               "(AC control + consolidation)\n\n");
 
-  control::EvalHarness harness(benchsup::standard_options());
+  control::EvalEngine eval(benchsup::standard_options());
   // The unnumbered Even+AC+consolidation combination from the figure legend.
   const core::Scenario even_consol{0, core::Distribution::kEven, true, true};
   const std::vector<core::Scenario> scenarios = {
       even_consol, core::Scenario::by_number(7), core::Scenario::by_number(8)};
   const auto table =
-      benchsup::run_sweep(harness, scenarios, control::paper_load_axis());
+      benchsup::run_sweep(eval, scenarios, control::paper_load_axis());
 
   benchsup::print_power_table(table, "Measured total power (W):");
   benchsup::maybe_export_csv(table, "fig8_with_consolidation");

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  control::EvalHarness harness(benchsup::standard_options());
-  const auto table = benchsup::run_sweep(harness, core::Scenario::all8(),
+  control::EvalEngine eval(benchsup::standard_options());
+  const auto table = benchsup::run_sweep(eval, core::Scenario::all8(),
                                          control::paper_load_axis());
 
   benchsup::print_power_table(table, "Measured total power (W):");
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       ++violations;
       worst_violation_c =
           std::max(worst_violation_c,
-                   p.measurement.peak_cpu_temp_c - harness.model().t_max);
+                   p.measurement.peak_cpu_temp_c - eval.model().t_max);
     }
   }
   std::printf("Temperature-ceiling violations across all %zu operating points: %zu",

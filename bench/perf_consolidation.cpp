@@ -80,7 +80,7 @@ void BM_RankAllKInto(benchmark::State& state) {
   const core::IncrementalConsolidator consolidator(model);
   const double load = model->total_capacity() * 0.4;
   // Grow-only ranking buffer reused across iterations — the engine's warm
-  // candidate-walk call shape, vs the allocating rank_all_k().
+  // candidate-walk call shape.
   std::vector<core::ConsolidationChoice> ranked;
   for (auto _ : state) {
     benchmark::DoNotOptimize(consolidator.rank_all_k_into(load, ranked));

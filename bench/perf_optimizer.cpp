@@ -8,7 +8,7 @@
 
 #include "core/closed_form.h"
 #include "core/lp_optimizer.h"
-#include "core/scenario.h"
+#include "core/engine.h"
 #include "core/synthetic.h"
 #include "obs/session.h"
 
@@ -63,16 +63,16 @@ void BM_LpOptimizerSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_LpOptimizerSolve)->RangeMultiplier(2)->Range(8, 64)->Complexity();
 
-void BM_ScenarioPlanner(benchmark::State& state) {
+void BM_PlanEngineSolve(benchmark::State& state) {
   const core::RoomModel model = model_of_size(20);
-  const core::ScenarioPlanner planner(model);
-  const core::Scenario holistic = core::Scenario::by_number(8);
-  const double load = model.total_capacity() * 0.45;
+  const core::PlanEngine engine(model);
+  const core::PlanRequest request(core::Scenario::by_number(8),
+                                  model.total_capacity() * 0.45);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.plan(holistic, load));
+    benchmark::DoNotOptimize(engine.solve(request).plan);
   }
 }
-BENCHMARK(BM_ScenarioPlanner);
+BENCHMARK(BM_PlanEngineSolve);
 
 void BM_MaxSafeTac(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -174,9 +174,10 @@ IncrementalResult run_incremental(const core::SharedRoomModel& model,
 
   // Bit-for-bit: the patched table equals the rebuilt one, both queries
   // agree, and query_best_into is exactly the head of the full ranking.
-  const std::vector<core::ConsolidationChoice> ranked = inc.rank_all_k(load);
+  std::vector<core::ConsolidationChoice> ranked;
+  const size_t ranked_count = inc.rank_all_k_into(load, ranked);
   r.identical = tables_identical(inc.table(), rebuilt.table()) && found &&
-                found_cold && !ranked.empty() &&
+                found_cold && ranked_count > 0 &&
                 choices_identical({best}, {best_cold}) &&
                 choices_identical({best}, {ranked.front()});
   return r;

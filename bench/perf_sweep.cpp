@@ -4,7 +4,7 @@
 // Four timings per grid size, on the standard 20-machine testbed stand-in:
 //
 //   cold      construct-and-measure from scratch — profiling campaign plus
-//             a serial sweep (the pre-engine EvalHarness call pattern);
+//             a serial sweep (the pre-engine call pattern);
 //   warm      the same sweep again on the same engine: every point is a
 //             memo-cache hit, nothing settles (target: >= 10x vs cold);
 //   serial    a fresh engine with the profile pre-built, sweeping the grid

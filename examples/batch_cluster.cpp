@@ -122,8 +122,8 @@ int main(int argc, char** argv) {
         core::Scenario::by_number(8),
         engine.capacity_files_s() * load_fraction_at_hour(hour)});
   }
-  const std::vector<core::PlanResult> preview =
-      engine.plan_engine()->solve_batch(day);
+  std::vector<core::PlanResult> preview;
+  engine.plan_engine()->solve_batch_into(day, preview);
   size_t feasible_hours = 0;
   double planned_kwh = 0.0;
   for (const core::PlanResult& r : preview) {

@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "control/harness.h"
+#include "control/eval_engine.h"
 #include "util/cli.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -58,26 +58,26 @@ int main(int argc, char** argv) {
   const size_t n_new = static_cast<size_t>(flags.get_int("new", 10));
   const uint64_t seed = static_cast<uint64_t>(flags.get_int("seed", 7));
 
-  control::HarnessOptions options;
+  control::EvalOptions options;
   options.room = mixed_room(n_old, n_new, seed);
   options.profiling.heterogeneous_power = true;
   std::printf("Profiling a mixed fleet (%zu old + %zu new nodes)...\n\n", n_old,
               n_new);
-  control::EvalHarness harness(options);
+  control::EvalEngine eval(options);
   std::printf("Planner path: %s (heterogeneous fleets bypass the closed form)\n\n",
-              harness.planner().exact_paths() ? "closed form" : "bounded LP");
+              eval.plan_engine()->exact_paths() ? "closed form" : "bounded LP");
 
   // How the holistic optimizer staffs the room across loads.
   util::TextTable staffing({"load %", "old ON", "new ON", "old load share %",
                             "total power (W)"});
   for (const double pct : {20.0, 40.0, 60.0, 80.0}) {
-    const auto point = harness.measure(core::Scenario::by_number(8), pct);
+    const auto point = eval.measure(core::Scenario::by_number(8), pct);
     if (!point.feasible) continue;
     size_t old_on = 0;
     size_t new_on = 0;
     double old_load = 0.0;
     double total_load = 0.0;
-    for (size_t i = 0; i < harness.model().size(); ++i) {
+    for (size_t i = 0; i < eval.model().size(); ++i) {
       const bool is_old = i < n_old;
       if (point.plan.allocation.on[i]) (is_old ? old_on : new_on) += 1;
       if (is_old) old_load += point.plan.allocation.loads[i];
@@ -91,16 +91,16 @@ int main(int argc, char** argv) {
   std::printf("Holistic staffing by load:\n%s\n", staffing.render().c_str());
 
   // The refresh question: what would an all-new room of equal capacity cost?
-  const double mixed_cap = harness.capacity_files_s();
+  const double mixed_cap = eval.capacity_files_s();
   const size_t equivalent_new =
       static_cast<size_t>(mixed_cap / 46.0 + 0.999);
-  control::HarnessOptions refreshed = options;
+  control::EvalOptions refreshed = options;
   refreshed.room = mixed_room(0, equivalent_new, seed + 1);
   refreshed.profiling.heterogeneous_power = false;
-  control::EvalHarness after(refreshed);
+  control::EvalEngine after(refreshed);
 
   util::TextTable compare({"room", "capacity (files/s)", "power @60% (W)"});
-  const auto before_pt = harness.measure(core::Scenario::by_number(8), 60.0);
+  const auto before_pt = eval.measure(core::Scenario::by_number(8), 60.0);
   const auto after_pt = after.measure(core::Scenario::by_number(8), 60.0);
   compare.row({util::strf("mixed (%zu old + %zu new)", n_old, n_new),
                util::strf("%.0f", mixed_cap),

@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "control/harness.h"
+#include "control/eval_engine.h"
 #include "util/cli.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -35,14 +35,14 @@ int main(int argc, char** argv) {
   }
   const double load_pct = flags.get_double("load-pct", 50.0);
 
-  control::HarnessOptions options;
+  control::EvalOptions options;
   options.room.num_servers = static_cast<size_t>(flags.get_int("servers", 20));
   options.room.seed = static_cast<uint64_t>(flags.get_int("seed", 42));
 
   std::printf("Profiling a %zu-machine room...\n\n", options.room.num_servers);
-  control::EvalHarness harness(options);
+  control::EvalEngine eval(options);
 
-  const auto& profile = harness.profile();
+  const auto& profile = eval.profile();
   std::printf("Fitted power model (Eq. 9):   P = %.3f * L + %.2f   (R^2 = %.4f)\n",
               profile.power.model.w1, profile.power.model.w2,
               profile.power.r_squared);
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
               profile.cooler.model.cfac, profile.cooler.model.fan_offset_w);
   std::printf("Thermal models (Eq. 8), a sample of machines:\n");
   util::TextTable thermal({"machine", "alpha", "beta", "gamma", "R^2"});
-  for (size_t i = 0; i < harness.model().size(); i += 5) {
+  for (size_t i = 0; i < eval.model().size(); i += 5) {
     thermal.row({util::strf("%zu", i),
                  util::strf("%.3f", profile.thermal.fits[i].coeffs.alpha),
                  util::strf("%.4f", profile.thermal.fits[i].coeffs.beta),
@@ -62,16 +62,16 @@ int main(int argc, char** argv) {
   const core::Scenario holistic = core::Scenario::by_number(8);
   const core::Scenario baseline = core::Scenario::by_number(1);
 
-  auto opt = harness.measure(holistic, load_pct);
-  auto base = harness.measure(baseline, load_pct);
+  auto opt = eval.measure(holistic, load_pct);
+  auto base = eval.measure(baseline, load_pct);
   if (!opt.feasible || !base.feasible) {
     std::fprintf(stderr, "no feasible operating point at %.0f%% load\n", load_pct);
     return 1;
   }
 
   std::printf("At %.0f%% load (%.0f files/s over %.0f files/s capacity):\n\n",
-              load_pct, harness.capacity_files_s() * load_pct / 100.0,
-              harness.capacity_files_s());
+              load_pct, eval.capacity_files_s() * load_pct / 100.0,
+              eval.capacity_files_s());
   util::TextTable table({"", "machines ON", "T_ac (C)", "IT power (W)",
                          "cooling (W)", "total (W)", "peak CPU (C)"});
   auto add = [&](const char* name, const control::EvalPoint& p) {
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   std::printf("Holistic optimization saves %.1f%% total power at this load.\n",
               saving);
   std::printf("Temperature ceiling (T_max = %.0f C) violated: %s\n",
-              harness.model().t_max,
+              eval.model().t_max,
               opt.measurement.temp_violation ? "YES (bug!)" : "no");
   return 0;
 }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
+#include "core/scratch.h"
 #include "obs/obs.h"
 #include "util/log.h"
 #include "util/strings.h"
@@ -147,10 +149,13 @@ bool AdaptiveController::try_rebalance(double demand) {
   if (demand > on_capacity() + 1e-9) return false;
   const std::vector<size_t> on_set = current_on_set();
   if (on_set.empty()) return false;
-  const auto alloc = engine_->rebalance(on_set, demand);
-  if (!alloc) return false;
-  apply(*alloc, /*allow_power_changes=*/false);
-  plan_->allocation = *alloc;
+  core::Allocation alloc;
+  if (!engine_->rebalance_into(on_set, demand, core::SolveScratch::local(),
+                               alloc)) {
+    return false;
+  }
+  apply(alloc, /*allow_power_changes=*/false);
+  plan_->allocation = std::move(alloc);
   plan_->load = demand;
   ++stats_.rebalances;
   obs::count("control.adaptive.rebalances");

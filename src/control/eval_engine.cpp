@@ -86,8 +86,7 @@ void EvalEngine::ensure_profile() const {
       primary_ = station.get();
       idle_stations_.push_back(std::move(station));
     }
-    counters_.profiles.fetch_add(1, std::memory_order_relaxed);
-    obs::count("eval.profiles");
+    obs::count("eval.profiles", &counters_.profiles);
     obs::observe("eval.profile_us", now_us() - t0);
   });
 }
@@ -125,8 +124,7 @@ sim::MachineRoom& EvalEngine::room() {
 std::unique_ptr<EvalEngine::Station> EvalEngine::make_station(
     const sim::RoomConfig& config) const {
   auto station = std::make_unique<Station>(config);
-  const uint64_t built =
-      counters_.rooms_built.fetch_add(1, std::memory_order_relaxed) + 1;
+  const uint64_t built = obs::bump_counter(counters_.rooms_built);
   obs::gauge_set("eval.rooms", static_cast<double>(built));
   return station;
 }
@@ -176,13 +174,11 @@ std::optional<EvalPoint> EvalEngine::cache_lookup(const CacheKey& key) {
     std::scoped_lock lock(cache_mu_);
     const auto it = cache_.find(key);
     if (it != cache_.end()) {
-      counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      obs::count("eval.cache.hit");
+      obs::count("eval.cache.hit", &counters_.cache_hits);
       return it->second;
     }
   }
-  counters_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-  obs::count("eval.cache.miss");
+  obs::count("eval.cache.miss", &counters_.cache_misses);
   return std::nullopt;
 }
 
@@ -207,15 +203,13 @@ EvalPoint EvalEngine::measure_on(Station& station,
   if (!result.feasible()) {
     util::log_warn("EvalEngine: no feasible plan for %s at %.0f%% load",
                    scenario.name().c_str(), load_pct);
-    counters_.infeasible.fetch_add(1, std::memory_order_relaxed);
-    obs::count("eval.infeasible");
+    obs::count("eval.infeasible", &counters_.infeasible);
   } else {
     point.feasible = true;
     point.plan = *result.plan;
     point.measurement = station.runner->run(point.plan, run);
   }
-  counters_.measures.fetch_add(1, std::memory_order_relaxed);
-  obs::count("eval.measures");
+  obs::count("eval.measures", &counters_.measures);
   obs::observe("eval.measure_us", now_us() - t0);
   return point;
 }
@@ -241,8 +235,7 @@ EvalPoint EvalEngine::measure_faulted(const core::Scenario& scenario,
   ensure_profile();
   faults.validate(options_.room.total_servers());
   if (faults.empty()) return measure(scenario, load_pct);
-  counters_.faulted_measures.fetch_add(1, std::memory_order_relaxed);
-  obs::count("eval.faulted_measures");
+  obs::count("eval.faulted_measures", &counters_.faulted_measures);
 
   // A dedicated throwaway station: faults must never leak into the pooled
   // clean replicas, or the memo cache would stop describing the healthy
@@ -325,10 +318,9 @@ std::vector<EvalPoint> EvalEngine::measure_batch(
     for (const size_t i : misses) cache_insert(keys[i], results[i]);
   }
 
-  counters_.sweeps.fetch_add(1, std::memory_order_relaxed);
-  counters_.sweep_points.fetch_add(requests.size(), std::memory_order_relaxed);
-  obs::count("eval.sweep.sweeps");
-  obs::count("eval.sweep.points", static_cast<uint64_t>(requests.size()));
+  obs::count("eval.sweep.sweeps", &counters_.sweeps);
+  obs::count("eval.sweep.points", &counters_.sweep_points,
+             static_cast<uint64_t>(requests.size()));
   obs::observe("eval.sweep.latency_us", now_us() - t0);
   return results;
 }
@@ -354,16 +346,15 @@ util::ThreadPool& EvalEngine::default_pool() {
 
 EvalCounters EvalEngine::counters() const {
   EvalCounters c;
-  c.profiles = counters_.profiles.load(std::memory_order_relaxed);
-  c.measures = counters_.measures.load(std::memory_order_relaxed);
-  c.infeasible = counters_.infeasible.load(std::memory_order_relaxed);
-  c.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
-  c.cache_misses = counters_.cache_misses.load(std::memory_order_relaxed);
-  c.faulted_measures =
-      counters_.faulted_measures.load(std::memory_order_relaxed);
-  c.sweeps = counters_.sweeps.load(std::memory_order_relaxed);
-  c.sweep_points = counters_.sweep_points.load(std::memory_order_relaxed);
-  c.rooms_built = counters_.rooms_built.load(std::memory_order_relaxed);
+  c.profiles = obs::load_counter(counters_.profiles);
+  c.measures = obs::load_counter(counters_.measures);
+  c.infeasible = obs::load_counter(counters_.infeasible);
+  c.cache_hits = obs::load_counter(counters_.cache_hits);
+  c.cache_misses = obs::load_counter(counters_.cache_misses);
+  c.faulted_measures = obs::load_counter(counters_.faulted_measures);
+  c.sweeps = obs::load_counter(counters_.sweeps);
+  c.sweep_points = obs::load_counter(counters_.sweep_points);
+  c.rooms_built = obs::load_counter(counters_.rooms_built);
   return c;
 }
 

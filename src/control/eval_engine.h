@@ -5,8 +5,8 @@
 // of experiments" of Section III-A plus cooler calibration), then measure
 // many (scenario, load) operating points against the fitted model — plan,
 // actuate, settle, read. Historically every figure bench rebuilt that
-// pipeline from scratch: each EvalHarness re-ran the full profiling
-// campaign, every repeated (scenario, load) query re-settled an operating
+// pipeline from scratch: each one re-ran the full profiling campaign,
+// every repeated (scenario, load) query re-settled an operating
 // point already measured, and the 8-scenario x load-axis sweeps walked the
 // grid strictly serially.
 //
@@ -30,7 +30,6 @@
 // caches buy (see docs/evaluation.md and docs/observability.md).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -56,7 +55,7 @@ namespace coolopt::control {
 
 /// Everything that parameterizes an evaluation campaign: the room, the
 /// profiling campaign that fits its model, the planner policy, and how
-/// operating points are run. (`HarnessOptions` in harness.h is an alias.)
+/// operating points are run.
 struct EvalOptions {
   sim::RoomConfig room;
   profiling::ProfilingOptions profiling = profiling::ProfilingOptions::fast();
@@ -85,9 +84,9 @@ struct EvalRequest {
   double load_pct = 0.0;
 };
 
-/// Monotonic per-engine counters (snapshot; the live values are relaxed
-/// atomics so sweep workers update them concurrently). Mirrored into the
-/// attached obs::MetricsRegistry as the `eval.*` metrics.
+/// Monotonic per-engine counters (a snapshot). Each event bumps its field
+/// and the attached obs::MetricsRegistry's `eval.*` metric in one call
+/// (rooms_built is the `eval.rooms` gauge), so the two always agree.
 struct EvalCounters {
   uint64_t profiles = 0;         ///< profiling campaigns run (stays at 1)
   uint64_t measures = 0;         ///< operating points actually measured
@@ -119,7 +118,7 @@ class EvalEngine {
   profiling::SharedRoomProfile shared_profile() const;
   const core::RoomModel& model() const;
   /// The planning engine built from the fitted model, shared with every
-  /// caller (hand it to a ScenarioPlanner or AdaptiveController).
+  /// caller (hand it to an AdaptiveController, or solve on it directly).
   const std::shared_ptr<core::PlanEngine>& plan_engine() const;
   double capacity_files_s() const;
   /// The primary measurement room (the one the profiling campaign ran on).
@@ -131,7 +130,7 @@ class EvalEngine {
   /// Plans and runs one scenario at `load_pct` percent of room capacity.
   /// Memoized: a repeated (scenario, load, run options) query returns the
   /// identical EvalPoint without re-settling. Throws std::invalid_argument
-  /// on negative or over-capacity load, as ScenarioPlanner::plan did.
+  /// on negative or over-capacity load, as PlanEngine::solve does.
   EvalPoint measure(const core::Scenario& scenario, double load_pct);
   EvalPoint measure(const core::Scenario& scenario, double load_pct,
                     const RunOptions& run);
@@ -194,18 +193,6 @@ class EvalEngine {
     }
   };
 
-  struct LiveCounters {
-    std::atomic<uint64_t> profiles{0};
-    std::atomic<uint64_t> measures{0};
-    std::atomic<uint64_t> infeasible{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
-    std::atomic<uint64_t> faulted_measures{0};
-    std::atomic<uint64_t> sweeps{0};
-    std::atomic<uint64_t> sweep_points{0};
-    std::atomic<uint64_t> rooms_built{0};
-  };
-
   static CacheKey make_key(const core::Scenario& scenario, double load_pct,
                            const RunOptions& run);
   /// Runs the profiling campaign exactly once (thread-safe; every later
@@ -240,7 +227,8 @@ class EvalEngine {
   std::mutex pool_mu_;
   std::unique_ptr<util::ThreadPool> pool_;
 
-  mutable LiveCounters counters_;
+  /// Live counters, bumped concurrently through obs::count.
+  mutable EvalCounters counters_;
 };
 
 /// The load axis the paper sweeps in Figs. 5-9: 10..100 % in steps of 10.

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "obs/obs.h"
 #include "obs/scoped_timer.h"
-#include "util/strings.h"
 
 namespace coolopt::core {
 
@@ -120,33 +118,10 @@ void AnalyticOptimizer::solve_into(const size_t* on_set, size_t count,
 
 ClosedFormResult AnalyticOptimizer::solve(const std::vector<size_t>& on_set,
                                           double total_load) const {
-  if (on_set.empty()) {
-    throw std::invalid_argument("AnalyticOptimizer::solve: empty ON set");
-  }
-  if (total_load < 0.0) {
-    throw std::invalid_argument("AnalyticOptimizer::solve: negative load");
-  }
-  std::unordered_set<size_t> seen;
-  for (const size_t i : on_set) {
-    if (i >= model_->size()) {
-      throw std::invalid_argument(
-          util::strf("AnalyticOptimizer::solve: machine index %zu out of range", i));
-    }
-    if (!seen.insert(i).second) {
-      throw std::invalid_argument(
-          util::strf("AnalyticOptimizer::solve: duplicate machine index %zu", i));
-    }
-  }
-
+  model_->validate_on_set(on_set, total_load, "AnalyticOptimizer::solve");
   ClosedFormResult result;
   solve_into(on_set.data(), on_set.size(), total_load, result);
   return result;
-}
-
-ClosedFormResult AnalyticOptimizer::solve_all(double total_load) const {
-  std::vector<size_t> all(model_->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  return solve(all, total_load);
 }
 
 }  // namespace coolopt::core

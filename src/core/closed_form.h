@@ -80,9 +80,6 @@ class AnalyticOptimizer {
   void solve_into(const size_t* on_set, size_t count, double total_load,
                   ClosedFormResult& out) const;
 
-  /// Convenience: all machines ON.
-  ClosedFormResult solve_all(double total_load) const;
-
   const RoomModel& model() const { return *model_; }
 
  private:

@@ -19,7 +19,7 @@
 // (IncrementalConsolidator, incremental.h, over detail::ConsolidationTable);
 // Algorithm 2 answers a load query by binary search over the allStatus
 // list (ConsolidationTable::query_paper), and the exact per-k queries
-// (query_best_into, rank_all_k) are what the planner runs.
+// (query_best_into, rank_all_k_into) are what the planner runs.
 //
 // Physical actuation limits enter as bounds on the particle time:
 // t in [t_ac_min/w1, t_ac_max/w1]. Below the lower bound the subset cannot
@@ -28,7 +28,7 @@
 // every machine below T_max (the time is clamped). Machine capacities are
 // NOT modeled here (the paper's reduction has no room for them); callers
 // needing hard capacity guarantees re-validate the returned subset with
-// LpOptimizer and fall back to the ranked alternatives (rank_all_k).
+// LpOptimizer and fall back to the ranked alternatives (rank_all_k_into).
 #pragma once
 
 #include <cstddef>

@@ -54,11 +54,9 @@ void PlanEngine::ensure(std::once_flag& once, Build&& build) const {
     built = true;
   });
   if (built) {
-    counters_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.cache.miss");
+    obs::count("engine.cache.miss", &counters_.cache_misses);
   } else {
-    counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.cache.hit");
+    obs::count("engine.cache.hit", &counters_.cache_hits);
   }
 }
 
@@ -160,19 +158,18 @@ PlanEngine::TableAnswer PlanEngine::incremental_query(
   if (!incremental_) {
     incremental_ =
         std::make_unique<IncrementalConsolidator>(margin_model_, kPreValidated);
-    counters_.incremental_cold_builds.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.incremental.cold_builds");
+    obs::count("engine.incremental.cold_builds",
+               &counters_.incremental_cold_builds);
   }
   const IncrementalApplyStats stats = incremental_->set_active(active_mask);
-  counters_.incremental_replans.fetch_add(1, std::memory_order_relaxed);
-  obs::count("engine.incremental.replans");
+  obs::count("engine.incremental.replans", &counters_.incremental_replans);
   if (stats.cold_rebuild) {
-    counters_.incremental_cold_builds.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.incremental.cold_builds");
+    obs::count("engine.incremental.cold_builds",
+               &counters_.incremental_cold_builds);
   }
   if (stats.events_changed) {
-    counters_.incremental_event_rebuilds.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.incremental.event_rebuilds");
+    obs::count("engine.incremental.event_rebuilds",
+               &counters_.incremental_event_rebuilds);
   }
   if (stats.removed > 0) {
     obs::count("engine.incremental.removed", static_cast<uint64_t>(stats.removed));
@@ -282,8 +279,7 @@ bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
     return false;
   }
   std::swap(out, scr.cf.allocation);
-  counters_.memo_hits.fetch_add(1, std::memory_order_relaxed);
-  obs::count("engine.path.ranked_head");
+  obs::count("engine.path.ranked_head", &counters_.memo_hits);
   return true;
 }
 
@@ -595,36 +591,24 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
   if (solve_span >= 0) request.spans->end(solve_span);
   result.solve_us = now_us() - t0;
 
-  counters_.solves.fetch_add(1, std::memory_order_relaxed);
-  obs::count("engine.solves");
+  obs::count("engine.solves", &counters_.solves);
   obs::observe("engine.solve_us", result.solve_us);
   if (!result.plan) {
-    counters_.infeasible.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.infeasible");
+    obs::count("engine.infeasible", &counters_.infeasible);
   } else if (request.scenario.distribution == Distribution::kOptimal) {
     if (result.plan->closed_form_pure) {
-      counters_.closed_form.fetch_add(1, std::memory_order_relaxed);
-      obs::count("engine.path.closed_form");
+      obs::count("engine.path.closed_form", &counters_.closed_form);
     } else {
-      counters_.lp_fallback.fetch_add(1, std::memory_order_relaxed);
-      obs::count("engine.path.lp_fallback");
+      obs::count("engine.path.lp_fallback", &counters_.lp_fallback);
     }
   }
   if (result.shed_load > 0.0) {
-    counters_.degraded.fetch_add(1, std::memory_order_relaxed);
-    obs::count("engine.degraded");
+    obs::count("engine.degraded", &counters_.degraded);
     obs::observe("engine.shed_load", result.shed_load);
   }
   if (obs::metrics() != nullptr) {
     obs::gauge_set("engine.alloc_bytes", static_cast<double>(scr.bytes()));
   }
-}
-
-std::vector<PlanResult> PlanEngine::solve_batch(
-    std::span<const PlanRequest> requests, size_t workers) const {
-  std::vector<PlanResult> results;
-  solve_batch_into(requests, results, workers);
-  return results;
 }
 
 void PlanEngine::solve_batch_into(std::span<const PlanRequest> requests,
@@ -672,24 +656,15 @@ void PlanEngine::solve_batch_into(std::span<const PlanRequest> requests,
     }
   });
 
-  counters_.batches.fetch_add(1, std::memory_order_relaxed);
-  counters_.batch_requests.fetch_add(requests.size(), std::memory_order_relaxed);
-  obs::count("engine.batch.batches");
-  obs::count("engine.batch.requests", static_cast<uint64_t>(requests.size()));
+  obs::count("engine.batch.batches", &counters_.batches);
+  obs::count("engine.batch.requests", &counters_.batch_requests,
+             static_cast<uint64_t>(requests.size()));
   obs::observe("engine.batch.latency_us", now_us() - t0);
-}
-
-std::optional<Allocation> PlanEngine::rebalance(const std::vector<size_t>& on_set,
-                                                double load) const {
-  counters_.rebalances.fetch_add(1, std::memory_order_relaxed);
-  obs::count("engine.rebalances");
-  return lp().solve(on_set, load);
 }
 
 bool PlanEngine::rebalance_into(const std::vector<size_t>& on_set, double load,
                                 SolveScratch& scratch, Allocation& out) const {
-  counters_.rebalances.fetch_add(1, std::memory_order_relaxed);
-  obs::count("engine.rebalances");
+  obs::count("engine.rebalances", &counters_.rebalances);
   return lp().solve_into(on_set.data(), on_set.size(), load, scratch.lp, out);
 }
 
@@ -701,23 +676,22 @@ util::ThreadPool& PlanEngine::default_pool() const {
 
 EngineCounters PlanEngine::counters() const {
   EngineCounters c;
-  c.solves = counters_.solves.load(std::memory_order_relaxed);
-  c.infeasible = counters_.infeasible.load(std::memory_order_relaxed);
-  c.degraded = counters_.degraded.load(std::memory_order_relaxed);
-  c.closed_form = counters_.closed_form.load(std::memory_order_relaxed);
-  c.lp_fallback = counters_.lp_fallback.load(std::memory_order_relaxed);
-  c.rebalances = counters_.rebalances.load(std::memory_order_relaxed);
-  c.batches = counters_.batches.load(std::memory_order_relaxed);
-  c.batch_requests = counters_.batch_requests.load(std::memory_order_relaxed);
-  c.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
-  c.cache_misses = counters_.cache_misses.load(std::memory_order_relaxed);
-  c.incremental_replans =
-      counters_.incremental_replans.load(std::memory_order_relaxed);
+  c.solves = obs::load_counter(counters_.solves);
+  c.infeasible = obs::load_counter(counters_.infeasible);
+  c.degraded = obs::load_counter(counters_.degraded);
+  c.closed_form = obs::load_counter(counters_.closed_form);
+  c.lp_fallback = obs::load_counter(counters_.lp_fallback);
+  c.rebalances = obs::load_counter(counters_.rebalances);
+  c.batches = obs::load_counter(counters_.batches);
+  c.batch_requests = obs::load_counter(counters_.batch_requests);
+  c.cache_hits = obs::load_counter(counters_.cache_hits);
+  c.cache_misses = obs::load_counter(counters_.cache_misses);
+  c.incremental_replans = obs::load_counter(counters_.incremental_replans);
   c.incremental_cold_builds =
-      counters_.incremental_cold_builds.load(std::memory_order_relaxed);
+      obs::load_counter(counters_.incremental_cold_builds);
   c.incremental_event_rebuilds =
-      counters_.incremental_event_rebuilds.load(std::memory_order_relaxed);
-  c.memo_hits = counters_.memo_hits.load(std::memory_order_relaxed);
+      obs::load_counter(counters_.incremental_event_rebuilds);
+  c.memo_hits = obs::load_counter(counters_.memo_hits);
   return c;
 }
 

@@ -17,16 +17,15 @@
 //          ->  cached Algorithm 1 tables: the full fleet's (built once,
 //              read lock-free) and a restricted one quarantines move
 //          ->  dispatch: closed form -> LP fallback -> consolidation ranking
-//          ->  solve_batch fan-out over a util::ThreadPool
+//          ->  solve_batch_into fan-out over a util::ThreadPool
 //
-// Warm replans and rank_all_k queries therefore skip preprocessing
+// Warm replans and rank_all_k_into queries therefore skip preprocessing
 // entirely; `engine.cache.hit` / `engine.cache.miss` quantify it. Batch
 // solves write results into index-addressed slots, so the worker schedule
-// can never change the answer: solve_batch is bit-for-bit identical to the
-// equivalent sequence of solve() calls.
+// can never change the answer: solve_batch_into is bit-for-bit identical to
+// the equivalent sequence of solve() calls.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -80,7 +79,7 @@ struct PlanRequest {
 
 /// Outcome of one request. `error` is non-empty when the request itself was
 /// invalid (negative or over-capacity load, bad quarantine index) — solve()
-/// throws in that case, while solve_batch() captures the message here so
+/// throws in that case, while solve_batch_into() captures the message here so
 /// one bad request cannot tear down the batch.
 ///
 /// Degraded results are never silently empty: when quarantines or the
@@ -141,10 +140,9 @@ struct ModelAggregates {
   std::vector<double> w2_prefix;
 };
 
-/// Monotonic per-engine counters (snapshot; the live values are relaxed
-/// atomics so solve_batch workers update them concurrently). The same
-/// events are mirrored into the attached obs::MetricsRegistry as the
-/// `engine.*` metrics.
+/// Monotonic per-engine counters (a snapshot). Each event bumps its field
+/// and the attached obs::MetricsRegistry's `engine.*` counter of the same
+/// event in one obs::count call, so the two always agree.
 struct EngineCounters {
   uint64_t solves = 0;
   uint64_t infeasible = 0;
@@ -212,13 +210,13 @@ class PlanEngine {
   const ParticleSystem* particles() const;
 
   // --- solving ---
-  /// Plans (scenario, load) against the cached artifacts. Throws
-  /// std::invalid_argument on negative load, load above the full-fleet
-  /// capacity, or a bad quarantine index, exactly like
-  /// ScenarioPlanner::plan always did. A load the surviving machines or
-  /// the thermal ceiling cannot carry is NOT an error: the result holds
-  /// the best-effort plan (largest serveable load, found by deterministic
-  /// bisection) with the remainder in shed_load — see PlanResult.
+  /// Plans (scenario, load) against the cached artifacts: the one
+  /// value-returning solve. Throws std::invalid_argument on negative load,
+  /// load above the full-fleet capacity, or a bad quarantine index. A load
+  /// the surviving machines or the thermal ceiling cannot carry is NOT an
+  /// error: the result holds the best-effort plan (largest serveable load,
+  /// found by deterministic bisection) with the remainder in shed_load —
+  /// see PlanResult.
   PlanResult solve(const PlanRequest& request) const;
 
   /// The zero-allocation form solve() wraps: all intermediates live in
@@ -229,31 +227,23 @@ class PlanEngine {
   void solve_into(const PlanRequest& request, SolveScratch& scratch,
                   PlanResult& result) const;
 
-  /// Fans `requests` out across a worker pool and returns results in
-  /// request order. Results are bit-for-bit identical to calling solve()
+  /// Fans `requests` out across a worker pool and writes the results, in
+  /// request order, into a caller-owned vector (resized to match; per-slot
+  /// buffers reused). Results are bit-for-bit identical to calling solve()
   /// sequentially (index-addressed output slots; shared immutable caches).
   /// Request-level std::invalid_argument is captured into
   /// PlanResult::error instead of thrown. `workers` == 0 uses an
-  /// engine-owned pool sized by util::ThreadPool::default_workers().
-  std::vector<PlanResult> solve_batch(std::span<const PlanRequest> requests,
-                                      size_t workers = 0) const;
-
-  /// solve_batch writing into a caller-owned results vector (resized to
-  /// match; per-slot buffers reused). With `workers` == 0 and a warm
-  /// engine-owned pool, a repeat batch of the same shape performs no heap
-  /// allocation anywhere on the solve path (pinned by the engine-label
-  /// allocation test).
+  /// engine-owned pool sized by util::ThreadPool::default_workers(); with
+  /// it warm, a repeat batch of the same shape performs no heap allocation
+  /// anywhere on the solve path (pinned by the engine-label allocation
+  /// test).
   void solve_batch_into(std::span<const PlanRequest> requests,
                         std::vector<PlanResult>& results,
                         size_t workers = 0) const;
 
   /// Load-only redistribution over a fixed ON set (the adaptive
   /// controller's cheap middle tier): bounded LP on the cached solver, no
-  /// power-state changes implied.
-  std::optional<Allocation> rebalance(const std::vector<size_t>& on_set,
-                                      double load) const;
-
-  /// Zero-allocation rebalance: LP workspace from `scratch`, allocation
+  /// power-state changes implied. LP workspace from `scratch`, allocation
   /// written into `out` (false = infeasible). Skips the on_set validation
   /// (callers pass sets they already own).
   bool rebalance_into(const std::vector<size_t>& on_set, double load,
@@ -262,23 +252,6 @@ class PlanEngine {
   EngineCounters counters() const;
 
  private:
-  struct LiveCounters {
-    std::atomic<uint64_t> solves{0};
-    std::atomic<uint64_t> infeasible{0};
-    std::atomic<uint64_t> degraded{0};
-    std::atomic<uint64_t> closed_form{0};
-    std::atomic<uint64_t> lp_fallback{0};
-    std::atomic<uint64_t> rebalances{0};
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> batch_requests{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
-    std::atomic<uint64_t> incremental_replans{0};
-    std::atomic<uint64_t> incremental_cold_builds{0};
-    std::atomic<uint64_t> incremental_event_rebuilds{0};
-    std::atomic<uint64_t> memo_hits{0};
-  };
-
   /// What the Algorithm 1 query over a request's table produced.
   enum class TableAnswer {
     kNoTable,     ///< particle reduction inapplicable (heterogeneous w1/w2)
@@ -352,7 +325,8 @@ class PlanEngine {
   mutable std::mutex pool_mu_;
   mutable std::unique_ptr<util::ThreadPool> pool_;
 
-  mutable LiveCounters counters_;
+  /// Live counters, bumped concurrently through obs::count.
+  mutable EngineCounters counters_;
 };
 
 }  // namespace coolopt::core

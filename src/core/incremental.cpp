@@ -254,13 +254,6 @@ IncrementalApplyStats IncrementalConsolidator::set_active(
   return stats;
 }
 
-std::vector<ConsolidationChoice> IncrementalConsolidator::rank_all_k(
-    double load) const {
-  std::vector<ConsolidationChoice> out;
-  out.resize(rank_all_k_into(load, out));
-  return out;
-}
-
 bool IncrementalConsolidator::query_best_into(double load,
                                               ConsolidationChoice& out) const {
   if (load < 0.0) {

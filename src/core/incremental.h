@@ -108,14 +108,8 @@ class IncrementalConsolidator {
   /// The resulting table depends only on the mask, never on history.
   IncrementalApplyStats set_active(const std::vector<char>& active_mask);
 
-  /// Best subset of active machines for every feasible k, sorted by
-  /// predicted power then k. Machine ids are ORIGINAL model indices. Lets
-  /// callers walk down the ranking when the best choice fails external
-  /// validation (capacity/LP).
-  std::vector<ConsolidationChoice> rank_all_k(double load) const;
-
-  /// The exact query: the winning choice alone — rank_all_k(load).front()
-  /// — from a k-scan that stops at an exact power floor
+  /// The exact query: the winning choice alone — the head of
+  /// rank_all_k_into's ranking — from a k-scan that stops at an exact power floor
   /// (ConsolidationTable::query_best_into) instead of the full ranking's
   /// O(n^2) on_set materialization, written into a caller-owned choice
   /// (buffers reused).
@@ -123,9 +117,12 @@ class IncrementalConsolidator {
   /// std::invalid_argument on a negative load.
   bool query_best_into(double load, ConsolidationChoice& out) const;
 
-  /// rank_all_k into a grow-only buffer; entries [0, returned count) are
-  /// the ranking, spare slots keep their heap blocks for reuse. Same
-  /// bit-for-bit sequence as rank_all_k.
+  /// Best subset of active machines for every feasible k, sorted by
+  /// predicted power then k, written into a grow-only buffer: entries
+  /// [0, returned count) are the ranking, spare slots keep their heap
+  /// blocks for reuse. Machine ids are ORIGINAL model indices. Lets callers
+  /// walk down the ranking when the best choice fails external validation
+  /// (capacity/LP).
   size_t rank_all_k_into(double load, std::vector<ConsolidationChoice>& out) const;
 
   /// The paper's maxL(A, P_b, k): largest load exactly-k active machines

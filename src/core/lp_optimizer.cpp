@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <unordered_set>
 
 #include "core/simplex.h"
 #include "obs/obs.h"
 #include "obs/scoped_timer.h"
-#include "util/strings.h"
 
 namespace coolopt::core {
 namespace {
@@ -121,35 +118,13 @@ bool LpOptimizer::solve_into(const size_t* on_set, size_t k, double total_load,
 
 std::optional<Allocation> LpOptimizer::solve(const std::vector<size_t>& on_set,
                                              double total_load) const {
-  if (on_set.empty()) {
-    throw std::invalid_argument("LpOptimizer::solve: empty ON set");
-  }
-  if (total_load < 0.0) {
-    throw std::invalid_argument("LpOptimizer::solve: negative load");
-  }
-  std::unordered_set<size_t> seen;
-  for (const size_t i : on_set) {
-    if (i >= model_->size()) {
-      throw std::invalid_argument(
-          util::strf("LpOptimizer::solve: machine index %zu out of range", i));
-    }
-    if (!seen.insert(i).second) {
-      throw std::invalid_argument("LpOptimizer::solve: duplicate machine index");
-    }
-  }
-
+  model_->validate_on_set(on_set, total_load, "LpOptimizer::solve");
   LpWorkspace ws;
   Allocation alloc;
   if (!solve_into(on_set.data(), on_set.size(), total_load, ws, alloc)) {
     return std::nullopt;
   }
   return alloc;
-}
-
-std::optional<Allocation> LpOptimizer::solve_all(double total_load) const {
-  std::vector<size_t> all(model_->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  return solve(all, total_load);
 }
 
 }  // namespace coolopt::core

@@ -62,8 +62,6 @@ class LpOptimizer {
   bool solve_into(const size_t* on_set, size_t count, double total_load,
                   LpWorkspace& ws, Allocation& out) const;
 
-  std::optional<Allocation> solve_all(double total_load) const;
-
   const RoomModel& model() const { return *model_; }
 
  private:

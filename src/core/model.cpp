@@ -26,6 +26,18 @@ double RoomModel::total_capacity() const {
   return total;
 }
 
+namespace {
+
+/// Throws unless `v` is finite (NaN or an infinity in a model CSV would
+/// otherwise slip past the sign checks and into every plan).
+void require_finite(double v, const char* owner, const char* field) {
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument(util::strf("%s: %s must be finite", owner, field));
+  }
+}
+
+}  // namespace
+
 void RoomModel::validate() const {
   if (machines.empty()) {
     throw std::invalid_argument("RoomModel: no machines");
@@ -52,15 +64,48 @@ void RoomModel::validate() const {
           tag + ": t_max unreachable (<= gamma + beta*w2: the machine would "
                 "violate the constraint while idle even with 0-degree air)");
     }
-    if (!std::isfinite(m.thermal.gamma)) {
-      throw std::invalid_argument(tag + ": gamma must be finite");
-    }
+    require_finite(m.power.w1, tag.c_str(), "w1");
+    require_finite(m.power.w2, tag.c_str(), "w2");
+    require_finite(m.thermal.alpha, tag.c_str(), "alpha");
+    require_finite(m.thermal.beta, tag.c_str(), "beta");
+    require_finite(m.thermal.gamma, tag.c_str(), "gamma");
+    require_finite(m.capacity, tag.c_str(), "capacity");
   }
   if (!(cooler.cfac > 0.0)) {
     throw std::invalid_argument("RoomModel: cooler cfac must be > 0");
   }
   if (!(t_ac_min < t_ac_max)) {
     throw std::invalid_argument("RoomModel: t_ac_min must be < t_ac_max");
+  }
+  require_finite(t_max, "RoomModel", "t_max");
+  require_finite(t_ac_min, "RoomModel", "t_ac_min");
+  require_finite(t_ac_max, "RoomModel", "t_ac_max");
+  require_finite(cooler.cfac, "RoomModel", "cooler cfac");
+  require_finite(cooler.t_sp_ref, "RoomModel", "cooler t_sp_ref");
+  require_finite(cooler.fan_offset_w, "RoomModel", "cooler fan_offset_w");
+  require_finite(cooler.q_coeff, "RoomModel", "cooler q_coeff");
+  require_finite(cooler.min_power_w, "RoomModel", "cooler min_power_w");
+}
+
+void RoomModel::validate_on_set(const std::vector<size_t>& on_set,
+                                double total_load, const char* who) const {
+  if (on_set.empty()) {
+    throw std::invalid_argument(util::strf("%s: empty ON set", who));
+  }
+  if (total_load < 0.0) {
+    throw std::invalid_argument(util::strf("%s: negative load", who));
+  }
+  std::vector<char> seen(size(), 0);
+  for (const size_t i : on_set) {
+    if (i >= size()) {
+      throw std::invalid_argument(
+          util::strf("%s: machine index %zu out of range", who, i));
+    }
+    if (seen[i]) {
+      throw std::invalid_argument(
+          util::strf("%s: duplicate machine index %zu", who, i));
+    }
+    seen[i] = 1;
   }
 }
 

@@ -99,9 +99,16 @@ struct RoomModel {
   double total_capacity() const;
 
   /// Throws std::invalid_argument describing the first problem found
-  /// (non-positive w1/beta/alpha/capacity, t_max not above gamma, ...).
-  /// The optimizer requires a validated model.
+  /// (non-positive w1/beta/alpha/capacity, t_max not above gamma, a NaN or
+  /// infinite coefficient or bound, ...). The optimizer requires a
+  /// validated model.
   void validate() const;
+
+  /// The input checks of the optimizers' validating solve(): throws
+  /// std::invalid_argument, prefixed with `who`, on an empty ON set, a
+  /// negative load, or an out-of-range or duplicate machine index.
+  void validate_on_set(const std::vector<size_t>& on_set, double total_load,
+                       const char* who) const;
 
   /// True when every machine shares (within rel_tol) the same w1 — the
   /// assumption under which the paper's closed form is exact.

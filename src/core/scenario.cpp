@@ -1,9 +1,7 @@
 #include "core/scenario.h"
 
 #include <stdexcept>
-#include <utility>
 
-#include "core/engine.h"
 #include "util/strings.h"
 
 namespace coolopt::core {
@@ -42,30 +40,5 @@ Scenario Scenario::by_number(int number) {
   }
   throw std::out_of_range(util::strf("Scenario::by_number: no scenario #%d", number));
 }
-
-ScenarioPlanner::ScenarioPlanner(RoomModel model, PlannerOptions options)
-    : ScenarioPlanner(share_model(std::move(model)), options) {}
-
-ScenarioPlanner::ScenarioPlanner(SharedRoomModel model, PlannerOptions options)
-    : engine_(std::make_shared<PlanEngine>(std::move(model), options)) {}
-
-ScenarioPlanner::ScenarioPlanner(std::shared_ptr<PlanEngine> engine)
-    : engine_(std::move(engine)) {
-  if (!engine_) throw std::invalid_argument("ScenarioPlanner: null engine");
-}
-
-ScenarioPlanner::~ScenarioPlanner() = default;
-ScenarioPlanner::ScenarioPlanner(ScenarioPlanner&&) noexcept = default;
-ScenarioPlanner& ScenarioPlanner::operator=(ScenarioPlanner&&) noexcept = default;
-
-bool ScenarioPlanner::exact_paths() const { return engine_->exact_paths(); }
-
-std::optional<Plan> ScenarioPlanner::plan(const Scenario& s, double load) const {
-  return engine_->solve(PlanRequest{s, load}).plan;
-}
-
-const RoomModel& ScenarioPlanner::model() const { return engine_->model(); }
-
-double ScenarioPlanner::fixed_t_ac() const { return engine_->fixed_t_ac(); }
 
 }  // namespace coolopt::core

@@ -1,5 +1,6 @@
-// The eight evaluation scenarios of Fig. 4, and the planner that turns
-// (scenario, load) into a concrete allocation + cool-air temperature.
+// The eight evaluation scenarios of Fig. 4, and the plan PlanEngine
+// (core/engine.h) turns a (scenario, load) into: a concrete allocation +
+// cool-air temperature.
 //
 //                 no AC control            AC control
 //   no consol.    #1 Even  #2 Bottom-up    #4 Even  #5 Bottom-up  #6 Optimal
@@ -16,8 +17,6 @@
 //   * Consolidation: when ON, machines with no load are switched off.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,8 +24,6 @@
 #include "core/model.h"
 
 namespace coolopt::core {
-
-class PlanEngine;
 
 enum class Distribution { kEven, kBottomUp, kOptimal };
 
@@ -62,47 +59,6 @@ struct Plan {
   /// True when the Optimal distribution came from the closed form alone;
   /// false when the bounded LP fallback was engaged (out-of-bounds loads).
   bool closed_form_pure = true;
-};
-
-/// Turns (scenario, load) into an allocation against the fitted model.
-///
-/// This is now a thin facade over PlanEngine (core/engine.h), which owns
-/// the shared immutable model and every cached solver artifact; several
-/// planners built from the same engine share one Algorithm 1 event table.
-/// Homogeneous fleets (uniform w1/w2, the paper's assumption) use the
-/// closed form and the event-based optimal consolidation; heterogeneous
-/// fleets automatically route through the bounded LP with a heuristic
-/// candidate search over ON-set sizes (exact_paths() reports which).
-class ScenarioPlanner {
- public:
-  ScenarioPlanner(RoomModel model, PlannerOptions options = {});
-  ScenarioPlanner(SharedRoomModel model, PlannerOptions options = {});
-  /// Wraps an existing engine (shares its caches; no model copy).
-  explicit ScenarioPlanner(std::shared_ptr<PlanEngine> engine);
-  ~ScenarioPlanner();
-
-  ScenarioPlanner(ScenarioPlanner&&) noexcept;
-  ScenarioPlanner& operator=(ScenarioPlanner&&) noexcept;
-
-  /// True when the paper's exact machinery (closed form + Algorithm 1/2)
-  /// is in use; false for the heterogeneous LP fallback.
-  bool exact_paths() const;
-
-  /// Plans scenario `s` for total load `load` (files/s). Throws
-  /// std::invalid_argument if the load exceeds room capacity; returns
-  /// std::nullopt if no feasible operating point exists under the
-  /// temperature ceiling.
-  std::optional<Plan> plan(const Scenario& s, double load) const;
-
-  const RoomModel& model() const;
-  /// Fixed conservative cool-air temperature used when AC control is off.
-  double fixed_t_ac() const;
-
-  /// The underlying engine (never null); share it to reuse the caches.
-  const std::shared_ptr<PlanEngine>& engine() const { return engine_; }
-
- private:
-  std::shared_ptr<PlanEngine> engine_;
 };
 
 }  // namespace coolopt::core

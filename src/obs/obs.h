@@ -10,7 +10,7 @@
 //   obs::RunTrace trace;
 //   {
 //     obs::ScopedObservation scope(&registry, &trace);
-//     harness.measure(...);             // instrumented internals record
+//     eval.measure(...);                // instrumented internals record
 //   }                                   // detached again here
 //   registry.to_json(std::cout);
 //
@@ -70,6 +70,30 @@ class ScopedObservation {
 // --- one-line instrumentation helpers (all no-ops when unattached) ---
 
 inline void count(const char* name, uint64_t n = 1) {
+  if (MetricsRegistry* m = metrics()) m->counter(name).inc(n);
+}
+
+// --- per-owner counter fields ---
+//
+// An engine's counters() snapshot is a plain struct of uint64_t fields that
+// concurrent workers bump in place (relaxed, via std::atomic_ref). Every
+// event site bumps its field and the registry counter that reports it in
+// one count() call, so the snapshot and the registry cannot drift apart.
+
+/// Adds `n` to a counter field; returns the new value.
+inline uint64_t bump_counter(uint64_t& field, uint64_t n = 1) {
+  std::atomic_ref<uint64_t> live(field);
+  return live.fetch_add(n, std::memory_order_relaxed) + n;
+}
+
+/// Reads a counter field that bump_counter() may be updating concurrently.
+inline uint64_t load_counter(uint64_t& field) {
+  return std::atomic_ref<uint64_t>(field).load(std::memory_order_relaxed);
+}
+
+/// One event: bumps the owner's `*field` and the registry counter `name`.
+inline void count(const char* name, uint64_t* field, uint64_t n = 1) {
+  bump_counter(*field, n);
   if (MetricsRegistry* m = metrics()) m->counter(name).inc(n);
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -183,6 +184,54 @@ TEST(EvalEngine, EmitsTheEvalMetricsFamily) {
   EXPECT_EQ(registry.counter("eval.sweep.sweeps").value(), 1u);
   EXPECT_EQ(registry.counter("eval.sweep.points").value(), 2u);
   EXPECT_GE(registry.gauge("eval.rooms").value(), 1.0);
+}
+
+/// Each EvalCounters field and the registry instrument its event site
+/// bumps (rooms_built is reported as the `eval.rooms` gauge).
+struct CounterMetric {
+  const char* metric;
+  uint64_t EvalCounters::*field;
+};
+
+constexpr CounterMetric kEvalCounterMetrics[] = {
+    {"eval.profiles", &EvalCounters::profiles},
+    {"eval.measures", &EvalCounters::measures},
+    {"eval.infeasible", &EvalCounters::infeasible},
+    {"eval.cache.hit", &EvalCounters::cache_hits},
+    {"eval.cache.miss", &EvalCounters::cache_misses},
+    {"eval.faulted_measures", &EvalCounters::faulted_measures},
+    {"eval.sweep.sweeps", &EvalCounters::sweeps},
+    {"eval.sweep.points", &EvalCounters::sweep_points},
+};
+static_assert((std::size(kEvalCounterMetrics) + 1) * sizeof(uint64_t) ==
+                  sizeof(EvalCounters),
+              "every EvalCounters field but rooms_built has a row");
+
+TEST(EvalEngine, EveryCounterMatchesItsRegistryMetric) {
+  obs::MetricsRegistry registry;
+  obs::ScopedObservation scope(&registry);
+  EvalOptions options = small();
+  // A ceiling margin so deep that full load is thermally unservable: the
+  // degraded plan is not a measurement, so that point counts as infeasible.
+  options.planner.t_max_margin = 12.0;
+  EvalEngine engine(options);
+  engine.measure(core::Scenario::by_number(8), 40.0);
+  engine.measure(core::Scenario::by_number(8), 40.0);  // cache hit
+  EXPECT_FALSE(engine.measure(core::Scenario::by_number(6), 100.0).feasible);
+  sim::FaultPlan faults;
+  faults.failed_fans = {0};
+  engine.measure_faulted(core::Scenario::by_number(6), 30.0, faults);
+  engine.sweep(scenario_set(), {20.0, 60.0}, 2);
+
+  const EvalCounters counters = engine.counters();
+  for (const CounterMetric& row : kEvalCounterMetrics) {
+    EXPECT_EQ(counters.*row.field, registry.counter(row.metric).value())
+        << row.metric;
+    EXPECT_GT(counters.*row.field, 0u) << row.metric << " never fired";
+  }
+  EXPECT_EQ(static_cast<double>(counters.rooms_built),
+            registry.gauge("eval.rooms").value());
+  EXPECT_GT(counters.rooms_built, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "profiling/profiler.h"
 
 namespace coolopt::control {
@@ -10,7 +11,7 @@ namespace {
 struct Fixture {
   sim::MachineRoom room;
   profiling::RoomProfile profile;
-  core::ScenarioPlanner planner;
+  core::PlanEngine planner;
   ExperimentRunner runner;
 
   explicit Fixture(size_t n = 8, uint64_t seed = 51)
@@ -26,7 +27,7 @@ struct Fixture {
 
   core::Plan plan(int scenario, double frac) {
     const double load = profile.model.total_capacity() * frac;
-    auto p = planner.plan(core::Scenario::by_number(scenario), load);
+    auto p = planner.solve({core::Scenario::by_number(scenario), load}).plan;
     EXPECT_TRUE(p.has_value());
     return *p;
   }

@@ -173,7 +173,7 @@ TEST(AllocGuard, WarmSolveBatchOf200IsAllocationFree) {
     last_delta = allocs() - before;
     clean = last_delta == 0;
   }
-  EXPECT_TRUE(clean) << "a warm solve_batch of " << requests.size()
+  EXPECT_TRUE(clean) << "a warm solve_batch_into of " << requests.size()
                      << " requests still allocated " << last_delta
                      << " time(s)";
   ASSERT_EQ(results.size(), requests.size());

@@ -9,9 +9,12 @@
 
 #include "core/lp_optimizer.h"
 #include "core/synthetic.h"
+#include "tests/core/on_set_support.h"
 
 namespace coolopt::core {
 namespace {
+
+using test_support::all_machines;
 
 RoomModel two_machine_model() {
   RoomModel model;
@@ -39,7 +42,7 @@ TEST(ClosedForm, HandComputedTwoMachineInstance) {
   // L = 100: T_ac = (188 - 100)*2/8 = 22
   // L_0 = 83 - 88*4/8 = 39;  L_1 = 105 - 88*4/8 = 61.
   const AnalyticOptimizer opt(model);
-  const ClosedFormResult r = opt.solve_all(100.0);
+  const ClosedFormResult r = opt.solve(all_machines(model), 100.0);
   EXPECT_NEAR(r.sum_k, 188.0, 1e-9);
   EXPECT_NEAR(r.sum_ab, 8.0, 1e-9);
   EXPECT_NEAR(r.allocation.t_ac, 22.0, 1e-9);
@@ -56,7 +59,8 @@ TEST(ClosedForm, EveryOnMachineSitsExactlyAtTmax) {
   o.seed = 21;
   const RoomModel model = make_synthetic_model(o);
   const AnalyticOptimizer opt(model);
-  const ClosedFormResult r = opt.solve_all(model.total_capacity() * 0.7);
+  const ClosedFormResult r =
+      opt.solve(all_machines(model), model.total_capacity() * 0.7);
   for (size_t i = 0; i < model.size(); ++i) {
     EXPECT_NEAR(predicted_cpu_temp(model, r.allocation, i), model.t_max, 1e-8)
         << "machine " << i;
@@ -71,7 +75,7 @@ TEST(ClosedForm, LoadsSumToTotal) {
   const AnalyticOptimizer opt(model);
   for (const double frac : {0.3, 0.55, 0.8}) {
     const double load = model.total_capacity() * frac;
-    const ClosedFormResult r = opt.solve_all(load);
+    const ClosedFormResult r = opt.solve(all_machines(model), load);
     EXPECT_NEAR(r.allocation.total_load(), load, 1e-8);
   }
 }
@@ -80,9 +84,9 @@ TEST(ClosedForm, TacIsLinearDecreasingInLoad) {
   // Eq. 21 is affine in L with negative slope w1/sum_ab.
   const RoomModel model = two_machine_model();
   const AnalyticOptimizer opt(model);
-  const double t1 = opt.solve_all(50.0).allocation.t_ac;
-  const double t2 = opt.solve_all(100.0).allocation.t_ac;
-  const double t3 = opt.solve_all(150.0).allocation.t_ac;
+  const double t1 = opt.solve(all_machines(model), 50.0).allocation.t_ac;
+  const double t2 = opt.solve(all_machines(model), 100.0).allocation.t_ac;
+  const double t3 = opt.solve(all_machines(model), 150.0).allocation.t_ac;
   EXPECT_GT(t1, t2);
   EXPECT_GT(t2, t3);
   EXPECT_NEAR(t1 - t2, t2 - t3, 1e-9);  // affine
@@ -109,7 +113,8 @@ TEST(ClosedForm, FlagsOutOfBoundsLoads) {
   const AnalyticOptimizer opt(model);
   // Tiny total load over many ON machines: the "hot" machines want negative
   // loads at the shared T_max boundary.
-  const ClosedFormResult r = opt.solve_all(model.total_capacity() * 0.02);
+  const ClosedFormResult r =
+      opt.solve(all_machines(model), model.total_capacity() * 0.02);
   EXPECT_FALSE(r.loads_in_bounds);
 }
 
@@ -144,9 +149,9 @@ TEST_P(ClosedFormVsLp, AgreeOnInteriorInstances) {
 
   for (const double frac : {0.45, 0.65, 0.85}) {
     const double load = model.total_capacity() * frac;
-    const ClosedFormResult cf = analytic.solve_all(load);
+    const ClosedFormResult cf = analytic.solve(all_machines(model), load);
     if (!cf.within_bounds()) continue;  // LP solves a different (bounded) problem
-    const auto bounded = lp.solve_all(load);
+    const auto bounded = lp.solve(all_machines(model), load);
     ASSERT_TRUE(bounded.has_value());
     EXPECT_NEAR(bounded->t_ac, cf.allocation.t_ac, 1e-5);
     EXPECT_NEAR(bounded->total_power_w, cf.allocation.total_power_w,
@@ -167,6 +172,8 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, ClosedFormVsLp,
 namespace coolopt::core {
 namespace {
 
+using test_support::all_machines;
+
 TEST(ShadowPrices, LambdaMatchesEq16AndIsPositive) {
   const RoomModel model = []{
     SyntheticModelOptions o;
@@ -175,7 +182,8 @@ TEST(ShadowPrices, LambdaMatchesEq16AndIsPositive) {
     return make_synthetic_model(o);
   }();
   const AnalyticOptimizer opt(model);
-  const ClosedFormResult r = opt.solve_all(model.total_capacity() * 0.6);
+  const ClosedFormResult r =
+      opt.solve(all_machines(model), model.total_capacity() * 0.6);
   double sum_ab = 0.0;
   for (const auto& m : model.machines) sum_ab += m.ab_ratio();
   EXPECT_NEAR(r.lambda, model.cooler.cfac * model.machines[0].power.w1 / sum_ab,
@@ -198,9 +206,11 @@ TEST(ShadowPrices, MarginalPowerPerLoadMatchesFiniteDifference) {
   const AnalyticOptimizer opt(model);
   const double load = model.total_capacity() * 0.6;
   const double dl = 0.01;
-  const double p0 = opt.solve_all(load).allocation.total_power_w;
-  const double p1 = opt.solve_all(load + dl).allocation.total_power_w;
-  const ClosedFormResult r = opt.solve_all(load);
+  const double p0 =
+      opt.solve(all_machines(model), load).allocation.total_power_w;
+  const double p1 =
+      opt.solve(all_machines(model), load + dl).allocation.total_power_w;
+  const ClosedFormResult r = opt.solve(all_machines(model), load);
   EXPECT_NEAR((p1 - p0) / dl, r.marginal_power_per_load, 1e-6);
 }
 
@@ -213,7 +223,7 @@ TEST(ShadowPrices, MuMatchesTmaxFiniteDifference) {
   const double dt = 1e-4;
 
   const AnalyticOptimizer base_opt(model);
-  const ClosedFormResult base = base_opt.solve_all(load);
+  const ClosedFormResult base = base_opt.solve(all_machines(model), load);
 
   // Relax machine 2's ceiling only. The shared-t_max closed form cannot
   // express per-machine ceilings directly, but relaxing T_max for machine i
@@ -221,7 +231,8 @@ TEST(ShadowPrices, MuMatchesTmaxFiniteDifference) {
   RoomModel relaxed = model;
   relaxed.machines[2].thermal.gamma -= dt;
   const AnalyticOptimizer relaxed_opt(relaxed);
-  const double p_relaxed = relaxed_opt.solve_all(load).allocation.total_power_w;
+  const double p_relaxed =
+      relaxed_opt.solve(all_machines(relaxed), load).allocation.total_power_w;
   const double p_base = base.allocation.total_power_w;
   EXPECT_NEAR((p_base - p_relaxed) / dt, base.mu[2],
               std::abs(base.mu[2]) * 1e-4 + 1e-6);

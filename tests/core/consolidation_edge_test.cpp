@@ -14,6 +14,7 @@ namespace {
 using test_support::best_of;
 using test_support::expect_tables_identical;
 using test_support::paper_query;
+using test_support::ranking_of;
 using test_support::reference_table;
 
 RoomModel identical_machines(size_t n) {
@@ -114,8 +115,8 @@ TEST(ConsolidationEdge, RankAllKShrinksWithLoad) {
   o.seed = 13;
   const RoomModel model = make_synthetic_model(o);
   const IncrementalConsolidator ec(share_model(model));
-  const size_t low = ec.rank_all_k(model.total_capacity() * 0.1).size();
-  const size_t high = ec.rank_all_k(model.total_capacity() * 0.9).size();
+  const size_t low = ranking_of(ec, model.total_capacity() * 0.1).size();
+  const size_t high = ranking_of(ec, model.total_capacity() * 0.9).size();
   EXPECT_GT(low, high);
   EXPECT_GE(high, 1u);
 }

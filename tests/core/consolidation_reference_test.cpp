@@ -24,6 +24,7 @@ using test_support::best_of;
 using test_support::expect_tables_identical;
 using test_support::model_from_particles;
 using test_support::paper_query;
+using test_support::ranking_of;
 using test_support::reference_table;
 using test_support::seeded_room;
 using test_support::sku_room;
@@ -92,7 +93,7 @@ TEST(ReferenceTable, SmallRoomQueriesAgreeWithBruteForce) {
         const auto exact = best_of(cons, load);
         const auto slow = brute.best(load);
         ASSERT_EQ(exact.has_value(), slow.has_value()) << "frac " << frac;
-        const std::vector<ConsolidationChoice> ranked = cons.rank_all_k(load);
+        const std::vector<ConsolidationChoice> ranked = ranking_of(cons, load);
         ASSERT_EQ(ranked.empty(), !exact.has_value());
         const auto paper = paper_query(cons, load);
         if (!exact) {

@@ -188,8 +188,8 @@ TEST(ConsolidationSegment, QuarantineMasksAgreeWithQueryBest) {
        quarantined += 3) {
     for (size_t i = 0; i < quarantined; ++i) mask[i] = 0;
     inc.set_active(mask);
-    const std::vector<core::ConsolidationChoice> ranked =
-        inc.rank_all_k(load);
+    std::vector<core::ConsolidationChoice> ranked;
+    ranked.resize(inc.rank_all_k_into(load, ranked));
     core::ConsolidationChoice best;
     const bool got = inc.query_best_into(load, best);
     ASSERT_EQ(got, !ranked.empty());
@@ -206,7 +206,6 @@ TEST(ConsolidationSegment, AllQuarantinedMaskIsCleanlyInfeasible) {
   const double load = model->total_capacity() * 0.2;
   core::ConsolidationChoice into;
   EXPECT_FALSE(inc.query_best_into(load, into));
-  EXPECT_TRUE(inc.rank_all_k(load).empty());
   std::vector<core::ConsolidationChoice> buffer;
   EXPECT_EQ(inc.rank_all_k_into(load, buffer), 0u);
 }

@@ -1,7 +1,7 @@
 // Test support for the Algorithm 1 suites: the seeded and SKU rooms they
-// share, the optional-returning query shapes the assertions read
-// naturally, the paper's Algorithm 2 over an on-demand allStatus index, an
-// independent reference build of the table (the paper's preprocessing
+// share, the optional- and vector-returning query shapes the assertions
+// read naturally, the paper's Algorithm 2 over an on-demand allStatus
+// index, an independent reference build of the table (the paper's preprocessing
 // verbatim) for byte-for-byte checks, the unpruned best-k scan the
 // power-floor stop is checked against, and the cooler variants that
 // scan's exactness argument depends on.
@@ -111,6 +111,14 @@ inline std::optional<ConsolidationChoice> best_of(
   ConsolidationChoice choice;
   if (!cons.query_best_into(load, choice)) return std::nullopt;
   return choice;
+}
+
+/// The full ranking as a value: rank_all_k_into's entries [0, count).
+inline std::vector<ConsolidationChoice> ranking_of(
+    const IncrementalConsolidator& cons, double load) {
+  std::vector<ConsolidationChoice> ranked;
+  ranked.resize(cons.rank_all_k_into(load, ranked));
+  return ranked;
 }
 
 /// The paper's Algorithm 2 against an allStatus index built on demand.

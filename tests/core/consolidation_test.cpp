@@ -18,6 +18,7 @@ namespace {
 using test_support::best_of;
 using test_support::model_from_particles;
 using test_support::paper_query;
+using test_support::ranking_of;
 
 RoomModel model_n(size_t n, uint64_t seed) {
   SyntheticModelOptions o;
@@ -134,7 +135,7 @@ TEST(Algorithm1, FootnoteHeuristicsFailExample) {
 
   // And the event-based algorithm finds the same optimum.
   const IncrementalConsolidator ec(share_model(model));
-  const auto ranked = ec.rank_all_k(load);
+  const auto ranked = ranking_of(ec, load);
   const auto it = std::find_if(ranked.begin(), ranked.end(),
                                [](const ConsolidationChoice& c) { return c.k == 2; });
   ASSERT_NE(it, ranked.end());
@@ -146,7 +147,7 @@ TEST(Algorithm1, RankAllKIsSortedAndConsistentWithQuery) {
   const RoomModel model = model_n(12, 46);
   const IncrementalConsolidator ec(share_model(model));
   const double load = model.total_capacity() * 0.35;
-  const auto ranked = ec.rank_all_k(load);
+  const auto ranked = ranking_of(ec, load);
   ASSERT_FALSE(ranked.empty());
   for (size_t i = 1; i < ranked.size(); ++i) {
     EXPECT_LE(ranked[i - 1].predicted_total_power_w,
@@ -162,7 +163,7 @@ TEST(Algorithm1, ChoicesRespectActuationBounds) {
   const RoomModel model = model_n(10, 47);
   const IncrementalConsolidator ec(share_model(model));
   for (const double frac : {0.1, 0.4, 0.9}) {
-    const auto ranked = ec.rank_all_k(model.total_capacity() * frac);
+    const auto ranked = ranking_of(ec, model.total_capacity() * frac);
     for (const auto& c : ranked) {
       EXPECT_GE(c.t_ac, model.t_ac_min - 1e-9);
       EXPECT_LE(c.t_ac, model.t_ac_max + 1e-9);
@@ -191,7 +192,7 @@ TEST(Algorithm1, MaxLoadForBudgetInverseProperty) {
     for (const double budget : {500.0, 900.0, 1400.0}) {
       const double l_max = ec.max_load_for_budget(budget, k);
       if (l_max <= 0.0) continue;
-      const auto ranked = ec.rank_all_k(l_max * 0.999);
+      const auto ranked = ranking_of(ec, l_max * 0.999);
       const auto it = std::find_if(
           ranked.begin(), ranked.end(),
           [&](const ConsolidationChoice& c) { return c.k == k; });

@@ -5,17 +5,23 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "core/incremental.h"
+#include "core/scratch.h"
 #include "core/synthetic.h"
 #include "obs/obs.h"
+#include "tests/core/consolidation_support.h"
 #include "util/rng.h"
 
 namespace coolopt::core {
 namespace {
+
+using test_support::ranking_of;
 
 RoomModel uniform_model(size_t machines = 20, uint64_t seed = 7) {
   SyntheticModelOptions opt;
@@ -79,7 +85,8 @@ TEST(PlanEngine, BatchMatchesSequentialBitForBit) {
 
   for (const size_t workers : {1u, 2u, 8u}) {
     SCOPED_TRACE("workers " + std::to_string(workers));
-    const std::vector<PlanResult> batch = engine.solve_batch(requests, workers);
+    std::vector<PlanResult> batch;
+    engine.solve_batch_into(requests, batch, workers);
     ASSERT_EQ(batch.size(), requests.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       expect_identical(sequential[i], batch[i], i);
@@ -94,7 +101,8 @@ TEST(PlanEngine, BatchOnHeterogeneousFleetMatchesSequential) {
   std::vector<PlanResult> sequential;
   sequential.reserve(requests.size());
   for (const PlanRequest& r : requests) sequential.push_back(engine.solve(r));
-  const std::vector<PlanResult> batch = engine.solve_batch(requests, 8);
+  std::vector<PlanResult> batch;
+  engine.solve_batch_into(requests, batch, 8);
   for (size_t i = 0; i < batch.size(); ++i) {
     expect_identical(sequential[i], batch[i], i);
   }
@@ -132,29 +140,30 @@ TEST(PlanEngine, SharedEngineKeepsOneEventTableAcrossPlanners) {
   auto engine = std::make_shared<PlanEngine>(uniform_model());
   const double load = engine->model().total_capacity() * 0.6;
   for (int i = 0; i < 3; ++i) {
-    const ScenarioPlanner planner(engine);
-    ASSERT_TRUE(planner.plan(Scenario::by_number(8), load).has_value());
+    // Each consumer holds the shared engine, not a private model copy.
+    const std::shared_ptr<const PlanEngine> planner = engine;
+    ASSERT_TRUE(planner->solve({Scenario::by_number(8), load}).plan.has_value());
   }
   EXPECT_EQ(registry.counter("consolidation.preprocesses").value(), 1u);
 
-  // Independent planners (the pre-engine behavior) pay it again each time.
-  const ScenarioPlanner fresh(uniform_model());
-  ASSERT_TRUE(fresh.plan(Scenario::by_number(8), load).has_value());
+  // Independent engines (the pre-engine behavior) pay it again each time.
+  const PlanEngine fresh(uniform_model());
+  ASSERT_TRUE(fresh.solve({Scenario::by_number(8), load}).plan.has_value());
   EXPECT_EQ(registry.counter("consolidation.preprocesses").value(), 2u);
 }
 
+/// The value-returning solve() is the one wrapper over solve_into: its plan
+/// must match a warm result slot and scratch reused across every scenario.
 TEST(PlanEngine, WrapperPlannerMatchesEngine) {
-  auto engine = std::make_shared<PlanEngine>(uniform_model());
-  const ScenarioPlanner planner(engine);
-  const double capacity = engine->model().total_capacity();
+  const PlanEngine engine(uniform_model());
+  const double capacity = engine.model().total_capacity();
+  SolveScratch scratch;
+  PlanResult slot;
   for (const Scenario& s : Scenario::all8()) {
-    const double load = capacity * 0.55;
-    const auto via_planner = planner.plan(s, load);
-    const auto via_engine = engine->solve(PlanRequest{s, load});
-    ASSERT_EQ(via_planner.has_value(), via_engine.plan.has_value()) << s.name();
-    if (!via_planner) continue;
-    EXPECT_EQ(via_planner->allocation.loads, via_engine.plan->allocation.loads);
-    EXPECT_EQ(via_planner->allocation.t_ac, via_engine.plan->allocation.t_ac);
+    const PlanRequest request{s, capacity * 0.55};
+    const PlanResult via_solve = engine.solve(request);
+    engine.solve_into(request, scratch, slot);
+    expect_identical(via_solve, slot, static_cast<size_t>(s.number));
   }
 }
 
@@ -224,7 +233,8 @@ TEST(PlanEngine, InvalidLoadThrowsOnSolveButIsCapturedInBatch) {
       PlanRequest{s, -1.0},
       PlanRequest{s, engine.model().total_capacity() * 0.25},
   };
-  const std::vector<PlanResult> results = engine.solve_batch(requests, 2);
+  std::vector<PlanResult> results;
+  engine.solve_batch_into(requests, results, 2);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].feasible());
   EXPECT_FALSE(results[1].feasible());
@@ -239,14 +249,15 @@ TEST(PlanEngine, RebalanceServesLoadOnFixedOnSet) {
   for (const size_t i : on_set) {
     on_capacity += engine.model().machines[i].capacity;
   }
-  const auto alloc = engine.rebalance(on_set, on_capacity * 0.7);
-  ASSERT_TRUE(alloc.has_value());
+  Allocation alloc;
+  ASSERT_TRUE(engine.rebalance_into(on_set, on_capacity * 0.7,
+                                    SolveScratch::local(), alloc));
   double served = 0.0;
   for (size_t i = 0; i < engine.model().size(); ++i) {
-    if (alloc->on[i]) {
-      served += alloc->loads[i];
+    if (alloc.on[i]) {
+      served += alloc.loads[i];
     } else {
-      EXPECT_EQ(alloc->loads[i], 0.0);
+      EXPECT_EQ(alloc.loads[i], 0.0);
     }
   }
   EXPECT_NEAR(served, on_capacity * 0.7, 1e-6);
@@ -259,8 +270,9 @@ TEST(PlanEngine, CountersTrackBatches) {
       PlanRequest{Scenario::by_number(6), engine.model().total_capacity() * 0.4},
       PlanRequest{Scenario::by_number(6), engine.model().total_capacity() * 0.6},
   };
-  engine.solve_batch(requests, 2);
-  engine.solve_batch(requests, 1);
+  std::vector<PlanResult> results;
+  engine.solve_batch_into(requests, results, 2);
+  engine.solve_batch_into(requests, results, 1);
   const EngineCounters counters = engine.counters();
   EXPECT_EQ(counters.batches, 2u);
   EXPECT_EQ(counters.batch_requests, 4u);
@@ -295,12 +307,12 @@ void expect_head_answers_match_walk(const PlanEngine& engine,
 
     std::vector<ConsolidationChoice> ranked;
     if (req.quarantined.empty()) {
-      ranked = engine.consolidator()->rank_all_k(plan.load);
+      ranked = ranking_of(*engine.consolidator(), plan.load);
     } else {
       std::vector<char> mask(engine.model().size(), 1);
       for (size_t q : req.quarantined) mask[q] = 0;
       restricted_table.set_active(mask);
-      ranked = restricted_table.rank_all_k(plan.load);
+      ranked = ranking_of(restricted_table, plan.load);
     }
     ASSERT_FALSE(ranked.empty());
     std::vector<bool> head_on(engine.model().size(), false);
@@ -543,6 +555,101 @@ TEST(PlanEngineDegraded, DegradedSolvesCountInCounters) {
   EXPECT_EQ(result.plan->allocation.count_on(), 0u);
   EXPECT_DOUBLE_EQ(result.shed_load, engine.model().total_capacity());
   EXPECT_EQ(engine.counters().degraded, 1u);
+}
+
+/// Each EngineCounters field and the registry counter its event site bumps.
+struct CounterMetric {
+  const char* metric;
+  uint64_t EngineCounters::*field;
+};
+
+constexpr CounterMetric kEngineCounterMetrics[] = {
+    {"engine.solves", &EngineCounters::solves},
+    {"engine.infeasible", &EngineCounters::infeasible},
+    {"engine.degraded", &EngineCounters::degraded},
+    {"engine.path.closed_form", &EngineCounters::closed_form},
+    {"engine.path.lp_fallback", &EngineCounters::lp_fallback},
+    {"engine.rebalances", &EngineCounters::rebalances},
+    {"engine.batch.batches", &EngineCounters::batches},
+    {"engine.batch.requests", &EngineCounters::batch_requests},
+    {"engine.cache.hit", &EngineCounters::cache_hits},
+    {"engine.cache.miss", &EngineCounters::cache_misses},
+    {"engine.incremental.replans", &EngineCounters::incremental_replans},
+    {"engine.incremental.cold_builds", &EngineCounters::incremental_cold_builds},
+    {"engine.incremental.event_rebuilds",
+     &EngineCounters::incremental_event_rebuilds},
+    {"engine.path.ranked_head", &EngineCounters::memo_hits},
+};
+static_assert(std::size(kEngineCounterMetrics) * sizeof(uint64_t) ==
+                  sizeof(EngineCounters),
+              "every EngineCounters field has a row");
+
+/// Expects every field to equal its registry metric; returns the snapshot.
+EngineCounters expect_counters_match_registry(const PlanEngine& engine,
+                                              obs::MetricsRegistry& registry) {
+  const EngineCounters counters = engine.counters();
+  for (const CounterMetric& row : kEngineCounterMetrics) {
+    EXPECT_EQ(counters.*row.field, registry.counter(row.metric).value())
+        << row.metric;
+  }
+  return counters;
+}
+
+TEST(PlanEngine, EveryCounterMatchesItsRegistryMetric) {
+  {
+    obs::MetricsRegistry registry;
+    obs::ScopedObservation scope(&registry);
+    // Capacity headroom keeps the closed form within bounds, so the
+    // closed-form and ranked-head paths both answer.
+    RoomModel model = uniform_model(20);
+    for (MachineModel& m : model.machines) m.capacity *= 3.0;
+    const PlanEngine engine(model);
+    const double capacity = engine.model().total_capacity();
+    // Closed form, the LP fallback (a low load over every machine), and
+    // the ranked head across a consolidation sweep.
+    engine.solve({Scenario::by_number(6), capacity * 0.5});
+    engine.solve({Scenario::by_number(6), capacity * 0.03});
+    for (int step = 1; step <= 9; ++step) {
+      engine.solve({Scenario::by_number(8), capacity * step / 10.0});
+    }
+    // Quarantine churn through the incremental table, then a load the
+    // survivors cannot carry.
+    for (const std::vector<size_t>& quarantined :
+         std::vector<std::vector<size_t>>{{1}, {1, 2}, {2}, {2, 5, 9}}) {
+      engine.solve({Scenario::by_number(8), capacity * 0.4, quarantined});
+    }
+    engine.solve({Scenario::by_number(8), capacity * 0.9, {0, 1, 2, 3, 4, 5}});
+    // A batch and a rebalance.
+    const std::vector<PlanRequest> requests = {
+        {Scenario::by_number(6), capacity * 0.3},
+        {Scenario::by_number(8), capacity * 0.6}};
+    std::vector<PlanResult> results;
+    engine.solve_batch_into(requests, results, 2);
+    Allocation alloc;
+    ASSERT_TRUE(engine.rebalance_into({0, 3, 5, 9}, capacity * 0.1,
+                                      SolveScratch::local(), alloc));
+    const EngineCounters counters =
+        expect_counters_match_registry(engine, registry);
+    for (const CounterMetric& row : kEngineCounterMetrics) {
+      if (std::string_view(row.metric) != "engine.infeasible") {
+        EXPECT_GT(counters.*row.field, 0u) << row.metric << " never fired";
+      }
+    }
+  }
+  {
+    // Infeasible solves: a room whose idle machines already break the
+    // ceiling at the coldest air the CRAC supplies.
+    obs::MetricsRegistry registry;
+    obs::ScopedObservation scope(&registry);
+    RoomModel hot = uniform_model(6);
+    hot.t_ac_min = hot.t_max - 1.0;
+    hot.t_ac_max = hot.t_max + 1.0;
+    const PlanEngine engine(hot);
+    const PlanResult result = engine.solve(
+        {Scenario::by_number(1), engine.model().total_capacity() * 0.2});
+    ASSERT_FALSE(result.plan.has_value());
+    EXPECT_GT(expect_counters_match_registry(engine, registry).infeasible, 0u);
+  }
 }
 
 }  // namespace

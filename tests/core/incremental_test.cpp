@@ -20,6 +20,7 @@ namespace coolopt::core {
 namespace {
 
 using test_support::expect_tables_identical;
+using test_support::ranking_of;
 
 /// SKU-structured fleet: `skus` distinct machine classes replicated across
 /// `machines` slots, the regime where crossing-time multiplicities are high
@@ -107,8 +108,8 @@ void run_churn(const RoomModel& room, uint64_t seed, size_t steps,
     expect_tables_identical(inc.table(), rebuilt.table());
     for (const double frac : {0.25, 0.6, 0.9}) {
       const std::vector<ConsolidationChoice> ranked =
-          inc.rank_all_k(frac * capacity);
-      expect_choices_identical(ranked, rebuilt.rank_all_k(frac * capacity));
+          ranking_of(inc, frac * capacity);
+      expect_choices_identical(ranked, ranking_of(rebuilt, frac * capacity));
       // The O(n lg) single-winner query must agree with the head of the
       // full O(n^2) ranking (it's what a one-delta replan actually runs).
       ConsolidationChoice best;
@@ -166,9 +167,10 @@ TEST(PlanEngine, QuarantinedBatchesAreWorkerCountInvariantAndIncremental) {
   }
 
   PlanEngine e1(model), e2(model), e8(model);
-  const std::vector<PlanResult> r1 = e1.solve_batch(requests, 1);
-  const std::vector<PlanResult> r2 = e2.solve_batch(requests, 2);
-  const std::vector<PlanResult> r8 = e8.solve_batch(requests, 8);
+  std::vector<PlanResult> r1, r2, r8;
+  e1.solve_batch_into(requests, r1, 1);
+  e2.solve_batch_into(requests, r2, 2);
+  e8.solve_batch_into(requests, r8, 8);
   ASSERT_EQ(r1.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     expect_results_identical(r1[i], r2[i], i);

@@ -6,9 +6,12 @@
 
 #include "core/closed_form.h"
 #include "core/synthetic.h"
+#include "tests/core/on_set_support.h"
 
 namespace coolopt::core {
 namespace {
+
+using test_support::all_machines;
 
 RoomModel model_n(size_t n, uint64_t seed) {
   SyntheticModelOptions o;
@@ -21,7 +24,8 @@ TEST(LpOptimizer, RespectsAllBounds) {
   const RoomModel model = model_n(10, 31);
   const LpOptimizer lp(model);
   // Tiny load where the closed form would emit negative loads.
-  const auto alloc = lp.solve_all(model.total_capacity() * 0.02);
+  const auto alloc =
+      lp.solve(all_machines(model), model.total_capacity() * 0.02);
   ASSERT_TRUE(alloc.has_value());
   for (size_t i = 0; i < model.size(); ++i) {
     EXPECT_GE(alloc->loads[i], -1e-9);
@@ -45,7 +49,8 @@ TEST(LpOptimizer, InfeasibleWhenLoadExceedsOnCapacity) {
 TEST(LpOptimizer, PrefersWarmestFeasibleAir) {
   const RoomModel model = model_n(6, 33);
   const LpOptimizer lp(model);
-  const auto light = lp.solve_all(model.total_capacity() * 0.1);
+  const auto light =
+      lp.solve(all_machines(model), model.total_capacity() * 0.1);
   ASSERT_TRUE(light.has_value());
   // At light load nothing binds before the actuation limit.
   EXPECT_NEAR(light->t_ac, model.t_ac_max, 1e-6);
@@ -60,9 +65,9 @@ TEST(LpOptimizer, MatchesClosedFormOnInteriorInstance) {
   bool checked = false;
   for (const double frac : {0.55, 0.65, 0.75, 0.85}) {
     const double load = model.total_capacity() * frac;
-    const ClosedFormResult cf = analytic.solve_all(load);
+    const ClosedFormResult cf = analytic.solve(all_machines(model), load);
     if (!cf.within_bounds()) continue;
-    const auto bounded = lp.solve_all(load);
+    const auto bounded = lp.solve(all_machines(model), load);
     ASSERT_TRUE(bounded.has_value());
     EXPECT_NEAR(bounded->t_ac, cf.allocation.t_ac, 1e-5);
     checked = true;
@@ -75,7 +80,7 @@ TEST(LpOptimizer, SupportsHeterogeneousW1) {
   model.machines[0].power.w1 = 1.0;   // efficient machine
   model.machines[1].power.w1 = 3.0;   // hungry machine
   const LpOptimizer lp(model);
-  const auto alloc = lp.solve_all(50.0);
+  const auto alloc = lp.solve(all_machines(model), 50.0);
   ASSERT_TRUE(alloc.has_value());
   // The efficient machine should carry at least as much load as the hungry
   // one (both being otherwise similar draws).
@@ -105,7 +110,7 @@ TEST(LpOptimizer, InputValidation) {
 TEST(LpOptimizer, ZeroLoadKeepsMachinesIdleAndWarm) {
   const RoomModel model = model_n(4, 38);
   const LpOptimizer lp(model);
-  const auto alloc = lp.solve_all(0.0);
+  const auto alloc = lp.solve(all_machines(model), 0.0);
   ASSERT_TRUE(alloc.has_value());
   EXPECT_NEAR(alloc->total_load(), 0.0, 1e-9);
   EXPECT_NEAR(alloc->t_ac, model.t_ac_max, 1e-6);

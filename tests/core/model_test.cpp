@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace coolopt::core {
 namespace {
@@ -132,6 +136,40 @@ TEST(RoomModel, ValidateRejectsEachDefect) {
     m.t_ac_min = 30.0;  // above t_ac_max
     EXPECT_THROW(m.validate(), std::invalid_argument);
   }
+}
+
+TEST(RoomModel, ValidateRejectsNonFiniteFields) {
+  // NaN or an infinity in any coefficient or bound (a model CSV may spell
+  // them `nan` / `inf`) must be rejected, not planned with.
+  using Setter = void (*)(RoomModel&, double);
+  const std::vector<std::pair<const char*, Setter>> fields = {
+      {"w1", [](RoomModel& m, double v) { m.machines[1].power.w1 = v; }},
+      {"w2", [](RoomModel& m, double v) { m.machines[1].power.w2 = v; }},
+      {"alpha", [](RoomModel& m, double v) { m.machines[1].thermal.alpha = v; }},
+      {"beta", [](RoomModel& m, double v) { m.machines[1].thermal.beta = v; }},
+      {"gamma", [](RoomModel& m, double v) { m.machines[1].thermal.gamma = v; }},
+      {"capacity", [](RoomModel& m, double v) { m.machines[1].capacity = v; }},
+      {"t_max", [](RoomModel& m, double v) { m.t_max = v; }},
+      {"t_ac_min", [](RoomModel& m, double v) { m.t_ac_min = v; }},
+      {"t_ac_max", [](RoomModel& m, double v) { m.t_ac_max = v; }},
+      {"cfac", [](RoomModel& m, double v) { m.cooler.cfac = v; }},
+      {"t_sp_ref", [](RoomModel& m, double v) { m.cooler.t_sp_ref = v; }},
+      {"fan_offset_w", [](RoomModel& m, double v) { m.cooler.fan_offset_w = v; }},
+      {"q_coeff", [](RoomModel& m, double v) { m.cooler.q_coeff = v; }},
+      {"min_power_w", [](RoomModel& m, double v) { m.cooler.min_power_w = v; }},
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [name, set] : fields) {
+    for (const double bad : {std::nan(""), inf, -inf}) {
+      RoomModel m = basic_model();
+      set(m, bad);
+      EXPECT_THROW(m.validate(), std::invalid_argument) << name << " = " << bad;
+    }
+  }
+  // The "no floor" default stays valid.
+  RoomModel floorless = basic_model();
+  floorless.cooler.min_power_w = -1.0e300;
+  EXPECT_NO_THROW(floorless.validate());
 }
 
 TEST(RoomModel, UniformW1Detection) {

@@ -1,7 +1,7 @@
 // Cross-cutting optimizer properties over randomized instances:
 //  * the LP optimum dominates arbitrary feasible allocations,
 //  * the closed form is invariant to machine ordering,
-//  * the scenario planner's predicted ranking matches the paper's theory
+//  * the plan engine's predicted ranking matches the paper's theory
 //    (Optimal <= Bottom-up/Even under the model, with and without
 //    consolidation).
 #include <gtest/gtest.h>
@@ -12,12 +12,15 @@
 #include "core/baselines.h"
 #include "core/closed_form.h"
 #include "core/lp_optimizer.h"
-#include "core/scenario.h"
+#include "core/engine.h"
 #include "core/synthetic.h"
+#include "tests/core/on_set_support.h"
 #include "util/rng.h"
 
 namespace coolopt::core {
 namespace {
+
+using test_support::all_machines;
 
 RoomModel model_for(uint64_t seed, size_t n = 10) {
   SyntheticModelOptions o;
@@ -73,7 +76,7 @@ TEST_P(OptimizerProperties, LpDominatesRandomFeasibleAllocations) {
   util::Rng rng(GetParam() * 977 + 3);
   for (const double frac : {0.2, 0.5, 0.8}) {
     const double load = model.total_capacity() * frac;
-    const auto best = lp.solve_all(load);
+    const auto best = lp.solve(all_machines(model), load);
     ASSERT_TRUE(best.has_value());
     for (int trial = 0; trial < 8; ++trial) {
       const Allocation rand_alloc = random_feasible(model, load, rng);
@@ -103,14 +106,14 @@ TEST_P(OptimizerProperties, ClosedFormInvariantToMachineOrder) {
 
 TEST_P(OptimizerProperties, PlannerPredictedRankingMatchesTheory) {
   const RoomModel model = model_for(GetParam(), 12);
-  const ScenarioPlanner planner(model);
+  const PlanEngine planner(model);
   for (const double frac : {0.25, 0.55, 0.85}) {
     const double load = model.total_capacity() * frac;
-    const auto p4 = planner.plan(Scenario::by_number(4), load);
-    const auto p5 = planner.plan(Scenario::by_number(5), load);
-    const auto p6 = planner.plan(Scenario::by_number(6), load);
-    const auto p7 = planner.plan(Scenario::by_number(7), load);
-    const auto p8 = planner.plan(Scenario::by_number(8), load);
+    const auto p4 = planner.solve({Scenario::by_number(4), load}).plan;
+    const auto p5 = planner.solve({Scenario::by_number(5), load}).plan;
+    const auto p6 = planner.solve({Scenario::by_number(6), load}).plan;
+    const auto p7 = planner.solve({Scenario::by_number(7), load}).plan;
+    const auto p8 = planner.solve({Scenario::by_number(8), load}).plan;
     ASSERT_TRUE(p4 && p5 && p6 && p7 && p8);
     // Under the model, Optimal dominates the baselines in its own family.
     EXPECT_LE(p6->allocation.total_power_w, p4->allocation.total_power_w + 1e-6);
@@ -123,11 +126,11 @@ TEST_P(OptimizerProperties, PlannerPredictedRankingMatchesTheory) {
 
 TEST_P(OptimizerProperties, ScenarioPlansRespectAllConstraints) {
   const RoomModel model = model_for(GetParam(), 12);
-  const ScenarioPlanner planner(model);
+  const PlanEngine planner(model);
   for (const Scenario& s : Scenario::all8()) {
     for (const double frac : {0.1, 0.6, 1.0}) {
       const double load = model.total_capacity() * frac;
-      const auto plan = planner.plan(s, load);
+      const auto plan = planner.solve({s, load}).plan;
       if (!plan) continue;  // infeasible combinations are allowed to refuse
       EXPECT_NO_THROW(check_allocation(model, plan->allocation, load, 1e-6));
       EXPECT_LE(predicted_peak_cpu_temp(model, plan->allocation),

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "core/engine.h"
 #include "core/synthetic.h"
 
 namespace coolopt::core {
@@ -42,13 +43,15 @@ TEST(Scenario, NamesAndLookup) {
   EXPECT_STREQ(to_string(Distribution::kBottomUp), "Bottom-up");
 }
 
+// The cases below plan each scenario through PlanEngine::solve; they keep
+// the suite name of the retired planner facade they were written for.
 TEST(ScenarioPlanner, PlansAreStructurallySound) {
   const RoomModel model = model_n();
-  const ScenarioPlanner planner(model);
+  const PlanEngine planner(model);
   for (const Scenario& s : Scenario::all8()) {
     for (const double frac : {0.15, 0.5, 0.9}) {
       const double load = model.total_capacity() * frac;
-      const auto plan = planner.plan(s, load);
+      const auto plan = planner.solve({s, load}).plan;
       ASSERT_TRUE(plan.has_value()) << s.name() << " at " << frac;
       EXPECT_NO_THROW(check_allocation(model, plan->allocation, load, 1e-6))
           << s.name();
@@ -65,10 +68,10 @@ TEST(ScenarioPlanner, PlansAreStructurallySound) {
 
 TEST(ScenarioPlanner, ConsolidationTurnsMachinesOff) {
   const RoomModel model = model_n();
-  const ScenarioPlanner planner(model);
+  const PlanEngine planner(model);
   const double load = model.total_capacity() * 0.3;
-  const auto with = planner.plan(Scenario::by_number(7), load);
-  const auto without = planner.plan(Scenario::by_number(5), load);
+  const auto with = planner.solve({Scenario::by_number(7), load}).plan;
+  const auto without = planner.solve({Scenario::by_number(5), load}).plan;
   ASSERT_TRUE(with && without);
   EXPECT_LT(with->allocation.count_on(), model.size());
   EXPECT_EQ(without->allocation.count_on(), model.size());
@@ -76,9 +79,9 @@ TEST(ScenarioPlanner, ConsolidationTurnsMachinesOff) {
 
 TEST(ScenarioPlanner, NoAcScenariosUseTheFixedTemperature) {
   const RoomModel model = model_n();
-  const ScenarioPlanner planner(model);
-  const auto p1 = planner.plan(Scenario::by_number(1), 50.0);
-  const auto p2 = planner.plan(Scenario::by_number(2), 200.0);
+  const PlanEngine planner(model);
+  const auto p1 = planner.solve({Scenario::by_number(1), 50.0}).plan;
+  const auto p2 = planner.solve({Scenario::by_number(2), 200.0}).plan;
   ASSERT_TRUE(p1 && p2);
   EXPECT_DOUBLE_EQ(p1->allocation.t_ac, planner.fixed_t_ac());
   EXPECT_DOUBLE_EQ(p2->allocation.t_ac, planner.fixed_t_ac());
@@ -86,13 +89,14 @@ TEST(ScenarioPlanner, NoAcScenariosUseTheFixedTemperature) {
 
 TEST(ScenarioPlanner, AcControlRunsWarmerThanFixed) {
   const RoomModel model = model_n();
-  const ScenarioPlanner planner(model);
+  const PlanEngine planner(model);
   for (int pair = 0; pair < 2; ++pair) {
     const int without_ac = pair == 0 ? 1 : 2;
     const int with_ac = pair == 0 ? 4 : 5;
     const double load = model.total_capacity() * 0.4;
-    const auto cold = planner.plan(Scenario::by_number(without_ac), load);
-    const auto warm = planner.plan(Scenario::by_number(with_ac), load);
+    const auto cold =
+        planner.solve({Scenario::by_number(without_ac), load}).plan;
+    const auto warm = planner.solve({Scenario::by_number(with_ac), load}).plan;
     ASSERT_TRUE(cold && warm);
     EXPECT_GE(warm->allocation.t_ac, cold->allocation.t_ac - 1e-9);
   }
@@ -100,19 +104,19 @@ TEST(ScenarioPlanner, AcControlRunsWarmerThanFixed) {
 
 TEST(ScenarioPlanner, OptimalHasLowestPredictedPower) {
   const RoomModel model = model_n();
-  const ScenarioPlanner planner(model);
+  const PlanEngine planner(model);
   for (const double frac : {0.2, 0.5, 0.8}) {
     const double load = model.total_capacity() * frac;
-    const auto p6 = planner.plan(Scenario::by_number(6), load);
-    const auto p4 = planner.plan(Scenario::by_number(4), load);
-    const auto p5 = planner.plan(Scenario::by_number(5), load);
+    const auto p6 = planner.solve({Scenario::by_number(6), load}).plan;
+    const auto p4 = planner.solve({Scenario::by_number(4), load}).plan;
+    const auto p5 = planner.solve({Scenario::by_number(5), load}).plan;
     ASSERT_TRUE(p6 && p4 && p5);
     EXPECT_LE(p6->allocation.total_power_w,
               p4->allocation.total_power_w + 1e-6);
     EXPECT_LE(p6->allocation.total_power_w,
               p5->allocation.total_power_w + 1e-6);
-    const auto p8 = planner.plan(Scenario::by_number(8), load);
-    const auto p7 = planner.plan(Scenario::by_number(7), load);
+    const auto p8 = planner.solve({Scenario::by_number(8), load}).plan;
+    const auto p7 = planner.solve({Scenario::by_number(7), load}).plan;
     ASSERT_TRUE(p8 && p7);
     EXPECT_LE(p8->allocation.total_power_w,
               p7->allocation.total_power_w + 1e-6);
@@ -121,8 +125,8 @@ TEST(ScenarioPlanner, OptimalHasLowestPredictedPower) {
 
 TEST(ScenarioPlanner, ZeroLoadWithConsolidationShutsEverythingDown) {
   const RoomModel model = model_n();
-  const ScenarioPlanner planner(model);
-  const auto plan = planner.plan(Scenario::by_number(8), 0.0);
+  const PlanEngine planner(model);
+  const auto plan = planner.solve({Scenario::by_number(8), 0.0}).plan;
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->allocation.count_on(), 0u);
   EXPECT_DOUBLE_EQ(plan->allocation.it_power_w, 0.0);
@@ -130,21 +134,23 @@ TEST(ScenarioPlanner, ZeroLoadWithConsolidationShutsEverythingDown) {
 
 TEST(ScenarioPlanner, OverCapacityLoadThrows) {
   const RoomModel model = model_n();
-  const ScenarioPlanner planner(model);
-  EXPECT_THROW(planner.plan(Scenario::by_number(1), model.total_capacity() * 1.2),
+  const PlanEngine planner(model);
+  EXPECT_THROW(
+      planner.solve({Scenario::by_number(1), model.total_capacity() * 1.2}),
+      std::invalid_argument);
+  EXPECT_THROW(planner.solve({Scenario::by_number(1), -5.0}),
                std::invalid_argument);
-  EXPECT_THROW(planner.plan(Scenario::by_number(1), -5.0), std::invalid_argument);
 }
 
 TEST(ScenarioPlanner, MarginTightensTheCeiling) {
   const RoomModel model = model_n();
   PlannerOptions strict;
   strict.t_max_margin = 2.0;
-  const ScenarioPlanner tight(model, strict);
-  const ScenarioPlanner loose(model);
+  const PlanEngine tight(model, strict);
+  const PlanEngine loose(model);
   const double load = model.total_capacity() * 0.7;
-  const auto pt = tight.plan(Scenario::by_number(6), load);
-  const auto pl = loose.plan(Scenario::by_number(6), load);
+  const auto pt = tight.solve({Scenario::by_number(6), load}).plan;
+  const auto pl = loose.solve({Scenario::by_number(6), load}).plan;
   ASSERT_TRUE(pt && pl);
   EXPECT_LE(predicted_peak_cpu_temp(model, pt->allocation), model.t_max - 2.0 + 1e-6);
   EXPECT_LE(pt->allocation.t_ac, pl->allocation.t_ac + 1e-9);
@@ -154,9 +160,10 @@ TEST(ScenarioPlanner, LowLoadOptimalEngagesLpFallback) {
   // At very low load with every machine ON, the pure closed form emits
   // negative loads; the planner must fall back to the bounded LP and note it.
   const RoomModel model = model_n();
-  const ScenarioPlanner planner(model);
-  const auto plan = planner.plan(Scenario::by_number(6),
-                                 model.total_capacity() * 0.03);
+  const PlanEngine planner(model);
+  const auto plan =
+      planner.solve({Scenario::by_number(6), model.total_capacity() * 0.03})
+          .plan;
   ASSERT_TRUE(plan.has_value());
   EXPECT_FALSE(plan->closed_form_pure);
   for (const double l : plan->allocation.loads) EXPECT_GE(l, -1e-9);

@@ -5,11 +5,14 @@
 #include "core/baselines.h"
 #include "core/closed_form.h"
 #include "core/lp_optimizer.h"
-#include "core/scenario.h"
+#include "core/engine.h"
 #include "core/synthetic.h"
+#include "tests/core/on_set_support.h"
 
 namespace coolopt::core {
 namespace {
+
+using test_support::all_machines;
 
 RoomModel model_for(uint64_t seed, size_t n = 8) {
   SyntheticModelOptions o;
@@ -22,7 +25,7 @@ TEST(AuditFeasibility, CleanAllocationPasses) {
   const RoomModel model = model_for(1);
   const LpOptimizer lp(model);
   const double load = model.total_capacity() * 0.5;
-  const auto alloc = lp.solve_all(load);
+  const auto alloc = lp.solve(all_machines(model), load);
   ASSERT_TRUE(alloc.has_value());
   EXPECT_TRUE(audit_feasibility(model, *alloc, load).empty());
 }
@@ -70,7 +73,8 @@ TEST(AuditOptimality, LpSolutionSurvivesPerturbation) {
     const RoomModel model = model_for(seed);
     const LpOptimizer lp(model);
     for (const double frac : {0.3, 0.6, 0.9}) {
-      const auto alloc = lp.solve_all(model.total_capacity() * frac);
+      const auto alloc =
+          lp.solve(all_machines(model), model.total_capacity() * frac);
       ASSERT_TRUE(alloc.has_value());
       const auto audit = audit_local_optimality(model, *alloc);
       EXPECT_TRUE(audit.locally_optimal)
@@ -85,7 +89,7 @@ TEST(AuditOptimality, ClosedFormSurvivesPerturbation) {
     const RoomModel model = model_for(seed);
     const AnalyticOptimizer analytic(model);
     const double load = model.total_capacity() * 0.7;
-    const ClosedFormResult cf = analytic.solve_all(load);
+    const ClosedFormResult cf = analytic.solve(all_machines(model), load);
     if (!cf.within_bounds()) continue;
     const auto audit = audit_local_optimality(model, cf.allocation);
     EXPECT_TRUE(audit.locally_optimal)
@@ -109,10 +113,11 @@ TEST(AuditOptimality, EvenAllocationIsImprovable) {
 
 TEST(AuditOptimality, PlannerPlansSurvivePerturbation) {
   const RoomModel model = model_for(60, 10);
-  const ScenarioPlanner planner(model);
+  const PlanEngine planner(model);
   for (const double frac : {0.35, 0.65}) {
     const auto plan =
-        planner.plan(Scenario::by_number(8), model.total_capacity() * frac);
+        planner.solve({Scenario::by_number(8), model.total_capacity() * frac})
+            .plan;
     ASSERT_TRUE(plan.has_value());
     const auto audit = audit_local_optimality(model, plan->allocation);
     EXPECT_TRUE(audit.locally_optimal)
@@ -124,7 +129,8 @@ TEST(AuditOptimality, PlannerPlansSurvivePerturbation) {
 TEST(AuditOptimality, HandlesSingleMachine) {
   const RoomModel model = model_for(70, 1);
   const LpOptimizer lp(model);
-  const auto alloc = lp.solve_all(model.machines[0].capacity * 0.5);
+  const auto alloc =
+      lp.solve(all_machines(model), model.machines[0].capacity * 0.5);
   ASSERT_TRUE(alloc.has_value());
   EXPECT_TRUE(audit_local_optimality(model, *alloc).locally_optimal);
 }

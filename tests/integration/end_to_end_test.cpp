@@ -2,14 +2,14 @@
 // measure, asserting the paper's headline claims end to end.
 #include <gtest/gtest.h>
 
-#include "control/harness.h"
+#include "control/eval_engine.h"
 #include "sim/workload.h"
 
 namespace coolopt {
 namespace {
 
-control::HarnessOptions testbed() {
-  control::HarnessOptions o;
+control::EvalOptions testbed() {
+  control::EvalOptions o;
   o.room.num_servers = 12;
   o.room.seed = 2012;  // the paper's year, why not
   return o;
@@ -17,15 +17,15 @@ control::HarnessOptions testbed() {
 
 class EndToEnd : public ::testing::Test {
  protected:
-  static control::EvalHarness& harness() {
+  static control::EvalEngine& eval() {
     // Shared across tests in this suite: profiling once is enough.
-    static control::EvalHarness h(testbed());
+    static control::EvalEngine h(testbed());
     return h;
   }
 };
 
 TEST_F(EndToEnd, HolisticBeatsStandardPracticeSubstantially) {
-  auto& h = harness();
+  auto& h = eval();
   const auto base = h.measure(core::Scenario::by_number(1), 50.0);
   const auto opt = h.measure(core::Scenario::by_number(8), 50.0);
   ASSERT_TRUE(base.feasible && opt.feasible);
@@ -36,7 +36,7 @@ TEST_F(EndToEnd, HolisticBeatsStandardPracticeSubstantially) {
 }
 
 TEST_F(EndToEnd, HolisticNeverLosesToCoolJobAllocation) {
-  auto& h = harness();
+  auto& h = eval();
   for (const double pct : {20.0, 50.0, 80.0}) {
     const auto p7 = h.measure(core::Scenario::by_number(7), pct);
     const auto p8 = h.measure(core::Scenario::by_number(8), pct);
@@ -50,7 +50,7 @@ TEST_F(EndToEnd, HolisticNeverLosesToCoolJobAllocation) {
 TEST_F(EndToEnd, TemperatureConstraintHoldsEverywhere) {
   // Paper: "we also verified that the temperature constraints, Tmax, were
   // not violated for any of the CPUs."
-  auto& h = harness();
+  auto& h = eval();
   for (const core::Scenario& s : core::Scenario::all8()) {
     for (const double pct : {10.0, 40.0, 70.0, 100.0}) {
       const auto p = h.measure(s, pct);
@@ -66,10 +66,10 @@ TEST_F(EndToEnd, ThroughputConstraintHolds) {
   // Paper: "application throughput was not affected by the energy saving
   // scheme." Drive a live job stream against the holistic plan and check
   // the served rate matches the offered load.
-  auto& h = harness();
+  auto& h = eval();
   const double demand = h.capacity_files_s() * 0.5;
   const auto plan =
-      h.planner().plan(core::Scenario::by_number(8), demand);
+      h.plan_engine()->solve({core::Scenario::by_number(8), demand}).plan;
   ASSERT_TRUE(plan.has_value());
 
   sim::MachineRoom& room = h.room();
@@ -86,7 +86,7 @@ TEST_F(EndToEnd, ModelPredictionsTrackMeasurements) {
   // The paper's adequacy claim: the simple fitted models predict the
   // system's energy behaviour well enough to optimize with. Compare the
   // plan's predicted total power to the measured one.
-  auto& h = harness();
+  auto& h = eval();
   for (const double pct : {30.0, 60.0, 90.0}) {
     const auto p = h.measure(core::Scenario::by_number(8), pct);
     ASSERT_TRUE(p.feasible);
@@ -97,7 +97,7 @@ TEST_F(EndToEnd, ModelPredictionsTrackMeasurements) {
 }
 
 TEST_F(EndToEnd, ConsolidationCurveShape) {
-  auto& h = harness();
+  auto& h = eval();
   const auto low = h.measure(core::Scenario::by_number(8), 10.0);
   const auto full = h.measure(core::Scenario::by_number(8), 100.0);
   const auto low_nc = h.measure(core::Scenario::by_number(6), 10.0);
@@ -110,8 +110,8 @@ TEST_F(EndToEnd, ConsolidationCurveShape) {
 }
 
 TEST_F(EndToEnd, DeterministicAcrossRuns) {
-  control::EvalHarness h1(testbed());
-  control::EvalHarness h2(testbed());
+  control::EvalEngine h1(testbed());
+  control::EvalEngine h2(testbed());
   const auto a = h1.measure(core::Scenario::by_number(8), 40.0);
   const auto b = h2.measure(core::Scenario::by_number(8), 40.0);
   ASSERT_TRUE(a.feasible && b.feasible);

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "control/adaptive.h"
-#include "control/harness.h"
+#include "control/eval_engine.h"
 
 namespace coolopt {
 namespace {
@@ -27,8 +27,8 @@ sim::RoomConfig mixed_fleet_room() {
   return cfg;
 }
 
-control::HarnessOptions mixed_options() {
-  control::HarnessOptions o;
+control::EvalOptions mixed_options() {
+  control::EvalOptions o;
   o.room = mixed_fleet_room();
   o.profiling.heterogeneous_power = true;
   return o;
@@ -36,8 +36,8 @@ control::HarnessOptions mixed_options() {
 
 class Heterogeneous : public ::testing::Test {
  protected:
-  static control::EvalHarness& harness() {
-    static control::EvalHarness h(mixed_options());
+  static control::EvalEngine& eval() {
+    static control::EvalEngine h(mixed_options());
     return h;
   }
 };
@@ -53,7 +53,7 @@ TEST_F(Heterogeneous, RoomBuildsBothClasses) {
 }
 
 TEST_F(Heterogeneous, PerMachineFitsRecoverBothClasses) {
-  const auto& profile = harness().profile();
+  const auto& profile = eval().profile();
   ASSERT_EQ(profile.power.per_machine_models.size(), 12u);
   for (size_t i = 0; i < 6; ++i) {
     EXPECT_NEAR(profile.power.per_machine_models[i].w2, 58.0, 4.0)
@@ -70,12 +70,12 @@ TEST_F(Heterogeneous, PerMachineFitsRecoverBothClasses) {
 }
 
 TEST_F(Heterogeneous, PlannerRoutesThroughTheLp) {
-  EXPECT_FALSE(harness().model().uniform_w1(1e-3));
-  EXPECT_FALSE(harness().planner().exact_paths());
+  EXPECT_FALSE(eval().model().uniform_w1(1e-3));
+  EXPECT_FALSE(eval().plan_engine()->exact_paths());
 }
 
 TEST_F(Heterogeneous, OptimalPrefersEfficientMachines) {
-  auto& h = harness();
+  auto& h = eval();
   const auto point = h.measure(core::Scenario::by_number(6), 50.0);
   ASSERT_TRUE(point.feasible);
   double old_util = 0.0;
@@ -91,7 +91,7 @@ TEST_F(Heterogeneous, OptimalPrefersEfficientMachines) {
 }
 
 TEST_F(Heterogeneous, ConsolidationShutsOldNodesFirst) {
-  auto& h = harness();
+  auto& h = eval();
   const auto point = h.measure(core::Scenario::by_number(8), 35.0);
   ASSERT_TRUE(point.feasible);
   size_t old_on = 0;
@@ -105,7 +105,7 @@ TEST_F(Heterogeneous, ConsolidationShutsOldNodesFirst) {
 }
 
 TEST_F(Heterogeneous, EndToEndSavingsAndSafety) {
-  auto& h = harness();
+  auto& h = eval();
   for (const double pct : {25.0, 50.0, 75.0}) {
     const auto p1 = h.measure(core::Scenario::by_number(1), pct);
     const auto p8 = h.measure(core::Scenario::by_number(8), pct);
@@ -119,7 +119,7 @@ TEST_F(Heterogeneous, EndToEndSavingsAndSafety) {
 }
 
 TEST_F(Heterogeneous, AllScenariosStillPlan) {
-  auto& h = harness();
+  auto& h = eval();
   for (const core::Scenario& s : core::Scenario::all8()) {
     const auto point = h.measure(s, 55.0);
     EXPECT_TRUE(point.feasible) << s.name();

@@ -9,6 +9,7 @@
 
 #include "obs/json_writer.h"
 #include "util/csv.h"
+#include "util/strings.h"
 
 namespace coolopt::obs {
 namespace {
@@ -220,7 +221,7 @@ TEST(MetricsRegistry, InstrumentReferencesStayValid) {
   Counter& first = registry.counter("a");
   first.inc();
   // Creating more instruments must not invalidate the reference.
-  for (int i = 0; i < 100; ++i) registry.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) registry.counter(util::strf("c%d", i));
   first.inc();
   EXPECT_EQ(registry.counter("a").value(), 2u);
   EXPECT_EQ(&registry.counter("a"), &first);

@@ -13,10 +13,13 @@
 #include "obs/obs.h"
 #include "obs/session.h"
 #include "sim/room.h"
+#include "tests/core/on_set_support.h"
 #include "util/csv.h"
 
 namespace coolopt::obs {
 namespace {
+
+using core::test_support::all_machines;
 
 TEST(RunTrace, RecordsAllThreeStreams) {
   RunTrace trace;
@@ -130,7 +133,8 @@ TEST(Instrumentation, OptimizerAndConsolidatorRecordMetrics) {
   {
     ScopedObservation scope(&registry, &trace);
     core::LpOptimizer lp(model);
-    ASSERT_TRUE(lp.solve_all(0.5 * model.total_capacity()).has_value());
+    ASSERT_TRUE(lp.solve(all_machines(model), 0.5 * model.total_capacity())
+                    .has_value());
 
     const core::IncrementalConsolidator consolidator(core::share_model(model));
     core::ConsolidationChoice choice;
@@ -170,7 +174,8 @@ TEST(Instrumentation, UnattachedRunsRecordNothing) {
   options.machines = 4;
   const core::RoomModel model = core::make_synthetic_model(options);
   core::LpOptimizer lp(model);
-  ASSERT_TRUE(lp.solve_all(0.4 * model.total_capacity()).has_value());
+  ASSERT_TRUE(lp.solve(all_machines(model), 0.4 * model.total_capacity())
+                  .has_value());
   // Still detached, and no way to have recorded anywhere.
   EXPECT_EQ(metrics(), nullptr);
   EXPECT_EQ(trace(), nullptr);

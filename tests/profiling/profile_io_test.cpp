@@ -87,6 +87,19 @@ TEST(ProfileIo, LoadRejectsMalformedNumbers) {
   std::remove(path.c_str());
 }
 
+TEST(ProfileIo, NonFiniteNumberIsRejected) {
+  // strtod parses `nan`; validation must still refuse the model, or the
+  // cooler prediction silently falls through to its floor.
+  const std::string path = temp_path("coolopt_model_nan.csv");
+  std::ofstream(path)
+      << "kind,id,w1,w2,alpha,beta,gamma,capacity\n"
+      << "constraints,,48,10,28,,,\n"
+      << "cooler,,45,29,140,nan,130,\n"
+      << "machine,0,1.5,36,1,0.2,0.5,40\n";
+  EXPECT_THROW(load_model(path), std::invalid_argument);
+  std::remove(path.c_str());
+}
+
 TEST(ProfileIo, LoadedModelValidates) {
   // load_model re-validates: a structurally parseable but physically
   // invalid model must be rejected.

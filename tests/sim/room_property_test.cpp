@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "sim/room.h"
+#include "util/strings.h"
 
 namespace coolopt::sim {
 namespace {
@@ -102,11 +103,11 @@ INSTANTIATE_TEST_SUITE_P(
         RoomCase{7, 31.0, 0.1, 1.0, 7}, RoomCase{30, 23.0, 0.7, 1.0, 8}),
     [](const ::testing::TestParamInfo<RoomCase>& info) {
       const RoomCase& c = info.param;
-      return "n" + std::to_string(c.servers) + "_sp" +
-             std::to_string(static_cast<int>(c.setpoint_c)) + "_u" +
-             std::to_string(static_cast<int>(c.utilization * 100)) + "_d" +
-             std::to_string(static_cast<int>(c.diversity * 100)) + "_s" +
-             std::to_string(c.seed);
+      return util::strf("n%zu_sp%d_u%d_d%d_s%llu", c.servers,
+                        static_cast<int>(c.setpoint_c),
+                        static_cast<int>(c.utilization * 100),
+                        static_cast<int>(c.diversity * 100),
+                        static_cast<unsigned long long>(c.seed));
     });
 
 }  // namespace
