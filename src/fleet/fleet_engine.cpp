@@ -141,8 +141,6 @@ const std::vector<FleetEngine::ShardFrontier>& FleetEngine::frontiers_for(
     }
     front.max_load = front.hull.empty() ? 0.0 : front.hull.back().load;
     fronts[shard] = std::move(front);
-
-    frontier_builds_.fetch_add(1, std::memory_order_relaxed);
     obs::count("fleet.frontier_builds");
   });
   return frontiers_.emplace(key, std::move(fronts)).first->second;
@@ -386,7 +384,6 @@ FleetPlanResult FleetEngine::solve(const FleetPlanRequest& request,
   if (fleet_span >= 0) spans->end(fleet_span);
   out.solve_us = now_us() - t0;
 
-  solves_.fetch_add(1, std::memory_order_relaxed);
   obs::count("fleet.solves");
   obs::observe("fleet.solve_us", out.solve_us);
   if (out.shed_load > 0.0) obs::observe("fleet.shed_load", out.shed_load);
@@ -399,13 +396,6 @@ util::ThreadPool& FleetEngine::default_pool() const {
   std::scoped_lock lock(pool_mu_);
   if (!pool_) pool_ = std::make_unique<util::ThreadPool>();
   return *pool_;
-}
-
-FleetCounters FleetEngine::counters() const {
-  FleetCounters c;
-  c.solves = solves_.load(std::memory_order_relaxed);
-  c.frontier_builds = frontier_builds_.load(std::memory_order_relaxed);
-  return c;
 }
 
 }  // namespace coolopt::fleet

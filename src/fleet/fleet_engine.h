@@ -25,7 +25,6 @@
 // what engine(s).solve() returns for the same request.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -116,12 +115,6 @@ struct FleetOptions {
   size_t frontier_samples = 16;
 };
 
-/// Monotonic counters, mirrored into obs as the `fleet.*` family.
-struct FleetCounters {
-  uint64_t solves = 0;
-  uint64_t frontier_builds = 0;  ///< per (scenario, shard) frontier samples
-};
-
 class FleetEngine {
  public:
   /// Validates the topology (errors name the offending shard) and builds
@@ -150,8 +143,6 @@ class FleetEngine {
   std::vector<double> split_load(const core::Scenario& scenario, double load,
                                  const std::vector<double>& shard_caps) const;
 
-  FleetCounters counters() const;
-
  private:
   struct FrontierPoint {
     double load = 0.0;     // served load at this sample (shed removed)
@@ -174,9 +165,6 @@ class FleetEngine {
 
   mutable std::mutex pool_mu_;
   mutable std::unique_ptr<util::ThreadPool> pool_;
-
-  mutable std::atomic<uint64_t> solves_{0};
-  mutable std::atomic<uint64_t> frontier_builds_{0};
 };
 
 }  // namespace coolopt::fleet

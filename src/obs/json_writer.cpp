@@ -1,14 +1,12 @@
 #include "obs/json_writer.h"
 
 #include <bit>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 
 #include "util/jsonio.h"
-#include "util/strings.h"
 
 namespace coolopt::obs {
 
@@ -144,136 +142,6 @@ void JsonWriter::array(const std::vector<bool>& values) {
     return v ? "true" : "false";
   });
   end_array();
-}
-
-// ---------------------------------------------------------------------------
-// Syntax checker
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : s_(text) {}
-
-  bool run(std::string* error) {
-    if (!value()) {
-      if (error != nullptr) {
-        *error = util::strf("JSON syntax error near offset %zu", pos_);
-      }
-      return false;
-    }
-    skip_ws();
-    if (pos_ != s_.size()) {
-      if (error != nullptr) {
-        *error = util::strf("trailing garbage at offset %zu", pos_);
-      }
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  bool eat(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool literal(std::string_view word) {
-    if (s_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  bool string() {
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_];
-        if (e == 'u') {
-          for (int i = 1; i <= 4; ++i) {
-            if (pos_ + i >= s_.size() || !std::isxdigit(static_cast<unsigned char>(s_[pos_ + i]))) {
-              return false;
-            }
-          }
-          pos_ += 4;
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-
-  bool number() { return util::json_scan_number(s_, pos_); }
-
-  bool value() {
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string();
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    return number();
-  }
-
-  bool object() {
-    if (!eat('{')) return false;
-    if (eat('}')) return true;
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      if (!eat(':')) return false;
-      if (!value()) return false;
-      if (eat(',')) continue;
-      return eat('}');
-    }
-  }
-
-  bool array() {
-    if (!eat('[')) return false;
-    if (eat(']')) return true;
-    while (true) {
-      if (!value()) return false;
-      if (eat(',')) continue;
-      return eat(']');
-    }
-  }
-
-  std::string_view s_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-bool json_syntax_valid(std::string_view text, std::string* error) {
-  return JsonChecker(text).run(error);
 }
 
 }  // namespace coolopt::obs

@@ -1,4 +1,4 @@
-// Minimal JSON emission (and a syntax checker for tests).
+// Minimal JSON emission.
 //
 // The observability exports (metrics registry dump, run traces) and the
 // cooloptd wire responses need JSON with zero third-party dependencies.
@@ -86,11 +86,5 @@ class JsonWriter {
   bool key_pending_ = false;
   bool root_done_ = false;
 };
-
-/// Lightweight recursive-descent JSON syntax check (full RFC 8259 grammar,
-/// no document materialization). Used by the tests to assert every export
-/// is machine-readable; `error` (optional) receives a description on
-/// failure.
-bool json_syntax_valid(std::string_view text, std::string* error = nullptr);
 
 }  // namespace coolopt::obs

@@ -75,10 +75,11 @@ inline void count(const char* name, uint64_t n = 1) {
 
 // --- per-owner counter fields ---
 //
-// An engine's counters() snapshot is a plain struct of uint64_t fields that
-// concurrent workers bump in place (relaxed, via std::atomic_ref). Every
-// event site bumps its field and the registry counter that reports it in
-// one count() call, so the snapshot and the registry cannot drift apart.
+// An owner's counters() (or stats()) snapshot is a plain struct of uint64_t
+// fields that concurrent threads bump in place (relaxed, via
+// std::atomic_ref). Every event site bumps its field and the registry
+// counter that reports it in one count() call, so the snapshot and the
+// registry cannot drift apart.
 
 /// Adds `n` to a counter field; returns the new value.
 inline uint64_t bump_counter(uint64_t& field, uint64_t n = 1) {
@@ -87,8 +88,11 @@ inline uint64_t bump_counter(uint64_t& field, uint64_t n = 1) {
 }
 
 /// Reads a counter field that bump_counter() may be updating concurrently.
-inline uint64_t load_counter(uint64_t& field) {
-  return std::atomic_ref<uint64_t>(field).load(std::memory_order_relaxed);
+/// The field is never a const object (bump_counter writes it), so a const
+/// accessor may read it through std::atomic_ref<uint64_t>.
+inline uint64_t load_counter(const uint64_t& field) {
+  return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(field))
+      .load(std::memory_order_relaxed);
 }
 
 /// One event: bumps the owner's `*field` and the registry counter `name`.

@@ -1,7 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <algorithm>
-
 namespace coolopt::obs {
 
 namespace {
@@ -39,64 +37,6 @@ void telemetry_delta(const MetricsSnapshot& prev, const MetricsSnapshot& cur,
                 [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
                   return a.count != b.count;
                 });
-}
-
-SeriesRing::SeriesRing(size_t capacity) : buf_(std::max<size_t>(1, capacity)) {}
-
-void SeriesRing::push(uint64_t sequence, double value) {
-  const size_t cap = buf_.size();
-  if (size_ < cap) {
-    buf_[(head_ + size_) % cap] = SeriesSample{sequence, value};
-    ++size_;
-    return;
-  }
-  buf_[head_] = SeriesSample{sequence, value};  // overwrite the oldest
-  head_ = (head_ + 1) % cap;
-  ++dropped_;
-}
-
-std::vector<SeriesSample> SeriesRing::samples() const {
-  std::vector<SeriesSample> out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) out.push_back(buf_[(head_ + i) % buf_.size()]);
-  return out;
-}
-
-TelemetryHistory::TelemetryHistory(size_t capacity_per_metric)
-    : cap_(std::max<size_t>(1, capacity_per_metric)) {}
-
-SeriesRing& TelemetryHistory::ring_for(const std::string& name) {
-  auto it = rings_.find(name);
-  if (it == rings_.end()) it = rings_.emplace(name, SeriesRing(cap_)).first;
-  return it->second;
-}
-
-void TelemetryHistory::record(const MetricsDelta& delta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, v] : delta.counters) {
-    ring_for(name).push(delta.to_sequence, static_cast<double>(v));
-  }
-  for (const auto& [name, v] : delta.gauges) {
-    ring_for(name).push(delta.to_sequence, v);
-  }
-  for (const auto& [name, s] : delta.histograms) {
-    ring_for(name).push(delta.to_sequence, static_cast<double>(s.count));
-  }
-}
-
-std::vector<SeriesSample> TelemetryHistory::series(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = rings_.find(name);
-  if (it == rings_.end()) return {};
-  return it->second.samples();
-}
-
-std::vector<std::string> TelemetryHistory::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(rings_.size());
-  for (const auto& [name, _] : rings_) out.push_back(name);
-  return out;
 }
 
 }  // namespace coolopt::obs

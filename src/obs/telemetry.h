@@ -1,5 +1,4 @@
-// Telemetry streaming support: snapshot deltas and bounded per-metric
-// time-series rings.
+// Telemetry streaming support: snapshot deltas.
 //
 // A streaming tick is "what changed since the subscriber's last snapshot":
 // telemetry_delta() merges two sorted MetricsSnapshot instances and keeps
@@ -7,16 +6,11 @@
 // count — a histogram with no new observations is unchanged by
 // construction). Against a default-constructed snapshot the delta is the
 // full baseline, which is exactly what a subscriber's first tick should be.
-//
-// SeriesRing is a fixed-capacity drop-oldest ring of (sequence, value)
-// samples; TelemetryHistory keeps one ring per metric so embedders (and
-// tests) can ask "what did service.queue.depth do over the last N ticks"
-// without re-parsing the stream.
+// The registry is the only store: a consumer that wants a metric's history
+// keeps the ticks it receives.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -52,55 +46,5 @@ struct MetricsDelta {
 /// disappear because registries are append-only.
 void telemetry_delta(const MetricsSnapshot& prev, const MetricsSnapshot& cur,
                      MetricsDelta& out);
-
-/// One retained time-series point: the snapshot sequence that produced it
-/// plus the metric's value at that instant.
-struct SeriesSample {
-  uint64_t sequence = 0;
-  double value = 0.0;
-};
-
-/// Fixed-capacity drop-oldest ring buffer of SeriesSample.
-class SeriesRing {
- public:
-  explicit SeriesRing(size_t capacity);
-
-  void push(uint64_t sequence, double value);
-
-  size_t size() const { return size_; }
-  size_t capacity() const { return buf_.size(); }
-  /// Samples evicted to make room since construction.
-  uint64_t dropped() const { return dropped_; }
-  /// Retained samples, oldest first.
-  std::vector<SeriesSample> samples() const;
-
- private:
-  std::vector<SeriesSample> buf_;
-  size_t head_ = 0;  // index of the oldest sample
-  size_t size_ = 0;
-  uint64_t dropped_ = 0;
-};
-
-/// Per-metric ring directory fed by the service broadcaster: record() files
-/// every changed counter and gauge of a delta (histograms are recorded by
-/// their cumulative count under the same name). Thread-safe.
-class TelemetryHistory {
- public:
-  explicit TelemetryHistory(size_t capacity_per_metric = 256);
-
-  void record(const MetricsDelta& delta);
-
-  /// Retained series for one metric, oldest first (empty when never seen).
-  std::vector<SeriesSample> series(const std::string& name) const;
-  std::vector<std::string> names() const;
-  size_t capacity_per_metric() const { return cap_; }
-
- private:
-  SeriesRing& ring_for(const std::string& name);
-
-  mutable std::mutex mu_;
-  size_t cap_;
-  std::map<std::string, SeriesRing> rings_;
-};
 
 }  // namespace coolopt::obs

@@ -4,73 +4,58 @@
 
 namespace coolopt::service {
 
+ChaosInjector::Hook::Hook(uint64_t seed, const char* label, double pct)
+    : rng(util::Rng(seed).fork(label)), probability(pct / 100.0) {}
+
 ChaosInjector::ChaosInjector(const ChaosOptions& options)
     : options_(options),
-      drop_rng_(util::Rng(options.seed).fork("chaos.drop_connection")),
-      delay_rng_(util::Rng(options.seed).fork("chaos.delay_read")),
-      truncate_rng_(util::Rng(options.seed).fork("chaos.truncate_write")),
-      stall_rng_(util::Rng(options.seed).fork("chaos.stall_solve")) {}
+      drop_(options.seed, "chaos.drop_connection", options.drop_connection_pct),
+      delay_(options.seed, "chaos.delay_read", options.delay_read_pct),
+      truncate_(options.seed, "chaos.truncate_write",
+                options.truncate_write_pct),
+      stall_(options.seed, "chaos.stall_solve", options.stall_solve_pct) {}
+
+bool ChaosInjector::Hook::fire() {
+  std::lock_guard<std::mutex> lock(mu);
+  return rng.chance(probability);
+}
+
+// Each site names its metric literally: tools/check_metrics.sh greps for
+// every catalog row at an obs::count call.
 
 bool ChaosInjector::drop_connection() {
-  bool fire = false;
-  {
-    std::lock_guard<std::mutex> lock(drop_mu_);
-    fire = drop_rng_.chance(options_.drop_connection_pct / 100.0);
-  }
-  if (fire) {
-    dropped_connections_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("service.chaos.dropped_connections");
-  }
-  return fire;
+  if (!drop_.fire()) return false;
+  obs::count("service.chaos.dropped_connections",
+             &fired_.dropped_connections);
+  return true;
 }
 
 bool ChaosInjector::delay_read(uint64_t& delay_ms) {
-  bool fire = false;
-  {
-    std::lock_guard<std::mutex> lock(delay_mu_);
-    fire = delay_rng_.chance(options_.delay_read_pct / 100.0);
-  }
-  if (fire) {
-    delay_ms = options_.delay_read_ms;
-    delayed_reads_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("service.chaos.delayed_reads");
-  }
-  return fire;
+  if (!delay_.fire()) return false;
+  obs::count("service.chaos.delayed_reads", &fired_.delayed_reads);
+  delay_ms = options_.delay_read_ms;
+  return true;
 }
 
 bool ChaosInjector::truncate_write() {
-  bool fire = false;
-  {
-    std::lock_guard<std::mutex> lock(truncate_mu_);
-    fire = truncate_rng_.chance(options_.truncate_write_pct / 100.0);
-  }
-  if (fire) {
-    truncated_writes_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("service.chaos.truncated_writes");
-  }
-  return fire;
+  if (!truncate_.fire()) return false;
+  obs::count("service.chaos.truncated_writes", &fired_.truncated_writes);
+  return true;
 }
 
 bool ChaosInjector::stall_solve(uint64_t& stall_ms) {
-  bool fire = false;
-  {
-    std::lock_guard<std::mutex> lock(stall_mu_);
-    fire = stall_rng_.chance(options_.stall_solve_pct / 100.0);
-  }
-  if (fire) {
-    stall_ms = options_.stall_solve_ms;
-    stalled_solves_.fetch_add(1, std::memory_order_relaxed);
-    obs::count("service.chaos.stalled_solves");
-  }
-  return fire;
+  if (!stall_.fire()) return false;
+  obs::count("service.chaos.stalled_solves", &fired_.stalled_solves);
+  stall_ms = options_.stall_solve_ms;
+  return true;
 }
 
 ChaosInjector::Counters ChaosInjector::counters() const {
   Counters c;
-  c.dropped_connections = dropped_connections_.load(std::memory_order_relaxed);
-  c.delayed_reads = delayed_reads_.load(std::memory_order_relaxed);
-  c.truncated_writes = truncated_writes_.load(std::memory_order_relaxed);
-  c.stalled_solves = stalled_solves_.load(std::memory_order_relaxed);
+  c.dropped_connections = obs::load_counter(fired_.dropped_connections);
+  c.delayed_reads = obs::load_counter(fired_.delayed_reads);
+  c.truncated_writes = obs::load_counter(fired_.truncated_writes);
+  c.stalled_solves = obs::load_counter(fired_.stalled_solves);
   return c;
 }
 

@@ -17,7 +17,6 @@
 // timeout, never a silently wrong plan).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 
@@ -69,19 +68,24 @@ class ChaosInjector {
   const ChaosOptions& options() const { return options_; }
 
  private:
+  /// One fault type: its own stream, forked off the seed under `label`,
+  /// and its own lock, so hooks never contend or reshuffle each other.
+  struct Hook {
+    Hook(uint64_t seed, const char* label, double pct);
+    /// One locked draw: true when the fault fires at this opportunity.
+    bool fire();
+
+    std::mutex mu;
+    util::Rng rng;
+    double probability;
+  };
+
   ChaosOptions options_;
-  std::mutex drop_mu_;
-  std::mutex delay_mu_;
-  std::mutex truncate_mu_;
-  std::mutex stall_mu_;
-  util::Rng drop_rng_;
-  util::Rng delay_rng_;
-  util::Rng truncate_rng_;
-  util::Rng stall_rng_;
-  std::atomic<uint64_t> dropped_connections_{0};
-  std::atomic<uint64_t> delayed_reads_{0};
-  std::atomic<uint64_t> truncated_writes_{0};
-  std::atomic<uint64_t> stalled_solves_{0};
+  Hook drop_;
+  Hook delay_;
+  Hook truncate_;
+  Hook stall_;
+  Counters fired_;  ///< bumped by obs::count, read by counters()
 };
 
 }  // namespace coolopt::service

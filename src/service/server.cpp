@@ -215,10 +215,6 @@ void PlanningService::stop() {
     sessions_.clear();
   }
   obs::gauge_set("service.connections", 0.0);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.queue_high_water = queue_.high_water();
-  }
   obs::gauge_set("service.queue.high_water",
                  static_cast<double>(queue_.high_water()));
 }
@@ -228,11 +224,16 @@ void PlanningService::pause_dispatch(bool paused) {
 }
 
 PlanningService::Stats PlanningService::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  Stats snapshot = stats_;
-  snapshot.queue_high_water =
-      std::max(snapshot.queue_high_water, queue_.high_water());
-  return snapshot;
+  Stats s;
+  s.admitted = obs::load_counter(stats_.admitted);
+  s.shed = obs::load_counter(stats_.shed);
+  s.bad_requests = obs::load_counter(stats_.bad_requests);
+  s.queue_high_water = queue_.high_water();
+  s.subscriptions = obs::load_counter(stats_.subscriptions);
+  s.telemetry_ticks = obs::load_counter(stats_.telemetry_ticks);
+  s.dropped_ticks = obs::load_counter(stats_.dropped_ticks);
+  s.deadline_expired = obs::load_counter(stats_.deadline_expired);
+  return s;
 }
 
 // --- accept ---
@@ -271,8 +272,6 @@ void PlanningService::accept_loop() {
                        "\n");
       ::close(fd);
       obs::count("service.connections.rejected");
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.connections_rejected;
       continue;
     }
 
@@ -287,8 +286,6 @@ void PlanningService::accept_loop() {
     }
     obs::count("service.connections.accepted");
     obs::gauge_set("service.connections", static_cast<double>(active + 1));
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.connections_accepted;
   }
 }
 
@@ -352,11 +349,7 @@ void PlanningService::handle_line(const std::shared_ptr<Session>& session,
   WireRequest request;
   std::string error;
   if (!parse_request(line, request, error)) {
-    obs::count("service.requests.rejected");
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.bad_requests;
-    }
+    obs::count("service.requests.rejected", &stats_.bad_requests);
     write_line(session,
                encode_error(request.id, request.verb, kErrBadRequest, error));
     return;
@@ -393,11 +386,7 @@ void PlanningService::handle_line(const std::shared_ptr<Session>& session,
   }
 
   auto shed = [&](const char* code, const char* why, size_t depth) {
-    obs::count("service.requests.shed");
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.shed;
-    }
+    obs::count("service.requests.shed", &stats_.shed);
     write_line(session, encode_error(request.id, request.verb, code, why,
                                      depth));
   };
@@ -415,12 +404,8 @@ void PlanningService::handle_line(const std::shared_ptr<Session>& session,
       Job{session, std::move(request), std::chrono::steady_clock::now()},
       limit, &depth)) {
     case PushResult::kOk:
-      obs::count("service.requests.admitted");
+      obs::count("service.requests.admitted", &stats_.admitted);
       obs::gauge_set("service.queue.depth", static_cast<double>(depth));
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.admitted;
-      }
       break;
     case PushResult::kFull:
       if (limit == queue_.capacity()) {
@@ -444,11 +429,7 @@ void PlanningService::handle_line(const std::shared_ptr<Session>& session,
 void PlanningService::handle_subscribe(const std::shared_ptr<Session>& session,
                                        const WireRequest& request) {
   if (draining_.load(std::memory_order_acquire)) {
-    obs::count("service.requests.shed");
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.shed;
-    }
+    obs::count("service.requests.shed", &stats_.shed);
     write_line(session, encode_error(request.id, request.verb, kErrShedDraining,
                                      "server is draining", queue_.size()));
     return;
@@ -469,12 +450,8 @@ void PlanningService::handle_subscribe(const std::shared_ptr<Session>& session,
     subs_.push_back(std::move(sub));
     active = subs_.size();
   }
-  obs::count("service.telemetry.subscribed");
+  obs::count("service.telemetry.subscribed", &stats_.subscriptions);
   obs::gauge_set("service.telemetry.subscribers", static_cast<double>(active));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.subscriptions;
-  }
   // Ack before the first tick so clients always see response, then stream.
   write_line(session,
              encode_subscribe_response(request.id, interval_ms, request.ticks));
@@ -494,10 +471,9 @@ void PlanningService::flush_pending_tick(
 }
 
 void PlanningService::broadcaster_loop() {
-  // Persistent buffers: snapshot/delta churn stays in these three objects
+  // Persistent buffers: snapshot/delta churn stays in these two objects
   // instead of allocating per round.
   obs::MetricsSnapshot current;
-  obs::MetricsSnapshot hist_prev;
   obs::MetricsDelta delta;
   while (!stop_broadcaster_.load(std::memory_order_acquire)) {
     {
@@ -509,12 +485,11 @@ void PlanningService::broadcaster_loop() {
                         });
     }
     if (stop_broadcaster_.load(std::memory_order_acquire)) break;
-    broadcast_round(current, hist_prev, delta);
+    broadcast_round(current, delta);
   }
 }
 
 void PlanningService::broadcast_round(obs::MetricsSnapshot& current,
-                                      obs::MetricsSnapshot& hist_prev,
                                       obs::MetricsDelta& delta) {
   const auto now = std::chrono::steady_clock::now();
   std::vector<std::shared_ptr<Subscription>> due;
@@ -537,9 +512,6 @@ void PlanningService::broadcast_round(obs::MetricsSnapshot& current,
   obs::MetricsRegistry* registry = obs::metrics();
   if (registry != nullptr) {
     registry->snapshot(current);
-    telemetry_delta(hist_prev, current, delta);
-    history_.record(delta);
-    hist_prev = current;
   } else {
     current.clear();
   }
@@ -558,11 +530,7 @@ void PlanningService::broadcast_round(obs::MetricsSnapshot& current,
       }
     }
     if (delivered) {
-      obs::count("service.telemetry.ticks");
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.telemetry_ticks;
-      }
+      obs::count("service.telemetry.ticks", &stats_.telemetry_ticks);
       // Advance the delta basis only on delivery: a dropped tick's changes
       // ride along on the next delivered one instead of vanishing.
       sub->last = current;
@@ -571,9 +539,7 @@ void PlanningService::broadcast_round(obs::MetricsSnapshot& current,
         sub->done = true;
       }
     } else {
-      obs::count("service.telemetry.dropped_ticks");
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.dropped_ticks;
+      obs::count("service.telemetry.dropped_ticks", &stats_.dropped_ticks);
     }
     sub->next_due = now + std::chrono::milliseconds(sub->interval_ms);
   }
@@ -606,11 +572,7 @@ void PlanningService::run_job(const Job& job) {
             std::chrono::steady_clock::now() - job.admitted_at)
             .count();
     if (waited_ms > static_cast<double>(*job.request.deadline_ms)) {
-      obs::count("service.deadline.expired");
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.deadline_expired;
-      }
+      obs::count("service.deadline.expired", &stats_.deadline_expired);
       write_line(job.session,
                  encode_error(job.request.id, job.request.verb,
                               kErrDeadlineExceeded,

@@ -142,24 +142,19 @@ class PlanningService {
   /// would otherwise deadlock).
   void pause_dispatch(bool paused);
 
-  /// Monotonic books (also exported as the service.* metrics family).
+  /// Monotonic books. Each counter is bumped by the same obs::count call
+  /// that bumps its service.* registry counter, so the two cannot drift.
   struct Stats {
-    uint64_t connections_accepted = 0;
-    uint64_t connections_rejected = 0;
-    uint64_t admitted = 0;
-    uint64_t shed = 0;
-    uint64_t bad_requests = 0;
-    size_t queue_high_water = 0;
-    uint64_t subscriptions = 0;     ///< subscribe verbs accepted
-    uint64_t telemetry_ticks = 0;   ///< tick lines handed to sessions
-    uint64_t dropped_ticks = 0;     ///< ticks dropped on slow subscribers
-    uint64_t deadline_expired = 0;  ///< admitted jobs dropped unsolved
+    uint64_t admitted = 0;          ///< service.requests.admitted
+    uint64_t shed = 0;              ///< service.requests.shed
+    uint64_t bad_requests = 0;      ///< service.requests.rejected
+    size_t queue_high_water = 0;    ///< the admission queue's deepest point
+    uint64_t subscriptions = 0;     ///< service.telemetry.subscribed
+    uint64_t telemetry_ticks = 0;   ///< service.telemetry.ticks
+    uint64_t dropped_ticks = 0;     ///< service.telemetry.dropped_ticks
+    uint64_t deadline_expired = 0;  ///< service.deadline.expired
   };
   Stats stats() const;
-
-  /// Per-metric time series recorded by the broadcaster (one sample per
-  /// sampling round in which the metric changed), for embedders and tests.
-  const obs::TelemetryHistory& telemetry_history() const { return history_; }
 
  private:
   struct Session {
@@ -207,9 +202,7 @@ class PlanningService {
   void broadcaster_loop();
   /// One sampling round: purge dead subscriptions, snapshot the registry
   /// once, deliver a delta tick to every due subscriber.
-  void broadcast_round(obs::MetricsSnapshot& current,
-                       obs::MetricsSnapshot& hist_prev,
-                       obs::MetricsDelta& delta);
+  void broadcast_round(obs::MetricsSnapshot& current, obs::MetricsDelta& delta);
   /// Registers a subscribe request and writes the ack (reader threads).
   void handle_subscribe(const std::shared_ptr<Session>& session,
                         const WireRequest& request);
@@ -266,13 +259,13 @@ class PlanningService {
   std::mutex subs_mu_;
   std::condition_variable subs_cv_;
   std::vector<std::shared_ptr<Subscription>> subs_;
-  obs::TelemetryHistory history_;
   std::mutex sessions_mu_;
   std::vector<std::shared_ptr<Session>> sessions_;
   std::vector<std::thread> reader_threads_;
   uint64_t next_session_id_ = 1;
 
-  mutable std::mutex stats_mu_;
+  /// Bumped in place by obs::count; stats() reads each with load_counter
+  /// (queue_high_water stays 0 here: the queue keeps it).
   Stats stats_;
 };
 

@@ -381,6 +381,7 @@ constexpr VerbRow kVerbs[] = {
 static_assert(std::size(kVerbs) == kVerbCount);
 
 constexpr const char* kPriorities[] = {"high", "normal", "low"};
+static_assert(std::size(kPriorities) == kPriorityCount);
 
 const VerbRow& row_of(Verb verb) { return kVerbs[static_cast<size_t>(verb)]; }
 
@@ -472,8 +473,7 @@ bool read(const JsonValue& v, const Field& field, std::string& out,
 template <typename E>
   requires std::is_enum_v<E>
 bool read(const JsonValue& v, const Field& field, E& out, std::string& error) {
-  constexpr size_t n = std::is_same_v<E, Verb> ? kVerbCount
-                                               : std::size(kPriorities);
+  constexpr size_t n = std::is_same_v<E, Verb> ? kVerbCount : kPriorityCount;
   for (size_t i = 0; i < n; ++i) {
     if (v.is_string() && v.as_string() == to_string(static_cast<E>(i))) {
       out = static_cast<E>(i);

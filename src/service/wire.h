@@ -90,6 +90,7 @@ enum class Verb {
 enum class Priority { kHigh, kNormal, kLow };
 
 inline constexpr size_t kVerbCount = static_cast<size_t>(Verb::kHealth) + 1;
+inline constexpr size_t kPriorityCount = static_cast<size_t>(Priority::kLow) + 1;
 
 const char* to_string(Verb verb);
 const char* to_string(Priority priority);

@@ -1,13 +1,13 @@
-// Shared JSON text primitives (RFC 8259), used by BOTH JSON stacks in the
-// tree: the obs emission side (obs::JsonWriter and its syntax checker) and
-// the service wire side (the strict request parser in service/wire.cpp).
+// Shared JSON text primitives (RFC 8259), used by the tree's one writer
+// (obs::JsonWriter, which every export and wire response goes through) and
+// its one parser (service::parse_json, the strict parser in
+// service/wire.cpp that reads requests and, in the tests, every export).
 // There is exactly one implementation of each:
 //
 //   json_append_quoted  escape + double-quote a string literal onto a buffer
 //   json_number         canonical number text (printf "%.12g"), written
 //                       into a caller's stack buffer without allocating
-//   json_scan_number    the RFC 8259 number grammar (shared by the parser
-//                       and the syntax checker, so both accept the same set)
+//   json_scan_number    the RFC 8259 number grammar (the parser's)
 //
 // json_number reproduces glibc's "%.12g" byte for byte without calling it on
 // the hot path: integral values below 1e12 print as integers, values with

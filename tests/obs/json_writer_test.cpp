@@ -7,11 +7,23 @@
 #include <string>
 #include <vector>
 
+#include "service/wire.h"
 #include "util/jsonio.h"
 #include "util/rng.h"
 
 namespace coolopt::obs {
 namespace {
+
+/// True when `text` is exactly one JSON document to the strict parser the
+/// wire runs; `error` receives its description otherwise.
+bool parses(std::string_view text, std::string& error) {
+  service::JsonValue doc;
+  return service::parse_json(text, doc, error);
+}
+bool parses(std::string_view text) {
+  std::string error;
+  return parses(text, error);
+}
 
 std::string json_quote(std::string_view s) {
   std::string out;
@@ -51,7 +63,7 @@ TEST(JsonWriter, EmitsNestedDocument) {
   EXPECT_EQ(os,
             "{\"name\":\"room\",\"power\":410.5,\"on\":true,\"steps\":42,"
             "\"series\":[1,2]}");
-  EXPECT_TRUE(json_syntax_valid(os));
+  EXPECT_TRUE(parses(os));
 }
 
 // Regression: a C string literal must serialize as a JSON string, not decay
@@ -74,7 +86,7 @@ TEST(JsonWriter, NonFiniteDoublesBecomeNull) {
   w.value(1.5);
   w.end_array();
   EXPECT_EQ(os, "[null,null,1.5]");
-  EXPECT_TRUE(json_syntax_valid(os));
+  EXPECT_TRUE(parses(os));
 }
 
 TEST(JsonWriter, MisuseThrows) {
@@ -106,7 +118,7 @@ TEST(JsonWriter, MisuseThrows) {
     EXPECT_THROW(w.begin_object(), std::logic_error);
     for (size_t i = 0; i < JsonWriter::kMaxDepth; ++i) w.end_array();
     EXPECT_TRUE(w.complete());
-    EXPECT_TRUE(json_syntax_valid(os));
+    EXPECT_TRUE(parses(os));
   }
 }
 
@@ -156,7 +168,7 @@ std::string document(Position pos, Emit emit) {
       break;
   }
   EXPECT_TRUE(w.complete());
-  EXPECT_TRUE(json_syntax_valid(std::string_view(out).substr(7)));
+  EXPECT_TRUE(parses(std::string_view(out).substr(7)));
   return out;
 }
 
@@ -252,21 +264,23 @@ TEST(JsonWriterArray, BoolsMatchThePerElementPath) {
 }
 
 TEST(JsonSyntaxValid, AcceptsValidDocuments) {
-  EXPECT_TRUE(json_syntax_valid("{}"));
-  EXPECT_TRUE(json_syntax_valid("[]"));
-  EXPECT_TRUE(json_syntax_valid("{\"a\":[1,2.5,-3e4,null,true,\"s\"]}"));
-  EXPECT_TRUE(json_syntax_valid("  {\"a\" : {\"b\" : []}}  "));
+  EXPECT_TRUE(parses("{}"));
+  EXPECT_TRUE(parses("[]"));
+  EXPECT_TRUE(parses("{\"a\":[1,2.5,-3e4,null,true,\"s\"]}"));
+  EXPECT_TRUE(parses("  {\"a\" : {\"b\" : []}}  "));
 }
 
 TEST(JsonSyntaxValid, RejectsInvalidDocuments) {
   std::string error;
-  EXPECT_FALSE(json_syntax_valid("", &error));
-  EXPECT_FALSE(json_syntax_valid("{", &error));
-  EXPECT_FALSE(json_syntax_valid("{\"a\":}", &error));
-  EXPECT_FALSE(json_syntax_valid("[1,]", &error));
-  EXPECT_FALSE(json_syntax_valid("{\"a\":1}garbage", &error));
-  EXPECT_FALSE(json_syntax_valid("{'a':1}", &error));
+  EXPECT_FALSE(parses("", error));
+  EXPECT_FALSE(parses("{", error));
+  EXPECT_FALSE(parses("{\"a\":}", error));
+  EXPECT_FALSE(parses("[1,]", error));
+  EXPECT_FALSE(parses("{\"a\":1}garbage", error));
+  EXPECT_FALSE(parses("{'a':1}", error));
   EXPECT_FALSE(error.empty());
+  // Stricter than RFC 8259's SHOULD: an export must not repeat a key.
+  EXPECT_FALSE(parses("{\"a\":1,\"a\":2}", error));
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json_writer.h"
+#include "service/wire.h"
 #include "util/csv.h"
 #include "util/strings.h"
 
@@ -237,8 +237,9 @@ TEST(MetricsRegistry, JsonExportIsSyntaxValidAndComplete) {
   std::ostringstream os;
   registry.to_json(os);
   const std::string doc = os.str();
+  service::JsonValue parsed;
   std::string error;
-  EXPECT_TRUE(json_syntax_valid(doc, &error)) << error;
+  EXPECT_TRUE(service::parse_json(doc, parsed, error)) << error;
   EXPECT_NE(doc.find("\"optimizer.lp.solves\":3"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"consolidation.events\":12"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"p50\""), std::string::npos) << doc;

@@ -9,9 +9,9 @@
 #include "core/incremental.h"
 #include "core/lp_optimizer.h"
 #include "core/synthetic.h"
-#include "obs/json_writer.h"
 #include "obs/obs.h"
 #include "obs/session.h"
+#include "service/wire.h"
 #include "sim/room.h"
 #include "tests/core/on_set_support.h"
 #include "util/csv.h"
@@ -59,8 +59,9 @@ TEST(RunTrace, JsonExportIsSyntaxValid) {
 
   std::ostringstream os;
   trace.to_json(os);
+  service::JsonValue parsed;
   std::string error;
-  EXPECT_TRUE(json_syntax_valid(os.str(), &error)) << error << "\n" << os.str();
+  EXPECT_TRUE(service::parse_json(os.str(), parsed, error)) << error << "\n" << os.str();
   EXPECT_NE(os.str().find("\"solver\":\"closed_form\""), std::string::npos);
   EXPECT_NE(os.str().find("\"dropped_steps\":0"), std::string::npos);
 }
@@ -119,8 +120,9 @@ TEST(RunTrace, ShortRoomRunProducesSchemaValidTrace) {
 
   std::ostringstream os;
   trace.to_json(os);
+  service::JsonValue parsed;
   std::string error;
-  EXPECT_TRUE(json_syntax_valid(os.str(), &error)) << error;
+  EXPECT_TRUE(service::parse_json(os.str(), parsed, error)) << error;
 }
 
 TEST(Instrumentation, OptimizerAndConsolidatorRecordMetrics) {
@@ -197,8 +199,9 @@ TEST(ObsSession, WritesCombinedJsonAndTraceCsv) {
   ASSERT_TRUE(mf.good());
   std::stringstream mbuf;
   mbuf << mf.rdbuf();
+  service::JsonValue parsed;
   std::string error;
-  EXPECT_TRUE(json_syntax_valid(mbuf.str(), &error)) << error;
+  EXPECT_TRUE(service::parse_json(mbuf.str(), parsed, error)) << error;
   EXPECT_NE(mbuf.str().find("\"schema\":\"coolopt.obs.v1\""), std::string::npos);
   EXPECT_NE(mbuf.str().find("\"sim.steps\":3"), std::string::npos);
 

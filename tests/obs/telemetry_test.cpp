@@ -97,56 +97,5 @@ TEST(TelemetryDelta, KeepsOnlyNewOrChangedEntries) {
   EXPECT_EQ(delta.to_sequence, same.sequence);
 }
 
-TEST(SeriesRing, DropsOldestBeyondCapacity) {
-  SeriesRing ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (uint64_t i = 1; i <= 6; ++i) {
-    ring.push(i, static_cast<double>(i) * 10.0);
-  }
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.dropped(), 2u);
-  const std::vector<SeriesSample> samples = ring.samples();
-  ASSERT_EQ(samples.size(), 4u);
-  EXPECT_EQ(samples.front().sequence, 3u);  // oldest first
-  EXPECT_EQ(samples.back().sequence, 6u);
-  EXPECT_DOUBLE_EQ(samples.back().value, 60.0);
-}
-
-TEST(TelemetryHistory, RecordsChangedMetricsPerTick) {
-  MetricsRegistry registry;
-  TelemetryHistory history(/*capacity_per_metric=*/8);
-  MetricsSnapshot prev;
-  MetricsSnapshot cur;
-  MetricsDelta delta;
-
-  registry.counter("ticks").inc();
-  registry.histogram("lat").observe(3.0);
-  registry.snapshot(cur);
-  telemetry_delta(prev, cur, delta);
-  history.record(delta);
-  prev = cur;
-
-  registry.counter("ticks").inc();
-  registry.snapshot(cur);
-  telemetry_delta(prev, cur, delta);
-  history.record(delta);
-
-  const std::vector<SeriesSample> ticks = history.series("ticks");
-  ASSERT_EQ(ticks.size(), 2u);
-  EXPECT_EQ(ticks[0].sequence, 1u);
-  EXPECT_DOUBLE_EQ(ticks[0].value, 1.0);
-  EXPECT_EQ(ticks[1].sequence, 2u);
-  EXPECT_DOUBLE_EQ(ticks[1].value, 2.0);
-  // Histograms ride as their cumulative count; unchanged in tick 2.
-  const std::vector<SeriesSample> lat = history.series("lat");
-  ASSERT_EQ(lat.size(), 1u);
-  EXPECT_DOUBLE_EQ(lat[0].value, 1.0);
-  EXPECT_TRUE(history.series("never.seen").empty());
-  const std::vector<std::string> names = history.names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "lat");
-  EXPECT_EQ(names[1], "ticks");
-}
-
 }  // namespace
 }  // namespace coolopt::obs

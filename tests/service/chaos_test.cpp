@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/synthetic.h"
+#include "obs/obs.h"
 #include "service/client.h"
 #include "service/server.h"
 #include "service/wire.h"
@@ -74,6 +76,56 @@ TEST(ChaosInjector, SameSeedFiresTheSameFaultSequence) {
     fired_other.push_back(other.truncate_write());
   }
   EXPECT_NE(fired_a, fired_other);
+}
+
+struct ChaosMetric {
+  const char* metric;
+  uint64_t ChaosInjector::Counters::*field;
+};
+
+constexpr ChaosMetric kChaosMetrics[] = {
+    {"service.chaos.dropped_connections",
+     &ChaosInjector::Counters::dropped_connections},
+    {"service.chaos.delayed_reads", &ChaosInjector::Counters::delayed_reads},
+    {"service.chaos.truncated_writes",
+     &ChaosInjector::Counters::truncated_writes},
+    {"service.chaos.stalled_solves", &ChaosInjector::Counters::stalled_solves},
+};
+static_assert(std::size(kChaosMetrics) * sizeof(uint64_t) ==
+                  sizeof(ChaosInjector::Counters),
+              "every Counters field has a row");
+
+TEST(ChaosInjector, EveryCounterMatchesItsRegistryMetric) {
+  obs::MetricsRegistry registry;
+  obs::ScopedObservation scope(&registry);
+  ChaosOptions options;
+  options.seed = 4;
+  options.drop_connection_pct = 50.0;
+  options.delay_read_pct = 50.0;
+  options.delay_read_ms = 7;
+  options.truncate_write_pct = 50.0;
+  options.stall_solve_pct = 50.0;
+  options.stall_solve_ms = 9;
+  ChaosInjector chaos(options);
+  for (int i = 0; i < 100; ++i) {
+    chaos.drop_connection();
+    uint64_t delay_ms = 0;
+    if (chaos.delay_read(delay_ms)) {
+      EXPECT_EQ(delay_ms, 7u);
+    }
+    chaos.truncate_write();
+    uint64_t stall_ms = 0;
+    if (chaos.stall_solve(stall_ms)) {
+      EXPECT_EQ(stall_ms, 9u);
+    }
+  }
+  const ChaosInjector::Counters fired = chaos.counters();
+  for (const ChaosMetric& row : kChaosMetrics) {
+    EXPECT_EQ(fired.*row.field, registry.counter(row.metric).value())
+        << row.metric;
+    EXPECT_GT(fired.*row.field, 0u) << row.metric << " never fired";
+    EXPECT_LT(fired.*row.field, 100u) << row.metric << " always fired";
+  }
 }
 
 TEST(ChaosInjector, DefaultOptionsDisableTheSeamEntirely) {

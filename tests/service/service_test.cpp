@@ -15,7 +15,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -452,9 +454,6 @@ TEST(PlanningService, SubscribeStreamsBoundedDeltaTicks) {
   const PlanningService::Stats stats = server.stats();
   EXPECT_EQ(stats.subscriptions, 1u);
   EXPECT_GE(stats.telemetry_ticks, 3u);
-  // The broadcaster also filed the series into the embedder-facing history.
-  EXPECT_FALSE(server.telemetry_history().series("service.telemetry.ticks")
-                   .empty());
   server.stop();
 }
 
@@ -880,6 +879,170 @@ TEST(PlanningService, LatePauseHoldsEveryAdmittedRequest) {
     EXPECT_TRUE(must_parse(*line).find("ok")->as_bool());
   }
   server.stop();
+}
+
+// --- the service's books ---
+
+struct StatMetric {
+  const char* metric;
+  uint64_t PlanningService::Stats::*field;
+};
+
+constexpr StatMetric kStatMetrics[] = {
+    {"service.requests.admitted", &PlanningService::Stats::admitted},
+    {"service.requests.shed", &PlanningService::Stats::shed},
+    {"service.requests.rejected", &PlanningService::Stats::bad_requests},
+    {"service.telemetry.subscribed", &PlanningService::Stats::subscriptions},
+    {"service.telemetry.ticks", &PlanningService::Stats::telemetry_ticks},
+    {"service.telemetry.dropped_ticks", &PlanningService::Stats::dropped_ticks},
+    {"service.deadline.expired", &PlanningService::Stats::deadline_expired},
+};
+static_assert((std::size(kStatMetrics) + 1) * sizeof(uint64_t) ==
+                  sizeof(PlanningService::Stats),
+              "every Stats counter has a row (plus queue_high_water)");
+
+/// After stop(): expects every Stats counter to equal its registry counter
+/// and the high-water mark its gauge; returns the snapshot.
+PlanningService::Stats expect_stats_match_registry(
+    const PlanningService& server, obs::MetricsRegistry& registry) {
+  const PlanningService::Stats stats = server.stats();
+  for (const StatMetric& row : kStatMetrics) {
+    EXPECT_EQ(stats.*row.field, registry.counter(row.metric).value())
+        << row.metric;
+  }
+  EXPECT_EQ(static_cast<double>(stats.queue_high_water),
+            registry.gauge("service.queue.high_water").value());
+  return stats;
+}
+
+/// Polls until `done` holds, for at most five seconds.
+template <typename Done>
+void wait_for(Done done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+std::string error_code_of(const std::optional<std::string>& line) {
+  if (!line.has_value()) return "(no response)";
+  const JsonValue doc = must_parse(*line);
+  const JsonValue* code = doc.find("error_code");
+  return code != nullptr ? code->as_string() : *line;
+}
+
+TEST(PlanningService, EveryStatMatchesItsRegistryMetric) {
+  {
+    // A bad request, a two-tick subscription, admission and every shed
+    // reason. Each solve stalls 300 ms, so the drain that answers the two
+    // admitted plans stays open while a second connection is shed.
+    obs::MetricsRegistry registry;
+    obs::ScopedObservation scope(&registry);
+    ServiceConfig config = model_config();
+    config.queue_capacity = 2;  // high and normal shares 2, low share 1
+    config.workers = 1;
+    config.chaos.stall_solve_pct = 100.0;
+    config.chaos.stall_solve_ms = 300;
+    PlanningService server(std::move(config));
+    server.pause_dispatch(true);
+    server.start();
+    ServiceClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    ServiceClient late;
+    ASSERT_TRUE(late.connect("127.0.0.1", server.port()));
+
+    EXPECT_EQ(error_code_of(client.call("{")), kErrBadRequest);
+    const auto ack = client.call(
+        R"({"id":1,"verb":"subscribe","interval_ms":100,"ticks":2})");
+    ASSERT_TRUE(ack.has_value()) << client.last_error();
+    ASSERT_TRUE(must_parse(*ack).find("ok")->as_bool()) << *ack;
+    for (int tick = 0; tick < 2; ++tick) {
+      const auto line = client.recv_line();
+      ASSERT_TRUE(line.has_value()) << client.last_error();
+      ASSERT_TRUE(is_telemetry_line(*line)) << *line;
+    }
+
+    // Admitted with a deadline it outlives in the paused queue.
+    ASSERT_TRUE(client.send_line(
+        R"({"id":2,"verb":"plan","priority":"low","load_pct":30,"deadline_ms":1})"));
+    wait_for([&] { return server.stats().admitted == 1; });
+    ASSERT_EQ(server.stats().admitted, 1u);
+    EXPECT_EQ(error_code_of(client.call(
+                  R"({"id":3,"verb":"plan","priority":"low","load_pct":30})")),
+              kErrShedPriority);
+    ASSERT_TRUE(client.send_line(
+        R"({"id":4,"verb":"plan","priority":"high","load_pct":30})"));
+    wait_for([&] { return server.stats().admitted == 2; });
+    ASSERT_EQ(server.stats().admitted, 2u);
+    EXPECT_EQ(error_code_of(client.call(
+                  R"({"id":5,"verb":"plan","priority":"high","load_pct":30})")),
+              kErrShedQueueFull);
+
+    std::thread stopper([&] { server.stop(); });
+    wait_for([&] {
+      const auto health = late.call(R"({"id":6,"verb":"health"})");
+      return health.has_value() &&
+             must_parse(*health).find("result")->find("draining")->as_bool();
+    });
+    EXPECT_EQ(error_code_of(late.call(R"({"id":7,"verb":"plan","load_pct":30})")),
+              kErrShedDraining);
+    EXPECT_EQ(error_code_of(late.call(R"({"id":8,"verb":"subscribe"})")),
+              kErrShedDraining);
+    std::map<uint64_t, std::string> answers;
+    for (int i = 0; i < 2; ++i) {
+      const auto line = client.recv_line();
+      ASSERT_TRUE(line.has_value()) << client.last_error();
+      answers[static_cast<uint64_t>(must_parse(*line).find("id")->as_number())] =
+          *line;
+    }
+    stopper.join();
+    EXPECT_EQ(error_code_of(answers[2]), kErrDeadlineExceeded);
+    EXPECT_TRUE(must_parse(answers[4]).find("ok")->as_bool()) << answers[4];
+
+    const PlanningService::Stats stats =
+        expect_stats_match_registry(server, registry);
+    EXPECT_EQ(stats.admitted, 2u);
+    EXPECT_EQ(stats.shed, 4u);
+    EXPECT_EQ(stats.bad_requests, 1u);
+    EXPECT_EQ(stats.subscriptions, 1u);
+    EXPECT_EQ(stats.telemetry_ticks, 2u);
+    EXPECT_EQ(stats.deadline_expired, 1u);
+    EXPECT_EQ(stats.queue_high_water, 2u);
+  }
+  {
+    // Every read sleeps 400 ms, four tick intervals: the subscriber's
+    // mailbox stays full and the broadcaster drops ticks.
+    obs::MetricsRegistry registry;
+    obs::ScopedObservation scope(&registry);
+    ServiceConfig config = model_config();
+    config.chaos.delay_read_pct = 100.0;
+    config.chaos.delay_read_ms = 400;
+    PlanningService server(std::move(config));
+    server.start();
+    ServiceClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    const auto ack =
+        client.call(R"({"id":1,"verb":"subscribe","interval_ms":100})");
+    ASSERT_TRUE(ack.has_value()) << client.last_error();
+    ASSERT_TRUE(client.send_line(R"({"id":2,"verb":"ping"})"));
+    wait_for([&] { return server.stats().dropped_ticks > 0; });
+    for (;;) {
+      const auto line = client.recv_line();
+      ASSERT_TRUE(line.has_value()) << client.last_error();
+      if (!is_telemetry_line(*line)) {
+        EXPECT_EQ(*line, encode_ping_response(2, server.info()));
+        break;
+      }
+    }
+    server.stop();
+
+    const PlanningService::Stats stats =
+        expect_stats_match_registry(server, registry);
+    EXPECT_GT(stats.dropped_ticks, 0u);
+    EXPECT_GT(stats.telemetry_ticks, 0u);
+    EXPECT_EQ(stats.admitted, 1u);
+  }
 }
 
 /// Satellite bugfix: a server that dies mid-response (or stalls forever)

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "core/synthetic.h"
-#include "obs/json_writer.h"
 #include "util/strings.h"
 
 namespace coolopt::service {
@@ -258,7 +257,6 @@ TEST(ParseRequest, EncodeRequestRoundTrips) {
 TEST(EncodeResponse, ErrorEnvelope) {
   const std::string line =
       encode_error(9, Verb::kPlan, kErrShedQueueFull, "full", 256);
-  EXPECT_TRUE(obs::json_syntax_valid(line));
   const JsonValue doc = parse_ok(line);
   EXPECT_DOUBLE_EQ(doc.find("id")->as_number(), 9.0);
   EXPECT_EQ(doc.find("verb")->as_string(), "plan");
@@ -280,7 +278,6 @@ TEST(EncodeResponse, PlanResponseCarriesTheFullAllocation) {
   const core::PlanResult result =
       engine.solve(core::PlanRequest(core::Scenario::by_number(7), 0.5 * cap));
   const std::string line = encode_plan_response(11, result);
-  EXPECT_TRUE(obs::json_syntax_valid(line));
   const JsonValue doc = parse_ok(line);
   EXPECT_TRUE(doc.find("ok")->as_bool());
   const JsonValue* plan = doc.find("result")->find("plan");
@@ -402,7 +399,6 @@ TEST(ParseRequest, SubscribeAndTraceIdRoundTripThroughEncode) {
 
 TEST(EncodeResponse, SubscribeAckEchoesClampedBudget) {
   const std::string line = encode_subscribe_response(31, 250, 12);
-  EXPECT_TRUE(obs::json_syntax_valid(line));
   const JsonValue doc = parse_ok(line);
   EXPECT_DOUBLE_EQ(doc.find("id")->as_number(), 31.0);
   EXPECT_EQ(doc.find("verb")->as_string(), "subscribe");
@@ -425,7 +421,6 @@ TEST(EncodeResponse, TelemetryTickLeadsWithTheTelemetryVerb) {
   delta.histograms.emplace_back("service.latency.plan_us", h);
 
   const std::string line = encode_telemetry_tick(7, 3, delta);
-  EXPECT_TRUE(obs::json_syntax_valid(line));
   // Responses lead with "id"; pushed ticks lead with "verb":"telemetry" so
   // one connection can split the two streams on the first key.
   EXPECT_EQ(line.rfind(R"({"verb":"telemetry")", 0), 0u) << line;
@@ -472,7 +467,6 @@ TEST(EncodeResponse, TracedPlanResponseAppendsTheSpanTree) {
   spans.end(root);
 
   const std::string line = encode_plan_response(50, result, &spans);
-  EXPECT_TRUE(obs::json_syntax_valid(line));
   // The trace block is strictly appended: the untraced bytes are a prefix
   // (modulo the closing brace), preserving historical responses exactly.
   EXPECT_EQ(line.rfind(untraced.substr(0, untraced.size() - 1), 0), 0u);

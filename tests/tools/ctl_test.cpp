@@ -7,7 +7,10 @@
 #include <sstream>
 #include <vector>
 
-#include "obs/json_writer.h"
+#include "core/synthetic.h"
+#include "service/server.h"
+#include "service/wire.h"
+#include "util/strings.h"
 
 namespace coolopt::tools {
 namespace {
@@ -119,8 +122,9 @@ TEST(Cooloptctl, SweepMetricsOutWritesValidTelemetryJson) {
   std::stringstream buf;
   buf << f.rdbuf();
   const std::string doc = buf.str();
+  service::JsonValue parsed;
   std::string error;
-  EXPECT_TRUE(obs::json_syntax_valid(doc, &error)) << error;
+  EXPECT_TRUE(service::parse_json(doc, parsed, error)) << error;
   EXPECT_NE(doc.find("\"schema\":\"coolopt.obs.v1\""), std::string::npos);
   // The acceptance surface: optimizer solves + latency histogram,
   // consolidation query latency histogram, and the per-step series.
@@ -148,8 +152,9 @@ TEST(Cooloptctl, InjectRunsACampaignAndExportsMetrics) {
   std::stringstream buf;
   buf << f.rdbuf();
   const std::string doc = buf.str();
+  service::JsonValue parsed;
   std::string error;
-  EXPECT_TRUE(obs::json_syntax_valid(doc, &error)) << error;
+  EXPECT_TRUE(service::parse_json(doc, parsed, error)) << error;
   EXPECT_NE(doc.find("\"sim.fault_events\""), std::string::npos);
   EXPECT_NE(doc.find("\"resilience.checks\""), std::string::npos);
   std::remove(metrics_path.c_str());
@@ -166,6 +171,50 @@ TEST(Cooloptctl, CommandHelpWorks) {
     EXPECT_EQ(r.code, 0) << cmd;
     EXPECT_FALSE(r.out.empty()) << cmd;
   }
+}
+
+// --- client: verb and priority names come from the protocol table ---
+
+TEST(Cooloptctl, ClientSendsEveryVerbAndPriorityItNames) {
+  core::SyntheticModelOptions model;
+  model.machines = 12;
+  service::ServiceConfig config;
+  config.model = core::share_model(core::make_synthetic_model(model));
+  config.fleet_shards = 2;
+  service::PlanningService server(std::move(config));
+  server.start();
+  const std::string port = util::strf("--port=%u", server.port());
+  // Model-backed: measure, sweep and inject answer unsupported_verb, which
+  // still names the verb the client sent.
+  for (const char* verb : {"ping", "plan", "fleetplan", "measure", "sweep",
+                           "inject", "health"}) {
+    const std::string flag = std::string("--verb=") + verb;
+    const CtlResult r = run({"client", port.c_str(), flag.c_str()});
+    service::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(service::parse_json(r.out, doc, error))
+        << verb << ": " << error << " " << r.err;
+    EXPECT_EQ(doc.find("verb")->as_string(), verb) << r.out;
+  }
+  for (const char* priority : {"high", "normal", "low"}) {
+    const std::string flag = std::string("--priority=") + priority;
+    const CtlResult r = run({"client", port.c_str(), flag.c_str()});
+    EXPECT_EQ(r.code, 0) << priority << ": " << r.err;
+  }
+  server.stop();
+}
+
+TEST(Cooloptctl, ClientRejectsSubscribeAndUnknownNames) {
+  // subscribe streams, so `cooloptctl watch` owns it.
+  for (const char* verb : {"subscribe", "telemetry"}) {
+    const std::string flag = std::string("--verb=") + verb;
+    const CtlResult r = run({"client", flag.c_str()});
+    EXPECT_EQ(r.code, 2) << verb;
+    EXPECT_EQ(r.err, std::string("unknown verb '") + verb + "'\n");
+  }
+  const CtlResult r = run({"client", "--priority=urgent"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_EQ(r.err, "unknown priority 'urgent'\n");
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 #     `profiling/foo.*`        -> exists (repo-relative, or under src/)
 #   * `a.dotted.name`          -> appears verbatim (metric / schema names)
 #   * `Ns::Type::member`       -> each distinctive component appears as a word
-#   * `snake_case` / `CamelCase` identifiers -> appear as a word
+#                                 in src/tools/bench/examples (not tests/: a
+#                                 gtest suite may keep a deleted class's name)
+#   * `snake_case` / `CamelCase` identifiers -> appear as a word, tests/ too
+#                                 (test names are references)
 # Math snippets, short tokens (< 4 chars) and plain lowercase words are
 # deliberately ignored — they are prose, not references.
 set -u
@@ -20,13 +23,15 @@ cd "$(dirname "$0")/.." || exit 2
 
 DOCS=("$@")
 if [ ${#DOCS[@]} -eq 0 ]; then
-  DOCS=(docs/README.md docs/model.md docs/simulator.md
+  DOCS=(README.md DESIGN.md
+        docs/README.md docs/model.md docs/simulator.md
         docs/consolidation.md docs/observability.md docs/architecture.md
         docs/evaluation.md docs/robustness.md docs/service.md
         docs/scale.md)
 fi
 
 CODE_DIRS=(src tests bench tools examples)
+SYMBOL_DIRS=(src tools bench examples)
 failures=0
 
 fail() {
@@ -34,10 +39,15 @@ fail() {
   failures=$((failures + 1))
 }
 
-grep_code() {  # grep_code <extra-grep-args...> -e <pattern>
+grep_in() {  # grep_in <dirs-array-name> <extra-grep-args...> -e <pattern>
+  local -n dirs="$1"
+  shift
   grep -rq --include='*.h' --include='*.cpp' --include='*.sh' \
-      --include='CMakeLists.txt' "$@" "${CODE_DIRS[@]}"
+      --include='CMakeLists.txt' "$@" "${dirs[@]}"
 }
+
+grep_code() { grep_in CODE_DIRS "$@"; }
+grep_symbol() { grep_in SYMBOL_DIRS "$@"; }
 
 check_path() {  # repo-relative path, possibly a `base.*` glob or extensionless
   local doc="$1" p="$2" g="${2%\*}"
@@ -47,15 +57,16 @@ check_path() {  # repo-relative path, possibly a `base.*` glob or extensionless
   fail "$doc" "$p"
 }
 
-check_ident() {  # one identifier component; silently skips non-references
-  local doc="$1" id="$2"
+check_ident() {  # check_ident <doc> <id> [grep_code|grep_symbol]
+  # One identifier component; silently skips non-references.
+  local doc="$1" id="$2" search="${3:-grep_code}"
   [[ "$id" =~ ^[A-Za-z_][A-Za-z0-9_]*$ ]] || return 0
   [ "${#id}" -ge 4 ] || return 0
   if [[ "$id" != *_* ]]; then
     # No underscore: only check CamelCase (mixed upper/lower) names.
     [[ "$id" =~ [A-Z] && "$id" =~ [a-z] ]] || return 0
   fi
-  grep_code -w -e "$id" || fail "$doc" "$id"
+  "$search" -w -e "$id" || fail "$doc" "$id"
 }
 
 check_token() {
@@ -78,7 +89,7 @@ check_token() {
   elif [[ "$tok" == *::* ]]; then
     local part
     for part in ${tok//::/ }; do
-      check_ident "$doc" "$part"
+      check_ident "$doc" "$part" grep_symbol
     done
   elif [[ "$tok" =~ ^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$ ]]; then
     grep_code -F -e "$tok" || fail "$doc" "$tok"

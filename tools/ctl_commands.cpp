@@ -1,7 +1,9 @@
 #include "tools/ctl_commands.h"
 
+#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -427,6 +429,17 @@ int cmd_inject(util::CliFlags& flags, int argc, const char* const* argv,
   return 0;
 }
 
+/// The first `count` values of a wire enum, scanned for the one the
+/// protocol calls `name`.
+template <typename Enum>
+std::optional<Enum> wire_named(std::string_view name, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    const auto value = static_cast<Enum>(i);
+    if (name == service::to_string(value)) return value;
+  }
+  return std::nullopt;
+}
+
 // One-shot protocol client: builds a request from flags (or sends a raw
 // --line verbatim), prints the response line, and exits with the
 // response's ok field so scripts can branch on it.
@@ -486,25 +499,22 @@ int cmd_client(util::CliFlags& flags, int argc, const char* const* argv,
   if (line.empty()) {
     request.id = static_cast<uint64_t>(flags.get_int("id", 1));
     const std::string verb = flags.get_string("verb", "ping");
-    if (verb == "ping") request.verb = service::Verb::kPing;
-    else if (verb == "health") request.verb = service::Verb::kHealth;
-    else if (verb == "plan") request.verb = service::Verb::kPlan;
-    else if (verb == "fleetplan") request.verb = service::Verb::kFleetplan;
-    else if (verb == "measure") request.verb = service::Verb::kMeasure;
-    else if (verb == "sweep") request.verb = service::Verb::kSweep;
-    else if (verb == "inject") request.verb = service::Verb::kInject;
-    else {
+    const std::optional<service::Verb> known =
+        wire_named<service::Verb>(verb, service::kVerbCount);
+    // subscribe streams ticks, so `cooloptctl watch` owns it.
+    if (!known.has_value() || *known == service::Verb::kSubscribe) {
       err << "unknown verb '" << verb << "'\n";
       return 2;
     }
+    request.verb = *known;
     const std::string priority = flags.get_string("priority", "normal");
-    if (priority == "high") request.priority = service::Priority::kHigh;
-    else if (priority == "normal") request.priority = service::Priority::kNormal;
-    else if (priority == "low") request.priority = service::Priority::kLow;
-    else {
+    const std::optional<service::Priority> level =
+        wire_named<service::Priority>(priority, service::kPriorityCount);
+    if (!level.has_value()) {
       err << "unknown priority '" << priority << "'\n";
       return 2;
     }
+    request.priority = *level;
     request.scenario = flags.get_int("scenario", 8);
     request.load_pct = flags.get_double("load-pct", 50.0);
     if (!parse_index_list(flags.get_string("quarantined", ""), "quarantined",
