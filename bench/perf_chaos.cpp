@@ -21,35 +21,29 @@
 // shard workers and requires bit-identical bytes, and a final `health`
 // probe must report exactly the two declared shards as down.
 //
-// Targets (CI gate): goodput >= 95% in every case, zero mismatched
-// response bytes, at least one injected drop actually fired, the degraded
-// plan reproduces bit-for-bit, and health sees both down shards. Emits
-// BENCH_chaos.json (goodput, fired-fault counts, retry histogram); exits
-// nonzero on a miss.
+// Gates: goodput >= 95% in every case, zero mismatched response bytes, at
+// least one injected drop actually fired, the degraded plan reproduces
+// bit-for-bit, and health sees both down shards. Writes BENCH_chaos.json
+// (bench/report.h: goodput, fired faults, retry histogram); exits nonzero
+// on a miss.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/synthetic.h"
+#include "bench/report.h"
 #include "fleet/fleet_engine.h"
-#include "obs/json_writer.h"
-#include "obs/obs.h"
 #include "obs/session.h"
 #include "service/chaos.h"
 #include "service/client.h"
 #include "service/server.h"
 #include "service/wire.h"
-#include "util/cli.h"
-#include "util/strings.h"
-#include "util/table.h"
 
 using namespace coolopt;
 
@@ -150,8 +144,8 @@ CaseResult run_case(uint16_t port, size_t clients, size_t calls_per_client,
 
 int main(int argc, char** argv) {
   obs::ObsSession obs_session(argc, argv);
+  bench::Report report("chaos");
   util::CliFlags flags;
-  flags.define("json-out", "machine-readable results path", "BENCH_chaos.json");
   flags.define("machines", "synthetic fleet size (split across shards)", "64");
   flags.define("shards", "fleet shard count", "8");
   flags.define("calls", "fleetplan calls per case (split across clients)",
@@ -159,14 +153,10 @@ int main(int argc, char** argv) {
   flags.define("drop-pct", "chaos connection-drop probability, percent", "1");
   flags.define("chaos-seed", "chaos fault-stream seed", "17");
   flags.define("retries", "retry attempts per call", "6");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::printf("%s", flags.usage("cooloptd chaos campaign").c_str());
-    return 0;
+  if (const int rc =
+          report.parse_flags(flags, argc, argv, "cooloptd chaos campaign");
+      rc >= 0) {
+    return rc;
   }
   const size_t machines = static_cast<size_t>(flags.get_int("machines", 64));
   const size_t shards = static_cast<size_t>(std::max(2, flags.get_int("shards", 8)));
@@ -207,7 +197,7 @@ int main(int argc, char** argv) {
     request.id = i;
     request.verb = service::Verb::kFleetplan;
     request.priority = service::Priority::kHigh;
-    request.scenario = kScenarios[i % (sizeof kScenarios / sizeof *kScenarios)];
+    request.scenario = kScenarios[i % std::size(kScenarios)];
     request.load_pct =
         60.0 * static_cast<double>(i + 1) / static_cast<double>(kPoints);
     request.down_shards = down_shards;
@@ -287,92 +277,38 @@ int main(int argc, char** argv) {
   const service::ChaosInjector::Counters fired = server.chaos()->counters();
   server.stop();
 
-  util::TextTable table({"clients", "calls", "goodput", "retried",
-                         "mismatches", "wall (s)"});
-  bool pass = reproducible && health_ok &&
-              health_shards_down == down_shards.size() &&
-              fired.dropped_connections > 0;
+  size_t mismatches = 0;
   std::vector<size_t> attempts_hist(static_cast<size_t>(attempts) + 1, 0);
-  size_t total_retried = 0;
   for (const CaseResult& r : results) {
-    table.row({util::strf("%zu", r.clients), util::strf("%zu", r.calls),
-               util::strf("%.2f%%", r.goodput_pct),
-               util::strf("%zu", r.retried_calls),
-               util::strf("%zu", r.mismatches), util::strf("%.2f", r.wall_s)});
-    if (r.goodput_pct < 95.0 || r.mismatches != 0) pass = false;
+    report.row(util::strf("retried_calls/%zu", r.clients),
+               static_cast<double>(r.retried_calls), "count");
+    report.row(util::strf("wall/%zu", r.clients), r.wall_s, "s");
+    report.gate(util::strf("goodput_pct/%zu", r.clients), r.goodput_pct, ">=",
+                95.0);
+    mismatches += r.mismatches;
     for (size_t a = 0; a < attempts_hist.size(); ++a) {
       attempts_hist[a] += r.attempts_hist[a];
     }
-    total_retried += r.retried_calls;
   }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("faults fired: %llu connections dropped; retry absorbed %zu "
-              "call(s); degraded plan reproducible: %s; health reports "
-              "%zu/%zu down shards\n\n",
-              static_cast<unsigned long long>(fired.dropped_connections),
-              total_retried, reproducible ? "yes" : "NO",
-              health_shards_down, down_shards.size());
-
-  const std::string json_path = flags.get_string("json-out", "BENCH_chaos.json");
-  std::ofstream out(json_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 2;
-  }
-  std::string json;
-  obs::JsonWriter w(json);
-  w.begin_object();
-  w.kv("bench", "chaos");
-  w.kv("machines", static_cast<uint64_t>(machines));
-  w.kv("shards", static_cast<uint64_t>(shards));
-  w.kv("shards_down", static_cast<uint64_t>(down_shards.size()));
-  w.kv("drop_connection_pct", drop_pct);
-  w.kv("chaos_seed", chaos_seed);
-  w.kv("retry_attempts", static_cast<uint64_t>(attempts));
-  w.key("cases");
-  w.begin_array();
-  for (const CaseResult& r : results) {
-    w.begin_object();
-    w.kv("n", static_cast<uint64_t>(r.clients));
-    w.kv("clients", static_cast<uint64_t>(r.clients));
-    w.kv("calls", static_cast<uint64_t>(r.calls));
-    w.kv("succeeded", static_cast<uint64_t>(r.succeeded));
-    w.kv("goodput_pct", r.goodput_pct);
-    w.kv("retried_calls", static_cast<uint64_t>(r.retried_calls));
-    w.kv("mismatches", static_cast<uint64_t>(r.mismatches));
-    w.kv("wall_s", r.wall_s);
-    w.end_object();
-  }
-  w.end_array();
-  // Canonical goodput is the 8-client case (the last, largest case).
-  w.kv("goodput_pct", results.back().goodput_pct);
-  w.key("drops");
-  w.begin_object();
-  w.kv("dropped_connections", fired.dropped_connections);
-  w.kv("delayed_reads", fired.delayed_reads);
-  w.kv("truncated_writes", fired.truncated_writes);
-  w.kv("stalled_solves", fired.stalled_solves);
-  w.end_object();
-  w.key("retry_histogram");
-  w.begin_array();
   for (size_t a = 1; a < attempts_hist.size(); ++a) {
     if (attempts_hist[a] == 0 && a > 1) continue;
-    w.begin_object();
-    w.kv("attempts", static_cast<uint64_t>(a));
-    w.kv("calls", static_cast<uint64_t>(attempts_hist[a]));
-    w.end_object();
+    report.row(util::strf("calls_by_attempts/%zu", a),
+               static_cast<double>(attempts_hist[a]), "count");
   }
-  w.end_array();
-  w.kv("reproducible", reproducible);
-  w.kv("health_shards_down", static_cast<uint64_t>(health_shards_down));
-  w.kv("pass", pass);
-  w.end_object();
-  out << json << "\n";
-  std::printf("(JSON written to %s)\n", json_path.c_str());
-
-  std::printf("Targets (goodput >= 95%% per case; zero mismatched bytes; "
-              ">= 1 drop fired; reproducible degraded plan; health sees "
-              "both down shards): %s\n",
-              pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  report.row("faults.delayed_reads", static_cast<double>(fired.delayed_reads),
+             "count");
+  report.row("faults.truncated_writes",
+             static_cast<double>(fired.truncated_writes), "count");
+  report.row("faults.stalled_solves", static_cast<double>(fired.stalled_solves),
+             "count");
+  report.gate("faults.dropped_connections",
+              static_cast<double>(fired.dropped_connections), ">", 0.0);
+  report.gate("responses.mismatches", static_cast<double>(mismatches), "==",
+              0.0);
+  report.gate("degraded_plan.reproducible", reproducible ? 1.0 : 0.0, "==",
+              1.0);
+  report.gate("health.ok", health_ok ? 1.0 : 0.0, "==", 1.0);
+  report.gate("health.shards_down", static_cast<double>(health_shards_down),
+              "==", static_cast<double>(down_shards.size()));
+  return report.finish();
 }

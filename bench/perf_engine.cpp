@@ -1,80 +1,170 @@
-// PlanEngine hot-path performance: what the cached artifacts, the
-// zero-allocation solve path and the verified ranked-head check buy on the
-// warm replan loop.
+// Engine performance, layer by layer, plus the paper's complexity claims.
 //
-// Two timings per fleet size, both on scenario #8 (the paper's holistic
-// Optimal + AC + consolidation arm) over a 16-load operating cycle:
+// Rows (all median per-call times, bench::median_us):
 //
-//   cold      construct-and-solve: the pre-engine call pattern, full model
-//             validation + Algorithm 1 preprocessing (one fresh engine per
-//             sample, first solve only);
-//   warm      one long-lived engine replanning the cycle through a reused
-//             result slot. The ranked-head check answers a solve whenever
-//             the ranking's head provably wins, and the consolidation walk
-//             runs otherwise.
+//   closed_form.solve/n      Eq. 19/21/22 on a reused result slot, n 8..2048:
+//                            "linear computational complexity (with respect
+//                            to the number of servers)" (Section III-A);
+//   lp.solve/n               the bounded LP fallback, n 8..64 (polynomial and
+//                            far heavier);
+//   max_safe_t_ac/n          the thermal-limit set point, n 8..2048;
+//   alg1.cold_build/n        Algorithm 1 preprocessing, n 8..256;
+//   alg2.query_paper/n       Algorithm 2's O(lg n) query against a prebuilt
+//                            allStatus index (Section III-B);
+//   alg2.query_exact/n       the exact per-k query (a k-scan stopped at an
+//                            exact power floor);
+//   alg2.rank_all_k_into/n   the full ranking into a reused buffer, the
+//                            engine's candidate-walk call shape;
+//   brute_force/n            the naive O(n 2^n) enumeration the paper argues
+//                            against, n 8..18;
+//   alg1.max_load_for_budget/64   the inverse query maxL(A, P_b, k);
+//   plan_engine.solve/20     scenario #8 on a long-lived 20-machine engine;
+//   warm_path.*/n            scenario #8 over a 16-load operating cycle on an
+//                            SKU room: a fresh engine's construct-and-solve
+//                            (cold) against one long-lived engine replanning
+//                            through a reused result slot (warm);
+//   obs.*.{detached,attached}  the closed form and a warm engine solve with
+//                            no metrics registry attached and with one: the
+//                            cost of the instrumentation hooks.
 //
-// Targets (exit nonzero when missed):
-//   * the ranked-head check engages (its counter advances) at every n;
-//   * warm plans are byte-for-byte a fresh engine's at every cycle load
-//     (encode_plan_response bytes) — a warm engine may change how fast a
-//     plan is computed, never what it is.
+// Gates, at every warm-path n: the ranked-head check answers at least one
+// warm solve, and every warm plan encodes byte-for-byte what a fresh
+// engine answers (a warm engine may change how fast a plan is computed,
+// never what it is).
 //
-// Emits BENCH_engine.json (override with --json-out); tools/check_bench.sh
-// validates the shape of every BENCH_*.json in CI.
+// Writes BENCH_engine.json (bench/report.h); exits nonzero on a failed gate.
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
+#include "core/closed_form.h"
+#include "core/consolidation.h"
 #include "core/engine.h"
+#include "core/incremental.h"
+#include "core/lp_optimizer.h"
 #include "core/scratch.h"
-#include "core/synthetic.h"
-#include "obs/json_writer.h"
+#include "obs/obs.h"
 #include "obs/session.h"
 #include "service/wire.h"
-#include "util/cli.h"
-#include "util/strings.h"
-#include "util/table.h"
 
 using namespace coolopt;
 
 namespace {
 
-double us_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+core::RoomModel synthetic_model(size_t machines, uint64_t seed) {
+  core::SyntheticModelOptions options;
+  options.machines = machines;
+  options.seed = seed;
+  return core::make_synthetic_model(options);
 }
 
-double p50(std::vector<double> samples) {
-  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
-                   samples.end());
-  return samples[samples.size() / 2];
+std::vector<size_t> all_indices(size_t n) {
+  std::vector<size_t> v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = i;
+  return v;
 }
 
-/// SKU-structured fleet (8 machine classes replicated across n slots) with
-/// 3x capacity headroom, as in perf_scale: per-machine caps stay slack at
-/// the cycle's operating points, so solves stay on the closed form and the
-/// timing isolates the Algorithm 1 query, not LP fallbacks.
-core::RoomModel sku_model(size_t machines, uint64_t seed) {
-  constexpr size_t kSkus = 8;
-  core::SyntheticModelOptions opt;
-  opt.machines = machines;
-  opt.seed = seed;
-  core::RoomModel model = core::make_synthetic_model(opt);
-  for (size_t i = kSkus; i < model.size(); ++i) {
-    model.machines[i] = model.machines[i % kSkus];
+std::string at(const char* name, size_t n) {
+  return util::strf("%s/%zu", name, n);
+}
+
+/// Section III-A: the closed form, the LP fallback, the set-point bound and
+/// one consolidated engine solve.
+void optimizer_rows(bench::Report& report) {
+  for (size_t n = 8; n <= 2048; n *= 4) {
+    const core::RoomModel model = synthetic_model(n, 7);
+    const core::AnalyticOptimizer opt(model);
+    const std::vector<size_t> on = all_indices(n);
+    const double load = model.total_capacity() * 0.6;
+    core::ClosedFormResult result;
+    report.row(at("closed_form.solve", n), bench::median_us([&] {
+                 opt.solve_into(on.data(), on.size(), load, result);
+                 bench::keep(result.allocation.total_power_w);
+               }),
+               "us");
+    const std::vector<double> loads(n, 20.0);
+    const std::vector<bool> on_mask(n, true);
+    report.row(at("max_safe_t_ac", n), bench::median_us([&] {
+                 bench::keep(core::max_safe_t_ac(model, loads, on_mask));
+               }),
+               "us");
   }
-  for (core::MachineModel& m : model.machines) m.capacity *= 3.0;
-  return model;
+  for (size_t n = 8; n <= 64; n *= 2) {
+    const core::RoomModel model = synthetic_model(n, 7);
+    const core::LpOptimizer opt(model);
+    const std::vector<size_t> on = all_indices(n);
+    const double load = model.total_capacity() * 0.6;
+    core::LpWorkspace ws;
+    core::Allocation alloc;
+    report.row(at("lp.solve", n), bench::median_us([&] {
+                 opt.solve_into(on.data(), on.size(), load, ws, alloc);
+                 bench::keep(alloc.total_power_w);
+               }),
+               "us");
+  }
+  const core::RoomModel model = synthetic_model(20, 7);
+  const core::PlanEngine engine(model);
+  const core::PlanRequest request(core::Scenario::by_number(8),
+                                  model.total_capacity() * 0.45);
+  report.row("plan_engine.solve/20", bench::median_us([&] {
+               bench::keep(engine.solve(request).plan);
+             }),
+             "us");
 }
 
-/// The repeating operating cycle: 16 loads between 15% and 35% of (the
-/// headroom-inflated) capacity — a day of demand levels the planner keeps
+/// Section III-B: Algorithm 1's build, Algorithm 2's queries and the
+/// enumeration they replace.
+void consolidation_rows(bench::Report& report) {
+  for (size_t n = 8; n <= 256; n *= 2) {
+    const core::SharedRoomModel model =
+        core::share_model(synthetic_model(n, 11));
+    report.row(at("alg1.cold_build", n), bench::median_us([&] {
+                 core::IncrementalConsolidator consolidator(model);
+                 bench::keep(consolidator.segment_count());
+               }),
+               "us");
+    const core::IncrementalConsolidator consolidator(model);
+    const auto& table = consolidator.table();
+    const std::vector<core::detail::ConsolidationTable::Status> statuses =
+        table.all_status();
+    const double load = model->total_capacity() * 0.4;
+    report.row(at("alg2.query_paper", n), bench::median_us([&] {
+                 bench::keep(table.query_paper(consolidator.particles(),
+                                               *model, statuses, load));
+               }),
+               "us");
+    core::ConsolidationChoice choice;
+    report.row(at("alg2.query_exact", n), bench::median_us([&] {
+                 bench::keep(consolidator.query_best_into(load, choice));
+               }),
+               "us");
+    std::vector<core::ConsolidationChoice> ranked;
+    report.row(at("alg2.rank_all_k_into", n), bench::median_us([&] {
+                 bench::keep(consolidator.rank_all_k_into(load, ranked));
+               }),
+               "us");
+  }
+  for (size_t n = 8; n <= 18; n += 2) {
+    const core::RoomModel model = synthetic_model(n, 11);
+    const core::BruteForceConsolidator brute(model);
+    const double load = model.total_capacity() * 0.4;
+    report.row(at("brute_force", n), bench::median_us([&] {
+                 bench::keep(brute.best(load));
+               }),
+               "us");
+  }
+  const core::IncrementalConsolidator consolidator(
+      core::share_model(synthetic_model(64, 11)));
+  report.row("alg1.max_load_for_budget/64", bench::median_us([&] {
+               bench::keep(consolidator.max_load_for_budget(2000.0, 24));
+             }),
+             "us");
+}
+
+/// The repeating operating cycle: 16 loads between 15% and 35% of the
+/// (headroom-inflated) capacity, a day of demand levels the planner keeps
 /// revisiting.
 std::vector<double> load_cycle(const core::RoomModel& model) {
   constexpr size_t kPoints = 16;
@@ -87,49 +177,41 @@ std::vector<double> load_cycle(const core::RoomModel& model) {
   return loads;
 }
 
-struct CaseResult {
-  size_t n = 0;
-  double cold_p50_us = 0.0;  ///< fresh engine: construct + one solve
-  double warm_p50_us = 0.0;  ///< long-lived engine, reused result slot
-  uint64_t head_answers = 0;  ///< warm solves the ranked-head check answered
-  bool identical = false;
-};
-
-CaseResult run_case(size_t n, size_t rounds, size_t cold_samples) {
-  CaseResult r;
-  r.n = n;
-  const core::SharedRoomModel shared = core::share_model(sku_model(n, 42));
+/// Cold vs warm scenario-#8 solves over the load cycle, and the gates on
+/// the ranked-head check and on warm/fresh plan identity.
+void warm_path_rows(bench::Report& report, size_t n, size_t rounds,
+                    size_t cold_samples) {
+  const core::SharedRoomModel shared =
+      core::share_model(bench::sku_model(n, 8, 42));
   const std::vector<double> loads = load_cycle(*shared);
-  const core::Scenario holistic = core::Scenario::by_number(8);
 
   // Warm arm: one lap to build the caches, then `rounds` timed laps through
   // one PlanResult slot (the zero-allocation call shape).
   const core::PlanEngine warm(shared);
-  core::PlanRequest req(holistic, 0.0);
+  core::PlanRequest req(core::Scenario::by_number(8), 0.0);
   core::PlanResult slot;
   for (const double load : loads) {
     req.load = load;
     warm.solve_into(req, core::SolveScratch::local(), slot);
   }
   std::vector<double> samples;
-  samples.reserve(rounds * loads.size());
   for (size_t lap = 0; lap < rounds; ++lap) {
     for (const double load : loads) {
       req.load = load;
       const auto t0 = std::chrono::steady_clock::now();
       warm.solve_into(req, core::SolveScratch::local(), slot);
-      samples.push_back(us_since(t0));
+      samples.push_back(bench::us_since(t0));
     }
   }
-  r.warm_p50_us = p50(samples);
-  r.head_answers = warm.counters().memo_hits;
+  const double warm_p50 = bench::median(samples);
+  const uint64_t head_answers = warm.counters().memo_hits;
 
   // Cold arm, doubling as the identity check: at every load the warm engine
   // must encode exactly a fresh engine's first answer. The first
   // `cold_samples` loads each get their own timed engine; later loads ask
   // the last of them, which has still never seen that load.
   samples.clear();
-  r.identical = true;
+  size_t mismatches = 0;
   std::unique_ptr<core::PlanEngine> cold;
   for (size_t i = 0; i < loads.size(); ++i) {
     req.load = loads[i];
@@ -138,93 +220,84 @@ CaseResult run_case(size_t n, size_t rounds, size_t cold_samples) {
       const auto t0 = std::chrono::steady_clock::now();
       cold = std::make_unique<core::PlanEngine>(shared);
       fresh = cold->solve(req);
-      samples.push_back(us_since(t0));
+      samples.push_back(bench::us_since(t0));
     } else {
       fresh = cold->solve(req);
     }
     warm.solve_into(req, core::SolveScratch::local(), slot);
     if (service::encode_plan_response(0, slot) !=
         service::encode_plan_response(0, fresh)) {
-      r.identical = false;
+      ++mismatches;
     }
   }
-  r.cold_p50_us = p50(samples);
-  return r;
+  report.row(at("warm_path.cold_p50", n), bench::median(samples), "us");
+  report.row(at("warm_path.warm_p50", n), warm_p50, "us");
+  report.gate(at("warm_path.head_answers", n),
+              static_cast<double>(head_answers), ">", 0.0);
+  report.gate(at("warm_path.plan_mismatches", n),
+              static_cast<double>(mismatches), "==", 0.0);
+}
+
+/// The instrumentation hooks' cost: the same calls with no registry
+/// attached, then with one.
+void observability_rows(bench::Report& report) {
+  const core::RoomModel model = synthetic_model(2048, 7);
+  const core::AnalyticOptimizer opt(model);
+  const std::vector<size_t> on = all_indices(model.size());
+  const double load = model.total_capacity() * 0.6;
+  core::ClosedFormResult result;
+  const auto closed_form = [&] {
+    opt.solve_into(on.data(), on.size(), load, result);
+    bench::keep(result.allocation.total_power_w);
+  };
+
+  const core::SharedRoomModel shared =
+      core::share_model(bench::sku_model(200, 8, 42));
+  const std::vector<double> loads = load_cycle(*shared);
+  const core::PlanEngine engine(shared);
+  core::PlanRequest req(core::Scenario::by_number(8), 0.0);
+  core::PlanResult slot;
+  const auto warm_lap = [&] {
+    for (const double l : loads) {
+      req.load = l;
+      engine.solve_into(req, core::SolveScratch::local(), slot);
+    }
+  };
+  warm_lap();  // build the caches
+  const double per_lap = static_cast<double>(loads.size());
+
+  obs::MetricsRegistry registry;
+  for (obs::MetricsRegistry* sink : {static_cast<obs::MetricsRegistry*>(nullptr),
+                                     &registry}) {
+    const obs::ScopedObservation scope(sink);
+    const char* suffix = sink == nullptr ? "detached" : "attached";
+    report.row(util::strf("obs.closed_form.solve/2048.%s", suffix),
+               bench::median_us(closed_form), "us");
+    report.row(util::strf("obs.plan_engine.warm_solve/200.%s", suffix),
+               bench::median_us(warm_lap) / per_lap, "us");
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolopt::obs::ObsSession obs_session(argc, argv);
+  obs::ObsSession obs_session(argc, argv);
+  bench::Report report("engine");
   util::CliFlags flags;
-  flags.define("json-out", "machine-readable results path",
-               "BENCH_engine.json");
-  flags.define("rounds", "warm cycle laps per measurement", "32");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::printf("%s",
-                flags.usage("PlanEngine warm solve-path performance").c_str());
-    return 0;
+  flags.define("rounds", "warm cycle laps per warm-path measurement", "32");
+  if (const int rc = report.parse_flags(
+          flags, argc, argv, "engine performance, layer by layer");
+      rc >= 0) {
+    return rc;
   }
   const size_t rounds = static_cast<size_t>(flags.get_int("rounds", 32));
 
-  std::printf("PlanEngine hot path: scratch arena + ranked-head check\n\n");
-
-  std::vector<CaseResult> results;
-  results.push_back(run_case(200, rounds, 16));
+  optimizer_rows(report);
+  consolidation_rows(report);
+  warm_path_rows(report, 200, rounds, 16);
   // The big room gets fewer laps and cold samples (its preprocessing takes
   // seconds): it exists to show the asymptotics, not to soak.
-  results.push_back(run_case(10000, std::max<size_t>(2, rounds / 8), 3));
-
-  util::TextTable table({"n", "cold p50 (us)", "warm p50 (us)",
-                         "head answers", "identical"});
-  bool pass = true;
-  for (const CaseResult& r : results) {
-    table.row({util::strf("%zu", r.n), util::strf("%.0f", r.cold_p50_us),
-               util::strf("%.1f", r.warm_p50_us),
-               util::strf("%llu",
-                          static_cast<unsigned long long>(r.head_answers)),
-               r.identical ? "yes" : "NO"});
-    if (!r.identical || r.head_answers == 0) pass = false;
-  }
-  std::printf("%s\n", table.render().c_str());
-
-  const std::string json_path =
-      flags.get_string("json-out", "BENCH_engine.json");
-  std::ofstream out(json_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 2;
-  }
-  std::string json;
-  obs::JsonWriter w(json);
-  w.begin_object();
-  w.kv("bench", "engine");
-  w.kv("rounds", static_cast<uint64_t>(rounds));
-  w.key("cases");
-  w.begin_array();
-  for (const CaseResult& r : results) {
-    w.begin_object();
-    w.kv("n", static_cast<uint64_t>(r.n));
-    w.kv("cold_p50_us", r.cold_p50_us);
-    w.kv("warm_p50_us", r.warm_p50_us);
-    w.kv("head_answers", r.head_answers);
-    w.kv("identical", r.identical);
-    w.end_object();
-  }
-  w.end_array();
-  w.kv("pass", pass);
-  w.end_object();
-  out << json << "\n";
-  std::printf("(JSON written to %s)\n", json_path.c_str());
-
-  std::printf(
-      "Targets (the ranked-head check engages and warm plans stay "
-      "byte-for-byte a fresh engine's at every n): %s\n",
-      pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  warm_path_rows(report, 10000, std::max<size_t>(2, rounds / 8), 3);
+  observability_rows(report);
+  return report.finish();
 }

@@ -16,31 +16,25 @@
 // ONE machine and replan (set_active + query_best_into) against a from-scratch
 // cold build answering the same query at the same active set.
 //
-// Targets (exit nonzero when missed):
-//   * fleet cold solve at n = 10000 beats the monolithic cold solve;
+// Gates (exit nonzero when missed):
+//   * fleet cold solve at the largest n beats the monolithic cold solve at
+//     one of the swept shard counts;
 //   * incremental replan >= 10x the cold rebuild at every n >= 2000;
 //   * every fleet shard entry is bit-for-bit the shard engine's own
 //     answer, and the incremental table/ranking is bit-for-bit the cold
 //     rebuild's, at every n.
 //
-// Emits BENCH_scale.json (override with --json-out); tools/check_bench.sh
-// validates the shape of every BENCH_*.json in CI.
+// Writes BENCH_scale.json (bench/report.h).
 
-#include <chrono>
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "bench/report.h"
 #include "core/engine.h"
 #include "core/incremental.h"
-#include "core/synthetic.h"
 #include "fleet/fleet_engine.h"
-#include "obs/json_writer.h"
 #include "obs/session.h"
-#include "util/cli.h"
-#include "util/strings.h"
-#include "util/table.h"
 
 using namespace coolopt;
 
@@ -50,31 +44,6 @@ namespace {
 /// i.e. 60% of the nominal synthetic capacity — the paper's mid-load
 /// regime, far from both the thermal ceiling and the per-machine caps.
 constexpr double kLoadFrac = 0.2;
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// SKU-structured fleet: `skus` machine classes replicated across n slots,
-/// with 3x capacity headroom so per-machine caps don't bind at the 20%
-/// operating point below. (When caps bind, the closed form fails bounds
-/// and the relaxation lower bound goes slack, so the engine's candidate
-/// walk degrades to LP probes over every k — an interesting regime, but
-/// not the one this bench sweeps; here both arms run the pruned pure
-/// closed-form path and the timing isolates the table/n scaling.)
-core::RoomModel sku_model(size_t machines, size_t skus, uint64_t seed) {
-  core::SyntheticModelOptions opt;
-  opt.machines = machines;
-  opt.seed = seed;
-  core::RoomModel model = core::make_synthetic_model(opt);
-  for (size_t i = skus; i < model.size(); ++i) {
-    model.machines[i] = model.machines[i % skus];
-  }
-  for (core::MachineModel& m : model.machines) m.capacity *= 3.0;
-  return model;
-}
 
 bool tables_identical(const core::detail::ConsolidationTable& a,
                       const core::detail::ConsolidationTable& b) {
@@ -105,229 +74,143 @@ bool choices_identical(const std::vector<core::ConsolidationChoice>& a,
   return true;
 }
 
-struct MonoBaseline {
-  double solve_ms = 0.0;
+struct ColdSolve {
+  double ms = 0.0;
   double total_power_w = 0.0;
-};
-
-struct IncrementalResult {
-  double replan_ms = 0.0;
-  double rebuild_ms = 0.0;
-  bool identical = false;
-  double speedup() const {
-    return replan_ms > 0.0 ? rebuild_ms / replan_ms : 0.0;
-  }
-};
-
-struct CaseResult {
-  size_t n = 0;
-  size_t shards = 0;
-  double mono_ms = 0.0;
-  double fleet_ms = 0.0;
-  double mono_power_w = 0.0;
-  double fleet_power_w = 0.0;
-  bool fleet_identical = false;  ///< shard entries == direct shard solves
-  IncrementalResult incremental;
-  double fleet_speedup() const {
-    return fleet_ms > 0.0 ? mono_ms / fleet_ms : 0.0;
-  }
-  double power_ratio() const {
-    return mono_power_w > 0.0 ? fleet_power_w / mono_power_w : 0.0;
-  }
+  bool identical = true;  ///< fleet only: shard entries == direct solves
 };
 
 /// Cold monolithic reference: construct + one consolidated solve.
-MonoBaseline run_monolithic(const core::RoomModel& room, double load) {
+ColdSolve run_monolithic(const core::RoomModel& room, double load) {
   const auto t0 = std::chrono::steady_clock::now();
   core::PlanEngine engine(room);
   const core::PlanResult result =
       engine.solve(core::PlanRequest(core::Scenario::by_number(8), load));
-  MonoBaseline mono;
-  mono.solve_ms = ms_since(t0);
+  ColdSolve mono;
+  mono.ms = bench::ms_since(t0);
   mono.total_power_w =
       result.plan ? result.plan->allocation.total_power_w : 0.0;
   return mono;
 }
 
-/// Warm table + one-machine quarantine replan (delta patch + query_best_into)
-/// vs a from-scratch build answering the same query.
-IncrementalResult run_incremental(const core::SharedRoomModel& model,
-                                  double load) {
-  IncrementalResult r;
+/// partition_room + one FleetEngine::solve, cold.
+ColdSolve run_fleet(const core::RoomModel& room, size_t shards, double load) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fleet::FleetEngine engine(fleet::partition_room(room, shards));
+  fleet::FleetPlanRequest request;
+  request.load = load;
+  const fleet::FleetPlanResult result = engine.solve(request);
+  ColdSolve r;
+  r.ms = bench::ms_since(t0);
+  r.total_power_w = result.total_power_w;
+
+  // Every merged shard entry must be bit-for-bit what that shard's engine
+  // answers directly for its assigned load.
+  r.identical = result.feasible();
+  for (size_t s = 0; s < shards && r.identical; ++s) {
+    core::PlanRequest direct(request.scenario, result.shard_loads[s]);
+    direct.shard = static_cast<int>(s);
+    const core::PlanResult again = engine.engine(s).solve(direct);
+    const core::PlanResult& merged = result.shard_results[s];
+    r.identical = again.plan.has_value() && merged.plan.has_value() &&
+                  again.plan->allocation.on == merged.plan->allocation.on &&
+                  again.plan->allocation.loads ==
+                      merged.plan->allocation.loads &&
+                  again.plan->allocation.total_power_w ==
+                      merged.plan->allocation.total_power_w;
+  }
+  return r;
+}
+
+/// Warm table + one-machine quarantine replan (delta patch +
+/// query_best_into) vs a from-scratch build answering the same query. Adds
+/// the timing rows (a gate at n >= 2000); returns whether the patched
+/// answer is bit-for-bit the rebuilt one.
+bool incremental_rows(bench::Report& report,
+                      const core::SharedRoomModel& model, double load) {
+  const size_t n = model->size();
   core::IncrementalConsolidator inc(model, core::kPreValidated);
-  std::vector<char> mask(model->size(), 1);
+  std::vector<char> mask(n, 1);
   inc.set_active(mask);  // warm (cold build, untimed)
 
-  mask[model->size() / 2] = 0;  // one machine quarantined
+  mask[n / 2] = 0;  // one machine quarantined
   auto t0 = std::chrono::steady_clock::now();
   inc.set_active(mask);
   core::ConsolidationChoice best;
   const bool found = inc.query_best_into(load, best);
-  r.replan_ms = ms_since(t0);
+  const double replan_ms = bench::ms_since(t0);
 
   t0 = std::chrono::steady_clock::now();
   core::IncrementalConsolidator rebuilt(model, core::kPreValidated);
   rebuilt.set_active(mask);
   core::ConsolidationChoice best_cold;
   const bool found_cold = rebuilt.query_best_into(load, best_cold);
-  r.rebuild_ms = ms_since(t0);
+  const double rebuild_ms = bench::ms_since(t0);
+
+  report.row(util::strf("incremental.replan/%zu", n), replan_ms, "ms");
+  report.row(util::strf("incremental.rebuild/%zu", n), rebuild_ms, "ms");
+  const double speedup = replan_ms > 0.0 ? rebuild_ms / replan_ms : 0.0;
+  const std::string name = util::strf("incremental.speedup/%zu", n);
+  if (n >= 2000) {
+    report.gate(name, speedup, ">=", 10.0);
+  } else {
+    report.row(name, speedup, "x");
+  }
 
   // Bit-for-bit: the patched table equals the rebuilt one, both queries
   // agree, and query_best_into is exactly the head of the full ranking.
   std::vector<core::ConsolidationChoice> ranked;
   const size_t ranked_count = inc.rank_all_k_into(load, ranked);
-  r.identical = tables_identical(inc.table(), rebuilt.table()) && found &&
-                found_cold && ranked_count > 0 &&
-                choices_identical({best}, {best_cold}) &&
-                choices_identical({best}, {ranked.front()});
-  return r;
-}
-
-CaseResult run_case(const core::RoomModel& room, size_t shards,
-                    const MonoBaseline& mono,
-                    const IncrementalResult& incremental) {
-  CaseResult r;
-  r.n = room.size();
-  r.shards = shards;
-  r.mono_ms = mono.solve_ms;
-  r.mono_power_w = mono.total_power_w;
-  r.incremental = incremental;
-  const double load = kLoadFrac * room.total_capacity();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  fleet::FleetEngine engine(fleet::partition_room(room, shards));
-  fleet::FleetPlanRequest request;
-  request.load = load;
-  const fleet::FleetPlanResult result = engine.solve(request);
-  r.fleet_ms = ms_since(t0);
-  r.fleet_power_w = result.total_power_w;
-
-  // Every merged shard entry must be bit-for-bit what that shard's engine
-  // answers directly for its assigned load.
-  r.fleet_identical = result.feasible();
-  for (size_t s = 0; s < shards && r.fleet_identical; ++s) {
-    core::PlanRequest direct(request.scenario, result.shard_loads[s]);
-    direct.shard = static_cast<int>(s);
-    const core::PlanResult again = engine.engine(s).solve(direct);
-    const core::PlanResult& merged = result.shard_results[s];
-    r.fleet_identical =
-        again.plan.has_value() && merged.plan.has_value() &&
-        again.plan->allocation.on == merged.plan->allocation.on &&
-        again.plan->allocation.loads == merged.plan->allocation.loads &&
-        again.plan->allocation.total_power_w ==
-            merged.plan->allocation.total_power_w;
-  }
-  return r;
+  return tables_identical(inc.table(), rebuilt.table()) && found &&
+         found_cold && ranked_count > 0 &&
+         choices_identical({best}, {best_cold}) &&
+         choices_identical({best}, {ranked.front()});
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolopt::obs::ObsSession obs_session(argc, argv);
+  obs::ObsSession obs_session(argc, argv);
+  bench::Report report("scale");
   util::CliFlags flags;
-  flags.define("json-out", "machine-readable results path", "BENCH_scale.json");
   flags.define("max-n", "largest fleet size in the sweep", "10000");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
+  if (const int rc = report.parse_flags(flags, argc, argv,
+                                        "datacenter-scale planning performance");
+      rc >= 0) {
+    return rc;
   }
-  if (flags.help_requested()) {
-    std::printf("%s",
-                flags.usage("datacenter-scale planning performance").c_str());
-    return 0;
-  }
-  const size_t max_n =
-      static_cast<size_t>(flags.get_int("max-n", 10000));
+  const size_t max_n = static_cast<size_t>(flags.get_int("max-n", 10000));
 
-  std::printf("Datacenter-scale planning: fleet + incremental Algorithm 1\n\n");
-
-  // n-sweep (ascending, as check_bench asserts) at 8 shards, then the
-  // shard-count sweep at the largest n.
-  std::vector<std::pair<size_t, size_t>> grid;  // (n, shards)
+  // n-sweep at 8 shards; the largest n also at 4 and 16 shards.
+  size_t mismatches = 0;
+  double fleet_speedup_at_max = 0.0;
   for (const size_t n : {size_t{1000}, size_t{2000}, size_t{5000}, max_n}) {
-    if (n <= max_n) grid.emplace_back(n, 8);
-  }
-  for (const size_t shards : {size_t{4}, size_t{16}}) {
-    grid.emplace_back(max_n, shards);
-  }
-
-  std::vector<CaseResult> results;
-  size_t cached_n = 0;
-  core::RoomModel room;
-  core::SharedRoomModel shared;
-  MonoBaseline mono;
-  IncrementalResult incremental;
-  for (const auto& [n, shards] : grid) {
-    if (n != cached_n) {
-      room = sku_model(n, 8, 42);
-      shared = core::share_model(room);
-      const double load = kLoadFrac * room.total_capacity();
-      mono = run_monolithic(room, load);
-      incremental = run_incremental(shared, load);
-      cached_n = n;
+    if (n > max_n) continue;
+    const core::RoomModel room = bench::sku_model(n, 8, 42);
+    const double load = kLoadFrac * room.total_capacity();
+    const ColdSolve mono = run_monolithic(room, load);
+    report.row(util::strf("monolithic.cold_solve/%zu", n), mono.ms, "ms");
+    if (!incremental_rows(report, core::share_model(room), load)) ++mismatches;
+    const std::vector<size_t> shard_counts =
+        n == max_n ? std::vector<size_t>{8, 4, 16} : std::vector<size_t>{8};
+    for (const size_t shards : shard_counts) {
+      const ColdSolve fleet = run_fleet(room, shards, load);
+      report.row(util::strf("fleet.cold_solve/%zu/%zu", n, shards), fleet.ms,
+                 "ms");
+      report.row(util::strf("fleet.power_ratio/%zu/%zu", n, shards),
+                 mono.total_power_w > 0.0
+                     ? fleet.total_power_w / mono.total_power_w
+                     : 0.0,
+                 "ratio");
+      if (!fleet.identical) ++mismatches;
+      if (n == max_n && fleet.ms > 0.0) {
+        fleet_speedup_at_max = std::max(fleet_speedup_at_max, mono.ms / fleet.ms);
+      }
     }
-    results.push_back(run_case(room, shards, mono, incremental));
   }
-
-  util::TextTable table({"n", "shards", "mono (ms)", "fleet (ms)", "fleet x",
-                         "power ratio", "inc (ms)", "rebuild (ms)", "inc x",
-                         "identical"});
-  bool pass = true;
-  bool fleet_wins_at_max = false;
-  for (const CaseResult& r : results) {
-    table.row({util::strf("%zu", r.n), util::strf("%zu", r.shards),
-               util::strf("%.1f", r.mono_ms), util::strf("%.1f", r.fleet_ms),
-               util::strf("%.2f", r.fleet_speedup()),
-               util::strf("%.4f", r.power_ratio()),
-               util::strf("%.2f", r.incremental.replan_ms),
-               util::strf("%.1f", r.incremental.rebuild_ms),
-               util::strf("%.1f", r.incremental.speedup()),
-               (r.fleet_identical && r.incremental.identical) ? "yes" : "NO"});
-    if (!r.fleet_identical || !r.incremental.identical) pass = false;
-    if (r.n >= 2000 && r.incremental.speedup() < 10.0) pass = false;
-    if (r.n == max_n && r.fleet_ms < r.mono_ms) fleet_wins_at_max = true;
-  }
-  if (!fleet_wins_at_max) pass = false;
-  std::printf("%s\n", table.render().c_str());
-
-  const std::string json_path =
-      flags.get_string("json-out", "BENCH_scale.json");
-  std::ofstream out(json_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 2;
-  }
-  std::string json;
-  obs::JsonWriter w(json);
-  w.begin_object();
-  w.kv("bench", "scale");
-  w.kv("skus", static_cast<uint64_t>(8));
-  w.key("cases");
-  w.begin_array();
-  for (const CaseResult& r : results) {
-    w.begin_object();
-    w.kv("n", static_cast<uint64_t>(r.n));
-    w.kv("shards", static_cast<uint64_t>(r.shards));
-    w.kv("mono_ms", r.mono_ms);
-    w.kv("fleet_ms", r.fleet_ms);
-    w.kv("fleet_speedup", r.fleet_speedup());
-    w.kv("power_ratio", r.power_ratio());
-    w.kv("incremental_ms", r.incremental.replan_ms);
-    w.kv("rebuild_ms", r.incremental.rebuild_ms);
-    w.kv("incremental_speedup", r.incremental.speedup());
-    w.kv("identical", r.fleet_identical && r.incremental.identical);
-    w.end_object();
-  }
-  w.end_array();
-  w.kv("pass", pass);
-  w.end_object();
-  out << json << "\n";
-  std::printf("(JSON written to %s)\n", json_path.c_str());
-
-  std::printf(
-      "Targets (fleet beats monolithic at n = %zu; incremental replan >= "
-      "10x the cold rebuild at n >= 2000; everything bit-for-bit): %s\n",
-      max_n, pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  report.gate(util::strf("fleet.best_speedup_vs_monolithic/%zu", max_n),
+              fleet_speedup_at_max, ">", 1.0);
+  report.gate("identity.mismatches", static_cast<double>(mismatches), "==",
+              0.0);
+  return report.finish();
 }

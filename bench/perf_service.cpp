@@ -1,48 +1,44 @@
-// Service-layer performance: sustained request throughput and tail latency
-// of an in-process cooloptd (PlanningService) under concurrent clients.
+// Service-layer gates that perfbench does not hold: sustained throughput of
+// an in-process cooloptd (PlanningService) under 8 and 64 concurrent
+// clients, byte-for-byte identity of every response under that
+// concurrency, and the cost of live telemetry subscribers to the plan path.
+// (perfbench/ measures the served path's latency layer by layer.)
 //
 // Setup: a model-backed service over a 200-machine synthetic fleet (no
 // simulator, so startup is milliseconds and every request exercises the
 // planner + wire path, which is what the service layer adds). Requests
 // cycle the closed-form scenarios (1-5, 7), whose warm solves are
 // microseconds at n=200 — the Optimal-distribution scenarios (6, 8)
-// engage the bounded LP at tens of ms per solve on this fleet, which
-// would measure planner cost (perf_engine's job), not service overhead.
+// engage the bounded LP, which would measure planner cost (perf_engine's
+// lp.solve rows), not service overhead.
 // Each client thread pipelines a window of requests over its own TCP
-// connection across 200 distinct operating points; every response is verified
-// byte-for-byte against the expected encoding precomputed from direct
-// in-process PlanEngine calls — the bench doubles as a determinism check
-// under real socket concurrency.
+// connection across 200 distinct operating points; every response is
+// verified byte-for-byte against the expected encoding precomputed from
+// direct in-process PlanEngine calls.
 //
-// Cases: 1, 8 and 64 concurrent clients, then a subscriber-overhead phase:
-// the 8-client case re-measured with 8 live `subscribe` streams at the
-// floor interval. Targets (CI gate): the 8-client case sustains >= 5000
-// requests/sec, zero responses diverge from the direct-call bytes at any
-// client count, and streaming costs the plan path at most 5% throughput.
-// Emits BENCH_service.json with req/s and p50/p99/p999 per case plus the
-// subscriber-overhead block; exits nonzero on a miss.
+// Gates: the 8-client case sustains >= 5000 requests/sec; zero responses
+// diverge from the direct-call bytes in any phase; 8 live `subscribe`
+// streams at the floor interval cost the 8-client case at most 5%
+// throughput (median of three bare/streaming pairs) while delivering at
+// least two ticks per subscriber. Writes BENCH_service.json
+// (bench/report.h).
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/synthetic.h"
-#include "obs/json_writer.h"
+#include "bench/report.h"
 #include "obs/obs.h"
 #include "obs/session.h"
 #include "service/client.h"
 #include "service/server.h"
 #include "service/wire.h"
-#include "util/cli.h"
-#include "util/strings.h"
-#include "util/table.h"
 
 using namespace coolopt;
 
@@ -50,25 +46,18 @@ namespace {
 
 constexpr size_t kPoints = 200;  ///< distinct (load) operating points
 
-struct CaseResult {
-  size_t clients = 0;
-  size_t requests = 0;
-  size_t mismatches = 0;
-  double wall_s = 0.0;
-  double req_per_s = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
+struct Workload {
+  uint16_t port = 0;
+  size_t requests = 0;  ///< per case, split across clients
+  size_t window = 0;    ///< pipelined requests in flight per client
+  std::vector<std::string> request_lines;
+  std::vector<std::string> expected_lines;
 };
 
-double percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const double rank = p * static_cast<double>(sorted_us.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted_us.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted_us[lo] + (sorted_us[hi] - sorted_us[lo]) * frac;
-}
+struct CaseResult {
+  double req_per_s = 0.0;
+  size_t mismatches = 0;  ///< divergent responses, plus lost ones
+};
 
 /// Extracts N from a response line's leading `{"id":N` without a full
 /// parse (the full-line byte comparison is the real validation).
@@ -79,52 +68,34 @@ bool response_id(const std::string& line, size_t& out) {
   return true;
 }
 
-CaseResult run_case(uint16_t port, size_t clients, size_t requests_per_client,
-                    size_t window,
-                    const std::vector<std::string>& request_lines,
-                    const std::vector<std::string>& expected_lines) {
-  CaseResult result;
-  result.clients = clients;
-  std::vector<std::vector<double>> latencies(clients);
+CaseResult run_case(const Workload& w, size_t clients) {
+  const size_t per_client = std::max<size_t>(1, w.requests / clients);
   std::atomic<size_t> mismatches{0};
-  std::atomic<size_t> failures{0};
-
-  auto client_main = [&](size_t index) {
+  auto client_main = [&] {
     service::ServiceClient client;
-    if (!client.connect("127.0.0.1", port)) {
-      failures.fetch_add(1);
+    if (!client.connect("127.0.0.1", w.port)) {
+      mismatches.fetch_add(per_client);
       return;
     }
-    std::vector<double>& lat = latencies[index];
-    lat.reserve(requests_per_client);
-    // Send timestamp per point id: the pipeline window (< kPoints) bounds
-    // how many ids are in flight, so ids never collide within a window.
-    std::vector<std::chrono::steady_clock::time_point> sent(kPoints);
     size_t next = 0;      // next request index to send
     size_t received = 0;  // responses consumed
-    while (received < requests_per_client) {
-      while (next < requests_per_client && next - received < window) {
-        const size_t point = next % kPoints;
-        sent[point] = std::chrono::steady_clock::now();
-        if (!client.send_line(request_lines[point])) {
-          failures.fetch_add(1);
+    while (received < per_client) {
+      while (next < per_client && next - received < w.window) {
+        if (!client.send_line(w.request_lines[next % kPoints])) {
+          mismatches.fetch_add(per_client - received);
           return;
         }
         ++next;
       }
       const std::optional<std::string> line = client.recv_line();
       if (!line.has_value()) {
-        failures.fetch_add(1);
+        mismatches.fetch_add(per_client - received);
         return;
       }
       size_t point = 0;
       if (!response_id(*line, point) || point >= kPoints ||
-          *line != expected_lines[point]) {
+          *line != w.expected_lines[point]) {
         mismatches.fetch_add(1);
-      } else {
-        lat.push_back(std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - sent[point])
-                          .count());
       }
       ++received;
     }
@@ -133,33 +104,19 @@ CaseResult run_case(uint16_t port, size_t clients, size_t requests_per_client,
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   threads.reserve(clients);
-  for (size_t i = 0; i < clients; ++i) threads.emplace_back(client_main, i);
+  for (size_t i = 0; i < clients; ++i) threads.emplace_back(client_main);
   for (std::thread& t : threads) t.join();
-  result.wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-
-  result.requests = clients * requests_per_client;
-  result.mismatches = mismatches.load() + failures.load() * requests_per_client;
+  const double wall_s = bench::us_since(t0) / 1e6;
+  CaseResult result;
   result.req_per_s =
-      result.wall_s > 0.0 ? static_cast<double>(result.requests) / result.wall_s
-                          : 0.0;
-  std::vector<double> all;
-  all.reserve(result.requests);
-  for (const std::vector<double>& lat : latencies) {
-    all.insert(all.end(), lat.begin(), lat.end());
-  }
-  std::sort(all.begin(), all.end());
-  result.p50_us = percentile(all, 0.50);
-  result.p99_us = percentile(all, 0.99);
-  result.p999_us = percentile(all, 0.999);
+      wall_s > 0.0 ? static_cast<double>(clients * per_client) / wall_s : 0.0;
+  result.mismatches = mismatches.load();
   return result;
 }
 
-/// One telemetry subscriber: subscribes at the floor interval, then counts
-/// tick lines until `stop` is raised. Unbounded streams deliver a tick every
-/// interval, so the recv loop re-checks the flag at least that often and the
-/// thread winds down within roughly one interval of the flag flipping.
+/// One telemetry subscriber: subscribes at `interval_ms`, then counts tick
+/// lines until `stop` is raised. Unbounded streams deliver a tick every
+/// interval, so the recv loop re-checks the flag at least that often.
 void subscriber_main(uint16_t port, uint64_t interval_ms,
                      const std::atomic<bool>& stop,
                      std::atomic<size_t>& ticks_received,
@@ -174,9 +131,7 @@ void subscriber_main(uint16_t port, uint64_t interval_ms,
   request.verb = service::Verb::kSubscribe;
   request.interval_ms = interval_ms;
   request.ticks = 0;  // unbounded: stream until this client disconnects
-  const std::optional<std::string> ack =
-      client.call(service::encode_request(request));
-  if (!ack.has_value()) {
+  if (!client.call(service::encode_request(request)).has_value()) {
     failures.fetch_add(1);
     return;
   }
@@ -189,46 +144,26 @@ void subscriber_main(uint16_t port, uint64_t interval_ms,
   }
 }
 
-/// Throughput with N live subscribers attached vs. the bare 8-client case.
-/// The broadcaster runs on its own thread and delivers through per-session
-/// mailboxes, so the gate is that the solve/wire path stays within 5% of
-/// the subscriber-free baseline.
 struct SubscriberOverhead {
-  size_t subscribers = 0;
-  uint64_t interval_ms = 0;
   double baseline_req_per_s = 0.0;
   double loaded_req_per_s = 0.0;
   double overhead_pct = 0.0;
   size_t ticks_received = 0;
   size_t mismatches = 0;
-  bool pass = false;
 };
 
-SubscriberOverhead run_subscriber_overhead(
-    uint16_t port, size_t subscribers, uint64_t interval_ms, size_t clients,
-    size_t requests_per_client, size_t window,
-    const std::vector<std::string>& request_lines,
-    const std::vector<std::string>& expected_lines) {
-  SubscriberOverhead result;
-  result.subscribers = subscribers;
-  result.interval_ms = interval_ms;
-
-  // Three alternating (bare, streaming) pairs, judged by the median pair:
-  // machine-wide throughput drifts phase to phase on small hosts, and a
-  // single pair read during a drift would charge that drift to streaming.
+/// The `clients` case bare, then with `subscribers` live streams, three
+/// times, judged by the median pair: machine-wide throughput drifts phase
+/// to phase on small hosts, and a single pair read during a drift would
+/// charge that drift to streaming.
+SubscriberOverhead run_subscriber_overhead(const Workload& w, size_t clients,
+                                           size_t subscribers,
+                                           uint64_t interval_ms) {
   constexpr size_t kPairs = 3;
-  struct Pair {
-    double baseline = 0.0;
-    double loaded = 0.0;
-    double overhead_pct = 0.0;
-  };
-  std::vector<Pair> pairs;
-  pairs.reserve(kPairs);
+  SubscriberOverhead result;
+  std::vector<SubscriberOverhead> pairs;
   for (size_t round = 0; round < kPairs; ++round) {
-    const CaseResult baseline =
-        run_case(port, clients, requests_per_client, window, request_lines,
-                 expected_lines);
-    result.mismatches += baseline.mismatches;
+    const CaseResult baseline = run_case(w, clients);
 
     std::atomic<bool> stop{false};
     std::atomic<size_t> ticks{0};
@@ -236,44 +171,39 @@ SubscriberOverhead run_subscriber_overhead(
     std::vector<std::thread> threads;
     threads.reserve(subscribers);
     for (size_t i = 0; i < subscribers; ++i) {
-      threads.emplace_back(subscriber_main, port, result.interval_ms,
+      threads.emplace_back(subscriber_main, w.port, interval_ms,
                            std::cref(stop), std::ref(ticks),
                            std::ref(failures));
     }
     // Let every subscription receive its baseline tick before measuring, so
     // the measured window is steady-state streaming, not subscribe setup.
-    std::this_thread::sleep_for(std::chrono::milliseconds(
-        std::min<uint64_t>(2 * result.interval_ms, 500)));
-
-    const CaseResult loaded =
-        run_case(port, clients, requests_per_client, window, request_lines,
-                 expected_lines);
-    result.mismatches += loaded.mismatches + failures.load();
-
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(std::min<uint64_t>(2 * interval_ms, 500)));
+    const CaseResult loaded = run_case(w, clients);
     stop.store(true, std::memory_order_relaxed);
     for (std::thread& t : threads) t.join();
-    result.ticks_received += ticks.load();
 
-    Pair pair;
-    pair.baseline = baseline.req_per_s;
-    pair.loaded = loaded.req_per_s;
+    result.mismatches +=
+        baseline.mismatches + loaded.mismatches + failures.load();
+    result.ticks_received += ticks.load();
+    SubscriberOverhead pair;
+    pair.baseline_req_per_s = baseline.req_per_s;
+    pair.loaded_req_per_s = loaded.req_per_s;
     pair.overhead_pct =
-        pair.baseline > 0.0
-            ? (pair.baseline - pair.loaded) / pair.baseline * 100.0
+        baseline.req_per_s > 0.0
+            ? (baseline.req_per_s - loaded.req_per_s) / baseline.req_per_s *
+                  100.0
             : 100.0;
     pairs.push_back(pair);
   }
-
   std::sort(pairs.begin(), pairs.end(),
-            [](const Pair& a, const Pair& b) {
+            [](const SubscriberOverhead& a, const SubscriberOverhead& b) {
               return a.overhead_pct < b.overhead_pct;
             });
-  const Pair& median = pairs[pairs.size() / 2];
-  result.baseline_req_per_s = median.baseline;
-  result.loaded_req_per_s = median.loaded;
+  const SubscriberOverhead& median = pairs[pairs.size() / 2];
+  result.baseline_req_per_s = median.baseline_req_per_s;
+  result.loaded_req_per_s = median.loaded_req_per_s;
   result.overhead_pct = median.overhead_pct;
-  result.pass = result.mismatches == 0 && result.overhead_pct <= 5.0 &&
-                result.ticks_received >= 2 * subscribers;
   return result;
 }
 
@@ -287,27 +217,20 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry standalone_registry;
   std::optional<obs::ScopedObservation> standalone_scope;
   if (!obs_session.active()) standalone_scope.emplace(&standalone_registry);
+  bench::Report report("service");
   util::CliFlags flags;
-  flags.define("json-out", "machine-readable results path", "BENCH_service.json");
   flags.define("machines", "synthetic fleet size", "200");
   flags.define("requests", "requests per case (split across clients)", "16000");
   flags.define("window", "pipelined requests in flight per client", "32");
   flags.define("subscribers", "telemetry streams in the overhead phase", "8");
   flags.define("sub-interval-ms", "tick interval the overhead phase requests",
                "100");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::printf("%s", flags.usage("cooloptd service performance").c_str());
-    return 0;
+  if (const int rc = report.parse_flags(flags, argc, argv,
+                                        "cooloptd service performance");
+      rc >= 0) {
+    return rc;
   }
   const size_t machines = static_cast<size_t>(flags.get_int("machines", 200));
-  const size_t total_requests =
-      static_cast<size_t>(flags.get_int("requests", 16000));
-  const size_t window = std::max(1, flags.get_int("window", 32));
   const size_t subscribers =
       static_cast<size_t>(std::max(1, flags.get_int("subscribers", 8)));
   const uint64_t sub_interval_ms = static_cast<uint64_t>(
@@ -328,10 +251,13 @@ int main(int argc, char** argv) {
   // 200 distinct plan requests and, via direct in-process engine calls on
   // the very same PlanEngine, the exact bytes the service must produce.
   // Requests round-trip through parse_request so the bench plans from the
-  // same parsed doubles the server sees (%.12g re-parse is exact for
-  // round-trippable values; this removes the assumption entirely).
-  std::vector<std::string> request_lines(kPoints);
-  std::vector<std::string> expected_lines(kPoints);
+  // same parsed doubles the server sees.
+  Workload w;
+  w.port = server.port();
+  w.requests = static_cast<size_t>(flags.get_int("requests", 16000));
+  w.window = static_cast<size_t>(std::max(1, flags.get_int("window", 32)));
+  w.request_lines.resize(kPoints);
+  w.expected_lines.resize(kPoints);
   const double capacity = server.info().capacity_files_s;
   constexpr int kScenarios[] = {1, 2, 3, 4, 5, 7};  // closed-form paths
   for (size_t i = 0; i < kPoints; ++i) {
@@ -339,118 +265,50 @@ int main(int argc, char** argv) {
     request.id = i;
     request.verb = service::Verb::kPlan;
     request.priority = service::Priority::kHigh;
-    request.scenario = kScenarios[i % (sizeof kScenarios / sizeof *kScenarios)];
+    request.scenario = kScenarios[i % std::size(kScenarios)];
     request.load_pct =
         95.0 * static_cast<double>(i + 1) / static_cast<double>(kPoints);
-    request_lines[i] = service::encode_request(request);
+    w.request_lines[i] = service::encode_request(request);
 
     service::WireRequest parsed;
     std::string parse_error;
-    if (!service::parse_request(request_lines[i], parsed, parse_error)) {
+    if (!service::parse_request(w.request_lines[i], parsed, parse_error)) {
       std::fprintf(stderr, "self-check: %s\n", parse_error.c_str());
       return 2;
     }
     const core::PlanRequest plan_request(
         core::Scenario::by_number(parsed.scenario),
         parsed.load_pct / 100.0 * capacity, parsed.quarantined);
-    expected_lines[i] = service::encode_plan_response(
+    w.expected_lines[i] = service::encode_plan_response(
         parsed.id, server.plan_engine()->solve(plan_request));
   }
 
   std::printf("cooloptd service performance (%zu-machine synthetic fleet, "
               "%zu workers)\n\n",
               machines, server.info().workers);
-
-  const std::vector<size_t> client_counts = {1, 8, 64};
-  std::vector<CaseResult> results;
-  for (const size_t clients : client_counts) {
-    const size_t per_client = std::max<size_t>(1, total_requests / clients);
-    results.push_back(run_case(server.port(), clients, per_client, window,
-                               request_lines, expected_lines));
+  size_t mismatches = 0;
+  double req_per_s_8 = 0.0;
+  for (const size_t clients : {size_t{8}, size_t{64}}) {
+    const CaseResult r = run_case(w, clients);
+    report.row(util::strf("throughput/%zu", clients), r.req_per_s, "req/s");
+    mismatches += r.mismatches;
+    if (clients == 8) req_per_s_8 = r.req_per_s;
   }
-
-  // Subscriber-overhead phase: the 8-client case re-measured back-to-back,
-  // bare and then with 8 live telemetry subscribers at the floor interval.
   constexpr size_t kOverheadClients = 8;
   const SubscriberOverhead overhead = run_subscriber_overhead(
-      server.port(), subscribers, sub_interval_ms, kOverheadClients,
-      std::max<size_t>(1, total_requests / kOverheadClients), window,
-      request_lines, expected_lines);
+      w, kOverheadClients, subscribers, sub_interval_ms);
   server.stop();
+  mismatches += overhead.mismatches;
 
-  util::TextTable table({"clients", "requests", "req/s", "p50 (us)",
-                         "p99 (us)", "p999 (us)", "identical"});
-  bool pass = true;
-  double req_per_s_8 = 0.0;
-  for (const CaseResult& r : results) {
-    table.row({util::strf("%zu", r.clients), util::strf("%zu", r.requests),
-               util::strf("%.0f", r.req_per_s), util::strf("%.0f", r.p50_us),
-               util::strf("%.0f", r.p99_us), util::strf("%.0f", r.p999_us),
-               r.mismatches == 0 ? "yes" : util::strf("NO (%zu)", r.mismatches)});
-    if (r.mismatches != 0) pass = false;
-    if (r.clients == 8) req_per_s_8 = r.req_per_s;
-  }
-  if (req_per_s_8 < 5000.0) pass = false;
-  if (!overhead.pass) pass = false;
-  std::printf("%s\n", table.render().c_str());
-
-  std::printf("subscriber overhead, median of 3 pairs (%zu clients, %zu "
-              "subscribers @ %llu ms): "
-              "%.0f -> %.0f req/s (%+.2f%%), %zu ticks streamed: %s\n\n",
-              kOverheadClients, overhead.subscribers,
-              static_cast<unsigned long long>(overhead.interval_ms),
-              overhead.baseline_req_per_s, overhead.loaded_req_per_s,
-              overhead.overhead_pct, overhead.ticks_received,
-              overhead.pass ? "PASS" : "FAIL");
-
-  const std::string json_path =
-      flags.get_string("json-out", "BENCH_service.json");
-  std::ofstream out(json_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 2;
-  }
-  std::string json;
-  obs::JsonWriter w(json);
-  w.begin_object();
-  w.kv("bench", "service");
-  w.kv("machines", static_cast<uint64_t>(machines));
-  w.kv("workers", static_cast<uint64_t>(server.info().workers));
-  w.kv("window", static_cast<uint64_t>(window));
-  w.key("cases");
-  w.begin_array();
-  for (const CaseResult& r : results) {
-    w.begin_object();
-    w.kv("n", static_cast<uint64_t>(r.clients));
-    w.kv("clients", static_cast<uint64_t>(r.clients));
-    w.kv("requests", static_cast<uint64_t>(r.requests));
-    w.kv("req_per_s", r.req_per_s);
-    w.kv("p50_us", r.p50_us);
-    w.kv("p99_us", r.p99_us);
-    w.kv("p999_us", r.p999_us);
-    w.kv("mismatches", static_cast<uint64_t>(r.mismatches));
-    w.end_object();
-  }
-  w.end_array();
-  w.key("subscribers");
-  w.begin_object();
-  w.kv("subscribers", static_cast<uint64_t>(overhead.subscribers));
-  w.kv("clients", static_cast<uint64_t>(kOverheadClients));
-  w.kv("interval_ms", overhead.interval_ms);
-  w.kv("baseline_req_per_s", overhead.baseline_req_per_s);
-  w.kv("with_subscribers_req_per_s", overhead.loaded_req_per_s);
-  w.kv("overhead_pct", overhead.overhead_pct);
-  w.kv("ticks_received", static_cast<uint64_t>(overhead.ticks_received));
-  w.kv("pass", overhead.pass);
-  w.end_object();
-  w.kv("pass", pass);
-  w.end_object();
-  out << json << "\n";
-  std::printf("(JSON written to %s)\n", json_path.c_str());
-
-  std::printf("Targets (>= 5000 req/s at 8 clients; all responses "
-              "bit-for-bit identical to direct engine calls; <= 5%% "
-              "throughput loss with %zu subscribers): %s\n",
-              overhead.subscribers, pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  report.row("subscribers.baseline_throughput/8", overhead.baseline_req_per_s,
+             "req/s");
+  report.row("subscribers.loaded_throughput/8", overhead.loaded_req_per_s,
+             "req/s");
+  report.gate("throughput/8", req_per_s_8, ">=", 5000.0);
+  report.gate("responses.mismatches", static_cast<double>(mismatches), "==",
+              0.0);
+  report.gate("subscribers.overhead_pct", overhead.overhead_pct, "<=", 5.0);
+  report.gate("subscribers.ticks", static_cast<double>(overhead.ticks_received),
+              ">=", static_cast<double>(2 * subscribers));
+  return report.finish();
 }

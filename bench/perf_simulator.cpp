@@ -2,12 +2,14 @@
 // one transient RK4 step, a controlled steady-state solve, and a full fast
 // profiling campaign — as the room grows. Guides users sizing their own
 // experiments (the figure benches run thousands of settles).
+//
+// Rows only (median per-call times); writes BENCH_simulator.json
+// (bench/report.h).
 
-#include <benchmark/benchmark.h>
-
+#include "bench/report.h"
+#include "obs/session.h"
 #include "profiling/profiler.h"
 #include "sim/room.h"
-#include "obs/session.h"
 
 using namespace coolopt;
 
@@ -26,64 +28,53 @@ sim::RoomConfig room_of(size_t n) {
   return cfg;
 }
 
-void BM_TransientStep(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  sim::MachineRoom room(room_of(n));
-  room.set_uniform_utilization(0.6);
-  for (auto _ : state) {
-    room.step(0.5);
-  }
-  state.SetComplexityN(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_TransientStep)->RangeMultiplier(2)->Range(8, 256)->Complexity();
+}  // namespace
 
-void BM_ControlledSettle(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  sim::MachineRoom room(room_of(n));
-  double u = 0.3;
-  for (auto _ : state) {
-    // Alternate operating points so the solve is never a no-op.
-    u = u > 0.5 ? 0.3 : 0.7;
-    room.set_uniform_utilization(u);
-    room.settle();
-    benchmark::DoNotOptimize(room.total_power_w());
+int main(int argc, char** argv) {
+  obs::ObsSession obs_session(argc, argv);
+  bench::Report report("simulator");
+  util::CliFlags flags;
+  if (const int rc =
+          report.parse_flags(flags, argc, argv, "simulator performance");
+      rc >= 0) {
+    return rc;
   }
-  state.SetComplexityN(static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ControlledSettle)->RangeMultiplier(2)->Range(8, 128)->Complexity();
 
-void BM_FastProfilingCampaign(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
+  for (size_t n = 8; n <= 256; n *= 2) {
     sim::MachineRoom room(room_of(n));
-    benchmark::DoNotOptimize(
-        profiling::profile_room(room, profiling::ProfilingOptions::fast()));
+    room.set_uniform_utilization(0.6);
+    report.row(util::strf("transient_step/%zu", n),
+               bench::median_us([&] { room.step(0.5); }), "us");
   }
-}
-BENCHMARK(BM_FastProfilingCampaign)->Arg(8)->Arg(20)->Unit(benchmark::kMillisecond);
-
-void BM_SensorRead(benchmark::State& state) {
+  for (size_t n = 8; n <= 128; n *= 2) {
+    sim::MachineRoom room(room_of(n));
+    double u = 0.3;
+    report.row(util::strf("controlled_settle/%zu", n), bench::median_us([&] {
+                 // Alternate operating points so the solve is never a no-op.
+                 u = u > 0.5 ? 0.3 : 0.7;
+                 room.set_uniform_utilization(u);
+                 room.settle();
+                 bench::keep(room.total_power_w());
+               }),
+               "us");
+  }
+  for (const size_t n : {size_t{8}, size_t{20}}) {
+    report.row(util::strf("fast_profiling_campaign/%zu", n),
+               bench::median_us([&] {
+                 sim::MachineRoom room(room_of(n));
+                 bench::keep(profiling::profile_room(
+                     room, profiling::ProfilingOptions::fast()));
+               }) / 1000.0,
+               "ms");
+  }
   sim::MachineRoom room(room_of(20));
   room.set_uniform_utilization(0.5);
   room.settle();
   size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(room.read_cpu_temp_c(i));
-    i = (i + 1) % room.size();
-  }
-}
-BENCHMARK(BM_SensorRead);
-
-}  // namespace
-
-// Like BENCHMARK_MAIN(), but peels off --metrics-out/--trace-out first so
-// the perf suites can export telemetry (benchmark::Initialize rejects flags
-// it does not know about).
-int main(int argc, char** argv) {
-  coolopt::obs::ObsSession obs_session(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  report.row("sensor_read/20", bench::median_us([&] {
+               bench::keep(room.read_cpu_temp_c(i));
+               i = (i + 1) % room.size();
+             }),
+             "us");
+  return report.finish();
 }

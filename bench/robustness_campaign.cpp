@@ -10,30 +10,26 @@
 //   watchdog    set-point interventions only (cool the whole room harder)
 //   supervisor  full ResilientController: quarantine + replan + re-admission
 //
-// Targets (exit nonzero on a miss):
-//   * supervisor violation time < 10% of the no-defense arm's;
+// Gates (exit nonzero on a miss):
+//   * the fault bites (the no-defense arm violates at all), and the
+//     supervisor's violation time is < 10% of the no-defense arm's;
 //   * supervisor steady-state power within 5% of the post-quarantine
 //     re-optimum (a fresh PlanEngine solve with the hot machine quarantined);
 //   * the supervisor arm re-run from the same seed is bit-for-bit identical.
 //
-// Emits BENCH_robustness.json (override with --json-out) with all three arms
-// so the defense trajectory can be tracked across commits.
+// Writes BENCH_robustness.json (bench/report.h) with all three arms so the
+// defense trajectory can be tracked across commits.
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <vector>
 
+#include "bench/report.h"
 #include "control/adaptive.h"
 #include "control/fault_campaign.h"
 #include "control/setpoint_planner.h"
-#include "obs/json_writer.h"
 #include "obs/session.h"
 #include "profiling/profiler.h"
 #include "sim/room.h"
-#include "util/cli.h"
-#include "util/strings.h"
-#include "util/table.h"
 
 using namespace coolopt;
 
@@ -74,17 +70,12 @@ bool identical(const control::FaultCampaignResult& a,
 
 int main(int argc, char** argv) {
   obs::ObsSession obs_session(argc, argv);
+  bench::Report report("robustness");
   util::CliFlags flags;
-  flags.define("json-out", "machine-readable results path",
-               "BENCH_robustness.json");
-  std::string error;
-  if (!flags.parse(argc, argv, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::printf("%s", flags.usage("Robustness campaign").c_str());
-    return 0;
+  if (const int rc =
+          report.parse_flags(flags, argc, argv, "Robustness campaign");
+      rc >= 0) {
+    return rc;
   }
 
   std::printf("Robustness campaign: fan failure at t=600s, 20 machines, "
@@ -135,82 +126,28 @@ int main(int argc, char** argv) {
                 reoptimum_w
           : 100.0;
 
-  util::TextTable table({"defense", "violation (s)", "peak CPU (C)",
-                         "shed (files)", "energy (kJ)", "final W",
-                         "quarantines", "overrides"});
   for (const control::FaultCampaignResult& r : results) {
-    table.row({to_string(r.defense), util::strf("%.0f", r.violation_s),
-               util::strf("%.2f", r.peak_cpu_c),
-               util::strf("%.0f", r.shed_files),
-               util::strf("%.1f", r.energy_j / 1000.0),
-               util::strf("%.0f", r.final_total_power_w),
-               util::strf("%zu", r.quarantines),
-               util::strf("%zu", r.emergency_overrides)});
+    const auto name = [&](const char* what) {
+      return util::strf("%s.%s", to_string(r.defense), what);
+    };
+    report.row(name("violation"), r.violation_s, "s");
+    report.row(name("peak_cpu"), r.peak_cpu_c, "C");
+    report.row(name("shed"), r.shed_files, "files");
+    report.row(name("energy"), r.energy_j / 1000.0, "kJ");
+    report.row(name("final_power"), r.final_total_power_w, "W");
+    report.row(name("quarantines"), static_cast<double>(r.quarantines),
+               "count");
+    report.row(name("emergency_overrides"),
+               static_cast<double>(r.emergency_overrides), "count");
   }
-  std::printf("%s\n", table.render().c_str());
-
-  const double violation_ratio =
-      none.violation_s > 0.0 ? supervisor.violation_s / none.violation_s : 0.0;
-  const bool fault_bites = none.violation_s > 0.0;
-  const bool violation_ok = fault_bites && violation_ratio < 0.10;
-  const bool power_ok = reoptimum_w > 0.0 && power_gap_pct < 5.0;
-  const bool pass = violation_ok && power_ok && reproducible;
-
-  std::printf("supervisor violation %.0fs vs no-defense %.0fs (ratio %.3f, "
-              "target < 0.10)\n",
-              supervisor.violation_s, none.violation_s, violation_ratio);
-  std::printf("supervisor final power %.0f W vs post-quarantine re-optimum "
-              "%.0f W (gap %.2f%%, target < 5%%)\n",
-              supervisor.final_total_power_w, reoptimum_w, power_gap_pct);
-  std::printf("seed-replay bit-for-bit identical: %s\n",
-              reproducible ? "yes" : "NO");
-
-  const std::string json_path =
-      flags.get_string("json-out", "BENCH_robustness.json");
-  std::ofstream out(json_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 2;
-  }
-  std::string json;
-  obs::JsonWriter w(json);
-  w.begin_object();
-  w.kv("bench", "robustness");
-  w.kv("scenario", supervisor.scenario);
-  w.kv("room_servers", static_cast<uint64_t>(20));
-  w.kv("demand_files_s", supervisor.demand_files_s);
-  w.kv("t_max_c", supervisor.t_max_c);
-  w.key("arms");
-  w.begin_array();
-  for (const control::FaultCampaignResult& r : results) {
-    w.begin_object();
-    w.kv("defense", to_string(r.defense));
-    w.kv("violation_s", r.violation_s);
-    w.kv("peak_cpu_c", r.peak_cpu_c);
-    w.kv("shed_files", r.shed_files);
-    w.kv("energy_j", r.energy_j);
-    w.kv("final_total_power_w", r.final_total_power_w);
-    w.kv("final_throughput_files_s", r.final_throughput_files_s);
-    w.kv("fault_events", static_cast<uint64_t>(r.fault_events));
-    w.kv("quarantines", static_cast<uint64_t>(r.quarantines));
-    w.kv("readmissions", static_cast<uint64_t>(r.readmissions));
-    w.kv("emergency_overrides", static_cast<uint64_t>(r.emergency_overrides));
-    w.kv("watchdog_interventions",
-         static_cast<uint64_t>(r.watchdog_interventions));
-    w.end_object();
-  }
-  w.end_array();
-  w.kv("violation_ratio", violation_ratio);
-  w.kv("reoptimum_power_w", reoptimum_w);
-  w.kv("power_gap_pct", power_gap_pct);
-  w.kv("reproducible", reproducible);
-  w.kv("pass", pass);
-  w.end_object();
-  out << json << "\n";
-  std::printf("(JSON written to %s)\n", json_path.c_str());
-
-  std::printf("Targets (violation < 10%% of no-defense; power within 5%% of "
-              "re-optimum; seed-reproducible): %s\n",
-              pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  report.row("supervisor.reoptimum_power", reoptimum_w, "W");
+  report.gate("none.violation", none.violation_s, ">", 0.0);
+  report.gate("supervisor.violation_ratio",
+              none.violation_s > 0.0 ? supervisor.violation_s / none.violation_s
+                                     : 0.0,
+              "<", 0.10);
+  report.gate("supervisor.power_gap_pct", power_gap_pct, "<", 5.0);
+  report.gate("supervisor.replay_identical", reproducible ? 1.0 : 0.0, "==",
+              1.0);
+  return report.finish();
 }

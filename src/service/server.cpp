@@ -190,30 +190,18 @@ void PlanningService::stop() {
   // 3. Tear down connections: shutdown() unblocks any reader mid-recv,
   //    then the reader threads exit on their stop flag / EOF.
   stop_readers_.store(true, std::memory_order_release);
-  std::vector<std::shared_ptr<Session>> sessions;
-  std::vector<std::thread> readers;
+  std::vector<Connection> connections;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions = sessions_;
-    readers.swap(reader_threads_);
+    connections.swap(connections_);
   }
-  for (const std::shared_ptr<Session>& session : sessions) {
-    std::lock_guard<std::mutex> lock(session->write_mu);
-    if (session->open.load(std::memory_order_acquire)) {
-      ::shutdown(session->fd, SHUT_RDWR);
+  for (const Connection& connection : connections) {
+    std::lock_guard<std::mutex> lock(connection.session->write_mu);
+    if (connection.session->open.load(std::memory_order_acquire)) {
+      ::shutdown(connection.session->fd, SHUT_RDWR);
     }
   }
-  for (std::thread& reader : readers) {
-    if (reader.joinable()) reader.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const std::shared_ptr<Session>& session : sessions_) {
-      std::lock_guard<std::mutex> write_lock(session->write_mu);
-      if (session->open.exchange(false)) ::close(session->fd);
-    }
-    sessions_.clear();
-  }
+  for (Connection& connection : connections) connection.reader.join();
   obs::gauge_set("service.connections", 0.0);
   obs::gauge_set("service.queue.high_water",
                  static_cast<double>(queue_.high_water()));
@@ -246,6 +234,7 @@ void PlanningService::accept_loop() {
       if (errno == EINTR) continue;
       break;
     }
+    reap_closed_connections();
     if (ready == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
@@ -261,9 +250,7 @@ void PlanningService::accept_loop() {
     size_t active = 0;
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
-      for (const std::shared_ptr<Session>& session : sessions_) {
-        if (session->open.load(std::memory_order_acquire)) ++active;
-      }
+      active = connections_.size();
     }
     if (active >= config_.max_connections) {
       send_all(fd, encode_error(0, Verb::kPing, kErrTooManyConnections,
@@ -280,12 +267,31 @@ void PlanningService::accept_loop() {
     {
       std::lock_guard<std::mutex> lock(sessions_mu_);
       session->id = next_session_id_++;
-      sessions_.push_back(session);
-      reader_threads_.emplace_back(
-          [this, session] { reader_loop(session); });
+      connections_.push_back(
+          {session, std::thread([this, session] { reader_loop(session); })});
+      obs::gauge_set("service.connections",
+                     static_cast<double>(connections_.size()));
     }
     obs::count("service.connections.accepted");
-    obs::gauge_set("service.connections", static_cast<double>(active + 1));
+  }
+}
+
+void PlanningService::reap_closed_connections() {
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  const size_t before = connections_.size();
+  for (auto it = connections_.begin(); it != connections_.end();) {
+    // Only the reader clears `open`, as its last act, so this join waits
+    // out at most the reader's return.
+    if (it->session->open.load(std::memory_order_acquire)) {
+      ++it;
+      continue;
+    }
+    it->reader.join();
+    it = connections_.erase(it);
+  }
+  if (connections_.size() != before) {
+    obs::gauge_set("service.connections",
+                   static_cast<double>(connections_.size()));
   }
 }
 

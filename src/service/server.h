@@ -4,7 +4,8 @@
 // wire.h to many concurrent clients. docs/service.md is the contract this
 // class implements.
 //
-// Thread architecture (all joined by stop()):
+// Thread architecture (all joined by stop(); the accept thread joins a
+// reader once its client has left):
 //
 //   accept thread ──► one reader thread per connection (parse + admission)
 //                         │ AdmissionQueue<Job>  (bounded; the admission seam)
@@ -193,6 +194,9 @@ class PlanningService {
 
   void accept_loop();
   void reader_loop(std::shared_ptr<Session> session);
+  /// Joins the reader of each connection whose client has left, drops
+  /// it from connections_ and updates the gauge (accept thread).
+  void reap_closed_connections();
   /// One worker thread: pops admitted jobs until the queue is closed and
   /// drained.
   void worker_loop();
@@ -259,9 +263,15 @@ class PlanningService {
   std::mutex subs_mu_;
   std::condition_variable subs_cv_;
   std::vector<std::shared_ptr<Subscription>> subs_;
+  /// A connection: its session and the reader thread serving it.
+  struct Connection {
+    std::shared_ptr<Session> session;
+    std::thread reader;
+  };
   std::mutex sessions_mu_;
-  std::vector<std::shared_ptr<Session>> sessions_;
-  std::vector<std::thread> reader_threads_;
+  /// Accepted connections not yet reaped. The accept thread reaps the
+  /// closed ones on each poll, before it counts the connection cap.
+  std::vector<Connection> connections_;
   uint64_t next_session_id_ = 1;
 
   /// Bumped in place by obs::count; stats() reads each with load_counter

@@ -9,12 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -930,6 +934,59 @@ std::string error_code_of(const std::optional<std::string>& line) {
   const JsonValue doc = must_parse(*line);
   const JsonValue* code = doc.find("error_code");
   return code != nullptr ? code->as_string() : *line;
+}
+
+/// This process's virtual size (VmSize in /proc/self/status), in kB.
+size_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return static_cast<size_t>(std::strtoull(line.c_str() + 7, nullptr, 10));
+    }
+  }
+  return 0;
+}
+
+/// A daemon serves clients that come and go for as long as it runs: each
+/// closed connection must give back its reader thread (a stack of several
+/// MB) and leave the live-connection gauge.
+TEST(PlanningService, ClosedConnectionsAreReleased) {
+  // A reader that starts before its predecessor has exited can make malloc
+  // open a fresh 64 MB arena: allocator policy, not a leak, and enough to
+  // blur the bound below. Pin new threads to the arenas that exist.
+  mallopt(M_ARENA_MAX, 1);
+  obs::MetricsRegistry registry;
+  obs::ScopedObservation scope(&registry);
+  PlanningService server(model_config());
+  server.start();
+  const auto live = [&] {
+    return registry.gauge("service.connections").value();
+  };
+  const auto cycle = [&] {
+    ServiceClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    ASSERT_TRUE(client.call(R"({"id":1,"verb":"ping"})").has_value())
+        << client.last_error();
+  };
+  // The first batch lets one-time growth settle: the first thread stacks
+  // and the allocator's per-thread arenas (64 MB of address space each,
+  // up to a fixed count). The second batch must then add next to nothing.
+  constexpr size_t kCycles = 100;
+  for (size_t i = 0; i < kCycles; ++i) cycle();
+  wait_for([&] { return live() == 0.0; });
+  const size_t before_kb = vm_size_kb();
+  for (size_t i = 0; i < kCycles; ++i) cycle();
+  wait_for([&] { return live() == 0.0; });
+  EXPECT_EQ(live(), 0.0);
+  // Each unjoined reader keeps its 8 MB stack mapped: 100 of them grow
+  // VmSize by ~800 MB. Released readers leave at most a few cached stacks.
+  const size_t after_kb = vm_size_kb();
+  const size_t growth_kb = after_kb - std::min(before_kb, after_kb);
+  EXPECT_LT(growth_kb, 128u * 1024u) << "VmSize grew " << growth_kb << " kB";
+  EXPECT_EQ(registry.counter("service.connections.accepted").value(),
+            2 * kCycles);
+  server.stop();
 }
 
 TEST(PlanningService, EveryStatMatchesItsRegistryMetric) {
