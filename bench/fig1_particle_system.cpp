@@ -13,9 +13,9 @@
 #include <numeric>
 #include <set>
 
-#include "core/consolidation.h"
 #include "core/incremental.h"
 #include "obs/session.h"
+#include "tests/oracle/consolidation.h"
 #include "util/strings.h"
 #include "util/table.h"
 

@@ -5,8 +5,10 @@
 //   closed_form.solve/n      Eq. 19/21/22 on a reused result slot, n 8..2048:
 //                            "linear computational complexity (with respect
 //                            to the number of servers)" (Section III-A);
-//   lp.solve/n               the bounded LP fallback, n 8..64 (polynomial and
-//                            far heavier);
+//   bounded.solve/n          the closed form's fallback (BoundedOptimizer),
+//                            n 8..2048, on rooms with w1 drawn per machine,
+//                            which the closed form cannot serve: one
+//                            O(n log n) sweep over T_ac;
 //   max_safe_t_ac/n          the thermal-limit set point, n 8..2048;
 //   alg1.cold_build/n        Algorithm 1 preprocessing, n 8..256;
 //   alg2.query_paper/n       Algorithm 2's O(lg n) query against a prebuilt
@@ -39,15 +41,16 @@
 #include <vector>
 
 #include "bench/report.h"
+#include "core/bounded.h"
 #include "core/closed_form.h"
-#include "core/consolidation.h"
 #include "core/engine.h"
 #include "core/incremental.h"
-#include "core/lp_optimizer.h"
 #include "core/scratch.h"
 #include "obs/obs.h"
 #include "obs/session.h"
 #include "service/wire.h"
+#include "tests/oracle/consolidation.h"
+#include "util/rng.h"
 
 using namespace coolopt;
 
@@ -70,8 +73,8 @@ std::string at(const char* name, size_t n) {
   return util::strf("%s/%zu", name, n);
 }
 
-/// Section III-A: the closed form, the LP fallback, the set-point bound and
-/// one consolidated engine solve.
+/// Section III-A: the closed form, the bounded fallback, the set-point bound
+/// and one consolidated engine solve.
 void optimizer_rows(bench::Report& report) {
   for (size_t n = 8; n <= 2048; n *= 4) {
     const core::RoomModel model = synthetic_model(n, 7);
@@ -91,14 +94,18 @@ void optimizer_rows(bench::Report& report) {
                }),
                "us");
   }
-  for (size_t n = 8; n <= 64; n *= 2) {
-    const core::RoomModel model = synthetic_model(n, 7);
-    const core::LpOptimizer opt(model);
+  for (size_t n = 8; n <= 2048; n *= 4) {
+    core::RoomModel model = synthetic_model(n, 7);
+    util::Rng rng(n);
+    for (core::MachineModel& m : model.machines) {
+      m.power.w1 = rng.uniform(1.0, 2.0);
+    }
+    const core::BoundedOptimizer opt(core::share_model(model));
     const std::vector<size_t> on = all_indices(n);
     const double load = model.total_capacity() * 0.6;
-    core::LpWorkspace ws;
+    core::BoundedWorkspace ws;
     core::Allocation alloc;
-    report.row(at("lp.solve", n), bench::median_us([&] {
+    report.row(at("bounded.solve", n), bench::median_us([&] {
                  opt.solve_into(on.data(), on.size(), load, ws, alloc);
                  bench::keep(alloc.total_power_w);
                }),

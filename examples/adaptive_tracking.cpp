@@ -3,7 +3,7 @@
 // an operational extension beyond the paper's one-shot formulation.
 //
 // Shows the three-tier reaction scheme (proportional load tracking /
-// LP rebalance / full replan with anti-flapping dwell) and compares
+// bounded rebalance / full replan with anti-flapping dwell) and compares
 // power-state churn against a naive controller that replans on every
 // drift.
 //

@@ -3,7 +3,7 @@
 // The room mixes old power-hungry nodes with new efficient ones — the
 // situation every operator faces mid-refresh, and one the paper's
 // homogeneous closed form cannot handle (the library routes it through the
-// bounded LP automatically). The example answers the operator's questions:
+// bounded solver automatically). The example answers the operator's questions:
 // which machines does the optimizer run at each load, how much energy do
 // the old nodes cost, and what would retiring them change?
 //
@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
               n_new);
   control::EvalEngine eval(options);
   std::printf("Planner path: %s (heterogeneous fleets bypass the closed form)\n\n",
-              eval.plan_engine()->exact_paths() ? "closed form" : "bounded LP");
+              eval.plan_engine()->exact_paths() ? "closed form"
+                                                : "bounded solver");
 
   // How the holistic optimizer staffs the room across loads.
   util::TextTable staffing({"load %", "old ON", "new ON", "old load share %",

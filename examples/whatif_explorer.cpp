@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   if (scenario.distribution == core::Distribution::kOptimal) {
     std::printf("Solver path: %s (%.0f us)\n",
                 plan->closed_form_pure ? "pure closed form (Eqs. 21-22)"
-                                       : "bounded LP fallback engaged",
+                                       : "bounded fallback engaged",
                 result.solve_us);
   }
 

@@ -8,8 +8,8 @@
 //
 //   * power-state churn is expensive (boot time, disk wear), so ON/OFF
 //     changes are rate-limited by a minimum dwell time;
-//   * between full replans, load-only *rebalances* (same ON set, bounded
-//     LP) track smaller drift cheaply;
+//   * between full replans, load-only *rebalances* (same ON set, the
+//     bounded solver) track smaller drift cheaply;
 //   * if demand outgrows the ON set's capacity, availability beats the
 //     dwell limit: an emergency replan powers machines up immediately.
 //
@@ -52,7 +52,7 @@ struct AdaptiveOptions {
 struct AdaptiveStats {
   size_t full_replans = 0;       ///< ON-set (re)computations
   size_t emergency_replans = 0;  ///< dwell overridden: demand outgrew ON set
-  size_t rebalances = 0;         ///< load-only LP redistributions
+  size_t rebalances = 0;         ///< load-only bounded redistributions
   size_t load_tracks = 0;        ///< proportional in-band load adjustments
   size_t power_switches = 0;     ///< individual machine ON/OFF transitions
   size_t updates = 0;            ///< update() calls observed

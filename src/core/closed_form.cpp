@@ -29,7 +29,8 @@ void AnalyticOptimizer::require_uniform_w1() {
   if (!model_->uniform_w1(1e-9)) {
     throw std::invalid_argument(
         "AnalyticOptimizer: the closed form assumes a uniform w1 across "
-        "machines (paper Eq. 14); use LpOptimizer for heterogeneous fleets");
+        "machines (paper Eq. 14); use BoundedOptimizer for heterogeneous "
+        "fleets");
   }
   w1_ = model_->machines.front().power.w1;
 }
@@ -96,7 +97,9 @@ void AnalyticOptimizer::solve_into(const size_t* on_set, size_t count,
   }
 
   obs::count("optimizer.closed_form.solves");
-  if (obs::metrics() != nullptr || obs::trace() != nullptr) {
+  // The O(n) KKT residual is a diagnostic for traced runs, not a cost every
+  // served plan pays: it is computed only when a RunTrace is attached.
+  if (obs::RunTrace* tr = obs::trace()) {
     // KKT stationarity puts every ON machine exactly at T_max (Eq. 17); the
     // residual is how far the emitted allocation actually lands from that.
     double residual = 0.0;
@@ -108,11 +111,9 @@ void AnalyticOptimizer::solve_into(const size_t* on_set, size_t count,
       residual = std::max(residual, std::abs(t_cpu - model_->t_max));
     }
     obs::observe("optimizer.closed_form.kkt_residual_c", residual);
-    if (obs::RunTrace* tr = obs::trace()) {
-      tr->record_solve(obs::SolveSample{
-          "closed_form", static_cast<uint64_t>(count), 0, timer.elapsed_us(),
-          loads_ok && out.t_ac_in_bounds, residual});
-    }
+    tr->record_solve(obs::SolveSample{
+        "closed_form", static_cast<uint64_t>(count), 0, timer.elapsed_us(),
+        loads_ok && out.t_ac_in_bounds, residual});
   }
 }
 

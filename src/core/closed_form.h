@@ -13,7 +13,8 @@
 // Solving is O(|ON|). The closed form knows nothing about the bounds
 // 0 <= L_i <= capacity_i or the CRAC's T_ac range; the result therefore
 // carries `within_bounds` diagnostics, and callers that need a guaranteed
-// feasible answer fall back to LpOptimizer when it is false.
+// feasible answer fall back to BoundedOptimizer (bounded.h), which solves
+// the same problem with the bounds restored, when it is false.
 #pragma once
 
 #include <cstddef>

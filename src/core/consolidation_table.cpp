@@ -4,7 +4,47 @@
 #include <cmath>
 #include <stdexcept>
 
-namespace coolopt::core::detail {
+namespace coolopt::core {
+
+namespace {
+
+void require_uniform(const RoomModel& model) {
+  const double w1 = model.machines.front().power.w1;
+  const double w2 = model.machines.front().power.w2;
+  for (const MachineModel& m : model.machines) {
+    if (std::abs(m.power.w1 - w1) > 1e-6 * std::max(1.0, std::abs(w1)) ||
+        std::abs(m.power.w2 - w2) > 1e-6 * std::max(1.0, std::abs(w2))) {
+      throw std::invalid_argument(
+          "consolidation: the Eq. 23 reduction assumes uniform w1/w2 across "
+          "machines (one fitted PowerModel per fleet, as in the paper)");
+    }
+  }
+}
+
+}  // namespace
+
+ParticleSystem ParticleSystem::from_model(const RoomModel& model) {
+  model.validate();
+  return from_model(model, kPreValidated);
+}
+
+ParticleSystem ParticleSystem::from_model(const RoomModel& model, PreValidated) {
+  require_uniform(model);
+  ParticleSystem ps;
+  ps.w1 = model.machines.front().power.w1;
+  ps.w2 = model.machines.front().power.w2;
+  ps.a.reserve(model.size());
+  ps.b.reserve(model.size());
+  for (const MachineModel& m : model.machines) {
+    ps.a.push_back(m.k_constant(model.t_max));
+    ps.b.push_back(m.ab_ratio());
+  }
+  ps.t_lo = std::max(0.0, model.t_ac_min / ps.w1);
+  ps.t_hi = model.t_ac_max / ps.w1;
+  return ps;
+}
+
+namespace detail {
 
 namespace {
 
@@ -255,7 +295,12 @@ size_t ConsolidationTable::rank_all_k_into(
   for (size_t k = 1; k <= width(); ++k) {
     size_t s = 0;
     if (!feasible_k(ps, at, load, k, s)) continue;
-    if (count == out.size()) out.emplace_back();
+    if (count == out.size()) {
+      // Each slot is sized for the widest subset once: the sort below
+      // moves subsets between slots, so a slot sized to its first k would
+      // keep growing as later rankings land larger k in it.
+      out.emplace_back().on_set.reserve(width());
+    }
     make_choice_into(ps, model, s, k, load, out[count]);
     ++count;
   }
@@ -343,4 +388,5 @@ double ConsolidationTable::max_load_for_budget(const ParticleSystem& ps,
   return lo;
 }
 
-}  // namespace coolopt::core::detail
+}  // namespace detail
+}  // namespace coolopt::core

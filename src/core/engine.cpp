@@ -122,11 +122,11 @@ const AnalyticOptimizer* PlanEngine::analytic() const {
   return analytic_.get();
 }
 
-const LpOptimizer& PlanEngine::lp() const {
-  ensure(lp_once_, [&] {
-    lp_ = std::make_unique<LpOptimizer>(margin_model_, kPreValidated);
+const BoundedOptimizer& PlanEngine::bounded() const {
+  ensure(bounded_once_, [&] {
+    bounded_ = std::make_unique<BoundedOptimizer>(margin_model_, kPreValidated);
   });
-  return *lp_;
+  return *bounded_;
 }
 
 const IncrementalConsolidator* PlanEngine::consolidator() const {
@@ -209,9 +209,9 @@ bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
   }
   // Either a heterogeneous fleet (no closed form at all) or the paper's
   // assumptions broke on this instance (negative load, over-capacity load,
-  // T_ac outside the CRAC range): solve the bounded LP instead.
+  // T_ac outside the CRAC range): solve with the bounds restored instead.
   closed_form_pure = false;
-  return lp().solve_into(on_set, count, load, scr.lp, out);
+  return bounded().solve_into(on_set, count, load, scr.bounded, out);
 }
 
 bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
@@ -268,8 +268,8 @@ bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
   // within bounds (the walk's inner cutoff), and the runner-up's relaxation
   // bound must already be beaten (the outer cutoff). When both hold, the
   // full walk provably returns this exact allocation. An out-of-bounds
-  // closed form is left to the walk, which owns the LP fallback, so no LP
-  // is ever solved twice.
+  // closed form is left to the walk, which owns the bounded fallback, so no
+  // subset is ever solved twice.
   const std::vector<uint32_t>& head_order = table.segments[best_seg].order;
   scr.head_on_set.assign(head_order.begin(),
                          head_order.begin() + static_cast<long>(best_k));
@@ -368,7 +368,7 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
           // The leading subset is the relaxation's optimal k-subset; when
           // its closed form lands within bounds it attains the k-wide
           // lower bound, so no heuristic subset of the same k can improve
-          // on it — skip them and their (cubic) LP fallbacks. When the
+          // on it — skip them and their bounded fallbacks. When the
           // closed form fails bounds, the heuristics are exactly the
           // recovery they were added for, and still run.
           const auto [ok, pure] = probe_subset(first_subset, k);
@@ -393,7 +393,8 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
         // plan of its own k — and, since the ranking ascends in predicted
         // power, of every later candidate too. Once the incumbent is at or
         // below the next candidate's bound, nothing further can win, which
-        // collapses the walk from O(n) LP probes to the one or two leaders.
+        // collapses the walk from O(n) bounded probes to the one or two
+        // leaders.
         for (size_t ci = 0; ci < ranked_count; ++ci) {
           const ConsolidationChoice& cand = scr.ranked[ci];
           if (have_best && cand.predicted_total_power_w >=
@@ -406,7 +407,7 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
         // Heterogeneous fleet: no particle reduction, so neither table
         // applies. Probe a window of ON-set sizes above the capacity
         // minimum with heuristic subset shapes, evaluating each with the
-        // bounded LP. The idle-draw order prefers cheap-idle nodes for
+        // bounded solver. The idle-draw order prefers cheap-idle nodes for
         // padding.
         if (restricted) filter_order(agg.idle_asc, scr.idle_order);
         const std::vector<size_t>& idle_order =
@@ -665,7 +666,8 @@ void PlanEngine::solve_batch_into(std::span<const PlanRequest> requests,
 bool PlanEngine::rebalance_into(const std::vector<size_t>& on_set, double load,
                                 SolveScratch& scratch, Allocation& out) const {
   obs::count("engine.rebalances", &counters_.rebalances);
-  return lp().solve_into(on_set.data(), on_set.size(), load, scratch.lp, out);
+  return bounded().solve_into(on_set.data(), on_set.size(), load,
+                              scratch.bounded, out);
 }
 
 util::ThreadPool& PlanEngine::default_pool() const {

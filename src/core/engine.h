@@ -1,7 +1,7 @@
 // PlanEngine — the one seam in front of the whole solver stack.
 //
 // The paper's pipeline is: Eq. 19 aggregates (K_i, alpha_i/beta_i) feed the
-// closed form (Eqs. 21-22), the bounded LP restores the capacity/actuation
+// closed form (Eqs. 21-22), the bounded solver restores the capacity/actuation
 // bounds the closed form ignores, and Algorithms 1/2 pick the consolidation
 // subset. Historically every call site (scenario planner, adaptive
 // controller, cooloptctl, the benches) re-instantiated that pipeline from a
@@ -13,10 +13,10 @@
 // and lazily caches every model-derived artifact behind it:
 //
 //   model  ->  cached aggregates (K_i, alpha_i/beta_i, sums, sort orders)
-//          ->  cached solvers (closed form, bounded LP)
+//          ->  cached solvers (closed form, bounded sweep)
 //          ->  cached Algorithm 1 tables: the full fleet's (built once,
 //              read lock-free) and a restricted one quarantines move
-//          ->  dispatch: closed form -> LP fallback -> consolidation ranking
+//          ->  dispatch: closed form -> bounded sweep -> consolidation ranking
 //          ->  solve_batch_into fan-out over a util::ThreadPool
 //
 // Warm replans and rank_all_k_into queries therefore skip preprocessing
@@ -34,9 +34,9 @@
 #include <string>
 #include <vector>
 
+#include "core/bounded.h"
 #include "core/closed_form.h"
 #include "core/incremental.h"
-#include "core/lp_optimizer.h"
 #include "core/model.h"
 #include "core/scenario.h"
 
@@ -148,7 +148,7 @@ struct EngineCounters {
   uint64_t infeasible = 0;
   uint64_t degraded = 0;  ///< best-effort plans returned with shed_load > 0
   uint64_t closed_form = 0;   ///< plans served purely by the closed form
-  uint64_t lp_fallback = 0;   ///< plans that engaged the bounded LP
+  uint64_t lp_fallback = 0;   ///< plans that engaged the bounded solver
   uint64_t rebalances = 0;
   uint64_t batches = 0;
   uint64_t batch_requests = 0;
@@ -199,7 +199,6 @@ class PlanEngine {
   const ModelAggregates& aggregates() const;
   /// nullptr for heterogeneous-w1 fleets (no closed form).
   const AnalyticOptimizer* analytic() const;
-  const LpOptimizer& lp() const;
   /// The full-fleet Algorithm 1 table: nullptr unless w1 AND w2 are uniform
   /// (Eq. 23 reduction). First access pays the cold build; every later
   /// access is a cache hit. Never moved off the full mask, so unrestricted
@@ -242,10 +241,10 @@ class PlanEngine {
                         size_t workers = 0) const;
 
   /// Load-only redistribution over a fixed ON set (the adaptive
-  /// controller's cheap middle tier): bounded LP on the cached solver, no
-  /// power-state changes implied. LP workspace from `scratch`, allocation
-  /// written into `out` (false = infeasible). Skips the on_set validation
-  /// (callers pass sets they already own).
+  /// controller's cheap middle tier): the bounded solver, no power-state
+  /// changes implied. Workspace from `scratch`, allocation written into
+  /// `out` (false = infeasible). Skips the on_set validation (callers pass
+  /// sets they already own).
   bool rebalance_into(const std::vector<size_t>& on_set, double load,
                       SolveScratch& scratch, Allocation& out) const;
 
@@ -288,8 +287,8 @@ class PlanEngine {
   /// the plan in `out` — only when the walk provably returns that exact
   /// allocation: the closed form is within bounds (the walk's inner cutoff)
   /// and the runner-up's relaxation bound cannot beat it (the outer
-  /// branch-and-bound cutoff). Never runs the LP; false leaves `out`
-  /// untouched and the walk decides.
+  /// branch-and-bound cutoff). Never runs the bounded solver; false leaves
+  /// `out` untouched and the walk decides.
   bool ranked_head_into(const IncrementalConsolidator& cons, double load,
                         SolveScratch& scratch, Allocation& out) const;
   /// Restricted (quarantine) Algorithm 1 query: moves the delta-maintained
@@ -299,11 +298,14 @@ class PlanEngine {
   TableAnswer incremental_query(const std::vector<char>& active_mask,
                                 double load, SolveScratch& scratch,
                                 size_t& ranked_count) const;
-  /// Optimal split over a fixed ON set: closed form, LP fallback. Writes
-  /// into `out` (false = infeasible); workspaces from `scratch`.
+  /// Optimal split over a fixed ON set: closed form, else the bounded
+  /// solver (BoundedOptimizer). Writes into `out` (false = infeasible);
+  /// workspaces from `scratch`.
   bool plan_optimal_into(const size_t* on_set, size_t count, double load,
                          SolveScratch& scratch, Allocation& out,
                          bool& closed_form_pure) const;
+  /// The cached bounded solver over the margined model.
+  const BoundedOptimizer& bounded() const;
   util::ThreadPool& default_pool() const;
 
   SharedRoomModel model_;         // as fitted
@@ -315,8 +317,8 @@ class PlanEngine {
   mutable std::unique_ptr<ModelAggregates> aggregates_;
   mutable std::once_flag analytic_once_;
   mutable std::unique_ptr<AnalyticOptimizer> analytic_;
-  mutable std::once_flag lp_once_;
-  mutable std::unique_ptr<LpOptimizer> lp_;
+  mutable std::once_flag bounded_once_;
+  mutable std::unique_ptr<BoundedOptimizer> bounded_;
   mutable std::once_flag consolidator_once_;
   mutable std::unique_ptr<IncrementalConsolidator> consolidator_;  // full mask
   mutable std::mutex incremental_mu_;

@@ -122,7 +122,7 @@ class IncrementalConsolidator {
   /// [0, returned count) are the ranking, spare slots keep their heap
   /// blocks for reuse. Machine ids are ORIGINAL model indices. Lets callers
   /// walk down the ranking when the best choice fails external validation
-  /// (capacity/LP).
+  /// (capacity, via the bounded solver).
   size_t rank_all_k_into(double load, std::vector<ConsolidationChoice>& out) const;
 
   /// The paper's maxL(A, P_b, k): largest load exactly-k active machines

@@ -85,6 +85,11 @@ void RoomModel::validate() const {
   require_finite(cooler.fan_offset_w, "RoomModel", "cooler fan_offset_w");
   require_finite(cooler.q_coeff, "RoomModel", "cooler q_coeff");
   require_finite(cooler.min_power_w, "RoomModel", "cooler min_power_w");
+  // The bounded solver fills the cheapest machines first because total
+  // power rises with IT power, which holds exactly when q_coeff > -1.
+  if (!(cooler.q_coeff > -1.0)) {
+    throw std::invalid_argument("RoomModel: cooler q_coeff must be > -1");
+  }
 }
 
 void RoomModel::validate_on_set(const std::vector<size_t>& on_set,

@@ -100,8 +100,8 @@ struct RoomModel {
 
   /// Throws std::invalid_argument describing the first problem found
   /// (non-positive w1/beta/alpha/capacity, t_max not above gamma, a NaN or
-  /// infinite coefficient or bound, ...). The optimizer requires a
-  /// validated model.
+  /// infinite coefficient or bound, a cooler q_coeff at or below -1, ...).
+  /// The optimizer requires a validated model.
   void validate() const;
 
   /// The input checks of the optimizers' validating solve(): throws
@@ -121,12 +121,12 @@ struct RoomModel {
 
 /// Structure-of-arrays mirror of RoomModel::machines: one contiguous array
 /// per coefficient, holding the exact doubles of the source structs. The
-/// hot aggregation loops (Eq. 19/21/22 sums, LP row builds, peak-temperature
-/// scans) read these flat blocks instead of striding through 72-byte
-/// MachineModel records, which is what lets them autovectorize. The AoS
-/// structs stay the authoritative view; a RoomSoA is derived once per model
-/// and never mutated, so SoA-based results are bit-for-bit what the struct
-/// walk computes.
+/// hot aggregation loops (Eq. 19/21/22 sums, the bounded sweep,
+/// peak-temperature scans) read these flat blocks instead of striding
+/// through 72-byte MachineModel records, which is what lets them
+/// autovectorize. The AoS structs stay the authoritative view; a RoomSoA is
+/// derived once per model and never mutated, so SoA-based results are
+/// bit-for-bit what the struct walk computes.
 struct RoomSoA {
   std::vector<double> w1;        ///< PowerModel::w1
   std::vector<double> w2;        ///< PowerModel::w2

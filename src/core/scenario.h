@@ -57,7 +57,8 @@ struct Plan {
   Scenario scenario;
   double load = 0.0;
   /// True when the Optimal distribution came from the closed form alone;
-  /// false when the bounded LP fallback was engaged (out-of-bounds loads).
+  /// false when the bounded fallback was engaged (out-of-bounds loads, or a
+  /// w1 that varies between machines).
   bool closed_form_pure = true;
 };
 

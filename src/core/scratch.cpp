@@ -24,7 +24,7 @@ size_t SolveScratch::bytes() const {
   b += allocation_bytes(best_alloc) + allocation_bytes(trial_alloc);
   b += plan_bytes(plan_a) + plan_bytes(plan_b);
   b += allocation_bytes(cf.allocation) + cf.mu.capacity() * sizeof(double);
-  b += lp.bytes();
+  b += bounded.bytes();
   return b;
 }
 

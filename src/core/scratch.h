@@ -2,11 +2,11 @@
 //
 // Every buffer the engine's dispatch loop historically materialized per
 // call (quarantine masks, filtered sort orders, probe subsets, the
-// consolidation ranking, closed-form and LP workspaces, bisection plan
-// slots) lives here instead, grow-only: a buffer is cleared and refilled
-// in place, never shrunk, so once a scratch has seen the largest request
-// shape it will ever serve, subsequent solves perform no heap allocation
-// at all. PlanEngine::solve() uses the calling thread's scratch
+// consolidation ranking, closed-form and bounded-solver workspaces,
+// bisection plan slots) lives here instead, grow-only: a buffer is cleared
+// and refilled in place, never shrunk, so once a scratch has seen the
+// largest request shape it will ever serve, subsequent solves perform no
+// heap allocation at all. PlanEngine::solve() uses the calling thread's scratch
 // (SolveScratch::local()); solve_batch workers each use their own, so the
 // arena is never shared across threads and needs no locking.
 //
@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "core/allocation.h"
+#include "core/bounded.h"
 #include "core/closed_form.h"
 #include "core/consolidation_table.h"
-#include "core/lp_optimizer.h"
 #include "core/scenario.h"
 
 namespace coolopt::core {
@@ -46,7 +46,7 @@ struct SolveScratch {
   Plan plan_a;             ///< bisection backoff: best feasible plan
   Plan plan_b;             ///< bisection backoff: probe slot
   ClosedFormResult cf;
-  LpWorkspace lp;
+  BoundedWorkspace bounded;
 
   /// Resident heap footprint of the arena (capacities, not sizes) —
   /// exported as the `engine.alloc_bytes` gauge after each solve.

@@ -1,8 +1,8 @@
 // Synthetic RoomModel generation: realistic random instances of the
 // optimization problem without running a simulator or profiler. Used by
-// the property tests (closed form vs LP, event consolidator vs brute
-// force), the algorithm-performance benches, and handy for library users
-// who want to explore the optimizer stand-alone.
+// the property tests (closed form vs the LP oracle, event consolidator vs
+// brute force), the algorithm-performance benches, and handy for library
+// users who want to explore the optimizer stand-alone.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,8 @@
 // feasibility audits and a numerical local-optimality check.
 //
 // The optimizers in this library are cross-checked three ways: closed form
-// vs LP, event consolidation vs enumeration, and — here — a derivative-free
+// and bounded solver vs the tests/oracle LP and T_ac grid, event
+// consolidation vs enumeration, and — here — a derivative-free
 // perturbation audit that takes *any* allocation and tries to improve it
 // with small feasible moves (pairwise load transfers, cool-air nudges with
 // compensating load shifts). For a true constrained optimum no such move

@@ -4,8 +4,9 @@
 // a marginal-cost water-filling over each shard's cached power-vs-load
 // frontier, then cap every shard at its surviving capacity.
 // Level 2 (core::PlanEngine, one per shard): the paper's single-room
-// machinery — closed form, bounded LP, Algorithm 1/2 consolidation — runs
-// unchanged inside each shard, including the incremental quarantine path.
+// machinery — closed form, bounded solver, Algorithm 1/2 consolidation —
+// runs unchanged inside each shard, including the incremental quarantine
+// path.
 //
 // The frontier: for each shard and scenario the engine samples the shard's
 // own optimal solve at evenly spaced loads up to the shard capacity and

@@ -5,7 +5,7 @@
 //   * steps   — per-timestep simulator state (T_ac, P_ac, aggregate P_IT,
 //               optionally per-server L_i / P_i / T_cpu_i), recorded by
 //               MachineRoom::step() and settle() when a trace is attached;
-//   * solves  — one record per optimizer solve (closed form / LP /
+//   * solves  — one record per optimizer solve (closed form /
 //               consolidation query) with iteration counts and residuals;
 //   * events  — discrete control actions (set-point changes, watchdog
 //               interventions, adaptive replans).
@@ -55,9 +55,9 @@ struct StepSample {
 
 /// One optimizer solve.
 struct SolveSample {
-  std::string solver;        ///< "closed_form", "lp", "consolidation.query", ...
+  std::string solver;        ///< "closed_form", "consolidation.query", ...
   uint64_t n = 0;            ///< problem size (machines considered)
-  uint64_t iterations = 0;   ///< simplex pivots; 0 for direct solves
+  uint64_t iterations = 0;   ///< iteration count; 0 for direct solves
   double solve_us = 0.0;
   bool feasible = true;
   double residual = 0.0;     ///< KKT/constraint violation residual

@@ -4,7 +4,8 @@
 // ScopedTimer over a nullptr (the unattached fast path) costs one branch on
 // construction and one on destruction:
 //
-//   obs::ScopedTimer timer(obs::maybe_histogram("optimizer.lp.solve_us"));
+//   obs::ScopedTimer timer(
+//       obs::maybe_histogram("optimizer.closed_form.solve_us"));
 #pragma once
 
 #include <chrono>

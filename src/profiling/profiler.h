@@ -33,8 +33,8 @@ struct ProfilingOptions {
 
   /// Use per-machine power models in the assembled RoomModel instead of
   /// the paper's single fleet-wide fit. Required for heterogeneous fleets;
-  /// routes the optimizer through the LP path (the closed form and the
-  /// particle consolidation assume uniform w1/w2).
+  /// routes the optimizer through the bounded solver (the closed form and
+  /// the particle consolidation assume uniform w1/w2).
   bool heterogeneous_power = false;
 
   /// Preset with shorter dwells and fast steady-state jumps everywhere;

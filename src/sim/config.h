@@ -131,7 +131,8 @@ struct RoomConfig {
   /// — the room is built from these blocks in order (e.g. 12 old nodes
   /// followed by 8 new ones). Rack/slot geometry still follows the global
   /// index. The paper assumes a homogeneous fleet; heterogeneous power
-  /// models route the optimizer through the LP path (see PlanEngine).
+  /// models route the optimizer through the bounded solver (see
+  /// PlanEngine).
   struct FleetBlock {
     ServerConfig server;
     size_t count = 0;

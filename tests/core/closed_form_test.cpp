@@ -7,9 +7,9 @@
 
 #include <stdexcept>
 
-#include "core/lp_optimizer.h"
 #include "core/synthetic.h"
 #include "tests/core/on_set_support.h"
+#include "tests/oracle/lp_optimizer.h"
 
 namespace coolopt::core {
 namespace {

@@ -3,10 +3,10 @@
 // fleets, zero load, loads at the exact feasibility edge.
 #include <gtest/gtest.h>
 
-#include "core/consolidation.h"
 #include "core/incremental.h"
 #include "core/synthetic.h"
 #include "tests/core/consolidation_support.h"
+#include "tests/oracle/consolidation.h"
 
 namespace coolopt::core {
 namespace {

@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "core/consolidation.h"
 #include "core/incremental.h"
 #include "tests/core/consolidation_support.h"
+#include "tests/oracle/consolidation.h"
 
 namespace coolopt::core {
 namespace {

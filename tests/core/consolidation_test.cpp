@@ -1,6 +1,6 @@
 // Section III-B: the particle reduction, Algorithm 1/2, and their
 // optimality — certified against exhaustive enumeration.
-#include "core/consolidation.h"
+#include "tests/oracle/consolidation.h"
 
 #include <gtest/gtest.h>
 

@@ -431,9 +431,7 @@ TEST(PlanEngineCapacity, LoadExactlyAtCapacityPlansEveryScenario) {
   for (const size_t n : {1250u, 2000u}) {
     const PlanEngine engine(sku_room(n, 1));
     const double capacity = engine.model().total_capacity();
-    // Scenario 6 runs the bounded LP over every machine at this load; it is
-    // covered on the smaller room below.
-    for (const int s : {1, 2, 3, 4, 5, 7, 8}) {
+    for (const int s : {1, 2, 3, 4, 5, 6, 7, 8}) {
       SCOPED_TRACE("n " + std::to_string(n) + ", scenario " + std::to_string(s));
       PlanResult result;
       ASSERT_NO_THROW(result = engine.solve(
@@ -450,6 +448,21 @@ TEST(PlanEngineCapacity, LoadExactlyAtCapacityPlansEveryScenario) {
                         Scenario::by_number(s), small.model().total_capacity()}));
     ASSERT_TRUE(result.plan.has_value());
   }
+}
+
+// Scenario 6 on the default room leaves the closed form's bounds at 15%
+// load, so every ON machine goes through the bounded solver: its scratch is
+// O(n), not a dense tableau.
+TEST(PlanEngineCapacity, BoundedPathScratchStaysLinear) {
+  const PlanEngine engine(uniform_model(800, 1));
+  SolveScratch scratch;
+  PlanResult result;
+  engine.solve_into(PlanRequest{Scenario::by_number(6),
+                                engine.model().total_capacity() * 0.15},
+                    scratch, result);
+  ASSERT_TRUE(result.feasible());
+  EXPECT_FALSE(result.plan->closed_form_pure);
+  EXPECT_LT(scratch.bytes(), size_t{1} << 20);
 }
 
 TEST(PlanEngine, ZeroLoadWithConsolidationTurnsEverythingOff) {

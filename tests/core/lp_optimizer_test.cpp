@@ -1,4 +1,4 @@
-#include "core/lp_optimizer.h"
+#include "tests/oracle/lp_optimizer.h"
 
 #include <gtest/gtest.h>
 

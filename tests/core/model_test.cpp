@@ -136,6 +136,11 @@ TEST(RoomModel, ValidateRejectsEachDefect) {
     m.t_ac_min = 30.0;  // above t_ac_max
     EXPECT_THROW(m.validate(), std::invalid_argument);
   }
+  for (const double q : {-1.0, -1.5}) {
+    RoomModel m = basic_model();
+    m.cooler.q_coeff = q;  // total power would not rise with IT power
+    EXPECT_THROW(m.validate(), std::invalid_argument);
+  }
 }
 
 TEST(RoomModel, ValidateRejectsNonFiniteFields) {

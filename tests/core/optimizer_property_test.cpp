@@ -11,10 +11,10 @@
 
 #include "core/baselines.h"
 #include "core/closed_form.h"
-#include "core/lp_optimizer.h"
 #include "core/engine.h"
 #include "core/synthetic.h"
 #include "tests/core/on_set_support.h"
+#include "tests/oracle/lp_optimizer.h"
 #include "util/rng.h"
 
 namespace coolopt::core {

@@ -1,4 +1,4 @@
-#include "core/simplex.h"
+#include "tests/oracle/simplex.h"
 
 #include <gtest/gtest.h>
 

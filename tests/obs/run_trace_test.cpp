@@ -6,8 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/closed_form.h"
 #include "core/incremental.h"
-#include "core/lp_optimizer.h"
 #include "core/synthetic.h"
 #include "obs/obs.h"
 #include "obs/session.h"
@@ -134,9 +134,8 @@ TEST(Instrumentation, OptimizerAndConsolidatorRecordMetrics) {
   RunTrace trace;
   {
     ScopedObservation scope(&registry, &trace);
-    core::LpOptimizer lp(model);
-    ASSERT_TRUE(lp.solve(all_machines(model), 0.5 * model.total_capacity())
-                    .has_value());
+    const core::AnalyticOptimizer closed_form(model);
+    closed_form.solve(all_machines(model), 0.5 * model.total_capacity());
 
     const core::IncrementalConsolidator consolidator(core::share_model(model));
     core::ConsolidationChoice choice;
@@ -144,29 +143,49 @@ TEST(Instrumentation, OptimizerAndConsolidatorRecordMetrics) {
         consolidator.query_best_into(0.5 * model.total_capacity(), choice));
   }
 
-  EXPECT_EQ(registry.counter("optimizer.lp.solves").value(), 1u);
-  EXPECT_EQ(registry.histogram("optimizer.lp.solve_us").count(), 1u);
-  EXPECT_GE(registry.histogram("optimizer.lp.iterations").snapshot().min, 1.0);
-  // The bounded solver's KKT residual should be tiny on a feasible solve.
-  EXPECT_LT(registry.histogram("optimizer.lp.kkt_residual").snapshot().max, 1e-6);
+  EXPECT_EQ(registry.counter("optimizer.closed_form.solves").value(), 1u);
+  EXPECT_EQ(registry.histogram("optimizer.closed_form.solve_us").count(), 1u);
+  // Every ON machine sits at T_max up to rounding (Eq. 17).
+  EXPECT_LT(registry.histogram("optimizer.closed_form.kkt_residual_c")
+                .snapshot()
+                .max,
+            1e-6);
 
   EXPECT_EQ(registry.counter("consolidation.preprocesses").value(), 1u);
   EXPECT_EQ(registry.counter("consolidation.queries").value(), 1u);
   EXPECT_EQ(registry.histogram("consolidation.query_us").count(), 1u);
   EXPECT_GE(registry.gauge("consolidation.segments").value(), 1.0);
 
-  bool saw_lp = false;
+  bool saw_closed_form = false;
   bool saw_query = false;
   for (const SolveSample& s : trace.solves()) {
-    if (s.solver == "lp") {
-      saw_lp = true;
-      EXPECT_TRUE(s.feasible);
+    if (s.solver == "closed_form") {
+      saw_closed_form = true;
       EXPECT_EQ(s.n, 8u);
     }
     if (s.solver == "consolidation.query") saw_query = true;
   }
-  EXPECT_TRUE(saw_lp);
+  EXPECT_TRUE(saw_closed_form);
   EXPECT_TRUE(saw_query);
+}
+
+// The closed form's O(n) KKT residual is a traced-run diagnostic: a
+// registry alone (what cooloptd attaches) counts and times the solve but
+// never computes it.
+TEST(Instrumentation, ClosedFormResidualOnlyWhenTraced) {
+  core::SyntheticModelOptions options;
+  options.machines = 8;
+  const core::RoomModel model = core::make_synthetic_model(options);
+  const core::AnalyticOptimizer closed_form(model);
+  MetricsRegistry registry;
+  {
+    ScopedObservation scope(&registry);
+    closed_form.solve(all_machines(model), 0.5 * model.total_capacity());
+  }
+  EXPECT_EQ(registry.counter("optimizer.closed_form.solves").value(), 1u);
+  EXPECT_EQ(registry.histogram("optimizer.closed_form.solve_us").count(), 1u);
+  EXPECT_EQ(
+      registry.histogram("optimizer.closed_form.kkt_residual_c").count(), 0u);
 }
 
 TEST(Instrumentation, UnattachedRunsRecordNothing) {
@@ -175,9 +194,8 @@ TEST(Instrumentation, UnattachedRunsRecordNothing) {
   core::SyntheticModelOptions options;
   options.machines = 4;
   const core::RoomModel model = core::make_synthetic_model(options);
-  core::LpOptimizer lp(model);
-  ASSERT_TRUE(lp.solve(all_machines(model), 0.4 * model.total_capacity())
-                  .has_value());
+  const core::AnalyticOptimizer closed_form(model);
+  closed_form.solve(all_machines(model), 0.4 * model.total_capacity());
   // Still detached, and no way to have recorded anywhere.
   EXPECT_EQ(metrics(), nullptr);
   EXPECT_EQ(trace(), nullptr);

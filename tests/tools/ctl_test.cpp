@@ -128,8 +128,8 @@ TEST(Cooloptctl, SweepMetricsOutWritesValidTelemetryJson) {
   EXPECT_NE(doc.find("\"schema\":\"coolopt.obs.v1\""), std::string::npos);
   // The acceptance surface: optimizer solves + latency histogram,
   // consolidation query latency histogram, and the per-step series.
-  EXPECT_NE(doc.find("\"optimizer.lp.solves\""), std::string::npos);
-  EXPECT_NE(doc.find("\"optimizer.lp.solve_us\""), std::string::npos);
+  EXPECT_NE(doc.find("\"optimizer.closed_form.solves\""), std::string::npos);
+  EXPECT_NE(doc.find("\"optimizer.closed_form.solve_us\""), std::string::npos);
   EXPECT_NE(doc.find("\"consolidation.query_us\""), std::string::npos);
   EXPECT_NE(doc.find("\"t_ac_c\""), std::string::npos);
   EXPECT_NE(doc.find("\"p_ac_w\""), std::string::npos);
