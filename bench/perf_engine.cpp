@@ -11,8 +11,9 @@
 //                            O(n log n) sweep over T_ac;
 //   max_safe_t_ac/n          the thermal-limit set point, n 8..2048;
 //   alg1.cold_build/n        Algorithm 1 preprocessing, n 8..256;
-//   alg2.query_paper/n       Algorithm 2's O(lg n) query against a prebuilt
-//                            allStatus index (Section III-B);
+//   alg2.query_paper/n       Algorithm 2's O(lg n) query (the test oracle's)
+//                            against a prebuilt allStatus index
+//                            (Section III-B);
 //   alg2.query_exact/n       the exact per-k query (a k-scan stopped at an
 //                            exact power floor);
 //   alg2.rank_all_k_into/n   the full ranking into a reused buffer, the
@@ -134,11 +135,10 @@ void consolidation_rows(bench::Report& report) {
                "us");
     const core::IncrementalConsolidator consolidator(model);
     const auto& table = consolidator.table();
-    const std::vector<core::detail::ConsolidationTable::Status> statuses =
-        table.all_status();
+    const std::vector<core::PaperStatus> statuses = core::all_status(table);
     const double load = model->total_capacity() * 0.4;
     report.row(at("alg2.query_paper", n), bench::median_us([&] {
-                 bench::keep(table.query_paper(consolidator.particles(),
+                 bench::keep(core::query_paper(table, consolidator.particles(),
                                                *model, statuses, load));
                }),
                "us");

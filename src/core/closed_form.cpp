@@ -15,27 +15,22 @@ AnalyticOptimizer::AnalyticOptimizer(RoomModel model)
 AnalyticOptimizer::AnalyticOptimizer(SharedRoomModel model)
     : model_(std::move(model)) {
   model_->validate();
-  require_uniform_w1();
-  build_soa();
+  init();
 }
 
 AnalyticOptimizer::AnalyticOptimizer(SharedRoomModel model, PreValidated)
     : model_(std::move(model)) {
-  require_uniform_w1();
-  build_soa();
+  init();
 }
 
-void AnalyticOptimizer::require_uniform_w1() {
-  if (!model_->uniform_w1(1e-9)) {
+void AnalyticOptimizer::init() {
+  if (!model_->uniform_w1()) {
     throw std::invalid_argument(
         "AnalyticOptimizer: the closed form assumes a uniform w1 across "
         "machines (paper Eq. 14); use BoundedOptimizer for heterogeneous "
         "fleets");
   }
   w1_ = model_->machines.front().power.w1;
-}
-
-void AnalyticOptimizer::build_soa() {
   const size_t n = model_->size();
   k_.resize(n);
   ab_.resize(n);
@@ -112,7 +107,7 @@ void AnalyticOptimizer::solve_into(const size_t* on_set, size_t count,
     }
     obs::observe("optimizer.closed_form.kkt_residual_c", residual);
     tr->record_solve(obs::SolveSample{
-        "closed_form", static_cast<uint64_t>(count), 0, timer.elapsed_us(),
+        "closed_form", static_cast<uint64_t>(count), timer.elapsed_us(),
         loads_ok && out.t_ac_in_bounds, residual});
   }
 }

@@ -54,8 +54,8 @@ struct ClosedFormResult {
 
 class AnalyticOptimizer {
  public:
-  /// Validates the model; the closed form additionally requires a uniform
-  /// w1 across machines (the paper's assumption) and throws
+  /// Validates the model; the closed form additionally requires
+  /// RoomModel::uniform_w1() (the paper's assumption) and throws
   /// std::invalid_argument otherwise.
   explicit AnalyticOptimizer(RoomModel model);
 
@@ -84,8 +84,8 @@ class AnalyticOptimizer {
   const RoomModel& model() const { return *model_; }
 
  private:
-  void require_uniform_w1();
-  void build_soa();
+  /// Throws unless RoomModel::uniform_w1(), then fills the arrays below.
+  void init();
 
   SharedRoomModel model_;
   double w1_ = 0.0;  // shared by all machines

@@ -6,30 +6,17 @@
 
 namespace coolopt::core {
 
-namespace {
-
-void require_uniform(const RoomModel& model) {
-  const double w1 = model.machines.front().power.w1;
-  const double w2 = model.machines.front().power.w2;
-  for (const MachineModel& m : model.machines) {
-    if (std::abs(m.power.w1 - w1) > 1e-6 * std::max(1.0, std::abs(w1)) ||
-        std::abs(m.power.w2 - w2) > 1e-6 * std::max(1.0, std::abs(w2))) {
-      throw std::invalid_argument(
-          "consolidation: the Eq. 23 reduction assumes uniform w1/w2 across "
-          "machines (one fitted PowerModel per fleet, as in the paper)");
-    }
-  }
-}
-
-}  // namespace
-
 ParticleSystem ParticleSystem::from_model(const RoomModel& model) {
   model.validate();
   return from_model(model, kPreValidated);
 }
 
 ParticleSystem ParticleSystem::from_model(const RoomModel& model, PreValidated) {
-  require_uniform(model);
+  if (!model.uniform_w1() || !model.uniform_w2()) {
+    throw std::invalid_argument(
+        "consolidation: the Eq. 23 reduction assumes uniform w1/w2 across "
+        "machines (one fitted PowerModel per fleet, as in the paper)");
+  }
   ParticleSystem ps;
   ps.w1 = model.machines.front().power.w1;
   ps.w2 = model.machines.front().power.w2;
@@ -256,34 +243,45 @@ std::optional<ConsolidationChoice> ConsolidationTable::solve_for_k(
   return choice;
 }
 
-bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
-                                         const RoomModel& model, double load,
-                                         ConsolidationChoice& out) const {
-  // w2 is validated uniform, so the subset's idle draw is k * w2 without
-  // touching the on_set. (make_choice_into sums machine-by-machine; the
-  // two differ by at most accumulated rounding, far below the >= ~w2-scale
-  // power gaps that separate distinct k.)
+bool ConsolidationTable::scan_head(const ParticleSystem& ps,
+                                   const RoomModel& model, double load,
+                                   Head& out) const {
+  // Ascending k with strict < reproduces the ranking's (power, k) order.
   const Anchors at = anchors(ps);
-  size_t best_k = 0;
-  size_t best_segment = 0;
-  double best_power = 0.0;
+  out = Head{};
+  double sum_w2_k = 0.0;
   for (size_t k = 1; k <= width(); ++k) {
-    const double sum_w2_k = static_cast<double>(k) * ps.w2;
-    // No k from here on can undercut the winner (power_floor).
-    if (best_k != 0 && power_floor(ps, model, load, sum_w2_k) >= best_power) {
+    sum_w2_k += ps.w2;
+    // No k from here on can displace the winner or the runner-up.
+    if (out.has_runner_up &&
+        power_floor(ps, model, load, sum_w2_k) >= out.runner_up_power) {
       break;
     }
     size_t s = 0;
     double power = 0.0;
     if (!peek_k(ps, model, at, load, k, sum_w2_k, &s, &power)) continue;
-    if (best_k == 0 || power < best_power) {
-      best_k = k;
-      best_segment = s;
-      best_power = power;
+    if (out.k == 0 || power < out.power) {
+      if (out.k != 0) {
+        out.runner_up_power = out.power;
+        out.has_runner_up = true;
+      }
+      out.k = k;
+      out.segment = s;
+      out.power = power;
+    } else if (!out.has_runner_up || power < out.runner_up_power) {
+      out.runner_up_power = power;
+      out.has_runner_up = true;
     }
   }
-  if (best_k == 0) return false;
-  make_choice_into(ps, model, best_segment, best_k, load, out);
+  return out.k != 0;
+}
+
+bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
+                                         const RoomModel& model, double load,
+                                         ConsolidationChoice& out) const {
+  Head head;
+  if (!scan_head(ps, model, load, head)) return false;
+  make_choice_into(ps, model, head.segment, head.k, load, out);
   return true;
 }
 
@@ -312,46 +310,6 @@ size_t ConsolidationTable::rank_all_k_into(
               return x.k < y.k;
             });
   return count;
-}
-
-std::vector<ConsolidationTable::Status> ConsolidationTable::all_status() const {
-  const uint32_t n = static_cast<uint32_t>(width());
-  std::vector<Status> statuses;
-  statuses.reserve(segments.size() * n);
-  for (uint32_t s = 0; s < segments.size(); ++s) {
-    const Segment& seg = segments[s];
-    for (uint32_t k = 1; k <= n; ++k) {
-      statuses.push_back(
-          Status{seg.prefix_a[k] - seg.start * seg.prefix_b[k], s, k});
-    }
-  }
-  std::sort(statuses.begin(), statuses.end(),
-            [](const Status& x, const Status& y) { return x.l_max < y.l_max; });
-  return statuses;
-}
-
-std::optional<ConsolidationChoice> ConsolidationTable::query_paper(
-    const ParticleSystem& ps, const RoomModel& model,
-    const std::vector<Status>& statuses, double load) const {
-  // The paper's Algorithm 2: binary search allStatus (sorted by Lmax) for
-  // the first status whose Lmax exceeds the load, then read off its
-  // (segment, k) and take the first k machines of that order.
-  const auto it = std::upper_bound(
-      statuses.begin(), statuses.end(), load,
-      [](double l, const Status& st) { return l < st.l_max; });
-  for (auto cand = it; cand != statuses.end(); ++cand) {
-    // Walk forward past statuses whose subset violates the actuation
-    // bounds (the paper has no such bounds; with them the first hit can be
-    // infeasible).
-    const Segment& seg = segments[cand->segment];
-    const double t_subset =
-        (seg.prefix_a[cand->k] - load) / seg.prefix_b[cand->k];
-    if (t_subset < ps.t_lo - kFeasEps) continue;
-    ConsolidationChoice choice;
-    make_choice_into(ps, model, cand->segment, cand->k, load, choice);
-    return choice;
-  }
-  return std::nullopt;
 }
 
 double ConsolidationTable::max_load_for_budget(const ParticleSystem& ps,

@@ -7,8 +7,8 @@
 //
 // The paper's allStatus list (Algorithm 2's binary-search index) is not
 // part of the table: it holds segments x n entries and only the reference
-// query reads it, so callers that want it build it on demand with
-// all_status() and pass it to query_paper().
+// query reads it, so the test oracle (tests/oracle/consolidation.h) builds
+// it from a table on demand.
 //
 // A note on determinism: within a segment no two entries of `order`
 // compare equivalent (coordinates tie-break by particle id), so the sorted
@@ -50,8 +50,9 @@ struct ParticleSystem {
   double t_hi = 0.0;      ///< t_ac_max / w1
 
   static ParticleSystem from_model(const RoomModel& model);
-  /// Skips RoomModel::validate() (caller already ran it); still enforces
-  /// the uniform-w1/w2 assumption the reduction needs.
+  /// Skips RoomModel::validate() (caller already ran it); still throws
+  /// std::invalid_argument unless RoomModel::uniform_w1() and uniform_w2()
+  /// hold, as the reduction needs.
   static ParticleSystem from_model(const RoomModel& model, PreValidated);
   size_t size() const { return a.size(); }
   double coordinate(size_t i, double t) const { return a[i] - b[i] * t; }
@@ -75,10 +76,14 @@ struct ConsolidationTable {
     std::vector<double> prefix_a;  // prefix_a[k] = sum of top-k a
     std::vector<double> prefix_b;  // prefix_b[k] = sum of top-k b
   };
-  struct Status {  // one (segment start, k) entry of the paper's allStatus
-    double l_max = 0.0;
-    uint32_t segment = 0;
-    uint32_t k = 0;
+  /// The head of the (power, k)-ascending ranking and its runner-up's
+  /// power, as scan_head finds them.
+  struct Head {
+    size_t k = 0;  // 0 when no k is feasible
+    size_t segment = 0;
+    double power = 0.0;
+    bool has_runner_up = false;
+    double runner_up_power = 0.0;
   };
 
   std::vector<double> events;      // sorted collapsed crossing times > 0
@@ -150,15 +155,21 @@ struct ConsolidationTable {
   std::optional<ConsolidationChoice> solve_for_k(const ParticleSystem& ps,
                                                  const RoomModel& model,
                                                  double load, size_t k) const;
-  /// The single best choice — the ranking's head — without
-  /// materializing an on_set per k: an ascending-k, strict-< scan of
-  /// peek_k with the subset idle draw k * w2 (w2 is validated uniform),
-  /// which stops at the first k whose power_floor reaches the winner's
-  /// power. Infeasible k cost two prefix-sum reads; only the feasible k
-  /// up to that stop pay peek_k's O(lg #segments), plus O(k) for the
-  /// winner's on_set — versus the O(n^2) on_set copies of the full
-  /// ranking. Writes into a caller-owned choice (on_set buffer reused);
-  /// returns false when no k is feasible.
+  /// The one head-of-ranking k-scan: ascending k with strict-< updates
+  /// (the ranking's tie-break) over peek_k, the subset idle draw folded as
+  /// a running sum of ps.w2. Tracks the winner and the runner-up, and stops
+  /// at the first k whose power_floor reaches the runner-up's power, so it
+  /// peeks the few feasible k that can win, not all n. Infeasible k cost
+  /// two prefix-sum reads; no on_set is materialized. When every machine's
+  /// w2 is the same double, the fold is every k-subset's machine-by-machine
+  /// sum, so each power is make_choice_into's to the bit and the head is
+  /// rank_all_k_into's. Returns false when no k is feasible.
+  bool scan_head(const ParticleSystem& ps, const RoomModel& model,
+                 double load, Head& out) const;
+  /// The single best choice — the ranking's head — from scan_head, then
+  /// make_choice_into for its on_set (O(k), versus the O(n^2) on_set
+  /// copies of the full ranking). Writes into a caller-owned choice
+  /// (on_set buffer reused); returns false when no k is feasible.
   bool query_best_into(const ParticleSystem& ps, const RoomModel& model,
                        double load, ConsolidationChoice& out) const;
   /// Materializes the k-subset of `segment` at this load into a caller-owned
@@ -168,11 +179,10 @@ struct ConsolidationTable {
                         ConsolidationChoice& out) const;
   /// Feasibility + operating segment + predicted power for one k, without
   /// materializing the on_set. `sum_w2_k` must be the iterated sum of the
-  /// subset's w2 draws; when w2 is bitwise-uniform across machines (the
-  /// engine checks), any k-subset folds to the same double, so the power
-  /// here is bit-for-bit what make_choice_into computes. This is the
-  /// engine's ranked-head probe. Returns false when k machines cannot serve
-  /// the load. `at` is anchors(ps).
+  /// subset's w2 draws; when w2 is bitwise-uniform across machines, any
+  /// k-subset folds to the same double, so the power here is bit-for-bit
+  /// what make_choice_into computes. scan_head's probe. Returns false when
+  /// k machines cannot serve the load. `at` is anchors(ps).
   bool peek_k(const ParticleSystem& ps, const RoomModel& model,
               const Anchors& at, double load, size_t k, double sum_w2_k,
               size_t* segment_out, double* power_out) const;
@@ -195,16 +205,6 @@ struct ConsolidationTable {
   size_t rank_all_k_into(const ParticleSystem& ps, const RoomModel& model,
                          double load,
                          std::vector<ConsolidationChoice>& out) const;
-  /// The paper's allStatus list for this table: one (segment start, k)
-  /// entry per segment and k, sorted by Lmax — Algorithm 2's index, built
-  /// on demand (segments x width() entries).
-  std::vector<Status> all_status() const;
-  /// The paper's Algorithm 2: binary search over an all_status() list of
-  /// this table. O(lg n) per query once the list is built; the reference
-  /// the exact per-k queries are measured against.
-  std::optional<ConsolidationChoice> query_paper(
-      const ParticleSystem& ps, const RoomModel& model,
-      const std::vector<Status>& statuses, double load) const;
   /// The paper's maxL(A, P_b, k) by bisection on [0, g_k(t_lo)].
   double max_load_for_budget(const ParticleSystem& ps, const RoomModel& model,
                              double power_budget_w, size_t k) const;

@@ -65,21 +65,9 @@ const ModelAggregates& PlanEngine::aggregates() const {
     const RoomModel& m = *margin_model_;
     auto agg = std::make_unique<ModelAggregates>();
     const size_t n = m.size();
-    agg->k.resize(n);
-    agg->ab.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const MachineModel& mm = m.machines[i];
-      agg->k[i] = (m.t_max - mm.thermal.beta * mm.power.w2 - mm.thermal.gamma) /
-                  (mm.thermal.beta * mm.power.w1);
-      agg->ab[i] = mm.thermal.alpha / mm.thermal.beta;
-      agg->sum_k += agg->k[i];
-      agg->sum_ab += agg->ab[i];
-      agg->total_capacity += mm.capacity;
-    }
-    agg->uniform_w1 = m.uniform_w1(1e-6);
-    agg->uniform_w2 = m.uniform_w2(1e-6);
-    if (agg->uniform_w1) agg->w1 = m.machines.front().power.w1;
-    if (agg->uniform_w2) agg->w2 = m.machines.front().power.w2;
+    agg->total_capacity = m.total_capacity();
+    agg->uniform_w1 = m.uniform_w1();
+    agg->uniform_w2 = m.uniform_w2();
     agg->all_machines.resize(n);
     std::iota(agg->all_machines.begin(), agg->all_machines.end(), size_t{0});
     agg->coolness = coolness_order(m);
@@ -94,21 +82,13 @@ const ModelAggregates& PlanEngine::aggregates() const {
                 return m.machines[x].power.w2 < m.machines[y].power.w2;
               });
     agg->soa = RoomSoA::from(m);
-    // The ranked-head check folds k * w2 as an iterated prefix sum and needs
-    // that fold to equal make_choice's machine-by-machine sum bit-for-bit,
-    // which holds exactly when every w2 is the same double.
+    // The ranked-head check needs the head scan's folded idle draw to equal
+    // make_choice's machine-by-machine sum bit-for-bit, which holds exactly
+    // when every w2 is the same double.
     const double w2_front = m.machines.front().power.w2;
-    agg->w2_exact_uniform = true;
-    for (const MachineModel& mm : m.machines) {
-      if (mm.power.w2 != w2_front) {
-        agg->w2_exact_uniform = false;
-        break;
-      }
-    }
-    agg->w2_prefix.assign(n + 1, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      agg->w2_prefix[i + 1] = agg->w2_prefix[i] + w2_front;
-    }
+    agg->w2_exact_uniform = std::all_of(
+        m.machines.begin(), m.machines.end(),
+        [&](const MachineModel& mm) { return mm.power.w2 == w2_front; });
     aggregates_ = std::move(agg);
   });
   return *aggregates_;
@@ -217,51 +197,14 @@ bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
 bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
                                   double load, SolveScratch& scr,
                                   Allocation& out) const {
-  const ModelAggregates& agg = aggregates();
-  // peek_k's power is bit-for-bit make_choice_into's only when every
-  // k-subset's w2 fold is the same double.
-  if (!agg.w2_exact_uniform) return false;
-  const RoomModel& planning = *margin_model_;
+  // The head scan's powers are bit-for-bit make_choice_into's only when
+  // every k-subset's w2 fold is the same double.
+  if (!aggregates().w2_exact_uniform) return false;
   const detail::ConsolidationTable& table = cons.table();
-  const ParticleSystem& ps = cons.particles();
-
-  // Two-min scan over k: the winner and runner-up of the (power, k)-
-  // ascending ranking, via O(1) prefix-sum peeks — no on_set materialized.
-  // Ascending k with strict < reproduces the ranking's tie-break exactly.
-  // The scan stops once the power floor reaches the runner-up: no larger k
-  // can then displace either of the two (ConsolidationTable::power_floor).
-  const detail::ConsolidationTable::Anchors at = table.anchors(ps);
-  size_t best_k = 0;
-  size_t best_seg = 0;
-  double best_p = 0.0;
-  double runner_p = 0.0;
-  bool have_runner = false;
-  for (size_t k = 1; k <= table.width(); ++k) {
-    if (have_runner &&
-        detail::ConsolidationTable::power_floor(
-            ps, planning, load, agg.w2_prefix[k]) >= runner_p) {
-      break;
-    }
-    size_t seg = 0;
-    double p = 0.0;
-    if (!table.peek_k(ps, planning, at, load, k, agg.w2_prefix[k], &seg,
-                      &p)) {
-      continue;
-    }
-    if (best_k == 0 || p < best_p) {
-      if (best_k != 0) {
-        runner_p = best_p;
-        have_runner = true;
-      }
-      best_k = k;
-      best_seg = seg;
-      best_p = p;
-    } else if (!have_runner || p < runner_p) {
-      runner_p = p;
-      have_runner = true;
-    }
+  detail::ConsolidationTable::Head head;
+  if (!table.scan_head(cons.particles(), *margin_model_, load, head)) {
+    return false;  // no feasible k; the full walk will agree
   }
-  if (best_k == 0) return false;  // no feasible k; the full walk will agree
 
   // Materialize the head's subset from its segment order and re-run the
   // walk's own acceptance conditions at this load: the closed form must be
@@ -270,12 +213,13 @@ bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
   // full walk provably returns this exact allocation. An out-of-bounds
   // closed form is left to the walk, which owns the bounded fallback, so no
   // subset is ever solved twice.
-  const std::vector<uint32_t>& head_order = table.segments[best_seg].order;
+  const std::vector<uint32_t>& head_order = table.segments[head.segment].order;
   scr.head_on_set.assign(head_order.begin(),
-                         head_order.begin() + static_cast<long>(best_k));
-  analytic()->solve_into(scr.head_on_set.data(), best_k, load, scr.cf);
+                         head_order.begin() + static_cast<long>(head.k));
+  analytic()->solve_into(scr.head_on_set.data(), head.k, load, scr.cf);
   if (!scr.cf.within_bounds() ||
-      (have_runner && runner_p < scr.cf.allocation.total_power_w - 1e-12)) {
+      (head.has_runner_up &&
+       head.runner_up_power < scr.cf.allocation.total_power_w - 1e-12)) {
     return false;
   }
   std::swap(out, scr.cf.allocation);
@@ -589,6 +533,9 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
       }
     }
   }
+  // Leave every slot sized for the room, including one the swaps above
+  // just filled with a fresh result's empty buffer.
+  scr.reserve_for(n);
   if (solve_span >= 0) request.spans->end(solve_span);
   result.solve_us = now_us() - t0;
 

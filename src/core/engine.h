@@ -12,7 +12,7 @@
 // The engine owns ONE immutable shared model, validates it exactly once,
 // and lazily caches every model-derived artifact behind it:
 //
-//   model  ->  cached aggregates (K_i, alpha_i/beta_i, sums, sort orders)
+//   model  ->  cached aggregates (uniformity flags, capacity, sort orders)
 //          ->  cached solvers (closed form, bounded sweep)
 //          ->  cached Algorithm 1 tables: the full fleet's (built once,
 //              read lock-free) and a restricted one quarantines move
@@ -111,15 +111,12 @@ struct PlanResult {
 /// Everything O(n)-derivable from the model that the dispatch loop used to
 /// recompute (and re-sort) on every plan call.
 struct ModelAggregates {
-  std::vector<double> k;   ///< K_i at the margined t_max (Eq. 19)
-  std::vector<double> ab;  ///< alpha_i / beta_i
-  double sum_k = 0.0;
-  double sum_ab = 0.0;
   double total_capacity = 0.0;
-  bool uniform_w1 = false;  ///< closed form applicable
-  bool uniform_w2 = false;  ///< particle reduction applicable (with w1)
-  double w1 = 0.0;          ///< fleet w1 when uniform_w1
-  double w2 = 0.0;          ///< fleet w2 when uniform_w2
+  /// RoomModel::uniform_w1(), read by every route: the closed form and the
+  /// Algorithm 1 tables exist only when it holds (exact_paths()).
+  bool uniform_w1 = false;
+  /// RoomModel::uniform_w2(): the particle reduction needs it as well.
+  bool uniform_w2 = false;
   std::vector<size_t> all_machines;   ///< 0..n-1
   std::vector<size_t> coolness;       ///< coolest-first (baselines' order)
   std::vector<size_t> capacity_desc;  ///< capacity-descending
@@ -131,13 +128,9 @@ struct ModelAggregates {
   /// unchanged.
   RoomSoA soa;
   /// True when every machine's w2 is the SAME double bit-for-bit (stricter
-  /// than the tolerance-based uniform_w2). Required by the ranked-head
-  /// check, whose prefix-folded w2 sums must reproduce make_choice's
-  /// machine-by-machine folds exactly.
+  /// than uniform_w2). Required by the ranked-head check, whose folded w2
+  /// sums must reproduce make_choice's machine-by-machine folds exactly.
   bool w2_exact_uniform = false;
-  /// w2_prefix[k] = iterated fold of k copies of w2 (only meaningful when
-  /// w2_exact_uniform): the subset idle draw of ANY k-machine subset.
-  std::vector<double> w2_prefix;
 };
 
 /// Monotonic per-engine counters (a snapshot). Each event bumps its field
@@ -190,7 +183,7 @@ class PlanEngine {
   const PlannerOptions& options() const { return options_; }
 
   /// True when the paper's exact machinery (closed form + Algorithm 1/2)
-  /// applies: uniform w1 across the fleet.
+  /// applies: RoomModel::uniform_w1().
   bool exact_paths() const;
   /// Fixed conservative cool-air temperature used when AC control is off.
   double fixed_t_ac() const { return fixed_t_ac_; }
@@ -278,17 +271,16 @@ class PlanEngine {
   TableAnswer table_query(const IncrementalConsolidator& cons, double load,
                           SolveScratch& scratch, size_t& ranked_count) const;
   /// The verified ranked-head check in front of the consolidation walk,
-  /// shared by the full-fleet and restricted tables: a two-min peek_k scan
-  /// finds the ranking's head (k, segment) and its runner-up's power
-  /// without materializing the ranking, stopping at the first k whose
-  /// exact power floor (ConsolidationTable::power_floor) reaches the
-  /// runner-up — so it peeks the few feasible k that can win, not all n.
-  /// The head subset is then solved by the closed form alone. True — with
-  /// the plan in `out` — only when the walk provably returns that exact
-  /// allocation: the closed form is within bounds (the walk's inner cutoff)
-  /// and the runner-up's relaxation bound cannot beat it (the outer
-  /// branch-and-bound cutoff). Never runs the bounded solver; false leaves
-  /// `out` untouched and the walk decides.
+  /// shared by the full-fleet and restricted tables: the table's one head
+  /// scan (ConsolidationTable::scan_head) finds the ranking's head
+  /// (k, segment) and its runner-up's power without materializing the
+  /// ranking. It runs only when w2 is bitwise-uniform, where the scan's
+  /// powers are the ranking's to the bit. The head subset is then solved by
+  /// the closed form alone. True — with the plan in `out` — only when the walk
+  /// provably returns that exact allocation: the closed form is within
+  /// bounds (the walk's inner cutoff) and the runner-up's relaxation bound
+  /// cannot beat it (the outer branch-and-bound cutoff). Never runs the
+  /// bounded solver; false leaves `out` untouched and the walk decides.
   bool ranked_head_into(const IncrementalConsolidator& cons, double load,
                         SolveScratch& scratch, Allocation& out) const;
   /// Restricted (quarantine) Algorithm 1 query: moves the delta-maintained

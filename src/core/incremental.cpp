@@ -42,7 +42,7 @@ size_t instrumented(const char* solver, size_t n, Query&& query) {
   const size_t count = query();
   if (count == 0) obs::count("consolidation.infeasible_queries");
   if (obs::RunTrace* tr = obs::trace()) {
-    tr->record_solve(obs::SolveSample{solver, static_cast<uint64_t>(n), 0,
+    tr->record_solve(obs::SolveSample{solver, static_cast<uint64_t>(n),
                                       timer.elapsed_us(), count != 0, 0.0});
   }
   return count;

@@ -109,10 +109,10 @@ class IncrementalConsolidator {
   IncrementalApplyStats set_active(const std::vector<char>& active_mask);
 
   /// The exact query: the winning choice alone — the head of
-  /// rank_all_k_into's ranking — from a k-scan that stops at an exact power floor
-  /// (ConsolidationTable::query_best_into) instead of the full ranking's
-  /// O(n^2) on_set materialization, written into a caller-owned choice
-  /// (buffers reused).
+  /// rank_all_k_into's ranking — from the table's one head scan, which
+  /// stops at an exact power floor (ConsolidationTable::scan_head), instead
+  /// of the full ranking's O(n^2) on_set materialization, written into a
+  /// caller-owned choice (buffers reused).
   /// Returns false when no subset is feasible; throws
   /// std::invalid_argument on a negative load.
   bool query_best_into(double load, ConsolidationChoice& out) const;

@@ -114,11 +114,24 @@ void RoomModel::validate_on_set(const std::vector<size_t>& on_set,
   }
 }
 
-bool RoomModel::uniform_w1(double rel_tol) const {
+bool RoomModel::uniform_w1() const {
+  constexpr double kRelTol = 1e-9;
   if (machines.empty()) return true;
   const double ref = machines.front().power.w1;
   for (const MachineModel& m : machines) {
-    if (std::abs(m.power.w1 - ref) > rel_tol * std::abs(ref)) return false;
+    if (std::abs(m.power.w1 - ref) > kRelTol * std::abs(ref)) return false;
+  }
+  return true;
+}
+
+bool RoomModel::uniform_w2() const {
+  constexpr double kTol = 1e-6;
+  if (machines.empty()) return true;
+  const double ref = machines.front().power.w2;
+  for (const MachineModel& m : machines) {
+    if (std::abs(m.power.w2 - ref) > kTol * std::max(1.0, std::abs(ref))) {
+      return false;
+    }
   }
   return true;
 }
@@ -148,17 +161,6 @@ size_t RoomSoA::bytes() const {
   return (w1.capacity() + w2.capacity() + alpha.capacity() + beta.capacity() +
           gamma.capacity() + capacity.capacity()) *
          sizeof(double);
-}
-
-bool RoomModel::uniform_w2(double rel_tol) const {
-  if (machines.empty()) return true;
-  const double ref = machines.front().power.w2;
-  for (const MachineModel& m : machines) {
-    if (std::abs(m.power.w2 - ref) > rel_tol * std::max(1.0, std::abs(ref))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace coolopt::core

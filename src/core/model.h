@@ -110,13 +110,20 @@ struct RoomModel {
   void validate_on_set(const std::vector<size_t>& on_set, double total_load,
                        const char* who) const;
 
-  /// True when every machine shares (within rel_tol) the same w1 — the
-  /// assumption under which the paper's closed form is exact.
-  bool uniform_w1(double rel_tol = 1e-6) const;
+  /// True when every machine's w1 lies within 1e-9 of the first machine's,
+  /// relative: the one fitted PowerModel the closed form (Eqs. 18-22) and
+  /// the Eq. 23 particle reduction assume. The bound is tight because the
+  /// closed form sets T_ac with the first machine's w1: on a 12-machine
+  /// synthetic room, a spread of 1e-7 already runs machines 3.8e-6 C over
+  /// T_max, past the planner's 1e-6 C safety check. The one uniformity rule
+  /// under src/: the planner, the closed form and the particle reduction
+  /// all read it.
+  bool uniform_w1() const;
 
-  /// True when every machine additionally shares the same w2 (the Eq. 23
-  /// particle reduction needs both).
-  bool uniform_w2(double rel_tol = 1e-6) const;
+  /// True when every machine's w2 lies within 1e-6 * max(1, |w2|) of the
+  /// first machine's. The Eq. 23 particle reduction needs it as well as
+  /// uniform_w1().
+  bool uniform_w2() const;
 };
 
 /// Structure-of-arrays mirror of RoomModel::machines: one contiguous array

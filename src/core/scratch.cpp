@@ -28,6 +28,15 @@ size_t SolveScratch::bytes() const {
   return b;
 }
 
+void SolveScratch::reserve_for(size_t n) {
+  for (Allocation* a : {&best_alloc, &trial_alloc, &plan_a.allocation,
+                        &plan_b.allocation, &cf.allocation}) {
+    a->loads.reserve(n);
+    a->on.reserve(n);
+  }
+  head_on_set.reserve(n);
+}
+
 SolveScratch& SolveScratch::local() {
   thread_local SolveScratch scratch;
   return scratch;

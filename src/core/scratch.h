@@ -48,6 +48,16 @@ struct SolveScratch {
   ClosedFormResult cf;
   BoundedWorkspace bounded;
 
+  /// Sizes every Allocation slot and the ranked-head subset for an
+  /// n-machine room, grow-only, as BoundedWorkspace sizes itself; the
+  /// engine calls it at the end of every solve. The slots trade buffers
+  /// with each other and with the caller's results, so without it a slot
+  /// this thread has not used yet, or one a fresh result's empty buffer
+  /// landed in, would grow inside a later warm solve (the first bounded
+  /// solve of a worker that had only served closed-form answers), and the
+  /// head subset would grow with each larger k the thread meets.
+  void reserve_for(size_t n);
+
   /// Resident heap footprint of the arena (capacities, not sizes) —
   /// exported as the `engine.alloc_bytes` gauge after each solve.
   size_t bytes() const;

@@ -61,9 +61,6 @@ bool FleetPlanResult::feasible() const {
 FleetEngine::FleetEngine(FleetTopology topology, FleetOptions options)
     : topology_(std::move(topology)), options_(options) {
   topology_.validate();
-  if (options_.frontier_samples == 0) {
-    throw std::invalid_argument("FleetEngine: frontier_samples must be >= 1");
-  }
   engines_.reserve(topology_.size());
   for (const FleetShard& shard : topology_.shards) {
     engines_.push_back(
@@ -95,19 +92,21 @@ const std::vector<FleetEngine::ShardFrontier>& FleetEngine::frontiers_for(
   // first fleet solve pays all shard preprocesses in parallel, not in a
   // serial walk — index-addressed slots keep the cache deterministic.
   std::vector<ShardFrontier> fronts(engines_.size());
-  const size_t samples = options_.frontier_samples;
+  // Frontier resolution: each shard is sampled at kSamples + 1 evenly
+  // spaced loads (j / kSamples of its capacity, j = 0..kSamples).
+  constexpr size_t kSamples = 16;
   default_pool().parallel_for(engines_.size(), [&](size_t shard) {
     const double cap = topology_.shards[shard].model->total_capacity();
     std::vector<FrontierPoint> points;
-    points.reserve(samples + 1);
+    points.reserve(kSamples + 1);
     // One request/result pair reused across the whole sweep: every sample
     // after the first refills the previous PlanResult's buffers in place
     // through the engine's warm scratch path instead of materializing a
     // fresh result per load level.
     core::PlanRequest req(s, 0.0);
     core::PlanResult r;
-    for (size_t j = 0; j <= samples; ++j) {
-      req.load = cap * static_cast<double>(j) / static_cast<double>(samples);
+    for (size_t j = 0; j <= kSamples; ++j) {
+      req.load = cap * static_cast<double>(j) / static_cast<double>(kSamples);
       engines_[shard]->solve_into(req, core::SolveScratch::local(), r);
       if (!r.plan) continue;
       points.push_back(FrontierPoint{req.load - r.shed_load,

@@ -111,9 +111,6 @@ struct FleetPlanResult {
 
 struct FleetOptions {
   core::PlannerOptions planner;
-  /// Frontier resolution: samples per shard is frontier_samples + 1
-  /// (loads j/frontier_samples * capacity, j = 0..frontier_samples).
-  size_t frontier_samples = 16;
 };
 
 class FleetEngine {

@@ -106,7 +106,6 @@ void RunTrace::write_json(JsonWriter& w) const {
     w.begin_object();
     w.kv("solver", s.solver);
     w.kv("n", s.n);
-    w.kv("iterations", s.iterations);
     w.kv("solve_us", s.solve_us);
     w.kv("feasible", s.feasible);
     w.kv("residual", s.residual);
@@ -152,12 +151,10 @@ void RunTrace::steps_to_csv(std::ostream& os) const {
 }
 
 void RunTrace::solves_to_csv(std::ostream& os) const {
-  util::CsvWriter w(os, {"solver", "n", "iterations", "solve_us", "feasible",
-                         "residual"});
+  util::CsvWriter w(os, {"solver", "n", "solve_us", "feasible", "residual"});
   std::lock_guard<std::mutex> lock(mu_);
   for (const SolveSample& s : solves_) {
     w.row({s.solver, util::strf("%llu", static_cast<unsigned long long>(s.n)),
-           util::strf("%llu", static_cast<unsigned long long>(s.iterations)),
            util::strf("%.6g", s.solve_us), s.feasible ? "1" : "0",
            util::strf("%.6g", s.residual)});
   }

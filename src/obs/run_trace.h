@@ -57,7 +57,6 @@ struct StepSample {
 struct SolveSample {
   std::string solver;        ///< "closed_form", "consolidation.query", ...
   uint64_t n = 0;            ///< problem size (machines considered)
-  uint64_t iterations = 0;   ///< iteration count; 0 for direct solves
   double solve_us = 0.0;
   bool feasible = true;
   double residual = 0.0;     ///< KKT/constraint violation residual

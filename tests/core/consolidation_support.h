@@ -22,6 +22,7 @@
 #include "core/incremental.h"
 #include "core/model.h"
 #include "core/synthetic.h"
+#include "tests/oracle/consolidation.h"
 #include "util/rng.h"
 
 namespace coolopt::core::test_support {
@@ -125,15 +126,15 @@ inline std::vector<ConsolidationChoice> ranking_of(
 inline std::optional<ConsolidationChoice> paper_query(
     const IncrementalConsolidator& cons, double load) {
   const detail::ConsolidationTable& table = cons.table();
-  return table.query_paper(cons.particles(), cons.model(), table.all_status(),
-                           load);
+  return query_paper(table, cons.particles(), cons.model(), all_status(table),
+                     load);
 }
 
 /// ConsolidationTable::query_best_into without its power-floor stop: the
-/// strict-< peek_k scan over every k with the subset idle draw k * w2, the
-/// winner materialized by make_choice_into. The reference the pruned
-/// production scan must reproduce bit for bit; false when no k is
-/// feasible.
+/// strict-< peek_k scan over every k with the subset idle draw folded as a
+/// running sum of w2, the winner materialized by make_choice_into. The
+/// reference the pruned production scan must reproduce bit for bit; false
+/// when no k is feasible.
 inline bool unpruned_best_into(const detail::ConsolidationTable& table,
                                const ParticleSystem& ps,
                                const RoomModel& model, double load,
@@ -142,13 +143,12 @@ inline bool unpruned_best_into(const detail::ConsolidationTable& table,
   size_t best_k = 0;
   size_t best_segment = 0;
   double best_power = 0.0;
+  double sum_w2_k = 0.0;
   for (size_t k = 1; k <= table.width(); ++k) {
+    sum_w2_k += ps.w2;
     size_t s = 0;
     double power = 0.0;
-    if (!table.peek_k(ps, model, at, load, k, static_cast<double>(k) * ps.w2,
-                      &s, &power)) {
-      continue;
-    }
+    if (!table.peek_k(ps, model, at, load, k, sum_w2_k, &s, &power)) continue;
     if (best_k == 0 || power < best_power) {
       best_k = k;
       best_segment = s;

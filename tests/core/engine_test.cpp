@@ -14,6 +14,7 @@
 #include "core/incremental.h"
 #include "core/scratch.h"
 #include "core/synthetic.h"
+#include "core/verification.h"
 #include "obs/obs.h"
 #include "tests/core/consolidation_support.h"
 #include "util/rng.h"
@@ -193,18 +194,6 @@ TEST(PlanEngine, AggregatesMatchTheModel) {
   const RoomModel model = uniform_model();
   const PlanEngine engine(model);
   const ModelAggregates& agg = engine.aggregates();
-  ASSERT_EQ(agg.k.size(), model.size());
-  double sum_k = 0.0;
-  for (size_t i = 0; i < model.size(); ++i) {
-    const MachineModel& m = model.machines[i];
-    const double k =
-        (model.t_max - m.thermal.beta * m.power.w2 - m.thermal.gamma) /
-        (m.thermal.beta * m.power.w1);
-    EXPECT_DOUBLE_EQ(agg.k[i], k);
-    EXPECT_DOUBLE_EQ(agg.ab[i], m.thermal.alpha / m.thermal.beta);
-    sum_k += agg.k[i];
-  }
-  EXPECT_DOUBLE_EQ(agg.sum_k, sum_k);
   EXPECT_DOUBLE_EQ(agg.total_capacity, model.total_capacity());
   EXPECT_EQ(agg.all_machines.size(), model.size());
   EXPECT_EQ(agg.coolness.size(), model.size());
@@ -285,7 +274,9 @@ TEST(PlanEngine, CountersTrackBatches) {
 /// the head of rank_all_k on the request's own table (the full-fleet table,
 /// or an IncrementalConsolidator moved to the request's mask), the closed
 /// form served it alone and within bounds, and the runner-up's relaxation
-/// bound cannot beat it.
+/// bound cannot beat it. One answer per question: the check and the exact
+/// query read the table's one head scan, so that ON set is also
+/// query_best_into's subset on the same table.
 /// Adds how many of `requests` the check answered to `answered`.
 void expect_head_answers_match_walk(const PlanEngine& engine,
                                     const std::vector<PlanRequest>& requests,
@@ -305,19 +296,24 @@ void expect_head_answers_match_walk(const PlanEngine& engine,
     EXPECT_EQ(engine.counters().memo_hits, before + 1);
     const Plan& plan = *result.plan;
 
-    std::vector<ConsolidationChoice> ranked;
-    if (req.quarantined.empty()) {
-      ranked = ranking_of(*engine.consolidator(), plan.load);
-    } else {
+    const IncrementalConsolidator* table = engine.consolidator();
+    if (!req.quarantined.empty()) {
       std::vector<char> mask(engine.model().size(), 1);
       for (size_t q : req.quarantined) mask[q] = 0;
       restricted_table.set_active(mask);
-      ranked = ranking_of(restricted_table, plan.load);
+      table = &restricted_table;
     }
+    const std::vector<ConsolidationChoice> ranked =
+        ranking_of(*table, plan.load);
     ASSERT_FALSE(ranked.empty());
     std::vector<bool> head_on(engine.model().size(), false);
     for (size_t m : ranked.front().on_set) head_on[m] = true;
     EXPECT_EQ(plan.allocation.on, head_on);
+    ConsolidationChoice best;
+    ASSERT_TRUE(table->query_best_into(plan.load, best));
+    std::vector<bool> best_on(engine.model().size(), false);
+    for (size_t m : best.on_set) best_on[m] = true;
+    EXPECT_EQ(plan.allocation.on, best_on);
     EXPECT_TRUE(plan.closed_form_pure);
     // The closed form alone, re-solved on the head set, must land within
     // bounds and be the served split bit-for-bit.
@@ -403,6 +399,65 @@ TEST(PlanEngine, RestrictedSolvesRunTheRankedHeadCheck) {
   // The IncrementalConsolidator table runs the same check as the full-fleet
   // one: quarantined solves register head answers too.
   EXPECT_GT(answers, 0u);
+}
+
+/// `room` with w1 raised by 1e-7 relative on every other machine: the odd
+/// ones (`front_larger` false) or the even ones, the first machine among
+/// them.
+RoomModel near_uniform(RoomModel room, bool front_larger) {
+  for (size_t i = front_larger ? 0 : 1; i < room.size(); i += 2) {
+    room.machines[i].power.w1 *= 1.0 + 1e-7;
+  }
+  return room;
+}
+
+/// A fleet whose w1 spread is too small to see in a fit but too large for
+/// the closed form (it would run machines past T_max) is not "one fitted
+/// power model": every route agrees, and every scenario still plans.
+TEST(PlanEngine, NearUniformW1PlansEveryScenarioThroughTheBoundedPaths) {
+  for (const uint64_t seed : {3u, 7u}) {
+    for (const bool front_larger : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", front machine's w1 " +
+                   (front_larger ? "larger" : "smaller"));
+      const PlanEngine engine(near_uniform(uniform_model(12, seed), front_larger));
+      EXPECT_FALSE(engine.model().uniform_w1());
+      EXPECT_FALSE(engine.exact_paths());
+      EXPECT_EQ(engine.analytic(), nullptr);
+      EXPECT_EQ(engine.consolidator(), nullptr);
+      EXPECT_EQ(engine.particles(), nullptr);
+
+      RoomModel flat = engine.model();
+      for (MachineModel& m : flat.machines) {
+        m.power.w1 = flat.machines.front().power.w1;
+      }
+      const PlanEngine reference(std::move(flat));
+      ASSERT_TRUE(reference.exact_paths());
+
+      const double capacity = engine.model().total_capacity();
+      for (const Scenario& s : Scenario::all8()) {
+        for (const double fraction : {0.1, 0.5, 0.9}) {
+          SCOPED_TRACE("scenario " + std::to_string(s.number) + " at " +
+                       std::to_string(fraction));
+          PlanResult result;
+          ASSERT_NO_THROW(result =
+                              engine.solve(PlanRequest(s, fraction * capacity)));
+          ASSERT_TRUE(result.plan.has_value());
+          const Plan& plan = *result.plan;
+          EXPECT_TRUE(
+              audit_feasibility(engine.model(), plan.allocation, plan.load)
+                  .empty());
+          if (s.number != 6) continue;
+          ASSERT_TRUE(result.feasible());
+          const PlanResult exact =
+              reference.solve(PlanRequest(s, fraction * capacity));
+          ASSERT_TRUE(exact.feasible());
+          EXPECT_NEAR(plan.allocation.total_power_w,
+                      exact.plan->allocation.total_power_w,
+                      1e-6 * exact.plan->allocation.total_power_w);
+        }
+      }
+    }
+  }
 }
 
 /// The benchmark's SKU room (perfbench/workload.cpp): the first 8 machine

@@ -180,9 +180,29 @@ TEST(RoomModel, ValidateRejectsNonFiniteFields) {
 TEST(RoomModel, UniformW1Detection) {
   RoomModel m = basic_model();
   EXPECT_TRUE(m.uniform_w1());
+  // One rule: w1 within 1e-9 of the first machine's, relative.
+  const double w1 = m.machines[0].power.w1;
+  m.machines[1].power.w1 = w1 * (1.0 + 1e-10);
+  EXPECT_TRUE(m.uniform_w1());
+  m.machines[1].power.w1 = w1 * (1.0 + 1e-8);
+  EXPECT_FALSE(m.uniform_w1());
   m.machines[1].power.w1 = 1.6;
   EXPECT_FALSE(m.uniform_w1());
-  EXPECT_TRUE(m.uniform_w1(0.2));  // loose tolerance accepts it
+}
+
+TEST(RoomModel, UniformW2Detection) {
+  RoomModel m = basic_model();
+  EXPECT_TRUE(m.uniform_w2());
+  // w2 within 1e-6 * max(1, |w2|) of the first machine's.
+  const double w2 = m.machines[0].power.w2;
+  ASSERT_GT(w2, 1.0);
+  m.machines[1].power.w2 = w2 * (1.0 + 1e-7);
+  EXPECT_TRUE(m.uniform_w2());
+  m.machines[1].power.w2 = w2 * (1.0 + 1e-5);
+  EXPECT_FALSE(m.uniform_w2());
+  for (MachineModel& mm : m.machines) mm.power.w2 = 0.0;
+  m.machines[1].power.w2 = 5e-7;  // absolute below |w2| = 1
+  EXPECT_TRUE(m.uniform_w2());
 }
 
 }  // namespace

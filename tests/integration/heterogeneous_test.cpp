@@ -70,7 +70,7 @@ TEST_F(Heterogeneous, PerMachineFitsRecoverBothClasses) {
 }
 
 TEST_F(Heterogeneous, PlannerRoutesThroughTheLp) {
-  EXPECT_FALSE(eval().model().uniform_w1(1e-3));
+  EXPECT_FALSE(eval().model().uniform_w1());
   EXPECT_FALSE(eval().plan_engine()->exact_paths());
 }
 

@@ -25,7 +25,7 @@ TEST(RunTrace, RecordsAllThreeStreams) {
   RunTrace trace;
   trace.record_step(StepSample{1.0, false, 18.0, 24.0, 200.0, 400.0, 600.0,
                                40.0, {}, {}, {}});
-  trace.record_solve(SolveSample{"lp", 8, 12, 55.0, true, 1e-9});
+  trace.record_solve(SolveSample{"lp", 8, 55.0, true, 1e-9});
   trace.record_event(EventSample{1.0, "setpoint", 22.5, "scenario 8"});
   EXPECT_EQ(trace.step_count(), 1u);
   EXPECT_EQ(trace.solves().size(), 1u);
@@ -54,7 +54,7 @@ TEST(RunTrace, JsonExportIsSyntaxValid) {
   s.time_s = 0.5;
   s.server_power_w = {100.0, 40.0};
   trace.record_step(s);
-  trace.record_solve(SolveSample{"closed_form", 20, 0, 4.2, true, 1e-6});
+  trace.record_solve(SolveSample{"closed_form", 20, 4.2, true, 1e-6});
   trace.record_event(EventSample{0.5, "watchdog.alarm", 47.9, "machine \"3\""});
 
   std::ostringstream os;

@@ -43,6 +43,50 @@ std::optional<ConsolidationChoice> evaluate_consolidation_subset(
   return choice;
 }
 
+std::vector<PaperStatus> all_status(const detail::ConsolidationTable& table) {
+  const uint32_t n = static_cast<uint32_t>(table.width());
+  std::vector<PaperStatus> statuses;
+  statuses.reserve(table.segments.size() * n);
+  for (uint32_t s = 0; s < table.segments.size(); ++s) {
+    const detail::ConsolidationTable::Segment& seg = table.segments[s];
+    for (uint32_t k = 1; k <= n; ++k) {
+      statuses.push_back(
+          PaperStatus{seg.prefix_a[k] - seg.start * seg.prefix_b[k], s, k});
+    }
+  }
+  std::sort(statuses.begin(), statuses.end(),
+            [](const PaperStatus& x, const PaperStatus& y) {
+              return x.l_max < y.l_max;
+            });
+  return statuses;
+}
+
+std::optional<ConsolidationChoice> query_paper(
+    const detail::ConsolidationTable& table, const ParticleSystem& ps,
+    const RoomModel& model, const std::vector<PaperStatus>& statuses,
+    double load) {
+  // The paper's Algorithm 2: binary search allStatus (sorted by Lmax) for
+  // the first status whose Lmax exceeds the load, then read off its
+  // (segment, k) and take the first k machines of that order.
+  const auto it = std::upper_bound(
+      statuses.begin(), statuses.end(), load,
+      [](double l, const PaperStatus& st) { return l < st.l_max; });
+  for (auto cand = it; cand != statuses.end(); ++cand) {
+    // Walk forward past statuses whose subset violates the actuation
+    // bounds (the paper has no such bounds; with them the first hit can be
+    // infeasible).
+    const detail::ConsolidationTable::Segment& seg =
+        table.segments[cand->segment];
+    const double t_subset =
+        (seg.prefix_a[cand->k] - load) / seg.prefix_b[cand->k];
+    if (t_subset < ps.t_lo - kFeasEps) continue;
+    ConsolidationChoice choice;
+    table.make_choice_into(ps, model, cand->segment, cand->k, load, choice);
+    return choice;
+  }
+  return std::nullopt;
+}
+
 // ---------------------------------------------------------------------------
 // BruteForceConsolidator
 // ---------------------------------------------------------------------------

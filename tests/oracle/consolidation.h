@@ -1,7 +1,8 @@
-// Test oracle for optimal load consolidation (Section III-B of the paper):
+// Test oracles for optimal load consolidation (Section III-B of the paper):
 // choose which subset of machines to keep ON so that total predicted energy
-// is minimal. evaluate_consolidation_subset scores one subset and
-// BruteForceConsolidator enumerates them all; the planner's own table is
+// is minimal. evaluate_consolidation_subset scores one subset,
+// BruteForceConsolidator enumerates them all, and all_status / query_paper
+// are the paper's Algorithm 2 over a table; the planner's own table is
 // core/consolidation_table.h behind core/incremental.h.
 //
 // Reduction (Eq. 23): with uniform w1/w2, the predicted total power of a
@@ -21,8 +22,8 @@
 // total. Algorithm 1 precomputes them in O(n^3 lg n)
 // (IncrementalConsolidator, incremental.h, over detail::ConsolidationTable);
 // Algorithm 2 answers a load query by binary search over the allStatus
-// list (ConsolidationTable::query_paper), and the exact per-k queries
-// (query_best_into, rank_all_k_into) are what the planner runs.
+// list (query_paper below), and the exact per-k queries (query_best_into,
+// rank_all_k_into) are what the planner runs.
 //
 // Physical actuation limits enter as bounds on the particle time:
 // t in [t_ac_min/w1, t_ac_max/w1]. Below the lower bound the subset cannot
@@ -36,6 +37,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -49,6 +51,26 @@ namespace coolopt::core {
 /// subset cannot serve the load under the temperature ceiling.
 std::optional<ConsolidationChoice> evaluate_consolidation_subset(
     const RoomModel& model, const std::vector<size_t>& subset, double load);
+
+/// One (segment start, k) entry of the paper's allStatus list.
+struct PaperStatus {
+  double l_max = 0.0;
+  uint32_t segment = 0;
+  uint32_t k = 0;
+};
+
+/// The paper's allStatus list for a table: one (segment start, k) entry per
+/// segment and k, sorted by Lmax — Algorithm 2's index (segments x width()
+/// entries).
+std::vector<PaperStatus> all_status(const detail::ConsolidationTable& table);
+
+/// The paper's Algorithm 2: binary search over an all_status() list of
+/// `table`. O(lg n) per query once the list is built; the reference the
+/// exact per-k queries are measured against.
+std::optional<ConsolidationChoice> query_paper(
+    const detail::ConsolidationTable& table, const ParticleSystem& ps,
+    const RoomModel& model, const std::vector<PaperStatus>& statuses,
+    double load);
 
 /// Exact exponential-time reference (the paper's "naive O(n 2^n)"): used by
 /// the property tests to certify the event-based algorithm. Guarded to

@@ -204,6 +204,47 @@ TEST(Cooloptctl, ClientSendsEveryVerbAndPriorityItNames) {
   server.stop();
 }
 
+TEST(Cooloptctl, ClientSendsADegradedFleetplan) {
+  core::SyntheticModelOptions model;
+  model.machines = 24;
+  service::ServiceConfig config;
+  config.model = core::share_model(core::make_synthetic_model(model));
+  config.fleet_shards = 4;
+  service::PlanningService server(std::move(config));
+  server.start();
+  const std::string port = util::strf("--port=%u", server.port());
+  const CtlResult r = run({"client", port.c_str(), "--verb=fleetplan",
+                           "--load-pct=40", "--down-shards=1,3",
+                           "--retries=3"});
+  server.stop();
+  ASSERT_EQ(r.code, 0) << r.err << r.out;
+  service::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(service::parse_json(r.out, doc, error)) << error << " " << r.out;
+  EXPECT_TRUE(doc.find("ok")->as_bool()) << r.out;
+  const service::JsonValue* result = doc.find("result");
+  ASSERT_NE(result, nullptr) << r.out;
+  EXPECT_EQ(result->find("shards_down")->as_number(), 2.0) << r.out;
+  const std::vector<service::JsonValue>& shards =
+      result->find("shards")->items();
+  ASSERT_EQ(shards.size(), 4u) << r.out;
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const service::JsonValue* status = shards[s].find("status");
+    if (s == 1 || s == 3) {
+      ASSERT_NE(status, nullptr) << "shard " << s << ": " << r.out;
+      EXPECT_EQ(status->as_string(), "down") << "shard " << s;
+    } else if (status != nullptr) {
+      EXPECT_NE(status->as_string(), "down") << "shard " << s;
+    }
+  }
+
+  // A malformed shard list never reaches the wire.
+  const CtlResult bad = run({"client", port.c_str(), "--verb=fleetplan",
+                             "--down-shards=1,x"});
+  EXPECT_EQ(bad.code, 2);
+  EXPECT_EQ(bad.err, "bad shard index: 'x'\n");
+}
+
 TEST(Cooloptctl, ClientRejectsSubscribeAndUnknownNames) {
   // subscribe streams, so `cooloptctl watch` owns it.
   for (const char* verb : {"subscribe", "telemetry"}) {

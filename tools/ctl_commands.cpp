@@ -339,16 +339,6 @@ int cmd_inject(util::CliFlags& flags, int argc, const char* const* argv,
   flags.define("load-pct", "offered load, percent of fitted capacity", "60");
   flags.define("duration", "simulated seconds to run", "3600");
   flags.define("control-period", "seconds between controller updates", "30");
-  flags.define("down-shards",
-               "comma-separated fleet shard indices to declare down; sends a "
-               "degraded fleetplan to a live cooloptd instead of running a "
-               "local room campaign",
-               "");
-  flags.define("host", "cooloptd address (--down-shards mode)", "127.0.0.1");
-  flags.define("port", "cooloptd port (--down-shards mode)", "7077");
-  flags.define("plan-scenario",
-               "Fig. 4 scenario number for the degraded fleetplan", "8");
-  flags.define("id", "request id (--down-shards mode)", "1");
   std::string error;
   if (!flags.parse(argc, argv, error)) {
     err << error << "\n";
@@ -361,39 +351,6 @@ int cmd_inject(util::CliFlags& flags, int argc, const char* const* argv,
       out << " " << name;
     }
     out << "\n";
-    return 0;
-  }
-
-  // Shard-failure mode: exercise the fleet failure-domain path end to end
-  // against a running daemon rather than simulating a room-level fault.
-  const std::string down_csv = flags.get_string("down-shards", "");
-  if (!down_csv.empty()) {
-    service::WireRequest request;
-    request.verb = service::Verb::kFleetplan;
-    request.id = static_cast<uint64_t>(flags.get_int("id", 1));
-    request.scenario = flags.get_int("plan-scenario", 8);
-    request.load_pct = flags.get_double("load-pct", 60.0);
-    if (!parse_index_list(down_csv, "shard", request.down_shards, err)) {
-      return 2;
-    }
-    service::ServiceClient client;
-    if (!client.connect(flags.get_string("host", "127.0.0.1"),
-                        static_cast<uint16_t>(flags.get_int("port", 7077)))) {
-      err << client.last_error() << "\n";
-      return 1;
-    }
-    const std::optional<std::string> response = client.call_with_retry(request);
-    if (!response.has_value()) {
-      err << client.last_error() << "\n";
-      return 1;
-    }
-    out << *response << "\n";
-    service::JsonValue doc;
-    std::string parse_error;
-    if (service::parse_json(*response, doc, parse_error)) {
-      const service::JsonValue* ok = doc.find("ok");
-      if (ok != nullptr && ok->is_bool() && !ok->as_bool()) return 1;
-    }
     return 0;
   }
 
