@@ -122,10 +122,10 @@ void AdaptiveController::full_replan(double demand) {
   plan_ = *result.plan;
   force_replan_ = false;
 
-  // A degraded result means the engine bisected down to the thermally
-  // servable level; pushing the ON set back up to capacity would violate
-  // the ceiling, so that level becomes the serving limit until the next
-  // replan. Otherwise the ON set's capacity is the only limit.
+  // A degraded result is planned at the thermally servable level; pushing
+  // the ON set back up to capacity would violate the ceiling, so that level
+  // becomes the serving limit until the next replan. Otherwise the ON set's
+  // capacity is the only limit.
   servable_limit_ = result.shed_load > 0.0
                         ? result.plan->load
                         : std::numeric_limits<double>::infinity();

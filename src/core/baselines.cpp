@@ -53,74 +53,70 @@ size_t min_machines_for(const RoomModel& model, double load,
       model.total_capacity()));
 }
 
-Allocation even_allocation(const RoomModel& model, double load,
-                           const std::vector<size_t>& on_set) {
+void even_allocation(const RoomModel& model, double load,
+                     const std::vector<size_t>& on_set, Allocation& out) {
   if (on_set.empty()) throw std::invalid_argument("even_allocation: empty ON set");
-  Allocation alloc;
-  alloc.loads.assign(model.size(), 0.0);
-  alloc.on.assign(model.size(), false);
-  for (const size_t i : on_set) alloc.on.at(i) = true;
+  out.loads.assign(model.size(), 0.0);
+  out.on.assign(model.size(), false);
+  out.t_ac = 0.0;
+  for (const size_t i : on_set) out.on.at(i) = true;
 
-  // Water-fill an even share, pinning machines that hit capacity.
-  std::vector<size_t> free = on_set;
+  // Water-fill an even share, pinning machines that hit capacity. A pinned
+  // machine carries its (positive) capacity; the free ones stay at zero
+  // until the round that shares out the rest.
+  size_t free = on_set.size();
   double remaining = load;
   while (remaining > 1e-12) {
-    if (free.empty()) {
+    if (free == 0) {
       if (remaining <= reorder_slack(load, on_set.size())) break;
       throw std::invalid_argument(
           "even_allocation: load exceeds the ON set's capacity");
     }
-    const double share = remaining / static_cast<double>(free.size());
-    bool pinned_any = false;
-    std::vector<size_t> still_free;
-    for (const size_t i : free) {
-      const double room_left = model.machines[i].capacity - alloc.loads[i];
+    const double share = remaining / static_cast<double>(free);
+    size_t pinned = 0;
+    for (const size_t i : on_set) {
+      if (out.loads[i] != 0.0) continue;
+      const double room_left = model.machines[i].capacity;
       if (share >= room_left - 1e-12) {
-        alloc.loads[i] += room_left;
+        out.loads[i] = room_left;
         remaining -= room_left;
-        pinned_any = true;
-      } else {
-        still_free.push_back(i);
+        ++pinned;
       }
     }
-    if (!pinned_any) {
-      for (const size_t i : still_free) {
-        alloc.loads[i] += share;
+    if (pinned == 0) {
+      for (const size_t i : on_set) {
+        if (out.loads[i] == 0.0) out.loads[i] = share;
       }
       remaining = 0.0;
     }
-    free = std::move(still_free);
+    free -= pinned;
   }
-  alloc.finalize(model);
-  return alloc;
+  out.finalize(model);
 }
 
-Allocation bottom_up_allocation(const RoomModel& model, double load,
-                                const std::vector<size_t>& on_set) {
+void bottom_up_allocation(const RoomModel& model, double load,
+                          const std::vector<size_t>& on_set, Allocation& out) {
   if (on_set.empty()) {
     throw std::invalid_argument("bottom_up_allocation: empty ON set");
   }
-  Allocation alloc;
-  alloc.loads.assign(model.size(), 0.0);
-  alloc.on.assign(model.size(), false);
-  for (const size_t i : on_set) alloc.on.at(i) = true;
+  out.loads.assign(model.size(), 0.0);
+  out.on.assign(model.size(), false);
+  out.t_ac = 0.0;
+  for (const size_t i : on_set) out.on.at(i) = true;
 
-  // Fill coolest spots first, to capacity.
-  const std::vector<size_t> order = coolness_order(model);
+  // Fill in the listed order (coolest spots first), to capacity.
   double remaining = load;
-  for (const size_t i : order) {
-    if (!alloc.on[i]) continue;
+  for (const size_t i : on_set) {
     if (remaining <= 1e-12) break;
     const double take = std::min(remaining, model.machines[i].capacity);
-    alloc.loads[i] = take;
+    out.loads[i] = take;
     remaining -= take;
   }
   if (remaining > 1e-9 + reorder_slack(load, on_set.size())) {
     throw std::invalid_argument(
         "bottom_up_allocation: load exceeds the ON set's capacity");
   }
-  alloc.finalize(model);
-  return alloc;
+  out.finalize(model);
 }
 
 }  // namespace coolopt::core

@@ -32,18 +32,21 @@ std::vector<size_t> coolness_order(const RoomModel& model,
 size_t min_machines_for(const RoomModel& model, double load,
                         const std::vector<size_t>& order);
 
-/// Even split of `load` across `on_set`. If an equal share would exceed a
-/// machine's capacity, that machine is pinned at capacity and the residual
-/// is split evenly across the rest (repeats until it fits). Throws if the
-/// set's total capacity is below `load`. t_ac is NOT set here (the scenario
-/// engine applies the AC-control rule); it defaults to 0.
-Allocation even_allocation(const RoomModel& model, double load,
-                           const std::vector<size_t>& on_set);
+/// Even split of `load` across `on_set`, written into `out` (its buffers
+/// reused). If an equal share would exceed a machine's capacity, that
+/// machine is pinned at capacity and the residual is split evenly across
+/// the rest (repeats until it fits). Throws if the set's total capacity is
+/// below `load`. t_ac is NOT chosen here (the scenario engine applies the
+/// AC-control rule); it is set to 0.
+void even_allocation(const RoomModel& model, double load,
+                     const std::vector<size_t>& on_set, Allocation& out);
 
-/// Cool-job allocation: fill machines of `on_set` to capacity in
-/// coolest-first order until the load is exhausted. Remaining machines of
-/// the set stay ON at zero load (consolidation is the caller's knob).
-Allocation bottom_up_allocation(const RoomModel& model, double load,
-                                const std::vector<size_t>& on_set);
+/// Cool-job allocation, written into `out`: fill the machines of `on_set`
+/// to capacity in the order listed until the load is exhausted. List them
+/// coolest-first (coolness_order) for the paper's rule. Machines left
+/// without load stay ON (consolidation is the caller's knob). t_ac is set
+/// to 0, as in even_allocation.
+void bottom_up_allocation(const RoomModel& model, double load,
+                          const std::vector<size_t>& on_set, Allocation& out);
 
 }  // namespace coolopt::core

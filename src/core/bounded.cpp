@@ -9,10 +9,12 @@ namespace coolopt::core {
 namespace {
 
 /// Slack on the T_ac feasibility bound (degrees C) and, relative to the
-/// load, on carrying the load at t_ac_min: rounding in a capacity sum must
-/// not turn a load at exactly the ON set's capacity into an infeasible one.
+/// load, on carrying the load at t_ac_min: rounding in a capacity sum (a
+/// few ulps per machine) must not turn a load at exactly the ON set's
+/// capacity into an infeasible one, while a load 1e-9 above it, which
+/// PlanEngine sheds down to that capacity, is refused.
 constexpr double kTacTol = 1e-9;
-constexpr double kLoadTol = 1e-9;
+constexpr double kLoadTol = 1e-10;
 /// Relative spread of totals treated as a tie (the running sums' rounding).
 constexpr double kTieTol = 1e-12;
 

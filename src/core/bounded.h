@@ -29,6 +29,7 @@
 // the sweep returns the largest feasible T_ac: Eq. 21 clamped into range.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -66,6 +67,18 @@ class BoundedOptimizer {
   /// unspecified).
   bool solve_into(const size_t* on_set, size_t count, double total_load,
                   BoundedWorkspace& ws, Allocation& out) const;
+
+  /// u_i(T_ac) on a ceiling raised by `slack_c` degrees: the most load
+  /// machine i carries at cool-air temperature `t_ac` with its CPU at or
+  /// below T_max + slack_c. Negative when its idle draw alone breaks that
+  /// ceiling. PlanEngine's servable load sums these.
+  double cap(size_t i, double t_ac, double slack_c = 0.0) const {
+    const double thermal = k_[i] - s_[i] * t_ac;
+    return std::min(soa_.capacity[i],
+                    slack_c == 0.0
+                        ? thermal
+                        : thermal + slack_c / (soa_.beta[i] * soa_.w1[i]));
+  }
 
  private:
   SharedRoomModel model_;

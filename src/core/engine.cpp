@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -11,7 +12,6 @@
 #include "core/scratch.h"
 #include "obs/obs.h"
 #include "obs/span.h"
-#include "util/log.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -22,6 +22,17 @@ double now_us() {
   const auto t = std::chrono::steady_clock::now().time_since_epoch();
   return std::chrono::duration<double, std::micro>(t).count();
 }
+
+/// The final check accepts a plan whose hottest CPU is this far over the
+/// margined T_max: room for rounding in the allocators' sums.
+constexpr double kCeilingTolC = 1e-6;
+/// How far over T_max the Even and Bottom-up rules' servable load lets a
+/// machine run: the final check's allowance, less a 1e-9 C guard against
+/// the rule's own rounding at that load. Their fills put a machine at its
+/// capacity or at a shared level, never at its own cap, so they serve what
+/// the check accepts: a machine whose thermal cap equals its capacity up to
+/// rounding (the one conservative_t_ac is set by) runs at capacity.
+constexpr double kRuleSlackC = kCeilingTolC - 1e-9;
 
 }  // namespace
 
@@ -229,6 +240,7 @@ bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
 
 bool PlanEngine::compute_plan_into(const Scenario& s, double load,
                                    const std::vector<size_t>* allowed,
+                                   const std::vector<size_t>* forced,
                                    SolveScratch& scr, Plan& out) const {
   const RoomModel& fitted = *model_;
   const RoomModel& planning = *margin_model_;
@@ -249,11 +261,8 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
   }
 
   // Restricted solves (quarantines) keep the cached sort orders but drop
-  // the excluded machines from them.
-  if (restricted) {
-    scr.mask.assign(fitted.size(), 0);
-    for (size_t i : *allowed) scr.mask[i] = 1;
-  }
+  // the excluded machines from them (solve_into filled scr.mask and
+  // scr.order).
   auto filter_order = [&](const std::vector<size_t>& base,
                           std::vector<size_t>& dst) {
     dst.clear();
@@ -261,17 +270,17 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
       if (scr.mask[i]) dst.push_back(i);
     }
   };
-  if (restricted) filter_order(agg.coolness, scr.order);
   const std::vector<size_t>& order = restricted ? scr.order : agg.coolness;
+  const std::vector<size_t>& full = restricted ? *allowed : agg.all_machines;
 
   // --- choose the ON set and the load split ---
   if (s.distribution == Distribution::kOptimal) {
     bool have_best = false;
     bool best_pure = true;
-    if (!s.consolidation) {
-      const std::vector<size_t>& full = restricted ? *allowed : agg.all_machines;
+    if (!s.consolidation || forced != nullptr) {
+      const std::vector<size_t>& on_set = forced != nullptr ? *forced : full;
       bool pure = true;
-      if (plan_optimal_into(full.data(), full.size(), load, scr,
+      if (plan_optimal_into(on_set.data(), on_set.size(), load, scr,
                             scr.best_alloc, pure)) {
         have_best = true;
         best_pure = pure;
@@ -367,17 +376,19 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
     std::swap(out.allocation, scr.best_alloc);
     out.closed_form_pure = best_pure;
   } else {
-    std::vector<size_t>& on_set = scr.subset;
+    // Consolidation keeps the fewest coolest machines that cover the load
+    // ON; Bottom-up fills its machines coolest-first.
     if (s.consolidation) {
       const size_t k = min_machines_for(planning, load, order);
-      on_set.assign(order.begin(), order.begin() + static_cast<long>(k));
-    } else {
-      const std::vector<size_t>& full = restricted ? *allowed : agg.all_machines;
-      on_set.assign(full.begin(), full.end());
+      scr.subset.assign(order.begin(), order.begin() + static_cast<long>(k));
     }
-    out.allocation = s.distribution == Distribution::kEven
-                         ? even_allocation(planning, load, on_set)
-                         : bottom_up_allocation(planning, load, on_set);
+    if (s.distribution == Distribution::kEven) {
+      even_allocation(planning, load, s.consolidation ? scr.subset : full,
+                      out.allocation);
+    } else {
+      bottom_up_allocation(planning, load, s.consolidation ? scr.subset : order,
+                           out.allocation);
+    }
   }
 
   // --- choose the cool-air temperature ---
@@ -396,14 +407,117 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
   out.allocation.finalize(fitted, agg.soa);
 
   // --- final safety check against the margined ceiling ---
-  if (out.allocation.count_on() > 0 &&
-      predicted_peak_cpu_temp(agg.soa, out.allocation) > planning.t_max + 1e-6) {
-    util::log_warn("PlanEngine: %s at load %.1f violates the temperature "
-                   "ceiling even at t_ac_min; no feasible plan",
-                   s.name().c_str(), load);
-    return false;
+  return out.allocation.count_on() == 0 ||
+         predicted_peak_cpu_temp(agg.soa, out.allocation) <=
+             planning.t_max + kCeilingTolC;
+}
+
+double PlanEngine::servable_load(const Scenario& s, double load,
+                                 const std::vector<size_t>* allowed,
+                                 SolveScratch& scr) const {
+  const RoomModel& planning = *margin_model_;
+  const ModelAggregates& agg = aggregates();
+  const BoundedOptimizer& caps = bounded();
+  const std::vector<size_t>& machines =
+      allowed != nullptr ? *allowed : agg.all_machines;
+  constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+  if (s.distribution == Distribution::kOptimal) {
+    // Every cap is largest at t_ac_min, and the bounded solver fills the
+    // machines it is given up to their caps, so the surviving machines
+    // carry any load up to the sum of their caps. The fold runs in index
+    // order: when every capacity binds it is the allowed capacity bit for
+    // bit, so a request for all of it is planned at all of it.
+    scr.subset.clear();
+    double total = 0.0;
+    for (const size_t i : machines) {
+      const double u = caps.cap(i, planning.t_ac_min);
+      if (u < 0.0) {
+        if (!s.consolidation) return -1.0;  // it would idle over T_max
+        continue;
+      }
+      scr.subset.push_back(i);
+      total += u;
+    }
+    return std::min(load, total);
   }
-  return true;
+
+  // The fixed rules run at t_ac_min under AC control (the hottest safe air
+  // never beats it) and at the fixed conservative T_ac otherwise.
+  const double t = s.ac_control ? planning.t_ac_min : fixed_t_ac_;
+  const auto cap_at = [&](size_t i) { return caps.cap(i, t, kRuleSlackC); };
+  const std::vector<size_t>& order =
+      allowed != nullptr ? scr.order : agg.coolness;
+  if (!s.consolidation) {
+    // Every allowed machine stays ON, so each must survive its idle draw.
+    for (const size_t i : machines) {
+      if (cap_at(i) < 0.0) return -1.0;
+    }
+  }
+
+  if (s.distribution == Distribution::kBottomUp) {
+    // The coolest-first fill is servable up to the first machine that cannot
+    // run at capacity, plus what that machine carries.
+    double covered = 0.0;
+    for (const size_t i : order) {
+      const double capacity = planning.machines[i].capacity;
+      const double u = cap_at(i);
+      if (u < capacity) return std::min(load, covered + std::max(0.0, u));
+      covered += capacity;
+      if (covered >= load) break;
+    }
+    return load;
+  }
+
+  if (!s.consolidation) {
+    // Even water level: every machine gets min(capacity, level), and the
+    // level may rise no higher than the smallest cap below a capacity.
+    double level = kUnbounded;
+    for (const size_t i : machines) {
+      const double u = cap_at(i);
+      if (u < planning.machines[i].capacity) level = std::min(level, u);
+    }
+    if (level == kUnbounded) return load;
+    double total = 0.0;
+    for (const size_t i : machines) {
+      total += std::min(planning.machines[i].capacity, level);
+    }
+    return std::min(load, total);
+  }
+
+  // Even with consolidation (Fig. 8's variant): a load L runs on the
+  // coolness prefix min_machines_for picks, so each prefix k serves the
+  // loads in (C_{k-1}, C_k] up to its own water-level cap. A larger prefix
+  // spreads the load thinner, so feasibility is not monotone in L: scan
+  // every prefix up to the request's and keep the last servable one. The
+  // prefix sum under the lowest binding cap is refolded when that cap
+  // drops, O(n^2) at worst.
+  double best = 0.0;  // zero load: everything OFF
+  double covered = 0.0;
+  double level = kUnbounded;
+  double top = 0.0;  // sum over the prefix of min(capacity, level)
+  for (size_t k = 0; k < order.size(); ++k) {
+    const double capacity = planning.machines[order[k]].capacity;
+    const double u = cap_at(order[k]);
+    if (u < capacity && u < level) {
+      if (u < 0.0) break;  // every longer prefix holds this machine
+      level = u;
+      top = 0.0;
+      for (size_t j = 0; j <= k; ++j) {
+        top += std::min(planning.machines[order[j]].capacity, level);
+      }
+    } else {
+      top += std::min(capacity, level);
+    }
+    const double below = covered;
+    covered += capacity;
+    const bool last = covered >= load - 1e-9;
+    const double reach = last ? load : covered;
+    const double candidate = level == kUnbounded ? reach : std::min(reach, top);
+    if (!(below >= candidate - 1e-9)) best = candidate;
+    if (last) break;
+  }
+  return best;
 }
 
 PlanResult PlanEngine::solve(const PlanRequest& request) const {
@@ -462,11 +576,13 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
   const std::vector<size_t>* allowed_ptr = restricted ? &scr.allowed : nullptr;
 
   const double serveable = std::min(request.load, allowed_capacity);
-  double achieved = serveable;
+  double achieved = 0.0;
+  // Never emplace over an engaged optional: that would destroy (and so
+  // free) the previous plan's buffers this warm path is reusing.
+  if (!result.plan) result.plan.emplace();
+  Plan& plan = *result.plan;
   if (restricted && scr.allowed.empty()) {
     // Whole fleet quarantined: the best effort is an all-off room.
-    if (!result.plan) result.plan.emplace();
-    Plan& plan = *result.plan;
     plan.scenario = request.scenario;
     plan.load = 0.0;
     plan.closed_form_pure = true;
@@ -474,42 +590,36 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
     plan.allocation.on.assign(n, false);
     plan.allocation.t_ac = model_->t_ac_max;
     plan.allocation.finalize(*model_, aggregates().soa);
-    achieved = 0.0;
   } else {
-    // Never emplace over an engaged optional: that would destroy (and so
-    // free) the previous plan's buffers this warm path is reusing.
-    if (!result.plan) result.plan.emplace();
-    const bool ok =
-        compute_plan_into(request.scenario, serveable, allowed_ptr, scr,
-                          *result.plan);
-    if (!ok && serveable > 1e-12) {
-      // Thermally infeasible at the requested level: bisect for the
-      // largest serveable load and return that plan instead of nothing.
-      // compute_plan_into is deterministic, so the backoff is too.
-      bool have_best =
-          compute_plan_into(request.scenario, 0.0, allowed_ptr, scr, scr.plan_a);
-      double lo = 0.0;
-      double hi = serveable;
-      if (have_best) {
-        for (int iter = 0; iter < 22; ++iter) {
-          const double mid = 0.5 * (lo + hi);
-          if (compute_plan_into(request.scenario, mid, allowed_ptr, scr,
-                                scr.plan_b)) {
-            lo = mid;
-            std::swap(scr.plan_a, scr.plan_b);  // probe becomes the incumbent
-          } else {
-            hi = mid;
-          }
-        }
-        std::swap(*result.plan, scr.plan_a);
-        achieved = lo;
-      } else {
-        result.plan.reset();
-        achieved = 0.0;
+    // The survivors' mask and coolness order, which compute_plan_into and
+    // servable_load read for restricted solves.
+    if (restricted) {
+      scr.mask.assign(n, 0);
+      for (size_t i : scr.allowed) scr.mask[i] = 1;
+      scr.order.clear();
+      for (size_t i : aggregates().coolness) {
+        if (scr.mask[i]) scr.order.push_back(i);
       }
-    } else if (!ok) {
+    }
+    // A request the plan cannot serve as asked is planned once more, at
+    // the largest load the scenario's rule carries. An Optimal plan there,
+    // or one the consolidation search missed below it, runs on every
+    // machine that survives at t_ac_min (servable_load leaves them in
+    // scr.subset): together they carry any load up to that maximum.
+    const Scenario& s = request.scenario;
+    bool ok = compute_plan_into(s, serveable, allowed_ptr, nullptr, scr, plan);
+    if (!ok) {
+      const bool optimal = s.distribution == Distribution::kOptimal;
+      const double limit = servable_load(s, serveable, allowed_ptr, scr);
+      if (limit >= 0.0 && (optimal || limit < serveable)) {
+        ok = compute_plan_into(s, limit, allowed_ptr,
+                               optimal ? &scr.subset : nullptr, scr, plan);
+      }
+    }
+    if (ok) {
+      achieved = plan.load;
+    } else {
       result.plan.reset();
-      achieved = 0.0;
     }
   }
 

@@ -206,9 +206,9 @@ class PlanEngine {
   /// value-returning solve. Throws std::invalid_argument on negative load,
   /// load above the full-fleet capacity, or a bad quarantine index. A load
   /// the surviving machines or the thermal ceiling cannot carry is NOT an
-  /// error: the result holds the best-effort plan (largest serveable load,
-  /// found by deterministic bisection) with the remainder in shed_load —
-  /// see PlanResult.
+  /// error: the result holds the best-effort plan at the largest load the
+  /// scenario's rule can serve (servable_load, one solve) with the
+  /// remainder in shed_load — see PlanResult.
   PlanResult solve(const PlanRequest& request) const;
 
   /// The zero-allocation form solve() wraps: all intermediates live in
@@ -257,14 +257,30 @@ class PlanEngine {
   void ensure(std::once_flag& once, Build&& build) const;
 
   /// `allowed` restricts planning to a machine subset (nullptr == the whole
-  /// fleet); used by quarantine-aware solves. When the particle reduction
-  /// applies, restricted solves rank subsets through the incremental
-  /// Algorithm 1 table (delta-maintained across quarantine churn);
-  /// heterogeneous fleets fall back to the windowed-probe path. Writes the
-  /// plan into `out` (buffers reused); false = no feasible plan.
+  /// fleet); used by quarantine-aware solves, which read the mask and
+  /// coolness order solve_into filters into `scratch`. When the particle
+  /// reduction applies, restricted solves rank subsets through the
+  /// incremental Algorithm 1 table (delta-maintained across quarantine
+  /// churn); heterogeneous fleets fall back to the windowed-probe path.
+  /// `forced` (Optimal only) skips the ON-set choice: the split runs on
+  /// exactly those machines. Writes the plan into `out` (buffers reused);
+  /// false = no feasible plan: some CPU would run past the margined T_max.
   bool compute_plan_into(const Scenario& s, double load,
                          const std::vector<size_t>* allowed,
+                         const std::vector<size_t>* forced,
                          SolveScratch& scratch, Plan& out) const;
+  /// The largest load at or below `load` that scenario `s`'s rule can place
+  /// on the allowed machines (the paper's maxL, Sec. III-B, without a power
+  /// budget), from the per-machine caps u_i(T) BoundedOptimizer holds; -1
+  /// when not even zero load fits (a machine that must stay ON cannot
+  /// idle). Returns `load` itself when the rule carries all of it. Optimal:
+  /// the caps at t_ac_min of the machines that survive there, which it
+  /// leaves in scratch.subset. Bottom-up: the coolest-first fill up to the
+  /// first machine that cannot run at capacity. Even: the water level under
+  /// the lowest binding cap, per coolness prefix with consolidation.
+  double servable_load(const Scenario& s, double load,
+                       const std::vector<size_t>* allowed,
+                       SolveScratch& scratch) const;
   /// The Algorithm 1 query over one table (the full-fleet one, or the
   /// restricted one already moved to the request's mask): the ranked-head
   /// check and, when it declines, every k ranked into scratch.ranked.

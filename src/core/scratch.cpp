@@ -7,8 +7,6 @@ size_t allocation_bytes(const Allocation& a) {
   return a.loads.capacity() * sizeof(double) + a.on.capacity() / 8;
 }
 
-size_t plan_bytes(const Plan& p) { return allocation_bytes(p.allocation); }
-
 }  // namespace
 
 size_t SolveScratch::bytes() const {
@@ -22,18 +20,17 @@ size_t SolveScratch::bytes() const {
     b += c.on_set.capacity() * sizeof(size_t);
   }
   b += allocation_bytes(best_alloc) + allocation_bytes(trial_alloc);
-  b += plan_bytes(plan_a) + plan_bytes(plan_b);
   b += allocation_bytes(cf.allocation) + cf.mu.capacity() * sizeof(double);
   b += bounded.bytes();
   return b;
 }
 
 void SolveScratch::reserve_for(size_t n) {
-  for (Allocation* a : {&best_alloc, &trial_alloc, &plan_a.allocation,
-                        &plan_b.allocation, &cf.allocation}) {
+  for (Allocation* a : {&best_alloc, &trial_alloc, &cf.allocation}) {
     a->loads.reserve(n);
     a->on.reserve(n);
   }
+  subset.reserve(n);
   head_on_set.reserve(n);
 }
 

@@ -2,11 +2,11 @@
 //
 // Every buffer the engine's dispatch loop historically materialized per
 // call (quarantine masks, filtered sort orders, probe subsets, the
-// consolidation ranking, closed-form and bounded-solver workspaces,
-// bisection plan slots) lives here instead, grow-only: a buffer is cleared
-// and refilled in place, never shrunk, so once a scratch has seen the
-// largest request shape it will ever serve, subsequent solves perform no
-// heap allocation at all. PlanEngine::solve() uses the calling thread's scratch
+// consolidation ranking, closed-form and bounded-solver workspaces) lives
+// here instead, grow-only: a buffer is cleared and refilled in place,
+// never shrunk, so once a scratch has seen the largest request shape it
+// will ever serve, subsequent solves perform no heap allocation at all.
+// PlanEngine::solve() uses the calling thread's scratch
 // (SolveScratch::local()); solve_batch workers each use their own, so the
 // arena is never shared across threads and needs no locking.
 //
@@ -36,26 +36,26 @@ struct SolveScratch {
   std::vector<size_t> order;            ///< filtered coolness order
   std::vector<size_t> capacity_order;   ///< filtered capacity-descending
   std::vector<size_t> idle_order;       ///< filtered idle-draw ascending
-  std::vector<size_t> subset;           ///< heuristic probe subset
+  /// The fixed rules' consolidation ON set, or the degraded Optimal
+  /// solve's forced one (every machine that survives at t_ac_min).
+  std::vector<size_t> subset;
   std::vector<size_t> head_on_set;      ///< ranked-head check subset
   /// Consolidation ranking (grow-only; rank_all_k_into count is transient).
   std::vector<ConsolidationChoice> ranked;
   // --- solver workspaces and result slots ---
   Allocation best_alloc;   ///< incumbent of the candidate walk
   Allocation trial_alloc;  ///< probe under evaluation (swapped on improve)
-  Plan plan_a;             ///< bisection backoff: best feasible plan
-  Plan plan_b;             ///< bisection backoff: probe slot
   ClosedFormResult cf;
   BoundedWorkspace bounded;
 
-  /// Sizes every Allocation slot and the ranked-head subset for an
-  /// n-machine room, grow-only, as BoundedWorkspace sizes itself; the
-  /// engine calls it at the end of every solve. The slots trade buffers
+  /// Sizes every Allocation slot and the two subsets for an n-machine
+  /// room, grow-only, as BoundedWorkspace sizes itself; the engine calls
+  /// it at the end of every solve. The slots trade buffers
   /// with each other and with the caller's results, so without it a slot
   /// this thread has not used yet, or one a fresh result's empty buffer
   /// landed in, would grow inside a later warm solve (the first bounded
   /// solve of a worker that had only served closed-form answers), and the
-  /// head subset would grow with each larger k the thread meets.
+  /// subsets would grow with each larger k the thread meets.
   void reserve_for(size_t n);
 
   /// Resident heap footprint of the arena (capacities, not sizes) —

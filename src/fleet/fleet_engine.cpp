@@ -105,12 +105,20 @@ const std::vector<FleetEngine::ShardFrontier>& FleetEngine::frontiers_for(
     // fresh result per load level.
     core::PlanRequest req(s, 0.0);
     core::PlanResult r;
+    // A sample that sheds load served the shard's largest servable load,
+    // and every larger sample would serve that same plan again (the hull
+    // drops the duplicates), so the sweep stops there. Even with
+    // consolidation is the exception: a longer coolness prefix can carry a
+    // load a shorter one could not.
+    const bool monotone =
+        s.distribution != core::Distribution::kEven || !s.consolidation;
     for (size_t j = 0; j <= kSamples; ++j) {
       req.load = cap * static_cast<double>(j) / static_cast<double>(kSamples);
       engines_[shard]->solve_into(req, core::SolveScratch::local(), r);
       if (!r.plan) continue;
       points.push_back(FrontierPoint{req.load - r.shed_load,
                                      r.plan->allocation.total_power_w});
+      if (r.shed_load > 0.0 && monotone) break;
     }
     std::sort(points.begin(), points.end(),
               [](const FrontierPoint& x, const FrontierPoint& y) {

@@ -5,8 +5,9 @@
 // is process-wide and must not perturb (or be perturbed by) any other
 // suite. The tests warm a PlanEngine, then assert that further warm solves
 // — serial solve_into, solve_batch_into over 200 requests on the default
-// pool, rebalance_into, the consolidation query-best path, and restricted
-// solves under one-machine quarantine churn — perform
+// pool, rebalance_into, the consolidation query-best path, restricted
+// solves under one-machine quarantine churn, and degraded solves of all
+// eight scenarios — perform
 // ZERO heap allocations: every buffer lives in the grow-only SolveScratch
 // arena (or a caller-owned slot) after warm-up. The served path's last step
 // is held to the same bar: encoding a warm plan or fleetplan response into
@@ -291,6 +292,37 @@ TEST(AllocGuard, WarmQuarantineChurnSolveIsAllocationFree) {
   EXPECT_EQ(counters.incremental_replans, 2 * requests.size());
   EXPECT_EQ(counters.incremental_cold_builds, 1u);
   EXPECT_EQ(counters.incremental_event_rebuilds, 0u);
+}
+
+/// Degraded solves: a room whose capacities pass every machine's thermal cap
+/// at t_ac_min, so all eight scenarios shed load above its thermal maximum,
+/// with and without a quarantine. The servable-load scan, the one solve at
+/// that load and the Even and Bottom-up fills all reuse the scratch and the
+/// result slot, as a fully served solve does.
+TEST(AllocGuard, WarmDegradedSolveIsAllocationFree) {
+  core::SyntheticModelOptions opt;
+  opt.machines = 64;
+  opt.seed = 7;
+  opt.capacity_lo = 95.0;
+  opt.capacity_hi = 105.0;
+  const core::PlanEngine engine(core::make_synthetic_model(opt));
+  const double capacity = engine.model().total_capacity();
+  std::vector<core::PlanRequest> requests;
+  for (const core::Scenario& s : core::Scenario::all8()) {
+    for (const double frac : {0.9, 0.97}) {
+      requests.emplace_back(s, capacity * frac);
+      requests.emplace_back(s, capacity * frac, std::vector<size_t>{5, 17});
+    }
+  }
+  core::SolveScratch& scratch = core::SolveScratch::local();
+  core::PlanResult slot;
+  for (const core::PlanRequest& r : requests) engine.solve_into(r, scratch, slot);
+  const uint64_t degraded = engine.counters().degraded;
+  const unsigned long long before = allocs();
+  for (const core::PlanRequest& r : requests) engine.solve_into(r, scratch, slot);
+  EXPECT_EQ(allocs() - before, 0u);
+  EXPECT_EQ(engine.counters().degraded, degraded + requests.size());
+  ASSERT_TRUE(slot.plan.has_value());
 }
 
 /// The cooloptd worker's encode step: a 200-machine plan response (traced

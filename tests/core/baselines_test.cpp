@@ -22,6 +22,19 @@ std::vector<size_t> all_of(const RoomModel& m) {
   return v;
 }
 
+Allocation even(const RoomModel& m, double load, const std::vector<size_t>& on) {
+  Allocation a;
+  even_allocation(m, load, on, a);
+  return a;
+}
+
+Allocation bottom_up(const RoomModel& m, double load,
+                     const std::vector<size_t>& on) {
+  Allocation a;
+  bottom_up_allocation(m, load, on, a);
+  return a;
+}
+
 TEST(CoolnessOrder, SortedByPredictedIdleTemperature) {
   const RoomModel model = model_n(8);
   const auto order = coolness_order(model);
@@ -60,7 +73,7 @@ TEST(MinMachinesFor, RejectsImpossibleLoads) {
 
 TEST(EvenAllocation, EqualSharesWhenTheyFit) {
   const RoomModel model = model_n(5);
-  const auto alloc = even_allocation(model, 100.0, all_of(model));
+  const auto alloc = even(model, 100.0, all_of(model));
   for (size_t i = 0; i < model.size(); ++i) {
     EXPECT_NEAR(alloc.loads[i], 20.0, 1e-9);
     EXPECT_TRUE(alloc.on[i]);
@@ -73,7 +86,7 @@ TEST(EvenAllocation, WaterFillsWhenAShareExceedsCapacity) {
   model.machines[0].capacity = 10.0;  // small machine pins first
   model.machines[1].capacity = 100.0;
   model.machines[2].capacity = 100.0;
-  const auto alloc = even_allocation(model, 90.0, all_of(model));
+  const auto alloc = even(model, 90.0, all_of(model));
   EXPECT_NEAR(alloc.loads[0], 10.0, 1e-9);
   EXPECT_NEAR(alloc.loads[1], 40.0, 1e-9);
   EXPECT_NEAR(alloc.loads[2], 40.0, 1e-9);
@@ -81,7 +94,7 @@ TEST(EvenAllocation, WaterFillsWhenAShareExceedsCapacity) {
 
 TEST(EvenAllocation, SubsetOnly) {
   const RoomModel model = model_n(4);
-  const auto alloc = even_allocation(model, 30.0, {1, 3});
+  const auto alloc = even(model, 30.0, {1, 3});
   EXPECT_DOUBLE_EQ(alloc.loads[0], 0.0);
   EXPECT_FALSE(alloc.on[0]);
   EXPECT_NEAR(alloc.loads[1], 15.0, 1e-9);
@@ -90,8 +103,8 @@ TEST(EvenAllocation, SubsetOnly) {
 
 TEST(EvenAllocation, Errors) {
   const RoomModel model = model_n(2);
-  EXPECT_THROW(even_allocation(model, 10.0, {}), std::invalid_argument);
-  EXPECT_THROW(even_allocation(model, model.total_capacity() * 2.0, all_of(model)),
+  EXPECT_THROW(even(model, 10.0, {}), std::invalid_argument);
+  EXPECT_THROW(even(model, model.total_capacity() * 2.0, all_of(model)),
                std::invalid_argument);
 }
 
@@ -100,7 +113,7 @@ TEST(BottomUpAllocation, FillsCoolestFirstToCapacity) {
   const auto order = coolness_order(model);
   const double load =
       model.machines[order[0]].capacity + model.machines[order[1]].capacity * 0.5;
-  const auto alloc = bottom_up_allocation(model, load, all_of(model));
+  const auto alloc = bottom_up(model, load, order);
   EXPECT_NEAR(alloc.loads[order[0]], model.machines[order[0]].capacity, 1e-9);
   EXPECT_NEAR(alloc.loads[order[1]], model.machines[order[1]].capacity * 0.5, 1e-9);
   EXPECT_DOUBLE_EQ(alloc.loads[order[2]], 0.0);
@@ -113,7 +126,7 @@ TEST(BottomUpAllocation, RestrictedToOnSet) {
   // Exclude the coolest machine: the fill must start at the next coolest.
   std::vector<size_t> on_set;
   for (size_t i = 1; i < order.size(); ++i) on_set.push_back(order[i]);
-  const auto alloc = bottom_up_allocation(model, 10.0, on_set);
+  const auto alloc = bottom_up(model, 10.0, on_set);
   EXPECT_DOUBLE_EQ(alloc.loads[order[0]], 0.0);
   EXPECT_FALSE(alloc.on[order[0]]);
   EXPECT_NEAR(alloc.loads[order[1]], 10.0, 1e-9);
@@ -121,9 +134,9 @@ TEST(BottomUpAllocation, RestrictedToOnSet) {
 
 TEST(BottomUpAllocation, Errors) {
   const RoomModel model = model_n(2);
-  EXPECT_THROW(bottom_up_allocation(model, 1.0, {}), std::invalid_argument);
+  EXPECT_THROW(bottom_up(model, 1.0, {}), std::invalid_argument);
   EXPECT_THROW(
-      bottom_up_allocation(model, model.total_capacity() * 1.5, all_of(model)),
+      bottom_up(model, model.total_capacity() * 1.5, all_of(model)),
       std::invalid_argument);
 }
 
@@ -131,10 +144,10 @@ TEST(Baselines, FullLoadIdenticalTotals) {
   // At 100% load both baselines pin every machine at capacity.
   const RoomModel model = model_n(4);
   const double load = model.total_capacity();
-  const auto even = even_allocation(model, load, all_of(model));
-  const auto bottom = bottom_up_allocation(model, load, all_of(model));
+  const auto even_alloc = even(model, load, all_of(model));
+  const auto bottom = bottom_up(model, load, coolness_order(model));
   for (size_t i = 0; i < model.size(); ++i) {
-    EXPECT_NEAR(even.loads[i], model.machines[i].capacity, 1e-9);
+    EXPECT_NEAR(even_alloc.loads[i], model.machines[i].capacity, 1e-9);
     EXPECT_NEAR(bottom.loads[i], model.machines[i].capacity, 1e-6);
   }
 }

@@ -8,7 +8,9 @@
 #include <iterator>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/incremental.h"
@@ -286,8 +288,8 @@ void expect_head_answers_match_walk(const PlanEngine& engine,
     const PlanRequest& req = requests[i];
     const uint64_t before = engine.counters().memo_hits;
     const PlanResult result = engine.solve(req);
-    // A degraded solve bisects over many loads (each may run the check);
-    // the property is about the one query of a fully served solve.
+    // A request above the survivors' capacity runs the check on what they
+    // carry and still sheds; the property is about fully served solves.
     if (engine.counters().memo_hits == before || !result.feasible()) continue;
     ++answered;
     SCOPED_TRACE("request " + std::to_string(i) + ", load " +
@@ -529,11 +531,20 @@ TEST(PlanEngine, ZeroLoadWithConsolidationTurnsEverythingOff) {
 
 // The degraded-plan property the resilience layer leans on: every solve
 // that doesn't throw either serves the full request or says out loud what
-// it left on the floor. No silent partial plans, no empty results.
+// it left on the floor. No silent partial plans, no empty results — except
+// where no load at all fits: a scenario that keeps every allowed machine ON
+// while one of them cannot idle at t_ac_min has no plan, and sheds it all.
 TEST(PlanEngineDegraded, EveryResultServesFullyOrReportsShed) {
   const size_t n = 12;
-  const PlanEngine engine(uniform_model(n));
-  const double capacity = engine.model().total_capacity();
+  RoomModel non_idling = uniform_model(n);
+  MachineModel& hot = non_idling.machines[5];
+  hot.thermal.gamma = non_idling.t_max + 0.5 -
+                      hot.thermal.alpha * non_idling.t_ac_min -
+                      hot.thermal.beta * hot.power.w2;
+  const std::vector<std::pair<std::string, RoomModel>> rooms = {
+      {"uniform", uniform_model(n)},
+      {"heterogeneous-w1", heterogeneous_model(n)},
+      {"non-idling", non_idling}};
 
   std::vector<std::vector<size_t>> quarantine_sets = {
       {}, {0}, {3, 7}, {0, 1, 2, 3, 4, 5}, {11}, {}, {}};
@@ -541,55 +552,69 @@ TEST(PlanEngineDegraded, EveryResultServesFullyOrReportsShed) {
   for (size_t i = 0; i + 1 < n; ++i) quarantine_sets[5].push_back(i);
   for (size_t i = 0; i < n; ++i) quarantine_sets[6].push_back(i);
 
-  for (const Scenario& scenario : Scenario::all8()) {
-    for (const auto& quarantined : quarantine_sets) {
-      for (const double frac : {0.1, 0.3, 0.5, 0.7, 0.85, 1.0}) {
-        const PlanRequest request{scenario, capacity * frac, quarantined};
-        const PlanResult result = engine.solve(request);
-        SCOPED_TRACE(scenario.name() + " frac " + std::to_string(frac) +
-                     " quarantined " + std::to_string(quarantined.size()));
+  for (const auto& [room_name, room] : rooms) {
+    const PlanEngine engine(room);
+    const double capacity = engine.model().total_capacity();
+    for (const Scenario& scenario : Scenario::all8()) {
+      for (const auto& quarantined : quarantine_sets) {
+        for (const double frac : {0.1, 0.3, 0.5, 0.7, 0.85, 1.0}) {
+          const PlanRequest request{scenario, capacity * frac, quarantined};
+          const PlanResult result = engine.solve(request);
+          SCOPED_TRACE(room_name + ", " + scenario.name() + " frac " +
+                       std::to_string(frac) + " quarantined " +
+                       std::to_string(quarantined.size()));
 
-        // A best-effort plan always exists (zero load is always feasible).
-        ASSERT_TRUE(result.plan.has_value());
-        double served = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-          if (result.plan->allocation.on[i]) {
-            served += result.plan->allocation.loads[i];
-          } else {
-            EXPECT_EQ(result.plan->allocation.loads[i], 0.0);
+          const bool hot_stays_on =
+              room_name == "non-idling" && !scenario.consolidation &&
+              std::find(quarantined.begin(), quarantined.end(), size_t{5}) ==
+                  quarantined.end();
+          if (hot_stays_on) {
+            EXPECT_FALSE(result.plan.has_value());
+            EXPECT_EQ(result.shed_load, request.load);
+            continue;
           }
-        }
-        // Quarantined machines never carry load.
-        for (const size_t i : quarantined) {
-          EXPECT_FALSE(result.plan->allocation.on[i]) << "machine " << i;
-        }
-        // Served + shed accounts for the whole request...
-        EXPECT_NEAR(served + result.shed_load, request.load,
-                    1e-6 * std::max(1.0, request.load));
-        if (result.shed_load > 0.0) {
-          // ...and shedding comes with a populated priority order that
-          // fences the quarantined machines first.
-          ASSERT_FALSE(result.shed_priority.empty());
-          EXPECT_FALSE(result.feasible());
-          for (size_t q = 0; q < quarantined.size(); ++q) {
-            const auto head = result.shed_priority.begin() +
-                              static_cast<ptrdiff_t>(quarantined.size());
-            EXPECT_NE(std::find(result.shed_priority.begin(), head,
-                                quarantined[q]),
-                      head)
-                << "quarantined machine " << quarantined[q]
-                << " not at the head of the shed order";
+          // Otherwise a best-effort plan always exists (zero load fits).
+          ASSERT_TRUE(result.plan.has_value());
+          double served = 0.0;
+          for (size_t i = 0; i < n; ++i) {
+            if (result.plan->allocation.on[i]) {
+              served += result.plan->allocation.loads[i];
+            } else {
+              EXPECT_EQ(result.plan->allocation.loads[i], 0.0);
+            }
           }
-        } else {
-          EXPECT_NEAR(served, request.load,
+          // Quarantined machines never carry load.
+          for (const size_t i : quarantined) {
+            EXPECT_FALSE(result.plan->allocation.on[i]) << "machine " << i;
+          }
+          // Served + shed accounts for the whole request...
+          EXPECT_NEAR(served + result.shed_load, request.load,
                       1e-6 * std::max(1.0, request.load));
-          EXPECT_TRUE(result.feasible());
-          EXPECT_TRUE(result.shed_priority.empty());
+          if (result.shed_load > 0.0) {
+            // ...and shedding comes with a populated priority order that
+            // fences the quarantined machines first.
+            ASSERT_FALSE(result.shed_priority.empty());
+            EXPECT_FALSE(result.feasible());
+            for (size_t q = 0; q < quarantined.size(); ++q) {
+              const auto head = result.shed_priority.begin() +
+                                static_cast<ptrdiff_t>(quarantined.size());
+              EXPECT_NE(std::find(result.shed_priority.begin(), head,
+                                  quarantined[q]),
+                        head)
+                  << "quarantined machine " << quarantined[q]
+                  << " not at the head of the shed order";
+            }
+          } else {
+            EXPECT_NEAR(served, request.load,
+                        1e-6 * std::max(1.0, request.load));
+            EXPECT_TRUE(result.feasible());
+            EXPECT_TRUE(result.shed_priority.empty());
+          }
         }
       }
     }
+    EXPECT_GT(engine.counters().degraded, 0u) << room_name;
   }
-  EXPECT_GT(engine.counters().degraded, 0u);
 }
 
 TEST(PlanEngineDegraded, BadQuarantineIndexThrows) {

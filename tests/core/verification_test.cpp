@@ -103,7 +103,8 @@ TEST(AuditOptimality, EvenAllocationIsImprovable) {
   const RoomModel model = model_for(50, 10);
   std::vector<size_t> all(model.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  Allocation even = even_allocation(model, model.total_capacity() * 0.7, all);
+  Allocation even;
+  even_allocation(model, model.total_capacity() * 0.7, all, even);
   even.t_ac = max_safe_t_ac(model, even.loads, even.on);
   even.finalize(model);
   const auto audit = audit_local_optimality(model, even);

@@ -69,4 +69,27 @@ std::optional<Allocation> LpOptimizer::solve(const std::vector<size_t>& on_set,
   return out;
 }
 
+std::optional<double> LpOptimizer::max_load(
+    const std::vector<size_t>& on_set) const {
+  model_.validate_on_set(on_set, 0.0, "LpOptimizer::max_load");
+  const size_t k = on_set.size();
+  // Variables as in solve(): x[0] = T_ac, x[1..k] = loads.
+  LpProblem lp(1 + k);
+  for (size_t j = 0; j < k; ++j) lp.set_objective(1 + j, -1.0);
+  for (size_t j = 0; j < k; ++j) {
+    const MachineModel& m = model_.machines[on_set[j]];
+    double* row = lp.add_less_equal_row(
+        model_.t_max - m.thermal.gamma - m.thermal.beta * m.power.w2);
+    row[0] = m.thermal.alpha;
+    row[1 + j] = m.thermal.beta * m.power.w1;
+    lp.add_upper_bound(1 + j, m.capacity);
+  }
+  lp.add_upper_bound(0, model_.t_ac_max);
+  lp.add_lower_bound(0, model_.t_ac_min);
+
+  const LpSolution sol = solve_lp(lp);
+  if (sol.status != LpStatus::kOptimal) return std::nullopt;
+  return -sol.objective;
+}
+
 }  // namespace coolopt::core

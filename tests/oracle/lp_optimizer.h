@@ -33,6 +33,11 @@ class LpOptimizer {
   std::optional<Allocation> solve(const std::vector<size_t>& on_set,
                                   double total_load) const;
 
+  /// The most load the ON set carries under the same constraints (the
+  /// objective becomes max sum_i L_i), or std::nullopt when not even zero
+  /// load fits: some machine's idle draw breaks T_max at t_ac_min.
+  std::optional<double> max_load(const std::vector<size_t>& on_set) const;
+
  private:
   RoomModel model_;
 };
