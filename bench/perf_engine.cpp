@@ -16,8 +16,9 @@
 //                            (Section III-B);
 //   alg2.query_exact/n       the exact per-k query (a k-scan stopped at an
 //                            exact power floor);
-//   alg2.rank_all_k_into/n   the full ranking into a reused buffer, the
-//                            engine's candidate-walk call shape;
+//   alg2.rank_all_k_into/n   the full ranking as (k, segment, power)
+//                            entries into a reused buffer, the engine's
+//                            candidate-walk call shape;
 //   brute_force/n            the naive O(n 2^n) enumeration the paper argues
 //                            against, n 8..18;
 //   alg1.max_load_for_budget/64   the inverse query maxL(A, P_b, k);
@@ -30,10 +31,10 @@
 //                            no metrics registry attached and with one: the
 //                            cost of the instrumentation hooks.
 //
-// Gates, at every warm-path n: the ranked-head check answers at least one
-// warm solve, and every warm plan encodes byte-for-byte what a fresh
-// engine answers (a warm engine may change how fast a plan is computed,
-// never what it is).
+// Gates, at every warm-path n: the consolidation walk ends at the ranked
+// head (engine.path.ranked_head) on at least one warm solve, and every warm
+// plan encodes byte-for-byte what a fresh engine answers (a warm engine may
+// change how fast a plan is computed, never what it is).
 //
 // Writes BENCH_engine.json (bench/report.h); exits nonzero on a failed gate.
 
@@ -147,9 +148,10 @@ void consolidation_rows(bench::Report& report) {
                  bench::keep(consolidator.query_best_into(load, choice));
                }),
                "us");
-    std::vector<core::ConsolidationChoice> ranked;
+    std::vector<core::RankEntry> ranked;
     report.row(at("alg2.rank_all_k_into", n), bench::median_us([&] {
-                 bench::keep(consolidator.rank_all_k_into(load, ranked));
+                 consolidator.rank_all_k_into(load, ranked);
+                 bench::keep(ranked.size());
                }),
                "us");
   }
@@ -185,7 +187,7 @@ std::vector<double> load_cycle(const core::RoomModel& model) {
 }
 
 /// Cold vs warm scenario-#8 solves over the load cycle, and the gates on
-/// the ranked-head check and on warm/fresh plan identity.
+/// walks ending at the ranked head and on warm/fresh plan identity.
 void warm_path_rows(bench::Report& report, size_t n, size_t rounds,
                     size_t cold_samples) {
   const core::SharedRoomModel shared =

@@ -61,17 +61,18 @@ bool tables_identical(const core::detail::ConsolidationTable& a,
   return true;
 }
 
-bool choices_identical(const std::vector<core::ConsolidationChoice>& a,
-                       const std::vector<core::ConsolidationChoice>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].k != b[i].k || a[i].on_set != b[i].on_set ||
-        a[i].t_ac != b[i].t_ac ||
-        a[i].predicted_total_power_w != b[i].predicted_total_power_w) {
-      return false;
-    }
-  }
-  return true;
+bool choices_identical(const core::ConsolidationChoice& a,
+                       const core::ConsolidationChoice& b) {
+  return a.k == b.k && a.on_set == b.on_set && a.t_ac == b.t_ac &&
+         a.predicted_total_power_w == b.predicted_total_power_w;
+}
+
+/// The choice is the ranking entry: same k, same segment (so the same
+/// subset, its top k) and the same predicted power.
+bool choice_is_entry(const core::ConsolidationChoice& c,
+                     const core::RankEntry& e) {
+  return c.k == e.k && c.segment == e.segment &&
+         c.predicted_total_power_w == e.predicted_total_power_w;
 }
 
 struct ColdSolve {
@@ -159,12 +160,11 @@ bool incremental_rows(bench::Report& report,
 
   // Bit-for-bit: the patched table equals the rebuilt one, both queries
   // agree, and query_best_into is exactly the head of the full ranking.
-  std::vector<core::ConsolidationChoice> ranked;
-  const size_t ranked_count = inc.rank_all_k_into(load, ranked);
+  std::vector<core::RankEntry> ranked;
+  inc.rank_all_k_into(load, ranked);
   return tables_identical(inc.table(), rebuilt.table()) && found &&
-         found_cold && ranked_count > 0 &&
-         choices_identical({best}, {best_cold}) &&
-         choices_identical({best}, {ranked.front()});
+         found_cold && !ranked.empty() && choices_identical(best, best_cold) &&
+         choice_is_entry(best, ranked.front());
 }
 
 }  // namespace

@@ -36,12 +36,15 @@ struct Prefix {
 }  // namespace
 
 BoundedOptimizer::BoundedOptimizer(SharedRoomModel model)
-    : BoundedOptimizer(std::move(model), kPreValidated) {
+    : BoundedOptimizer(model, std::make_shared<RoomSoA>(RoomSoA::from(*model)),
+                       kPreValidated) {
   model_->validate();
 }
 
-BoundedOptimizer::BoundedOptimizer(SharedRoomModel model, PreValidated)
-    : model_(std::move(model)), soa_(RoomSoA::from(*model_)) {
+BoundedOptimizer::BoundedOptimizer(SharedRoomModel model,
+                                   std::shared_ptr<const RoomSoA> soa,
+                                   PreValidated)
+    : model_(std::move(model)), soa_(std::move(soa)) {
   const size_t n = model_->size();
   k_.resize(n);
   s_.resize(n);
@@ -49,11 +52,11 @@ BoundedOptimizer::BoundedOptimizer(SharedRoomModel model, PreValidated)
   zero_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const double headroom =
-        model_->t_max - soa_.beta[i] * soa_.w2[i] - soa_.gamma[i];
-    k_[i] = headroom / (soa_.beta[i] * soa_.w1[i]);
-    s_[i] = soa_.alpha[i] / (soa_.beta[i] * soa_.w1[i]);
-    tau_[i] = (k_[i] - soa_.capacity[i]) / s_[i];
-    zero_[i] = headroom / soa_.alpha[i];
+        model_->t_max - soa_->beta[i] * soa_->w2[i] - soa_->gamma[i];
+    k_[i] = headroom / (soa_->beta[i] * soa_->w1[i]);
+    s_[i] = soa_->alpha[i] / (soa_->beta[i] * soa_->w1[i]);
+    tau_[i] = (k_[i] - soa_->capacity[i]) / s_[i];
+    zero_[i] = headroom / soa_->alpha[i];
   }
 }
 
@@ -61,13 +64,14 @@ bool BoundedOptimizer::solve_into(const size_t* on_set, size_t count,
                                   double total_load, BoundedWorkspace& ws,
                                   Allocation& out) const {
   const RoomModel& model = *model_;
+  const RoomSoA& soa = *soa_;
   const CoolerModel& cooler = model.cooler;
   out.loads.assign(model.size(), 0.0);
   out.on.assign(model.size(), false);
   if (count == 0) {
     if (total_load > 0.0) return false;
     out.t_ac = model.t_ac_max;
-    out.finalize(model, soa_);
+    out.finalize(model, soa);
     return true;
   }
 
@@ -81,14 +85,14 @@ bool BoundedOptimizer::solve_into(const size_t* on_set, size_t count,
   // survives at zero load.
   ws.by_w1.assign(on_set, on_set + count);
   std::sort(ws.by_w1.begin(), ws.by_w1.end(), [&](uint32_t a, uint32_t b) {
-    return soa_.w1[a] < soa_.w1[b] || (soa_.w1[a] == soa_.w1[b] && a < b);
+    return soa.w1[a] < soa.w1[b] || (soa.w1[a] == soa.w1[b] && a < b);
   });
   const double t_lo = model.t_ac_min;
   double t_hi = model.t_ac_max;
   double idle = 0.0;
   for (const uint32_t i : ws.by_w1) {
     t_hi = std::min(t_hi, zero_[i]);
-    idle += soa_.w2[i];
+    idle += soa.w2[i];
   }
   if (t_hi < t_lo - kTacTol) return false;
   t_hi = std::max(t_hi, t_lo);
@@ -110,15 +114,15 @@ bool BoundedOptimizer::solve_into(const size_t* on_set, size_t count,
   Prefix pre;
   const auto add = [&](size_t p, double sign) {
     const uint32_t i = ws.by_w1[p];
-    const double w1 = soa_.w1[i];
+    const double w1 = soa.w1[i];
     if (ws.thermal[p]) {
       pre.k += sign * k_[i];
       pre.s += sign * s_[i];
       pre.wk += sign * w1 * k_[i];
       pre.ws += sign * w1 * s_[i];
     } else {
-      pre.cap += sign * soa_.capacity[i];
-      pre.wcap += sign * w1 * soa_.capacity[i];
+      pre.cap += sign * soa.capacity[i];
+      pre.wcap += sign * w1 * soa.capacity[i];
     }
   };
   // The marginal machine: the first position whose prefix carries the load.
@@ -133,7 +137,7 @@ bool BoundedOptimizer::solve_into(const size_t* on_set, size_t count,
   // marginal machine, which takes what is left.
   const auto it_power = [&](double t) {
     return pre.power(t) -
-           soa_.w1[ws.by_w1[m]] * (pre.load(t) - total_load) + idle;
+           soa.w1[ws.by_w1[m]] * (pre.load(t) - total_load) + idle;
   };
   const auto above_floor = [&](double t) {
     return cooler.cfac * (cooler.t_sp_ref - t) +
@@ -193,11 +197,11 @@ bool BoundedOptimizer::solve_into(const size_t* on_set, size_t count,
   uint32_t last = ws.by_w1.front();
   for (const uint32_t i : ws.by_w1) {
     const double thermal_cap =
-        (model.t_max - soa_.gamma[i] - soa_.beta[i] * soa_.w2[i] -
-         soa_.alpha[i] * best_t) /
-        (soa_.beta[i] * soa_.w1[i]);
+        (model.t_max - soa.gamma[i] - soa.beta[i] * soa.w2[i] -
+         soa.alpha[i] * best_t) /
+        (soa.beta[i] * soa.w1[i]);
     const double li =
-        std::clamp(std::min(soa_.capacity[i], thermal_cap), 0.0, rest);
+        std::clamp(std::min(soa.capacity[i], thermal_cap), 0.0, rest);
     out.on[i] = true;
     out.loads[i] = li;
     if (li > 0.0) last = i;
@@ -205,7 +209,7 @@ bool BoundedOptimizer::solve_into(const size_t* on_set, size_t count,
   }
   out.loads[last] += rest;
   out.t_ac = best_t;
-  out.finalize(model, soa_);
+  out.finalize(model, soa);
   return true;
 }
 

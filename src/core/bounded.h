@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/allocation.h"
@@ -54,10 +55,12 @@ struct BoundedWorkspace {
 
 class BoundedOptimizer {
  public:
-  /// Validates the model.
+  /// Validates the model and derives its RoomSoA.
   explicit BoundedOptimizer(SharedRoomModel model);
-  /// Shares a model the caller has already validated (the PlanEngine path).
-  BoundedOptimizer(SharedRoomModel model, PreValidated);
+  /// Shares a model the caller has already validated, and its RoomSoA (the
+  /// PlanEngine path).
+  BoundedOptimizer(SharedRoomModel model, std::shared_ptr<const RoomSoA> soa,
+                   PreValidated);
 
   /// Minimises the finalize() total over the `count` machines of `on_set`
   /// (distinct model indices; the rest stay OFF) carrying `total_load`, and
@@ -74,15 +77,15 @@ class BoundedOptimizer {
   /// ceiling. PlanEngine's servable load sums these.
   double cap(size_t i, double t_ac, double slack_c = 0.0) const {
     const double thermal = k_[i] - s_[i] * t_ac;
-    return std::min(soa_.capacity[i],
+    return std::min(soa_->capacity[i],
                     slack_c == 0.0
                         ? thermal
-                        : thermal + slack_c / (soa_.beta[i] * soa_.w1[i]));
+                        : thermal + slack_c / (soa_->beta[i] * soa_->w1[i]));
   }
 
  private:
   SharedRoomModel model_;
-  RoomSoA soa_;
+  std::shared_ptr<const RoomSoA> soa_;
   // Per machine: u_i(T) = k_[i] - s_[i] * T on the thermal branch, which
   // takes over from capacity above tau_[i] and reaches zero at zero_[i].
   std::vector<double> k_;

@@ -15,11 +15,14 @@ AnalyticOptimizer::AnalyticOptimizer(RoomModel model)
 AnalyticOptimizer::AnalyticOptimizer(SharedRoomModel model)
     : model_(std::move(model)) {
   model_->validate();
+  soa_ = std::make_shared<const RoomSoA>(RoomSoA::from(*model_));
   init();
 }
 
-AnalyticOptimizer::AnalyticOptimizer(SharedRoomModel model, PreValidated)
-    : model_(std::move(model)) {
+AnalyticOptimizer::AnalyticOptimizer(SharedRoomModel model,
+                                     std::shared_ptr<const RoomSoA> soa,
+                                     PreValidated)
+    : model_(std::move(model)), soa_(std::move(soa)) {
   init();
 }
 
@@ -34,13 +37,10 @@ void AnalyticOptimizer::init() {
   const size_t n = model_->size();
   k_.resize(n);
   ab_.resize(n);
-  beta_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     k_[i] = model_->machines[i].k_constant(model_->t_max);
     ab_[i] = model_->machines[i].ab_ratio();
-    beta_[i] = model_->machines[i].thermal.beta;
   }
-  soa_ = RoomSoA::from(*model_);
 }
 
 void AnalyticOptimizer::solve_into(const size_t* on_set, size_t count,
@@ -69,11 +69,11 @@ void AnalyticOptimizer::solve_into(const size_t* on_set, size_t count,
     const double li = k_[i] - (sum_k - total_load) * ab_[i] / sum_ab;
     out.allocation.loads[i] = li;
     out.allocation.on[i] = true;
-    if (li < -1e-9 || li > soa_.capacity[i] + 1e-9) loads_ok = false;
+    if (li < -1e-9 || li > soa_->capacity[i] + 1e-9) loads_ok = false;
   }
 
   out.allocation.t_ac = t_ac;
-  out.allocation.finalize(*model_, soa_);
+  out.allocation.finalize(*model_, *soa_);
   out.loads_in_bounds = loads_ok;
   out.t_ac_in_bounds = t_ac >= model_->t_ac_min - 1e-9 &&
                        t_ac <= model_->t_ac_max + 1e-9;
@@ -88,7 +88,7 @@ void AnalyticOptimizer::solve_into(const size_t* on_set, size_t count,
   out.mu.assign(n, 0.0);
   for (size_t j = 0; j < count; ++j) {
     const size_t i = on_set[j];
-    out.mu[i] = out.lambda / (beta_[i] * w1_);
+    out.mu[i] = out.lambda / (soa_->beta[i] * w1_);
   }
 
   obs::count("optimizer.closed_form.solves");

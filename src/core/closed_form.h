@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "core/allocation.h"
@@ -62,10 +63,11 @@ class AnalyticOptimizer {
   /// Shares an immutable model instead of copying it (the PlanEngine path).
   explicit AnalyticOptimizer(SharedRoomModel model);
 
-  /// Shares a model the caller has already validated: no copy, no
-  /// re-validation — only the O(n) uniform-w1 check the closed form itself
-  /// needs. This is what keeps warm PlanEngine construction cheap.
-  AnalyticOptimizer(SharedRoomModel model, PreValidated);
+  /// Shares a model the caller has already validated, and its RoomSoA: no
+  /// copy, no re-validation — only the O(n) uniform-w1 check the closed form
+  /// itself needs. This is what keeps warm PlanEngine construction cheap.
+  AnalyticOptimizer(SharedRoomModel model, std::shared_ptr<const RoomSoA> soa,
+                    PreValidated);
 
   /// Closed form over the machines listed in `on_set` (indices into the
   /// model). Throws std::invalid_argument on an empty set, duplicate
@@ -88,13 +90,12 @@ class AnalyticOptimizer {
   void init();
 
   SharedRoomModel model_;
+  std::shared_ptr<const RoomSoA> soa_;
   double w1_ = 0.0;  // shared by all machines
   // SoA mirrors of k_constant(t_max) and ab_ratio() per machine: the exact
   // doubles the AoS calls produce, laid out contiguously for the sum loops.
   std::vector<double> k_;
   std::vector<double> ab_;
-  std::vector<double> beta_;
-  RoomSoA soa_;
 };
 
 }  // namespace coolopt::core

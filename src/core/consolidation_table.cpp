@@ -46,6 +46,21 @@ double subset_power(const ParticleSystem& ps, const RoomModel& model,
          model.cooler.predict(t_ac, sum_w2_k + ps.w1 * load);
 }
 
+/// The predicted power of the top-k prefix of `seg`'s order at this load,
+/// its idle draw summed machine by machine in that order; the clamped
+/// particle time lands in `t_param`.
+double prefix_power(const ParticleSystem& ps, const RoomModel& model,
+                    const ConsolidationTable::Segment& seg, size_t k,
+                    double load, double& t_param) {
+  const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
+  t_param = std::clamp(t_subset, ps.t_lo, ps.t_hi);
+  double sum_w2 = 0.0;
+  for (size_t j = 0; j < k; ++j) {
+    sum_w2 += model.machines[seg.order[j]].power.w2;
+  }
+  return subset_power(ps, model, load, sum_w2, t_param);
+}
+
 }  // namespace
 
 void ConsolidationTable::build(const ParticleSystem& ps,
@@ -155,13 +170,9 @@ void ConsolidationTable::make_choice_into(const ParticleSystem& ps,
   out.k = k;
   out.segment = segment;
   out.on_set.assign(seg.order.begin(), seg.order.begin() + static_cast<long>(k));
-  const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
-  out.t_param = std::clamp(t_subset, ps.t_lo, ps.t_hi);
-  out.t_ac = ps.w1 * out.t_param;
-  double sum_w2 = 0.0;
-  for (const size_t i : out.on_set) sum_w2 += model.machines[i].power.w2;
   out.predicted_total_power_w =
-      subset_power(ps, model, load, sum_w2, out.t_param);
+      prefix_power(ps, model, seg, k, load, out.t_param);
+  out.t_ac = ps.w1 * out.t_param;
 }
 
 bool ConsolidationTable::feasible_k(const ParticleSystem& ps,
@@ -285,31 +296,25 @@ bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
   return true;
 }
 
-size_t ConsolidationTable::rank_all_k_into(
-    const ParticleSystem& ps, const RoomModel& model, double load,
-    std::vector<ConsolidationChoice>& out) const {
+void ConsolidationTable::rank_all_k_into(const ParticleSystem& ps,
+                                         const RoomModel& model, double load,
+                                         std::vector<RankEntry>& out) const {
   const Anchors at = anchors(ps);
-  size_t count = 0;
+  out.clear();
+  out.reserve(width());
   for (size_t k = 1; k <= width(); ++k) {
     size_t s = 0;
     if (!feasible_k(ps, at, load, k, s)) continue;
-    if (count == out.size()) {
-      // Each slot is sized for the widest subset once: the sort below
-      // moves subsets between slots, so a slot sized to its first k would
-      // keep growing as later rankings land larger k in it.
-      out.emplace_back().on_set.reserve(width());
-    }
-    make_choice_into(ps, model, s, k, load, out[count]);
-    ++count;
+    double t_param = 0.0;
+    const double power = prefix_power(ps, model, segments[s], k, load, t_param);
+    out.push_back(RankEntry{k, s, power});
   }
-  std::sort(out.begin(), out.begin() + static_cast<long>(count),
-            [](const ConsolidationChoice& x, const ConsolidationChoice& y) {
-              if (x.predicted_total_power_w != y.predicted_total_power_w) {
-                return x.predicted_total_power_w < y.predicted_total_power_w;
-              }
-              return x.k < y.k;
-            });
-  return count;
+  std::sort(out.begin(), out.end(), [](const RankEntry& x, const RankEntry& y) {
+    if (x.predicted_total_power_w != y.predicted_total_power_w) {
+      return x.predicted_total_power_w < y.predicted_total_power_w;
+    }
+    return x.k < y.k;
+  });
 }
 
 double ConsolidationTable::max_load_for_budget(const ParticleSystem& ps,

@@ -40,6 +40,15 @@ struct ConsolidationChoice {
   size_t segment = 0;
 };
 
+/// One entry of the consolidation ranking: the best k-subset for a load is
+/// the top-k prefix of the table segment's order (Algorithm 2's
+/// select(A, k, L)), so an entry names it without copying it.
+struct RankEntry {
+  size_t k = 0;
+  size_t segment = 0;  ///< table segment whose order's top k is the subset
+  double predicted_total_power_w = 0.0;
+};
+
 /// The particle view of a room model (exposed for tests and benches).
 struct ParticleSystem {
   std::vector<double> a;  ///< initial coordinates, a_i = K_i
@@ -167,8 +176,8 @@ struct ConsolidationTable {
   bool scan_head(const ParticleSystem& ps, const RoomModel& model,
                  double load, Head& out) const;
   /// The single best choice — the ranking's head — from scan_head, then
-  /// make_choice_into for its on_set (O(k), versus the O(n^2) on_set
-  /// copies of the full ranking). Writes into a caller-owned choice
+  /// make_choice_into for its on_set (O(k), versus the full ranking's
+  /// O(n^2) idle-draw folds). Writes into a caller-owned choice
   /// (on_set buffer reused); returns false when no k is feasible.
   bool query_best_into(const ParticleSystem& ps, const RoomModel& model,
                        double load, ConsolidationChoice& out) const;
@@ -198,13 +207,12 @@ struct ConsolidationTable {
   /// (prune nothing) when q_coeff < 0.
   static double power_floor(const ParticleSystem& ps, const RoomModel& model,
                             double load, double sum_w2_k);
-  /// Best subset for every feasible k, sorted by predicted power then k,
-  /// into a grow-only buffer: entries [0, returned count) of `out` are the
-  /// ranked choices; slots past the count are untouched spare capacity
-  /// (their on_set heap blocks get reused next call).
-  size_t rank_all_k_into(const ParticleSystem& ps, const RoomModel& model,
-                         double load,
-                         std::vector<ConsolidationChoice>& out) const;
+  /// Best subset for every feasible k as (k, segment, power) entries,
+  /// sorted by predicted power then k, into `out` (cleared first, and
+  /// reserved to width() so it never grows past a first call). Each power
+  /// is make_choice_into's for that entry, to the bit.
+  void rank_all_k_into(const ParticleSystem& ps, const RoomModel& model,
+                       double load, std::vector<RankEntry>& out) const;
   /// The paper's maxL(A, P_b, k) by bisection on [0, g_k(t_lo)].
   double max_load_for_budget(const ParticleSystem& ps, const RoomModel& model,
                              double power_budget_w, size_t k) const;

@@ -11,6 +11,7 @@
 #include "core/baselines.h"
 #include "core/scratch.h"
 #include "obs/obs.h"
+#include "obs/scoped_timer.h"
 #include "obs/span.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -93,9 +94,9 @@ const ModelAggregates& PlanEngine::aggregates() const {
                 return m.machines[x].power.w2 < m.machines[y].power.w2;
               });
     agg->soa = RoomSoA::from(m);
-    // The ranked-head check needs the head scan's folded idle draw to equal
-    // make_choice's machine-by-machine sum bit-for-bit, which holds exactly
-    // when every w2 is the same double.
+    // The consolidation walk starts at the head scan only when the scan's
+    // folded idle draw equals the ranking's machine-by-machine sum
+    // bit-for-bit, which holds exactly when every w2 is the same double.
     const double w2_front = m.machines.front().power.w2;
     agg->w2_exact_uniform = std::all_of(
         m.machines.begin(), m.machines.end(),
@@ -107,15 +108,21 @@ const ModelAggregates& PlanEngine::aggregates() const {
 
 const AnalyticOptimizer* PlanEngine::analytic() const {
   ensure(analytic_once_, [&] {
-    if (!aggregates().uniform_w1) return;  // heterogeneous: no closed form
-    analytic_ = std::make_unique<AnalyticOptimizer>(margin_model_, kPreValidated);
+    const ModelAggregates& agg = aggregates();
+    if (!agg.uniform_w1) return;  // heterogeneous: no closed form
+    analytic_ = std::make_unique<AnalyticOptimizer>(
+        margin_model_, std::shared_ptr<const RoomSoA>(aggregates_, &agg.soa),
+        kPreValidated);
   });
   return analytic_.get();
 }
 
 const BoundedOptimizer& PlanEngine::bounded() const {
   ensure(bounded_once_, [&] {
-    bounded_ = std::make_unique<BoundedOptimizer>(margin_model_, kPreValidated);
+    const ModelAggregates& agg = aggregates();
+    bounded_ = std::make_unique<BoundedOptimizer>(
+        margin_model_, std::shared_ptr<const RoomSoA>(aggregates_, &agg.soa),
+        kPreValidated);
   });
   return *bounded_;
 }
@@ -138,14 +145,8 @@ const ParticleSystem* PlanEngine::particles() const {
 
 bool PlanEngine::exact_paths() const { return aggregates().uniform_w1; }
 
-PlanEngine::TableAnswer PlanEngine::incremental_query(
-    const std::vector<char>& active_mask, double load, SolveScratch& scr,
-    size_t& ranked_count) const {
-  const ModelAggregates& agg = aggregates();
-  if (!agg.uniform_w1 || !agg.uniform_w2) return TableAnswer::kNoTable;
-
-  std::scoped_lock lock(incremental_mu_);
-  const double t0 = now_us();
+const IncrementalConsolidator& PlanEngine::restricted_table(
+    const std::vector<char>& active_mask) const {
   if (!incremental_) {
     incremental_ =
         std::make_unique<IncrementalConsolidator>(margin_model_, kPreValidated);
@@ -169,19 +170,7 @@ PlanEngine::TableAnswer PlanEngine::incremental_query(
     obs::count("engine.incremental.restored",
                static_cast<uint64_t>(stats.restored));
   }
-  const TableAnswer answer = table_query(*incremental_, load, scr, ranked_count);
-  obs::observe("engine.incremental.apply_us", now_us() - t0);
-  return answer;
-}
-
-PlanEngine::TableAnswer PlanEngine::table_query(
-    const IncrementalConsolidator& cons, double load, SolveScratch& scr,
-    size_t& ranked_count) const {
-  if (ranked_head_into(cons, load, scr, scr.best_alloc)) {
-    return TableAnswer::kRankedHead;
-  }
-  ranked_count = cons.rank_all_k_into(load, scr.ranked);
-  return TableAnswer::kRanking;
+  return *incremental_;
 }
 
 bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
@@ -203,39 +192,6 @@ bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
   // T_ac outside the CRAC range): solve with the bounds restored instead.
   closed_form_pure = false;
   return bounded().solve_into(on_set, count, load, scr.bounded, out);
-}
-
-bool PlanEngine::ranked_head_into(const IncrementalConsolidator& cons,
-                                  double load, SolveScratch& scr,
-                                  Allocation& out) const {
-  // The head scan's powers are bit-for-bit make_choice_into's only when
-  // every k-subset's w2 fold is the same double.
-  if (!aggregates().w2_exact_uniform) return false;
-  const detail::ConsolidationTable& table = cons.table();
-  detail::ConsolidationTable::Head head;
-  if (!table.scan_head(cons.particles(), *margin_model_, load, head)) {
-    return false;  // no feasible k; the full walk will agree
-  }
-
-  // Materialize the head's subset from its segment order and re-run the
-  // walk's own acceptance conditions at this load: the closed form must be
-  // within bounds (the walk's inner cutoff), and the runner-up's relaxation
-  // bound must already be beaten (the outer cutoff). When both hold, the
-  // full walk provably returns this exact allocation. An out-of-bounds
-  // closed form is left to the walk, which owns the bounded fallback, so no
-  // subset is ever solved twice.
-  const std::vector<uint32_t>& head_order = table.segments[head.segment].order;
-  scr.head_on_set.assign(head_order.begin(),
-                         head_order.begin() + static_cast<long>(head.k));
-  analytic()->solve_into(scr.head_on_set.data(), head.k, load, scr.cf);
-  if (!scr.cf.within_bounds() ||
-      (head.has_runner_up &&
-       head.runner_up_power < scr.cf.allocation.total_power_w - 1e-12)) {
-    return false;
-  }
-  std::swap(out, scr.cf.allocation);
-  obs::count("engine.path.ranked_head", &counters_.memo_hits);
-  return true;
 }
 
 bool PlanEngine::compute_plan_into(const Scenario& s, double load,
@@ -260,16 +216,8 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
     return true;
   }
 
-  // Restricted solves (quarantines) keep the cached sort orders but drop
-  // the excluded machines from them (solve_into filled scr.mask and
-  // scr.order).
-  auto filter_order = [&](const std::vector<size_t>& base,
-                          std::vector<size_t>& dst) {
-    dst.clear();
-    for (size_t i : base) {
-      if (scr.mask[i]) dst.push_back(i);
-    }
-  };
+  // Restricted solves (quarantines) read the coolness order solve_into
+  // filtered into scr.order.
   const std::vector<size_t>& order = restricted ? scr.order : agg.coolness;
   const std::vector<size_t>& full = restricted ? *allowed : agg.all_machines;
 
@@ -279,98 +227,10 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
     bool best_pure = true;
     if (!s.consolidation || forced != nullptr) {
       const std::vector<size_t>& on_set = forced != nullptr ? *forced : full;
-      bool pure = true;
-      if (plan_optimal_into(on_set.data(), on_set.size(), load, scr,
-                            scr.best_alloc, pure)) {
-        have_best = true;
-        best_pure = pure;
-      }
+      have_best = plan_optimal_into(on_set.data(), on_set.size(), load, scr,
+                                    scr.best_alloc, best_pure);
     } else {
-      if (restricted) filter_order(agg.capacity_desc, scr.capacity_order);
-      const std::vector<size_t>& capacity_order =
-          restricted ? scr.capacity_order : agg.capacity_desc;
-
-      // Algorithm 2's online query. Unrestricted solves read the cached
-      // full-fleet Algorithm 1 table; restricted (quarantine) solves read
-      // the delta-maintained incremental table over the survivors. Both run
-      // the verified ranked-head check first and fall back to walking the
-      // full ranking with the same branch and bound.
-      size_t ranked_count = 0;
-      TableAnswer answer = TableAnswer::kNoTable;
-      if (restricted) {
-        answer = incremental_query(scr.mask, load, scr, ranked_count);
-      } else if (const IncrementalConsolidator* cons = consolidator()) {
-        answer = table_query(*cons, load, scr, ranked_count);
-      }
-
-      auto probe_subset = [&](const size_t* sub,
-                              size_t count) -> std::pair<bool, bool> {
-        bool pure = true;
-        const bool ok =
-            plan_optimal_into(sub, count, load, scr, scr.trial_alloc, pure);
-        if (ok && (!have_best || scr.trial_alloc.total_power_w <
-                                     scr.best_alloc.total_power_w - 1e-12)) {
-          std::swap(scr.best_alloc, scr.trial_alloc);
-          have_best = true;
-          best_pure = pure;
-        }
-        return {ok, pure};
-      };
-      auto probe_k = [&](size_t k, const size_t* first_subset) {
-        if (first_subset != nullptr) {
-          // The leading subset is the relaxation's optimal k-subset; when
-          // its closed form lands within bounds it attains the k-wide
-          // lower bound, so no heuristic subset of the same k can improve
-          // on it — skip them and their bounded fallbacks. When the
-          // closed form fails bounds, the heuristics are exactly the
-          // recovery they were added for, and still run.
-          const auto [ok, pure] = probe_subset(first_subset, k);
-          if (ok && pure) return;
-        }
-        probe_subset(capacity_order.data(), k);
-        probe_subset(order.data(), k);
-      };
-
-      if (answer == TableAnswer::kRankedHead) {
-        have_best = true;
-        best_pure = true;
-      } else if (answer == TableAnswer::kRanking) {
-        // Walk the optimal consolidation ranking; candidates may fail the
-        // bounded validation (capacities are invisible to the particle
-        // reduction), so for every k we also probe capacity-greedy and
-        // coolest-first k-subsets and keep the best feasible plan overall.
-        //
-        // Branch and bound: cand.predicted_total_power_w is the Eq. 23
-        // relaxation (capacity and nonnegativity dropped; both can only
-        // lower T_ac, i.e. raise power), so it lower-bounds every bounded
-        // plan of its own k — and, since the ranking ascends in predicted
-        // power, of every later candidate too. Once the incumbent is at or
-        // below the next candidate's bound, nothing further can win, which
-        // collapses the walk from O(n) bounded probes to the one or two
-        // leaders.
-        for (size_t ci = 0; ci < ranked_count; ++ci) {
-          const ConsolidationChoice& cand = scr.ranked[ci];
-          if (have_best && cand.predicted_total_power_w >=
-                               scr.best_alloc.total_power_w - 1e-12) {
-            break;
-          }
-          probe_k(cand.k, cand.on_set.data());
-        }
-      } else {
-        // Heterogeneous fleet: no particle reduction, so neither table
-        // applies. Probe a window of ON-set sizes above the capacity
-        // minimum with heuristic subset shapes, evaluating each with the
-        // bounded solver. The idle-draw order prefers cheap-idle nodes for
-        // padding.
-        if (restricted) filter_order(agg.idle_asc, scr.idle_order);
-        const std::vector<size_t>& idle_order =
-            restricted ? scr.idle_order : agg.idle_asc;
-        const size_t k_min = min_machines_for(planning, load, capacity_order);
-        const size_t k_hi = std::min(capacity_order.size(), k_min + 4);
-        for (size_t k = std::max<size_t>(1, k_min); k <= k_hi; ++k) {
-          probe_k(k, idle_order.data());
-        }
-      }
+      have_best = consolidate_into(load, allowed, scr, best_pure);
     }
     if (!have_best) return false;
     std::swap(out.allocation, scr.best_alloc);
@@ -410,6 +270,135 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
   return out.allocation.count_on() == 0 ||
          predicted_peak_cpu_temp(agg.soa, out.allocation) <=
              planning.t_max + kCeilingTolC;
+}
+
+bool PlanEngine::consolidate_into(double load,
+                                  const std::vector<size_t>* allowed,
+                                  SolveScratch& scr, bool& best_pure) const {
+  const RoomModel& planning = *margin_model_;
+  const ModelAggregates& agg = aggregates();
+  const bool restricted = allowed != nullptr;
+  const std::vector<size_t>& order = restricted ? scr.order : agg.coolness;
+
+  // Restricted solves drop the quarantined machines (scr.mask) from the
+  // cached heuristic orders, and only once a heuristic subset is probed:
+  // most walks end at the closed form on their first candidate.
+  const auto survivors = [&](const std::vector<size_t>& base,
+                             std::vector<size_t>& dst)
+      -> const std::vector<size_t>* {
+    if (!restricted) return &base;
+    dst.clear();
+    for (const size_t i : base) {
+      if (scr.mask[i]) dst.push_back(i);
+    }
+    return &dst;
+  };
+  const std::vector<size_t>* by_capacity = nullptr;
+
+  bool have_best = false;
+  // Keeps the cheaper of the incumbent and this subset's plan; true when
+  // the closed form alone served the subset.
+  const auto probe_subset = [&](const size_t* sub, size_t count) {
+    bool pure = true;
+    const bool ok =
+        plan_optimal_into(sub, count, load, scr, scr.trial_alloc, pure);
+    if (ok && (!have_best || scr.trial_alloc.total_power_w <
+                                 scr.best_alloc.total_power_w - 1e-12)) {
+      std::swap(scr.best_alloc, scr.trial_alloc);
+      have_best = true;
+      best_pure = pure;
+    }
+    return ok && pure;
+  };
+  // One candidate k. The leading subset is the relaxation's optimal
+  // k-subset; when its closed form lands within bounds it attains the
+  // k-wide lower bound, so no heuristic subset of the same k can improve on
+  // it — skip them and their bounded fallbacks. When the closed form fails
+  // bounds (capacities are invisible to the particle reduction), the
+  // capacity-greedy and coolest-first k-subsets are the recovery, and run.
+  const auto probe_k = [&](size_t k, const size_t* first) {
+    if (probe_subset(first, k)) return true;
+    if (by_capacity == nullptr) {
+      by_capacity = survivors(agg.capacity_desc, scr.capacity_order);
+    }
+    probe_subset(by_capacity->data(), k);
+    probe_subset(order.data(), k);
+    return false;
+  };
+
+  // The Algorithm 1 table: the cached full-fleet one, or the restricted one
+  // moved to the request's mask. Other requests move the restricted table
+  // to their own masks, and the walk reads its segment orders, so its lock
+  // (timed as engine.incremental.apply_us) is held until the walk ends.
+  std::unique_lock<std::mutex> table_lock;
+  std::optional<obs::ScopedTimer> locked_for;
+  const IncrementalConsolidator* cons = nullptr;
+  if (!restricted) {
+    cons = consolidator();
+  } else if (agg.uniform_w1 && agg.uniform_w2) {
+    table_lock = std::unique_lock(incremental_mu_);
+    locked_for.emplace(obs::maybe_histogram("engine.incremental.apply_us"));
+    cons = &restricted_table(scr.mask);
+  }
+
+  // The candidates, best first: a table's (k, segment) entries by their
+  // Eq. 23 relaxation power, or just the head scan's winner while the walk
+  // needs no more. A heterogeneous room has no particle reduction: it walks
+  // a window of ON-set sizes above the capacity minimum, each led by the
+  // idle-draw prefix (cheap-idle nodes for padding), with no bound.
+  const std::vector<size_t>* idle = nullptr;
+  detail::ConsolidationTable::Head head;
+  const bool from_head = cons != nullptr && agg.w2_exact_uniform;
+  scr.ranked.clear();
+  if (cons == nullptr) {
+    idle = survivors(agg.idle_asc, scr.idle_order);
+    by_capacity = survivors(agg.capacity_desc, scr.capacity_order);
+    const size_t k_min = min_machines_for(planning, load, *by_capacity);
+    const size_t k_hi = std::min(by_capacity->size(), k_min + 4);
+    for (size_t k = std::max<size_t>(1, k_min); k <= k_hi; ++k) {
+      scr.ranked.push_back(RankEntry{k, 0, -HUGE_VAL});
+    }
+  } else if (!from_head) {
+    cons->rank_all_k_into(load, scr.ranked);
+  } else if (cons->table().scan_head(cons->particles(), planning, load,
+                                     head)) {
+    scr.ranked.push_back(RankEntry{head.k, head.segment, head.power});
+  }
+
+  // Branch and bound: a candidate's power is the Eq. 23 relaxation
+  // (capacity and nonnegativity dropped; both can only lower T_ac, i.e.
+  // raise power), so it lower-bounds every bounded plan of its own k — and,
+  // since the ranking ascends in predicted power, of every later candidate
+  // too. Once the incumbent is at or below the next candidate's bound,
+  // nothing further can win, which collapses the walk from O(n) bounded
+  // probes to the one or two leaders.
+  const auto beaten = [&](double bound) {
+    return have_best && bound >= scr.best_alloc.total_power_w - 1e-12;
+  };
+  // A table entry's subset is the top k of its segment's order, copied
+  // only when the walk probes it.
+  const auto table_subset = [&](const RankEntry& e) {
+    const std::vector<uint32_t>& top = cons->table().segments[e.segment].order;
+    scr.subset.assign(top.begin(), top.begin() + static_cast<long>(e.k));
+    return scr.subset.data();
+  };
+  for (size_t i = 0; i < scr.ranked.size(); ++i) {
+    const RankEntry cand = scr.ranked[i];  // a ranking below may rewrite it
+    if (beaten(cand.predicted_total_power_w)) break;
+    const bool pure =
+        probe_k(cand.k, cons != nullptr ? table_subset(cand) : idle->data());
+    if (from_head && i == 0) {
+      // The runner-up's power bounds every other entry. When the head's plan
+      // beats it, the walk ends without a ranking; otherwise it resumes at
+      // the full ranking's second entry (its first is this head).
+      if (!head.has_runner_up || beaten(head.runner_up_power)) {
+        if (pure) obs::count("engine.path.ranked_head", &counters_.memo_hits);
+        break;
+      }
+      cons->rank_all_k_into(load, scr.ranked);
+    }
+  }
+  return have_best;
 }
 
 double PlanEngine::servable_load(const Scenario& s, double load,

@@ -128,8 +128,9 @@ struct ModelAggregates {
   /// unchanged.
   RoomSoA soa;
   /// True when every machine's w2 is the SAME double bit-for-bit (stricter
-  /// than uniform_w2). Required by the ranked-head check, whose folded w2
-  /// sums must reproduce make_choice's machine-by-machine folds exactly.
+  /// than uniform_w2). Required to start the walk at the table's head
+  /// scan, whose folded w2 sums must reproduce the ranking's
+  /// machine-by-machine folds exactly.
   bool w2_exact_uniform = false;
 };
 
@@ -156,9 +157,10 @@ struct EngineCounters {
   /// Deltas where the collapsed event list changed, forcing a segment
   /// re-sort instead of the order-patching fast path.
   uint64_t incremental_event_rebuilds = 0;
-  /// Optimal-consolidation solves (restricted or not) answered by the
-  /// verified ranked-head check — one closed-form solve of the ranking's
-  /// head — instead of the full ranked walk (`engine.path.ranked_head`).
+  /// Optimal-consolidation solves (restricted or not) the walk finished at
+  /// its first candidate, the ranking's head, served by the closed form
+  /// alone and not beaten by the runner-up's bound, so no ranking was built
+  /// (`engine.path.ranked_head`).
   uint64_t memo_hits = 0;
 };
 
@@ -244,13 +246,6 @@ class PlanEngine {
   EngineCounters counters() const;
 
  private:
-  /// What the Algorithm 1 query over a request's table produced.
-  enum class TableAnswer {
-    kNoTable,     ///< particle reduction inapplicable (heterogeneous w1/w2)
-    kRankedHead,  ///< the verified ranked head, already in scr.best_alloc
-    kRanking,     ///< the full ranking, in scr.ranked[0, ranked_count)
-  };
-
   /// Runs `build` exactly once (first caller = cache miss, everyone else =
   /// hit) and keeps the books.
   template <typename Build>
@@ -258,10 +253,8 @@ class PlanEngine {
 
   /// `allowed` restricts planning to a machine subset (nullptr == the whole
   /// fleet); used by quarantine-aware solves, which read the mask and
-  /// coolness order solve_into filters into `scratch`. When the particle
-  /// reduction applies, restricted solves rank subsets through the
-  /// incremental Algorithm 1 table (delta-maintained across quarantine
-  /// churn); heterogeneous fleets fall back to the windowed-probe path.
+  /// coolness order solve_into filters into `scratch`. Optimal consolidation
+  /// picks its ON set through consolidate_into.
   /// `forced` (Optimal only) skips the ON-set choice: the split runs on
   /// exactly those machines. Writes the plan into `out` (buffers reused);
   /// false = no feasible plan: some CPU would run past the margined T_max.
@@ -281,31 +274,29 @@ class PlanEngine {
   double servable_load(const Scenario& s, double load,
                        const std::vector<size_t>* allowed,
                        SolveScratch& scratch) const;
-  /// The Algorithm 1 query over one table (the full-fleet one, or the
-  /// restricted one already moved to the request's mask): the ranked-head
-  /// check and, when it declines, every k ranked into scratch.ranked.
-  TableAnswer table_query(const IncrementalConsolidator& cons, double load,
-                          SolveScratch& scratch, size_t& ranked_count) const;
-  /// The verified ranked-head check in front of the consolidation walk,
-  /// shared by the full-fleet and restricted tables: the table's one head
-  /// scan (ConsolidationTable::scan_head) finds the ranking's head
-  /// (k, segment) and its runner-up's power without materializing the
-  /// ranking. It runs only when w2 is bitwise-uniform, where the scan's
-  /// powers are the ranking's to the bit. The head subset is then solved by
-  /// the closed form alone. True — with the plan in `out` — only when the walk
-  /// provably returns that exact allocation: the closed form is within
-  /// bounds (the walk's inner cutoff) and the runner-up's relaxation bound
-  /// cannot beat it (the outer branch-and-bound cutoff). Never runs the
-  /// bounded solver; false leaves `out` untouched and the walk decides.
-  bool ranked_head_into(const IncrementalConsolidator& cons, double load,
-                        SolveScratch& scratch, Allocation& out) const;
-  /// Restricted (quarantine) Algorithm 1 query: moves the delta-maintained
-  /// restricted table to `active_mask`, then runs table_query on it.
-  /// Thread-safe; the table is a pure function of the mask, so concurrent
-  /// callers with different masks still see deterministic answers.
-  TableAnswer incremental_query(const std::vector<char>& active_mask,
-                                double load, SolveScratch& scratch,
-                                size_t& ranked_count) const;
+  /// Optimal with consolidation: the cheapest feasible plan over the
+  /// candidate ON sets, into scratch.best_alloc; false when none is
+  /// feasible. `best_pure` reports whether the closed form alone served it.
+  ///
+  /// One walk answers every room. With a particle reduction (uniform w1 and
+  /// w2) the candidates are Algorithm 2's (k, segment) entries, best
+  /// predicted power first, each subset the top k of its segment's order,
+  /// copied only when probed. When w2 is bitwise uniform the table's head
+  /// scan (ConsolidationTable::scan_head) yields the first candidate and the
+  /// runner-up's power; the full ranking is built only when the plan on the
+  /// head does not beat that power, and the walk resumes at its second
+  /// entry. Heterogeneous rooms walk a window of k with no bound. Restricted
+  /// solves hold incremental_mu_ from moving the table to the request's
+  /// mask until the walk ends.
+  bool consolidate_into(double load, const std::vector<size_t>* allowed,
+                        SolveScratch& scratch, bool& best_pure) const;
+  /// Moves the delta-maintained restricted table to `active_mask` (building
+  /// it on first use) and counts the transition. The caller holds
+  /// incremental_mu_; the table is a pure function of the mask, so
+  /// concurrent callers with different masks still see deterministic
+  /// answers.
+  const IncrementalConsolidator& restricted_table(
+      const std::vector<char>& active_mask) const;
   /// Optimal split over a fixed ON set: closed form, else the bounded
   /// solver (BoundedOptimizer). Writes into `out` (false = infeasible);
   /// workspaces from `scratch`.
@@ -322,7 +313,7 @@ class PlanEngine {
   double fixed_t_ac_ = 0.0;
 
   mutable std::once_flag aggregates_once_;
-  mutable std::unique_ptr<ModelAggregates> aggregates_;
+  mutable std::shared_ptr<const ModelAggregates> aggregates_;  // shares soa
   mutable std::once_flag analytic_once_;
   mutable std::unique_ptr<AnalyticOptimizer> analytic_;
   mutable std::once_flag bounded_once_;

@@ -264,12 +264,13 @@ bool IncrementalConsolidator::query_best_into(double load,
          }) != 0;
 }
 
-size_t IncrementalConsolidator::rank_all_k_into(
-    double load, std::vector<ConsolidationChoice>& out) const {
+void IncrementalConsolidator::rank_all_k_into(
+    double load, std::vector<RankEntry>& out) const {
   // Instrumented as a query: this is the Algorithm 2 machinery run once per
   // k, and it is the entry point the planner's ranked walk exercises.
-  return instrumented("consolidation.rank_all_k", ids_.size(), [&] {
-    return table_.rank_all_k_into(particles_, *model_, load, out);
+  instrumented("consolidation.rank_all_k", ids_.size(), [&] {
+    table_.rank_all_k_into(particles_, *model_, load, out);
+    return out.size();
   });
 }
 

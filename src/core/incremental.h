@@ -111,19 +111,19 @@ class IncrementalConsolidator {
   /// The exact query: the winning choice alone — the head of
   /// rank_all_k_into's ranking — from the table's one head scan, which
   /// stops at an exact power floor (ConsolidationTable::scan_head), instead
-  /// of the full ranking's O(n^2) on_set materialization, written into a
+  /// of the full ranking's O(n^2) idle-draw folds, written into a
   /// caller-owned choice (buffers reused).
   /// Returns false when no subset is feasible; throws
   /// std::invalid_argument on a negative load.
   bool query_best_into(double load, ConsolidationChoice& out) const;
 
-  /// Best subset of active machines for every feasible k, sorted by
-  /// predicted power then k, written into a grow-only buffer: entries
-  /// [0, returned count) are the ranking, spare slots keep their heap
-  /// blocks for reuse. Machine ids are ORIGINAL model indices. Lets callers
-  /// walk down the ranking when the best choice fails external validation
+  /// Best subset of active machines for every feasible k as (k, segment,
+  /// power) entries, sorted by predicted power then k, into `out`. An
+  /// entry's subset is the top k of table().segments[segment].order
+  /// (ORIGINAL model indices) until the table next moves. Lets callers walk
+  /// down the ranking when the best choice fails external validation
   /// (capacity, via the bounded solver).
-  size_t rank_all_k_into(double load, std::vector<ConsolidationChoice>& out) const;
+  void rank_all_k_into(double load, std::vector<RankEntry>& out) const;
 
   /// The paper's maxL(A, P_b, k): largest load exactly-k active machines
   /// can serve with predicted total power <= power_budget_w. 0 if even L=0

@@ -11,14 +11,10 @@ size_t allocation_bytes(const Allocation& a) {
 
 size_t SolveScratch::bytes() const {
   size_t b = (allowed.capacity() + order.capacity() + capacity_order.capacity() +
-              idle_order.capacity() + subset.capacity() +
-              head_on_set.capacity()) *
+              idle_order.capacity() + subset.capacity()) *
                  sizeof(size_t) +
              quarantined_mask.capacity() + mask.capacity();
-  b += ranked.capacity() * sizeof(ConsolidationChoice);
-  for (const ConsolidationChoice& c : ranked) {
-    b += c.on_set.capacity() * sizeof(size_t);
-  }
+  b += ranked.capacity() * sizeof(RankEntry);
   b += allocation_bytes(best_alloc) + allocation_bytes(trial_alloc);
   b += allocation_bytes(cf.allocation) + cf.mu.capacity() * sizeof(double);
   b += bounded.bytes();
@@ -31,7 +27,7 @@ void SolveScratch::reserve_for(size_t n) {
     a->on.reserve(n);
   }
   subset.reserve(n);
-  head_on_set.reserve(n);
+  ranked.reserve(n);
 }
 
 SolveScratch& SolveScratch::local() {

@@ -36,26 +36,25 @@ struct SolveScratch {
   std::vector<size_t> order;            ///< filtered coolness order
   std::vector<size_t> capacity_order;   ///< filtered capacity-descending
   std::vector<size_t> idle_order;       ///< filtered idle-draw ascending
-  /// The fixed rules' consolidation ON set, or the degraded Optimal
-  /// solve's forced one (every machine that survives at t_ac_min).
+  /// The fixed rules' consolidation ON set, the table subset the walk
+  /// probes, or the degraded Optimal solve's forced one (every machine that
+  /// survives at t_ac_min).
   std::vector<size_t> subset;
-  std::vector<size_t> head_on_set;      ///< ranked-head check subset
-  /// Consolidation ranking (grow-only; rank_all_k_into count is transient).
-  std::vector<ConsolidationChoice> ranked;
+  std::vector<RankEntry> ranked;  ///< consolidation walk candidates, <= 1 per k
   // --- solver workspaces and result slots ---
   Allocation best_alloc;   ///< incumbent of the candidate walk
   Allocation trial_alloc;  ///< probe under evaluation (swapped on improve)
   ClosedFormResult cf;
   BoundedWorkspace bounded;
 
-  /// Sizes every Allocation slot and the two subsets for an n-machine
-  /// room, grow-only, as BoundedWorkspace sizes itself; the engine calls
-  /// it at the end of every solve. The slots trade buffers
-  /// with each other and with the caller's results, so without it a slot
-  /// this thread has not used yet, or one a fresh result's empty buffer
-  /// landed in, would grow inside a later warm solve (the first bounded
-  /// solve of a worker that had only served closed-form answers), and the
-  /// subsets would grow with each larger k the thread meets.
+  /// Sizes every Allocation slot, the subset and the ranking for an
+  /// n-machine room, grow-only, as BoundedWorkspace sizes itself; the engine
+  /// calls it at the end of every solve. The slots trade buffers with each
+  /// other and with the caller's results, so without it a slot this thread
+  /// has not used yet, or one a fresh result's empty buffer landed in, would
+  /// grow inside a later warm solve (the first bounded solve of a worker that
+  /// had only served closed-form answers), and the subset and the ranking
+  /// would grow with each larger k, or each lower load, the thread meets.
   void reserve_for(size_t n);
 
   /// Resident heap footprint of the arena (capacities, not sizes) —

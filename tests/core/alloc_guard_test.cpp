@@ -5,7 +5,8 @@
 // is process-wide and must not perturb (or be perturbed by) any other
 // suite. The tests warm a PlanEngine, then assert that further warm solves
 // — serial solve_into, solve_batch_into over 200 requests on the default
-// pool, rebalance_into, the consolidation query-best path, restricted
+// pool, a walk over a longer ranking than any before, rebalance_into, the
+// consolidation query-best path, restricted
 // solves under one-machine quarantine churn, and degraded solves of all
 // eight scenarios — perform
 // ZERO heap allocations: every buffer lives in the grow-only SolveScratch
@@ -182,6 +183,30 @@ TEST(AllocGuard, WarmSolveBatchOf200IsAllocationFree) {
     ASSERT_TRUE(r.error.empty()) << r.error;
     ASSERT_TRUE(r.plan.has_value());
   }
+}
+
+/// A ranking holds one (k, segment, power) entry per feasible k, so a lower
+/// load, which more k can serve, needs no more than the room-wide reservation
+/// every solve leaves behind. On this default-capacity room the closed form
+/// leaves its bounds on the head at both loads, so both walks rank every k.
+TEST(AllocGuard, LowerLoadAfterWarmRankingIsAllocationFree) {
+  core::SyntheticModelOptions opt;
+  opt.machines = 32;
+  opt.seed = 1;
+  const core::PlanEngine engine(core::make_synthetic_model(opt));
+  const double capacity = engine.model().total_capacity();
+  const core::PlanRequest high(core::Scenario::by_number(8), capacity * 0.8);
+  const core::PlanRequest low(core::Scenario::by_number(8), capacity * 0.1);
+  core::SolveScratch scratch;
+  core::PlanResult slot;
+  engine.solve_into(high, scratch, slot);
+  engine.solve_into(high, scratch, slot);
+  const uint64_t heads = engine.counters().memo_hits;
+  const unsigned long long before = allocs();
+  engine.solve_into(low, scratch, slot);
+  EXPECT_EQ(allocs() - before, 0u);
+  EXPECT_EQ(engine.counters().memo_hits, heads) << "the head answered";
+  ASSERT_TRUE(slot.feasible());
 }
 
 /// Issue 9's hard requirement: attaching a span context must not buy the

@@ -1,5 +1,5 @@
 // ConsolidationTable::operating_segment edge coverage — the boundaries the
-// engine's ranked-head check reads its head subset from.
+// engine's consolidation walk reads its head subset from.
 //
 // Loads exactly AT segment breakpoints are the worst case for any
 // segment-indexed fast path: the operating segment must be the same one
@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "core/incremental.h"
@@ -80,16 +81,26 @@ void expect_peek_matches_solve(const core::detail::ConsolidationTable& table,
   EXPECT_EQ(solved->k, solved->on_set.size());
 }
 
-/// query_best_into must be exactly the ranking's head.
+// A ranking entry owns no heap block: walking a ranking copies no subset.
+static_assert(std::is_trivially_copyable_v<core::RankEntry>);
+
+/// query_best_into must be exactly the ranking's head: the same entry, and
+/// the same choice once the entry's subset is materialized.
 void expect_best_matches_ranking(const core::detail::ConsolidationTable& table,
                                  const core::ParticleSystem& ps,
                                  const core::RoomModel& model, double load) {
-  std::vector<core::ConsolidationChoice> ranked;
-  ranked.resize(table.rank_all_k_into(ps, model, load, ranked));
+  std::vector<core::RankEntry> ranked;
+  table.rank_all_k_into(ps, model, load, ranked);
   core::ConsolidationChoice best;
   const bool got = table.query_best_into(ps, model, load, best);
   ASSERT_EQ(got, !ranked.empty()) << "load " << load;
-  if (got) expect_identical(best, ranked.front());
+  if (!got) return;
+  core::ConsolidationChoice head;
+  table.make_choice_into(ps, model, ranked.front().segment, ranked.front().k,
+                         load, head);
+  EXPECT_EQ(head.predicted_total_power_w,
+            ranked.front().predicted_total_power_w);
+  expect_identical(best, head);
 }
 
 TEST(ConsolidationSegment, BreakpointLoadsAgreeAcrossAllQueryPaths) {
@@ -130,7 +141,7 @@ TEST(ConsolidationSegment, BreakpointOperatingSegmentIsSelfConsistent) {
       if (!solved.has_value()) continue;
       // The segment recorded on the choice is operating_segment's answer —
       // re-deriving it must agree exactly (this is the equality the
-      // ranked-head check's peek_k segment stands on).
+      // head scan's peek_k segment stands on).
       EXPECT_EQ(solved->segment, table.operating_segment(ps, load, k))
           << "segment " << s << ", k " << k;
       // t_param itself may land one ULP below the segment start at an exact
@@ -188,12 +199,7 @@ TEST(ConsolidationSegment, QuarantineMasksAgreeWithQueryBest) {
        quarantined += 3) {
     for (size_t i = 0; i < quarantined; ++i) mask[i] = 0;
     inc.set_active(mask);
-    std::vector<core::ConsolidationChoice> ranked;
-    ranked.resize(inc.rank_all_k_into(load, ranked));
-    core::ConsolidationChoice best;
-    const bool got = inc.query_best_into(load, best);
-    ASSERT_EQ(got, !ranked.empty());
-    if (got) expect_identical(best, ranked.front());
+    expect_best_matches_ranking(inc.table(), inc.particles(), *model, load);
   }
 }
 
@@ -206,8 +212,9 @@ TEST(ConsolidationSegment, AllQuarantinedMaskIsCleanlyInfeasible) {
   const double load = model->total_capacity() * 0.2;
   core::ConsolidationChoice into;
   EXPECT_FALSE(inc.query_best_into(load, into));
-  std::vector<core::ConsolidationChoice> buffer;
-  EXPECT_EQ(inc.rank_all_k_into(load, buffer), 0u);
+  std::vector<core::RankEntry> buffer;
+  inc.rank_all_k_into(load, buffer);
+  EXPECT_TRUE(buffer.empty());
 }
 
 }  // namespace

@@ -114,11 +114,21 @@ inline std::optional<ConsolidationChoice> best_of(
   return choice;
 }
 
-/// The full ranking as a value: rank_all_k_into's entries [0, count).
+/// The full ranking as values: rank_all_k_into's entries, each subset
+/// materialized by make_choice_into, whose power must be the entry's.
 inline std::vector<ConsolidationChoice> ranking_of(
     const IncrementalConsolidator& cons, double load) {
-  std::vector<ConsolidationChoice> ranked;
-  ranked.resize(cons.rank_all_k_into(load, ranked));
+  std::vector<RankEntry> entries;
+  cons.rank_all_k_into(load, entries);
+  std::vector<ConsolidationChoice> ranked(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    cons.table().make_choice_into(cons.particles(), cons.model(),
+                                  entries[i].segment, entries[i].k, load,
+                                  ranked[i]);
+    EXPECT_EQ(std::bit_cast<uint64_t>(ranked[i].predicted_total_power_w),
+              std::bit_cast<uint64_t>(entries[i].predicted_total_power_w))
+        << "entry " << i << " at load " << load;
+  }
   return ranked;
 }
 

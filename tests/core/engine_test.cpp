@@ -79,12 +79,33 @@ void expect_identical(const PlanResult& a, const PlanResult& b, size_t index) {
 
 TEST(PlanEngine, BatchMatchesSequentialBitForBit) {
   const PlanEngine engine(uniform_model());
-  const std::vector<PlanRequest> requests = sweep_requests(engine.model());
+  std::vector<PlanRequest> requests = sweep_requests(engine.model());
   ASSERT_EQ(requests.size(), 200u);
 
   std::vector<PlanResult> sequential;
   sequential.reserve(requests.size());
   for (const PlanRequest& r : requests) sequential.push_back(engine.solve(r));
+
+  // Scenario-8 quarantines under three masks, interleaved: concurrent
+  // workers move the restricted table between masks while others walk it.
+  // At default capacity the closed form leaves its bounds at most loads,
+  // so most of these walks go past the head, reading subsets from the
+  // table's segment orders as they probe.
+  const size_t n = engine.model().size();
+  const std::vector<std::vector<size_t>> masks = {
+      {0, n / 2}, {1, 4, n - 1}, {2}};
+  const double capacity = engine.model().total_capacity();
+  const uint64_t heads = engine.counters().memo_hits;
+  for (int step = 1; step <= 24; ++step) {
+    for (const std::vector<size_t>& mask : masks) {
+      requests.emplace_back(Scenario::by_number(8), capacity * step / 25.0,
+                            mask);
+      sequential.push_back(engine.solve(requests.back()));
+    }
+  }
+  const uint64_t walks = 24 * masks.size();
+  EXPECT_LT(2 * (engine.counters().memo_hits - heads), walks)
+      << "most restricted walks must go past the head";
 
   for (const size_t workers : {1u, 2u, 8u}) {
     SCOPED_TRACE("workers " + std::to_string(workers));
@@ -270,16 +291,16 @@ TEST(PlanEngine, CountersTrackBatches) {
   EXPECT_EQ(counters.solves, 4u);
 }
 
-/// The ranked-head property. For every fully served solve the verified
-/// ranked-head check answered (a memo_hits delta), the plan must be what the
-/// consolidation walk itself accepts at its first candidate: the ON set is
-/// the head of rank_all_k on the request's own table (the full-fleet table,
-/// or an IncrementalConsolidator moved to the request's mask), the closed
-/// form served it alone and within bounds, and the runner-up's relaxation
-/// bound cannot beat it. One answer per question: the check and the exact
-/// query read the table's one head scan, so that ON set is also
-/// query_best_into's subset on the same table.
-/// Adds how many of `requests` the check answered to `answered`.
+/// The ranked-head property. For every fully served solve whose walk ended
+/// at its head (a memo_hits delta), the plan must be what the walk accepts
+/// at its first candidate: the ON set is the head of rank_all_k on the
+/// request's own table (the full-fleet table, or an IncrementalConsolidator
+/// moved to the request's mask), the closed form served it alone and
+/// within bounds, and the runner-up's relaxation bound cannot beat it. One
+/// answer per question: the walk's head and the exact query read the
+/// table's one head scan, so that ON set is also query_best_into's subset
+/// on the same table.
+/// Adds how many of `requests` ended at the head to `answered`.
 void expect_head_answers_match_walk(const PlanEngine& engine,
                                     const std::vector<PlanRequest>& requests,
                                     size_t& answered) {
@@ -398,8 +419,8 @@ TEST(PlanEngine, RestrictedSolvesRunTheRankedHeadCheck) {
     }
     expect_head_answers_match_walk(engine, requests, answers);
   });
-  // The IncrementalConsolidator table runs the same check as the full-fleet
-  // one: quarantined solves register head answers too.
+  // The walk over the IncrementalConsolidator table starts at the head scan
+  // as the full-fleet one does: quarantined solves end at the head too.
   EXPECT_GT(answers, 0u);
 }
 
