@@ -136,7 +136,8 @@ void consolidation_rows(bench::Report& report) {
                "us");
     const core::IncrementalConsolidator consolidator(model);
     const auto& table = consolidator.table();
-    const std::vector<core::PaperStatus> statuses = core::all_status(table);
+    const std::vector<core::PaperStatus> statuses =
+        core::all_status(table, consolidator.particles());
     const double load = model->total_capacity() * 0.4;
     report.row(at("alg2.query_paper", n), bench::median_us([&] {
                  bench::keep(core::query_paper(table, consolidator.particles(),

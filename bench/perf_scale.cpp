@@ -45,17 +45,23 @@ namespace {
 /// regime, far from both the thermal ceiling and the per-machine caps.
 constexpr double kLoadFrac = 0.2;
 
-bool tables_identical(const core::detail::ConsolidationTable& a,
+/// Prefix sums are read through the folding accessor, so a table with
+/// stale tails compares by the values its queries would read.
+bool tables_identical(const core::ParticleSystem& ps,
+                      const core::detail::ConsolidationTable& a,
                       const core::detail::ConsolidationTable& b) {
   if (a.events != b.events || a.segments.size() != b.segments.size()) {
     return false;
   }
   for (size_t s = 0; s < a.segments.size(); ++s) {
     if (a.segments[s].start != b.segments[s].start ||
-        a.segments[s].order != b.segments[s].order ||
-        a.segments[s].prefix_a != b.segments[s].prefix_a ||
-        a.segments[s].prefix_b != b.segments[s].prefix_b) {
+        a.segments[s].order != b.segments[s].order) {
       return false;
+    }
+    for (size_t k = 0; k <= a.width(); ++k) {
+      const core::detail::ConsolidationTable::Prefix pa = a.prefix(ps, s, k);
+      const core::detail::ConsolidationTable::Prefix pb = b.prefix(ps, s, k);
+      if (pa.a != pb.a || pa.b != pb.b) return false;
     }
   }
   return true;
@@ -162,8 +168,9 @@ bool incremental_rows(bench::Report& report,
   // agree, and query_best_into is exactly the head of the full ranking.
   std::vector<core::RankEntry> ranked;
   inc.rank_all_k_into(load, ranked);
-  return tables_identical(inc.table(), rebuilt.table()) && found &&
-         found_cold && !ranked.empty() && choices_identical(best, best_cold) &&
+  return tables_identical(inc.particles(), inc.table(), rebuilt.table()) &&
+         found && found_cold && !ranked.empty() &&
+         choices_identical(best, best_cold) &&
          choice_is_entry(best, ranked.front());
 }
 

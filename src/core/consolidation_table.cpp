@@ -20,6 +20,9 @@ ParticleSystem ParticleSystem::from_model(const RoomModel& model, PreValidated) 
   ParticleSystem ps;
   ps.w1 = model.machines.front().power.w1;
   ps.w2 = model.machines.front().power.w2;
+  ps.w2_identical = std::all_of(
+      model.machines.begin(), model.machines.end(),
+      [&](const MachineModel& m) { return m.power.w2 == ps.w2; });
   ps.a.reserve(model.size());
   ps.b.reserve(model.size());
   for (const MachineModel& m : model.machines) {
@@ -46,19 +49,25 @@ double subset_power(const ParticleSystem& ps, const RoomModel& model,
          model.cooler.predict(t_ac, sum_w2_k + ps.w1 * load);
 }
 
-/// The predicted power of the top-k prefix of `seg`'s order at this load,
-/// its idle draw summed machine by machine in that order; the clamped
-/// particle time lands in `t_param`.
-double prefix_power(const ParticleSystem& ps, const RoomModel& model,
-                    const ConsolidationTable::Segment& seg, size_t k,
-                    double load, double& t_param) {
-  const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
-  t_param = std::clamp(t_subset, ps.t_lo, ps.t_hi);
+/// The idle draw of the top k of `order`, summed machine by machine.
+double top_k_w2(const RoomModel& model, const std::vector<uint32_t>& order,
+                size_t k) {
   double sum_w2 = 0.0;
   for (size_t j = 0; j < k; ++j) {
-    sum_w2 += model.machines[seg.order[j]].power.w2;
+    sum_w2 += model.machines[order[j]].power.w2;
   }
-  return subset_power(ps, model, load, sum_w2, t_param);
+  return sum_w2;
+}
+
+/// The predicted power of a top-k prefix with prefix sums `p` and idle
+/// draw `sum_w2_k` at this load; the clamped particle time lands in
+/// `t_param`.
+double prefix_power(const ParticleSystem& ps, const RoomModel& model,
+                    const ConsolidationTable::Prefix& p, double load,
+                    double sum_w2_k, double& t_param) {
+  const double t_subset = (p.a - load) / p.b;
+  t_param = std::clamp(t_subset, ps.t_lo, ps.t_hi);
+  return subset_power(ps, model, load, sum_w2_k, t_param);
 }
 
 }  // namespace
@@ -96,12 +105,25 @@ void ConsolidationTable::build(const ParticleSystem& ps,
     });
     seg.prefix_a.assign(n + 1, 0.0);
     seg.prefix_b.assign(n + 1, 0.0);
-    for (size_t k = 0; k < n; ++k) {
-      seg.prefix_a[k + 1] = seg.prefix_a[k] + ps.a[seg.order[k]];
-      seg.prefix_b[k + 1] = seg.prefix_b[k] + ps.b[seg.order[k]];
-    }
+    refold(ps, seg);
     segments.push_back(std::move(seg));
   }
+}
+
+void ConsolidationTable::refold(const ParticleSystem& ps, const Segment& seg) {
+  const size_t n = seg.order.size();
+  double* pa = seg.prefix_a.data();
+  double* pb = seg.prefix_b.data();
+  double sum_a = pa[seg.folded];
+  double sum_b = pb[seg.folded];
+  for (size_t k = seg.folded; k < n; ++k) {
+    const uint32_t id = seg.order[k];
+    sum_a += ps.a[id];
+    sum_b += ps.b[id];
+    pa[k + 1] = sum_a;
+    pb[k + 1] = sum_b;
+  }
+  seg.folded = n;
 }
 
 void ConsolidationTable::apply_membership_delta(
@@ -136,14 +158,11 @@ void ConsolidationTable::apply_membership_delta(
       seg.order.insert(pos, id);
     }
     // Positions below `first` hold the same particles as before, so their
-    // prefix sums already are the rebuild's; refold only the tail.
-    const size_t n = seg.order.size();
-    seg.prefix_a.resize(n + 1);
-    seg.prefix_b.resize(n + 1);
-    for (size_t k = first; k < n; ++k) {
-      seg.prefix_a[k + 1] = seg.prefix_a[k] + ps.a[seg.order[k]];
-      seg.prefix_b[k + 1] = seg.prefix_b[k] + ps.b[seg.order[k]];
-    }
+    // prefix sums already are the rebuild's. The tail stays stale until
+    // prefix() reads it; an earlier delta's unread tail may start lower.
+    seg.folded = std::min(seg.folded, first);
+    seg.prefix_a.resize(seg.order.size() + 1);
+    seg.prefix_b.resize(seg.order.size() + 1);
   }
 }
 
@@ -166,12 +185,13 @@ void ConsolidationTable::make_choice_into(const ParticleSystem& ps,
                                           const RoomModel& model,
                                           size_t segment, size_t k, double load,
                                           ConsolidationChoice& out) const {
-  const Segment& seg = segments[segment];
+  const std::vector<uint32_t>& order = segments[segment].order;
   out.k = k;
   out.segment = segment;
-  out.on_set.assign(seg.order.begin(), seg.order.begin() + static_cast<long>(k));
+  out.on_set.assign(order.begin(), order.begin() + static_cast<long>(k));
   out.predicted_total_power_w =
-      prefix_power(ps, model, seg, k, load, out.t_param);
+      prefix_power(ps, model, prefix(ps, segment, k), load,
+                   top_k_w2(model, order, k), out.t_param);
   out.t_ac = ps.w1 * out.t_param;
 }
 
@@ -180,11 +200,11 @@ bool ConsolidationTable::feasible_k(const ParticleSystem& ps,
                                     size_t& segment) const {
   if (k == 0 || k > width()) return false;
   // Even the coldest allowed air cannot serve this load on k machines.
-  if (g_in(at.lo, k, ps.t_lo) < load - kFeasEps) return false;
+  if (g_in(ps, at.lo, k, ps.t_lo) < load - kFeasEps) return false;
   // Load not servable even at t = 0; only possible when t_lo < 0 is
   // clamped to 0 and the check above used the same t — unreachable, but
   // keep the guard for safety.
-  if (g_in(at.zero, k, 0.0) < load - kFeasEps) return false;
+  if (g_in(ps, at.zero, k, 0.0) < load - kFeasEps) return false;
   segment = operating_segment(ps, load, k);
   return true;
 }
@@ -198,11 +218,10 @@ bool ConsolidationTable::peek_k(const ParticleSystem& ps,
   // w2 is bitwise-uniform).
   size_t s = 0;
   if (!feasible_k(ps, at, load, k, s)) return false;
-  const Segment& seg = segments[s];
-  const double t_subset = (seg.prefix_a[k] - load) / seg.prefix_b[k];
-  const double t_param = std::clamp(t_subset, ps.t_lo, ps.t_hi);
+  double t_param = 0.0;
   *segment_out = s;
-  *power_out = subset_power(ps, model, load, sum_w2_k, t_param);
+  *power_out =
+      prefix_power(ps, model, prefix(ps, s, k), load, sum_w2_k, t_param);
   return true;
 }
 
@@ -222,20 +241,26 @@ size_t ConsolidationTable::operating_segment(const ParticleSystem& ps,
   // Find where g_k crosses the load. g_k is continuous, piecewise linear
   // and strictly decreasing, and within each segment equals
   // prefix_a[k] - t * prefix_b[k] of that segment's order.
-  // Binary search: last segment whose start-value is still >= load.
+  // Binary search: last segment whose start-value is still >= load, over
+  // [lo, lo + count). Kept in this lo/count form: with the (lo, hi) form
+  // and prefix()'s refold branch in the body, GCC turns the comparison
+  // into conditional moves, which serialize the search on its loads
+  // (2-3x slower on a 30,000-segment table).
   size_t lo = 0;
-  size_t hi = segments.size();
-  while (lo + 1 < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (g_in(mid, k, segments[mid].start) >= load) {
-      lo = mid;
+  size_t count = segments.size();
+  while (count > 1) {
+    const size_t half = count / 2;
+    if (g_in(ps, lo + half, k, segments[lo + half].start) >= load) {
+      lo += half;
+      count -= half;
     } else {
-      hi = mid;
+      count = half;
     }
   }
-  const Segment& seg = segments[lo];
-  double t_star = (seg.prefix_a[k] - load) / seg.prefix_b[k];
-  t_star = std::max(t_star, seg.start);  // numeric safety at boundaries
+  const Prefix p = prefix(ps, lo, k);
+  double t_star = (p.a - load) / p.b;
+  // Numeric safety at boundaries.
+  t_star = std::max(t_star, segments[lo].start);
 
   const double t_used = std::clamp(t_star, ps.t_lo, ps.t_hi);
   // Operate in the segment containing the (possibly clamped) time: when the
@@ -302,11 +327,16 @@ void ConsolidationTable::rank_all_k_into(const ParticleSystem& ps,
   const Anchors at = anchors(ps);
   out.clear();
   out.reserve(width());
+  double sum_w2_k = 0.0;  // scan_head's running fold
   for (size_t k = 1; k <= width(); ++k) {
+    sum_w2_k += ps.w2;
     size_t s = 0;
     if (!feasible_k(ps, at, load, k, s)) continue;
+    const double sum_w2 =
+        ps.w2_identical ? sum_w2_k : top_k_w2(model, segments[s].order, k);
     double t_param = 0.0;
-    const double power = prefix_power(ps, model, segments[s], k, load, t_param);
+    const double power =
+        prefix_power(ps, model, prefix(ps, s, k), load, sum_w2, t_param);
     out.push_back(RankEntry{k, s, power});
   }
   std::sort(out.begin(), out.end(), [](const RankEntry& x, const RankEntry& y) {
@@ -335,7 +365,7 @@ double ConsolidationTable::max_load_for_budget(const ParticleSystem& ps,
   // Predicted power is monotone non-decreasing in load for fixed k, so the
   // budget frontier is found by bisection on [0, g_k(t_lo)].
   double lo = 0.0;
-  double hi = g(k, ps.t_lo);
+  double hi = g(ps, k, ps.t_lo);
   if (hi <= 0.0) return 0.0;
   const auto p_hi = power_at(hi);
   if (p_hi && *p_hi <= power_budget_w) return hi;

@@ -16,6 +16,14 @@
 // that produces a sequence sorted under that comparator — a full
 // std::sort, or an erase/insert against an already-sorted order — yields
 // the identical permutation. apply_membership_delta relies on this.
+//
+// Staleness and threads: a membership delta leaves each segment's prefix
+// sums stale past its first changed position, and the first read past it
+// through prefix() refolds them, so a const read of a stale table writes.
+// Only a table that has taken a delta can be stale: a built table is fully
+// folded, so any number of threads may read it at once. A table that
+// takes deltas must be moved and read under one lock (PlanEngine's
+// restricted table is, under incremental_mu_).
 #pragma once
 
 #include <cmath>
@@ -55,6 +63,9 @@ struct ParticleSystem {
   std::vector<double> b;  ///< speeds, b_i = alpha_i/beta_i (> 0)
   double w1 = 0.0;        ///< shared w1 (validated uniform)
   double w2 = 0.0;        ///< shared w2 (validated uniform)
+  /// Every machine's w2 is the same double, so a running fold of w2 is any
+  /// k-subset's machine-by-machine idle draw to the bit.
+  bool w2_identical = false;
   double t_lo = 0.0;      ///< max(0, t_ac_min/w1)
   double t_hi = 0.0;      ///< t_ac_max / w1
 
@@ -82,8 +93,20 @@ struct ConsolidationTable {
     double start = 0.0;       // particle time at segment start
     double order_time = 0.0;  // time the order was sorted at (mid-segment)
     std::vector<uint32_t> order;  // particle ids, coordinate-descending
-    std::vector<double> prefix_a;  // prefix_a[k] = sum of top-k a
-    std::vector<double> prefix_b;  // prefix_b[k] = sum of top-k b
+
+   private:
+    friend struct ConsolidationTable;
+    // prefix_a[k] / prefix_b[k] = sum of the top-k a / b, exact for
+    // k <= folded. A delta lowers `folded` to its first changed position;
+    // the first read past it (ConsolidationTable::prefix) refolds the tail.
+    mutable std::vector<double> prefix_a;
+    mutable std::vector<double> prefix_b;
+    mutable size_t folded = 0;
+  };
+  /// The sums of the top-k a and b of a segment's order.
+  struct Prefix {
+    double a = 0.0;
+    double b = 0.0;
   };
   /// The head of the (power, k)-ascending ranking and its runner-up's
   /// power, as scan_head finds them.
@@ -118,17 +141,29 @@ struct ConsolidationTable {
   /// segment order while the event list is UNCHANGED (caller checked).
   /// Each id is located by binary search under the order's unique
   /// comparator and erased/inserted there, so the order is exactly what a
-  /// full rebuild would sort; the prefix sums are refolded only from the
-  /// first changed position, which leaves every value bit-for-bit the
-  /// rebuild's (the head of the left-to-right fold is untouched). Throws
-  /// std::logic_error when a removed id is not at its comparator position
-  /// (the delta drifted from the table).
+  /// full rebuild would sort. The prefix sums are not re-summed here: each
+  /// segment's folded watermark drops to its first changed position (the
+  /// minimum over every delta since the segment was last refolded), and
+  /// prefix() refolds the tail on the first read past it, so a segment no
+  /// query reads there is never re-summed. The head of the left-to-right
+  /// fold is untouched, so the refolded values are bit-for-bit the
+  /// rebuild's. Throws std::logic_error when a removed id is not at its
+  /// comparator position (the delta drifted from the table).
   void apply_membership_delta(const ParticleSystem& ps,
                               const std::vector<uint32_t>& removed,
                               const std::vector<uint32_t>& added);
 
   /// Number of particles each segment covers (k ranges over 1..width()).
   size_t width() const { return segments.empty() ? 0 : segments.front().order.size(); }
+
+  /// The one read of segment `s`'s prefix sums at k (0..width()): refolds
+  /// the segment's stale tail first when k lies past its watermark. `ps`
+  /// must be the particle system the table was built over.
+  Prefix prefix(const ParticleSystem& ps, size_t s, size_t k) const {
+    const Segment& seg = segments[s];
+    if (k > seg.folded) refold(ps, seg);
+    return Prefix{seg.prefix_a[k], seg.prefix_b[k]};
+  }
 
   /// The k-invariant lookups of feasible_k: the segments holding t_lo and
   /// t = 0. A query over every k computes them once (anchors()) and passes
@@ -139,10 +174,14 @@ struct ConsolidationTable {
   };
 
   /// Max of sum of k largest coordinates at time t.
-  double g(size_t k, double t) const { return g_in(segment_at(t), k, t); }
-  /// g(k, t) with the segment holding t already looked up.
-  double g_in(size_t segment, size_t k, double t) const {
-    return segments[segment].prefix_a[k] - t * segments[segment].prefix_b[k];
+  double g(const ParticleSystem& ps, size_t k, double t) const {
+    return g_in(ps, segment_at(t), k, t);
+  }
+  /// g(ps, k, t) with the segment holding t already looked up.
+  double g_in(const ParticleSystem& ps, size_t segment, size_t k,
+              double t) const {
+    const Prefix p = prefix(ps, segment, k);
+    return p.a - t * p.b;
   }
   /// Segment containing particle time t (last segment whose start <= t).
   size_t segment_at(double t) const;
@@ -169,15 +208,15 @@ struct ConsolidationTable {
   /// a running sum of ps.w2. Tracks the winner and the runner-up, and stops
   /// at the first k whose power_floor reaches the runner-up's power, so it
   /// peeks the few feasible k that can win, not all n. Infeasible k cost
-  /// two prefix-sum reads; no on_set is materialized. When every machine's
-  /// w2 is the same double, the fold is every k-subset's machine-by-machine
-  /// sum, so each power is make_choice_into's to the bit and the head is
+  /// two prefix-sum reads; no on_set is materialized. When
+  /// ps.w2_identical, the fold is every k-subset's machine-by-machine sum,
+  /// so each power is make_choice_into's to the bit and the head is
   /// rank_all_k_into's. Returns false when no k is feasible.
   bool scan_head(const ParticleSystem& ps, const RoomModel& model,
                  double load, Head& out) const;
   /// The single best choice — the ranking's head — from scan_head, then
   /// make_choice_into for its on_set (O(k), versus the full ranking's
-  /// O(n^2) idle-draw folds). Writes into a caller-owned choice
+  /// every-k probes and sort). Writes into a caller-owned choice
   /// (on_set buffer reused); returns false when no k is feasible.
   bool query_best_into(const ParticleSystem& ps, const RoomModel& model,
                        double load, ConsolidationChoice& out) const;
@@ -210,12 +249,20 @@ struct ConsolidationTable {
   /// Best subset for every feasible k as (k, segment, power) entries,
   /// sorted by predicted power then k, into `out` (cleared first, and
   /// reserved to width() so it never grows past a first call). Each power
-  /// is make_choice_into's for that entry, to the bit.
+  /// is make_choice_into's for that entry, to the bit: when
+  /// ps.w2_identical the idle draw is scan_head's running fold, O(1) per k,
+  /// otherwise the subset's w2 summed machine by machine.
   void rank_all_k_into(const ParticleSystem& ps, const RoomModel& model,
                        double load, std::vector<RankEntry>& out) const;
   /// The paper's maxL(A, P_b, k) by bisection on [0, g_k(t_lo)].
   double max_load_for_budget(const ParticleSystem& ps, const RoomModel& model,
                              double power_budget_w, size_t k) const;
+
+ private:
+  /// Folds `seg`'s prefix sums from its watermark to the end of its order:
+  /// the same left-to-right adds as a cold build, the running sums carried
+  /// in registers.
+  static void refold(const ParticleSystem& ps, const Segment& seg);
 };
 
 }  // namespace detail

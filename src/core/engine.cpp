@@ -35,6 +35,10 @@ constexpr double kCeilingTolC = 1e-6;
 /// rounding (the one conservative_t_ac is set by) runs at capacity.
 constexpr double kRuleSlackC = kCeilingTolC - 1e-9;
 
+/// Artifacts this thread has built (cache misses): a solve or rebalance
+/// that leaves it unchanged ran on cached artifacts alone.
+thread_local uint64_t t_builds = 0;
+
 }  // namespace
 
 PlanEngine::PlanEngine(SharedRoomModel model, PlannerOptions options)
@@ -66,8 +70,13 @@ void PlanEngine::ensure(std::once_flag& once, Build&& build) const {
     built = true;
   });
   if (built) {
+    ++t_builds;
     obs::count("engine.cache.miss", &counters_.cache_misses);
-  } else {
+  }
+}
+
+void PlanEngine::count_cache_hit(uint64_t builds_before) const {
+  if (t_builds == builds_before) {
     obs::count("engine.cache.hit", &counters_.cache_hits);
   }
 }
@@ -94,13 +103,6 @@ const ModelAggregates& PlanEngine::aggregates() const {
                 return m.machines[x].power.w2 < m.machines[y].power.w2;
               });
     agg->soa = RoomSoA::from(m);
-    // The consolidation walk starts at the head scan only when the scan's
-    // folded idle draw equals the ranking's machine-by-machine sum
-    // bit-for-bit, which holds exactly when every w2 is the same double.
-    const double w2_front = m.machines.front().power.w2;
-    agg->w2_exact_uniform = std::all_of(
-        m.machines.begin(), m.machines.end(),
-        [&](const MachineModel& mm) { return mm.power.w2 == w2_front; });
     aggregates_ = std::move(agg);
   });
   return *aggregates_;
@@ -328,8 +330,9 @@ bool PlanEngine::consolidate_into(double load,
 
   // The Algorithm 1 table: the cached full-fleet one, or the restricted one
   // moved to the request's mask. Other requests move the restricted table
-  // to their own masks, and the walk reads its segment orders, so its lock
-  // (timed as engine.incremental.apply_us) is held until the walk ends.
+  // to their own masks, and the walk reads its segment orders and refolds
+  // its stale prefix sums, so its lock (timed as
+  // engine.incremental.apply_us) is held until the walk ends.
   std::unique_lock<std::mutex> table_lock;
   std::optional<obs::ScopedTimer> locked_for;
   const IncrementalConsolidator* cons = nullptr;
@@ -348,7 +351,9 @@ bool PlanEngine::consolidate_into(double load,
   // idle-draw prefix (cheap-idle nodes for padding), with no bound.
   const std::vector<size_t>* idle = nullptr;
   detail::ConsolidationTable::Head head;
-  const bool from_head = cons != nullptr && agg.w2_exact_uniform;
+  // The scan's folded idle draw is the ranking's machine-by-machine sum
+  // only when every w2 is the same double.
+  const bool from_head = cons != nullptr && cons->particles().w2_identical;
   scr.ranked.clear();
   if (cons == nullptr) {
     idle = survivors(agg.idle_asc, scr.idle_order);
@@ -539,6 +544,7 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
   result.shard = request.shard;
   result.shed_load = 0.0;
   result.shed_priority.clear();
+  const uint64_t builds_before = t_builds;
   const double t0 = now_us();
   // Tracing: one serial span covering the whole solve. The context's
   // record vector is grow-only, so a reused context keeps the warm path
@@ -639,6 +645,7 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
   result.solve_us = now_us() - t0;
 
   obs::count("engine.solves", &counters_.solves);
+  count_cache_hit(builds_before);
   obs::observe("engine.solve_us", result.solve_us);
   if (!result.plan) {
     obs::count("engine.infeasible", &counters_.infeasible);
@@ -712,8 +719,11 @@ void PlanEngine::solve_batch_into(std::span<const PlanRequest> requests,
 bool PlanEngine::rebalance_into(const std::vector<size_t>& on_set, double load,
                                 SolveScratch& scratch, Allocation& out) const {
   obs::count("engine.rebalances", &counters_.rebalances);
-  return bounded().solve_into(on_set.data(), on_set.size(), load,
-                              scratch.bounded, out);
+  const uint64_t builds_before = t_builds;
+  const bool ok = bounded().solve_into(on_set.data(), on_set.size(), load,
+                                       scratch.bounded, out);
+  count_cache_hit(builds_before);
+  return ok;
 }
 
 util::ThreadPool& PlanEngine::default_pool() const {

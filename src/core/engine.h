@@ -20,10 +20,11 @@
 //          ->  solve_batch_into fan-out over a util::ThreadPool
 //
 // Warm replans and rank_all_k_into queries therefore skip preprocessing
-// entirely; `engine.cache.hit` / `engine.cache.miss` quantify it. Batch
-// solves write results into index-addressed slots, so the worker schedule
-// can never change the answer: solve_batch_into is bit-for-bit identical to
-// the equivalent sequence of solve() calls.
+// entirely: `engine.cache.miss` counts artifact builds, `engine.cache.hit`
+// the solves and rebalances that built none. Batch solves write results
+// into index-addressed slots, so the worker schedule can never change the
+// answer: solve_batch_into is bit-for-bit identical to the equivalent
+// sequence of solve() calls.
 #pragma once
 
 #include <cstdint>
@@ -127,11 +128,6 @@ struct ModelAggregates {
   /// machine structs; the arithmetic (and therefore every emitted bit) is
   /// unchanged.
   RoomSoA soa;
-  /// True when every machine's w2 is the SAME double bit-for-bit (stricter
-  /// than uniform_w2). Required to start the walk at the table's head
-  /// scan, whose folded w2 sums must reproduce the ranking's
-  /// machine-by-machine folds exactly.
-  bool w2_exact_uniform = false;
 };
 
 /// Monotonic per-engine counters (a snapshot). Each event bumps its field
@@ -146,7 +142,9 @@ struct EngineCounters {
   uint64_t rebalances = 0;
   uint64_t batches = 0;
   uint64_t batch_requests = 0;
+  /// solve_into / rebalance_into calls that built no cached artifact.
   uint64_t cache_hits = 0;
+  /// Cached artifacts built (each at most once per engine).
   uint64_t cache_misses = 0;
   /// Restricted (quarantine) solves served by the incremental Algorithm 1
   /// table instead of the windowed-probe fallback.
@@ -195,9 +193,9 @@ class PlanEngine {
   /// nullptr for heterogeneous-w1 fleets (no closed form).
   const AnalyticOptimizer* analytic() const;
   /// The full-fleet Algorithm 1 table: nullptr unless w1 AND w2 are uniform
-  /// (Eq. 23 reduction). First access pays the cold build; every later
-  /// access is a cache hit. Never moved off the full mask, so unrestricted
-  /// solves read it without a lock.
+  /// (Eq. 23 reduction). First access pays the cold build; later accesses
+  /// reuse it. Never moved off the full mask, so it is never stale and
+  /// unrestricted solves read it without a lock.
   const IncrementalConsolidator* consolidator() const;
   /// consolidator()'s particle system; nullptr unless the particle
   /// reduction applies.
@@ -246,10 +244,12 @@ class PlanEngine {
   EngineCounters counters() const;
 
  private:
-  /// Runs `build` exactly once (first caller = cache miss, everyone else =
-  /// hit) and keeps the books.
+  /// Runs `build` exactly once and counts it as a cache miss.
   template <typename Build>
   void ensure(std::once_flag& once, Build&& build) const;
+  /// Counts a cache hit unless this thread built an artifact since it
+  /// read `builds_before` (at the start of a solve or rebalance).
+  void count_cache_hit(uint64_t builds_before) const;
 
   /// `allowed` restricts planning to a machine subset (nullptr == the whole
   /// fleet); used by quarantine-aware solves, which read the mask and
@@ -281,7 +281,7 @@ class PlanEngine {
   /// One walk answers every room. With a particle reduction (uniform w1 and
   /// w2) the candidates are Algorithm 2's (k, segment) entries, best
   /// predicted power first, each subset the top k of its segment's order,
-  /// copied only when probed. When w2 is bitwise uniform the table's head
+  /// copied only when probed. When ParticleSystem::w2_identical the head
   /// scan (ConsolidationTable::scan_head) yields the first candidate and the
   /// runner-up's power; the full ranking is built only when the plan on the
   /// head does not beat that power, and the walk resumes at its second
@@ -320,6 +320,8 @@ class PlanEngine {
   mutable std::unique_ptr<BoundedOptimizer> bounded_;
   mutable std::once_flag consolidator_once_;
   mutable std::unique_ptr<IncrementalConsolidator> consolidator_;  // full mask
+  // The restricted table takes deltas, so its reads refold stale prefix
+  // sums: it is moved and read only under incremental_mu_.
   mutable std::mutex incremental_mu_;
   mutable std::unique_ptr<IncrementalConsolidator> incremental_;
 

@@ -32,8 +32,9 @@
 //     unchanged (the common case for quarantine churn: it changes only
 //     when a class's active count reaches or leaves zero), patched via
 //     apply_membership_delta, which reproduces the unique sorted order a
-//     full rebuild would compute and refolds prefix sums from the first
-//     changed position only.
+//     full rebuild would compute and marks each segment's prefix sums
+//     stale from the first changed position; the first read past it
+//     refolds that tail with the rebuild's own left-to-right adds.
 //
 // Hence: for any churn history ending at active set A, the table equals
 // the one a cold IncrementalConsolidator builds directly at A — verified
@@ -42,12 +43,19 @@
 // Cost, for a room of n machines in D classes: a cold build is O(D^2)
 // divisions plus a sort of at most D^2/2 distinct times, then the segment
 // sorts; a single-machine delta is O(D) divisions and a sort of D times, a
-// linear merge over the raw multiset, and per segment an O(lg n) locate,
-// one erase/insert and a prefix refold of the tail past the changed
-// position. Every per-delta buffer is a grow-only member, so a warm delta
-// allocates nothing. The `engine.incremental.*` metrics expose the
-// hit/rebuild mix; cold builds and queries record the `consolidation.*`
-// metrics.
+// linear merge over the raw multiset, and per segment an O(lg n) locate
+// and one erase/insert. The prefix refold is deferred to the first read
+// past the changed position: a query pays for the tails of the segments
+// it reads there, once per run of deltas, and a segment it never reads
+// there is never re-summed. Every per-delta
+// buffer is a grow-only member, so a warm delta allocates nothing. The
+// `engine.incremental.*` metrics expose the hit/rebuild mix; cold builds
+// and queries record the `consolidation.*` metrics.
+//
+// Threads: a table that has taken a delta refolds on read, so its const
+// queries write. A consolidator that calls set_active must be moved and
+// queried under one lock; one that never does (PlanEngine's full-fleet
+// table) is fully folded and may be queried from any number of threads.
 #pragma once
 
 #include <cstddef>
@@ -111,8 +119,8 @@ class IncrementalConsolidator {
   /// The exact query: the winning choice alone — the head of
   /// rank_all_k_into's ranking — from the table's one head scan, which
   /// stops at an exact power floor (ConsolidationTable::scan_head), instead
-  /// of the full ranking's O(n^2) idle-draw folds, written into a
-  /// caller-owned choice (buffers reused).
+  /// of the full ranking over every k, written into a caller-owned choice
+  /// (buffers reused).
   /// Returns false when no subset is feasible; throws
   /// std::invalid_argument on a negative load.
   bool query_best_into(double load, ConsolidationChoice& out) const;

@@ -41,7 +41,8 @@ TEST(ConsolidationEdge, IdenticalMachinesHaveNoEvents) {
   // All particles coincide: parallel AND co-located -> zero crossings.
   EXPECT_EQ(ec.event_count(), 0u);
   EXPECT_EQ(ec.segment_count(), 1u);
-  expect_tables_identical(ec.table(), reference_table(ec.particles()));
+  expect_tables_identical(ec.particles(), ec.table(),
+                          reference_table(ec.particles()));
   // Queries still work and agree with brute force.
   const BruteForceConsolidator bf(model);
   for (const double frac : {0.1, 0.5, 0.9}) {
@@ -80,7 +81,8 @@ TEST(ConsolidationEdge, SingleMachineFleet) {
   const RoomModel model = make_synthetic_model(o);
   const IncrementalConsolidator ec(share_model(model));
   EXPECT_EQ(ec.event_count(), 0u);
-  expect_tables_identical(ec.table(), reference_table(ec.particles()));
+  expect_tables_identical(ec.particles(), ec.table(),
+                          reference_table(ec.particles()));
   const auto choice = best_of(ec, model.machines[0].capacity * 0.5);
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->k, 1u);

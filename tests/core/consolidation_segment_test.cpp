@@ -118,7 +118,7 @@ TEST(ConsolidationSegment, BreakpointLoadsAgreeAcrossAllQueryPaths) {
       if (k == 0 || k > table.width()) continue;
       // The load that puts the k-subset EXACTLY at this segment's start —
       // the breakpoint where operating_segment tips from s-1 to s.
-      const double load = table.g(k, t_start);
+      const double load = table.g(ps, k, t_start);
       if (load <= 0.0) continue;
       expect_peek_matches_solve(table, ps, model, load, k);
       expect_best_matches_ranking(table, ps, model, load);
@@ -134,7 +134,7 @@ TEST(ConsolidationSegment, BreakpointOperatingSegmentIsSelfConsistent) {
 
   for (size_t s = 0; s < table.segments.size(); ++s) {
     for (size_t k = 1; k <= table.width(); ++k) {
-      const double load = table.g(k, table.segments[s].start);
+      const double load = table.g(ps, k, table.segments[s].start);
       if (load <= 0.0) continue;
       const std::optional<core::ConsolidationChoice> solved =
           table.solve_for_k(ps, model, load, k);

@@ -136,8 +136,8 @@ inline std::vector<ConsolidationChoice> ranking_of(
 inline std::optional<ConsolidationChoice> paper_query(
     const IncrementalConsolidator& cons, double load) {
   const detail::ConsolidationTable& table = cons.table();
-  return query_paper(table, cons.particles(), cons.model(), all_status(table),
-                     load);
+  return query_paper(table, cons.particles(), cons.model(),
+                     all_status(table, cons.particles()), load);
 }
 
 /// ConsolidationTable::query_best_into without its power-floor stop: the
@@ -284,18 +284,29 @@ inline detail::ConsolidationTable reference_table(const ParticleSystem& ps) {
 }
 
 /// Exact double equality throughout: two routes to the same table must
-/// agree to the last bit, not within a tolerance.
-inline void expect_tables_identical(const detail::ConsolidationTable& a,
+/// agree to the last bit, not within a tolerance. Both tables are over
+/// `ps`; prefix sums are read through the folding accessor, so a table with
+/// stale tails compares by the values its queries would read.
+inline void expect_tables_identical(const ParticleSystem& ps,
+                                    const detail::ConsolidationTable& a,
                                     const detail::ConsolidationTable& b) {
   ASSERT_EQ(a.events, b.events);
   ASSERT_EQ(a.segments.size(), b.segments.size());
+  ASSERT_EQ(a.width(), b.width());
   for (size_t s = 0; s < a.segments.size(); ++s) {
     SCOPED_TRACE("segment " + std::to_string(s));
     EXPECT_EQ(a.segments[s].start, b.segments[s].start);
     EXPECT_EQ(a.segments[s].order_time, b.segments[s].order_time);
     EXPECT_EQ(a.segments[s].order, b.segments[s].order);
-    EXPECT_EQ(a.segments[s].prefix_a, b.segments[s].prefix_a);
-    EXPECT_EQ(a.segments[s].prefix_b, b.segments[s].prefix_b);
+    std::vector<double> a_sums;
+    std::vector<double> b_sums;
+    for (size_t k = 0; k <= a.width(); ++k) {
+      const detail::ConsolidationTable::Prefix pa = a.prefix(ps, s, k);
+      const detail::ConsolidationTable::Prefix pb = b.prefix(ps, s, k);
+      a_sums.insert(a_sums.end(), {pa.a, pa.b});
+      b_sums.insert(b_sums.end(), {pb.a, pb.b});
+    }
+    EXPECT_EQ(a_sums, b_sums);
   }
 }
 

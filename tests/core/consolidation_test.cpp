@@ -92,7 +92,8 @@ TEST(Algorithm1, EventAndStatusCounts) {
   // n statuses per segment (the paper's allStatus).
   EXPECT_LE(ec.event_count(), 45u);
   EXPECT_EQ(ec.segment_count(), ec.event_count() + 1);
-  EXPECT_EQ(all_status(ec.table()).size(), ec.segment_count() * 10);
+  EXPECT_EQ(all_status(ec.table(), ec.particles()).size(),
+            ec.segment_count() * 10);
 }
 
 TEST(Algorithm1, PaperFigure1HasTwoOrderChanges) {

@@ -181,7 +181,7 @@ void check_room_into(const Room& r, uint64_t seed, size_t steps,
     ASSERT_EQ(std::bit_cast<uint64_t>(ps.b[i]), std::bit_cast<uint64_t>(r.b[i]));
   }
   EXPECT_EQ(inc.class_count(), distinct_classes(r));
-  expect_tables_identical(inc.table(), reference_table(ps));
+  expect_tables_identical(ps, inc.table(), reference_table(ps));
 
   util::Rng rng(seed);
   std::vector<char> mask(n, 1);
@@ -208,7 +208,7 @@ void check_room_into(const Room& r, uint64_t seed, size_t steps,
       if (mask[i] != 0) ids.push_back(i);
     }
     ASSERT_EQ(inc.active_ids(), ids);
-    expect_tables_identical(inc.table(), reference_table(ps, ids));
+    expect_tables_identical(ps, inc.table(), reference_table(ps, ids));
     if (testing::Test::HasFatalFailure()) return;
   }
 }
@@ -352,9 +352,9 @@ TEST(ConsolidationTablePatch, PatchEqualsReferenceBuild) {
   const detail::ConsolidationTable reduced = reference_table(ps, rest);
   ASSERT_EQ(reduced.events, table.events);
   table.apply_membership_delta(ps, removed, {});
-  expect_tables_identical(table, reduced);
+  expect_tables_identical(ps, table, reduced);
   table.apply_membership_delta(ps, {}, removed);
-  expect_tables_identical(table, reference_table(ps, all));
+  expect_tables_identical(ps, table, reference_table(ps, all));
 }
 
 }  // namespace

@@ -157,6 +157,54 @@ TEST(PlanEngine, WarmReplansPreprocessAlgorithm1ExactlyOnce) {
   EXPECT_EQ(registry.counter("engine.cache.hit").value(), counters.cache_hits);
 }
 
+/// `engine.cache.hit` counts cache reuse: one per solve or rebalance that
+/// built no artifact, however many artifact accessors it called.
+TEST(PlanEngine, EachWarmSolveCountsOneCacheHit) {
+  obs::MetricsRegistry registry;
+  obs::ScopedObservation scope(&registry);
+  const PlanEngine engine(uniform_model());
+  const double capacity = engine.model().total_capacity();
+  SolveScratch& scratch = SolveScratch::local();
+  Allocation alloc;
+  // Warm every artifact: the closed form, the bounded fallback (a low load
+  // over every machine), the consolidation table and a rebalance.
+  engine.solve({Scenario::by_number(6), capacity * 0.5});
+  engine.solve({Scenario::by_number(6), capacity * 0.03});
+  engine.solve({Scenario::by_number(8), capacity * 0.5});
+  ASSERT_TRUE(
+      engine.rebalance_into({0, 1, 2}, capacity * 0.05, scratch, alloc));
+  const EngineCounters warm = engine.counters();
+  ASSERT_GT(warm.cache_misses, 0u);
+
+  // Solves that call several accessors each: consolidation walks (some
+  // restricted), fixed-set splits, a batch, and rebalances.
+  uint64_t calls = 0;
+  for (int step = 1; step <= 9; ++step) {
+    std::vector<size_t> quarantined;
+    if (step % 3 == 0) quarantined = {static_cast<size_t>(step)};
+    engine.solve({Scenario::by_number(step % 2 == 0 ? 6 : 8),
+                  capacity * step / 10.0, quarantined});
+    ++calls;
+  }
+  const std::vector<PlanRequest> requests = {
+      {Scenario::by_number(8), capacity * 0.35},
+      {Scenario::by_number(6), capacity * 0.65}};
+  std::vector<PlanResult> results;
+  engine.solve_batch_into(requests, results, 2);
+  calls += requests.size();
+  for (const double frac : {0.02, 0.04}) {
+    ASSERT_TRUE(
+        engine.rebalance_into({0, 1, 2}, capacity * frac, scratch, alloc));
+    ++calls;
+  }
+
+  const EngineCounters after = engine.counters();
+  EXPECT_EQ(after.cache_hits - warm.cache_hits, calls);
+  EXPECT_EQ(after.cache_misses, warm.cache_misses);
+  EXPECT_EQ(registry.counter("engine.cache.hit").value(), after.cache_hits);
+  EXPECT_EQ(registry.counter("engine.cache.miss").value(), after.cache_misses);
+}
+
 TEST(PlanEngine, SharedEngineKeepsOneEventTableAcrossPlanners) {
   obs::MetricsRegistry registry;
   obs::ScopedObservation scope(&registry);
@@ -374,11 +422,12 @@ void for_each_ranked_head_room(Visit&& visit) {
         }
         const detail::ConsolidationTable& table =
             engine.consolidator()->table();
+        const ParticleSystem& ps = engine.consolidator()->particles();
         const size_t stride = 1 + table.segments.size() / 12;
         for (size_t si = 0; si < table.segments.size(); si += stride) {
           for (const size_t k : {size_t{1}, size_t{2}, table.width() / 2,
                                  table.width()}) {
-            const double load = table.g(k, table.segments[si].start);
+            const double load = table.g(ps, k, table.segments[si].start);
             if (load > 0.0 && load < capacity) loads.push_back(load);
           }
         }

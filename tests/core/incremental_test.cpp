@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -105,7 +107,7 @@ void run_churn(const RoomModel& room, uint64_t seed, size_t steps,
     IncrementalConsolidator rebuilt(model);
     rebuilt.set_active(mask);
     ASSERT_EQ(inc.active_ids(), rebuilt.active_ids());
-    expect_tables_identical(inc.table(), rebuilt.table());
+    expect_tables_identical(inc.particles(), inc.table(), rebuilt.table());
     for (const double frac : {0.25, 0.6, 0.9}) {
       const std::vector<ConsolidationChoice> ranked =
           ranking_of(inc, frac * capacity);
@@ -130,6 +132,111 @@ TEST(IncrementalConsolidator, SkuChurnMatchesColdRebuildBitForBit) {
 
 TEST(IncrementalConsolidator, DiverseChurnMatchesColdRebuildBitForBit) {
   run_churn(diverse_model(16, 29), /*seed=*/77, /*steps=*/40, nullptr);
+}
+
+/// An IncrementalConsolidator cold-built at `mask`: moving it there from a
+/// one-machine set is a delta over most of the fleet, which set_active
+/// answers with a cold build.
+IncrementalConsolidator cold_at(const SharedRoomModel& model,
+                                const std::vector<char>& mask) {
+  IncrementalConsolidator cold(model);
+  std::vector<char> one(mask.size(), 0);
+  one[0] = 1;
+  EXPECT_TRUE(cold.set_active(one).cold_rebuild);
+  EXPECT_TRUE(cold.set_active(mask).cold_rebuild);
+  return cold;
+}
+
+void expect_same_bits(double a, double b, const char* what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b)) << what;
+}
+
+/// A delta leaves each segment's prefix sums stale from its first changed
+/// position, and only the first read past it refolds them. A one-machine
+/// quarantine walk on an SKU room (8 classes over 400 slots) runs two or
+/// three deltas between some reads, so a segment's watermark must drop to
+/// the lowest position any of them changed; the head query reads a few
+/// segments, leaving the rest stale across reads too. At every read the
+/// head and each ranking entry must be a cold build's to the bit, and the
+/// table, folded at the end, must equal it.
+TEST(IncrementalConsolidator, DeferredRefoldSurvivesRunsOfUnreadDeltas) {
+  const SharedRoomModel model = share_model(sku_model(400, 8, 17));
+  const size_t n = model->size();
+  const double capacity = model->total_capacity();
+  IncrementalConsolidator inc(model);
+  std::vector<char> mask(n, 1);
+  util::Rng rng(2718);
+  size_t deltas = 0;
+  size_t fast_paths = 0;
+  size_t unread_runs = 0;
+  for (size_t read = 0; read < 40; ++read) {
+    SCOPED_TRACE("read " + std::to_string(read));
+    const size_t run = 1 + static_cast<size_t>(rng.next_u64() % 3);
+    if (run > 1) ++unread_runs;
+    for (size_t d = 0; d < run; ++d) {
+      mask[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
+      const IncrementalApplyStats stats = inc.set_active(mask);
+      ASSERT_EQ(stats.removed + stats.restored, 1u);
+      ++deltas;
+      if (!stats.cold_rebuild && !stats.events_changed) ++fast_paths;
+    }
+    const IncrementalConsolidator cold = cold_at(model, mask);
+    const double load = rng.uniform(0.05, 0.95) * capacity;
+
+    // The head first: it reads the fewest segments.
+    ConsolidationChoice got;
+    ConsolidationChoice want;
+    const bool found = inc.query_best_into(load, got);
+    ASSERT_EQ(found, cold.query_best_into(load, want)) << "load " << load;
+    if (found) {
+      EXPECT_EQ(got.k, want.k);
+      EXPECT_EQ(got.segment, want.segment);
+      EXPECT_EQ(got.on_set, want.on_set);
+      expect_same_bits(got.t_param, want.t_param, "t_param");
+      expect_same_bits(got.predicted_total_power_w,
+                       want.predicted_total_power_w, "power");
+    }
+    std::vector<RankEntry> got_ranked;
+    std::vector<RankEntry> want_ranked;
+    inc.rank_all_k_into(load, got_ranked);
+    cold.rank_all_k_into(load, want_ranked);
+    ASSERT_EQ(got_ranked.size(), want_ranked.size());
+    for (size_t i = 0; i < got_ranked.size(); ++i) {
+      SCOPED_TRACE("entry " + std::to_string(i));
+      EXPECT_EQ(got_ranked[i].k, want_ranked[i].k);
+      EXPECT_EQ(got_ranked[i].segment, want_ranked[i].segment);
+      expect_same_bits(got_ranked[i].predicted_total_power_w,
+                       want_ranked[i].predicted_total_power_w, "power");
+    }
+    if (testing::Test::HasFailure()) return;
+  }
+  // Premises: runs of unread deltas happened, and they patched orders
+  // (the path that defers the refold) rather than re-sorting segments.
+  EXPECT_GT(unread_runs, 10u);
+  EXPECT_EQ(fast_paths, deltas);
+  expect_tables_identical(inc.particles(), inc.table(),
+                          cold_at(model, mask).table());
+}
+
+/// The ranking folds the subset idle draw as a running sum only when every
+/// w2 is the same double; a room whose w2 agree only within the uniformity
+/// tolerance sums each subset machine by machine. Either way each entry's
+/// power is make_choice_into's to the bit (ranking_of checks it).
+TEST(IncrementalConsolidator, RankingPowersMatchChoicesWhateverTheW2Bits) {
+  RoomModel room = sku_model(40, 4, 23);
+  for (const bool identical : {true, false}) {
+    SCOPED_TRACE(identical ? "identical w2" : "w2 within tolerance");
+    if (!identical) {
+      for (size_t i = 1; i < room.size(); i += 2) {
+        room.machines[i].power.w2 *= 1.0 + 1e-9;
+      }
+    }
+    const IncrementalConsolidator cons(share_model(room));
+    ASSERT_EQ(cons.particles().w2_identical, identical);
+    for (const double frac : {0.2, 0.5, 0.8}) {
+      EXPECT_FALSE(ranking_of(cons, frac * room.total_capacity()).empty());
+    }
+  }
 }
 
 TEST(IncrementalConsolidator, BadMaskSizeNamesBothCounts) {

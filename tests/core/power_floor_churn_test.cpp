@@ -44,14 +44,14 @@ void check_churn(const RoomModel& room, uint64_t seed, size_t steps) {
     }
     const detail::ConsolidationTable& table = cons.table();
     const size_t width = table.width();
-    const double most = table.g(width, ps.t_lo);
+    const double most = table.g(ps, width, ps.t_lo);
     std::vector<double> loads = {0.0, most};
     for (const double f : {0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95}) {
       loads.push_back(f * most);
     }
     for (const size_t k : {size_t{1}, (width + 1) / 2, width}) {
       const size_t s = static_cast<size_t>(rng.next_u64() % table.segments.size());
-      loads.push_back(table.g_in(s, k, table.segments[s].start));
+      loads.push_back(table.g_in(ps, s, k, table.segments[s].start));
     }
     for (const double load : loads) {
       if (!(load >= 0.0)) continue;

@@ -39,20 +39,20 @@ std::vector<double> probe_loads(const IncrementalConsolidator& cons) {
   const size_t n = table.width();
   const size_t ks[] = {1, (n + 1) / 2, n};
   std::vector<double> loads = {0.0, cons.model().total_capacity(),
-                               table.g(n, ps.t_lo)};
+                               table.g(ps, n, ps.t_lo)};
   const size_t step = std::max<size_t>(1, table.segments.size() / 12);
   for (size_t s = 0; s < table.segments.size(); s += step) {
     for (const size_t k : ks) {
-      loads.push_back(table.g_in(s, k, table.segments[s].start));
+      loads.push_back(table.g_in(ps, s, k, table.segments[s].start));
     }
   }
   for (const size_t k : ks) {
-    const double pinned = table.g(k, ps.t_hi);
+    const double pinned = table.g(ps, k, ps.t_hi);
     loads.push_back(pinned);
     loads.push_back(0.5 * pinned);
   }
   for (const double f : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-    loads.push_back(f * table.g(n, ps.t_lo));
+    loads.push_back(f * table.g(ps, n, ps.t_lo));
   }
   std::erase_if(loads, [](double l) { return !(l >= 0.0) || !std::isfinite(l); });
   return loads;

@@ -43,15 +43,16 @@ std::optional<ConsolidationChoice> evaluate_consolidation_subset(
   return choice;
 }
 
-std::vector<PaperStatus> all_status(const detail::ConsolidationTable& table) {
+std::vector<PaperStatus> all_status(const detail::ConsolidationTable& table,
+                                    const ParticleSystem& ps) {
   const uint32_t n = static_cast<uint32_t>(table.width());
   std::vector<PaperStatus> statuses;
   statuses.reserve(table.segments.size() * n);
   for (uint32_t s = 0; s < table.segments.size(); ++s) {
-    const detail::ConsolidationTable::Segment& seg = table.segments[s];
+    const double start = table.segments[s].start;
     for (uint32_t k = 1; k <= n; ++k) {
-      statuses.push_back(
-          PaperStatus{seg.prefix_a[k] - seg.start * seg.prefix_b[k], s, k});
+      const detail::ConsolidationTable::Prefix p = table.prefix(ps, s, k);
+      statuses.push_back(PaperStatus{p.a - start * p.b, s, k});
     }
   }
   std::sort(statuses.begin(), statuses.end(),
@@ -75,10 +76,9 @@ std::optional<ConsolidationChoice> query_paper(
     // Walk forward past statuses whose subset violates the actuation
     // bounds (the paper has no such bounds; with them the first hit can be
     // infeasible).
-    const detail::ConsolidationTable::Segment& seg =
-        table.segments[cand->segment];
-    const double t_subset =
-        (seg.prefix_a[cand->k] - load) / seg.prefix_b[cand->k];
+    const detail::ConsolidationTable::Prefix p =
+        table.prefix(ps, cand->segment, cand->k);
+    const double t_subset = (p.a - load) / p.b;
     if (t_subset < ps.t_lo - kFeasEps) continue;
     ConsolidationChoice choice;
     table.make_choice_into(ps, model, cand->segment, cand->k, load, choice);

@@ -61,8 +61,9 @@ struct PaperStatus {
 
 /// The paper's allStatus list for a table: one (segment start, k) entry per
 /// segment and k, sorted by Lmax — Algorithm 2's index (segments x width()
-/// entries).
-std::vector<PaperStatus> all_status(const detail::ConsolidationTable& table);
+/// entries). `ps` is the particle system the table was built over.
+std::vector<PaperStatus> all_status(const detail::ConsolidationTable& table,
+                                    const ParticleSystem& ps);
 
 /// The paper's Algorithm 2: binary search over an all_status() list of
 /// `table`. O(lg n) per query once the list is built; the reference the
