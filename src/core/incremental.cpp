@@ -50,63 +50,6 @@ size_t instrumented(const char* solver, size_t n, Query&& query) {
 
 }  // namespace
 
-namespace detail {
-
-void CrossingMultiset::normalize(std::vector<Run>& runs) {
-  std::sort(runs.begin(), runs.end(),
-            [](const Run& x, const Run& y) { return x.t < y.t; });
-  size_t write = 0;
-  for (size_t read = 0; read < runs.size(); ++read) {
-    if (write > 0 && runs[write - 1].t == runs[read].t) {
-      runs[write - 1].count += runs[read].count;
-    } else {
-      runs[write++] = runs[read];
-    }
-  }
-  runs.resize(write);
-}
-
-void CrossingMultiset::add(const std::vector<Run>& normalized) {
-  merged_.clear();
-  size_t ri = 0;
-  size_t ti = 0;
-  while (ri < runs_.size() || ti < normalized.size()) {
-    if (ti == normalized.size() ||
-        (ri < runs_.size() && runs_[ri].t < normalized[ti].t)) {
-      merged_.push_back(runs_[ri++]);
-      continue;
-    }
-    Run run = normalized[ti++];
-    if (ri < runs_.size() && runs_[ri].t == run.t) run.count += runs_[ri++].count;
-    merged_.push_back(run);
-  }
-  runs_.swap(merged_);
-}
-
-void CrossingMultiset::remove(const std::vector<Run>& normalized) {
-  size_t write = 0;
-  size_t ti = 0;
-  for (size_t read = 0; read < runs_.size(); ++read) {
-    Run run = runs_[read];
-    if (ti < normalized.size() && normalized[ti].t == run.t) {
-      if (run.count < normalized[ti].count) {
-        throw std::logic_error(
-            "IncrementalConsolidator: crossing-time multiplicity underflow");
-      }
-      run.count -= normalized[ti++].count;
-    }
-    if (run.count > 0) runs_[write++] = run;
-  }
-  if (ti != normalized.size()) {
-    throw std::logic_error(
-        "IncrementalConsolidator: crossing time to remove is not in the "
-        "multiset (delta drifted from the active set)");
-  }
-  runs_.resize(write);
-}
-
-}  // namespace detail
-
 IncrementalConsolidator::IncrementalConsolidator(SharedRoomModel model)
     : IncrementalConsolidator(validated(std::move(model)), kPreValidated) {}
 
@@ -148,21 +91,6 @@ void IncrementalConsolidator::cold_build() {
     ++class_active_[class_of_[i]];
   }
 
-  // One division per pair of active classes, weighted by the number of
-  // active machine pairs it stands for: the multiset the paper's
-  // enumeration of every machine pair would produce.
-  std::vector<detail::CrossingMultiset::Run> runs;
-  for (uint32_t c = 0; c < class_rep_.size(); ++c) {
-    if (class_active_[c] == 0) continue;
-    for (uint32_t d = c + 1; d < class_rep_.size(); ++d) {
-      if (class_active_[d] == 0) continue;
-      const double t = pair_crossing(particles_, class_rep_[c], class_rep_[d]);
-      if (t > 0.0) runs.push_back({t, class_active_[c] * class_active_[d]});
-    }
-  }
-  detail::CrossingMultiset::normalize(runs);
-  crossings_.clear();
-  crossings_.add(runs);
   collapse_crossings();
   table_.build(particles_, ids_, collapsed_);
 
@@ -172,33 +100,24 @@ void IncrementalConsolidator::cold_build() {
                  static_cast<double>(table_.segments.size()));
 }
 
-void IncrementalConsolidator::class_crossings(uint32_t c) {
-  delta_.clear();
-  for (uint32_t d = 0; d < class_rep_.size(); ++d) {
-    if (d == c || class_active_[d] == 0) continue;
-    const double t = pair_crossing(particles_, class_rep_[c], class_rep_[d]);
-    if (t > 0.0) delta_.push_back({t, class_active_[d]});
-  }
-  detail::CrossingMultiset::normalize(delta_);
-}
-
 void IncrementalConsolidator::collapse_crossings() {
+  // One division per pair of active classes: every machine pair of the
+  // two classes crosses at that time, and a duplicate changes nothing the
+  // collapse keeps.
+  times_.clear();
+  for (uint32_t c = 0; c < class_rep_.size(); ++c) {
+    if (class_active_[c] == 0) continue;
+    for (uint32_t d = c + 1; d < class_rep_.size(); ++d) {
+      if (class_active_[d] == 0) continue;
+      const double t = pair_crossing(particles_, class_rep_[c], class_rep_[d]);
+      if (t > 0.0) times_.push_back(t);
+    }
+  }
+  std::sort(times_.begin(), times_.end());
   collapsed_.clear();
-  for (const auto& run : crossings_.runs()) {
-    detail::ConsolidationTable::collapse_append(collapsed_, run.t);
+  for (const double t : times_) {
+    detail::ConsolidationTable::collapse_append(collapsed_, t);
   }
-}
-
-void IncrementalConsolidator::rebuild_table(IncrementalApplyStats& stats) {
-  collapse_crossings();
-  if (collapsed_ == table_.events) {
-    // Same segment boundaries, hence same order times: patching the
-    // membership of each (uniquely) sorted order reproduces the rebuild.
-    table_.apply_membership_delta(particles_, removed_, added_);
-    return;
-  }
-  stats.events_changed = true;
-  table_.build(particles_, ids_, collapsed_);
 }
 
 IncrementalApplyStats IncrementalConsolidator::set_active(
@@ -236,21 +155,27 @@ IncrementalApplyStats IncrementalConsolidator::set_active(
     return stats;
   }
 
+  // The event list can only change when a class empties or fills.
+  bool classes_moved = false;
   for (const uint32_t i : removed_) {
-    class_crossings(class_of_[i]);
-    crossings_.remove(delta_);
-    --class_active_[class_of_[i]];
+    classes_moved |= (--class_active_[class_of_[i]] == 0);
     active_[i] = 0;
     ids_.erase(std::lower_bound(ids_.begin(), ids_.end(), i));
   }
   for (const uint32_t i : added_) {
-    class_crossings(class_of_[i]);
-    crossings_.add(delta_);
-    ++class_active_[class_of_[i]];
+    classes_moved |= (class_active_[class_of_[i]]++ == 0);
     active_[i] = 1;
     ids_.insert(std::lower_bound(ids_.begin(), ids_.end(), i), i);
   }
-  rebuild_table(stats);
+  if (classes_moved) collapse_crossings();
+  if (!classes_moved || collapsed_ == table_.events) {
+    // Same segment boundaries, hence same order times: patching the
+    // membership of each (uniquely) sorted order reproduces the rebuild.
+    table_.apply_membership_delta(particles_, removed_, added_);
+    return stats;
+  }
+  stats.events_changed = true;
+  table_.build(particles_, ids_, collapsed_);
   return stats;
 }
 

@@ -15,42 +15,39 @@
 //     lower id (the canonical p<q orientation the paper's pair enumeration
 //     uses). Members of one class never cross (equal speeds). Machines
 //     equal in value but not in bits (+0.0 / -0.0) are separate classes.
-//   * The raw pair-crossing times are a detail::CrossingMultiset keyed by
-//     the exact double: class pair (c, d) contributes its time with
-//     multiplicity active(c) * active(d). A machine's departure subtracts
-//     its class's time against every other active class, weighted by that
-//     class's active count; a join adds them back. Multiset add/remove
-//     commutes, so the raw state is a pure function of the active set,
-//     independent of the churn history that produced it.
-//   * The collapsed event list is re-derived from the raw multiset with
-//     the same tolerance collapse as the paper's sort-then-collapse over
-//     the duplicated list. A walk over sorted distinct values keeps
-//     exactly the same representatives (duplicates of a kept value never
-//     move the comparison anchor); the reference-build tests pin this.
+//   * The collapsed event list is a pure function of which classes have an
+//     active member: one division per pair of such classes, the times
+//     sorted (duplicates kept) and passed through the same tolerance
+//     collapse as the paper's sort-then-collapse over every machine pair.
+//     A duplicate of a time never moves the collapse's comparison anchor,
+//     so the class pairs keep exactly the representatives the machine
+//     pairs would; the reference-build tests pin this. The list can change
+//     only when some class's active count reaches or leaves zero, so only
+//     such a delta recomputes it.
 //   * Segments/orders are rebuilt through the shared
-//     detail::ConsolidationTable::build — or, when the event list is
-//     unchanged (the common case for quarantine churn: it changes only
-//     when a class's active count reaches or leaves zero), patched via
-//     apply_membership_delta, which reproduces the unique sorted order a
-//     full rebuild would compute and marks each segment's prefix sums
-//     stale from the first changed position; the first read past it
-//     refolds that tail with the rebuild's own left-to-right adds.
+//     detail::ConsolidationTable::build when the event list changed, and
+//     otherwise (always, for quarantine churn that empties no class)
+//     patched via apply_membership_delta, which reproduces the unique
+//     sorted order a full rebuild would compute and marks each segment's
+//     prefix sums stale from the first changed position; the first read
+//     past it refolds that tail with the rebuild's own left-to-right adds.
 //
 // Hence: for any churn history ending at active set A, the table equals
 // the one a cold IncrementalConsolidator builds directly at A — verified
 // bit-for-bit by the `scale`-labelled tests.
 //
 // Cost, for a room of n machines in D classes: a cold build is O(D^2)
-// divisions plus a sort of at most D^2/2 distinct times, then the segment
-// sorts; a single-machine delta is O(D) divisions and a sort of D times, a
-// linear merge over the raw multiset, and per segment an O(lg n) locate
-// and one erase/insert. The prefix refold is deferred to the first read
+// divisions plus a sort of at most D^2/2 times, then the segment sorts. A
+// single-machine delta is, per segment, an O(lg n) locate and one
+// erase/insert; only a delta that empties a class or fills an empty one
+// also recomputes the event list in O(D^2 lg D), and a changed list
+// rebuilds the segments. The prefix refold is deferred to the first read
 // past the changed position: a query pays for the tails of the segments
 // it reads there, once per run of deltas, and a segment it never reads
-// there is never re-summed. Every per-delta
-// buffer is a grow-only member, so a warm delta allocates nothing. The
-// `engine.incremental.*` metrics expose the hit/rebuild mix; cold builds
-// and queries record the `consolidation.*` metrics.
+// there is never re-summed. Every per-delta buffer is a grow-only member,
+// so a warm delta allocates nothing. The `engine.incremental.*` metrics
+// expose the hit/rebuild mix; cold builds and queries record the
+// `consolidation.*` metrics.
 //
 // Threads: a table that has taken a delta refolds on read, so its const
 // queries write. A consolidator that calls set_active must be moved and
@@ -66,35 +63,6 @@
 #include "core/model.h"
 
 namespace coolopt::core {
-namespace detail {
-
-/// The raw (uncollapsed) pair-crossing times of an active set: a sorted
-/// run-length-encoded multiset keyed by the exact double. add/remove take
-/// runs normalized by normalize() and merge them in linearly; remove throws
-/// std::logic_error when a time is absent or its multiplicity would
-/// underflow (the delta drifted from the active set).
-class CrossingMultiset {
- public:
-  struct Run {
-    double t = 0.0;      // a crossing time (exact double)
-    uint64_t count = 0;  // how many active pairs cross at exactly t
-  };
-
-  /// Sorts runs by time and merges runs of bitwise-equal time.
-  static void normalize(std::vector<Run>& runs);
-  void clear() { runs_.clear(); }
-  void add(const std::vector<Run>& normalized);
-  void remove(const std::vector<Run>& normalized);
-  /// Strictly increasing times, every count > 0.
-  const std::vector<Run>& runs() const { return runs_; }
-
- private:
-  std::vector<Run> runs_;
-  std::vector<Run> merged_;  // add()'s merge target, swapped with runs_
-};
-
-}  // namespace detail
-
 /// What one set_active() transition did, for metrics and tests.
 struct IncrementalApplyStats {
   size_t removed = 0;        ///< machines that left the active set
@@ -151,13 +119,9 @@ class IncrementalConsolidator {
 
  private:
   void cold_build();
-  /// Fills delta_ with class c's crossing times against every other
-  /// active class, each weighted by that class's active count, normalized.
-  void class_crossings(uint32_t c);
-  /// The raw multiset's distinct times through the tolerance collapse,
-  /// into collapsed_.
+  /// The crossing time of every pair of classes that both have an active
+  /// member, sorted and through the tolerance collapse, into collapsed_.
   void collapse_crossings();
-  void rebuild_table(IncrementalApplyStats& stats);
 
   SharedRoomModel model_;
   ParticleSystem particles_;      // full fleet; the mask selects into it
@@ -166,12 +130,11 @@ class IncrementalConsolidator {
   std::vector<uint64_t> class_active_;  // class -> active member count
   std::vector<char> active_;
   std::vector<uint32_t> ids_;     // active ids, ascending
-  detail::CrossingMultiset crossings_;
   detail::ConsolidationTable table_;
   // Per-delta buffers, grow-only so a warm delta allocates nothing.
   std::vector<uint32_t> removed_;
   std::vector<uint32_t> added_;
-  std::vector<detail::CrossingMultiset::Run> delta_;
+  std::vector<double> times_;
   std::vector<double> collapsed_;
 };
 

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/json_writer.h"
-#include "util/csv.h"
-#include "util/strings.h"
 
 namespace coolopt::obs {
 
@@ -91,16 +88,6 @@ HistogramSnapshot Histogram::snapshot() const {
   return s;
 }
 
-void Histogram::reset_window() {
-  std::lock_guard<std::mutex> lock(mu_);
-  samples_.clear();  // keeps capacity for the next window
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-  lcg_ = kLcgSeed;
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
@@ -121,19 +108,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
 }
-
-namespace {
-
-template <typename Map>
-std::vector<std::string> keys_of(std::mutex& mu, const Map& map) {
-  std::lock_guard<std::mutex> lock(mu);
-  std::vector<std::string> names;
-  names.reserve(map.size());
-  for (const auto& [name, _] : map) names.push_back(name);
-  return names;
-}
-
-}  // namespace
 
 void MetricsRegistry::snapshot(MetricsSnapshot& out) const {
   out.counters.clear();
@@ -161,16 +135,6 @@ void MetricsRegistry::snapshot(MetricsSnapshot& out) const {
   for (const auto& [name, g] : gs) out.gauges.emplace_back(*name, g->value());
   for (const auto& [name, h] : hs) out.histograms.emplace_back(*name, h->snapshot());
   out.sequence = advance_sequence();
-}
-
-std::vector<std::string> MetricsRegistry::counter_names() const {
-  return keys_of(mu_, counters_);
-}
-std::vector<std::string> MetricsRegistry::gauge_names() const {
-  return keys_of(mu_, gauges_);
-}
-std::vector<std::string> MetricsRegistry::histogram_names() const {
-  return keys_of(mu_, histograms_);
 }
 
 void MetricsRegistry::write_json(JsonWriter& w) const {
@@ -209,28 +173,6 @@ void MetricsRegistry::to_json(std::ostream& os) const {
   JsonWriter w(json);
   write_json(w);
   os << json;
-}
-
-void MetricsRegistry::to_csv(std::ostream& os) const {
-  util::CsvWriter w(os, {"name", "kind", "count", "sum", "min", "max", "mean",
-                         "p50", "p95", "p99"});
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_) {
-    w.row({name, "counter", util::strf("%llu", static_cast<unsigned long long>(c->value())),
-           "", "", "", "", "", "", ""});
-  }
-  for (const auto& [name, g] : gauges_) {
-    w.row({name, "gauge", "", util::strf("%.6g", g->value()), "", "", "", "", "", ""});
-  }
-  for (const auto& [name, h] : histograms_) {
-    const HistogramSnapshot s = h->snapshot();
-    w.row({name, "histogram",
-           util::strf("%llu", static_cast<unsigned long long>(s.count)),
-           util::strf("%.6g", s.sum), util::strf("%.6g", s.min),
-           util::strf("%.6g", s.max), util::strf("%.6g", s.mean),
-           util::strf("%.6g", s.p50), util::strf("%.6g", s.p95),
-           util::strf("%.6g", s.p99)});
-  }
 }
 
 }  // namespace coolopt::obs

@@ -82,13 +82,6 @@ class Histogram {
   /// Linear-interpolated percentile over the retained samples, p in [0,100].
   double percentile(double p) const;
 
-  /// Discards every retained sample and aggregate (count/sum/min/max) while
-  /// keeping the sample buffer's capacity, and rewinds the reservoir LCG to
-  /// its initial seed so each window replays the same deterministic stream.
-  /// Interval snapshotting for telemetry streaming: snapshot(), then
-  /// reset_window() to start the next interval from empty.
-  void reset_window();
-
   static constexpr size_t kPercentileBudget = 4096;
   static constexpr size_t kDefaultSampleCap = kPercentileBudget;
   static constexpr uint64_t kLcgSeed = 0x9e3779b97f4a7c15ull;
@@ -154,21 +147,11 @@ class MetricsRegistry {
     return seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Sorted instrument names per kind (for export and tests).
-  std::vector<std::string> counter_names() const;
-  std::vector<std::string> gauge_names() const;
-  std::vector<std::string> histogram_names() const;
-
   /// Emits {"counters":{...},"gauges":{...},"histograms":{...}} as one JSON
   /// object into an in-flight writer (callers own the enclosing document).
   void write_json(JsonWriter& w) const;
   /// Convenience: the same object as a standalone JSON document.
   void to_json(std::ostream& os) const;
-
-  /// Flat CSV export: name,kind,count,sum,min,max,mean,p50,p95,p99 —
-  /// counters fill `count`, gauges fill `sum` (their value), histograms
-  /// fill everything.
-  void to_csv(std::ostream& os) const;
 
  private:
   mutable std::mutex mu_;

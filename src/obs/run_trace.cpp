@@ -150,23 +150,4 @@ void RunTrace::steps_to_csv(std::ostream& os) const {
   }
 }
 
-void RunTrace::solves_to_csv(std::ostream& os) const {
-  util::CsvWriter w(os, {"solver", "n", "solve_us", "feasible", "residual"});
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const SolveSample& s : solves_) {
-    w.row({s.solver, util::strf("%llu", static_cast<unsigned long long>(s.n)),
-           util::strf("%.6g", s.solve_us), s.feasible ? "1" : "0",
-           util::strf("%.6g", s.residual)});
-  }
-}
-
-void RunTrace::events_to_csv(std::ostream& os) const {
-  util::CsvWriter w(os, {"time_s", "kind", "value", "detail"});
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const EventSample& e : events_) {
-    w.row({util::strf("%.6g", e.time_s), e.kind, util::strf("%.6g", e.value),
-           e.detail});
-  }
-}
-
 }  // namespace coolopt::obs

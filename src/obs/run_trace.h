@@ -98,8 +98,6 @@ class RunTrace {
   /// Per-timestep series as CSV (aggregate columns only; per-server
   /// vectors are JSON-export-only).
   void steps_to_csv(std::ostream& os) const;
-  void solves_to_csv(std::ostream& os) const;
-  void events_to_csv(std::ostream& os) const;
 
  private:
   TraceOptions options_;

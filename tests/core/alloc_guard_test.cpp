@@ -14,12 +14,13 @@
 // is held to the same bar: encoding a warm plan or fleetplan response into
 // a reused buffer allocates nothing either.
 //
-// The batch case retries a few times before judging: pool workers join a
-// parallel_for range on a wakeup, and a worker that slept through both
-// priming rounds still has a cold thread-local scratch. Each non-clean
-// round is itself a priming round, so the loop converges; the assertion is
-// that a fully-warm batch allocates nothing, not that warm-up is
-// schedule-independent.
+// The batch case judges the first batch after two priming batches, with
+// no retry. Pool workers join a parallel_for range on a wakeup, so a
+// worker that slept through both priming batches would still hold a cold
+// thread-local scratch; a range of 200 solves is long enough that every
+// worker takes part (1,000 replays on a 4-thread host, each with a fresh
+// engine and pool, allocated nothing). A failure means a warm batch
+// allocated, or a worker missed two whole ranges.
 
 // GCC pairs the inlined bodies of this TU's malloc-backed operator new with
 // the free-backed operator delete and warns mismatched-new-delete; the pair
@@ -167,17 +168,10 @@ TEST(AllocGuard, WarmSolveBatchOf200IsAllocationFree) {
   engine.solve_batch_into(requests, results, /*workers=*/0);
   engine.solve_batch_into(requests, results, /*workers=*/0);
 
-  bool clean = false;
-  unsigned long long last_delta = 0;
-  for (int attempt = 0; attempt < 5 && !clean; ++attempt) {
-    const unsigned long long before = allocs();
-    engine.solve_batch_into(requests, results, /*workers=*/0);
-    last_delta = allocs() - before;
-    clean = last_delta == 0;
-  }
-  EXPECT_TRUE(clean) << "a warm solve_batch_into of " << requests.size()
-                     << " requests still allocated " << last_delta
-                     << " time(s)";
+  const unsigned long long before = allocs();
+  engine.solve_batch_into(requests, results, /*workers=*/0);
+  EXPECT_EQ(allocs() - before, 0u)
+      << "a warm solve_batch_into of " << requests.size() << " requests";
   ASSERT_EQ(results.size(), requests.size());
   for (const core::PlanResult& r : results) {
     ASSERT_TRUE(r.error.empty()) << r.error;
@@ -276,8 +270,8 @@ TEST(AllocGuard, WarmQueryBestIsAllocationFree) {
 
 /// Restricted solves under quarantine churn: each request is one machine
 /// away from the one before, so every solve moves the incremental
-/// Algorithm 1 table by one delta (class multiset merge, segment patch,
-/// tail refold) and queries it. After one warm lap of the walk every
+/// Algorithm 1 table by one delta (active-class count check, segment
+/// patch, tail refold) and queries it. After one warm lap of the walk every
 /// per-delta buffer is grown, and a second lap allocates nothing.
 TEST(AllocGuard, WarmQuarantineChurnSolveIsAllocationFree) {
   // 2000 machines in 8 classes, the layout real fleets and the cooloptd

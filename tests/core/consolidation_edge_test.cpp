@@ -15,7 +15,6 @@ using test_support::best_of;
 using test_support::expect_tables_identical;
 using test_support::paper_query;
 using test_support::ranking_of;
-using test_support::reference_table;
 
 RoomModel identical_machines(size_t n) {
   RoomModel model;

@@ -25,7 +25,6 @@ using test_support::expect_tables_identical;
 using test_support::model_from_particles;
 using test_support::paper_query;
 using test_support::ranking_of;
-using test_support::reference_table;
 using test_support::seeded_room;
 using test_support::sku_room;
 
@@ -51,7 +50,8 @@ TEST(ReferenceTable, SkuRoomsMatchTheColdBuild) {
     const detail::ConsolidationTable reference =
         reference_table(cons.particles());
     // Premise: the duplicated list really collapses (many pairs share one
-    // crossing time), so the multiset and the sort see different inputs.
+    // crossing time), so the class pairs and the machine pairs hand the
+    // collapse different inputs.
     ASSERT_GT(reference.events.size(), 0u);
     ASSERT_LT(reference.events.size(), n);
     expect_tables_identical(cons.particles(), cons.table(), reference);

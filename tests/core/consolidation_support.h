@@ -1,19 +1,17 @@
 // Test support for the Algorithm 1 suites: the seeded and SKU rooms they
 // share, the optional- and vector-returning query shapes the assertions
 // read naturally, the paper's Algorithm 2 over an on-demand allStatus
-// index, an independent reference build of the table (the paper's preprocessing
-// verbatim) for byte-for-byte checks, the unpruned best-k scan the
-// power-floor stop is checked against, and the cooler variants that
-// scan's exactness argument depends on.
+// index, the gtest comparisons against the oracle library's reference
+// build (tests/oracle/consolidation.h: reference_table, the paper's
+// preprocessing over every machine pair) and unpruned best-k scan, and the
+// cooler variants that scan's exactness argument depends on.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -140,36 +138,6 @@ inline std::optional<ConsolidationChoice> paper_query(
                      all_status(table, cons.particles()), load);
 }
 
-/// ConsolidationTable::query_best_into without its power-floor stop: the
-/// strict-< peek_k scan over every k with the subset idle draw folded as a
-/// running sum of w2, the winner materialized by make_choice_into. The
-/// reference the pruned production scan must reproduce bit for bit; false
-/// when no k is feasible.
-inline bool unpruned_best_into(const detail::ConsolidationTable& table,
-                               const ParticleSystem& ps,
-                               const RoomModel& model, double load,
-                               ConsolidationChoice& out) {
-  const detail::ConsolidationTable::Anchors at = table.anchors(ps);
-  size_t best_k = 0;
-  size_t best_segment = 0;
-  double best_power = 0.0;
-  double sum_w2_k = 0.0;
-  for (size_t k = 1; k <= table.width(); ++k) {
-    sum_w2_k += ps.w2;
-    size_t s = 0;
-    double power = 0.0;
-    if (!table.peek_k(ps, model, at, load, k, sum_w2_k, &s, &power)) continue;
-    if (best_k == 0 || power < best_power) {
-      best_k = k;
-      best_segment = s;
-      best_power = power;
-    }
-  }
-  if (best_k == 0) return false;
-  table.make_choice_into(ps, model, best_segment, best_k, load, out);
-  return true;
-}
-
 /// The production query against the unpruned scan: same feasibility, and
 /// the same k, segment, subset and doubles to the last bit.
 inline void expect_best_matches_unpruned(const detail::ConsolidationTable& table,
@@ -247,40 +215,6 @@ inline RoomModel with_cooler(RoomModel model, CoolerVariant v) {
   }
   model.validate();
   return model;
-}
-
-/// Algorithm 1 as the paper states it, independent of the incremental
-/// owner's multiset: enumerate every pair of the given (ascending) ids,
-/// p < q, for its crossing time in t > 0, sort the duplicated list,
-/// collapse it, then build over those machines.
-inline detail::ConsolidationTable reference_table(
-    const ParticleSystem& ps, const std::vector<uint32_t>& ids) {
-  std::vector<double> times;
-  for (size_t x = 0; x < ids.size(); ++x) {
-    for (size_t y = x + 1; y < ids.size(); ++y) {
-      const uint32_t p = ids[x];
-      const uint32_t q = ids[y];
-      const double db = ps.b[p] - ps.b[q];
-      if (db == 0.0) continue;  // parallel particles never cross
-      const double t = (ps.a[p] - ps.a[q]) / db;
-      if (t > 0.0 && std::isfinite(t)) times.push_back(t);
-    }
-  }
-  std::sort(times.begin(), times.end());
-  std::vector<double> events;
-  for (const double t : times) {
-    detail::ConsolidationTable::collapse_append(events, t);
-  }
-  detail::ConsolidationTable table;
-  table.build(ps, ids, events);
-  return table;
-}
-
-/// The reference build over every machine.
-inline detail::ConsolidationTable reference_table(const ParticleSystem& ps) {
-  std::vector<uint32_t> ids(ps.size());
-  std::iota(ids.begin(), ids.end(), 0u);
-  return reference_table(ps, ids);
 }
 
 /// Exact double equality throughout: two routes to the same table must

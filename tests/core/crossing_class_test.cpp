@@ -1,29 +1,34 @@
-// The class-grouped crossing multiset against the paper's pair enumeration.
+// The class-grouped event list against the paper's pair enumeration.
 // IncrementalConsolidator computes one crossing time per pair of particle
-// classes (machines whose (a, b) agree bit for bit) and weights it by the
-// classes' active counts; the paper enumerates every machine pair in p<q
-// orientation. The two agree only because fl(x - y) = -fl(y - x) and
+// classes (machines whose (a, b) agree bit for bit) that both have an
+// active member, and recomputes the list only when a class empties or
+// fills; the paper enumerates every machine pair in p<q orientation. The
+// two agree only because fl(x - y) = -fl(y - x) and
 // fl((-x) / (-y)) = fl(x / y) under round-to-nearest, so these rooms aim at
 // the places that argument could break: 1-ulp neighbours in a and in b,
 // equal coordinates whose crossing time is +0.0 or -0.0 depending on the
 // orientation, ids interleaved so a member's p<q orientation is the
 // reverse of its representative's, one class, every machine its own class,
 // and singleton classes beside large ones. Each cold build must equal the
-// reference build byte for byte, and every step of a seeded churn history
-// must equal a reference build at that active set. The drift checks — the
-// multiset's absent-time and underflow errors and the segment patch's
-// misplaced-id error — are pinned here too.
+// reference build byte for byte, and every step of a scripted class walk
+// (a class emptied one member at a time, its last member swapped for
+// another in one delta, emptied, re-entered) and of a seeded churn history
+// must equal a reference build at that active set. The segment patch's
+// misplaced-id check is pinned here too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/incremental.h"
 #include "tests/core/consolidation_support.h"
+#include "tests/oracle/consolidation.h"
 #include "util/rng.h"
 
 namespace coolopt::core {
@@ -31,7 +36,6 @@ namespace {
 
 using test_support::exact_particle_model;
 using test_support::expect_tables_identical;
-using test_support::reference_table;
 
 struct Room {
   std::vector<double> a;
@@ -146,17 +150,69 @@ Room mixed_room(uint64_t seed) {
   return r;
 }
 
-size_t distinct_classes(const Room& r) {
-  size_t count = 0;
+/// Three particles that all cross at t = 1, each class with a different
+/// member count: any one class leaving keeps the other two crossing there,
+/// so the event list survives every single class exit.
+Room concurrent_room() {
+  Room r;
+  r.add(2.0, 1.0, 4);
+  r.add(3.0, 2.0, 1);
+  r.add(4.0, 3.0, 4);
+  return r;
+}
+
+/// Each machine's class: the index of the first machine whose (a, b) bits
+/// it shares, renumbered densely.
+std::vector<size_t> class_of(const Room& r) {
+  std::vector<size_t> cls(r.a.size());
+  std::vector<size_t> first;  // class -> its first machine
   for (size_t i = 0; i < r.a.size(); ++i) {
-    bool seen = false;
-    for (size_t j = 0; j < i && !seen; ++j) {
-      seen = std::bit_cast<uint64_t>(r.a[i]) == std::bit_cast<uint64_t>(r.a[j]) &&
-             std::bit_cast<uint64_t>(r.b[i]) == std::bit_cast<uint64_t>(r.b[j]);
+    size_t c = 0;
+    while (c < first.size() &&
+           (std::bit_cast<uint64_t>(r.a[i]) != std::bit_cast<uint64_t>(r.a[first[c]]) ||
+            std::bit_cast<uint64_t>(r.b[i]) != std::bit_cast<uint64_t>(r.b[first[c]]))) {
+      ++c;
     }
-    if (!seen) ++count;
+    if (c == first.size()) first.push_back(i);
+    cls[i] = c;
   }
-  return count;
+  return cls;
+}
+
+/// Masks walking the largest class (the lowest one among equals) through
+/// its edge cases, starting from the full room: its members after the
+/// first leave one per step; one delta swaps the last active member for
+/// another member of the class (when it has two); unless it is the whole
+/// room, the class empties and a member re-enters.
+std::vector<std::vector<char>> class_walk(const std::vector<size_t>& cls) {
+  const size_t n = cls.size();
+  std::vector<size_t> size(n, 0);
+  for (const size_t c : cls) ++size[c];
+  const size_t walked =
+      static_cast<size_t>(std::max_element(size.begin(), size.end()) - size.begin());
+  std::vector<size_t> members;
+  for (size_t i = 0; i < n; ++i) {
+    if (cls[i] == walked) members.push_back(i);
+  }
+  std::vector<char> mask(n, 1);
+  std::vector<std::vector<char>> walk;
+  for (size_t j = 1; j < members.size(); ++j) {
+    mask[members[j]] = 0;
+    walk.push_back(mask);
+  }
+  size_t last = members[0];
+  if (members.size() > 1) {
+    mask[last] = 0;
+    last = members[1];
+    mask[last] = 1;
+    walk.push_back(mask);
+  }
+  if (members.size() == n) return walk;  // keep the room non-empty
+  mask[last] = 0;
+  walk.push_back(mask);
+  mask[members[0]] = 1;
+  walk.push_back(mask);
+  return walk;
 }
 
 /// Paths a churn history took, so a room can assert it covered them.
@@ -164,11 +220,15 @@ struct PathCounts {
   size_t patched = 0;
   size_t events_changed = 0;
   size_t cold = 0;
+  /// Deltas that emptied or filled a class yet kept the event list: the
+  /// recompute-then-patch branch.
+  size_t class_moved_patched = 0;
 };
 
-/// Cold build vs the reference, then a seeded churn history (1-3 toggles
-/// per step, every ninth step a large jump) checked against a reference
-/// build at every step's active set; counts the paths the deltas took.
+/// Cold build vs the reference, then the room's class walk and a seeded
+/// churn history from where it ends (1-3 toggles per step, every ninth
+/// step a large jump), each step checked against a reference build at its
+/// active set; counts the paths the deltas took.
 void check_room_into(const Room& r, uint64_t seed, size_t steps,
                      PathCounts& paths) {
   const SharedRoomModel model = share_model(exact_particle_model(r.a, r.b));
@@ -180,20 +240,19 @@ void check_room_into(const Room& r, uint64_t seed, size_t steps,
     ASSERT_EQ(std::bit_cast<uint64_t>(ps.a[i]), std::bit_cast<uint64_t>(r.a[i]));
     ASSERT_EQ(std::bit_cast<uint64_t>(ps.b[i]), std::bit_cast<uint64_t>(r.b[i]));
   }
-  EXPECT_EQ(inc.class_count(), distinct_classes(r));
+  const std::vector<size_t> cls = class_of(r);
+  EXPECT_EQ(inc.class_count(), *std::max_element(cls.begin(), cls.end()) + 1);
   expect_tables_identical(ps, inc.table(), reference_table(ps));
 
-  util::Rng rng(seed);
   std::vector<char> mask(n, 1);
-  for (size_t step = 0; step < steps; ++step) {
-    SCOPED_TRACE("churn step " + std::to_string(step));
-    const size_t flips =
-        step % 9 == 8 ? n / 2 : 1 + static_cast<size_t>(rng.next_u64() % 3);
-    for (size_t f = 0; f < flips; ++f) {
-      mask[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
-    }
-    mask[step % n] = 1;  // never empty
-
+  const auto step_to = [&](const std::vector<char>& next) {
+    const auto active_classes = [&](const std::vector<char>& m) {
+      std::vector<char> live(n, 0);
+      for (size_t i = 0; i < n; ++i) live[cls[i]] |= m[i];
+      return live;
+    };
+    const bool classes_moved = active_classes(mask) != active_classes(next);
+    mask = next;
     const IncrementalApplyStats stats = inc.set_active(mask);
     if (stats.cold_rebuild) {
       ++paths.cold;
@@ -201,6 +260,7 @@ void check_room_into(const Room& r, uint64_t seed, size_t steps,
       ++paths.events_changed;
     } else if (stats.removed + stats.restored > 0) {
       ++paths.patched;
+      if (classes_moved) ++paths.class_moved_patched;
     }
 
     std::vector<uint32_t> ids;
@@ -209,6 +269,26 @@ void check_room_into(const Room& r, uint64_t seed, size_t steps,
     }
     ASSERT_EQ(inc.active_ids(), ids);
     expect_tables_identical(ps, inc.table(), reference_table(ps, ids));
+  };
+
+  const std::vector<std::vector<char>> walk = class_walk(cls);
+  for (size_t step = 0; step < walk.size(); ++step) {
+    SCOPED_TRACE("class walk step " + std::to_string(step));
+    step_to(walk[step]);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+
+  util::Rng rng(seed);
+  for (size_t step = 0; step < steps; ++step) {
+    SCOPED_TRACE("churn step " + std::to_string(step));
+    std::vector<char> next = mask;
+    const size_t flips =
+        step % 9 == 8 ? n / 2 : 1 + static_cast<size_t>(rng.next_u64() % 3);
+    for (size_t f = 0; f < flips; ++f) {
+      next[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
+    }
+    next[step % n] = 1;  // never empty
+    step_to(next);
     if (testing::Test::HasFatalFailure()) return;
   }
 }
@@ -262,54 +342,24 @@ TEST(CrossingClasses, EveryMachineItsOwnClass) {
   EXPECT_GT(paths.cold, 0u);
 }
 
+TEST(CrossingClasses, ConcurrentCrossingsSurviveAClassExit) {
+  const Room r = concurrent_room();
+  // Premise: every pair of the three classes crosses at exactly t = 1.
+  for (size_t i = 0; i < r.a.size(); ++i) {
+    for (size_t j = 0; j < r.a.size(); ++j) {
+      if (r.b[i] == r.b[j]) continue;
+      ASSERT_EQ((r.a[i] - r.a[j]) / (r.b[i] - r.b[j]), 1.0);
+    }
+  }
+  const PathCounts paths = check_room(r, 17, 40);
+  EXPECT_GT(paths.class_moved_patched, 0u);
+}
+
 TEST(CrossingClasses, SingletonsBesideLargeClasses) {
   for (const uint64_t seed : {uint64_t{21}, uint64_t{22}, uint64_t{23}}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const PathCounts paths = check_room(mixed_room(seed), seed, 60);
     EXPECT_GT(paths.patched + paths.events_changed, 0u);
-  }
-}
-
-TEST(CrossingMultiset, ClassMultiplicitiesAddAndRemoveExactly) {
-  using Run = detail::CrossingMultiset::Run;
-  detail::CrossingMultiset set;
-  // Class pairs (2 x 3 members) at t = 1.5 and (1 x 4) at t = 0.5, then a
-  // second pair crossing at 1.5 too.
-  std::vector<Run> runs = {{1.5, 6}, {0.5, 4}, {1.5, 2}};
-  detail::CrossingMultiset::normalize(runs);
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0].t, 0.5);
-  EXPECT_EQ(runs[1].count, 8u);
-  set.add(runs);
-  set.remove({{1.5, 3}});
-  ASSERT_EQ(set.runs().size(), 2u);
-  EXPECT_EQ(set.runs()[1].count, 5u);
-  set.remove({{0.5, 4}, {1.5, 5}});
-  EXPECT_TRUE(set.runs().empty());
-}
-
-TEST(CrossingMultiset, RemovingAnAbsentTimeThrows) {
-  detail::CrossingMultiset set;
-  set.add({{0.5, 4}, {1.5, 6}});
-  try {
-    set.remove({{std::nextafter(1.5, 2.0), 1}});
-    FAIL() << "expected std::logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("not in the multiset"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(CrossingMultiset, MultiplicityUnderflowThrows) {
-  detail::CrossingMultiset set;
-  set.add({{0.5, 4}, {1.5, 6}});
-  try {
-    set.remove({{1.5, 7}});
-    FAIL() << "expected std::logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("underflow"), std::string::npos)
-        << e.what();
   }
 }
 

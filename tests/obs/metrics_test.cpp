@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "service/wire.h"
-#include "util/csv.h"
 #include "util/strings.h"
 
 namespace coolopt::obs {
@@ -161,35 +160,6 @@ TEST(Histogram, PercentileInterpolationIsExactAtTheReservoirBoundary) {
   EXPECT_DOUBLE_EQ(h.snapshot().max, 9.0);
 }
 
-TEST(Histogram, ResetWindowReplaysTheSameDeterministicStream) {
-  const auto feed = [](Histogram& h) {
-    for (int i = 1; i <= 200; ++i) {
-      h.observe(static_cast<double>((i * 37) % 101));
-    }
-  };
-  Histogram h(/*sample_cap=*/32);
-  feed(h);
-  const HistogramSnapshot first = h.snapshot();
-  ASSERT_EQ(first.count, 200u);
-
-  h.reset_window();
-  EXPECT_EQ(h.count(), 0u);
-  const HistogramSnapshot empty = h.snapshot();
-  EXPECT_DOUBLE_EQ(empty.min, 0.0);
-  EXPECT_DOUBLE_EQ(empty.sum, 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(50.0), 0.0);
-
-  // The LCG rewinds with the window: replaying the same observations must
-  // rebuild the identical reservoir, percentiles included.
-  feed(h);
-  const HistogramSnapshot second = h.snapshot();
-  EXPECT_EQ(second.count, first.count);
-  EXPECT_DOUBLE_EQ(second.sum, first.sum);
-  EXPECT_DOUBLE_EQ(second.p50, first.p50);
-  EXPECT_DOUBLE_EQ(second.p95, first.p95);
-  EXPECT_DOUBLE_EQ(second.p99, first.p99);
-}
-
 TEST(MetricsRegistry, ConcurrentIncrementsFromMultipleThreads) {
   MetricsRegistry registry;
   constexpr int kThreads = 8;
@@ -243,38 +213,6 @@ TEST(MetricsRegistry, JsonExportIsSyntaxValidAndComplete) {
   EXPECT_NE(doc.find("\"optimizer.lp.solves\":3"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"consolidation.events\":12"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"p50\""), std::string::npos) << doc;
-}
-
-TEST(MetricsRegistry, CsvExportRoundTrips) {
-  MetricsRegistry registry;
-  registry.counter("runs").inc(7);
-  registry.gauge("level").set(2.5);
-  for (int i = 1; i <= 4; ++i) registry.histogram("lat").observe(i);
-
-  std::ostringstream os;
-  registry.to_csv(os);
-  const util::CsvTable table = util::parse_csv(os.str());
-  ASSERT_EQ(table.columns.size(), 10u);
-  EXPECT_EQ(table.columns[0], "name");
-  EXPECT_EQ(table.columns[1], "kind");
-  ASSERT_EQ(table.rows.size(), 3u);  // one per instrument
-
-  bool saw_counter = false;
-  bool saw_hist = false;
-  for (const auto& row : table.rows) {
-    if (row[0] == "runs") {
-      saw_counter = true;
-      EXPECT_EQ(row[1], "counter");
-      EXPECT_EQ(row[2], "7");
-    }
-    if (row[0] == "lat") {
-      saw_hist = true;
-      EXPECT_EQ(row[1], "histogram");
-      EXPECT_EQ(row[2], "4");
-    }
-  }
-  EXPECT_TRUE(saw_counter);
-  EXPECT_TRUE(saw_hist);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 namespace coolopt::core {
@@ -85,6 +86,59 @@ std::optional<ConsolidationChoice> query_paper(
     return choice;
   }
   return std::nullopt;
+}
+
+detail::ConsolidationTable reference_table(const ParticleSystem& ps,
+                                           const std::vector<uint32_t>& ids) {
+  std::vector<double> times;
+  for (size_t x = 0; x < ids.size(); ++x) {
+    for (size_t y = x + 1; y < ids.size(); ++y) {
+      const uint32_t p = ids[x];
+      const uint32_t q = ids[y];
+      const double db = ps.b[p] - ps.b[q];
+      if (db == 0.0) continue;  // parallel particles never cross
+      const double t = (ps.a[p] - ps.a[q]) / db;
+      if (t > 0.0 && std::isfinite(t)) times.push_back(t);
+    }
+  }
+  std::sort(times.begin(), times.end());
+  std::vector<double> events;
+  for (const double t : times) {
+    detail::ConsolidationTable::collapse_append(events, t);
+  }
+  detail::ConsolidationTable table;
+  table.build(ps, ids, events);
+  return table;
+}
+
+detail::ConsolidationTable reference_table(const ParticleSystem& ps) {
+  std::vector<uint32_t> ids(ps.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  return reference_table(ps, ids);
+}
+
+bool unpruned_best_into(const detail::ConsolidationTable& table,
+                        const ParticleSystem& ps, const RoomModel& model,
+                        double load, ConsolidationChoice& out) {
+  const detail::ConsolidationTable::Anchors at = table.anchors(ps);
+  size_t best_k = 0;
+  size_t best_segment = 0;
+  double best_power = 0.0;
+  double sum_w2_k = 0.0;
+  for (size_t k = 1; k <= table.width(); ++k) {
+    sum_w2_k += ps.w2;
+    size_t s = 0;
+    double power = 0.0;
+    if (!table.peek_k(ps, model, at, load, k, sum_w2_k, &s, &power)) continue;
+    if (best_k == 0 || power < best_power) {
+      best_k = k;
+      best_segment = s;
+      best_power = power;
+    }
+  }
+  if (best_k == 0) return false;
+  table.make_choice_into(ps, model, best_segment, best_k, load, out);
+  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 // choose which subset of machines to keep ON so that total predicted energy
 // is minimal. evaluate_consolidation_subset scores one subset,
 // BruteForceConsolidator enumerates them all, and all_status / query_paper
-// are the paper's Algorithm 2 over a table; the planner's own table is
+// are the paper's Algorithm 2 over a table, reference_table is the paper's
+// Algorithm 1 over every machine pair, and unpruned_best_into is the exact
+// per-k scan without its power-floor stop; the planner's own table is
 // core/consolidation_table.h behind core/incremental.h.
 //
 // Reduction (Eq. 23): with uniform w1/w2, the predicted total power of a
@@ -72,6 +74,26 @@ std::optional<ConsolidationChoice> query_paper(
     const detail::ConsolidationTable& table, const ParticleSystem& ps,
     const RoomModel& model, const std::vector<PaperStatus>& statuses,
     double load);
+
+/// Algorithm 1 as the paper states it, with no class grouping: enumerate
+/// every pair of the given (ascending) ids, p < q, for its crossing time in
+/// t > 0, sort the duplicated list, collapse it, then build over those
+/// machines. The reference the incremental owner's table must equal bit
+/// for bit.
+detail::ConsolidationTable reference_table(const ParticleSystem& ps,
+                                           const std::vector<uint32_t>& ids);
+
+/// The reference build over every machine.
+detail::ConsolidationTable reference_table(const ParticleSystem& ps);
+
+/// ConsolidationTable::query_best_into without its power-floor stop: the
+/// strict-< peek_k scan over every k with the subset idle draw folded as a
+/// running sum of w2, the winner materialized by make_choice_into. The
+/// reference the pruned production scan must reproduce bit for bit; false
+/// when no k is feasible.
+bool unpruned_best_into(const detail::ConsolidationTable& table,
+                        const ParticleSystem& ps, const RoomModel& model,
+                        double load, ConsolidationChoice& out);
 
 /// Exact exponential-time reference (the paper's "naive O(n 2^n)"): used by
 /// the property tests to certify the event-based algorithm. Guarded to

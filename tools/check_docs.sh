@@ -9,6 +9,7 @@
 #   * `--some-flag ...`        -> the flag string appears in src/tools/bench
 #   * `path/to/file.ext`,
 #     `profiling/foo.*`        -> exists (repo-relative, or under src/)
+#   * `path/to/file.ext:Name`  -> the file exists and contains Name as a word
 #   * `a.dotted.name`          -> appears verbatim (metric / schema names)
 #   * `Ns::Type::member`       -> each distinctive component appears as a word
 #                                 in src/tools/bench/examples (not tests/: a
@@ -23,7 +24,7 @@ cd "$(dirname "$0")/.." || exit 2
 
 DOCS=("$@")
 if [ ${#DOCS[@]} -eq 0 ]; then
-  DOCS=(README.md DESIGN.md
+  DOCS=(README.md DESIGN.md EXPERIMENTS.md CONTRIBUTING.md
         docs/README.md docs/model.md docs/simulator.md
         docs/consolidation.md docs/observability.md docs/architecture.md
         docs/evaluation.md docs/robustness.md docs/service.md
@@ -51,7 +52,11 @@ grep_symbol() { grep_in SYMBOL_DIRS "$@"; }
 
 check_path() {  # repo-relative path, possibly a `base.*` glob or extensionless
   local doc="$1" p="$2" g="${2%\*}"
-  if compgen -G "${g}*" > /dev/null || compgen -G "src/${g}*" > /dev/null; then
+  if [[ "$p" =~ ^([^:]+):([A-Za-z_][A-Za-z0-9_]*)$ ]]; then
+    # `file:Name`: the file exists and names Name as a word.
+    [ -f "${BASH_REMATCH[1]}" ] &&
+      grep -qw -e "${BASH_REMATCH[2]}" "${BASH_REMATCH[1]}" && return 0
+  elif compgen -G "${g}*" > /dev/null || compgen -G "src/${g}*" > /dev/null; then
     return 0
   fi
   fail "$doc" "$p"
