@@ -26,15 +26,18 @@
 //   warm_path.*/n            scenario #8 over a 16-load operating cycle on an
 //                            SKU room: a fresh engine's construct-and-solve
 //                            (cold) against one long-lived engine replanning
-//                            through a reused result slot (warm);
+//                            through a reused result slot (warm), and the
+//                            same cycle under one-machine quarantine deltas
+//                            (churn: restricted solves on the incremental
+//                            table);
 //   obs.*.{detached,attached}  the closed form and a warm engine solve with
 //                            no metrics registry attached and with one: the
 //                            cost of the instrumentation hooks.
 //
 // Gates, at every warm-path n: the consolidation walk ends at the ranked
 // head (engine.path.ranked_head) on at least one warm solve, and every warm
-// plan encodes byte-for-byte what a fresh engine answers (a warm engine may
-// change how fast a plan is computed, never what it is).
+// or churned plan encodes byte-for-byte what a fresh engine answers (a warm
+// engine may change how fast a plan is computed, never what it is).
 //
 // Writes BENCH_engine.json (bench/report.h); exits nonzero on a failed gate.
 
@@ -248,6 +251,56 @@ void warm_path_rows(bench::Report& report, size_t n, size_t rounds,
               static_cast<double>(mismatches), "==", 0.0);
 }
 
+/// Restricted scenario-#8 solves under one-machine quarantine churn: a walk
+/// that quarantines one more machine per request out to 8, then readmits
+/// them one per request, at the operating cycle's loads, on one long-lived
+/// engine through a reused result slot (the churn_p50 row). Each request
+/// moves the incremental Algorithm 1 table by one delta. The gate: every
+/// churned plan encodes byte-for-byte what a fresh engine answers for the
+/// same request from a cold-built table.
+void churn_rows(bench::Report& report, size_t n, size_t rounds) {
+  const core::SharedRoomModel shared =
+      core::share_model(bench::sku_model(n, 8, 42));
+  const std::vector<double> loads = load_cycle(*shared);
+  std::vector<core::PlanRequest> requests;
+  std::vector<size_t> quarantined;
+  for (size_t j = 0; j < loads.size(); ++j) {
+    if (j < loads.size() / 2) {
+      quarantined.push_back((j * 7919 + 13) % n);
+    } else {
+      quarantined.pop_back();
+    }
+    requests.emplace_back(core::Scenario::by_number(8), loads[j], quarantined);
+  }
+
+  const core::PlanEngine warm(shared);
+  core::PlanResult slot;
+  for (const core::PlanRequest& r : requests) {
+    warm.solve_into(r, core::SolveScratch::local(), slot);
+  }
+  std::vector<double> samples;
+  for (size_t lap = 0; lap < rounds; ++lap) {
+    for (const core::PlanRequest& r : requests) {
+      const auto t0 = std::chrono::steady_clock::now();
+      warm.solve_into(r, core::SolveScratch::local(), slot);
+      samples.push_back(bench::us_since(t0));
+    }
+  }
+
+  size_t mismatches = 0;
+  for (const core::PlanRequest& r : requests) {
+    warm.solve_into(r, core::SolveScratch::local(), slot);
+    const core::PlanEngine fresh(shared);
+    if (service::encode_plan_response(0, slot) !=
+        service::encode_plan_response(0, fresh.solve(r))) {
+      ++mismatches;
+    }
+  }
+  report.row(at("warm_path.churn_p50", n), bench::median(samples), "us");
+  report.gate(at("warm_path.churn_plan_mismatches", n),
+              static_cast<double>(mismatches), "==", 0.0);
+}
+
 /// The instrumentation hooks' cost: the same calls with no registry
 /// attached, then with one.
 void observability_rows(bench::Report& report) {
@@ -308,6 +361,8 @@ int main(int argc, char** argv) {
   // The big room gets fewer laps and cold samples (its preprocessing takes
   // seconds): it exists to show the asymptotics, not to soak.
   warm_path_rows(report, 10000, std::max<size_t>(2, rounds / 8), 3);
+  churn_rows(report, 200, rounds);
+  churn_rows(report, 10000, std::max<size_t>(2, rounds / 8));
   observability_rows(report);
   return report.finish();
 }

@@ -194,11 +194,16 @@ int main(int argc, char** argv) {
   }
   const size_t max_n = static_cast<size_t>(flags.get_int("max-n", 10000));
 
-  // n-sweep at 8 shards; the largest n also at 4 and 16 shards.
+  // n-sweep at 8 shards; the largest n also at 4 and 16 shards. Each n runs
+  // once, also when --max-n is one of the fixed sizes.
+  std::vector<size_t> sizes;
+  for (const size_t n : {size_t{1000}, size_t{2000}, size_t{5000}}) {
+    if (n < max_n) sizes.push_back(n);
+  }
+  sizes.push_back(max_n);
   size_t mismatches = 0;
   double fleet_speedup_at_max = 0.0;
-  for (const size_t n : {size_t{1000}, size_t{2000}, size_t{5000}, max_n}) {
-    if (n > max_n) continue;
+  for (const size_t n : sizes) {
     const core::RoomModel room = bench::sku_model(n, 8, 42);
     const double load = kLoadFrac * room.total_capacity();
     const ColdSolve mono = run_monolithic(room, load);

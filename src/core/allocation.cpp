@@ -1,13 +1,46 @@
 #include "core/allocation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/strings.h"
 
 namespace coolopt::core {
+namespace {
+
+/// Calls visit(i) for every ON machine i, in index order. With libstdc++,
+/// whose vector<bool> packs machine words, it walks the set bits of each
+/// word, so a plan pays per ON machine plus one test per word of machines;
+/// elsewhere it tests the bits one by one. Either way the visits, and so any
+/// fold over them, come in the same order as a plain index loop's.
+template <typename Visit>
+void for_each_on(const std::vector<bool>& on, Visit&& visit) {
+#if defined(__GLIBCXX__)
+  using Word = std::remove_cvref_t<decltype(*on.begin()._M_p)>;
+  const Word* words = on.begin()._M_p;  // begin()'s bit offset is 0
+  constexpr size_t kBits = std::numeric_limits<Word>::digits;
+  for (size_t base = 0; base < on.size(); base += kBits) {
+    Word bits = words[base / kBits];
+    // Bits past size() keep whatever a longer past content left there.
+    const size_t left = on.size() - base;
+    if (left < kBits) bits &= (Word{1} << left) - 1;
+    while (bits != 0) {
+      visit(base + static_cast<size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
+#else
+  for (size_t i = 0; i < on.size(); ++i) {
+    if (on[i]) visit(i);
+  }
+#endif
+}
+
+}  // namespace
 
 size_t Allocation::count_on() const {
   size_t k = 0;
@@ -40,9 +73,9 @@ void Allocation::finalize(const RoomModel& model, const RoomSoA& soa) {
     throw std::logic_error("Allocation::finalize: size mismatch with model");
   }
   it_power_w = 0.0;
-  for (size_t i = 0; i < soa.size(); ++i) {
-    if (on[i]) it_power_w += soa.w1[i] * loads[i] + soa.w2[i];
-  }
+  for_each_on(on, [&](size_t i) {
+    it_power_w += soa.w1[i] * loads[i] + soa.w2[i];
+  });
   cooling_power_w = model.cooler.predict(t_ac, it_power_w);
   total_power_w = it_power_w + cooling_power_w;
 }
@@ -63,12 +96,11 @@ double predicted_peak_cpu_temp(const RoomModel& model, const Allocation& alloc) 
 
 double predicted_peak_cpu_temp(const RoomSoA& soa, const Allocation& alloc) {
   double peak = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < soa.size(); ++i) {
-    if (!alloc.on[i]) continue;
+  for_each_on(alloc.on, [&](size_t i) {
     const double p = soa.w1[i] * alloc.loads[i] + soa.w2[i];
     const double t = soa.alpha[i] * alloc.t_ac + soa.beta[i] * p + soa.gamma[i];
     peak = std::max(peak, t);
-  }
+  });
   return peak;
 }
 
@@ -114,12 +146,11 @@ double max_safe_t_ac(const RoomModel& model, const RoomSoA& soa,
                      const std::vector<double>& loads,
                      const std::vector<bool>& on) {
   double t_ac = model.t_ac_max;
-  for (size_t i = 0; i < soa.size(); ++i) {
-    if (!on[i]) continue;
+  for_each_on(on, [&](size_t i) {
     const double p = soa.w1[i] * loads[i] + soa.w2[i];
     const double bound = (model.t_max - soa.beta[i] * p - soa.gamma[i]) / soa.alpha[i];
     t_ac = std::min(t_ac, bound);
-  }
+  });
   return std::clamp(t_ac, model.t_ac_min, model.t_ac_max);
 }
 

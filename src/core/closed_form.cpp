@@ -85,11 +85,6 @@ void AnalyticOptimizer::solve_into(const size_t* on_set, size_t count,
   out.lambda = model_->cooler.cfac * w1_ / sum_ab;
   out.marginal_power_per_load =
       out.lambda + (1.0 + model_->cooler.q_coeff) * w1_;
-  out.mu.assign(n, 0.0);
-  for (size_t j = 0; j < count; ++j) {
-    const size_t i = on_set[j];
-    out.mu[i] = out.lambda / (soa_->beta[i] * w1_);
-  }
 
   obs::count("optimizer.closed_form.solves");
   // The O(n) KKT residual is a diagnostic for traced runs, not a cost every
@@ -117,6 +112,10 @@ ClosedFormResult AnalyticOptimizer::solve(const std::vector<size_t>& on_set,
   model_->validate_on_set(on_set, total_load, "AnalyticOptimizer::solve");
   ClosedFormResult result;
   solve_into(on_set.data(), on_set.size(), total_load, result);
+  result.mu.assign(model_->size(), 0.0);
+  for (const size_t i : on_set) {
+    result.mu[i] = result.lambda / (soa_->beta[i] * w1_);
+  }
   return result;
 }
 

@@ -47,7 +47,8 @@ struct ClosedFormResult {
   double marginal_power_per_load = 0.0;
   /// mu_i = lambda / (beta_i * w1) (Eq. 15): the total power saved per
   /// degree of T_max relaxation on machine i (W/K). Indexed like the
-  /// model's machines; zero for OFF machines.
+  /// model's machines; zero for OFF machines. Filled by solve() only:
+  /// solve_into, the engine's per-probe call, leaves it untouched.
   std::vector<double> mu;
 
   bool within_bounds() const { return loads_in_bounds && t_ac_in_bounds; }
@@ -79,7 +80,7 @@ class AnalyticOptimizer {
   /// subsets are valid by construction — pass through solve() when the set
   /// comes from outside). The Eq. 21/22 sums read the precomputed SoA
   /// K_i / (alpha_i/beta_i) arrays in on_set order, so the result is
-  /// bit-for-bit what solve() returns.
+  /// bit-for-bit what solve() returns, except `mu`, which it does not fill.
   void solve_into(const size_t* on_set, size_t count, double total_load,
                   ClosedFormResult& out) const;
 

@@ -196,14 +196,42 @@ bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
   return bounded().solve_into(on_set, count, load, scr.bounded, out);
 }
 
+void PlanEngine::survivor_lists(SolveScratch& scr) const {
+  if (!scr.allowed.empty()) return;
+  const ModelAggregates& agg = aggregates();
+  scr.allowed_capacity = 0.0;
+  for (size_t i = 0; i < scr.mask.size(); ++i) {
+    if (!scr.mask[i]) continue;
+    scr.allowed.push_back(i);
+    scr.allowed_capacity += agg.soa.capacity[i];
+  }
+  scr.order.clear();
+  for (const size_t i : agg.coolness) {
+    if (scr.mask[i]) scr.order.push_back(i);
+  }
+}
+
+const std::vector<size_t>& PlanEngine::machines_for(bool restricted,
+                                                    SolveScratch& scr) const {
+  if (!restricted) return aggregates().all_machines;
+  survivor_lists(scr);
+  return scr.allowed;
+}
+
+const std::vector<size_t>& PlanEngine::coolness_for(bool restricted,
+                                                    SolveScratch& scr) const {
+  if (!restricted) return aggregates().coolness;
+  survivor_lists(scr);
+  return scr.order;
+}
+
 bool PlanEngine::compute_plan_into(const Scenario& s, double load,
-                                   const std::vector<size_t>* allowed,
+                                   bool restricted,
                                    const std::vector<size_t>* forced,
                                    SolveScratch& scr, Plan& out) const {
   const RoomModel& fitted = *model_;
   const RoomModel& planning = *margin_model_;
   const ModelAggregates& agg = aggregates();
-  const bool restricted = allowed != nullptr;
 
   out.scenario = s;
   out.load = load;
@@ -218,21 +246,17 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
     return true;
   }
 
-  // Restricted solves (quarantines) read the coolness order solve_into
-  // filtered into scr.order.
-  const std::vector<size_t>& order = restricted ? scr.order : agg.coolness;
-  const std::vector<size_t>& full = restricted ? *allowed : agg.all_machines;
-
   // --- choose the ON set and the load split ---
   if (s.distribution == Distribution::kOptimal) {
     bool have_best = false;
     bool best_pure = true;
     if (!s.consolidation || forced != nullptr) {
-      const std::vector<size_t>& on_set = forced != nullptr ? *forced : full;
+      const std::vector<size_t>& on_set =
+          forced != nullptr ? *forced : machines_for(restricted, scr);
       have_best = plan_optimal_into(on_set.data(), on_set.size(), load, scr,
                                     scr.best_alloc, best_pure);
     } else {
-      have_best = consolidate_into(load, allowed, scr, best_pure);
+      have_best = consolidate_into(load, restricted, scr, best_pure);
     }
     if (!have_best) return false;
     std::swap(out.allocation, scr.best_alloc);
@@ -240,12 +264,14 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
   } else {
     // Consolidation keeps the fewest coolest machines that cover the load
     // ON; Bottom-up fills its machines coolest-first.
+    const std::vector<size_t>& order = coolness_for(restricted, scr);
     if (s.consolidation) {
       const size_t k = min_machines_for(planning, load, order);
       scr.subset.assign(order.begin(), order.begin() + static_cast<long>(k));
     }
     if (s.distribution == Distribution::kEven) {
-      even_allocation(planning, load, s.consolidation ? scr.subset : full,
+      even_allocation(planning, load,
+                      s.consolidation ? scr.subset : machines_for(restricted, scr),
                       out.allocation);
     } else {
       bottom_up_allocation(planning, load, s.consolidation ? scr.subset : order,
@@ -255,32 +281,34 @@ bool PlanEngine::compute_plan_into(const Scenario& s, double load,
 
   // --- choose the cool-air temperature ---
   if (s.distribution == Distribution::kOptimal) {
-    // Already chosen jointly with the loads; keep it inside actuation range
-    // (clamping down is always safe, it only over-cools).
-    out.allocation.t_ac =
+    // Already chosen jointly with the loads, and the solver's finalize
+    // priced it (same coefficients, same cooler); keep it inside actuation
+    // range (clamping down is always safe, it only over-cools) and re-price
+    // only when the clamp moved it.
+    const double t_ac =
         std::clamp(out.allocation.t_ac, fitted.t_ac_min, fitted.t_ac_max);
-  } else if (s.ac_control) {
-    out.allocation.t_ac =
-        max_safe_t_ac(planning, agg.soa, out.allocation.loads, out.allocation.on);
+    if (t_ac != out.allocation.t_ac) {
+      out.allocation.t_ac = t_ac;
+      out.allocation.finalize(fitted, agg.soa);
+    }
   } else {
-    out.allocation.t_ac = fixed_t_ac_;
+    out.allocation.t_ac =
+        s.ac_control ? max_safe_t_ac(planning, agg.soa, out.allocation.loads,
+                                     out.allocation.on)
+                     : fixed_t_ac_;
+    out.allocation.finalize(fitted, agg.soa);
   }
 
-  out.allocation.finalize(fitted, agg.soa);
-
-  // --- final safety check against the margined ceiling ---
-  return out.allocation.count_on() == 0 ||
-         predicted_peak_cpu_temp(agg.soa, out.allocation) <=
-             planning.t_max + kCeilingTolC;
+  // --- final safety check against the margined ceiling (an all-OFF plan
+  // peaks at -inf and passes) ---
+  return predicted_peak_cpu_temp(agg.soa, out.allocation) <=
+         planning.t_max + kCeilingTolC;
 }
 
-bool PlanEngine::consolidate_into(double load,
-                                  const std::vector<size_t>* allowed,
+bool PlanEngine::consolidate_into(double load, bool restricted,
                                   SolveScratch& scr, bool& best_pure) const {
   const RoomModel& planning = *margin_model_;
   const ModelAggregates& agg = aggregates();
-  const bool restricted = allowed != nullptr;
-  const std::vector<size_t>& order = restricted ? scr.order : agg.coolness;
 
   // Restricted solves drop the quarantined machines (scr.mask) from the
   // cached heuristic orders, and only once a heuristic subset is probed:
@@ -324,7 +352,7 @@ bool PlanEngine::consolidate_into(double load,
       by_capacity = survivors(agg.capacity_desc, scr.capacity_order);
     }
     probe_subset(by_capacity->data(), k);
-    probe_subset(order.data(), k);
+    probe_subset(coolness_for(restricted, scr).data(), k);
     return false;
   };
 
@@ -407,13 +435,10 @@ bool PlanEngine::consolidate_into(double load,
 }
 
 double PlanEngine::servable_load(const Scenario& s, double load,
-                                 const std::vector<size_t>* allowed,
-                                 SolveScratch& scr) const {
+                                 bool restricted, SolveScratch& scr) const {
   const RoomModel& planning = *margin_model_;
-  const ModelAggregates& agg = aggregates();
   const BoundedOptimizer& caps = bounded();
-  const std::vector<size_t>& machines =
-      allowed != nullptr ? *allowed : agg.all_machines;
+  const std::vector<size_t>& machines = machines_for(restricted, scr);
   constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
   if (s.distribution == Distribution::kOptimal) {
@@ -440,8 +465,7 @@ double PlanEngine::servable_load(const Scenario& s, double load,
   // never beats it) and at the fixed conservative T_ac otherwise.
   const double t = s.ac_control ? planning.t_ac_min : fixed_t_ac_;
   const auto cap_at = [&](size_t i) { return caps.cap(i, t, kRuleSlackC); };
-  const std::vector<size_t>& order =
-      allowed != nullptr ? scr.order : agg.coolness;
+  const std::vector<size_t>& order = coolness_for(restricted, scr);
   if (!s.consolidation) {
     // Every allowed machine stays ON, so each must survive its idle draw.
     for (const size_t i : machines) {
@@ -522,13 +546,15 @@ PlanResult PlanEngine::solve(const PlanRequest& request) const {
 
 void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
                             PlanResult& result) const {
+  const uint64_t builds_before = t_builds;
+  const ModelAggregates& agg = aggregates();
   if (request.load < 0.0) {
     throw std::invalid_argument("PlanEngine: negative load");
   }
-  if (request.load > model_->total_capacity() + 1e-9) {
+  if (request.load > agg.total_capacity + 1e-9) {
     throw std::invalid_argument(
         util::strf("PlanEngine: load %.3f exceeds room capacity %.3f",
-                   request.load, model_->total_capacity()));
+                   request.load, agg.total_capacity));
   }
   const size_t n = model_->size();
   for (size_t idx : request.quarantined) {
@@ -544,7 +570,6 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
   result.shard = request.shard;
   result.shed_load = 0.0;
   result.shed_priority.clear();
-  const uint64_t builds_before = t_builds;
   const double t0 = now_us();
   // Tracing: one serial span covering the whole solve. The context's
   // record vector is grow-only, so a reused context keeps the warm path
@@ -552,31 +577,50 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
   const int solve_span =
       request.spans != nullptr ? request.spans->begin("engine.solve") : -1;
 
-  // Surviving machine set and its capacity. Demand above the surviving
-  // capacity is shed, not an error — only the full-fleet capacity check
-  // above throws.
-  scr.allowed.clear();
-  double allowed_capacity = model_->total_capacity();
+  // Demand above the surviving capacity is shed, not an error — only the
+  // full-fleet capacity check above throws. A restricted solve marks its
+  // survivors in scr.mask (one fill, one write per listed machine); the
+  // survivor lists and their exact index-order capacity are built only
+  // when something reads them (survivor_lists; an empty scr.allowed means
+  // not built yet).
   const bool restricted = !request.quarantined.empty();
+  double serveable = std::min(request.load, agg.total_capacity);
+  size_t survivors = n;
   if (restricted) {
-    scr.quarantined_mask.assign(n, 0);
-    for (size_t idx : request.quarantined) scr.quarantined_mask[idx] = 1;
-    allowed_capacity = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (scr.quarantined_mask[i]) continue;
-      scr.allowed.push_back(i);
-      allowed_capacity += model_->machines[i].capacity;
+    scr.mask.assign(n, 1);
+    scr.allowed.clear();
+    // Sized with the mask, so building the lists later in a warm solve
+    // never grows them.
+    scr.allowed.reserve(n);
+    scr.order.reserve(n);
+    double quarantined_capacity = 0.0;
+    for (const size_t idx : request.quarantined) {
+      if (!scr.mask[idx]) continue;  // listed twice
+      scr.mask[idx] = 0;
+      --survivors;
+      quarantined_capacity += agg.soa.capacity[idx];
+    }
+    // The survivors' capacity caps the load only when the load can reach
+    // it. Each of the three folds (the room's, the quarantined machines',
+    // the survivors') is off by at most n ulps of the room's capacity, so
+    // a load this far below their difference is below the survivors'
+    // index-order fold too, and min(load, fold) is the load itself.
+    const double slack = 4.0 * static_cast<double>(n + 1) *
+                         std::numeric_limits<double>::epsilon() *
+                         agg.total_capacity;
+    if (survivors > 0 &&
+        !(request.load <= agg.total_capacity - quarantined_capacity - slack)) {
+      survivor_lists(scr);
+      serveable = std::min(request.load, scr.allowed_capacity);
     }
   }
-  const std::vector<size_t>* allowed_ptr = restricted ? &scr.allowed : nullptr;
 
-  const double serveable = std::min(request.load, allowed_capacity);
   double achieved = 0.0;
   // Never emplace over an engaged optional: that would destroy (and so
   // free) the previous plan's buffers this warm path is reusing.
   if (!result.plan) result.plan.emplace();
   Plan& plan = *result.plan;
-  if (restricted && scr.allowed.empty()) {
+  if (survivors == 0) {
     // Whole fleet quarantined: the best effort is an all-off room.
     plan.scenario = request.scenario;
     plan.load = 0.0;
@@ -584,30 +628,20 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
     plan.allocation.loads.assign(n, 0.0);
     plan.allocation.on.assign(n, false);
     plan.allocation.t_ac = model_->t_ac_max;
-    plan.allocation.finalize(*model_, aggregates().soa);
+    plan.allocation.finalize(*model_, agg.soa);
   } else {
-    // The survivors' mask and coolness order, which compute_plan_into and
-    // servable_load read for restricted solves.
-    if (restricted) {
-      scr.mask.assign(n, 0);
-      for (size_t i : scr.allowed) scr.mask[i] = 1;
-      scr.order.clear();
-      for (size_t i : aggregates().coolness) {
-        if (scr.mask[i]) scr.order.push_back(i);
-      }
-    }
     // A request the plan cannot serve as asked is planned once more, at
     // the largest load the scenario's rule carries. An Optimal plan there,
     // or one the consolidation search missed below it, runs on every
     // machine that survives at t_ac_min (servable_load leaves them in
     // scr.subset): together they carry any load up to that maximum.
     const Scenario& s = request.scenario;
-    bool ok = compute_plan_into(s, serveable, allowed_ptr, nullptr, scr, plan);
+    bool ok = compute_plan_into(s, serveable, restricted, nullptr, scr, plan);
     if (!ok) {
       const bool optimal = s.distribution == Distribution::kOptimal;
-      const double limit = servable_load(s, serveable, allowed_ptr, scr);
+      const double limit = servable_load(s, serveable, restricted, scr);
       if (limit >= 0.0 && (optimal || limit < serveable)) {
-        ok = compute_plan_into(s, limit, allowed_ptr,
+        ok = compute_plan_into(s, limit, restricted,
                                optimal ? &scr.subset : nullptr, scr, plan);
       }
     }
@@ -625,15 +659,14 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
     // gone), each once in first-appearance order (its mask entry turns 2
     // once listed), then the survivors from thermally worst to best — the
     // order a supervisor should walk when it must drop more work.
-    for (size_t idx : request.quarantined) {
-      if (scr.quarantined_mask[idx] == 1) {
+    for (const size_t idx : request.quarantined) {
+      if (scr.mask[idx] == 0) {
         result.shed_priority.push_back(idx);
-        scr.quarantined_mask[idx] = 2;
+        scr.mask[idx] = 2;
       }
     }
-    const ModelAggregates& agg = aggregates();
     for (auto it = agg.coolness.rbegin(); it != agg.coolness.rend(); ++it) {
-      if (!restricted || !scr.quarantined_mask[*it]) {
+      if (!restricted || scr.mask[*it] == 1) {
         result.shed_priority.push_back(*it);
       }
     }

@@ -112,6 +112,8 @@ struct PlanResult {
 /// Everything O(n)-derivable from the model that the dispatch loop used to
 /// recompute (and re-sort) on every plan call.
 struct ModelAggregates {
+  /// RoomModel::total_capacity(), the fold every solve checks its load
+  /// against.
   double total_capacity = 0.0;
   /// RoomModel::uniform_w1(), read by every route: the closed form and the
   /// Algorithm 1 tables exist only when it holds (exact_paths()).
@@ -251,17 +253,28 @@ class PlanEngine {
   /// read `builds_before` (at the start of a solve or rebalance).
   void count_cache_hit(uint64_t builds_before) const;
 
-  /// `allowed` restricts planning to a machine subset (nullptr == the whole
-  /// fleet); used by quarantine-aware solves, which read the mask and
-  /// coolness order solve_into filters into `scratch`. Optimal consolidation
-  /// picks its ON set through consolidate_into.
+  /// `restricted` limits planning to the survivors solve_into marked in
+  /// scratch.mask (quarantine-aware solves); otherwise the whole fleet.
+  /// Optimal consolidation picks its ON set through consolidate_into.
   /// `forced` (Optimal only) skips the ON-set choice: the split runs on
   /// exactly those machines. Writes the plan into `out` (buffers reused);
   /// false = no feasible plan: some CPU would run past the margined T_max.
-  bool compute_plan_into(const Scenario& s, double load,
-                         const std::vector<size_t>* allowed,
+  bool compute_plan_into(const Scenario& s, double load, bool restricted,
                          const std::vector<size_t>* forced,
                          SolveScratch& scratch, Plan& out) const;
+  /// A restricted solve's survivors (scratch.mask) in index order
+  /// (scratch.allowed, with their index-order capacity fold in
+  /// scratch.allowed_capacity) and in coolness order (scratch.order).
+  /// Built on the first call in a restricted solve, which solve_into marks
+  /// by clearing scratch.allowed; only the paths that read them call it, so
+  /// a solve the closed form or the table answers pays for neither.
+  void survivor_lists(SolveScratch& scratch) const;
+  /// The machines a solve may plan on, in index order or coolest first:
+  /// the cached whole-fleet lists, or a restricted solve's survivor_lists.
+  const std::vector<size_t>& machines_for(bool restricted,
+                                          SolveScratch& scratch) const;
+  const std::vector<size_t>& coolness_for(bool restricted,
+                                          SolveScratch& scratch) const;
   /// The largest load at or below `load` that scenario `s`'s rule can place
   /// on the allowed machines (the paper's maxL, Sec. III-B, without a power
   /// budget), from the per-machine caps u_i(T) BoundedOptimizer holds; -1
@@ -271,8 +284,7 @@ class PlanEngine {
   /// leaves in scratch.subset. Bottom-up: the coolest-first fill up to the
   /// first machine that cannot run at capacity. Even: the water level under
   /// the lowest binding cap, per coolness prefix with consolidation.
-  double servable_load(const Scenario& s, double load,
-                       const std::vector<size_t>* allowed,
+  double servable_load(const Scenario& s, double load, bool restricted,
                        SolveScratch& scratch) const;
   /// Optimal with consolidation: the cheapest feasible plan over the
   /// candidate ON sets, into scratch.best_alloc; false when none is
@@ -288,8 +300,8 @@ class PlanEngine {
   /// entry. Heterogeneous rooms walk a window of k with no bound. Restricted
   /// solves hold incremental_mu_ from moving the table to the request's
   /// mask until the walk ends.
-  bool consolidate_into(double load, const std::vector<size_t>* allowed,
-                        SolveScratch& scratch, bool& best_pure) const;
+  bool consolidate_into(double load, bool restricted, SolveScratch& scratch,
+                        bool& best_pure) const;
   /// Moves the delta-maintained restricted table to `active_mask` (building
   /// it on first use) and counts the transition. The caller holds
   /// incremental_mu_; the table is a pure function of the mask, so

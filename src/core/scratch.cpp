@@ -13,10 +13,10 @@ size_t SolveScratch::bytes() const {
   size_t b = (allowed.capacity() + order.capacity() + capacity_order.capacity() +
               idle_order.capacity() + subset.capacity()) *
                  sizeof(size_t) +
-             quarantined_mask.capacity() + mask.capacity();
+             mask.capacity();
   b += ranked.capacity() * sizeof(RankEntry);
   b += allocation_bytes(best_alloc) + allocation_bytes(trial_alloc);
-  b += allocation_bytes(cf.allocation) + cf.mu.capacity() * sizeof(double);
+  b += allocation_bytes(cf.allocation);
   b += bounded.bytes();
   return b;
 }

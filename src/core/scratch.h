@@ -28,12 +28,16 @@
 namespace coolopt::core {
 
 struct SolveScratch {
-  // --- solve()-level buffers ---
-  std::vector<size_t> allowed;          ///< surviving machines (quarantines)
-  std::vector<char> quarantined_mask;   ///< 1 = quarantined
+  // --- restricted (quarantine) solves ---
+  /// 1 = survivor, 0 = quarantined; shed_priority turns a listed entry to 2.
+  std::vector<char> mask;
+  /// The survivors in index order and in coolness order, and the index-order
+  /// fold of their capacities: built on demand (PlanEngine::survivor_lists),
+  /// empty until then.
+  std::vector<size_t> allowed;
+  std::vector<size_t> order;
+  double allowed_capacity = 0.0;
   // --- compute_plan-level buffers ---
-  std::vector<char> mask;               ///< 1 = allowed (restricted solves)
-  std::vector<size_t> order;            ///< filtered coolness order
   std::vector<size_t> capacity_order;   ///< filtered capacity-descending
   std::vector<size_t> idle_order;       ///< filtered idle-draw ascending
   /// The fixed rules' consolidation ON set, the table subset the walk

@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -271,8 +272,11 @@ TEST(AllocGuard, WarmQueryBestIsAllocationFree) {
 /// Restricted solves under quarantine churn: each request is one machine
 /// away from the one before, so every solve moves the incremental
 /// Algorithm 1 table by one delta (active-class count check, segment
-/// patch, tail refold) and queries it. After one warm lap of the walk every
-/// per-delta buffer is grown, and a second lap allocates nothing.
+/// patch, tail refold) and queries it. Every third step also asks for the
+/// survivors' whole capacity and for the whole room's, loads that build the
+/// survivor lists (PlanEngine::survivor_lists) inside the solve and shed.
+/// After one warm lap of the walk every per-delta buffer is grown, and a
+/// second lap allocates nothing.
 TEST(AllocGuard, WarmQuarantineChurnSolveIsAllocationFree) {
   // 2000 machines in 8 classes, the layout real fleets and the cooloptd
   // benchmark use.
@@ -289,15 +293,27 @@ TEST(AllocGuard, WarmQuarantineChurnSolveIsAllocationFree) {
   for (size_t j = 0; j < 12; ++j) walk.push_back((j * 997 + 13) % model.size());
   std::vector<core::PlanRequest> requests;
   std::vector<size_t> quarantined;
-  for (size_t j = 0; j < walk.size(); ++j) {
-    quarantined.push_back(walk[j]);
+  const auto add = [&](size_t j) {
     requests.emplace_back(holistic, model.total_capacity() * (0.15 + 0.01 * j),
                           quarantined);
+    if (j % 3 != 2) return;
+    double survivors = 0.0;
+    for (size_t i = 0; i < model.size(); ++i) {
+      if (std::find(quarantined.begin(), quarantined.end(), i) ==
+          quarantined.end()) {
+        survivors += model.machines[i].capacity;
+      }
+    }
+    requests.emplace_back(holistic, survivors, quarantined);
+    requests.emplace_back(holistic, model.total_capacity(), quarantined);
+  };
+  for (size_t j = 0; j < walk.size(); ++j) {
+    quarantined.push_back(walk[j]);
+    add(j);
   }
   for (size_t j = walk.size(); j-- > 1;) {
     quarantined.pop_back();
-    requests.emplace_back(holistic, model.total_capacity() * (0.15 + 0.01 * j),
-                          quarantined);
+    add(j);
   }
   core::SolveScratch& scratch = core::SolveScratch::local();
   core::PlanResult slot;
@@ -308,6 +324,7 @@ TEST(AllocGuard, WarmQuarantineChurnSolveIsAllocationFree) {
   ASSERT_TRUE(slot.error.empty()) << slot.error;
   ASSERT_TRUE(slot.plan.has_value());
   const core::EngineCounters counters = engine.counters();
+  EXPECT_GT(counters.degraded, 0u);
   EXPECT_EQ(counters.incremental_replans, 2 * requests.size());
   EXPECT_EQ(counters.incremental_cold_builds, 1u);
   EXPECT_EQ(counters.incremental_event_rebuilds, 0u);

@@ -708,6 +708,83 @@ TEST(PlanEngineDegraded, RepeatedQuarantineIndexIsShedOnce) {
   expect_identical(repeated, once, 0);
 }
 
+// A quarantine list is read as a set: an unsorted list, one with repeats, or
+// one naming every machine plans exactly what its sorted, deduplicated form
+// does in every scenario, at loads below, at and above the survivors'
+// capacity. Above it, even by one ulp, the solve plans exactly that
+// capacity, folded over the survivors in index order, and sheds the rest;
+// the shed order opens with the list's machines in first-appearance order.
+TEST(PlanEngineDegraded, QuarantineListIsReadAsASet) {
+  const size_t n = 40;
+  // Half capacities keep every machine under T_max at full load, so each
+  // scenario serves whatever capacity survives.
+  RoomModel room = uniform_model(n, 11);
+  for (MachineModel& m : room.machines) m.capacity *= 0.5;
+  const PlanEngine engine(room);
+  const double total = engine.model().total_capacity();
+
+  std::vector<size_t> everyone;
+  for (size_t i = n; i-- > 0;) {
+    everyone.push_back(i);
+    if (i % 7 == 0) everyone.push_back(i);
+  }
+  const std::vector<std::vector<size_t>> lists = {
+      {17, 3, 29, 3, 8}, {39, 0, 39, 0, 39}, {5, 4, 3, 2, 1, 0}, {12, 12, 12},
+      everyone};
+  for (const std::vector<size_t>& list : lists) {
+    std::vector<size_t> set = list;
+    std::sort(set.begin(), set.end());
+    set.erase(std::unique(set.begin(), set.end()), set.end());
+    std::vector<size_t> first_seen;
+    for (const size_t i : list) {
+      if (std::find(first_seen.begin(), first_seen.end(), i) ==
+          first_seen.end()) {
+        first_seen.push_back(i);
+      }
+    }
+    double survivors = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      if (!std::binary_search(set.begin(), set.end(), i)) {
+        survivors += engine.model().machines[i].capacity;
+      }
+    }
+    const double loads[] = {survivors * 0.5,
+                            survivors * (1.0 - 1e-6),
+                            std::nextafter(survivors, 0.0),
+                            survivors,
+                            std::nextafter(survivors, total),
+                            std::min(total, survivors * 1.05),
+                            total};
+    for (const Scenario& scenario : Scenario::all8()) {
+      for (const double load : loads) {
+        SCOPED_TRACE(scenario.name() + ", " + std::to_string(list.size()) +
+                     "-entry list, load " + std::to_string(load));
+        const PlanResult got = engine.solve(PlanRequest{scenario, load, list});
+        const PlanResult want = engine.solve(PlanRequest{scenario, load, set});
+        expect_identical(got, want, 0);
+        ASSERT_TRUE(got.plan.has_value());
+        EXPECT_EQ(got.plan->load, std::min(load, survivors));
+        EXPECT_EQ(got.shed_load, want.shed_load);
+        const double expected_shed = load - survivors > 1e-9 ? load - survivors : 0.0;
+        EXPECT_EQ(got.shed_load, load > survivors ? expected_shed : 0.0);
+        if (got.shed_load > 0.0) {
+          ASSERT_EQ(got.shed_priority.size(), want.shed_priority.size());
+          ASSERT_EQ(got.shed_priority.size(), n);
+          EXPECT_TRUE(std::equal(first_seen.begin(), first_seen.end(),
+                                 got.shed_priority.begin()));
+          EXPECT_TRUE(std::equal(got.shed_priority.begin() +
+                                     static_cast<ptrdiff_t>(set.size()),
+                                 got.shed_priority.end(),
+                                 want.shed_priority.begin() +
+                                     static_cast<ptrdiff_t>(set.size())));
+        } else {
+          EXPECT_TRUE(got.shed_priority.empty());
+        }
+      }
+    }
+  }
+}
+
 TEST(PlanEngineDegraded, DegradedSolvesCountInCounters) {
   const PlanEngine engine(uniform_model(6));
   std::vector<size_t> all(6);
