@@ -28,8 +28,8 @@
 //                            (cold) against one long-lived engine replanning
 //                            through a reused result slot (warm), and the
 //                            same cycle under one-machine quarantine deltas
-//                            (churn: restricted solves on the incremental
-//                            table);
+//                            (churn: restricted solves reading the one
+//                            table through the survivors' mask);
 //   obs.*.{detached,attached}  the closed form and a warm engine solve with
 //                            no metrics registry attached and with one: the
 //                            cost of the instrumentation hooks.
@@ -255,9 +255,9 @@ void warm_path_rows(bench::Report& report, size_t n, size_t rounds,
 /// that quarantines one more machine per request out to 8, then readmits
 /// them one per request, at the operating cycle's loads, on one long-lived
 /// engine through a reused result slot (the churn_p50 row). Each request
-/// moves the incremental Algorithm 1 table by one delta. The gate: every
-/// churned plan encodes byte-for-byte what a fresh engine answers for the
-/// same request from a cold-built table.
+/// reads the engine's one Algorithm 1 table through a mask over its
+/// survivors, rebound per request. The gate: every churned plan encodes
+/// byte-for-byte what a fresh engine answers for the same request.
 void churn_rows(bench::Report& report, size_t n, size_t rounds) {
   const core::SharedRoomModel shared =
       core::share_model(bench::sku_model(n, 8, 42));

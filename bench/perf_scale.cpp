@@ -1,5 +1,5 @@
 // Datacenter-scale planning performance: what the sharded FleetEngine and
-// the incremental Algorithm 1 table buy as the fleet grows to 10k+
+// the masked Algorithm 1 query buy as the fleet grows to 10k+
 // machines, on SKU-structured rooms (a handful of machine classes
 // replicated across slots — the regime real fleets live in, and the one
 // where the event table stays compact at any n).
@@ -12,18 +12,17 @@
 //                per-shard preprocess behind the frontier sampling, the
 //                water-filling split, parallel shard solves and the merge.
 //
-// Plus the incremental-vs-rebuild comparison: with a warm table, quarantine
-// ONE machine and replan (set_active + query_best_into) against a cold
-// build answering the same query at the same active set (a consolidator
-// moved there from the empty set, which set_active cold-builds, so the
-// reference shares no state with the delta path).
+// Plus the replan-vs-rebuild comparison: with a warm table, quarantine ONE
+// machine and replan (set_active + the masked query_best_into) against a
+// cold build over the survivors, with the room's event list, answering the
+// same query (the table a masked query must equal bit for bit).
 //
 // Gates (exit nonzero when missed):
 //   * fleet cold solve at the largest n beats the monolithic cold solve at
 //     one of the swept shard counts;
-//   * incremental replan >= 10x the cold rebuild at every n >= 2000;
+//   * masked replan >= 10x the cold rebuild at every n >= 2000;
 //   * every fleet shard entry is bit-for-bit the shard engine's own
-//     answer, and the incremental table/ranking is bit-for-bit the cold
+//     answer, and the masked choice/ranking is bit-for-bit the cold
 //     rebuild's, at every n.
 //
 // Writes BENCH_scale.json (bench/report.h).
@@ -47,28 +46,6 @@ namespace {
 /// regime, far from both the thermal ceiling and the per-machine caps.
 constexpr double kLoadFrac = 0.2;
 
-/// Prefix sums are read through the folding accessor, so a table with
-/// stale tails compares by the values its queries would read.
-bool tables_identical(const core::ParticleSystem& ps,
-                      const core::detail::ConsolidationTable& a,
-                      const core::detail::ConsolidationTable& b) {
-  if (a.events != b.events || a.segments.size() != b.segments.size()) {
-    return false;
-  }
-  for (size_t s = 0; s < a.segments.size(); ++s) {
-    if (a.segments[s].start != b.segments[s].start ||
-        a.segments[s].order != b.segments[s].order) {
-      return false;
-    }
-    for (size_t k = 0; k <= a.width(); ++k) {
-      const core::detail::ConsolidationTable::Prefix pa = a.prefix(ps, s, k);
-      const core::detail::ConsolidationTable::Prefix pb = b.prefix(ps, s, k);
-      if (pa.a != pb.a || pa.b != pb.b) return false;
-    }
-  }
-  return true;
-}
-
 bool choices_identical(const core::ConsolidationChoice& a,
                        const core::ConsolidationChoice& b) {
   return a.k == b.k && a.on_set == b.on_set && a.t_ac == b.t_ac &&
@@ -81,6 +58,11 @@ bool choice_is_entry(const core::ConsolidationChoice& c,
                      const core::RankEntry& e) {
   return c.k == e.k && c.segment == e.segment &&
          c.predicted_total_power_w == e.predicted_total_power_w;
+}
+
+bool entries_identical(const core::RankEntry& a, const core::RankEntry& b) {
+  return a.k == b.k && a.segment == b.segment &&
+         a.predicted_total_power_w == b.predicted_total_power_w;
 }
 
 struct ColdSolve {
@@ -131,32 +113,36 @@ ColdSolve run_fleet(const core::RoomModel& room, size_t shards, double load) {
   return r;
 }
 
-/// Warm table + one-machine quarantine replan (delta patch +
-/// query_best_into) vs a from-scratch build answering the same query. Adds
-/// the timing rows (a gate at n >= 2000); returns whether the patched
-/// answer is bit-for-bit the rebuilt one.
+/// Warm table + one-machine quarantine replan (set_active + the masked
+/// query_best_into) vs a cold build over the survivors with the room's
+/// events answering the same query. Adds the timing rows (a gate at
+/// n >= 2000); returns whether the masked answers are bit-for-bit the
+/// rebuilt table's.
 bool incremental_rows(bench::Report& report,
                       const core::SharedRoomModel& model, double load) {
   const size_t n = model->size();
   core::IncrementalConsolidator inc(model, core::kPreValidated);
+  const core::ParticleSystem& ps = inc.particles();
   std::vector<char> mask(n, 1);
-  inc.set_active(mask);  // warm (cold build, untimed)
+  core::ConsolidationChoice best;
+  inc.set_active(mask);  // warm: sizes the mask's cursors (untimed)
+  inc.query_best_into(load, best);
 
   mask[n / 2] = 0;  // one machine quarantined
   auto t0 = std::chrono::steady_clock::now();
   inc.set_active(mask);
-  core::ConsolidationChoice best;
   const bool found = inc.query_best_into(load, best);
   const double replan_ms = bench::ms_since(t0);
 
-  // The reference never takes the delta path: from the empty set, moving
-  // to the mask spans the whole fleet, so set_active cold-builds there.
-  core::IncrementalConsolidator rebuilt(model, core::kPreValidated);
-  rebuilt.set_active(std::vector<char>(n, 0));
+  std::vector<uint32_t> ids;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (mask[i] != 0) ids.push_back(i);
+  }
   t0 = std::chrono::steady_clock::now();
-  const bool cold = rebuilt.set_active(mask).cold_rebuild;
+  core::detail::ConsolidationTable rebuilt;
+  rebuilt.build(ps, ids, inc.table().events);
   core::ConsolidationChoice best_cold;
-  const bool found_cold = rebuilt.query_best_into(load, best_cold);
+  const bool found_cold = rebuilt.query_best_into(ps, *model, load, best_cold);
   const double rebuild_ms = bench::ms_since(t0);
 
   report.row(util::strf("incremental.replan/%zu", n), replan_ms, "ms");
@@ -169,15 +155,17 @@ bool incremental_rows(bench::Report& report,
     report.row(name, speedup, "x");
   }
 
-  // Bit-for-bit: the patched table equals the rebuilt one, both queries
-  // agree, and query_best_into is exactly the head of the full ranking.
+  // Bit-for-bit: both queries and both rankings agree, and query_best_into
+  // is exactly the head of the masked ranking.
   std::vector<core::RankEntry> ranked;
+  std::vector<core::RankEntry> ranked_cold;
   inc.rank_all_k_into(load, ranked);
-  return cold &&
-         tables_identical(inc.particles(), inc.table(), rebuilt.table()) &&
-         found && found_cold && !ranked.empty() &&
+  rebuilt.rank_all_k_into(ps, *model, load, ranked_cold);
+  return found && found_cold && !ranked.empty() &&
          choices_identical(best, best_cold) &&
-         choice_is_entry(best, ranked.front());
+         choice_is_entry(best, ranked.front()) &&
+         std::equal(ranked.begin(), ranked.end(), ranked_cold.begin(),
+                    ranked_cold.end(), entries_identical);
 }
 
 }  // namespace

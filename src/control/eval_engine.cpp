@@ -124,6 +124,10 @@ sim::MachineRoom& EvalEngine::room() {
 std::unique_ptr<EvalEngine::Station> EvalEngine::make_station(
     const sim::RoomConfig& config) const {
   auto station = std::make_unique<Station>(config);
+  // The bump and the gauge under one lock, so the last gauge write is the
+  // highest count: two workers building at once cannot leave the gauge
+  // one below the counter.
+  std::scoped_lock lock(stations_mu_);
   const uint64_t built = obs::bump_counter(counters_.rooms_built);
   obs::gauge_set("eval.rooms", static_cast<double>(built));
   return station;

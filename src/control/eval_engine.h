@@ -217,6 +217,8 @@ class EvalEngine {
   mutable std::shared_ptr<core::PlanEngine> plan_engine_;
   mutable double capacity_ = 0.0;
 
+  // Guards the station pool, and orders make_station's rooms_built bump
+  // with its eval.rooms gauge write.
   mutable std::mutex stations_mu_;
   mutable std::vector<std::unique_ptr<Station>> idle_stations_;
   mutable Station* primary_ = nullptr;  // owned via the pool; profiled room

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace coolopt::core {
 
@@ -49,13 +50,26 @@ double subset_power(const ParticleSystem& ps, const RoomModel& model,
          model.cooler.predict(t_ac, sum_w2_k + ps.w1 * load);
 }
 
-/// The idle draw of the top k of `order`, summed machine by machine.
-double top_k_w2(const RoomModel& model, const std::vector<uint32_t>& order,
-                size_t k) {
-  double sum_w2 = 0.0;
-  for (size_t j = 0; j < k; ++j) {
-    sum_w2 += model.machines[order[j]].power.w2;
+/// Calls visit(id) for the first k ids of `order` whose byte in `active`
+/// is non-zero (the first k ids when `active` is null).
+template <typename Visit>
+void for_top_k(const std::vector<uint32_t>& order, size_t k,
+               const std::vector<char>* active, Visit&& visit) {
+  for (size_t j = 0, taken = 0; taken < k; ++j) {
+    const uint32_t id = order[j];
+    if (active != nullptr && (*active)[id] == 0) continue;
+    visit(id);
+    ++taken;
   }
+}
+
+/// The idle draw of the top k of `order` (of its admitted ids under
+/// `active`), summed machine by machine.
+double top_k_w2(const RoomModel& model, const std::vector<uint32_t>& order,
+                size_t k, const std::vector<char>* active) {
+  double sum_w2 = 0.0;
+  for_top_k(order, k, active,
+            [&](uint32_t id) { sum_w2 += model.machines[id].power.w2; });
   return sum_w2;
 }
 
@@ -105,66 +119,75 @@ void ConsolidationTable::build(const ParticleSystem& ps,
     });
     seg.prefix_a.assign(n + 1, 0.0);
     seg.prefix_b.assign(n + 1, 0.0);
-    refold(ps, seg);
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t id = seg.order[k];
+      seg.prefix_a[k + 1] = seg.prefix_a[k] + ps.a[id];
+      seg.prefix_b[k + 1] = seg.prefix_b[k] + ps.b[id];
+    }
     segments.push_back(std::move(seg));
   }
 }
 
-void ConsolidationTable::refold(const ParticleSystem& ps, const Segment& seg) {
-  const size_t n = seg.order.size();
-  double* pa = seg.prefix_a.data();
-  double* pb = seg.prefix_b.data();
-  double sum_a = pa[seg.folded];
-  double sum_b = pb[seg.folded];
-  for (size_t k = seg.folded; k < n; ++k) {
-    const uint32_t id = seg.order[k];
-    sum_a += ps.a[id];
-    sum_b += ps.b[id];
-    pa[k + 1] = sum_a;
-    pb[k + 1] = sum_b;
+void ConsolidationTable::Mask::reset(const ConsolidationTable& table,
+                                     const std::vector<char>& active) {
+  if (active.size() != table.width()) {
+    throw std::invalid_argument(
+        "ConsolidationTable::Mask: the mask has one entry per particle, and "
+        "the table must cover every particle");
   }
-  seg.folded = n;
+  active_ = &active;
+  ++pass_;
+  if (cursors_.size() < table.segments.size()) {
+    cursors_.resize(table.segments.size());
+  }
+  width_ = static_cast<size_t>(std::count_if(
+      active.begin(), active.end(), [](char c) { return c != 0; }));
 }
 
-void ConsolidationTable::apply_membership_delta(
-    const ParticleSystem& ps, const std::vector<uint32_t>& removed,
-    const std::vector<uint32_t>& added) {
-  for (Segment& seg : segments) {
-    // The order is the unique sequence sorted by (coordinate descending,
-    // id ascending), so an id's lower bound under that comparator is where
-    // it sits (removal) or where a full re-sort would put it (insertion).
-    const auto before = [&](uint32_t x, uint32_t y) {
-      const double cx = ps.coordinate(x, seg.order_time);
-      const double cy = ps.coordinate(y, seg.order_time);
-      if (cx != cy) return cx > cy;
-      return x < y;
-    };
-    size_t first = seg.order.size();
-    for (const uint32_t id : removed) {
-      const auto pos =
-          std::lower_bound(seg.order.begin(), seg.order.end(), id, before);
-      if (pos == seg.order.end() || *pos != id) {
-        throw std::logic_error(
-            "ConsolidationTable: removed particle is not at its sorted "
-            "position (delta drifted from the table)");
-      }
-      first = std::min(first, static_cast<size_t>(pos - seg.order.begin()));
-      seg.order.erase(pos);
-    }
-    for (const uint32_t id : added) {
-      const auto pos =
-          std::lower_bound(seg.order.begin(), seg.order.end(), id, before);
-      first = std::min(first, static_cast<size_t>(pos - seg.order.begin()));
-      seg.order.insert(pos, id);
-    }
-    // Positions below `first` hold the same particles as before, so their
-    // prefix sums already are the rebuild's. The tail stays stale until
-    // prefix() reads it; an earlier delta's unread tail may start lower.
-    seg.folded = std::min(seg.folded, first);
-    seg.prefix_a.resize(seg.order.size() + 1);
-    seg.prefix_b.resize(seg.order.size() + 1);
+ConsolidationTable::Prefix ConsolidationTable::masked_prefix(
+    const ParticleSystem& ps, size_t s, size_t k, Mask& mask) const {
+  Mask::Cursor& c = mask.cursors_[s];
+  if (c.pass != mask.pass_ || k < c.count) c = Mask::Cursor{mask.pass_};
+  const Segment& seg = segments[s];
+  const std::vector<uint32_t>& order = seg.order;
+  const char* active = mask.active_->data();
+  size_t pos = c.pos;
+  size_t count = c.count;
+  double sum_a = c.a;
+  double sum_b = c.b;
+  if (count == pos) {
+    // No id skipped yet: up to the first masked one, the fold is build()'s
+    // own, so its prefix sums are read instead of re-added.
+    while (pos < k && active[order[pos]] != 0) ++pos;
+    count = pos;
+    sum_a = seg.prefix_a[pos];
+    sum_b = seg.prefix_b[pos];
   }
+  // build()'s left-to-right adds over the admitted ids, the running sums
+  // carried in registers.
+  while (count < k) {
+    const uint32_t id = order[pos++];
+    if (active[id] == 0) continue;
+    sum_a += ps.a[id];
+    sum_b += ps.b[id];
+    ++count;
+  }
+  c = Mask::Cursor{mask.pass_, pos, count, sum_a, sum_b};
+  return Prefix{sum_a, sum_b};
 }
+
+void ConsolidationTable::top_k_into(size_t s, size_t k,
+                                    std::vector<size_t>& out,
+                                    const Mask* mask) const {
+  const std::vector<uint32_t>& order = segments[s].order;
+  if (mask == nullptr) {
+    out.assign(order.begin(), order.begin() + static_cast<long>(k));
+    return;
+  }
+  out.clear();
+  for_top_k(order, k, mask->active_, [&](uint32_t id) { out.push_back(id); });
+}
+
 
 size_t ConsolidationTable::segment_at(double t) const {
   // Last segment whose start <= t; t < 0 maps to the first segment.
@@ -184,44 +207,53 @@ size_t ConsolidationTable::segment_at(double t) const {
 void ConsolidationTable::make_choice_into(const ParticleSystem& ps,
                                           const RoomModel& model,
                                           size_t segment, size_t k, double load,
-                                          ConsolidationChoice& out) const {
-  const std::vector<uint32_t>& order = segments[segment].order;
+                                          ConsolidationChoice& out,
+                                          const Mask* mask) const {
   out.k = k;
   out.segment = segment;
-  out.on_set.assign(order.begin(), order.begin() + static_cast<long>(k));
+  top_k_into(segment, k, out.on_set, mask);
+  // One pass over the subset for its idle draw and its prefix sums, the
+  // latter with build()'s left-to-right adds, so no cursor is read.
+  double sum_w2 = 0.0;
+  Prefix p;
+  for (const size_t id : out.on_set) {
+    sum_w2 += model.machines[id].power.w2;
+    p.a += ps.a[id];
+    p.b += ps.b[id];
+  }
   out.predicted_total_power_w =
-      prefix_power(ps, model, prefix(ps, segment, k), load,
-                   top_k_w2(model, order, k), out.t_param);
+      prefix_power(ps, model, p, load, sum_w2, out.t_param);
   out.t_ac = ps.w1 * out.t_param;
 }
 
 bool ConsolidationTable::feasible_k(const ParticleSystem& ps,
                                     const Anchors& at, double load, size_t k,
-                                    size_t& segment) const {
-  if (k == 0 || k > width()) return false;
+                                    size_t& segment, Mask* mask) const {
+  if (k == 0 || k > width(mask)) return false;
   // Even the coldest allowed air cannot serve this load on k machines.
-  if (g_in(ps, at.lo, k, ps.t_lo) < load - kFeasEps) return false;
+  if (g_in(ps, at.lo, k, ps.t_lo, mask) < load - kFeasEps) return false;
   // Load not servable even at t = 0; only possible when t_lo < 0 is
   // clamped to 0 and the check above used the same t — unreachable, but
   // keep the guard for safety.
-  if (g_in(ps, at.zero, k, 0.0) < load - kFeasEps) return false;
-  segment = operating_segment(ps, load, k);
+  if (g_in(ps, at.zero, k, 0.0, mask) < load - kFeasEps) return false;
+  segment = operating_segment(ps, load, k, mask);
   return true;
 }
 
 bool ConsolidationTable::peek_k(const ParticleSystem& ps,
                                 const RoomModel& model, const Anchors& at,
                                 double load, size_t k, double sum_w2_k,
-                                size_t* segment_out, double* power_out) const {
+                                size_t* segment_out, double* power_out,
+                                Mask* mask) const {
   // make_choice_into's arithmetic, with the iterated machine-by-machine w2
   // sum replaced by the caller's precomputed fold (identical double when
   // w2 is bitwise-uniform).
   size_t s = 0;
-  if (!feasible_k(ps, at, load, k, s)) return false;
+  if (!feasible_k(ps, at, load, k, s, mask)) return false;
   double t_param = 0.0;
   *segment_out = s;
-  *power_out =
-      prefix_power(ps, model, prefix(ps, s, k), load, sum_w2_k, t_param);
+  *power_out = prefix_power(ps, model, prefix(ps, s, k, mask), load,
+                            sum_w2_k, t_param);
   return true;
 }
 
@@ -237,27 +269,28 @@ double ConsolidationTable::power_floor(const ParticleSystem& ps,
 }
 
 size_t ConsolidationTable::operating_segment(const ParticleSystem& ps,
-                                             double load, size_t k) const {
+                                             double load, size_t k,
+                                             Mask* mask) const {
   // Find where g_k crosses the load. g_k is continuous, piecewise linear
   // and strictly decreasing, and within each segment equals
   // prefix_a[k] - t * prefix_b[k] of that segment's order.
   // Binary search: last segment whose start-value is still >= load, over
   // [lo, lo + count). Kept in this lo/count form: with the (lo, hi) form
-  // and prefix()'s refold branch in the body, GCC turns the comparison
-  // into conditional moves, which serialize the search on its loads
-  // (2-3x slower on a 30,000-segment table).
+  // and a branch in the prefix read (the former refold check), GCC turned
+  // the comparison into conditional moves, which serialize the search on
+  // its loads (2-3x slower on a 30,000-segment table).
   size_t lo = 0;
   size_t count = segments.size();
   while (count > 1) {
     const size_t half = count / 2;
-    if (g_in(ps, lo + half, k, segments[lo + half].start) >= load) {
+    if (g_in(ps, lo + half, k, segments[lo + half].start, mask) >= load) {
       lo += half;
       count -= half;
     } else {
       count = half;
     }
   }
-  const Prefix p = prefix(ps, lo, k);
+  const Prefix p = prefix(ps, lo, k, mask);
   double t_star = (p.a - load) / p.b;
   // Numeric safety at boundaries.
   t_star = std::max(t_star, segments[lo].start);
@@ -270,23 +303,24 @@ size_t ConsolidationTable::operating_segment(const ParticleSystem& ps,
 }
 
 std::optional<ConsolidationChoice> ConsolidationTable::solve_for_k(
-    const ParticleSystem& ps, const RoomModel& model, double load,
-    size_t k) const {
+    const ParticleSystem& ps, const RoomModel& model, double load, size_t k,
+    Mask* mask) const {
   size_t s = 0;
-  if (!feasible_k(ps, anchors(ps), load, k, s)) return std::nullopt;
+  if (!feasible_k(ps, anchors(ps), load, k, s, mask)) return std::nullopt;
   ConsolidationChoice choice;
-  make_choice_into(ps, model, s, k, load, choice);
+  make_choice_into(ps, model, s, k, load, choice, mask);
   return choice;
 }
 
 bool ConsolidationTable::scan_head(const ParticleSystem& ps,
                                    const RoomModel& model, double load,
-                                   Head& out) const {
+                                   Head& out, Mask* mask) const {
   // Ascending k with strict < reproduces the ranking's (power, k) order.
   const Anchors at = anchors(ps);
   out = Head{};
   double sum_w2_k = 0.0;
-  for (size_t k = 1; k <= width(); ++k) {
+  const size_t n = width(mask);
+  for (size_t k = 1; k <= n; ++k) {
     sum_w2_k += ps.w2;
     // No k from here on can displace the winner or the runner-up.
     if (out.has_runner_up &&
@@ -295,7 +329,7 @@ bool ConsolidationTable::scan_head(const ParticleSystem& ps,
     }
     size_t s = 0;
     double power = 0.0;
-    if (!peek_k(ps, model, at, load, k, sum_w2_k, &s, &power)) continue;
+    if (!peek_k(ps, model, at, load, k, sum_w2_k, &s, &power, mask)) continue;
     if (out.k == 0 || power < out.power) {
       if (out.k != 0) {
         out.runner_up_power = out.power;
@@ -314,29 +348,35 @@ bool ConsolidationTable::scan_head(const ParticleSystem& ps,
 
 bool ConsolidationTable::query_best_into(const ParticleSystem& ps,
                                          const RoomModel& model, double load,
-                                         ConsolidationChoice& out) const {
+                                         ConsolidationChoice& out,
+                                         Mask* mask) const {
   Head head;
-  if (!scan_head(ps, model, load, head)) return false;
-  make_choice_into(ps, model, head.segment, head.k, load, out);
+  if (!scan_head(ps, model, load, head, mask)) return false;
+  make_choice_into(ps, model, head.segment, head.k, load, out, mask);
   return true;
 }
 
 void ConsolidationTable::rank_all_k_into(const ParticleSystem& ps,
                                          const RoomModel& model, double load,
-                                         std::vector<RankEntry>& out) const {
+                                         std::vector<RankEntry>& out,
+                                         Mask* mask) const {
   const Anchors at = anchors(ps);
+  const size_t n = width(mask);
   out.clear();
-  out.reserve(width());
+  out.reserve(n);
   double sum_w2_k = 0.0;  // scan_head's running fold
-  for (size_t k = 1; k <= width(); ++k) {
+  for (size_t k = 1; k <= n; ++k) {
     sum_w2_k += ps.w2;
     size_t s = 0;
-    if (!feasible_k(ps, at, load, k, s)) continue;
+    if (!feasible_k(ps, at, load, k, s, mask)) continue;
     const double sum_w2 =
-        ps.w2_identical ? sum_w2_k : top_k_w2(model, segments[s].order, k);
+        ps.w2_identical
+            ? sum_w2_k
+            : top_k_w2(model, segments[s].order, k,
+                       mask != nullptr ? mask->active_ : nullptr);
     double t_param = 0.0;
-    const double power =
-        prefix_power(ps, model, prefix(ps, s, k), load, sum_w2, t_param);
+    const double power = prefix_power(ps, model, prefix(ps, s, k, mask), load,
+                                      sum_w2, t_param);
     out.push_back(RankEntry{k, s, power});
   }
   std::sort(out.begin(), out.end(), [](const RankEntry& x, const RankEntry& y) {
@@ -350,12 +390,12 @@ void ConsolidationTable::rank_all_k_into(const ParticleSystem& ps,
 double ConsolidationTable::max_load_for_budget(const ParticleSystem& ps,
                                                const RoomModel& model,
                                                double power_budget_w,
-                                               size_t k) const {
-  if (k == 0 || k > width()) {
+                                               size_t k, Mask* mask) const {
+  if (k == 0 || k > width(mask)) {
     throw std::invalid_argument("max_load_for_budget: bad k");
   }
   const auto power_at = [&](double load) -> std::optional<double> {
-    const auto c = solve_for_k(ps, model, load, k);
+    const auto c = solve_for_k(ps, model, load, k, mask);
     if (!c) return std::nullopt;
     return c->predicted_total_power_w;
   };
@@ -365,7 +405,7 @@ double ConsolidationTable::max_load_for_budget(const ParticleSystem& ps,
   // Predicted power is monotone non-decreasing in load for fixed k, so the
   // budget frontier is found by bisection on [0, g_k(t_lo)].
   double lo = 0.0;
-  double hi = g(ps, k, ps.t_lo);
+  double hi = g(ps, k, ps.t_lo, mask);
   if (hi <= 0.0) return 0.0;
   const auto p_hi = power_at(hi);
   if (p_hi && *p_hi <= power_budget_w) return hi;

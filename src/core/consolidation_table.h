@@ -1,9 +1,7 @@
 // The Algorithm 1 data structure itself: events and per-segment coordinate
 // orders with prefix sums. Its one owner is IncrementalConsolidator
-// (incremental.h), which builds it cold over a room and maintains it under
-// single-machine join/leave/quarantine deltas; every build funnels through
-// ConsolidationTable::build, so a delta-maintained table is bit-for-bit the
-// one a cold build produces at the same active set.
+// (incremental.h), which builds it cold over a room; every build funnels
+// through ConsolidationTable::build, and nothing writes to a table after it.
 //
 // The paper's allStatus list (Algorithm 2's binary-search index) is not
 // part of the table: it holds segments x n entries and only the reference
@@ -12,18 +10,16 @@
 //
 // A note on determinism: within a segment no two entries of `order`
 // compare equivalent (coordinates tie-break by particle id), so the sorted
-// order is the UNIQUE sequence satisfying the comparator. Any procedure
-// that produces a sequence sorted under that comparator — a full
-// std::sort, or an erase/insert against an already-sorted order — yields
-// the identical permutation. apply_membership_delta relies on this.
+// order is the UNIQUE sequence satisfying the comparator, and the order a
+// build sorts over any subset of the ids is the subsequence of the full
+// order those ids form. A query restricted by a Mask relies on this: it
+// folds the first k admitted ids of each order left to right, the adds a
+// table built over the admitted ids makes, so over the same event list it
+// reads that table's prefix sums bit for bit.
 //
-// Staleness and threads: a membership delta leaves each segment's prefix
-// sums stale past its first changed position, and the first read past it
-// through prefix() refolds them, so a const read of a stale table writes.
-// Only a table that has taken a delta can be stale: a built table is fully
-// folded, so any number of threads may read it at once. A table that
-// takes deltas must be moved and read under one lock (PlanEngine's
-// restricted table is, under incremental_mu_).
+// Threads: a built table is immutable, so any number of threads may query
+// it at once. A Mask holds the running state of one thread's masked
+// queries (SolveScratch keeps one per thread).
 #pragma once
 
 #include <cmath>
@@ -89,19 +85,16 @@ constexpr double kFeasEps = 1e-7;
 constexpr double kEventMergeEps = 1e-12;
 
 struct ConsolidationTable {
-  struct Segment {
+  // 32-byte aligned, so a segment takes 96 bytes: at its natural 88, the
+  // binary searches over the segments ran ~20% slower (unmasked
+  // rank_all_k_into on a 29,822-segment table, 16 -> 19-20 us).
+  struct alignas(32) Segment {
     double start = 0.0;       // particle time at segment start
     double order_time = 0.0;  // time the order was sorted at (mid-segment)
     std::vector<uint32_t> order;  // particle ids, coordinate-descending
-
-   private:
-    friend struct ConsolidationTable;
-    // prefix_a[k] / prefix_b[k] = sum of the top-k a / b, exact for
-    // k <= folded. A delta lowers `folded` to its first changed position;
-    // the first read past it (ConsolidationTable::prefix) refolds the tail.
-    mutable std::vector<double> prefix_a;
-    mutable std::vector<double> prefix_b;
-    mutable size_t folded = 0;
+    // prefix_a[k] / prefix_b[k] = sum of the top-k a / b of `order`.
+    std::vector<double> prefix_a;
+    std::vector<double> prefix_b;
   };
   /// The sums of the top-k a and b of a segment's order.
   struct Prefix {
@@ -116,6 +109,45 @@ struct ConsolidationTable {
     double power = 0.0;
     bool has_runner_up = false;
     double runner_up_power = 0.0;
+  };
+
+  /// Restricts queries to the particles whose byte in a mask is non-zero
+  /// (a quarantined solve's survivors) without touching the table. Over a
+  /// table built with event list E, every masked query answers what the
+  /// same query answers on a table built over the admitted ids with E, bit
+  /// for bit. A masked read of segment s's prefix sums at k folds the
+  /// first k admitted ids of its order through a forward cursor per
+  /// segment (up to the first masked id the table's own prefix sums are
+  /// that fold), so a pass of ascending k (scan_head, rank_all_k_into)
+  /// reads each order once; a read below a cursor refolds that segment
+  /// from its start. Grow-only: once sized for a table's segments, reset
+  /// allocates nothing.
+  class Mask {
+   public:
+    /// Binds to `active` (one byte per particle of the table's system,
+    /// non-zero = admitted), which must outlive the queries, and resets
+    /// every cursor. Throws std::invalid_argument unless the table was
+    /// built over every particle, one per byte of `active` (as
+    /// IncrementalConsolidator builds it).
+    void reset(const ConsolidationTable& table, const std::vector<char>& active);
+    /// Admitted ids in the table: the masked width().
+    size_t width() const { return width_; }
+    /// Heap bytes held by the cursors.
+    size_t bytes() const { return cursors_.capacity() * sizeof(Cursor); }
+
+   private:
+    friend struct ConsolidationTable;
+    struct Cursor {
+      uint64_t pass = 0;  // the reset() it belongs to; older ones read as 0
+      size_t pos = 0;     // next position of the segment's order to read
+      size_t count = 0;   // admitted ids folded so far
+      double a = 0.0;
+      double b = 0.0;
+    };
+    const std::vector<char>* active_ = nullptr;
+    std::vector<Cursor> cursors_;  // one per segment
+    uint64_t pass_ = 0;
+    size_t width_ = 0;
   };
 
   std::vector<double> events;      // sorted collapsed crossing times > 0
@@ -137,33 +169,32 @@ struct ConsolidationTable {
   void build(const ParticleSystem& ps, const std::vector<uint32_t>& ids,
              const std::vector<double>& collapsed_events);
 
-  /// Membership-only delta: `removed`/`added` particles leave/join every
-  /// segment order while the event list is UNCHANGED (caller checked).
-  /// Each id is located by binary search under the order's unique
-  /// comparator and erased/inserted there, so the order is exactly what a
-  /// full rebuild would sort. The prefix sums are not re-summed here: each
-  /// segment's folded watermark drops to its first changed position (the
-  /// minimum over every delta since the segment was last refolded), and
-  /// prefix() refolds the tail on the first read past it, so a segment no
-  /// query reads there is never re-summed. The head of the left-to-right
-  /// fold is untouched, so the refolded values are bit-for-bit the
-  /// rebuild's. Throws std::logic_error when a removed id is not at its
-  /// comparator position (the delta drifted from the table).
-  void apply_membership_delta(const ParticleSystem& ps,
-                              const std::vector<uint32_t>& removed,
-                              const std::vector<uint32_t>& added);
+  /// Number of particles each segment covers (k ranges over 1..width()), or
+  /// the admitted ones under `mask`.
+  size_t width(const Mask* mask = nullptr) const {
+    if (mask != nullptr) return mask->width();
+    return segments.empty() ? 0 : segments.front().order.size();
+  }
 
-  /// Number of particles each segment covers (k ranges over 1..width()).
-  size_t width() const { return segments.empty() ? 0 : segments.front().order.size(); }
-
-  /// The one read of segment `s`'s prefix sums at k (0..width()): refolds
-  /// the segment's stale tail first when k lies past its watermark. `ps`
+  /// The one read of segment `s`'s prefix sums at k (0..width(mask)): an
+  /// array load, or under `mask` the fold of its first k admitted ids. `ps`
   /// must be the particle system the table was built over.
-  Prefix prefix(const ParticleSystem& ps, size_t s, size_t k) const {
+  Prefix prefix(const ParticleSystem& ps, size_t s, size_t k,
+                Mask* mask = nullptr) const {
+    // Laid out off the hot path: with the masked call inline, GCC moved the
+    // array loads out of the binary searches' loop body (unmasked
+    // rank_all_k_into ~2x slower).
+    if (mask != nullptr) [[unlikely]] {
+      return masked_prefix(ps, s, k, *mask);
+    }
     const Segment& seg = segments[s];
-    if (k > seg.folded) refold(ps, seg);
     return Prefix{seg.prefix_a[k], seg.prefix_b[k]};
   }
+
+  /// The first k ids of segment `s`'s order (the first k admitted ones
+  /// under `mask`): the top-k subset, written into `out`.
+  void top_k_into(size_t s, size_t k, std::vector<size_t>& out,
+                  const Mask* mask = nullptr) const;
 
   /// The k-invariant lookups of feasible_k: the segments holding t_lo and
   /// t = 0. A query over every k computes them once (anchors()) and passes
@@ -173,14 +204,18 @@ struct ConsolidationTable {
     size_t zero = 0;  // segment_at(0.0)
   };
 
+  // Every query below reads the whole table, or under `mask` only its
+  // admitted particles.
+
   /// Max of sum of k largest coordinates at time t.
-  double g(const ParticleSystem& ps, size_t k, double t) const {
-    return g_in(ps, segment_at(t), k, t);
+  double g(const ParticleSystem& ps, size_t k, double t,
+           Mask* mask = nullptr) const {
+    return g_in(ps, segment_at(t), k, t, mask);
   }
   /// g(ps, k, t) with the segment holding t already looked up.
-  double g_in(const ParticleSystem& ps, size_t segment, size_t k,
-              double t) const {
-    const Prefix p = prefix(ps, segment, k);
+  double g_in(const ParticleSystem& ps, size_t segment, size_t k, double t,
+              Mask* mask = nullptr) const {
+    const Prefix p = prefix(ps, segment, k, mask);
     return p.a - t * p.b;
   }
   /// Segment containing particle time t (last segment whose start <= t).
@@ -192,17 +227,18 @@ struct ConsolidationTable {
   /// start-value of g_k still covers the load, then the (clamped) subset
   /// time mapped back through segment_at. Every query reads it through
   /// feasible_k, so all see the identical operating segment.
-  size_t operating_segment(const ParticleSystem& ps, double load,
-                           size_t k) const;
+  size_t operating_segment(const ParticleSystem& ps, double load, size_t k,
+                           Mask* mask = nullptr) const;
   /// The per-k core every query shares: false when k machines cannot
   /// serve the load (k out of range, or g_k below the load at t_lo);
   /// otherwise the operating segment. `at` is anchors(ps).
   bool feasible_k(const ParticleSystem& ps, const Anchors& at, double load,
-                  size_t k, size_t& segment) const;
+                  size_t k, size_t& segment, Mask* mask = nullptr) const;
   /// Exact per-k solve; nullopt if k machines cannot serve the load.
   std::optional<ConsolidationChoice> solve_for_k(const ParticleSystem& ps,
                                                  const RoomModel& model,
-                                                 double load, size_t k) const;
+                                                 double load, size_t k,
+                                                 Mask* mask = nullptr) const;
   /// The one head-of-ranking k-scan: ascending k with strict-< updates
   /// (the ranking's tie-break) over peek_k, the subset idle draw folded as
   /// a running sum of ps.w2. Tracks the winner and the runner-up, and stops
@@ -213,18 +249,20 @@ struct ConsolidationTable {
   /// so each power is make_choice_into's to the bit and the head is
   /// rank_all_k_into's. Returns false when no k is feasible.
   bool scan_head(const ParticleSystem& ps, const RoomModel& model,
-                 double load, Head& out) const;
+                 double load, Head& out, Mask* mask = nullptr) const;
   /// The single best choice — the ranking's head — from scan_head, then
   /// make_choice_into for its on_set (O(k), versus the full ranking's
   /// every-k probes and sort). Writes into a caller-owned choice
   /// (on_set buffer reused); returns false when no k is feasible.
   bool query_best_into(const ParticleSystem& ps, const RoomModel& model,
-                       double load, ConsolidationChoice& out) const;
+                       double load, ConsolidationChoice& out,
+                       Mask* mask = nullptr) const;
   /// Materializes the k-subset of `segment` at this load into a caller-owned
   /// choice (on_set buffer reused), summing the subset's w2 one by one.
   void make_choice_into(const ParticleSystem& ps, const RoomModel& model,
                         size_t segment, size_t k, double load,
-                        ConsolidationChoice& out) const;
+                        ConsolidationChoice& out,
+                        const Mask* mask = nullptr) const;
   /// Feasibility + operating segment + predicted power for one k, without
   /// materializing the on_set. `sum_w2_k` must be the iterated sum of the
   /// subset's w2 draws; when w2 is bitwise-uniform across machines, any
@@ -233,7 +271,8 @@ struct ConsolidationTable {
   /// k machines cannot serve the load. `at` is anchors(ps).
   bool peek_k(const ParticleSystem& ps, const RoomModel& model,
               const Anchors& at, double load, size_t k, double sum_w2_k,
-              size_t* segment_out, double* power_out) const;
+              size_t* segment_out, double* power_out,
+              Mask* mask = nullptr) const;
   /// A lower bound on peek_k's power for this k and every larger k, at
   /// the bit level: peek_k's power expression with the subset run at the
   /// warmest allowed air (t_param = t_hi, which std::clamp never exceeds).
@@ -253,16 +292,18 @@ struct ConsolidationTable {
   /// ps.w2_identical the idle draw is scan_head's running fold, O(1) per k,
   /// otherwise the subset's w2 summed machine by machine.
   void rank_all_k_into(const ParticleSystem& ps, const RoomModel& model,
-                       double load, std::vector<RankEntry>& out) const;
+                       double load, std::vector<RankEntry>& out,
+                       Mask* mask = nullptr) const;
   /// The paper's maxL(A, P_b, k) by bisection on [0, g_k(t_lo)].
   double max_load_for_budget(const ParticleSystem& ps, const RoomModel& model,
-                             double power_budget_w, size_t k) const;
+                             double power_budget_w, size_t k,
+                             Mask* mask = nullptr) const;
 
  private:
-  /// Folds `seg`'s prefix sums from its watermark to the end of its order:
-  /// the same left-to-right adds as a cold build, the running sums carried
-  /// in registers.
-  static void refold(const ParticleSystem& ps, const Segment& seg);
+  /// prefix() under a mask: advances segment `s`'s cursor to k admitted
+  /// ids, restarting it when k lies below it.
+  Prefix masked_prefix(const ParticleSystem& ps, size_t s, size_t k,
+                       Mask& mask) const;
 };
 
 }  // namespace detail

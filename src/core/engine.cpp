@@ -11,7 +11,6 @@
 #include "core/baselines.h"
 #include "core/scratch.h"
 #include "obs/obs.h"
-#include "obs/scoped_timer.h"
 #include "obs/span.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -146,34 +145,6 @@ const ParticleSystem* PlanEngine::particles() const {
 }
 
 bool PlanEngine::exact_paths() const { return aggregates().uniform_w1; }
-
-const IncrementalConsolidator& PlanEngine::restricted_table(
-    const std::vector<char>& active_mask) const {
-  if (!incremental_) {
-    incremental_ =
-        std::make_unique<IncrementalConsolidator>(margin_model_, kPreValidated);
-    obs::count("engine.incremental.cold_builds",
-               &counters_.incremental_cold_builds);
-  }
-  const IncrementalApplyStats stats = incremental_->set_active(active_mask);
-  obs::count("engine.incremental.replans", &counters_.incremental_replans);
-  if (stats.cold_rebuild) {
-    obs::count("engine.incremental.cold_builds",
-               &counters_.incremental_cold_builds);
-  }
-  if (stats.events_changed) {
-    obs::count("engine.incremental.event_rebuilds",
-               &counters_.incremental_event_rebuilds);
-  }
-  if (stats.removed > 0) {
-    obs::count("engine.incremental.removed", static_cast<uint64_t>(stats.removed));
-  }
-  if (stats.restored > 0) {
-    obs::count("engine.incremental.restored",
-               static_cast<uint64_t>(stats.restored));
-  }
-  return *incremental_;
-}
 
 bool PlanEngine::plan_optimal_into(const size_t* on_set, size_t count,
                                    double load, SolveScratch& scr,
@@ -356,20 +327,14 @@ bool PlanEngine::consolidate_into(double load, bool restricted,
     return false;
   };
 
-  // The Algorithm 1 table: the cached full-fleet one, or the restricted one
-  // moved to the request's mask. Other requests move the restricted table
-  // to their own masks, and the walk reads its segment orders and refolds
-  // its stale prefix sums, so its lock (timed as
-  // engine.incremental.apply_us) is held until the walk ends.
-  std::unique_lock<std::mutex> table_lock;
-  std::optional<obs::ScopedTimer> locked_for;
-  const IncrementalConsolidator* cons = nullptr;
-  if (!restricted) {
-    cons = consolidator();
-  } else if (agg.uniform_w1 && agg.uniform_w2) {
-    table_lock = std::unique_lock(incremental_mu_);
-    locked_for.emplace(obs::maybe_histogram("engine.incremental.apply_us"));
-    cons = &restricted_table(scr.mask);
+  // The Algorithm 1 table, cached and immutable; a restricted solve reads
+  // it through this thread's mask over its survivors.
+  const IncrementalConsolidator* cons = consolidator();
+  detail::ConsolidationTable::Mask* mask = nullptr;
+  if (restricted && cons != nullptr) {
+    scr.table_mask.reset(cons->table(), scr.mask);
+    mask = &scr.table_mask;
+    obs::count("engine.incremental.replans", &counters_.incremental_replans);
   }
 
   // The candidates, best first: a table's (k, segment) entries by their
@@ -392,9 +357,9 @@ bool PlanEngine::consolidate_into(double load, bool restricted,
       scr.ranked.push_back(RankEntry{k, 0, -HUGE_VAL});
     }
   } else if (!from_head) {
-    cons->rank_all_k_into(load, scr.ranked);
-  } else if (cons->table().scan_head(cons->particles(), planning, load,
-                                     head)) {
+    cons->rank_all_k_into(load, scr.ranked, mask);
+  } else if (cons->table().scan_head(cons->particles(), planning, load, head,
+                                     mask)) {
     scr.ranked.push_back(RankEntry{head.k, head.segment, head.power});
   }
 
@@ -408,11 +373,11 @@ bool PlanEngine::consolidate_into(double load, bool restricted,
   const auto beaten = [&](double bound) {
     return have_best && bound >= scr.best_alloc.total_power_w - 1e-12;
   };
-  // A table entry's subset is the top k of its segment's order, copied
-  // only when the walk probes it.
+  // A table entry's subset is the top k of its segment's order (of the
+  // survivors there, in a restricted solve), copied only when the walk
+  // probes it.
   const auto table_subset = [&](const RankEntry& e) {
-    const std::vector<uint32_t>& top = cons->table().segments[e.segment].order;
-    scr.subset.assign(top.begin(), top.begin() + static_cast<long>(e.k));
+    cons->table().top_k_into(e.segment, e.k, scr.subset, mask);
     return scr.subset.data();
   };
   for (size_t i = 0; i < scr.ranked.size(); ++i) {
@@ -428,7 +393,7 @@ bool PlanEngine::consolidate_into(double load, bool restricted,
         if (pure) obs::count("engine.path.ranked_head", &counters_.memo_hits);
         break;
       }
-      cons->rank_all_k_into(load, scr.ranked);
+      cons->rank_all_k_into(load, scr.ranked, mask);
     }
   }
   return have_best;

@@ -14,8 +14,9 @@
 //
 //   model  ->  cached aggregates (uniformity flags, capacity, sort orders)
 //          ->  cached solvers (closed form, bounded sweep)
-//          ->  cached Algorithm 1 tables: the full fleet's (built once,
-//              read lock-free) and a restricted one quarantines move
+//          ->  cached Algorithm 1 table over the whole fleet (built once,
+//              immutable, read lock-free; a quarantined solve skips its
+//              quarantined machines through a per-thread mask)
 //          ->  dispatch: closed form -> bounded sweep -> consolidation ranking
 //          ->  solve_batch_into fan-out over a util::ThreadPool
 //
@@ -148,14 +149,14 @@ struct EngineCounters {
   uint64_t cache_hits = 0;
   /// Cached artifacts built (each at most once per engine).
   uint64_t cache_misses = 0;
-  /// Restricted (quarantine) solves served by the incremental Algorithm 1
-  /// table instead of the windowed-probe fallback.
+  /// Restricted (quarantine) consolidation solves answered from the
+  /// Algorithm 1 table through the survivors' mask instead of the
+  /// windowed-probe fallback.
   uint64_t incremental_replans = 0;
-  /// Full pair-enumeration rebuilds of the incremental table (first use,
-  /// or a delta so large that starting over is cheaper).
+  /// Always 0: restricted solves build no table of their own. Kept, with
+  /// no registry metric, while the benchmark's load generator reads it.
   uint64_t incremental_cold_builds = 0;
-  /// Deltas where the collapsed event list changed, forcing a segment
-  /// re-sort instead of the order-patching fast path.
+  /// Always 0, like incremental_cold_builds.
   uint64_t incremental_event_rebuilds = 0;
   /// Optimal-consolidation solves (restricted or not) the walk finished at
   /// its first candidate, the ranking's head, served by the closed form
@@ -196,8 +197,8 @@ class PlanEngine {
   const AnalyticOptimizer* analytic() const;
   /// The full-fleet Algorithm 1 table: nullptr unless w1 AND w2 are uniform
   /// (Eq. 23 reduction). First access pays the cold build; later accesses
-  /// reuse it. Never moved off the full mask, so it is never stale and
-  /// unrestricted solves read it without a lock.
+  /// reuse it. Immutable, so every solve reads it without a lock; a
+  /// restricted solve reads it through SolveScratch::table_mask.
   const IncrementalConsolidator* consolidator() const;
   /// consolidator()'s particle system; nullptr unless the particle
   /// reduction applies.
@@ -297,18 +298,11 @@ class PlanEngine {
   /// scan (ConsolidationTable::scan_head) yields the first candidate and the
   /// runner-up's power; the full ranking is built only when the plan on the
   /// head does not beat that power, and the walk resumes at its second
-  /// entry. Heterogeneous rooms walk a window of k with no bound. Restricted
-  /// solves hold incremental_mu_ from moving the table to the request's
-  /// mask until the walk ends.
+  /// entry. Heterogeneous rooms walk a window of k with no bound. A
+  /// restricted solve reads the same table through scratch.table_mask,
+  /// bound to the survivors in scratch.mask.
   bool consolidate_into(double load, bool restricted, SolveScratch& scratch,
                         bool& best_pure) const;
-  /// Moves the delta-maintained restricted table to `active_mask` (building
-  /// it on first use) and counts the transition. The caller holds
-  /// incremental_mu_; the table is a pure function of the mask, so
-  /// concurrent callers with different masks still see deterministic
-  /// answers.
-  const IncrementalConsolidator& restricted_table(
-      const std::vector<char>& active_mask) const;
   /// Optimal split over a fixed ON set: closed form, else the bounded
   /// solver (BoundedOptimizer). Writes into `out` (false = infeasible);
   /// workspaces from `scratch`.
@@ -331,11 +325,7 @@ class PlanEngine {
   mutable std::once_flag bounded_once_;
   mutable std::unique_ptr<BoundedOptimizer> bounded_;
   mutable std::once_flag consolidator_once_;
-  mutable std::unique_ptr<IncrementalConsolidator> consolidator_;  // full mask
-  // The restricted table takes deltas, so its reads refold stale prefix
-  // sums: it is moved and read only under incremental_mu_.
-  mutable std::mutex incremental_mu_;
-  mutable std::unique_ptr<IncrementalConsolidator> incremental_;
+  mutable std::unique_ptr<IncrementalConsolidator> consolidator_;
 
   mutable std::mutex pool_mu_;
   mutable std::unique_ptr<util::ThreadPool> pool_;

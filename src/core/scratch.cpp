@@ -14,7 +14,7 @@ size_t SolveScratch::bytes() const {
               idle_order.capacity() + subset.capacity()) *
                  sizeof(size_t) +
              mask.capacity();
-  b += ranked.capacity() * sizeof(RankEntry);
+  b += ranked.capacity() * sizeof(RankEntry) + table_mask.bytes();
   b += allocation_bytes(best_alloc) + allocation_bytes(trial_alloc);
   b += allocation_bytes(cf.allocation);
   b += bounded.bytes();

@@ -45,6 +45,9 @@ struct SolveScratch {
   /// survives at t_ac_min).
   std::vector<size_t> subset;
   std::vector<RankEntry> ranked;  ///< consolidation walk candidates, <= 1 per k
+  /// A restricted consolidation solve's view of the Algorithm 1 table:
+  /// bound to `mask` once per walk, its cursors sized once per table.
+  detail::ConsolidationTable::Mask table_mask;
   // --- solver workspaces and result slots ---
   Allocation best_alloc;   ///< incumbent of the candidate walk
   Allocation trial_alloc;  ///< probe under evaluation (swapped on improve)

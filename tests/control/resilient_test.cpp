@@ -136,11 +136,11 @@ TEST(ResilientController, ShedsExplicitlyWhenDemandExceedsSurvivors) {
   EXPECT_GT(f.room.throughput_files_s(), 0.0);
 }
 
-// Quarantine churn must route through the engine's incremental Algorithm 1
-// path (engine.incremental.* counters), not the windowed-probe fallback.
-// The fitted sim model has jittered per-machine power coefficients, so the
-// test pins a uniform power model (the paper's assumption, and what the
-// incremental table requires) onto the same thermal fits.
+// Quarantine churn must route through the engine's Algorithm 1 table, read
+// through the survivors' mask (engine.incremental.replans), not the
+// windowed-probe fallback. The fitted sim model has jittered per-machine
+// power coefficients, so the test pins a uniform power model (the paper's
+// assumption, and what the table requires) onto the same thermal fits.
 TEST(ResilientController, QuarantineReplansUseTheIncrementalEnginePath) {
   Fixture f;
   core::RoomModel uniform = f.profile.model;
@@ -158,7 +158,6 @@ TEST(ResilientController, QuarantineReplansUseTheIncrementalEnginePath) {
   ASSERT_GE(ctl.stats().quarantines, 1u);
   const core::EngineCounters counters = engine->counters();
   EXPECT_GT(counters.incremental_replans, 0u);
-  EXPECT_GT(counters.incremental_cold_builds, 0u);
 }
 
 TEST(FaultCampaign, SupervisorBeatsNoDefenseAndReplaysDeterministically) {

@@ -270,13 +270,13 @@ TEST(AllocGuard, WarmQueryBestIsAllocationFree) {
 }
 
 /// Restricted solves under quarantine churn: each request is one machine
-/// away from the one before, so every solve moves the incremental
-/// Algorithm 1 table by one delta (active-class count check, segment
-/// patch, tail refold) and queries it. Every third step also asks for the
+/// away from the one before, and every solve reads the Algorithm 1 table
+/// through the thread's mask over its survivors (the mask's cursors sized
+/// once for the table). Every third step also asks for the
 /// survivors' whole capacity and for the whole room's, loads that build the
 /// survivor lists (PlanEngine::survivor_lists) inside the solve and shed.
-/// After one warm lap of the walk every per-delta buffer is grown, and a
-/// second lap allocates nothing.
+/// After one warm lap of the walk every buffer is grown, and a second lap
+/// allocates nothing.
 TEST(AllocGuard, WarmQuarantineChurnSolveIsAllocationFree) {
   // 2000 machines in 8 classes, the layout real fleets and the cooloptd
   // benchmark use.
@@ -326,8 +326,6 @@ TEST(AllocGuard, WarmQuarantineChurnSolveIsAllocationFree) {
   const core::EngineCounters counters = engine.counters();
   EXPECT_GT(counters.degraded, 0u);
   EXPECT_EQ(counters.incremental_replans, 2 * requests.size());
-  EXPECT_EQ(counters.incremental_cold_builds, 1u);
-  EXPECT_EQ(counters.incremental_event_rebuilds, 0u);
 }
 
 /// Degraded solves: a room whose capacities pass every machine's thermal cap

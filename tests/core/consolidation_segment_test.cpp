@@ -85,19 +85,21 @@ void expect_peek_matches_solve(const core::detail::ConsolidationTable& table,
 static_assert(std::is_trivially_copyable_v<core::RankEntry>);
 
 /// query_best_into must be exactly the ranking's head: the same entry, and
-/// the same choice once the entry's subset is materialized.
-void expect_best_matches_ranking(const core::detail::ConsolidationTable& table,
-                                 const core::ParticleSystem& ps,
-                                 const core::RoomModel& model, double load) {
+/// the same choice once the entry's subset is materialized. Both over the
+/// machines `mask` admits (every machine without one).
+void expect_best_matches_ranking(
+    const core::detail::ConsolidationTable& table,
+    const core::ParticleSystem& ps, const core::RoomModel& model, double load,
+    core::detail::ConsolidationTable::Mask* mask = nullptr) {
   std::vector<core::RankEntry> ranked;
-  table.rank_all_k_into(ps, model, load, ranked);
+  table.rank_all_k_into(ps, model, load, ranked, mask);
   core::ConsolidationChoice best;
-  const bool got = table.query_best_into(ps, model, load, best);
+  const bool got = table.query_best_into(ps, model, load, best, mask);
   ASSERT_EQ(got, !ranked.empty()) << "load " << load;
   if (!got) return;
   core::ConsolidationChoice head;
   table.make_choice_into(ps, model, ranked.front().segment, ranked.front().k,
-                         load, head);
+                         load, head, mask);
   EXPECT_EQ(head.predicted_total_power_w,
             ranked.front().predicted_total_power_w);
   expect_identical(best, head);
@@ -192,14 +194,16 @@ TEST(ConsolidationSegment, QuarantineMasksAgreeWithQueryBest) {
   core::IncrementalConsolidator inc(model);
   std::vector<char> mask(model->size(), 1);
 
-  // Quarantine a growing prefix; at each step the patched table's
-  // query_best_into must be exactly the head of its full ranking.
+  // Quarantine a growing prefix; at each step the masked query_best_into
+  // must be exactly the head of the masked full ranking.
   const double load = model->total_capacity() * 0.3;
   for (size_t quarantined = 0; quarantined < model->size();
        quarantined += 3) {
     for (size_t i = 0; i < quarantined; ++i) mask[i] = 0;
-    inc.set_active(mask);
-    expect_best_matches_ranking(inc.table(), inc.particles(), *model, load);
+    core::detail::ConsolidationTable::Mask masked;
+    masked.reset(inc.table(), mask);
+    expect_best_matches_ranking(inc.table(), inc.particles(), *model, load,
+                                &masked);
   }
 }
 

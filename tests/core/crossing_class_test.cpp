@@ -1,27 +1,30 @@
 // The class-grouped event list against the paper's pair enumeration.
 // IncrementalConsolidator computes one crossing time per pair of particle
-// classes (machines whose (a, b) agree bit for bit) that both have an
-// active member, and recomputes the list only when a class empties or
-// fills; the paper enumerates every machine pair in p<q orientation. The
-// two agree only because fl(x - y) = -fl(y - x) and
-// fl((-x) / (-y)) = fl(x / y) under round-to-nearest, so these rooms aim at
-// the places that argument could break: 1-ulp neighbours in a and in b,
-// equal coordinates whose crossing time is +0.0 or -0.0 depending on the
-// orientation, ids interleaved so a member's p<q orientation is the
-// reverse of its representative's, one class, every machine its own class,
-// and singleton classes beside large ones. Each cold build must equal the
-// reference build byte for byte, and every step of a scripted class walk
-// (a class emptied one member at a time, its last member swapped for
-// another in one delta, emptied, re-entered) and of a seeded churn history
-// must equal a reference build at that active set. The segment patch's
-// misplaced-id check is pinned here too.
+// classes (machines whose (a, b) agree bit for bit); the paper enumerates
+// every machine pair in p<q orientation. The two agree only because
+// fl(x - y) = -fl(y - x) and fl((-x) / (-y)) = fl(x / y) under
+// round-to-nearest, so these rooms aim at the places that argument could
+// break: 1-ulp neighbours in a and in b, equal coordinates whose crossing
+// time is +0.0 or -0.0 depending on the orientation, ids interleaved so a
+// member's p<q orientation is the reverse of its representative's, one
+// class, every machine its own class, and singleton classes beside large
+// ones. Each cold build must equal the reference build byte for byte.
+// Then every step of a scripted class walk (a class emptied one member at
+// a time, its last member swapped for another in one step, emptied,
+// re-entered) and of a seeded churn history restricts the queries to that
+// active set through a Mask: they must equal a build over the survivors
+// with the room's events bit for bit, and the paper's reference build
+// over the survivors bit for bit while every class keeps a member. Once a
+// class empties, the room's event list keeps that class's crossing times
+// and the reference's does not; the ulp rooms then hold the gate (same
+// feasible k, powers within 1e-12 relative, same subset wherever the
+// runner-up trails by more than 1e-9 relative).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,8 +37,13 @@
 namespace coolopt::core {
 namespace {
 
+using test_support::admitted_ids;
 using test_support::exact_particle_model;
+using test_support::expect_masked_queries_match;
+using test_support::expect_masked_table_is;
 using test_support::expect_tables_identical;
+using test_support::MaskMatch;
+using test_support::survivors_table;
 
 struct Room {
   std::vector<double> a;
@@ -215,97 +223,107 @@ std::vector<std::vector<char>> class_walk(const std::vector<size_t>& cls) {
   return walk;
 }
 
-/// Paths a churn history took, so a room can assert it covered them.
-struct PathCounts {
-  size_t patched = 0;
-  size_t events_changed = 0;
-  size_t cold = 0;
-  /// Deltas that emptied or filled a class yet kept the event list: the
-  /// recompute-then-patch branch.
-  size_t class_moved_patched = 0;
+/// Steps of a walk that left every class a member, and steps that emptied
+/// one, so a room can assert it covered them.
+struct WalkCounts {
+  size_t classes_kept = 0;
+  size_t classes_emptied = 0;
 };
 
 /// Cold build vs the reference, then the room's class walk and a seeded
 /// churn history from where it ends (1-3 toggles per step, every ninth
-/// step a large jump), each step checked against a reference build at its
-/// active set; counts the paths the deltas took.
-void check_room_into(const Room& r, uint64_t seed, size_t steps,
-                     PathCounts& paths) {
+/// step a large jump). At each step the masked queries at loads across the
+/// survivors' range and at segment starts must equal, bit for bit, the
+/// same queries on a build over the survivors with the room's event list.
+/// Against the paper's reference build over the survivors they must be
+/// bitwise too while its event list is the room's, as it is while every
+/// class keeps a member; otherwise `emptied` says how they are held.
+WalkCounts check_room(const Room& r, uint64_t seed, size_t steps,
+                      MaskMatch emptied) {
+  WalkCounts counts;
   const SharedRoomModel model = share_model(exact_particle_model(r.a, r.b));
-  IncrementalConsolidator inc(model);
+  const IncrementalConsolidator inc(model);
   const ParticleSystem& ps = inc.particles();
+  const detail::ConsolidationTable& table = inc.table();
   const size_t n = ps.size();
   // Premise: the room reaches the consolidator bit for bit.
   for (size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(std::bit_cast<uint64_t>(ps.a[i]), std::bit_cast<uint64_t>(r.a[i]));
-    ASSERT_EQ(std::bit_cast<uint64_t>(ps.b[i]), std::bit_cast<uint64_t>(r.b[i]));
+    EXPECT_EQ(std::bit_cast<uint64_t>(ps.a[i]), std::bit_cast<uint64_t>(r.a[i]));
+    EXPECT_EQ(std::bit_cast<uint64_t>(ps.b[i]), std::bit_cast<uint64_t>(r.b[i]));
   }
   const std::vector<size_t> cls = class_of(r);
-  EXPECT_EQ(inc.class_count(), *std::max_element(cls.begin(), cls.end()) + 1);
-  expect_tables_identical(ps, inc.table(), reference_table(ps));
+  const size_t class_total = *std::max_element(cls.begin(), cls.end()) + 1;
+  EXPECT_EQ(inc.class_count(), class_total);
+  expect_tables_identical(ps, table, reference_table(ps));
+  if (testing::Test::HasFailure()) return counts;
 
-  std::vector<char> mask(n, 1);
-  const auto step_to = [&](const std::vector<char>& next) {
-    const auto active_classes = [&](const std::vector<char>& m) {
-      std::vector<char> live(n, 0);
-      for (size_t i = 0; i < n; ++i) live[cls[i]] |= m[i];
-      return live;
-    };
-    const bool classes_moved = active_classes(mask) != active_classes(next);
-    mask = next;
-    const IncrementalApplyStats stats = inc.set_active(mask);
-    if (stats.cold_rebuild) {
-      ++paths.cold;
-    } else if (stats.events_changed) {
-      ++paths.events_changed;
-    } else if (stats.removed + stats.restored > 0) {
-      ++paths.patched;
-      if (classes_moved) ++paths.class_moved_patched;
-    }
+  detail::ConsolidationTable::Mask mask;
+  const auto step_to = [&](const std::vector<char>& active) {
+    std::vector<char> live(class_total, 0);
+    for (size_t i = 0; i < n; ++i) live[cls[i]] |= active[i];
+    const bool kept =
+        std::find(live.begin(), live.end(), 0) == live.end();
+    ++(kept ? counts.classes_kept : counts.classes_emptied);
 
-    std::vector<uint32_t> ids;
-    for (uint32_t i = 0; i < n; ++i) {
-      if (mask[i] != 0) ids.push_back(i);
+    const std::vector<uint32_t> ids = admitted_ids(active);
+    const detail::ConsolidationTable same = survivors_table(ps, table, ids);
+    const detail::ConsolidationTable reference = reference_table(ps, ids);
+    if (kept) {
+      ASSERT_EQ(reference.events, table.events);
     }
-    ASSERT_EQ(inc.active_ids(), ids);
-    expect_tables_identical(ps, inc.table(), reference_table(ps, ids));
+    mask.reset(table, active);
+
+    const size_t width = same.width();
+    const double most = same.g(ps, width, ps.t_lo);
+    std::vector<double> loads;
+    for (const double f : {0.05, 0.3, 0.6, 0.9}) loads.push_back(f * most);
+    for (const size_t k : {size_t{1}, (width + 1) / 2, width}) {
+      const size_t s = (k * 7) % same.segments.size();
+      loads.push_back(same.g_in(ps, s, k, same.segments[s].start));
+    }
+    for (const double load : loads) {
+      if (!(load >= 0.0)) continue;
+      expect_masked_queries_match(ps, *model, table, mask, same, load,
+                                  MaskMatch::kSameEvents);
+      expect_masked_queries_match(
+          ps, *model, table, mask, reference, load,
+          reference.events == table.events ? MaskMatch::kSameEvents : emptied);
+    }
+    // Last, so the queries above meet the cursors the previous step left.
+    expect_masked_table_is(ps, table, mask, same);
   };
 
   const std::vector<std::vector<char>> walk = class_walk(cls);
   for (size_t step = 0; step < walk.size(); ++step) {
     SCOPED_TRACE("class walk step " + std::to_string(step));
     step_to(walk[step]);
-    if (testing::Test::HasFatalFailure()) return;
+    if (testing::Test::HasFailure()) return counts;
   }
 
   util::Rng rng(seed);
+  std::vector<char> active = walk.empty() ? std::vector<char>(n, 1) : walk.back();
   for (size_t step = 0; step < steps; ++step) {
     SCOPED_TRACE("churn step " + std::to_string(step));
-    std::vector<char> next = mask;
     const size_t flips =
         step % 9 == 8 ? n / 2 : 1 + static_cast<size_t>(rng.next_u64() % 3);
     for (size_t f = 0; f < flips; ++f) {
-      next[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
+      active[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
     }
-    next[step % n] = 1;  // never empty
-    step_to(next);
-    if (testing::Test::HasFatalFailure()) return;
+    active[step % n] = 1;  // never empty
+    step_to(active);
+    if (testing::Test::HasFailure()) return counts;
   }
-}
-
-PathCounts check_room(const Room& r, uint64_t seed, size_t steps) {
-  PathCounts paths;
-  check_room_into(r, seed, steps, paths);
-  return paths;
+  return counts;
 }
 
 TEST(CrossingClasses, OneUlpNeighboursInA) {
-  const PathCounts paths = check_room(ulp_a_room(), 11, 60);
-  EXPECT_GT(paths.patched, 0u);
+  const WalkCounts counts = check_room(ulp_a_room(), 11, 60, MaskMatch::kGate);
+  EXPECT_GT(counts.classes_kept, 0u);
+  EXPECT_GT(counts.classes_emptied, 0u);
 }
 
 TEST(CrossingClasses, OneUlpNeighboursInB) {
-  check_room(ulp_b_room(), 12, 60);
+  check_room(ulp_b_room(), 12, 60, MaskMatch::kGate);
 }
 
 TEST(CrossingClasses, SignedZeroCrossingTimesAreNeverEvents) {
@@ -316,7 +334,7 @@ TEST(CrossingClasses, SignedZeroCrossingTimesAreNeverEvents) {
   const double reverse = (r.a[1] - r.a[0]) / (r.b[1] - r.b[0]);
   ASSERT_EQ(forward, 0.0);
   ASSERT_NE(std::signbit(forward), std::signbit(reverse));
-  check_room(r, 13, 60);
+  check_room(r, 13, 60, MaskMatch::kGate);
 }
 
 TEST(CrossingClasses, MemberOrientationOppositeToRepresentatives) {
@@ -327,19 +345,21 @@ TEST(CrossingClasses, MemberOrientationOppositeToRepresentatives) {
   ASSERT_EQ(r.a[3], r.a[0]);
   ASSERT_EQ(r.b[3], r.b[0]);
   ASSERT_EQ(r.a[2], r.a[1]);
-  const PathCounts paths = check_room(r, 14, 60);
-  EXPECT_GT(paths.patched, 0u);
+  const WalkCounts counts = check_room(r, 14, 60, MaskMatch::kGate);
+  EXPECT_GT(counts.classes_kept, 0u);
+  EXPECT_GT(counts.classes_emptied, 0u);
 }
 
 TEST(CrossingClasses, OneClass) {
-  const PathCounts paths = check_room(single_class_room(), 15, 40);
-  EXPECT_GT(paths.patched, 0u);
+  const WalkCounts counts =
+      check_room(single_class_room(), 15, 40, MaskMatch::kBits);
+  EXPECT_EQ(counts.classes_emptied, 0u);
 }
 
 TEST(CrossingClasses, EveryMachineItsOwnClass) {
-  const PathCounts paths = check_room(distinct_room(16), 16, 40);
-  EXPECT_GT(paths.events_changed, 0u);
-  EXPECT_GT(paths.cold, 0u);
+  const WalkCounts counts =
+      check_room(distinct_room(16), 16, 40, MaskMatch::kBits);
+  EXPECT_GT(counts.classes_emptied, 0u);
 }
 
 TEST(CrossingClasses, ConcurrentCrossingsSurviveAClassExit) {
@@ -351,39 +371,32 @@ TEST(CrossingClasses, ConcurrentCrossingsSurviveAClassExit) {
       ASSERT_EQ((r.a[i] - r.a[j]) / (r.b[i] - r.b[j]), 1.0);
     }
   }
-  const PathCounts paths = check_room(r, 17, 40);
-  EXPECT_GT(paths.class_moved_patched, 0u);
+  // Any one class leaving keeps the event at t = 1, so the survivors' own
+  // event list is the room's until two classes are gone.
+  const WalkCounts counts = check_room(r, 17, 40, MaskMatch::kBits);
+  EXPECT_GT(counts.classes_emptied, 0u);
 }
 
 TEST(CrossingClasses, SingletonsBesideLargeClasses) {
   for (const uint64_t seed : {uint64_t{21}, uint64_t{22}, uint64_t{23}}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const PathCounts paths = check_room(mixed_room(seed), seed, 60);
-    EXPECT_GT(paths.patched + paths.events_changed, 0u);
+    const WalkCounts counts =
+        check_room(mixed_room(seed), seed, 60, MaskMatch::kGate);
+    EXPECT_GT(counts.classes_kept, 0u);
+    EXPECT_GT(counts.classes_emptied, 0u);
   }
 }
 
-TEST(ConsolidationTablePatch, RemovingAnAbsentIdThrows) {
-  const Room r = mixed_room(31);
-  const RoomModel room = exact_particle_model(r.a, r.b);
-  const ParticleSystem ps = ParticleSystem::from_model(room);
-  std::vector<uint32_t> ids;
-  for (uint32_t i = 1; i < ps.size(); ++i) ids.push_back(i);
-  detail::ConsolidationTable table = reference_table(ps, ids);
-  ASSERT_GT(table.segments.size(), 1u);
-  // Id 0 is not in any segment order.
-  EXPECT_THROW(table.apply_membership_delta(ps, {0}, {}), std::logic_error);
-}
-
-TEST(ConsolidationTablePatch, PatchEqualsReferenceBuild) {
+/// Two members of a large class leave and rejoin: the class keeps other
+/// members, so the survivors' reference build has the room's event list,
+/// and the masked table must be that build to the bit, then the room's.
+TEST(MaskedTable, LeavingMembersOfALargeClassEqualsTheReferenceBuild) {
   const Room r = mixed_room(32);
   const ParticleSystem ps =
       ParticleSystem::from_model(exact_particle_model(r.a, r.b));
+  const detail::ConsolidationTable table = reference_table(ps);
   std::vector<uint32_t> all(ps.size());
   for (uint32_t i = 0; i < ps.size(); ++i) all[i] = i;
-  detail::ConsolidationTable table = reference_table(ps, all);
-  // Two members of a large class: it keeps other members, so removing
-  // them leaves the events alone.
   const auto members_like = [&](uint32_t c) {
     std::vector<uint32_t> out;
     for (const uint32_t i : all) {
@@ -394,17 +407,19 @@ TEST(ConsolidationTablePatch, PatchEqualsReferenceBuild) {
   uint32_t large = 0;
   while (members_like(large).size() < 4) ++large;
   const std::vector<uint32_t> members = members_like(large);
-  const std::vector<uint32_t> removed = {members[1], members[3]};
-  std::vector<uint32_t> rest;
-  for (const uint32_t i : all) {
-    if (i != removed[0] && i != removed[1]) rest.push_back(i);
-  }
-  const detail::ConsolidationTable reduced = reference_table(ps, rest);
+  std::vector<char> active(ps.size(), 1);
+  active[members[1]] = 0;
+  active[members[3]] = 0;
+  const detail::ConsolidationTable reduced =
+      reference_table(ps, admitted_ids(active));
   ASSERT_EQ(reduced.events, table.events);
-  table.apply_membership_delta(ps, removed, {});
-  expect_tables_identical(ps, table, reduced);
-  table.apply_membership_delta(ps, {}, removed);
-  expect_tables_identical(ps, table, reference_table(ps, all));
+  detail::ConsolidationTable::Mask mask;
+  mask.reset(table, active);
+  expect_masked_table_is(ps, table, mask, reduced);
+  active[members[1]] = 1;
+  active[members[3]] = 1;
+  mask.reset(table, active);
+  expect_masked_table_is(ps, table, mask, table);
 }
 
 }  // namespace

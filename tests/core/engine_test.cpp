@@ -342,8 +342,8 @@ TEST(PlanEngine, CountersTrackBatches) {
 /// The ranked-head property. For every fully served solve whose walk ended
 /// at its head (a memo_hits delta), the plan must be what the walk accepts
 /// at its first candidate: the ON set is the head of rank_all_k on the
-/// request's own table (the full-fleet table, or an IncrementalConsolidator
-/// moved to the request's mask), the closed form served it alone and
+/// full-fleet table, read through the request's survivors for a quarantined
+/// request, the closed form served it alone and
 /// within bounds, and the runner-up's relaxation bound cannot beat it. One
 /// answer per question: the walk's head and the exact query read the
 /// table's one head scan, so that ON set is also query_best_into's subset
@@ -352,7 +352,9 @@ TEST(PlanEngine, CountersTrackBatches) {
 void expect_head_answers_match_walk(const PlanEngine& engine,
                                     const std::vector<PlanRequest>& requests,
                                     size_t& answered) {
-  IncrementalConsolidator restricted_table(engine.shared_model());
+  const IncrementalConsolidator* table = engine.consolidator();
+  std::vector<char> active;
+  detail::ConsolidationTable::Mask survivors;
   for (size_t i = 0; i < requests.size(); ++i) {
     const PlanRequest& req = requests[i];
     const uint64_t before = engine.counters().memo_hits;
@@ -367,21 +369,21 @@ void expect_head_answers_match_walk(const PlanEngine& engine,
     EXPECT_EQ(engine.counters().memo_hits, before + 1);
     const Plan& plan = *result.plan;
 
-    const IncrementalConsolidator* table = engine.consolidator();
+    detail::ConsolidationTable::Mask* mask = nullptr;
     if (!req.quarantined.empty()) {
-      std::vector<char> mask(engine.model().size(), 1);
-      for (size_t q : req.quarantined) mask[q] = 0;
-      restricted_table.set_active(mask);
-      table = &restricted_table;
+      active.assign(engine.model().size(), 1);
+      for (size_t q : req.quarantined) active[q] = 0;
+      survivors.reset(table->table(), active);
+      mask = &survivors;
     }
     const std::vector<ConsolidationChoice> ranked =
-        ranking_of(*table, plan.load);
+        ranking_of(*table, plan.load, mask);
     ASSERT_FALSE(ranked.empty());
     std::vector<bool> head_on(engine.model().size(), false);
     for (size_t m : ranked.front().on_set) head_on[m] = true;
     EXPECT_EQ(plan.allocation.on, head_on);
     ConsolidationChoice best;
-    ASSERT_TRUE(table->query_best_into(plan.load, best));
+    ASSERT_TRUE(table->query_best_into(plan.load, best, mask));
     std::vector<bool> best_on(engine.model().size(), false);
     for (size_t m : best.on_set) best_on[m] = true;
     EXPECT_EQ(plan.allocation.on, best_on);
@@ -815,12 +817,15 @@ constexpr CounterMetric kEngineCounterMetrics[] = {
     {"engine.cache.hit", &EngineCounters::cache_hits},
     {"engine.cache.miss", &EngineCounters::cache_misses},
     {"engine.incremental.replans", &EngineCounters::incremental_replans},
-    {"engine.incremental.cold_builds", &EngineCounters::incremental_cold_builds},
-    {"engine.incremental.event_rebuilds",
-     &EngineCounters::incremental_event_rebuilds},
     {"engine.path.ranked_head", &EngineCounters::memo_hits},
 };
-static_assert(std::size(kEngineCounterMetrics) * sizeof(uint64_t) ==
+/// The fields no event bumps any more: always 0, with no registry metric.
+constexpr uint64_t EngineCounters::*kRetiredCounters[] = {
+    &EngineCounters::incremental_cold_builds,
+    &EngineCounters::incremental_event_rebuilds,
+};
+static_assert((std::size(kEngineCounterMetrics) + std::size(kRetiredCounters)) *
+                      sizeof(uint64_t) ==
                   sizeof(EngineCounters),
               "every EngineCounters field has a row");
 
@@ -832,6 +837,7 @@ EngineCounters expect_counters_match_registry(const PlanEngine& engine,
     EXPECT_EQ(counters.*row.field, registry.counter(row.metric).value())
         << row.metric;
   }
+  for (const auto field : kRetiredCounters) EXPECT_EQ(counters.*field, 0u);
   return counters;
 }
 
@@ -852,8 +858,8 @@ TEST(PlanEngine, EveryCounterMatchesItsRegistryMetric) {
     for (int step = 1; step <= 9; ++step) {
       engine.solve({Scenario::by_number(8), capacity * step / 10.0});
     }
-    // Quarantine churn through the incremental table, then a load the
-    // survivors cannot carry.
+    // Quarantine churn through the masked table, then a load the survivors
+    // cannot carry.
     for (const std::vector<size_t>& quarantined :
          std::vector<std::vector<size_t>>{{1}, {1, 2}, {2}, {2, 5, 9}}) {
       engine.solve({Scenario::by_number(8), capacity * 0.4, quarantined});

@@ -1,12 +1,11 @@
-// Incremental Algorithm 1 vs the cold rebuild: the delta-maintained
-// event/segment table must be BIT-FOR-BIT identical to the table a fresh
-// build produces at the same active set, for any churn history — and the
+// Masked Algorithm 1 queries vs the cold rebuild: a query restricted to an
+// active set through a Mask must answer BIT FOR BIT what the same query
+// answers on a table built over that set, for any churn history — and the
 // plans the engine derives from it must be identical at any worker count.
 #include "core/incremental.h"
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -21,13 +20,17 @@
 namespace coolopt::core {
 namespace {
 
-using test_support::expect_tables_identical;
+using test_support::admitted_ids;
+using test_support::expect_masked_queries_match;
+using test_support::expect_masked_table_is;
+using test_support::MaskMatch;
 using test_support::ranking_of;
+using test_support::survivors_table;
 
 /// SKU-structured fleet: `skus` distinct machine classes replicated across
 /// `machines` slots, the regime where crossing-time multiplicities are high
-/// and quarantine churn usually leaves the collapsed event list unchanged
-/// (exercising the order-patching fast path, not just full rebuilds).
+/// and quarantine churn usually leaves every class a member, so the
+/// survivors' own event list is the room's.
 RoomModel sku_model(size_t machines, size_t skus, uint64_t seed) {
   SyntheticModelOptions opt;
   opt.machines = machines;
@@ -39,8 +42,9 @@ RoomModel sku_model(size_t machines, size_t skus, uint64_t seed) {
   return model;
 }
 
-/// Fully heterogeneous fleet (every machine its own class): every delta
-/// changes the event list, exercising the rebuild path.
+/// Fully heterogeneous fleet (every machine its own class): every
+/// quarantine empties a class, so the survivors' own event list is shorter
+/// than the room's the masked queries keep.
 RoomModel diverse_model(size_t machines, uint64_t seed) {
   SyntheticModelOptions opt;
   opt.machines = machines;
@@ -76,148 +80,104 @@ void expect_results_identical(const PlanResult& a, const PlanResult& b,
 }
 
 /// Seeded churn driver shared by the SKU and diverse cases: after every
-/// delta the live table must equal a from-scratch build at the same mask.
-void run_churn(const RoomModel& room, uint64_t seed, size_t steps,
-               size_t* fast_paths) {
+/// step (1-3 toggles of the quarantine mask) the masked queries of the one
+/// cold-built table must equal the same queries on a cold build over the
+/// survivors, bit for bit: one with the room's event list (segment indices
+/// too), and the paper's reference build over the survivors' own pairs.
+/// The consolidator's own queries, through the mask set_active stores, must
+/// agree too.
+void run_churn(const RoomModel& room, uint64_t seed, size_t steps) {
   const SharedRoomModel model = share_model(room);
   const size_t n = model->size();
   const double capacity = model->total_capacity();
 
   IncrementalConsolidator inc(model);
-  std::vector<char> mask(n, 1);
-  inc.set_active(mask);
+  const ParticleSystem& ps = inc.particles();
+  const detail::ConsolidationTable& table = inc.table();
+  std::vector<char> active(n, 1);
+  detail::ConsolidationTable::Mask mask;
 
   util::Rng rng(seed);
   for (size_t step = 0; step < steps; ++step) {
     SCOPED_TRACE("churn step " + std::to_string(step));
-    // 1-3 join/leave/quarantine toggles per supervisor cycle.
     const size_t flips = 1 + static_cast<size_t>(rng.next_u64() % 3);
     for (size_t f = 0; f < flips; ++f) {
-      mask[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
+      active[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
     }
-    mask[step % n] = 1;  // keep the active set non-trivial
-    mask[(step + 1) % n] = 1;
+    active[step % n] = 1;  // keep the active set non-trivial
+    active[(step + 1) % n] = 1;
 
-    const IncrementalApplyStats stats = inc.set_active(mask);
-    if (fast_paths != nullptr && !stats.cold_rebuild &&
-        !stats.events_changed && (stats.removed + stats.restored) > 0) {
-      ++*fast_paths;
-    }
-
-    IncrementalConsolidator rebuilt(model);
-    rebuilt.set_active(mask);
-    ASSERT_EQ(inc.active_ids(), rebuilt.active_ids());
-    expect_tables_identical(inc.particles(), inc.table(), rebuilt.table());
+    const std::vector<uint32_t> ids = admitted_ids(active);
+    const detail::ConsolidationTable same = survivors_table(ps, table, ids);
+    const detail::ConsolidationTable reference = reference_table(ps, ids);
+    mask.reset(table, active);
+    inc.set_active(active);
     for (const double frac : {0.25, 0.6, 0.9}) {
+      const double load = frac * capacity;
+      expect_masked_queries_match(ps, *model, table, mask, same, load,
+                                  MaskMatch::kSameEvents);
+      expect_masked_queries_match(ps, *model, table, mask, reference, load,
+                                  MaskMatch::kBits);
+      // The stored mask answers as the caller's: the head of the full
+      // ranking, each entry's power its choice's (ranking_of checks it).
       const std::vector<ConsolidationChoice> ranked =
-          ranking_of(inc, frac * capacity);
-      expect_choices_identical(ranked, ranking_of(rebuilt, frac * capacity));
-      // The O(n lg) single-winner query must agree with the head of the
-      // full O(n^2) ranking (it's what a one-delta replan actually runs).
+          ranking_of(inc, load, &mask);
       ConsolidationChoice best;
-      const bool got = inc.query_best_into(frac * capacity, best);
+      const bool got = inc.query_best_into(load, best);
       ASSERT_EQ(got, !ranked.empty());
       if (got) expect_choices_identical({best}, {ranked.front()});
     }
+    // Last: it reads every cursor from k = 0, so it would restart cursors
+    // the queries above must find in whatever state the last step left.
+    expect_masked_table_is(ps, table, mask, same);
+    if (testing::Test::HasFatalFailure()) return;
   }
 }
 
 TEST(IncrementalConsolidator, SkuChurnMatchesColdRebuildBitForBit) {
-  size_t fast_paths = 0;
-  run_churn(sku_model(24, 4, 11), /*seed=*/1234, /*steps=*/60, &fast_paths);
-  // The whole point of the SKU case: the order-patching fast path (events
-  // unchanged) must actually fire, or this test proves nothing about it.
-  EXPECT_GT(fast_paths, 0u);
+  run_churn(sku_model(24, 4, 11), /*seed=*/1234, /*steps=*/60);
 }
 
 TEST(IncrementalConsolidator, DiverseChurnMatchesColdRebuildBitForBit) {
-  run_churn(diverse_model(16, 29), /*seed=*/77, /*steps=*/40, nullptr);
+  run_churn(diverse_model(16, 29), /*seed=*/77, /*steps=*/40);
 }
 
-/// An IncrementalConsolidator cold-built at `mask`: moving it there from a
-/// one-machine set is a delta over most of the fleet, which set_active
-/// answers with a cold build.
-IncrementalConsolidator cold_at(const SharedRoomModel& model,
-                                const std::vector<char>& mask) {
-  IncrementalConsolidator cold(model);
-  std::vector<char> one(mask.size(), 0);
-  one[0] = 1;
-  EXPECT_TRUE(cold.set_active(one).cold_rebuild);
-  EXPECT_TRUE(cold.set_active(mask).cold_rebuild);
-  return cold;
-}
-
-void expect_same_bits(double a, double b, const char* what) {
-  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b)) << what;
-}
-
-/// A delta leaves each segment's prefix sums stale from its first changed
-/// position, and only the first read past it refolds them. A one-machine
-/// quarantine walk on an SKU room (8 classes over 400 slots) runs two or
-/// three deltas between some reads, so a segment's watermark must drop to
-/// the lowest position any of them changed; the head query reads a few
-/// segments, leaving the rest stale across reads too. At every read the
-/// head and each ranking entry must be a cold build's to the bit, and the
-/// table, folded at the end, must equal it.
-TEST(IncrementalConsolidator, DeferredRefoldSurvivesRunsOfUnreadDeltas) {
-  const SharedRoomModel model = share_model(sku_model(400, 8, 17));
-  const size_t n = model->size();
-  const double capacity = model->total_capacity();
-  IncrementalConsolidator inc(model);
-  std::vector<char> mask(n, 1);
-  util::Rng rng(2718);
-  size_t deltas = 0;
-  size_t fast_paths = 0;
-  size_t unread_runs = 0;
-  for (size_t read = 0; read < 40; ++read) {
-    SCOPED_TRACE("read " + std::to_string(read));
-    const size_t run = 1 + static_cast<size_t>(rng.next_u64() % 3);
-    if (run > 1) ++unread_runs;
-    for (size_t d = 0; d < run; ++d) {
-      mask[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
-      const IncrementalApplyStats stats = inc.set_active(mask);
-      ASSERT_EQ(stats.removed + stats.restored, 1u);
-      ++deltas;
-      if (!stats.cold_rebuild && !stats.events_changed) ++fast_paths;
+/// One Mask reused across 40 passes, its bytes toggled in place one to
+/// three machines between passes, over an SKU room (8 classes over 400
+/// slots) and a room of distinct particles (where a stale cursor's sums
+/// cannot match by accident, as runs of one class's equal values can):
+/// each reset must start every cursor over, also for the segments the
+/// previous pass left behind or far ahead of the next pass's first read.
+/// Within a pass the queries move cursors forward and back (maxL at a
+/// middle k, the ranking to width(), the head at small k), and every
+/// answer must be a cold build's over the survivors, to the bit.
+TEST(IncrementalConsolidator, ReusedMaskMatchesColdRebuildAcrossPasses) {
+  for (const RoomModel& room : {sku_model(400, 8, 17), diverse_model(48, 19)}) {
+    const SharedRoomModel model = share_model(room);
+    const size_t n = model->size();
+    const double capacity = model->total_capacity();
+    const IncrementalConsolidator inc(model);
+    const ParticleSystem& ps = inc.particles();
+    SCOPED_TRACE("room of " + std::to_string(inc.class_count()) + " classes");
+    std::vector<char> active(n, 1);
+    detail::ConsolidationTable::Mask mask;
+    util::Rng rng(2718);
+    for (size_t pass = 0; pass < 40; ++pass) {
+      SCOPED_TRACE("pass " + std::to_string(pass));
+      const size_t run = 1 + static_cast<size_t>(rng.next_u64() % 3);
+      for (size_t d = 0; d < run; ++d) {
+        active[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
+      }
+      mask.reset(inc.table(), active);
+      const detail::ConsolidationTable same =
+          survivors_table(ps, inc.table(), admitted_ids(active));
+      const double load = rng.uniform(0.05, 0.95) * capacity;
+      expect_masked_queries_match(ps, *model, inc.table(), mask, same, load,
+                                  MaskMatch::kSameEvents);
+      if (testing::Test::HasFailure()) return;
     }
-    const IncrementalConsolidator cold = cold_at(model, mask);
-    const double load = rng.uniform(0.05, 0.95) * capacity;
-
-    // The head first: it reads the fewest segments.
-    ConsolidationChoice got;
-    ConsolidationChoice want;
-    const bool found = inc.query_best_into(load, got);
-    ASSERT_EQ(found, cold.query_best_into(load, want)) << "load " << load;
-    if (found) {
-      EXPECT_EQ(got.k, want.k);
-      EXPECT_EQ(got.segment, want.segment);
-      EXPECT_EQ(got.on_set, want.on_set);
-      expect_same_bits(got.t_param, want.t_param, "t_param");
-      expect_same_bits(got.predicted_total_power_w,
-                       want.predicted_total_power_w, "power");
-    }
-    std::vector<RankEntry> got_ranked;
-    std::vector<RankEntry> want_ranked;
-    inc.rank_all_k_into(load, got_ranked);
-    cold.rank_all_k_into(load, want_ranked);
-    ASSERT_EQ(got_ranked.size(), want_ranked.size());
-    for (size_t i = 0; i < got_ranked.size(); ++i) {
-      SCOPED_TRACE("entry " + std::to_string(i));
-      EXPECT_EQ(got_ranked[i].k, want_ranked[i].k);
-      EXPECT_EQ(got_ranked[i].segment, want_ranked[i].segment);
-      expect_same_bits(got_ranked[i].predicted_total_power_w,
-                       want_ranked[i].predicted_total_power_w, "power");
-    }
-    if (testing::Test::HasFailure()) return;
   }
-  // Premises: runs of unread deltas happened, and they patched orders
-  // (the path that defers the refold) rather than re-sorting segments.
-  EXPECT_GT(unread_runs, 10u);
-  EXPECT_EQ(fast_paths, deltas);
-  expect_tables_identical(inc.particles(), inc.table(),
-                          cold_at(model, mask).table());
 }
-
 /// The ranking folds the subset idle draw as a running sum only when every
 /// w2 is the same double; a room whose w2 agree only within the uniformity
 /// tolerance sums each subset machine by machine. Either way each entry's
@@ -251,46 +211,47 @@ TEST(IncrementalConsolidator, BadMaskSizeNamesBothCounts) {
   }
 }
 
-/// The engine-level guarantee: quarantined (restricted) solves route
-/// through the incremental table, and the batch result is identical at
-/// 1, 2 and 8 workers AND to a cold-cache engine solving each request
-/// fresh — regardless of the order workers mutate the shared table in.
+/// The engine-level guarantee: quarantined (restricted) solves read the
+/// one shared table through per-thread masks, and the batch result is
+/// identical at 1, 2 and 8 workers AND to a fresh engine solving each
+/// request alone — on an SKU room and on a room of distinct particles,
+/// where every quarantine empties a class.
 TEST(PlanEngine, QuarantinedBatchesAreWorkerCountInvariantAndIncremental) {
-  const SharedRoomModel model = share_model(sku_model(20, 4, 5));
-  const double capacity = model->total_capacity();
-  const size_t n = model->size();
+  for (const RoomModel& room : {sku_model(20, 4, 5), diverse_model(20, 31)}) {
+    const SharedRoomModel model = share_model(room);
+    const double capacity = model->total_capacity();
+    const size_t n = model->size();
+    SCOPED_TRACE(IncrementalConsolidator(model).class_count() == n
+                     ? "distinct particles"
+                     : "SKU room");
 
-  util::Rng rng(4242);
-  std::vector<PlanRequest> requests;
-  for (size_t i = 0; i < 30; ++i) {
-    std::vector<size_t> quarantined;
-    const size_t q = static_cast<size_t>(rng.next_u64() % 5);
-    for (size_t j = 0; j < q; ++j) {
-      quarantined.push_back(static_cast<size_t>(rng.next_u64() % n));
+    util::Rng rng(4242);
+    std::vector<PlanRequest> requests;
+    for (size_t i = 0; i < 30; ++i) {
+      std::vector<size_t> quarantined;
+      const size_t q = static_cast<size_t>(rng.next_u64() % 5);
+      for (size_t j = 0; j < q; ++j) {
+        quarantined.push_back(static_cast<size_t>(rng.next_u64() % n));
+      }
+      requests.push_back(PlanRequest{Scenario::by_number(8),
+                                     rng.uniform(0.1, 0.9) * capacity,
+                                     std::move(quarantined)});
     }
-    requests.push_back(PlanRequest{Scenario::by_number(8),
-                                   rng.uniform(0.1, 0.9) * capacity,
-                                   std::move(quarantined)});
-  }
 
-  PlanEngine e1(model), e2(model), e8(model);
-  std::vector<PlanResult> r1, r2, r8;
-  e1.solve_batch_into(requests, r1, 1);
-  e2.solve_batch_into(requests, r2, 2);
-  e8.solve_batch_into(requests, r8, 8);
-  ASSERT_EQ(r1.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    expect_results_identical(r1[i], r2[i], i);
-    expect_results_identical(r1[i], r8[i], i);
-    // Cold-cache reference: a brand-new engine whose first restricted
-    // solve cold-builds the incremental table at exactly this mask.
-    PlanEngine fresh(model);
-    expect_results_identical(r1[i], fresh.solve(requests[i]), i);
+    PlanEngine e1(model), e2(model), e8(model);
+    std::vector<PlanResult> r1, r2, r8;
+    e1.solve_batch_into(requests, r1, 1);
+    e2.solve_batch_into(requests, r2, 2);
+    e8.solve_batch_into(requests, r8, 8);
+    ASSERT_EQ(r1.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      expect_results_identical(r1[i], r2[i], i);
+      expect_results_identical(r1[i], r8[i], i);
+      PlanEngine fresh(model);
+      expect_results_identical(r1[i], fresh.solve(requests[i]), i);
+    }
+    EXPECT_GT(e1.counters().incremental_replans, 0u);
   }
-
-  const EngineCounters counters = e1.counters();
-  EXPECT_GT(counters.incremental_replans, 0u);
-  EXPECT_GT(counters.incremental_cold_builds, 0u);
 }
 
 }  // namespace

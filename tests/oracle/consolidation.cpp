@@ -119,17 +119,20 @@ detail::ConsolidationTable reference_table(const ParticleSystem& ps) {
 
 bool unpruned_best_into(const detail::ConsolidationTable& table,
                         const ParticleSystem& ps, const RoomModel& model,
-                        double load, ConsolidationChoice& out) {
+                        double load, ConsolidationChoice& out,
+                        detail::ConsolidationTable::Mask* mask) {
   const detail::ConsolidationTable::Anchors at = table.anchors(ps);
   size_t best_k = 0;
   size_t best_segment = 0;
   double best_power = 0.0;
   double sum_w2_k = 0.0;
-  for (size_t k = 1; k <= table.width(); ++k) {
+  for (size_t k = 1; k <= table.width(mask); ++k) {
     sum_w2_k += ps.w2;
     size_t s = 0;
     double power = 0.0;
-    if (!table.peek_k(ps, model, at, load, k, sum_w2_k, &s, &power)) continue;
+    if (!table.peek_k(ps, model, at, load, k, sum_w2_k, &s, &power, mask)) {
+      continue;
+    }
     if (best_k == 0 || power < best_power) {
       best_k = k;
       best_segment = s;
@@ -137,7 +140,7 @@ bool unpruned_best_into(const detail::ConsolidationTable& table,
     }
   }
   if (best_k == 0) return false;
-  table.make_choice_into(ps, model, best_segment, best_k, load, out);
+  table.make_choice_into(ps, model, best_segment, best_k, load, out, mask);
   return true;
 }
 

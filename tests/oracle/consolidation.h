@@ -88,12 +88,14 @@ detail::ConsolidationTable reference_table(const ParticleSystem& ps);
 
 /// ConsolidationTable::query_best_into without its power-floor stop: the
 /// strict-< peek_k scan over every k with the subset idle draw folded as a
-/// running sum of w2, the winner materialized by make_choice_into. The
-/// reference the pruned production scan must reproduce bit for bit; false
-/// when no k is feasible.
+/// running sum of w2, the winner materialized by make_choice_into, over the
+/// particles `mask` admits (every particle without one). The reference the
+/// pruned production scan must reproduce bit for bit; false when no k is
+/// feasible.
 bool unpruned_best_into(const detail::ConsolidationTable& table,
                         const ParticleSystem& ps, const RoomModel& model,
-                        double load, ConsolidationChoice& out);
+                        double load, ConsolidationChoice& out,
+                        detail::ConsolidationTable::Mask* mask = nullptr);
 
 /// Exact exponential-time reference (the paper's "naive O(n 2^n)"): used by
 /// the property tests to certify the event-based algorithm. Guarded to
