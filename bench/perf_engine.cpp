@@ -32,15 +32,24 @@
 //                            table through the survivors' mask);
 //   obs.*.{detached,attached}  the closed form and a warm engine solve with
 //                            no metrics registry attached and with one: the
-//                            cost of the instrumentation hooks.
+//                            cost of the instrumentation hooks;
+//   wire.encode_p50/n        one scenario-#8 plan response encoded into a
+//                            reused string, over the warm-path load cycle
+//                            on an SKU room, n 2000 and 10000;
+//   wire.json_number_ns      util::json_number per value, and
+//   wire.printf_ns           snprintf("%.12g") per value, on the same
+//                            n = 2000 plans' loads, timed in alternation.
 //
 // Gates, at every warm-path n: the consolidation walk ends at the ranked
 // head (engine.path.ranked_head) on at least one warm solve, and every warm
 // or churned plan encodes byte-for-byte what a fresh engine answers (a warm
-// engine may change how fast a plan is computed, never what it is).
+// engine may change how fast a plan is computed, never what it is). And
+// wire.json_number_vs_printf: the number writer costs at most 0.08 of the
+// printf it replaces, a ratio that holds on any host speed.
 //
 // Writes BENCH_engine.json (bench/report.h); exits nonzero on a failed gate.
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,6 +64,7 @@
 #include "obs/session.h"
 #include "service/wire.h"
 #include "tests/oracle/consolidation.h"
+#include "util/jsonio.h"
 #include "util/rng.h"
 
 using namespace coolopt;
@@ -341,6 +351,65 @@ void observability_rows(bench::Report& report) {
   }
 }
 
+/// The response encode at scale, and the number writer against the printf
+/// it replaces. Each plan of the load cycle is encoded on its own into one
+/// reused string (a worker's call shape). The two number writers then take
+/// turns over the ON machines' loads of the n = 2000 plans, so both see the
+/// same host state; the gate is their ratio.
+void wire_rows(bench::Report& report, size_t rounds) {
+  std::vector<double> numbers;
+  for (const size_t n : {size_t{2000}, size_t{10000}}) {
+    const core::SharedRoomModel shared =
+        core::share_model(bench::sku_model(n, 8, 42));
+    const core::PlanEngine engine(shared);
+    std::vector<core::PlanResult> plans;
+    for (const double load : load_cycle(*shared)) {
+      plans.push_back(engine.solve({core::Scenario::by_number(8), load}));
+      if (n == 2000) {
+        for (const double v : plans.back().plan->allocation.loads) {
+          if (v != 0.0) numbers.push_back(v);
+        }
+      }
+    }
+    std::string out;
+    std::vector<double> samples;
+    for (size_t lap = 0; lap < rounds; ++lap) {
+      for (const core::PlanResult& plan : plans) {
+        const auto t0 = std::chrono::steady_clock::now();
+        out.clear();
+        service::encode_plan_response(out, 0, plan);
+        samples.push_back(bench::us_since(t0));
+        bench::keep(out.data());
+      }
+    }
+    report.row(at("wire.encode_p50", n), bench::median(samples), "us");
+  }
+
+  char buf[64];
+  const auto ns_per_value = [&](auto write) {
+    const auto t0 = std::chrono::steady_clock::now();
+    size_t bytes = 0;
+    for (const double v : numbers) bytes += write(v);
+    bench::keep(bytes);
+    return bench::us_since(t0) * 1000.0 / static_cast<double>(numbers.size());
+  };
+  std::vector<double> ours;
+  std::vector<double> printf_ns;
+  for (size_t trial = 0; trial < 21; ++trial) {
+    ours.push_back(ns_per_value([&](double v) {
+      return static_cast<size_t>(util::json_number(v, buf) - buf);
+    }));
+    printf_ns.push_back(ns_per_value([&](double v) {
+      return static_cast<size_t>(std::snprintf(buf, sizeof buf, "%.12g", v));
+    }));
+  }
+  const double ours_p50 = bench::median(ours);
+  const double printf_p50 = bench::median(printf_ns);
+  report.row("wire.json_number_ns", ours_p50, "ns");
+  report.row("wire.printf_ns", printf_p50, "ns");
+  report.gate("wire.json_number_vs_printf", ours_p50 / printf_p50, "<=", 0.08);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -364,5 +433,6 @@ int main(int argc, char** argv) {
   churn_rows(report, 200, rounds);
   churn_rows(report, 10000, std::max<size_t>(2, rounds / 8));
   observability_rows(report);
+  wire_rows(report, rounds);
   return report.finish();
 }

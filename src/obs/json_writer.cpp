@@ -1,10 +1,13 @@
 #include "obs/json_writer.h"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/jsonio.h"
 
@@ -74,8 +77,8 @@ void JsonWriter::value(double v) {
     return;
   }
   before_value();
-  char buf[util::kJsonNumberBuffer];
-  out_.append(util::json_number(v, buf));
+  char buf[util::kJsonNumberSlack];
+  out_.append(buf, util::json_number(v, buf));
 }
 
 void JsonWriter::value(bool v) {
@@ -102,45 +105,81 @@ void JsonWriter::value_null() {
 
 namespace {
 
-/// Appends the comma-separated `text(v)` of every element (each at most
-/// kJsonNumberBuffer bytes) through a stack chunk, one append per chunk.
-template <typename Range, typename Text>
-void append_elements(std::string& out, const Range& values, Text text) {
-  char chunk[4096];
-  size_t len = 0;
-  bool first = true;
-  for (const auto v : values) {
-    if (len + 1 + util::kJsonNumberBuffer > sizeof chunk) {
-      out.append(chunk, len);
-      len = 0;
-    }
-    if (!first) chunk[len++] = ',';
-    first = false;
-    const std::string_view s = text(v);
-    std::memcpy(chunk + len, s.data(), s.size());
-    len += s.size();
+/// The bulk writers build each array's text in a stack chunk of this size
+/// and flush it with one append per chunk, so the response string grows by
+/// what is written, never by a worst-case bound.
+constexpr size_t kChunk = 4096;
+
+/// Flags [base, base + 64) of `flags` as the bits of a word, flag base + j
+/// in bit j (bits past size() are unspecified); `base` is a multiple of 64.
+/// With libstdc++, whose vector<bool> packs machine words, that is one load
+/// (as core::Allocation's for_each_on reads them); elsewhere the flags are
+/// gathered one by one.
+uint64_t flag_word(const std::vector<bool>& flags, size_t base) {
+#if defined(__GLIBCXX__)
+  using Word = std::remove_cvref_t<decltype(*flags.begin()._M_p)>;
+  if constexpr (std::numeric_limits<Word>::digits == 64) {
+    return flags.begin()._M_p[base / 64];  // begin()'s bit offset is 0
   }
-  out.append(chunk, len);
+#endif
+  uint64_t word = 0;
+  const size_t end = std::min(flags.size(), base + 64);
+  for (size_t i = base; i < end; ++i) {
+    word |= static_cast<uint64_t>(flags[i]) << (i - base);
+  }
+  return word;
 }
 
 }  // namespace
 
 void JsonWriter::array(std::span<const double> values) {
   begin_array();
-  char buf[util::kJsonNumberBuffer];
-  append_elements(out_, values, [&](double v) -> std::string_view {
-    if (std::bit_cast<uint64_t>(v) == 0) return "0";  // +0.0; -0.0 is "-0"
-    if (!std::isfinite(v)) return "null";
-    return util::json_number(v, buf);
-  });
+  char chunk[kChunk];
+  size_t len = 0;
+  // Every element is written with its comma; the last comma is dropped.
+  for (const double v : values) {
+    if (len + util::kJsonNumberSlack > kChunk) {
+      out_.append(chunk, len);
+      len = 0;
+    }
+    if (std::bit_cast<uint64_t>(v) == 0) {  // +0.0, an OFF machine's load
+      std::memcpy(chunk + len, "0,", 2);
+      len += 2;
+    } else if (!std::isfinite(v)) {
+      std::memcpy(chunk + len, "null,", 5);
+      len += 5;
+    } else {
+      char* end = util::json_number(v, chunk + len);
+      *end++ = ',';
+      len = static_cast<size_t>(end - chunk);
+    }
+  }
+  out_.append(chunk, len - (values.empty() ? 0 : 1));
   end_array();
 }
 
 void JsonWriter::array(const std::vector<bool>& values) {
   begin_array();
-  append_elements(out_, values, [](bool v) -> std::string_view {
-    return v ? "true" : "false";
-  });
+  // "false," and "true," padded to 8 bytes: a flag is one 8-byte copy from
+  // kText[flag] and a length of 6 - flag, without a branch on the flag.
+  static constexpr char kText[2][8] = {"false,", "true,"};
+  constexpr size_t kWordText = 64 * 6 + 2;  // a word's flags, last copy's pad
+  char chunk[kChunk];
+  size_t len = 0;
+  for (size_t base = 0; base < values.size(); base += 64) {
+    if (len + kWordText > kChunk) {
+      out_.append(chunk, len);
+      len = 0;
+    }
+    const uint64_t word = flag_word(values, base);
+    const size_t count = std::min<size_t>(64, values.size() - base);
+    for (size_t j = 0; j < count; ++j) {
+      const size_t flag = (word >> j) & 1;
+      std::memcpy(chunk + len, kText[flag], 8);
+      len += 6 - flag;
+    }
+  }
+  out_.append(chunk, len - (values.empty() ? 0 : 1));
   end_array();
 }
 

@@ -4,10 +4,11 @@
 // cooloptd wire responses need JSON with zero third-party dependencies.
 // JsonWriter appends a single well-formed document to a caller-owned
 // std::string: objects, arrays, strings (escaped per RFC 8259), numbers
-// (util::json_number's "%.12g"; non-finite doubles become null, which strict
-// parsers accept where NaN would not), and booleans. Nesting is tracked in a
-// fixed-depth stack so keys and values cannot be emitted in an invalid
-// position — misuse (including nesting deeper than kMaxDepth) throws
+// (util::json_number's "%.12g", written in place: table-driven digits, and a
+// 128-bit division only for |v| >= 1e11; non-finite doubles become null,
+// which strict parsers accept where NaN would not), and booleans. Nesting is
+// tracked in a fixed-depth stack so keys and values cannot be emitted in an
+// invalid position — misuse (including nesting deeper than kMaxDepth) throws
 // std::logic_error rather than producing silently broken output. A writer
 // never allocates beyond the growth of the caller's string, so encoding
 // into a warm, reused buffer is allocation-free.
@@ -51,9 +52,13 @@ class JsonWriter {
 
   // --- whole arrays ---
   /// The same bytes as begin_array(), value(v) per element, end_array(),
-  /// written through a stack chunk flushed with one append per chunk and
-  /// without the per-element state checks. The per-machine arrays of a plan
-  /// response hold thousands of elements.
+  /// written through a 4 KB stack chunk flushed with one append per chunk
+  /// (never by growing the string by a worst case) and without the
+  /// per-element state checks. Numbers are written straight into the chunk;
+  /// +0.0 (an OFF machine's load) is the literal "0", and flags are copied
+  /// as "true"/"false" literals a 64-flag word at a time, without a branch
+  /// per flag. The per-machine arrays of a plan response hold thousands of
+  /// elements.
   void array(std::span<const double> values);
   void array(const std::vector<bool>& values);
 

@@ -5,18 +5,23 @@
 // There is exactly one implementation of each:
 //
 //   json_append_quoted  escape + double-quote a string literal onto a buffer
-//   json_number         canonical number text (printf "%.12g"), written
-//                       into a caller's stack buffer without allocating
+//   json_number         canonical number text (printf "%.12g"), written in
+//                       place at a caller's pointer without allocating
 //   json_scan_number    the RFC 8259 number grammar (the parser's)
 //
 // json_number reproduces glibc's "%.12g" byte for byte without calling it on
-// the hot path: integral values below 1e12 print as integers, values with
+// the hot path. Integral values below 1e12 print as integers. Values with
 // 1e-10 <= |v| < 1e37 are scaled to twelve digits exactly in 128-bit integer
-// arithmetic and rounded half to even (printf under the default
-// round-to-nearest mode), and everything else (subnormals, huge magnitudes,
-// non-finite input) falls back to snprintf. It deliberately uses neither
-// std::to_chars(double) nor libm: both page lookup tables into a process
-// that otherwise never touches them.
+// arithmetic, at one estimate of the decimal exponent that is either right
+// or one decade low (a thirteenth digit then comes out of the same product
+// and is dropped), and rounded half to even on the exact remainder (printf
+// under the default round-to-nearest mode). Below 1e11 the scaling is one
+// multiply by a power of ten and a shift; only |v| >= 1e11 divides. The
+// powers of ten and the two-digit pairs the digits are written from are
+// compile-time tables in jsonio.cpp (under 1 KB together). Everything else
+// (subnormals, huge magnitudes, non-finite input) falls back to snprintf. It
+// deliberately uses neither std::to_chars(double) nor libm: both page lookup
+// tables into a process that otherwise never touches them.
 #pragma once
 
 #include <cstddef>
@@ -30,13 +35,16 @@ namespace coolopt::util {
 /// passed through byte-for-byte).
 void json_append_quoted(std::string& out, std::string_view s);
 
-/// Size of the buffer json_number writes into.
-inline constexpr size_t kJsonNumberBuffer = 32;
+/// Bytes json_number may write at its output pointer: the longest text
+/// (19 bytes) plus the fixed-size copies its layouts make past its end.
+inline constexpr size_t kJsonNumberSlack = 32;
 
-/// printf "%.12g" of `v`, written into `buf`; the returned view points into
-/// `buf`. The format every JSON document in the tree uses; callers that
-/// must emit valid JSON map non-finite values to null first.
-std::string_view json_number(double v, char (&buf)[kJsonNumberBuffer]);
+/// Writes printf "%.12g" of `v` at `out` and returns the end of the text
+/// (at most 19 bytes on). Bytes up to out + kJsonNumberSlack may be
+/// overwritten, so the caller needs that much room. The format every JSON
+/// document in the tree uses; callers that must emit valid JSON map
+/// non-finite values to null first.
+char* json_number(double v, char* out);
 
 /// Scans one RFC 8259 number starting at `pos` (optional minus, no leading
 /// zeros, optional fraction and exponent). On success advances `pos` just

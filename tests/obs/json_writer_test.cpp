@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -261,6 +263,71 @@ TEST(JsonWriterArray, BoolsMatchThePerElementPath) {
   JsonWriter w(out);
   w.array(std::vector<bool>{true, false});
   EXPECT_EQ(out, "[true,false]");
+}
+
+TEST(JsonWriterArray, BoolsMatchAtWordEdges) {
+  // The bulk path reads 64 flags a word: sizes on both sides of each word
+  // edge, in every pattern.
+  util::Rng rng(29);
+  for (const size_t n : {0, 1, 63, 64, 65, 127, 128, 129, 2000, 10000}) {
+    std::vector<bool> all_true(n, true);
+    std::vector<bool> all_false(n, false);
+    std::vector<bool> alternating(n);
+    std::vector<bool> random(n);
+    for (size_t i = 0; i < n; ++i) {
+      alternating[i] = i % 2 == 0;
+      random[i] = rng.next_u64() % 2 == 0;
+    }
+    SCOPED_TRACE("size " + std::to_string(n));
+    expect_bulk_matches_per_element(all_true);
+    expect_bulk_matches_per_element(all_false);
+    expect_bulk_matches_per_element(alternating);
+    expect_bulk_matches_per_element(random);
+    // Shrunk from a longer all-true vector: the flags past size() may keep
+    // their old bits in the last word.
+    std::vector<bool> shrunk(n + 200, true);
+    shrunk.resize(n);
+    std::fill(shrunk.begin(), shrunk.end(), false);
+    expect_bulk_matches_per_element(shrunk);
+  }
+}
+
+TEST(JsonWriterArray, LongestNumbersAroundTheChunkEdge) {
+  // Elements of the longest "%.12g" length (18 bytes, 19 with the comma)
+  // after a prefix of 2- and 3-byte elements that shifts them by every
+  // offset: in turn one ends exactly at a 4 KB chunk edge, one byte past
+  // it, and everywhere around it, in the first and the later chunks.
+  for (size_t shift = 0; shift <= 40; ++shift) {
+    SCOPED_TRACE("shift " + std::to_string(shift));
+    std::vector<double> values(shift / 3, 10.0);   // "10,"
+    values.resize(values.size() + shift % 3, 1.0);  // "1,"
+    for (size_t i = 0; i < 700; ++i) {
+      values.push_back(i % 2 == 0 ? -1.23456789012e-05 : -0.000123456789012);
+    }
+    expect_bulk_matches_per_element(values);
+  }
+  std::string out;
+  JsonWriter w(out);
+  w.array(std::vector<double>(300, -1.23456789012e-05));
+  EXPECT_EQ(out.size(), 300u * 19 + 1);
+}
+
+TEST(JsonWriterArray, ZeroRunsAmongSignedZerosAndNonFinites) {
+  // An OFF machine's +0.0 is a fixed literal; -0.0 and the non-finite
+  // values between the runs are not.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double odd[] = {-0.0, std::nan(""), inf, -inf, 0.5, -3.0};
+  util::Rng rng(31);
+  std::vector<double> values;
+  for (size_t run = 0; run < 400; ++run) {
+    values.resize(values.size() + rng.next_u64() % 40, 0.0);
+    values.push_back(odd[rng.next_u64() % std::size(odd)]);
+  }
+  expect_bulk_matches_per_element(values);
+  std::string out;
+  JsonWriter w(out);
+  w.array(std::vector<double>(3000, 0.0));
+  EXPECT_EQ(out.size(), 2u * 3000 + 1);
 }
 
 TEST(JsonSyntaxValid, AcceptsValidDocuments) {
