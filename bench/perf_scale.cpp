@@ -12,6 +12,14 @@
 //                per-shard preprocess behind the frontier sampling, the
 //                water-filling split, parallel shard solves and the merge.
 //
+// Plus the warm fleet at the largest n and 8 shards, the one the fleetplan
+// verb serves: the median warm FleetEngine::solve over a cycle of loads at
+// 15-35% of capacity, against the same 8 shard solve_into calls run
+// serially. Both run with the thread pinned to one CPU, as perfbench pins
+// cooloptd, so their ratio is what a fleetplan pays around its shard
+// solves (the split, the fan-out, the merge) rather than a parallel
+// speedup the host's CPU count decides.
+//
 // Plus the replan-vs-rebuild comparison: with a warm table, quarantine ONE
 // machine and replan (set_active + the masked query_best_into) against a
 // cold build over the survivors, with the room's event list, answering the
@@ -21,6 +29,8 @@
 //   * fleet cold solve at the largest n beats the monolithic cold solve at
 //     one of the swept shard counts;
 //   * masked replan >= 10x the cold rebuild at every n >= 2000;
+//   * the warm fleet solve costs at most kWarmOverheadBound times its
+//     serial shard solves;
 //   * every fleet shard entry is bit-for-bit the shard engine's own
 //     answer, and the masked choice/ranking is bit-for-bit the cold
 //     rebuild's, at every n.
@@ -31,9 +41,11 @@
 #include <string>
 #include <vector>
 
+#include "bench/cpu_pin.h"
 #include "bench/report.h"
 #include "core/engine.h"
 #include "core/incremental.h"
+#include "core/scratch.h"
 #include "fleet/fleet_engine.h"
 #include "obs/session.h"
 
@@ -45,6 +57,12 @@ namespace {
 /// i.e. 60% of the nominal synthetic capacity — the paper's mid-load
 /// regime, far from both the thermal ceiling and the per-machine caps.
 constexpr double kLoadFrac = 0.2;
+
+/// Bound of the warm fleet's overhead gate: a warm FleetEngine::solve over
+/// the serial time of its own shard solves. 20 runs on a 4-thread host
+/// read 1.07-1.12; while every solve folded the fleet's capacity twice
+/// and woke a pool sized to the host, the same 20 runs read 1.78-2.10.
+constexpr double kWarmOverheadBound = 1.4;
 
 bool choices_identical(const core::ConsolidationChoice& a,
                        const core::ConsolidationChoice& b) {
@@ -111,6 +129,71 @@ ColdSolve run_fleet(const core::RoomModel& room, size_t shards, double load) {
                       merged.plan->allocation.total_power_w;
   }
   return r;
+}
+
+struct WarmFleet {
+  double solve_us = 0.0;         ///< median warm FleetEngine::solve
+  double shard_solves_us = 0.0;  ///< its shard solve_into calls, serially
+  double overhead = 0.0;         ///< median per-sample ratio of the two
+};
+
+/// Warm fleet solves over a 16-load cycle at 15-35% of capacity, and the
+/// same shard solves run serially into reused results, both per fleet
+/// request. The engine is built pinned, so its pool is sized to one CPU.
+/// Each sample times a lap of each back to back, so a noisy stretch of
+/// the host lands on both sides of that sample's ratio.
+WarmFleet run_warm_fleet(const core::RoomModel& room, size_t shards) {
+  const bench::PinToOneCpu pin;
+  const fleet::FleetEngine engine(fleet::partition_room(room, shards));
+  constexpr size_t kLoads = 16;
+  std::vector<fleet::FleetPlanRequest> requests(kLoads);
+  std::vector<core::PlanRequest> shard_requests;
+  for (size_t l = 0; l < kLoads; ++l) {
+    const double frac =
+        0.15 + 0.2 * static_cast<double>(l) / static_cast<double>(kLoads - 1);
+    requests[l].load = frac * engine.total_capacity();
+    const fleet::FleetPlanResult warm = engine.solve(requests[l]);
+    for (size_t s = 0; s < shards; ++s) {
+      core::PlanRequest req(requests[l].scenario, warm.shard_loads[s]);
+      req.shard = static_cast<int>(s);
+      shard_requests.push_back(req);
+    }
+  }
+  std::vector<core::PlanResult> results(shards);
+  const auto fleet_lap = [&] {
+    for (const fleet::FleetPlanRequest& req : requests) {
+      bench::keep(engine.solve(req).total_power_w);
+    }
+  };
+  const auto shard_lap = [&] {
+    for (size_t i = 0; i < shard_requests.size(); ++i) {
+      core::PlanResult& out = results[i % shards];
+      engine.engine(i % shards)
+          .solve_into(shard_requests[i], core::SolveScratch::local(), out);
+      bench::keep(out.shed_load);
+    }
+  };
+  shard_lap();  // warms the reused results
+
+  constexpr size_t kSamples = 15;
+  constexpr size_t kLapsPerSample = 4;
+  std::vector<double> fleet_us;
+  std::vector<double> shard_us;
+  std::vector<double> ratios;
+  for (size_t r = 0; r < kSamples; ++r) {
+    auto t0 = std::chrono::steady_clock::now();
+    for (size_t lap = 0; lap < kLapsPerSample; ++lap) fleet_lap();
+    const double f = bench::us_since(t0) / (kLapsPerSample * kLoads);
+    t0 = std::chrono::steady_clock::now();
+    for (size_t lap = 0; lap < kLapsPerSample; ++lap) shard_lap();
+    const double s = bench::us_since(t0) / (kLapsPerSample * kLoads);
+    fleet_us.push_back(f);
+    shard_us.push_back(s);
+    ratios.push_back(s > 0.0 ? f / s : 0.0);
+  }
+  return WarmFleet{bench::median(std::move(fleet_us)),
+                   bench::median(std::move(shard_us)),
+                   bench::median(std::move(ratios))};
 }
 
 /// Warm table + one-machine quarantine replan (set_active + the masked
@@ -214,6 +297,12 @@ int main(int argc, char** argv) {
       }
     }
   }
+  const WarmFleet warm = run_warm_fleet(bench::sku_model(max_n, 8, 42), 8);
+  report.row(util::strf("fleet.warm_solve/%zu/8", max_n), warm.solve_us, "us");
+  report.row(util::strf("fleet.warm_shard_solves/%zu/8", max_n),
+             warm.shard_solves_us, "us");
+  report.gate(util::strf("fleet.warm_overhead/%zu/8", max_n), warm.overhead,
+              "<=", kWarmOverheadBound);
   report.gate(util::strf("fleet.best_speedup_vs_monolithic/%zu", max_n),
               fleet_speedup_at_max, ">", 1.0);
   report.gate("identity.mismatches", static_cast<double>(mismatches), "==",

@@ -150,7 +150,8 @@ class EvalEngine {
   /// (index-addressed slots; one pooled room replica per in-flight task;
   /// memoized points are served from the cache without a worker).
   /// `workers` == 0 uses an engine-owned pool sized by
-  /// util::ThreadPool::default_workers().
+  /// util::ThreadPool::default_workers(): the CPUs this process may run on
+  /// (its affinity mask), at most 8.
   std::vector<EvalPoint> measure_batch(std::span<const EvalRequest> requests,
                                        size_t workers = 0);
 

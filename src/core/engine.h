@@ -228,7 +228,8 @@ class PlanEngine {
   /// sequentially (index-addressed output slots; shared immutable caches).
   /// Request-level std::invalid_argument is captured into
   /// PlanResult::error instead of thrown. `workers` == 0 uses an
-  /// engine-owned pool sized by util::ThreadPool::default_workers(); with
+  /// engine-owned pool sized by util::ThreadPool::default_workers() (the
+  /// CPUs this process may run on, at most 8); with
   /// it warm, a repeat batch of the same shape performs no heap allocation
   /// anywhere on the solve path (pinned by the engine-label allocation
   /// test).

@@ -66,6 +66,7 @@ FleetEngine::FleetEngine(FleetTopology topology, FleetOptions options)
     engines_.push_back(
         std::make_unique<core::PlanEngine>(shard.model, options_.planner));
   }
+  total_capacity_ = topology_.total_capacity();
   obs::gauge_set("fleet.shards", static_cast<double>(topology_.size()));
 }
 
@@ -96,7 +97,7 @@ const std::vector<FleetEngine::ShardFrontier>& FleetEngine::frontiers_for(
   // spaced loads (j / kSamples of its capacity, j = 0..kSamples).
   constexpr size_t kSamples = 16;
   default_pool().parallel_for(engines_.size(), [&](size_t shard) {
-    const double cap = topology_.shards[shard].model->total_capacity();
+    const double cap = engines_[shard]->aggregates().total_capacity;
     std::vector<FrontierPoint> points;
     points.reserve(kSamples + 1);
     // One request/result pair reused across the whole sweep: every sample
@@ -215,10 +216,10 @@ FleetPlanResult FleetEngine::solve(const FleetPlanRequest& request,
   if (request.load < 0.0) {
     throw std::invalid_argument("FleetEngine: negative load");
   }
-  if (request.load > total_capacity() + 1e-9) {
+  if (request.load > total_capacity_ + 1e-9) {
     throw std::invalid_argument(
         util::strf("FleetEngine: load %.3f exceeds fleet capacity %.3f",
-                   request.load, total_capacity()));
+                   request.load, total_capacity_));
   }
   std::vector<std::vector<size_t>> quarantined(nshards);
   for (const ShardMachine& q : request.quarantined) {
@@ -265,9 +266,14 @@ FleetPlanResult FleetEngine::solve(const FleetPlanRequest& request,
 
   // Surviving capacity per shard: the frontier is sampled on the healthy
   // room; quarantines tighten the cap here and are planned exactly by the
-  // shard's own (incremental) restricted solve.
+  // shard's own (incremental) restricted solve. A shard with nothing
+  // quarantined reads its engine's cached fold.
   std::vector<double> healthy_caps(nshards, 0.0);
   for (size_t s = 0; s < nshards; ++s) {
+    if (quarantined[s].empty()) {
+      healthy_caps[s] = engines_[s]->aggregates().total_capacity;
+      continue;
+    }
     const core::RoomModel& m = *topology_.shards[s].model;
     std::vector<char> mask(m.size(), 1);
     for (const size_t i : quarantined[s]) mask[i] = 0;

@@ -19,6 +19,14 @@
 // assigned load remains exactly the single-room optimum. Frontiers are
 // sampled once per scenario and cached for the engine's lifetime.
 //
+// Per-request cost: outside the shard solves a fleetplan pays
+// O(shards + quarantined machines) — the validation of its lists, the
+// split over the cached frontiers and the merge. A shard's capacity is its
+// engine's cached fold (PlanEngine::aggregates()), and the fleet total is
+// folded once at construction. The one room-sized pass left is per shard
+// with a quarantined machine: it folds its survivors' capacity in index
+// order, as that shard's restricted solve walks its room anyway.
+//
 // Determinism: frontiers, the split, and every shard solve are pure
 // functions of (topology, scenario, load, quarantines); shard results land
 // in index-addressed slots, so worker count and cache temperature cannot
@@ -125,7 +133,8 @@ class FleetEngine {
 
   size_t shard_count() const { return topology_.size(); }
   const FleetTopology& topology() const { return topology_; }
-  double total_capacity() const { return topology_.total_capacity(); }
+  /// topology().total_capacity(), folded once at construction.
+  double total_capacity() const { return total_capacity_; }
   /// The shard's own engine; throws std::invalid_argument naming the shard
   /// index and the fleet size when out of range.
   const core::PlanEngine& engine(size_t shard) const;
@@ -157,6 +166,7 @@ class FleetEngine {
   FleetTopology topology_;
   FleetOptions options_;
   std::vector<std::unique_ptr<core::PlanEngine>> engines_;
+  double total_capacity_ = 0.0;  // topology_.total_capacity()
 
   mutable std::mutex frontier_mu_;
   mutable std::map<int, std::vector<ShardFrontier>> frontiers_;  // by scenario

@@ -63,7 +63,8 @@ struct ServiceConfig {
   /// Bound on accepted-but-not-started requests; beyond it requests
   /// shed with shed_queue_full (see docs/service.md "Admission control").
   size_t queue_capacity = 256;
-  /// Concurrent in-flight engine calls. 0 == ThreadPool::default_workers().
+  /// Concurrent in-flight engine calls. 0 == ThreadPool::default_workers(),
+  /// the CPUs this process may run on (its affinity mask), at most 8.
   size_t workers = 0;
   /// Connections beyond this are answered with too_many_connections and
   /// closed without ever reaching admission.

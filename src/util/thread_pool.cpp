@@ -1,5 +1,8 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <limits>
 #include <utility>
@@ -7,8 +10,18 @@
 namespace coolopt::util {
 
 size_t ThreadPool::default_workers() {
-  const size_t hw = std::thread::hardware_concurrency();
-  return std::clamp<size_t>(hw, 1, kMaxDefaultWorkers);
+  // The CPUs this process may run on, not the host's: a process confined to
+  // one CPU gets one worker instead of a pool that time-slices that CPU.
+  // The mask read is the process's (its main thread's, whose id is the
+  // pid), whichever thread asks. A host too big for a cpu_set_t falls back
+  // to the hardware count.
+  size_t cpus = std::thread::hardware_concurrency();
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(getpid(), sizeof(allowed), &allowed) == 0) {
+    cpus = static_cast<size_t>(CPU_COUNT(&allowed));
+  }
+  return std::clamp<size_t>(cpus, 1, kMaxDefaultWorkers);
 }
 
 ThreadPool::ThreadPool(size_t workers) {

@@ -30,9 +30,7 @@ namespace coolopt::util {
 
 class ThreadPool {
  public:
-  /// Starts `workers` threads; 0 picks a hardware-sized default (clamped
-  /// to kMaxDefaultWorkers so a big host doesn't oversubscribe a small
-  /// batch).
+  /// Starts `workers` threads; 0 picks default_workers().
   explicit ThreadPool(size_t workers = 0);
   /// Joins the workers (no range can be in flight: parallel_for blocks).
   ~ThreadPool();
@@ -52,7 +50,12 @@ class ThreadPool {
   /// (the pool is for leaf-level fan-out).
   void parallel_for(size_t count, const std::function<void(size_t)>& fn);
 
-  /// Default worker count used when the constructor is passed 0.
+  /// Default worker count used when the constructor is passed 0: the CPUs
+  /// this process may run on (the sched_getaffinity mask of its main
+  /// thread, whichever thread asks; std::thread::hardware_concurrency
+  /// ignores affinity), clamped to
+  /// [1, kMaxDefaultWorkers] so a big host doesn't oversubscribe a small
+  /// batch.
   static size_t default_workers();
 
   static constexpr size_t kMaxDefaultWorkers = 8;

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -126,6 +129,91 @@ TEST(FleetEngine, SplitLoadServesTheWholeTargetDeterministically) {
   EXPECT_NEAR(assigned, load, 1e-9);
   // Pure function: the second call reproduces the split bit-for-bit.
   EXPECT_EQ(split, fleet.split_load(scenario, load, caps));
+}
+
+/// A room whose machine capacities span 1e-3..1e3, so a capacity fold's
+/// bits depend on the order of its adds.
+core::RoomModel spread_capacity_room() {
+  core::RoomModel room = test_room(48, 11);
+  for (size_t i = 0; i < room.size(); ++i) {
+    const double step = static_cast<double>((i * 29) % 48) / 47.0;
+    room.machines[i].capacity = std::pow(10.0, -3.0 + 6.0 * step);
+  }
+  return room;
+}
+
+// The fleet total and every per-shard cap keep the bits of the index-order
+// folds: RoomModel::total_capacity per shard, summed over shards in order.
+TEST(FleetCapacity, TotalIsTheTopologyFoldBitForBit) {
+  const core::RoomModel room = spread_capacity_room();
+  const FleetEngine fleet(partition_room(room, 4));
+  ASSERT_NE(room.total_capacity(), fleet.topology().total_capacity())
+      << "the order of the adds must matter here";
+  EXPECT_EQ(fleet.total_capacity(), fleet.topology().total_capacity());
+}
+
+TEST(FleetCapacity, LoadJustAboveTheToleranceIsRejected) {
+  const FleetEngine fleet(partition_room(spread_capacity_room(), 4));
+  FleetPlanRequest request;
+  request.load = fleet.topology().total_capacity() + 1e-9;
+  EXPECT_NO_THROW(fleet.solve(request, 1));
+  request.load = std::nextafter(request.load,
+                                std::numeric_limits<double>::infinity());
+  EXPECT_NE(error_of([&] { fleet.solve(request, 1); })
+                .find("exceeds fleet capacity"),
+            std::string::npos);
+}
+
+// The split's caps are each shard's index-order fold over its surviving
+// machines, whatever the order or repetition of the quarantine list. The
+// lists take out each shard's largest machines, so a shard's cap falls
+// below the most its healthy frontier serves; at half the fleet's capacity
+// every shard fills to that cap, and its bits reach shard_loads.
+TEST(FleetCapacity, SplitCapsAreTheSurvivorsIndexOrderFold) {
+  const FleetEngine fleet(partition_room(spread_capacity_room(), 4));
+  const core::Scenario scenario = core::Scenario::by_number(8);
+  const double load = 0.5 * fleet.total_capacity();
+  const std::vector<double> frontier_max = fleet.split_load(
+      scenario, load,
+      std::vector<double>(4, std::numeric_limits<double>::infinity()));
+  std::vector<ShardMachine> whole_shard;
+  for (size_t i = 0; i < fleet.topology().shards[2].model->size(); ++i) {
+    whole_shard.push_back({2, i});
+  }
+  const std::vector<std::vector<ShardMachine>> lists = {
+      {},
+      {{0, 7}},
+      {{3, 10}, {1, 8}, {3, 5}, {1, 3}},
+      {{2, 9}, {2, 9}, {2, 4}, {2, 9}},
+      whole_shard,
+  };
+  for (size_t l = 0; l < lists.size(); ++l) {
+    SCOPED_TRACE("quarantine list " + std::to_string(l));
+    std::vector<double> caps;
+    size_t binding = 0;
+    for (size_t s = 0; s < fleet.shard_count(); ++s) {
+      const core::RoomModel& room = *fleet.topology().shards[s].model;
+      double cap = 0.0;
+      for (size_t i = 0; i < room.size(); ++i) {
+        const bool listed = std::any_of(
+            lists[l].begin(), lists[l].end(), [&](const ShardMachine& q) {
+              return q.shard == s && q.machine == i;
+            });
+        if (!listed) cap += room.machines[i].capacity;
+      }
+      if (cap > 0.0 && cap < frontier_max[s]) ++binding;
+      caps.push_back(cap);
+    }
+    if (l > 0 && l + 1 < lists.size()) {
+      EXPECT_GT(binding, 0u) << "no cap binds, so its bits go unseen";
+    }
+    FleetPlanRequest request;
+    request.load = load;
+    request.quarantined = lists[l];
+    const FleetPlanResult result = fleet.solve(request, 1);
+    EXPECT_EQ(result.shards_down(), 0u);
+    EXPECT_EQ(result.shard_loads, fleet.split_load(scenario, load, caps));
+  }
 }
 
 TEST(FleetEngine, SolveMergesExactlyThePerShardEngineAnswers) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
+
+#include "bench/cpu_pin.h"
 
 namespace coolopt::util {
 namespace {
@@ -14,6 +17,24 @@ TEST(ThreadPool, DefaultWorkerCountIsBounded) {
   EXPECT_LE(ThreadPool::default_workers(), ThreadPool::kMaxDefaultWorkers);
   ThreadPool pool;
   EXPECT_EQ(pool.worker_count(), ThreadPool::default_workers());
+}
+
+// The default counts the CPUs the process may run on, not the host's: the
+// process's mask is its main thread's, the thread gtest runs this test on.
+// Only that thread is re-pinned, and its mask is put back.
+TEST(ThreadPool, DefaultWorkersCountsTheAllowedCpus) {
+  int allowed = 0;
+  {
+    const bench::PinToOneCpu pin;
+    if (!pin.pinned()) GTEST_SKIP() << "sched_setaffinity failed";
+    allowed = pin.original_cpus();
+    EXPECT_EQ(ThreadPool::default_workers(), 1u);
+    ThreadPool pool;
+    EXPECT_EQ(pool.worker_count(), 1u);
+  }
+  EXPECT_EQ(ThreadPool::default_workers(),
+            std::min<size_t>(static_cast<size_t>(allowed),
+                             ThreadPool::kMaxDefaultWorkers));
 }
 
 TEST(ThreadPool, ExplicitWorkerCount) {

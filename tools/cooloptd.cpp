@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                "split the room into N shards and serve fleetplan (0 = monolithic)",
                "0");
   flags.define("queue-capacity", "admission queue bound (requests)", "256");
-  flags.define("workers", "engine worker threads (0 = hardware default)", "0");
+  flags.define("workers", "engine worker threads (0 = the CPUs this process may run on)", "0");
   flags.define("max-connections", "concurrent client connections", "64");
   flags.define("chaos-seed",
                "seed for the deterministic fault injector (docs/robustness.md)",
