@@ -38,18 +38,31 @@
 //                            on an SKU room, n 2000 and 10000;
 //   wire.json_number_ns      util::json_number per value, and
 //   wire.printf_ns           snprintf("%.12g") per value, on the same
-//                            n = 2000 plans' loads, timed in alternation.
+//                            n = 2000 plans' loads, timed in alternation;
+//   wire.array_{repeats,distinct}_ns  JsonWriter::array per element, and
+//   wire.reference_{repeats,distinct}_ns  a plain loop writing json_number
+//                            per value ("0," for +0.0) through the same 4 KB
+//                            chunk, timed in alternation on the n = 2000
+//                            plans' load arrays (a few distinct values) and
+//                            on the same arrays with every ON load perturbed
+//                            (all distinct).
 //
 // Gates, at every warm-path n: the consolidation walk ends at the ranked
 // head (engine.path.ranked_head) on at least one warm solve, and every warm
 // or churned plan encodes byte-for-byte what a fresh engine answers (a warm
 // engine may change how fast a plan is computed, never what it is). And
 // wire.json_number_vs_printf: the number writer costs at most 0.08 of the
-// printf it replaces, a ratio that holds on any host speed.
+// printf it replaces, a ratio that holds on any host speed. And the array
+// writer against the plain loop, each gate the median of per-trial ratios:
+// wire.array_repeats_vs_reference <= 0.6 (repeats are copied) and
+// wire.array_distinct_vs_reference <= 1.05 (distinct loads switch the copy
+// off), with wire.array_mismatches == 0 (both write the same bytes).
 //
 // Writes BENCH_engine.json (bench/report.h); exits nonzero on a failed gate.
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,6 +73,7 @@
 #include "core/engine.h"
 #include "core/incremental.h"
 #include "core/scratch.h"
+#include "obs/json_writer.h"
 #include "obs/obs.h"
 #include "obs/session.h"
 #include "service/wire.h"
@@ -356,7 +370,8 @@ void observability_rows(bench::Report& report) {
 /// reused string (a worker's call shape). The two number writers then take
 /// turns over the ON machines' loads of the n = 2000 plans, so both see the
 /// same host state; the gate is their ratio.
-void wire_rows(bench::Report& report, size_t rounds) {
+void wire_rows(bench::Report& report, size_t rounds,
+               std::vector<std::vector<double>>& load_arrays) {
   std::vector<double> numbers;
   for (const size_t n : {size_t{2000}, size_t{10000}}) {
     const core::SharedRoomModel shared =
@@ -366,7 +381,8 @@ void wire_rows(bench::Report& report, size_t rounds) {
     for (const double load : load_cycle(*shared)) {
       plans.push_back(engine.solve({core::Scenario::by_number(8), load}));
       if (n == 2000) {
-        for (const double v : plans.back().plan->allocation.loads) {
+        load_arrays.push_back(plans.back().plan->allocation.loads);
+        for (const double v : load_arrays.back()) {
           if (v != 0.0) numbers.push_back(v);
         }
       }
@@ -410,6 +426,106 @@ void wire_rows(bench::Report& report, size_t rounds) {
   report.gate("wire.json_number_vs_printf", ours_p50 / printf_p50, "<=", 0.08);
 }
 
+/// The array writer without its repeat table: json_number per value, "0,"
+/// for +0.0, through a 4 KB chunk appended to `out` (every load of a plan is
+/// finite).
+void reference_array(std::string& out, const std::vector<double>& values) {
+  char chunk[4096];
+  size_t len = 0;
+  out.push_back('[');
+  for (const double v : values) {
+    if (len + util::kJsonNumberSlack > sizeof chunk) {
+      out.append(chunk, len);
+      len = 0;
+    }
+    if (v == 0.0 && !std::signbit(v)) {
+      std::memcpy(chunk + len, "0,", 2);
+      len += 2;
+    } else {
+      char* end = util::json_number(v, chunk + len);
+      *end++ = ',';
+      len = static_cast<size_t>(end - chunk);
+    }
+  }
+  out.append(chunk, len - (values.empty() ? 0 : 1));
+  out.push_back(']');
+}
+
+/// JsonWriter::array against reference_array on the plans' load arrays, and
+/// on the same arrays with every ON load scaled by a seeded factor in
+/// (1, 1 + 1e-6], which makes them all differ. Each trial times one pass of
+/// both over every array, back to back; the gates are the medians of the
+/// per-trial ratios.
+void array_rows(bench::Report& report,
+                const std::vector<std::vector<double>>& repeats) {
+  const std::vector<std::vector<double>> distinct = [&] {
+    std::vector<std::vector<double>> arrays = repeats;
+    util::Rng rng(7);
+    for (std::vector<double>& loads : arrays) {
+      for (double& v : loads) {
+        if (v != 0.0) v *= 1.0 + 1e-6 * (1.0 - rng.uniform());
+      }
+    }
+    return arrays;
+  }();
+  size_t elements = 0;
+  for (const std::vector<double>& loads : repeats) elements += loads.size();
+
+  const auto write_ours = [](std::string& out, const std::vector<double>& v) {
+    obs::JsonWriter(out).array(v);
+  };
+  std::string ours;
+  std::string reference;
+  size_t mismatches = 0;
+  struct Family {
+    const char* name;
+    const std::vector<std::vector<double>>* arrays;
+    double bound;
+  };
+  for (const Family& family :
+       {Family{"repeats", &repeats, 0.6}, Family{"distinct", &distinct, 1.05}}) {
+    // One pass of `write` over the family's arrays, in ns per element.
+    const auto pass_ns = [&](auto write, std::string& out) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (const std::vector<double>& loads : *family.arrays) {
+        out.clear();
+        write(out, loads);
+        bench::keep(out.data());
+      }
+      return bench::us_since(t0) * 1000.0 / static_cast<double>(elements);
+    };
+    std::vector<double> ours_ns;
+    std::vector<double> reference_ns;
+    std::vector<double> ratios;
+    for (size_t trial = 0; trial < 31; ++trial) {
+      // Alternate which arm goes first, so neither always runs warmer.
+      if (trial % 2 == 0) {
+        ours_ns.push_back(pass_ns(write_ours, ours));
+        reference_ns.push_back(pass_ns(reference_array, reference));
+      } else {
+        reference_ns.push_back(pass_ns(reference_array, reference));
+        ours_ns.push_back(pass_ns(write_ours, ours));
+      }
+      ratios.push_back(ours_ns.back() / reference_ns.back());
+    }
+    for (const std::vector<double>& loads : *family.arrays) {
+      ours.clear();
+      write_ours(ours, loads);
+      reference.clear();
+      reference_array(reference, loads);
+      mismatches += ours != reference;
+    }
+    report.row(util::strf("wire.array_%s_ns", family.name),
+               bench::median(ours_ns), "ns");
+    report.row(util::strf("wire.reference_%s_ns", family.name),
+               bench::median(reference_ns), "ns");
+    report.gate(util::strf("wire.array_%s_vs_reference", family.name),
+                bench::median(ratios), "<=", family.bound);
+  }
+  report.gate("wire.array_mismatches", static_cast<double>(mismatches), "==",
+              0.0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -433,6 +549,8 @@ int main(int argc, char** argv) {
   churn_rows(report, 200, rounds);
   churn_rows(report, 10000, std::max<size_t>(2, rounds / 8));
   observability_rows(report);
-  wire_rows(report, rounds);
+  std::vector<std::vector<double>> load_arrays;
+  wire_rows(report, rounds, load_arrays);
+  array_rows(report, load_arrays);
   return report.finish();
 }

