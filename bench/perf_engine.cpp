@@ -10,15 +10,18 @@
 //                            which the closed form cannot serve: one
 //                            O(n log n) sweep over T_ac;
 //   max_safe_t_ac/n          the thermal-limit set point, n 8..2048;
-//   alg1.cold_build/n        Algorithm 1 preprocessing, n 8..256;
+//   alg1.cold_build/n        Algorithm 1 preprocessing (the test oracle's
+//                            segment table), n 8..256;
+//   alg2.class_build/n       what the served select builds instead: the
+//                            consolidator's particle classes;
 //   alg2.query_paper/n       Algorithm 2's O(lg n) query (the test oracle's)
 //                            against a prebuilt allStatus index
 //                            (Section III-B);
-//   alg2.query_exact/n       the exact per-k query (a k-scan stopped at an
-//                            exact power floor);
-//   alg2.rank_all_k_into/n   the full ranking as (k, segment, power)
-//                            entries into a reused buffer, the engine's
-//                            candidate-walk call shape;
+//   alg2.query_exact/n       the exact per-k query, on demand (a k-scan
+//                            stopped at an exact power floor);
+//   alg2.rank_all_k_into/n   the full ranking as (k, t, power) entries into
+//                            a reused buffer, the engine's candidate-walk
+//                            call shape;
 //   brute_force/n            the naive O(n 2^n) enumeration the paper argues
 //                            against, n 8..18;
 //   alg1.max_load_for_budget/64   the inverse query maxL(A, P_b, k);
@@ -28,8 +31,9 @@
 //                            (cold) against one long-lived engine replanning
 //                            through a reused result slot (warm), and the
 //                            same cycle under one-machine quarantine deltas
-//                            (churn: restricted solves reading the one
-//                            table through the survivors' mask);
+//                            (churn: restricted solves admitting the
+//                            survivors through a view of the one
+//                            consolidator);
 //   obs.*.{detached,attached}  the closed form and a warm engine solve with
 //                            no metrics registry attached and with one: the
 //                            cost of the instrumentation hooks;
@@ -156,19 +160,23 @@ void consolidation_rows(bench::Report& report) {
   for (size_t n = 8; n <= 256; n *= 2) {
     const core::SharedRoomModel model =
         core::share_model(synthetic_model(n, 11));
+    const core::IncrementalConsolidator consolidator(model);
+    const core::ParticleSystem& ps = consolidator.particles();
     report.row(at("alg1.cold_build", n), bench::median_us([&] {
-                 core::IncrementalConsolidator consolidator(model);
-                 bench::keep(consolidator.segment_count());
+                 bench::keep(core::reference_table(ps).segments.size());
                }),
                "us");
-    const core::IncrementalConsolidator consolidator(model);
-    const auto& table = consolidator.table();
-    const std::vector<core::PaperStatus> statuses =
-        core::all_status(table, consolidator.particles());
+    report.row(at("alg2.class_build", n), bench::median_us([&] {
+                 const core::IncrementalConsolidator fresh(model);
+                 bench::keep(fresh.class_count());
+               }),
+               "us");
+    const core::ConsolidationTable table = core::reference_table(ps);
+    const std::vector<core::PaperStatus> statuses = core::all_status(table);
     const double load = model->total_capacity() * 0.4;
     report.row(at("alg2.query_paper", n), bench::median_us([&] {
-                 bench::keep(core::query_paper(table, consolidator.particles(),
-                                               *model, statuses, load));
+                 bench::keep(
+                     core::query_paper(table, ps, *model, statuses, load));
                }),
                "us");
     core::ConsolidationChoice choice;
@@ -279,8 +287,8 @@ void warm_path_rows(bench::Report& report, size_t n, size_t rounds,
 /// that quarantines one more machine per request out to 8, then readmits
 /// them one per request, at the operating cycle's loads, on one long-lived
 /// engine through a reused result slot (the churn_p50 row). Each request
-/// reads the engine's one Algorithm 1 table through a mask over its
-/// survivors, rebound per request. The gate: every churned plan encodes
+/// reads the engine's one consolidator through a view of its survivors,
+/// reset per request. The gate: every churned plan encodes
 /// byte-for-byte what a fresh engine answers for the same request.
 void churn_rows(bench::Report& report, size_t n, size_t rounds) {
   const core::SharedRoomModel shared =

@@ -1,13 +1,12 @@
 // Datacenter-scale planning performance: what the sharded FleetEngine and
-// the masked Algorithm 1 query buy as the fleet grows to 10k+
+// the on-demand Algorithm 2 select buy as the fleet grows to 10k+
 // machines, on SKU-structured rooms (a handful of machine classes
-// replicated across slots — the regime real fleets live in, and the one
-// where the event table stays compact at any n).
+// replicated across slots — the regime real fleets live in).
 //
 // Two timings per case, both COLD (construction included):
 //
-//   monolithic   one PlanEngine over all n machines: full Algorithm 1
-//                preprocess + one consolidated solve;
+//   monolithic   one PlanEngine over all n machines: the particle classes
+//                + one consolidated solve;
 //   fleet        partition_room(n, shards) + FleetEngine::solve: parallel
 //                per-shard preprocess behind the frontier sampling, the
 //                water-filling split, parallel shard solves and the merge.
@@ -20,24 +19,39 @@
 // solves (the split, the fan-out, the merge) rather than a parallel
 // speedup the host's CPU count decides.
 //
-// Plus the replan-vs-rebuild comparison: with a warm table, quarantine ONE
-// machine and replan (set_active + the masked query_best_into) against a
-// cold build over the survivors, with the room's event list, answering the
-// same query (the table a masked query must equal bit for bit).
+// Plus the replan-vs-rebuild comparison: with a warm consolidator,
+// quarantine ONE machine and replan (set_active + the masked
+// query_best_into) against the test oracle's Algorithm 1 table rebuilt
+// over the survivors answering the same query.
+//
+// Plus the first scenario-8 solve (PlanEngine construction included) on
+// uniform rooms of DISTINCT particles, n = 500, 1000, 2000, each in a
+// forked child: its milliseconds and the child's peak RSS. Algorithm 1's
+// table holds O(n^3) entries on such rooms (about 9 GiB at n = 1000); the
+// on-demand select holds O(n).
 //
 // Gates (exit nonzero when missed):
 //   * fleet cold solve at the largest n beats the monolithic cold solve at
 //     one of the swept shard counts;
-//   * masked replan >= 10x the cold rebuild at every n >= 2000;
+//   * masked replan >= 10x the oracle rebuild at every n >= 2000;
 //   * the warm fleet solve costs at most kWarmOverheadBound times its
 //     serial shard solves;
-//   * every fleet shard entry is bit-for-bit the shard engine's own
-//     answer, and the masked choice/ranking is bit-for-bit the cold
-//     rebuild's, at every n.
+//   * the first solve on the distinct n = 2000 room peaks under 100 MiB;
+//   * identity.mismatches == 0: every fleet shard entry is bit-for-bit the
+//     shard engine's own answer; at every n the masked choice and ranking
+//     are bit-for-bit those of a consolidator built over the survivors
+//     alone (indices mapped back), and agree with the oracle table rebuilt
+//     over the survivors in k, subset and listing order, powers within
+//     1e-12 relative.
 //
 // Writes BENCH_scale.json (bench/report.h).
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -46,8 +60,10 @@
 #include "core/engine.h"
 #include "core/incremental.h"
 #include "core/scratch.h"
+#include "core/synthetic.h"
 #include "fleet/fleet_engine.h"
 #include "obs/session.h"
+#include "tests/oracle/consolidation.h"
 
 using namespace coolopt;
 
@@ -64,23 +80,14 @@ constexpr double kLoadFrac = 0.2;
 /// and woke a pool sized to the host, the same 20 runs read 1.78-2.10.
 constexpr double kWarmOverheadBound = 1.4;
 
-bool choices_identical(const core::ConsolidationChoice& a,
-                       const core::ConsolidationChoice& b) {
-  return a.k == b.k && a.on_set == b.on_set && a.t_ac == b.t_ac &&
-         a.predicted_total_power_w == b.predicted_total_power_w;
-}
+/// The peak RSS a distinct-room row reports when its child failed: far
+/// above any bound, so the gate fails.
+constexpr double kFailedChild = 1e12;
 
-/// The choice is the ranking entry: same k, same segment (so the same
-/// subset, its top k) and the same predicted power.
-bool choice_is_entry(const core::ConsolidationChoice& c,
-                     const core::RankEntry& e) {
-  return c.k == e.k && c.segment == e.segment &&
-         c.predicted_total_power_w == e.predicted_total_power_w;
-}
-
-bool entries_identical(const core::RankEntry& a, const core::RankEntry& b) {
-  return a.k == b.k && a.segment == b.segment &&
-         a.predicted_total_power_w == b.predicted_total_power_w;
+/// Relative distance of `got` from `want` (0 when both are 0).
+double relative_gap(double got, double want) {
+  const double scale = std::max(std::abs(got), std::abs(want));
+  return scale == 0.0 ? 0.0 : std::abs(got - want) / scale;
 }
 
 struct ColdSolve {
@@ -196,19 +203,20 @@ WarmFleet run_warm_fleet(const core::RoomModel& room, size_t shards) {
                    bench::median(std::move(ratios))};
 }
 
-/// Warm table + one-machine quarantine replan (set_active + the masked
-/// query_best_into) vs a cold build over the survivors with the room's
-/// events answering the same query. Adds the timing rows (a gate at
-/// n >= 2000); returns whether the masked answers are bit-for-bit the
-/// rebuilt table's.
-bool incremental_rows(bench::Report& report,
-                      const core::SharedRoomModel& model, double load) {
+/// Warm consolidator + one-machine quarantine replan (set_active + the
+/// masked query_best_into) vs the oracle's Algorithm 1 table rebuilt over
+/// the survivors answering the same query. Adds the timing rows (a gate at
+/// n >= 2000); returns how many comparisons differ: bits against a
+/// consolidator over the survivors alone, and k, subset, listing order or
+/// power (beyond 1e-12 relative) against the rebuilt table.
+size_t incremental_rows(bench::Report& report,
+                        const core::SharedRoomModel& model, double load) {
   const size_t n = model->size();
   core::IncrementalConsolidator inc(model, core::kPreValidated);
   const core::ParticleSystem& ps = inc.particles();
   std::vector<char> mask(n, 1);
   core::ConsolidationChoice best;
-  inc.set_active(mask);  // warm: sizes the mask's cursors (untimed)
+  inc.set_active(mask);  // warm: sizes the view (untimed)
   inc.query_best_into(load, best);
 
   mask[n / 2] = 0;  // one machine quarantined
@@ -222,10 +230,9 @@ bool incremental_rows(bench::Report& report,
     if (mask[i] != 0) ids.push_back(i);
   }
   t0 = std::chrono::steady_clock::now();
-  core::detail::ConsolidationTable rebuilt;
-  rebuilt.build(ps, ids, inc.table().events);
-  core::ConsolidationChoice best_cold;
-  const bool found_cold = rebuilt.query_best_into(ps, *model, load, best_cold);
+  const core::ConsolidationTable rebuilt = core::class_pair_table(ps, ids);
+  core::ConsolidationChoice best_table;
+  const bool found_table = rebuilt.query_best_into(ps, *model, load, best_table);
   const double rebuild_ms = bench::ms_since(t0);
 
   report.row(util::strf("incremental.replan/%zu", n), replan_ms, "ms");
@@ -238,17 +245,114 @@ bool incremental_rows(bench::Report& report,
     report.row(name, speedup, "x");
   }
 
-  // Bit-for-bit: both queries and both rankings agree, and query_best_into
-  // is exactly the head of the masked ranking.
+  // The same queries on a consolidator over the survivors alone: every bit,
+  // with indices mapped back.
+  core::RoomModel survivors = *model;
+  survivors.machines.clear();
+  for (const uint32_t i : ids) survivors.machines.push_back(model->machines[i]);
+  const core::IncrementalConsolidator own(core::share_model(survivors));
+  core::ConsolidationChoice best_own;
+  const bool found_own = own.query_best_into(load, best_own);
+  for (size_t& i : best_own.on_set) i = ids[i];
+  size_t mismatches = 0;
+  if (!found || !found_own || !found_table) return 1;
+  if (best.k != best_own.k || best.on_set != best_own.on_set ||
+      best.t_ac != best_own.t_ac ||
+      best.predicted_total_power_w != best_own.predicted_total_power_w) {
+    ++mismatches;
+  }
   std::vector<core::RankEntry> ranked;
-  std::vector<core::RankEntry> ranked_cold;
+  std::vector<core::RankEntry> ranked_own;
   inc.rank_all_k_into(load, ranked);
-  rebuilt.rank_all_k_into(ps, *model, load, ranked_cold);
-  return found && found_cold && !ranked.empty() &&
-         choices_identical(best, best_cold) &&
-         choice_is_entry(best, ranked.front()) &&
-         std::equal(ranked.begin(), ranked.end(), ranked_cold.begin(),
-                    ranked_cold.end(), entries_identical);
+  own.rank_all_k_into(load, ranked_own);
+  if (ranked.empty() || ranked.front().k != best.k ||
+      ranked.front().predicted_total_power_w != best.predicted_total_power_w ||
+      !std::equal(ranked.begin(), ranked.end(), ranked_own.begin(),
+                  ranked_own.end(),
+                  [](const core::RankEntry& x, const core::RankEntry& y) {
+                    return x.k == y.k && x.t == y.t &&
+                           x.predicted_total_power_w ==
+                               y.predicted_total_power_w;
+                  })) {
+    ++mismatches;
+  }
+
+  // Against the oracle: the head's k and subset in the same order, and per
+  // k the same subset and a power within 1e-12 relative.
+  if (best.k != best_table.k || best.on_set != best_table.on_set ||
+      relative_gap(best.predicted_total_power_w,
+                   best_table.predicted_total_power_w) > 1e-12) {
+    ++mismatches;
+  }
+  std::vector<core::RankEntry> ranked_table;
+  rebuilt.rank_all_k_into(ps, *model, load, ranked_table);
+  const auto by_k = [](const core::RankEntry& x, const core::RankEntry& y) {
+    return x.k < y.k;
+  };
+  std::sort(ranked.begin(), ranked.end(), by_k);
+  std::sort(ranked_table.begin(), ranked_table.end(), by_k);
+  if (ranked.size() != ranked_table.size()) return mismatches + 1;
+  core::IncrementalConsolidator::View view;
+  view.reset(inc.table(), mask);
+  std::vector<size_t> subset;
+  std::vector<size_t> subset_table;
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    inc.table().top_k_into(ranked[i].t, ranked[i].k, subset, &view);
+    rebuilt.top_k_into(ranked_table[i].t, ranked_table[i].k, subset_table);
+    if (ranked[i].k != ranked_table[i].k || subset != subset_table ||
+        relative_gap(ranked[i].predicted_total_power_w,
+                     ranked_table[i].predicted_total_power_w) > 1e-12) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+/// The first scenario-8 solve, PlanEngine construction included, on a
+/// uniform room of n distinct particles at 20% of its capacity, run in a
+/// forked child. Adds the child's milliseconds and its peak RSS, from
+/// getrusage(RUSAGE_CHILDREN) once it is reaped. That reports the largest
+/// child reaped so far, so callers run the rooms in ascending n, first
+/// thing in the process (a child starts with its parent's resident pages).
+/// Returns the peak RSS in MiB, or kFailedChild when the child failed.
+double distinct_first_solve_rows(bench::Report& report, size_t n) {
+  core::SyntheticModelOptions options;
+  options.machines = n;
+  options.seed = 11;
+  const core::RoomModel room = core::make_synthetic_model(options);
+  const double load = kLoadFrac * room.total_capacity();
+  int fds[2];
+  if (pipe(fds) != 0) return kFailedChild;
+  const pid_t pid = fork();
+  if (pid < 0) return kFailedChild;
+  if (pid == 0) {
+    close(fds[0]);
+    const auto t0 = std::chrono::steady_clock::now();
+    const core::PlanEngine engine(room);
+    const core::PlanResult result =
+        engine.solve(core::PlanRequest(core::Scenario::by_number(8), load));
+    const double ms = bench::ms_since(t0);
+    const bool ok = result.plan.has_value() &&
+                    write(fds[1], &ms, sizeof ms) ==
+                        static_cast<ssize_t>(sizeof ms);
+    _exit(ok ? 0 : 1);
+  }
+  close(fds[1]);
+  double ms = 0.0;
+  const bool read_ok =
+      read(fds[0], &ms, sizeof ms) == static_cast<ssize_t>(sizeof ms);
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (!read_ok || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    return kFailedChild;
+  }
+  rusage usage{};
+  getrusage(RUSAGE_CHILDREN, &usage);
+  const double rss_mib = static_cast<double>(usage.ru_maxrss) / 1024.0;
+  report.row(util::strf("distinct.first_solve/%zu", n), ms, "ms");
+  report.row(util::strf("distinct.peak_rss/%zu", n), rss_mib, "MiB");
+  return rss_mib;
 }
 
 }  // namespace
@@ -265,6 +369,13 @@ int main(int argc, char** argv) {
   }
   const size_t max_n = static_cast<size_t>(flags.get_int("max-n", 10000));
 
+  // First, while this process is small: each child starts with its pages.
+  double distinct_rss_mib = kFailedChild;
+  for (const size_t n : {size_t{500}, size_t{1000}, size_t{2000}}) {
+    distinct_rss_mib = distinct_first_solve_rows(report, n);
+  }
+  report.gate("distinct.peak_rss_mib/2000", distinct_rss_mib, "<", 100.0);
+
   // n-sweep at 8 shards; the largest n also at 4 and 16 shards. Each n runs
   // once, also when --max-n is one of the fixed sizes.
   std::vector<size_t> sizes;
@@ -279,7 +390,7 @@ int main(int argc, char** argv) {
     const double load = kLoadFrac * room.total_capacity();
     const ColdSolve mono = run_monolithic(room, load);
     report.row(util::strf("monolithic.cold_solve/%zu", n), mono.ms, "ms");
-    if (!incremental_rows(report, core::share_model(room), load)) ++mismatches;
+    mismatches += incremental_rows(report, core::share_model(room), load);
     const std::vector<size_t> shard_counts =
         n == max_n ? std::vector<size_t>{8, 4, 16} : std::vector<size_t>{8};
     for (const size_t shards : shard_counts) {

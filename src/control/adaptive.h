@@ -65,7 +65,7 @@ class AdaptiveController {
                      SetPointPlanner setpoints, AdaptiveOptions options = {});
 
   /// Shares an existing engine: full replans and rebalances reuse its
-  /// cached solvers and Algorithm 1 event table. The engine's own
+  /// cached solvers and consolidation select. The engine's own
   /// t_max_margin governs planning; options.t_max_margin is ignored.
   AdaptiveController(sim::MachineRoom& room,
                      std::shared_ptr<const core::PlanEngine> engine,

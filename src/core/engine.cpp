@@ -327,23 +327,27 @@ bool PlanEngine::consolidate_into(double load, bool restricted,
     return false;
   };
 
-  // The Algorithm 1 table, cached and immutable; a restricted solve reads
-  // it through this thread's mask over its survivors.
+  // The on-demand select over the cached particle classes, through this
+  // thread's view: every machine, or a restricted solve's survivors.
   const IncrementalConsolidator* cons = consolidator();
-  detail::ConsolidationTable::Mask* mask = nullptr;
-  if (restricted && cons != nullptr) {
-    scr.table_mask.reset(cons->table(), scr.mask);
-    mask = &scr.table_mask;
-    obs::count("engine.incremental.replans", &counters_.incremental_replans);
+  detail::ClassSelector::View* view = nullptr;
+  if (cons != nullptr) {
+    view = &scr.select;
+    if (restricted) {
+      view->reset(cons->table(), scr.mask, scr.quarantined);
+      obs::count("engine.incremental.replans", &counters_.incremental_replans);
+    } else {
+      view->reset(cons->table());
+    }
   }
 
-  // The candidates, best first: a table's (k, segment) entries by their
+  // The candidates, best first: the select's (k, t) entries by their
   // Eq. 23 relaxation power, or just the head scan's winner while the walk
   // needs no more. A heterogeneous room has no particle reduction: it walks
   // a window of ON-set sizes above the capacity minimum, each led by the
   // idle-draw prefix (cheap-idle nodes for padding), with no bound.
   const std::vector<size_t>* idle = nullptr;
-  detail::ConsolidationTable::Head head;
+  detail::ClassSelector::Head head;
   // The scan's folded idle draw is the ranking's machine-by-machine sum
   // only when every w2 is the same double.
   const bool from_head = cons != nullptr && cons->particles().w2_identical;
@@ -354,13 +358,13 @@ bool PlanEngine::consolidate_into(double load, bool restricted,
     const size_t k_min = min_machines_for(planning, load, *by_capacity);
     const size_t k_hi = std::min(by_capacity->size(), k_min + 4);
     for (size_t k = std::max<size_t>(1, k_min); k <= k_hi; ++k) {
-      scr.ranked.push_back(RankEntry{k, 0, -HUGE_VAL});
+      scr.ranked.push_back(RankEntry{k, 0.0, -HUGE_VAL});
     }
   } else if (!from_head) {
-    cons->rank_all_k_into(load, scr.ranked, mask);
+    cons->rank_all_k_into(load, scr.ranked, view);
   } else if (cons->table().scan_head(cons->particles(), planning, load, head,
-                                     mask)) {
-    scr.ranked.push_back(RankEntry{head.k, head.segment, head.power});
+                                     view)) {
+    scr.ranked.push_back(RankEntry{head.k, head.t, head.power});
   }
 
   // Branch and bound: a candidate's power is the Eq. 23 relaxation
@@ -373,11 +377,10 @@ bool PlanEngine::consolidate_into(double load, bool restricted,
   const auto beaten = [&](double bound) {
     return have_best && bound >= scr.best_alloc.total_power_w - 1e-12;
   };
-  // A table entry's subset is the top k of its segment's order (of the
-  // survivors there, in a restricted solve), copied only when the walk
-  // probes it.
+  // An entry's subset is the top k at its operating time (of the
+  // survivors, in a restricted solve), copied only when the walk probes it.
   const auto table_subset = [&](const RankEntry& e) {
-    cons->table().top_k_into(e.segment, e.k, scr.subset, mask);
+    cons->table().top_k_into(e.t, e.k, scr.subset, view);
     return scr.subset.data();
   };
   for (size_t i = 0; i < scr.ranked.size(); ++i) {
@@ -393,7 +396,7 @@ bool PlanEngine::consolidate_into(double load, bool restricted,
         if (pure) obs::count("engine.path.ranked_head", &counters_.memo_hits);
         break;
       }
-      cons->rank_all_k_into(load, scr.ranked, mask);
+      cons->rank_all_k_into(load, scr.ranked, view);
     }
   }
   return have_best;
@@ -553,18 +556,21 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
   size_t survivors = n;
   if (restricted) {
     scr.mask.assign(n, 1);
+    scr.quarantined.clear();
     scr.allowed.clear();
     // Sized with the mask, so building the lists later in a warm solve
     // never grows them.
+    scr.quarantined.reserve(n);
     scr.allowed.reserve(n);
     scr.order.reserve(n);
     double quarantined_capacity = 0.0;
     for (const size_t idx : request.quarantined) {
       if (!scr.mask[idx]) continue;  // listed twice
       scr.mask[idx] = 0;
-      --survivors;
+      scr.quarantined.push_back(idx);
       quarantined_capacity += agg.soa.capacity[idx];
     }
+    survivors -= scr.quarantined.size();
     // The survivors' capacity caps the load only when the load can reach
     // it. Each of the three folds (the room's, the quarantined machines',
     // the survivors') is off by at most n ulps of the room's capacity, so
@@ -621,17 +627,15 @@ void PlanEngine::solve_into(const PlanRequest& request, SolveScratch& scr,
   if (result.shed_load <= 1e-9) result.shed_load = 0.0;
   if (result.shed_load > 0.0) {
     // Shedding order: quarantined machines first (their load is already
-    // gone), each once in first-appearance order (its mask entry turns 2
-    // once listed), then the survivors from thermally worst to best — the
-    // order a supervisor should walk when it must drop more work.
-    for (const size_t idx : request.quarantined) {
-      if (scr.mask[idx] == 0) {
-        result.shed_priority.push_back(idx);
-        scr.mask[idx] = 2;
-      }
+    // gone), each once in first-appearance order, then the survivors from
+    // thermally worst to best — the order a supervisor should walk when it
+    // must drop more work.
+    if (restricted) {
+      result.shed_priority.assign(scr.quarantined.begin(),
+                                  scr.quarantined.end());
     }
     for (auto it = agg.coolness.rbegin(); it != agg.coolness.rend(); ++it) {
-      if (!restricted || scr.mask[*it] == 1) {
+      if (!restricted || scr.mask[*it] != 0) {
         result.shed_priority.push_back(*it);
       }
     }

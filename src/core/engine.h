@@ -6,17 +6,18 @@
 // subset. Historically every call site (scenario planner, adaptive
 // controller, cooloptctl, the benches) re-instantiated that pipeline from a
 // private RoomModel copy — re-validating the model and, worst of all,
-// re-running the O(n^3 lg n) Algorithm 1 preprocessing on every
-// construction even though the model is immutable between replans.
+// re-grouping the room for the consolidation query on every construction
+// even though the model is immutable between replans.
 //
 // The engine owns ONE immutable shared model, validates it exactly once,
 // and lazily caches every model-derived artifact behind it:
 //
 //   model  ->  cached aggregates (uniformity flags, capacity, sort orders)
 //          ->  cached solvers (closed form, bounded sweep)
-//          ->  cached Algorithm 1 table over the whole fleet (built once,
-//              immutable, read lock-free; a quarantined solve skips its
-//              quarantined machines through a per-thread mask)
+//          ->  cached particle classes of the whole fleet for Algorithm 2's
+//              on-demand select (built once, immutable, read lock-free; a
+//              quarantined solve admits its survivors through a
+//              per-thread view)
 //          ->  dispatch: closed form -> bounded sweep -> consolidation ranking
 //          ->  solve_batch_into fan-out over a util::ThreadPool
 //
@@ -117,7 +118,7 @@ struct ModelAggregates {
   /// against.
   double total_capacity = 0.0;
   /// RoomModel::uniform_w1(), read by every route: the closed form and the
-  /// Algorithm 1 tables exist only when it holds (exact_paths()).
+  /// consolidation select exist only when it holds (exact_paths()).
   bool uniform_w1 = false;
   /// RoomModel::uniform_w2(): the particle reduction needs it as well.
   bool uniform_w2 = false;
@@ -149,11 +150,11 @@ struct EngineCounters {
   uint64_t cache_hits = 0;
   /// Cached artifacts built (each at most once per engine).
   uint64_t cache_misses = 0;
-  /// Restricted (quarantine) consolidation solves answered from the
-  /// Algorithm 1 table through the survivors' mask instead of the
+  /// Restricted (quarantine) consolidation solves answered by the
+  /// on-demand select through the survivors' view instead of the
   /// windowed-probe fallback.
   uint64_t incremental_replans = 0;
-  /// Always 0: restricted solves build no table of their own. Kept, with
+  /// Always 0: restricted solves build nothing of their own. Kept, with
   /// no registry metric, while the benchmark's load generator reads it.
   uint64_t incremental_cold_builds = 0;
   /// Always 0, like incremental_cold_builds.
@@ -195,10 +196,10 @@ class PlanEngine {
   const ModelAggregates& aggregates() const;
   /// nullptr for heterogeneous-w1 fleets (no closed form).
   const AnalyticOptimizer* analytic() const;
-  /// The full-fleet Algorithm 1 table: nullptr unless w1 AND w2 are uniform
-  /// (Eq. 23 reduction). First access pays the cold build; later accesses
-  /// reuse it. Immutable, so every solve reads it without a lock; a
-  /// restricted solve reads it through SolveScratch::table_mask.
+  /// The full-fleet consolidation select: nullptr unless w1 AND w2 are
+  /// uniform (Eq. 23 reduction). First access groups the particle classes;
+  /// later accesses reuse them. Immutable, so every solve reads it without
+  /// a lock, through SolveScratch::select.
   const IncrementalConsolidator* consolidator() const;
   /// consolidator()'s particle system; nullptr unless the particle
   /// reduction applies.
@@ -269,7 +270,7 @@ class PlanEngine {
   /// scratch.allowed_capacity) and in coolness order (scratch.order).
   /// Built on the first call in a restricted solve, which solve_into marks
   /// by clearing scratch.allowed; only the paths that read them call it, so
-  /// a solve the closed form or the table answers pays for neither.
+  /// a solve the closed form or the select answers pays for neither.
   void survivor_lists(SolveScratch& scratch) const;
   /// The machines a solve may plan on, in index order or coolest first:
   /// the cached whole-fleet lists, or a restricted solve's survivor_lists.
@@ -293,15 +294,15 @@ class PlanEngine {
   /// feasible. `best_pure` reports whether the closed form alone served it.
   ///
   /// One walk answers every room. With a particle reduction (uniform w1 and
-  /// w2) the candidates are Algorithm 2's (k, segment) entries, best
-  /// predicted power first, each subset the top k of its segment's order,
-  /// copied only when probed. When ParticleSystem::w2_identical the head
-  /// scan (ConsolidationTable::scan_head) yields the first candidate and the
+  /// w2) the candidates are Algorithm 2's (k, t) entries, best predicted
+  /// power first, each subset the top k at its operating time t, copied
+  /// only when probed. When ParticleSystem::w2_identical the head scan
+  /// (ClassSelector::scan_head) yields the first candidate and the
   /// runner-up's power; the full ranking is built only when the plan on the
   /// head does not beat that power, and the walk resumes at its second
-  /// entry. Heterogeneous rooms walk a window of k with no bound. A
-  /// restricted solve reads the same table through scratch.table_mask,
-  /// bound to the survivors in scratch.mask.
+  /// entry. Heterogeneous rooms walk a window of k with no bound. The
+  /// select reads scratch.select, reset to every machine or, in a
+  /// restricted solve, to the survivors in scratch.mask.
   bool consolidate_into(double load, bool restricted, SolveScratch& scratch,
                         bool& best_pure) const;
   /// Optimal split over a fixed ON set: closed form, else the bounded

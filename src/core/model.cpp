@@ -36,6 +36,28 @@ void require_finite(double v, const char* owner, const char* field) {
   }
 }
 
+/// The first thing wrong with machine `m`, worded as validate() reports it
+/// after "machine <id>: ", or nullptr. Formats nothing, so a valid room
+/// validates without building a message per machine.
+const char* machine_problem(const MachineModel& m, double t_max) {
+  if (!(m.power.w1 > 0.0)) return "w1 must be > 0";
+  if (!(m.power.w2 >= 0.0)) return "w2 must be >= 0";
+  if (!(m.thermal.alpha > 0.0)) return "alpha must be > 0";
+  if (!(m.thermal.beta > 0.0)) return "beta must be > 0";
+  if (!(m.capacity > 0.0)) return "capacity must be > 0";
+  if (!(t_max > m.thermal.gamma + m.thermal.beta * m.power.w2)) {
+    return "t_max unreachable (<= gamma + beta*w2: the machine would "
+           "violate the constraint while idle even with 0-degree air)";
+  }
+  if (!std::isfinite(m.power.w1)) return "w1 must be finite";
+  if (!std::isfinite(m.power.w2)) return "w2 must be finite";
+  if (!std::isfinite(m.thermal.alpha)) return "alpha must be finite";
+  if (!std::isfinite(m.thermal.beta)) return "beta must be finite";
+  if (!std::isfinite(m.thermal.gamma)) return "gamma must be finite";
+  if (!std::isfinite(m.capacity)) return "capacity must be finite";
+  return nullptr;
+}
+
 }  // namespace
 
 void RoomModel::validate() const {
@@ -43,33 +65,9 @@ void RoomModel::validate() const {
     throw std::invalid_argument("RoomModel: no machines");
   }
   for (const MachineModel& m : machines) {
-    const std::string tag = util::strf("machine %d", m.id);
-    if (!(m.power.w1 > 0.0)) {
-      throw std::invalid_argument(tag + ": w1 must be > 0");
+    if (const char* problem = machine_problem(m, t_max)) {
+      throw std::invalid_argument(util::strf("machine %d: %s", m.id, problem));
     }
-    if (!(m.power.w2 >= 0.0)) {
-      throw std::invalid_argument(tag + ": w2 must be >= 0");
-    }
-    if (!(m.thermal.alpha > 0.0)) {
-      throw std::invalid_argument(tag + ": alpha must be > 0");
-    }
-    if (!(m.thermal.beta > 0.0)) {
-      throw std::invalid_argument(tag + ": beta must be > 0");
-    }
-    if (!(m.capacity > 0.0)) {
-      throw std::invalid_argument(tag + ": capacity must be > 0");
-    }
-    if (!(t_max > m.thermal.gamma + m.thermal.beta * m.power.w2)) {
-      throw std::invalid_argument(
-          tag + ": t_max unreachable (<= gamma + beta*w2: the machine would "
-                "violate the constraint while idle even with 0-degree air)");
-    }
-    require_finite(m.power.w1, tag.c_str(), "w1");
-    require_finite(m.power.w2, tag.c_str(), "w2");
-    require_finite(m.thermal.alpha, tag.c_str(), "alpha");
-    require_finite(m.thermal.beta, tag.c_str(), "beta");
-    require_finite(m.thermal.gamma, tag.c_str(), "gamma");
-    require_finite(m.capacity, tag.c_str(), "capacity");
   }
   if (!(cooler.cfac > 0.0)) {
     throw std::invalid_argument("RoomModel: cooler cfac must be > 0");

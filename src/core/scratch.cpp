@@ -10,11 +10,12 @@ size_t allocation_bytes(const Allocation& a) {
 }  // namespace
 
 size_t SolveScratch::bytes() const {
-  size_t b = (allowed.capacity() + order.capacity() + capacity_order.capacity() +
-              idle_order.capacity() + subset.capacity()) *
+  size_t b = (quarantined.capacity() + allowed.capacity() + order.capacity() +
+              capacity_order.capacity() + idle_order.capacity() +
+              subset.capacity()) *
                  sizeof(size_t) +
              mask.capacity();
-  b += ranked.capacity() * sizeof(RankEntry) + table_mask.bytes();
+  b += ranked.capacity() * sizeof(RankEntry) + select.bytes();
   b += allocation_bytes(best_alloc) + allocation_bytes(trial_alloc);
   b += allocation_bytes(cf.allocation);
   b += bounded.bytes();

@@ -22,15 +22,17 @@
 #include "core/allocation.h"
 #include "core/bounded.h"
 #include "core/closed_form.h"
-#include "core/consolidation_table.h"
+#include "core/class_selector.h"
 #include "core/scenario.h"
 
 namespace coolopt::core {
 
 struct SolveScratch {
   // --- restricted (quarantine) solves ---
-  /// 1 = survivor, 0 = quarantined; shed_priority turns a listed entry to 2.
+  /// 1 = survivor, 0 = quarantined.
   std::vector<char> mask;
+  /// The distinct quarantined machines, in first-listed order.
+  std::vector<size_t> quarantined;
   /// The survivors in index order and in coolness order, and the index-order
   /// fold of their capacities: built on demand (PlanEngine::survivor_lists),
   /// empty until then.
@@ -45,9 +47,9 @@ struct SolveScratch {
   /// survives at t_ac_min).
   std::vector<size_t> subset;
   std::vector<RankEntry> ranked;  ///< consolidation walk candidates, <= 1 per k
-  /// A restricted consolidation solve's view of the Algorithm 1 table:
-  /// bound to `mask` once per walk, its cursors sized once per table.
-  detail::ConsolidationTable::Mask table_mask;
+  /// The consolidation walk's view of the on-demand select: every machine,
+  /// or the survivors in `mask`; reset once per walk, sized once per room.
+  detail::ClassSelector::View select;
   // --- solver workspaces and result slots ---
   Allocation best_alloc;   ///< incumbent of the candidate walk
   Allocation trial_alloc;  ///< probe under evaluation (swapped on improve)

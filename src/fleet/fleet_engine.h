@@ -4,7 +4,7 @@
 // a marginal-cost water-filling over each shard's cached power-vs-load
 // frontier, then cap every shard at its surviving capacity.
 // Level 2 (core::PlanEngine, one per shard): the paper's single-room
-// machinery — closed form, bounded solver, Algorithm 1/2 consolidation —
+// machinery — closed form, bounded solver, Algorithm 2's consolidation —
 // runs unchanged inside each shard, including the incremental quarantine
 // path.
 //

@@ -38,6 +38,11 @@ enum class PushResult {
 template <typename T>
 class AdmissionQueue {
  public:
+  /// try_push's default on_accept.
+  struct NoAction {
+    void operator()() const {}
+  };
+
   /// `capacity` bounds the number of accepted-but-not-yet-popped items;
   /// at least 1.
   explicit AdmissionQueue(size_t capacity)
@@ -49,14 +54,19 @@ class AdmissionQueue {
   /// Accepts `value` unless the queue is closed or already holds `limit`
   /// items (clamped to capacity()). When `depth` is set it receives the
   /// size the decision saw: after the push on kOk, before it otherwise.
+  /// `on_accept()` runs under the queue's lock once `value` is accepted,
+  /// before any consumer can pop it: what it counts is counted before the
+  /// item can be answered.
+  template <typename OnAccept = NoAction>
   PushResult try_push(T value,
                       size_t limit = std::numeric_limits<size_t>::max(),
-                      size_t* depth = nullptr) {
+                      size_t* depth = nullptr, OnAccept&& on_accept = {}) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (depth != nullptr) *depth = items_.size();
       if (closed_) return PushResult::kClosed;
       if (items_.size() >= std::min(limit, capacity_)) return PushResult::kFull;
+      on_accept();
       items_.push_back(std::move(value));
       high_water_ = std::max(high_water_, items_.size());
       if (depth != nullptr) *depth = items_.size();

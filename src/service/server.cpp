@@ -406,11 +406,15 @@ void PlanningService::handle_line(const std::shared_ptr<Session>& session,
   const Priority priority = request.priority;
   const size_t limit = priority_limit(priority, queue_.capacity());
   size_t depth = 0;
+  // Counted under the queue's lock, before a worker can pop the job: a
+  // client never holds a response that stats() has not yet admitted.
+  const auto count_admitted = [this] {
+    obs::count("service.requests.admitted", &stats_.admitted);
+  };
   switch (queue_.try_push(
       Job{session, std::move(request), std::chrono::steady_clock::now()},
-      limit, &depth)) {
+      limit, &depth, count_admitted)) {
     case PushResult::kOk:
-      obs::count("service.requests.admitted", &stats_.admitted);
       obs::gauge_set("service.queue.depth", static_cast<double>(depth));
       break;
     case PushResult::kFull:

@@ -12,7 +12,7 @@ namespace coolopt::core {
 namespace {
 
 using test_support::best_of;
-using test_support::expect_tables_identical;
+using test_support::expect_select_matches_table;
 using test_support::paper_query;
 using test_support::ranking_of;
 
@@ -37,11 +37,18 @@ RoomModel identical_machines(size_t n) {
 TEST(ConsolidationEdge, IdenticalMachinesHaveNoEvents) {
   const RoomModel model = identical_machines(6);
   const IncrementalConsolidator ec(share_model(model));
-  // All particles coincide: parallel AND co-located -> zero crossings.
-  EXPECT_EQ(ec.event_count(), 0u);
-  EXPECT_EQ(ec.segment_count(), 1u);
-  expect_tables_identical(ec.particles(), ec.table(),
-                          reference_table(ec.particles()));
+  // All particles coincide: parallel AND co-located -> one class, and
+  // zero crossings in the reference table.
+  EXPECT_EQ(ec.class_count(), 1u);
+  const ConsolidationTable reference = reference_table(ec.particles());
+  EXPECT_EQ(reference.events.size(), 0u);
+  EXPECT_EQ(reference.segments.size(), 1u);
+  for (const double frac : {0.1, 0.5, 0.9}) {
+    EXPECT_EQ(expect_select_matches_table(ec.table(), nullptr,
+                                          ec.particles(), model, reference,
+                                          model.total_capacity() * frac),
+              0u);
+  }
   // Queries still work and agree with brute force.
   const BruteForceConsolidator bf(model);
   for (const double frac : {0.1, 0.5, 0.9}) {
@@ -64,7 +71,8 @@ TEST(ConsolidationEdge, ParallelDistinctParticles) {
     model.machines[i].thermal.gamma = 0.3 * static_cast<double>(i);
   }
   const IncrementalConsolidator ec(share_model(model));
-  EXPECT_EQ(ec.event_count(), 0u);
+  EXPECT_EQ(ec.class_count(), 4u);
+  EXPECT_EQ(reference_table(ec.particles()).events.size(), 0u);
   const BruteForceConsolidator bf(model);
   const double load = model.total_capacity() * 0.4;
   const auto fast = best_of(ec, load);
@@ -79,9 +87,11 @@ TEST(ConsolidationEdge, SingleMachineFleet) {
   o.seed = 9;
   const RoomModel model = make_synthetic_model(o);
   const IncrementalConsolidator ec(share_model(model));
-  EXPECT_EQ(ec.event_count(), 0u);
-  expect_tables_identical(ec.particles(), ec.table(),
-                          reference_table(ec.particles()));
+  EXPECT_EQ(ec.class_count(), 1u);
+  EXPECT_EQ(expect_select_matches_table(ec.table(), nullptr, ec.particles(),
+                                        model, reference_table(ec.particles()),
+                                        model.machines[0].capacity * 0.5),
+            0u);
   const auto choice = best_of(ec, model.machines[0].capacity * 0.5);
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->k, 1u);

@@ -1,14 +1,14 @@
-// ConsolidationTable::operating_segment edge coverage — the boundaries the
-// engine's consolidation walk reads its head subset from.
+// Operating-time edge coverage — the points the engine's consolidation
+// walk reads its head subset at.
 //
-// Loads exactly AT segment breakpoints are the worst case for any
-// segment-indexed fast path: the operating segment must be the same one
-// solve_for_k, peek_k, and query_best_into all resolve, or a ranked-head
-// plan could be materialized from a neighboring segment's order. These
-// tests pin the agreements bit-for-bit: peek_k's (segment, power) against
-// solve_for_k's and query_best_into against the full ranking's head —
-// across breakpoint loads, single-segment (homogeneous) tables, and
-// quarantine masks up to fully-quarantined (width-zero) tables.
+// Loads exactly AT the reference table's segment breakpoints are the worst
+// case for the select: the root of g_k sits on a crossing, where the top-k
+// set changes. These tests pin that every query path resolves the same
+// (k, t) bit for bit — query_best_into against the full ranking's head —
+// that each entry's time is the root of its own subset's line, and that
+// the select holds the oracle gate against the table there; also on
+// one-class rooms and under quarantine views up to fully-quarantined
+// (width-zero) ones.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 
 #include "core/incremental.h"
 #include "core/synthetic.h"
+#include "tests/core/consolidation_support.h"
 
 namespace {
 
@@ -41,44 +42,13 @@ core::RoomModel homogeneous_room(size_t n) {
   return model;
 }
 
-/// The iterated w2 fold peek_k expects (bitwise-uniform w2 — synthetic
-/// models draw every machine's w2 from the same double).
-double sum_w2(const core::ParticleSystem& ps, size_t k) {
-  double sum = 0.0;
-  for (size_t i = 0; i < k; ++i) sum += ps.w2;
-  return sum;
-}
-
 void expect_identical(const core::ConsolidationChoice& a,
                       const core::ConsolidationChoice& b) {
   EXPECT_EQ(a.k, b.k);
-  EXPECT_EQ(a.segment, b.segment);
   EXPECT_EQ(a.on_set, b.on_set);
   EXPECT_EQ(a.t_param, b.t_param);
   EXPECT_EQ(a.t_ac, b.t_ac);
   EXPECT_EQ(a.predicted_total_power_w, b.predicted_total_power_w);
-}
-
-/// peek_k must agree with solve_for_k on feasibility and, when feasible,
-/// on the operating segment and the predicted power — bit-for-bit.
-void expect_peek_matches_solve(const core::detail::ConsolidationTable& table,
-                               const core::ParticleSystem& ps,
-                               const core::RoomModel& model, double load,
-                               size_t k) {
-  size_t seg = 0;
-  double power = 0.0;
-  const bool peeked = table.peek_k(ps, model, table.anchors(ps), load, k,
-                                   sum_w2(ps, k), &seg, &power);
-  const std::optional<core::ConsolidationChoice> solved =
-      table.solve_for_k(ps, model, load, k);
-  ASSERT_EQ(peeked, solved.has_value())
-      << "peek_k and solve_for_k disagree on feasibility at load " << load
-      << ", k " << k;
-  if (!peeked) return;
-  EXPECT_EQ(seg, solved->segment) << "load " << load << ", k " << k;
-  EXPECT_EQ(power, solved->predicted_total_power_w)
-      << "load " << load << ", k " << k;
-  EXPECT_EQ(solved->k, solved->on_set.size());
 }
 
 // A ranking entry owns no heap block: walking a ranking copies no subset.
@@ -86,20 +56,20 @@ static_assert(std::is_trivially_copyable_v<core::RankEntry>);
 
 /// query_best_into must be exactly the ranking's head: the same entry, and
 /// the same choice once the entry's subset is materialized. Both over the
-/// machines `mask` admits (every machine without one).
+/// machines `view` admits (every machine without one).
 void expect_best_matches_ranking(
-    const core::detail::ConsolidationTable& table,
-    const core::ParticleSystem& ps, const core::RoomModel& model, double load,
-    core::detail::ConsolidationTable::Mask* mask = nullptr) {
+    const core::detail::ClassSelector& select, const core::ParticleSystem& ps,
+    const core::RoomModel& model, double load,
+    core::detail::ClassSelector::View* view = nullptr) {
   std::vector<core::RankEntry> ranked;
-  table.rank_all_k_into(ps, model, load, ranked, mask);
+  select.rank_all_k_into(ps, model, load, ranked, view);
   core::ConsolidationChoice best;
-  const bool got = table.query_best_into(ps, model, load, best, mask);
+  const bool got = select.query_best_into(ps, model, load, best, view);
   ASSERT_EQ(got, !ranked.empty()) << "load " << load;
   if (!got) return;
   core::ConsolidationChoice head;
-  table.make_choice_into(ps, model, ranked.front().segment, ranked.front().k,
-                         load, head, mask);
+  select.make_choice_into(ps, model, ranked.front().t, ranked.front().k, load,
+                          head, view);
   EXPECT_EQ(head.predicted_total_power_w,
             ranked.front().predicted_total_power_w);
   expect_identical(best, head);
@@ -108,8 +78,8 @@ void expect_best_matches_ranking(
 TEST(ConsolidationSegment, BreakpointLoadsAgreeAcrossAllQueryPaths) {
   const core::RoomModel model = synthetic_room(24);
   const core::IncrementalConsolidator cons(core::share_model(model));
-  const core::detail::ConsolidationTable& table = cons.table();
   const core::ParticleSystem& ps = cons.particles();
+  const core::ConsolidationTable table = core::reference_table(ps);
   ASSERT_GT(table.segments.size(), 1u)
       << "test premise: a multi-segment table";
 
@@ -119,11 +89,16 @@ TEST(ConsolidationSegment, BreakpointLoadsAgreeAcrossAllQueryPaths) {
                            table.width()}) {
       if (k == 0 || k > table.width()) continue;
       // The load that puts the k-subset EXACTLY at this segment's start —
-      // the breakpoint where operating_segment tips from s-1 to s.
-      const double load = table.g(ps, k, t_start);
+      // the breakpoint where the top-k set changes.
+      const double load = table.g(k, t_start);
       if (load <= 0.0) continue;
-      expect_peek_matches_solve(table, ps, model, load, k);
-      expect_best_matches_ranking(table, ps, model, load);
+      expect_best_matches_ranking(cons.table(), ps, model, load);
+      // Only this k runs at a crossing, where two tied machines may be
+      // listed either way.
+      EXPECT_LE(core::test_support::expect_select_matches_table(
+                    cons.table(), nullptr, ps, model, table, load),
+                1u);
+      if (HasFailure()) return;
     }
   }
 }
@@ -131,35 +106,29 @@ TEST(ConsolidationSegment, BreakpointLoadsAgreeAcrossAllQueryPaths) {
 TEST(ConsolidationSegment, BreakpointOperatingSegmentIsSelfConsistent) {
   const core::RoomModel model = synthetic_room(16);
   const core::IncrementalConsolidator cons(core::share_model(model));
-  const core::detail::ConsolidationTable& table = cons.table();
+  const core::detail::ClassSelector& select = cons.table();
   const core::ParticleSystem& ps = cons.particles();
+  const core::ConsolidationTable table = core::reference_table(ps);
 
+  std::vector<core::RankEntry> ranked;
+  core::ConsolidationChoice choice;
   for (size_t s = 0; s < table.segments.size(); ++s) {
     for (size_t k = 1; k <= table.width(); ++k) {
-      const double load = table.g(ps, k, table.segments[s].start);
+      const double load = table.g(k, table.segments[s].start);
       if (load <= 0.0) continue;
-      const std::optional<core::ConsolidationChoice> solved =
-          table.solve_for_k(ps, model, load, k);
-      if (!solved.has_value()) continue;
-      // The segment recorded on the choice is operating_segment's answer —
-      // re-deriving it must agree exactly (this is the equality the
-      // head scan's peek_k segment stands on).
-      EXPECT_EQ(solved->segment, table.operating_segment(ps, load, k))
-          << "segment " << s << ", k " << k;
-      // t_param itself may land one ULP below the segment start at an exact
-      // breakpoint: operating_segment clamps t_star up to seg.start for
-      // numeric safety, make_choice stores the raw division. Mapping the
-      // stored time back through segment_at must therefore give either the
-      // recorded segment or, within one ULP of the boundary, its left
-      // neighbor — never anything farther.
-      const size_t mapped = table.segment_at(solved->t_param);
-      if (mapped != solved->segment) {
-        ASSERT_EQ(mapped + 1, solved->segment)
-            << "segment " << s << ", k " << k;
-        const double start = table.segments[solved->segment].start;
-        EXPECT_GE(solved->t_param,
-                  std::nextafter(start, -std::numeric_limits<double>::infinity()))
-            << "segment " << s << ", k " << k;
+      select.rank_all_k_into(ps, model, load, ranked);
+      for (const core::RankEntry& e : ranked) {
+        // The operating time lies in the actuation range, and the choice
+        // materialized there runs at the root of its own subset's line,
+        // clamped: the same time up to rounding.
+        ASSERT_GE(e.t, ps.t_lo);
+        ASSERT_LE(e.t, ps.t_hi);
+        select.make_choice_into(ps, model, e.t, e.k, load, choice);
+        EXPECT_EQ(choice.k, choice.on_set.size());
+        EXPECT_LE(std::abs(choice.t_param - e.t),
+                  1e-9 * std::max(1.0, std::abs(e.t)))
+            << "segment " << s << ", load k " << k << ", entry k " << e.k;
+        EXPECT_EQ(choice.predicted_total_power_w, e.predicted_total_power_w);
       }
     }
   }
@@ -168,23 +137,24 @@ TEST(ConsolidationSegment, BreakpointOperatingSegmentIsSelfConsistent) {
 TEST(ConsolidationSegment, SingleSegmentTableAnswersEveryLoad) {
   const core::RoomModel model = homogeneous_room(12);
   const core::IncrementalConsolidator cons(core::share_model(model));
-  const core::detail::ConsolidationTable& table = cons.table();
+  const core::detail::ClassSelector& select = cons.table();
   const core::ParticleSystem& ps = cons.particles();
-  ASSERT_EQ(table.segments.size(), 1u)
-      << "identical particles never cross, so one segment covers all time";
+  ASSERT_EQ(cons.class_count(), 1u)
+      << "identical particles are one class, and never cross";
 
   const double cap = model.total_capacity();
+  std::vector<core::RankEntry> ranked;
+  std::vector<size_t> subset;
   for (const double frac : {0.05, 0.25, 0.5, 0.75, 0.95}) {
     const double load = cap * frac;
-    for (size_t k = 1; k <= table.width(); ++k) {
-      expect_peek_matches_solve(table, ps, model, load, k);
-      const std::optional<core::ConsolidationChoice> solved =
-          table.solve_for_k(ps, model, load, k);
-      if (solved.has_value()) {
-        EXPECT_EQ(solved->segment, 0u);
-      }
+    select.rank_all_k_into(ps, model, load, ranked);
+    for (const core::RankEntry& e : ranked) {
+      // One class: the top k are its k lowest ids, in ascending order.
+      select.top_k_into(e.t, e.k, subset);
+      ASSERT_EQ(subset.size(), e.k);
+      for (size_t j = 0; j < e.k; ++j) EXPECT_EQ(subset[j], j);
     }
-    expect_best_matches_ranking(table, ps, model, load);
+    expect_best_matches_ranking(select, ps, model, load);
   }
 }
 
@@ -200,10 +170,10 @@ TEST(ConsolidationSegment, QuarantineMasksAgreeWithQueryBest) {
   for (size_t quarantined = 0; quarantined < model->size();
        quarantined += 3) {
     for (size_t i = 0; i < quarantined; ++i) mask[i] = 0;
-    core::detail::ConsolidationTable::Mask masked;
-    masked.reset(inc.table(), mask);
+    core::IncrementalConsolidator::View view;
+    view.reset(inc.table(), mask);
     expect_best_matches_ranking(inc.table(), inc.particles(), *model, load,
-                                &masked);
+                                &view);
   }
 }
 

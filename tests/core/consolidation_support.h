@@ -1,12 +1,12 @@
-// Test support for the Algorithm 1 suites: the seeded and SKU rooms they
+// Test support for the consolidation suites: the seeded and SKU rooms they
 // share, the optional- and vector-returning query shapes the assertions
 // read naturally, the paper's Algorithm 2 over an on-demand allStatus
 // index, the gtest comparisons against the oracle library's reference
-// build (tests/oracle/consolidation.h: reference_table, the paper's
-// preprocessing over every machine pair) and unpruned best-k scan, the
-// comparison of masked queries with a table built over the admitted
-// machines, and the cooler variants that scan's exactness argument depends
-// on.
+// table (tests/oracle/consolidation.h: reference_table, the paper's
+// Algorithm 1 over every machine pair) and unpruned best-k scan, the
+// comparison of masked queries with the same queries on a room of the
+// admitted machines, and the cooler variants that scan's exactness
+// argument depends on.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/consolidation_table.h"
+#include "core/class_selector.h"
 #include "core/incremental.h"
 #include "core/model.h"
 #include "core/synthetic.h"
@@ -116,18 +116,18 @@ inline std::optional<ConsolidationChoice> best_of(
 }
 
 /// The full ranking as values: rank_all_k_into's entries over the machines
-/// `mask` admits (the whole room without one), each subset materialized by
+/// `view` admits (the whole room without one), each subset materialized by
 /// make_choice_into, whose power must be the entry's.
 inline std::vector<ConsolidationChoice> ranking_of(
     const IncrementalConsolidator& cons, double load,
-    detail::ConsolidationTable::Mask* mask = nullptr) {
+    IncrementalConsolidator::View* view = nullptr) {
   std::vector<RankEntry> entries;
-  cons.rank_all_k_into(load, entries, mask);
+  cons.rank_all_k_into(load, entries, view);
   std::vector<ConsolidationChoice> ranked(entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
     cons.table().make_choice_into(cons.particles(), cons.model(),
-                                  entries[i].segment, entries[i].k, load,
-                                  ranked[i], mask);
+                                  entries[i].t, entries[i].k, load, ranked[i],
+                                  view);
     EXPECT_EQ(std::bit_cast<uint64_t>(ranked[i].predicted_total_power_w),
               std::bit_cast<uint64_t>(entries[i].predicted_total_power_w))
         << "entry " << i << " at load " << load;
@@ -135,29 +135,29 @@ inline std::vector<ConsolidationChoice> ranking_of(
   return ranked;
 }
 
-/// The paper's Algorithm 2 against an allStatus index built on demand.
+/// The paper's Algorithm 2 against the reference table and its allStatus
+/// index, both built on demand.
 inline std::optional<ConsolidationChoice> paper_query(
     const IncrementalConsolidator& cons, double load) {
-  const detail::ConsolidationTable& table = cons.table();
-  return query_paper(table, cons.particles(), cons.model(),
-                     all_status(table, cons.particles()), load);
+  const ConsolidationTable table = reference_table(cons.particles());
+  return query_paper(table, cons.particles(), cons.model(), all_status(table),
+                     load);
 }
 
 /// The production query against the unpruned scan, both over the machines
-/// `mask` admits: same feasibility, and the same k, segment, subset and
-/// doubles to the last bit.
+/// `view` admits: same feasibility, and the same k, subset and doubles to
+/// the last bit.
 inline void expect_best_matches_unpruned(
-    const detail::ConsolidationTable& table, const ParticleSystem& ps,
+    const detail::ClassSelector& select, const ParticleSystem& ps,
     const RoomModel& model, double load,
-    detail::ConsolidationTable::Mask* mask = nullptr) {
+    detail::ClassSelector::View* view = nullptr) {
   ConsolidationChoice got;
   ConsolidationChoice want;
-  const bool got_any = table.query_best_into(ps, model, load, got, mask);
-  ASSERT_EQ(got_any, unpruned_best_into(table, ps, model, load, want, mask))
+  const bool got_any = select.query_best_into(ps, model, load, got, view);
+  ASSERT_EQ(got_any, unpruned_best_into(select, ps, model, load, want, view))
       << "load " << load;
   if (!got_any) return;
   EXPECT_EQ(got.k, want.k) << "load " << load;
-  EXPECT_EQ(got.segment, want.segment) << "load " << load;
   EXPECT_EQ(got.on_set, want.on_set) << "load " << load;
   EXPECT_EQ(std::bit_cast<uint64_t>(got.t_param),
             std::bit_cast<uint64_t>(want.t_param)) << "load " << load;
@@ -224,32 +224,6 @@ inline RoomModel with_cooler(RoomModel model, CoolerVariant v) {
   return model;
 }
 
-/// Exact double equality throughout: two routes to the same table must
-/// agree to the last bit, not within a tolerance. Both tables are over
-/// `ps`.
-inline void expect_tables_identical(const ParticleSystem& ps,
-                                    const detail::ConsolidationTable& a,
-                                    const detail::ConsolidationTable& b) {
-  ASSERT_EQ(a.events, b.events);
-  ASSERT_EQ(a.segments.size(), b.segments.size());
-  ASSERT_EQ(a.width(), b.width());
-  for (size_t s = 0; s < a.segments.size(); ++s) {
-    SCOPED_TRACE("segment " + std::to_string(s));
-    EXPECT_EQ(a.segments[s].start, b.segments[s].start);
-    EXPECT_EQ(a.segments[s].order_time, b.segments[s].order_time);
-    EXPECT_EQ(a.segments[s].order, b.segments[s].order);
-    std::vector<double> a_sums;
-    std::vector<double> b_sums;
-    for (size_t k = 0; k <= a.width(); ++k) {
-      const detail::ConsolidationTable::Prefix pa = a.prefix(ps, s, k);
-      const detail::ConsolidationTable::Prefix pb = b.prefix(ps, s, k);
-      a_sums.insert(a_sums.end(), {pa.a, pa.b});
-      b_sums.insert(b_sums.end(), {pb.a, pb.b});
-    }
-    EXPECT_EQ(a_sums, b_sums);
-  }
-}
-
 /// The ids `active` admits, ascending.
 inline std::vector<uint32_t> admitted_ids(const std::vector<char>& active) {
   std::vector<uint32_t> ids;
@@ -259,58 +233,15 @@ inline std::vector<uint32_t> admitted_ids(const std::vector<char>& active) {
   return ids;
 }
 
-/// A table built over `ids` with `table`'s event list: the table a masked
-/// query on `table` must answer as, bit for bit.
-inline detail::ConsolidationTable survivors_table(
-    const ParticleSystem& ps, const detail::ConsolidationTable& table,
-    const std::vector<uint32_t>& ids) {
-  detail::ConsolidationTable out;
-  out.build(ps, ids, table.events);
+/// A room of the machines `active` admits, in index order: machine j of it
+/// is machine ids[j] of `room`.
+inline RoomModel survivors_room(const RoomModel& room,
+                                const std::vector<uint32_t>& ids) {
+  RoomModel out = room;
+  out.machines.clear();
+  for (const uint32_t i : ids) out.machines.push_back(room.machines[i]);
   return out;
 }
-
-/// `table` read through `mask` against `want`, a table over the admitted
-/// ids with the same event list: every segment's admitted order (the
-/// subset copy at k = width) and prefix sums at every k, bit for bit.
-inline void expect_masked_table_is(const ParticleSystem& ps,
-                                   const detail::ConsolidationTable& table,
-                                   detail::ConsolidationTable::Mask& mask,
-                                   const detail::ConsolidationTable& want) {
-  ASSERT_EQ(table.events, want.events);
-  ASSERT_EQ(table.width(&mask), want.width());
-  std::vector<size_t> order;
-  for (size_t s = 0; s < table.segments.size(); ++s) {
-    SCOPED_TRACE("segment " + std::to_string(s));
-    table.top_k_into(s, want.width(), order, &mask);
-    EXPECT_TRUE(std::equal(order.begin(), order.end(),
-                           want.segments[s].order.begin(),
-                           want.segments[s].order.end()));
-    for (size_t k = 0; k <= want.width(); ++k) {
-      const detail::ConsolidationTable::Prefix got =
-          table.prefix(ps, s, k, &mask);
-      const detail::ConsolidationTable::Prefix exp = want.prefix(ps, s, k);
-      ASSERT_EQ(std::bit_cast<uint64_t>(got.a), std::bit_cast<uint64_t>(exp.a))
-          << "k " << k;
-      ASSERT_EQ(std::bit_cast<uint64_t>(got.b), std::bit_cast<uint64_t>(exp.b))
-          << "k " << k;
-    }
-  }
-}
-
-/// How a masked query is held against the same query on a table built over
-/// the admitted machines.
-enum class MaskMatch {
-  /// `want` has the masked table's event list: every answer to the bit,
-  /// segment indices included.
-  kSameEvents,
-  /// Any event list: every k, subset and double to the bit; segment
-  /// indices may differ.
-  kBits,
-  /// Ranking entries for the same k, each power within 1e-12 relative; the
-  /// head's power too, and its k and subset wherever the reference's
-  /// runner-up trails it by more than 1e-9 relative.
-  kGate,
-};
 
 /// Relative distance of `got` from `want` (0 when both are 0).
 inline double relative_gap(double got, double want) {
@@ -318,65 +249,52 @@ inline double relative_gap(double got, double want) {
   return scale == 0.0 ? 0.0 : std::abs(got - want) / scale;
 }
 
-inline void expect_same_double(double got, double want, MaskMatch match,
-                               const char* what) {
-  if (match == MaskMatch::kGate) {
-    EXPECT_LE(relative_gap(got, want), 1e-12)
-        << what << ": " << got << " vs " << want;
-  } else {
-    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
-        << what << ": " << got << " vs " << want;
-  }
+inline void expect_same_bits(double got, double want, const char* what) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+      << what << ": " << got << " vs " << want;
 }
 
-/// The masked queries of `table` at `load` against the same queries on
-/// `want`, a table built over the ids `mask` admits, as `match` says:
-/// max_load_for_budget at three k under the head's power as the budget,
-/// every ranking entry and its subset copy (top_k_into), the head scan and
-/// its runner-up, and query_best_into's choice. maxL goes first, at a
-/// middle k, so a cursor a previous pass left behind that k is read
-/// before anything restarts it.
-inline void expect_masked_queries_match(
-    const ParticleSystem& ps, const RoomModel& model,
-    const detail::ConsolidationTable& table,
-    detail::ConsolidationTable::Mask& mask,
-    const detail::ConsolidationTable& want, double load, MaskMatch match) {
-  SCOPED_TRACE("load " + std::to_string(load));
-  const bool same_segments = match == MaskMatch::kSameEvents;
-  const size_t n = want.width();
-  ASSERT_EQ(table.width(&mask), n);
-  detail::ConsolidationTable::Head want_head;
-  const bool found = want.scan_head(ps, model, load, want_head);
+/// `subset` (indices into the survivors' room) in the full room's indices.
+inline std::vector<size_t> mapped(const std::vector<size_t>& subset,
+                                  const std::vector<uint32_t>& ids) {
+  std::vector<size_t> out;
+  for (const size_t j : subset) out.push_back(ids[j]);
+  return out;
+}
 
-  // maxL under the head's power (any budget when nothing is feasible): the
-  // bisection reads one k's prefix sums at many loads.
+/// A masked query against its survivors' own: every query of `full`'s
+/// selector through `view` (which admits `ids`) answers, bit for bit with
+/// indices mapped back, what the same query answers on `own`, a
+/// consolidator over survivors_room(ids): maxL at three k under the head's
+/// power as the budget, every ranking entry and its subset, the head scan
+/// and its runner-up, and query_best_into's choice.
+inline void expect_view_is_survivors_query(
+    const IncrementalConsolidator& full, IncrementalConsolidator::View& view,
+    const IncrementalConsolidator& own, const std::vector<uint32_t>& ids,
+    double load) {
+  SCOPED_TRACE("load " + std::to_string(load));
+  const detail::ClassSelector& sel = full.table();
+  const detail::ClassSelector& want = own.table();
+  const ParticleSystem& ps = full.particles();
+  const ParticleSystem& own_ps = own.particles();
+  const size_t n = ids.size();
+  ASSERT_EQ(sel.width(&view), n);
+  detail::ClassSelector::Head want_head;
+  const bool found = want.scan_head(own_ps, own.model(), load, want_head);
+
   const double budget = found ? want_head.power : 0.0;
   for (const size_t k : {(n + 1) / 2, n, size_t{1}}) {
     SCOPED_TRACE("maxL k " + std::to_string(k));
-    const double got_l =
-        table.max_load_for_budget(ps, model, budget, k, &mask);
-    const double want_l = want.max_load_for_budget(ps, model, budget, k);
-    if (match == MaskMatch::kGate) {
-      EXPECT_LE(relative_gap(got_l, want_l), 1e-9) << got_l << " vs " << want_l;
-    } else {
-      expect_same_double(got_l, want_l, match, "maxL");
-    }
+    expect_same_bits(
+        sel.max_load_for_budget(ps, full.model(), budget, k, &view),
+        want.max_load_for_budget(own_ps, own.model(), budget, k), "maxL");
   }
 
-  // Then the ranking, so the head scan below starts its cursors behind
-  // where the ranking left them.
   std::vector<RankEntry> got_ranked;
   std::vector<RankEntry> want_ranked;
-  table.rank_all_k_into(ps, model, load, got_ranked, &mask);
-  want.rank_all_k_into(ps, model, load, want_ranked);
+  sel.rank_all_k_into(ps, full.model(), load, got_ranked, &view);
+  want.rank_all_k_into(own_ps, own.model(), load, want_ranked);
   ASSERT_EQ(got_ranked.size(), want_ranked.size());
-  if (match == MaskMatch::kGate) {
-    const auto by_k = [](const RankEntry& x, const RankEntry& y) {
-      return x.k < y.k;
-    };
-    std::sort(got_ranked.begin(), got_ranked.end(), by_k);
-    std::sort(want_ranked.begin(), want_ranked.end(), by_k);
-  }
   std::vector<size_t> got_subset;
   std::vector<size_t> want_subset;
   for (size_t i = 0; i < got_ranked.size(); ++i) {
@@ -384,58 +302,146 @@ inline void expect_masked_queries_match(
     const RankEntry& g = got_ranked[i];
     const RankEntry& w = want_ranked[i];
     ASSERT_EQ(g.k, w.k);
-    if (same_segments) {
-      EXPECT_EQ(g.segment, w.segment);
+    expect_same_bits(g.t, w.t, "entry t");
+    expect_same_bits(g.predicted_total_power_w, w.predicted_total_power_w,
+                     "entry power");
+    sel.top_k_into(g.t, g.k, got_subset, &view);
+    want.top_k_into(w.t, w.k, want_subset);
+    EXPECT_EQ(got_subset, mapped(want_subset, ids));
+  }
+
+  detail::ClassSelector::Head got_head;
+  ASSERT_EQ(sel.scan_head(ps, full.model(), load, got_head, &view), found);
+  ConsolidationChoice got_best;
+  ConsolidationChoice want_best;
+  ASSERT_EQ(sel.query_best_into(ps, full.model(), load, got_best, &view),
+            found);
+  ASSERT_EQ(want.query_best_into(own_ps, own.model(), load, want_best), found);
+  if (!found) return;
+  EXPECT_EQ(got_head.k, want_head.k);
+  expect_same_bits(got_head.t, want_head.t, "head t");
+  expect_same_bits(got_head.power, want_head.power, "head power");
+  EXPECT_EQ(got_head.has_runner_up, want_head.has_runner_up);
+  if (got_head.has_runner_up && want_head.has_runner_up) {
+    expect_same_bits(got_head.runner_up_power, want_head.runner_up_power,
+                     "runner-up power");
+  }
+  EXPECT_EQ(got_best.k, want_best.k);
+  EXPECT_EQ(got_best.on_set, mapped(want_best.on_set, ids));
+  expect_same_bits(got_best.t_param, want_best.t_param, "t_param");
+  expect_same_bits(got_best.predicted_total_power_w,
+                   want_best.predicted_total_power_w, "best power");
+}
+
+/// The select's listing of one subset against the table's, position by
+/// position: wherever the two name different machines, those machines'
+/// coordinates at the operating time t must tie to 1e-9 of the
+/// coordinates' scale. Both list the top k in descending coordinate order,
+/// so this admits another order only among tied machines, and another set
+/// only across a tie at the k-th place. (Exact agreement cannot be asked
+/// there: at a crossing the select sorts at t itself, the table at its
+/// segment's midpoint with rounded coordinates and the id as tie-break.)
+/// Returns whether the listings differ.
+inline bool expect_same_listing_up_to_ties(const ParticleSystem& ps,
+                                           const std::vector<size_t>& got,
+                                           const std::vector<size_t>& want,
+                                           double t) {
+  if (got == want) return false;
+  EXPECT_EQ(got.size(), want.size());
+  if (got.size() != want.size()) return true;
+  double scale = 0.0;
+  for (const std::vector<size_t>* list : {&got, &want}) {
+    for (const size_t i : *list) {
+      scale = std::max({scale, std::abs(ps.a[i]), std::abs(ps.b[i] * t)});
     }
-    expect_same_double(g.predicted_total_power_w, w.predicted_total_power_w,
-                       match, "entry power");
-    if (match != MaskMatch::kGate) {
-      table.top_k_into(g.segment, g.k, got_subset, &mask);
-      want.top_k_into(w.segment, w.k, want_subset);
-      EXPECT_EQ(got_subset, want_subset);
+  }
+  for (size_t p = 0; p < got.size(); ++p) {
+    if (got[p] == want[p]) continue;
+    EXPECT_LE(std::abs(ps.coordinate(got[p], t) - ps.coordinate(want[p], t)),
+              1e-9 * scale)
+        << "place " << p << " lists machine " << got[p] << " for "
+        << want[p] << " at t " << t << " without a tie";
+  }
+  return true;
+}
+
+/// ROADMAP item 2's gate: the select (through `view` when given) against
+/// `table`, the reference build over the same machines, at this load. The
+/// same feasible k, each listed as the table lists it up to machines tied
+/// at the operating time (expect_same_listing_up_to_ties), powers within
+/// 1e-12 relative, maxL within 1e-9 relative; the head's k, and its
+/// listing likewise, wherever the table's runner-up trails by more than
+/// 1e-9 relative. Returns how many k were listed otherwise on a tie: the
+/// callers bound it (none at generic loads on generic rooms, at most the
+/// one k a segment-boundary load puts on a crossing).
+inline size_t expect_select_matches_table(
+    const detail::ClassSelector& sel, detail::ClassSelector::View* view,
+    const ParticleSystem& ps, const RoomModel& model,
+    const ConsolidationTable& table, double load) {
+  SCOPED_TRACE("load " + std::to_string(load));
+  size_t ties = 0;
+  std::vector<RankEntry> got_ranked;
+  std::vector<RankEntry> want_ranked;
+  sel.rank_all_k_into(ps, model, load, got_ranked, view);
+  table.rank_all_k_into(ps, model, load, want_ranked);
+  EXPECT_EQ(got_ranked.size(), want_ranked.size());
+  if (got_ranked.size() != want_ranked.size()) return ties;
+  const auto by_k = [](const RankEntry& x, const RankEntry& y) {
+    return x.k < y.k;
+  };
+  std::sort(got_ranked.begin(), got_ranked.end(), by_k);
+  std::sort(want_ranked.begin(), want_ranked.end(), by_k);
+  std::vector<size_t> got_subset;
+  std::vector<size_t> want_subset;
+  for (size_t i = 0; i < got_ranked.size(); ++i) {
+    const RankEntry& g = got_ranked[i];
+    const RankEntry& w = want_ranked[i];
+    EXPECT_EQ(g.k, w.k);
+    EXPECT_LE(relative_gap(g.predicted_total_power_w,
+                           w.predicted_total_power_w),
+              1e-12)
+        << "k " << g.k << ": " << g.predicted_total_power_w << " vs "
+        << w.predicted_total_power_w;
+    sel.top_k_into(g.t, g.k, got_subset, view);
+    table.top_k_into(w.t, w.k, want_subset);
+    if (expect_same_listing_up_to_ties(ps, got_subset, want_subset, w.t)) {
+      ++ties;
     }
   }
 
-  detail::ConsolidationTable::Head got_head;
-  ASSERT_EQ(table.scan_head(ps, model, load, got_head, &mask), found);
-  ConsolidationChoice got_best;
-  ConsolidationChoice want_best;
-  ASSERT_EQ(table.query_best_into(ps, model, load, got_best, &mask), found);
-  ASSERT_EQ(want.query_best_into(ps, model, load, want_best), found);
-  if (!found) return;
-  expect_same_double(got_head.power, want_head.power, match, "head power");
-  expect_same_double(got_best.predicted_total_power_w,
-                     want_best.predicted_total_power_w, match, "best power");
+  ConsolidationTable::Head want_head;
+  detail::ClassSelector::Head got_head;
+  const bool found = table.scan_head(ps, model, load, want_head);
+  EXPECT_EQ(sel.scan_head(ps, model, load, got_head, view), found);
+  if (!found) return ties;
+  EXPECT_LE(relative_gap(got_head.power, want_head.power), 1e-12);
   const bool clear_winner =
       !want_head.has_runner_up ||
       want_head.runner_up_power - want_head.power >
           1e-9 * std::abs(want_head.power);
-  if (match != MaskMatch::kGate) {
+  if (clear_winner) {
     EXPECT_EQ(got_head.k, want_head.k);
+    ConsolidationChoice got_best;
+    ConsolidationChoice want_best;
+    sel.query_best_into(ps, model, load, got_best, view);
+    table.query_best_into(ps, model, load, want_best);
+    // The head's listing is its k's ranking entry's, counted above.
     EXPECT_EQ(got_best.k, want_best.k);
-    EXPECT_EQ(got_best.on_set, want_best.on_set);
-  } else if (clear_winner) {
-    // The same subset; machines whose coordinates tie may be listed in
-    // another order.
-    EXPECT_EQ(got_head.k, want_head.k);
-    std::vector<size_t> got_set = got_best.on_set;
-    std::vector<size_t> want_set = want_best.on_set;
-    std::sort(got_set.begin(), got_set.end());
-    std::sort(want_set.begin(), want_set.end());
-    EXPECT_EQ(got_set, want_set);
-  }
-  if (match != MaskMatch::kGate) {
-    EXPECT_EQ(got_head.has_runner_up, want_head.has_runner_up);
-    if (got_head.has_runner_up && want_head.has_runner_up) {
-      expect_same_double(got_head.runner_up_power, want_head.runner_up_power,
-                         match, "runner-up power");
+    if (got_best.k == want_best.k) {
+      expect_same_listing_up_to_ties(ps, got_best.on_set, want_best.on_set,
+                                     want_best.t_param);
     }
-    expect_same_double(got_best.t_param, want_best.t_param, match, "t_param");
   }
-  if (same_segments) {
-    EXPECT_EQ(got_head.segment, want_head.segment);
-    EXPECT_EQ(got_best.segment, want_best.segment);
+  const size_t n = table.width();
+  for (const size_t k : {(n + 1) / 2, n, size_t{1}}) {
+    const double got_l =
+        sel.max_load_for_budget(ps, model, want_head.power, k, view);
+    const double want_l =
+        table.max_load_for_budget(ps, model, want_head.power, k);
+    EXPECT_LE(relative_gap(got_l, want_l), 1e-9)
+        << "maxL k " << k << ": " << got_l << " vs " << want_l;
   }
+  return ties;
 }
 
 }  // namespace coolopt::core::test_support

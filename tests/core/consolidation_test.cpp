@@ -87,13 +87,13 @@ TEST(EvaluateSubset, InfeasibleWhenTooColdWouldBeNeeded) {
 
 TEST(Algorithm1, EventAndStatusCounts) {
   const RoomModel model = model_n(10, 45);
-  const IncrementalConsolidator ec(share_model(model));
+  const ConsolidationTable table =
+      reference_table(ParticleSystem::from_model(model));
   // At most n(n-1)/2 crossings; one segment per event plus the initial one;
   // n statuses per segment (the paper's allStatus).
-  EXPECT_LE(ec.event_count(), 45u);
-  EXPECT_EQ(ec.segment_count(), ec.event_count() + 1);
-  EXPECT_EQ(all_status(ec.table(), ec.particles()).size(),
-            ec.segment_count() * 10);
+  EXPECT_LE(table.events.size(), 45u);
+  EXPECT_EQ(table.segments.size(), table.events.size() + 1);
+  EXPECT_EQ(all_status(table).size(), table.segments.size() * 10);
 }
 
 TEST(Algorithm1, PaperFigure1HasTwoOrderChanges) {
@@ -109,9 +109,10 @@ TEST(Algorithm1, PaperFigure1HasTwoOrderChanges) {
   // (1,2) at 4; (1,3) at 3.684 — fine, more crossings exist; just check the
   // machinery counts them all.
   const RoomModel model = model_from_particles(a, b);
-  const IncrementalConsolidator ec(share_model(model));
-  EXPECT_EQ(ec.event_count(), 6u);  // all pairs cross in t > 0 here
-  EXPECT_EQ(ec.segment_count(), 7u);
+  const ConsolidationTable table =
+      reference_table(ParticleSystem::from_model(model));
+  EXPECT_EQ(table.events.size(), 6u);  // all pairs cross in t > 0 here
+  EXPECT_EQ(table.segments.size(), 7u);
 }
 
 TEST(Algorithm1, FootnoteHeuristicsFailExample) {

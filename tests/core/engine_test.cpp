@@ -342,19 +342,19 @@ TEST(PlanEngine, CountersTrackBatches) {
 /// The ranked-head property. For every fully served solve whose walk ended
 /// at its head (a memo_hits delta), the plan must be what the walk accepts
 /// at its first candidate: the ON set is the head of rank_all_k on the
-/// full-fleet table, read through the request's survivors for a quarantined
-/// request, the closed form served it alone and
+/// full-fleet select, read through the request's survivors for a
+/// quarantined request, the closed form served it alone and
 /// within bounds, and the runner-up's relaxation bound cannot beat it. One
 /// answer per question: the walk's head and the exact query read the
-/// table's one head scan, so that ON set is also query_best_into's subset
-/// on the same table.
+/// select's one head scan, so that ON set is also query_best_into's subset
+/// on the same select.
 /// Adds how many of `requests` ended at the head to `answered`.
 void expect_head_answers_match_walk(const PlanEngine& engine,
                                     const std::vector<PlanRequest>& requests,
                                     size_t& answered) {
   const IncrementalConsolidator* table = engine.consolidator();
   std::vector<char> active;
-  detail::ConsolidationTable::Mask survivors;
+  IncrementalConsolidator::View survivors;
   for (size_t i = 0; i < requests.size(); ++i) {
     const PlanRequest& req = requests[i];
     const uint64_t before = engine.counters().memo_hits;
@@ -369,7 +369,7 @@ void expect_head_answers_match_walk(const PlanEngine& engine,
     EXPECT_EQ(engine.counters().memo_hits, before + 1);
     const Plan& plan = *result.plan;
 
-    detail::ConsolidationTable::Mask* mask = nullptr;
+    IncrementalConsolidator::View* mask = nullptr;
     if (!req.quarantined.empty()) {
       active.assign(engine.model().size(), 1);
       for (size_t q : req.quarantined) active[q] = 0;
@@ -403,8 +403,9 @@ void expect_head_answers_match_walk(const PlanEngine& engine,
 
 /// The rooms and loads the ranked-head tests sweep: seeded rooms at n = 12
 /// and 24, with and without 3x capacity headroom, each at a seeded load sweep
-/// plus the table's breakpoint loads (each k-subset exactly at a segment
-/// start, where operating_segment tips over). Calls `visit(engine, loads)`.
+/// plus the reference table's breakpoint loads (each k-subset exactly at a
+/// segment start, where the top-k set changes). Calls `visit(engine,
+/// loads)`.
 template <typename Visit>
 void for_each_ranked_head_room(Visit&& visit) {
   for (const size_t n : {12u, 24u}) {
@@ -422,14 +423,13 @@ void for_each_ranked_head_room(Visit&& visit) {
         for (int step = 1; step <= 16; ++step) {
           loads.push_back(capacity * step / 17.0);
         }
-        const detail::ConsolidationTable& table =
-            engine.consolidator()->table();
-        const ParticleSystem& ps = engine.consolidator()->particles();
+        const ConsolidationTable table =
+            reference_table(engine.consolidator()->particles());
         const size_t stride = 1 + table.segments.size() / 12;
         for (size_t si = 0; si < table.segments.size(); si += stride) {
           for (const size_t k : {size_t{1}, size_t{2}, table.width() / 2,
                                  table.width()}) {
-            const double load = table.g(ps, k, table.segments[si].start);
+            const double load = table.g(k, table.segments[si].start);
             if (load > 0.0 && load < capacity) loads.push_back(load);
           }
         }

@@ -1,7 +1,9 @@
-// Masked Algorithm 1 queries vs the cold rebuild: a query restricted to an
-// active set through a Mask must answer BIT FOR BIT what the same query
-// answers on a table built over that set, for any churn history — and the
-// plans the engine derives from it must be identical at any worker count.
+// Masked consolidation queries vs the survivors' own: a query restricted to
+// an active set through a View must answer BIT FOR BIT (indices mapped
+// back) what the same query answers on a consolidator over a room of that
+// set, for any churn history, and agree with the paper's reference table
+// over the set — and the plans the engine derives from it must be
+// identical at any worker count.
 #include "core/incremental.h"
 
 #include <gtest/gtest.h>
@@ -21,16 +23,15 @@ namespace coolopt::core {
 namespace {
 
 using test_support::admitted_ids;
-using test_support::expect_masked_queries_match;
-using test_support::expect_masked_table_is;
-using test_support::MaskMatch;
+using test_support::expect_select_matches_table;
+using test_support::expect_view_is_survivors_query;
 using test_support::ranking_of;
-using test_support::survivors_table;
+using test_support::survivors_room;
 
 /// SKU-structured fleet: `skus` distinct machine classes replicated across
 /// `machines` slots, the regime where crossing-time multiplicities are high
 /// and quarantine churn usually leaves every class a member, so the
-/// survivors' own event list is the room's.
+/// survivors keep every class.
 RoomModel sku_model(size_t machines, size_t skus, uint64_t seed) {
   SyntheticModelOptions opt;
   opt.machines = machines;
@@ -43,8 +44,7 @@ RoomModel sku_model(size_t machines, size_t skus, uint64_t seed) {
 }
 
 /// Fully heterogeneous fleet (every machine its own class): every
-/// quarantine empties a class, so the survivors' own event list is shorter
-/// than the room's the masked queries keep.
+/// quarantine empties a class.
 RoomModel diverse_model(size_t machines, uint64_t seed) {
   SyntheticModelOptions opt;
   opt.machines = machines;
@@ -81,11 +81,10 @@ void expect_results_identical(const PlanResult& a, const PlanResult& b,
 
 /// Seeded churn driver shared by the SKU and diverse cases: after every
 /// step (1-3 toggles of the quarantine mask) the masked queries of the one
-/// cold-built table must equal the same queries on a cold build over the
-/// survivors, bit for bit: one with the room's event list (segment indices
-/// too), and the paper's reference build over the survivors' own pairs.
-/// The consolidator's own queries, through the mask set_active stores, must
-/// agree too.
+/// selector must equal the same queries on a consolidator over a room of
+/// the survivors, bit for bit, and hold the oracle gate against the
+/// paper's reference table over the survivors. The consolidator's own
+/// queries, through the mask set_active stores, must agree too.
 void run_churn(const RoomModel& room, uint64_t seed, size_t steps) {
   const SharedRoomModel model = share_model(room);
   const size_t n = model->size();
@@ -93,9 +92,8 @@ void run_churn(const RoomModel& room, uint64_t seed, size_t steps) {
 
   IncrementalConsolidator inc(model);
   const ParticleSystem& ps = inc.particles();
-  const detail::ConsolidationTable& table = inc.table();
   std::vector<char> active(n, 1);
-  detail::ConsolidationTable::Mask mask;
+  IncrementalConsolidator::View view;
 
   util::Rng rng(seed);
   for (size_t step = 0; step < steps; ++step) {
@@ -108,28 +106,25 @@ void run_churn(const RoomModel& room, uint64_t seed, size_t steps) {
     active[(step + 1) % n] = 1;
 
     const std::vector<uint32_t> ids = admitted_ids(active);
-    const detail::ConsolidationTable same = survivors_table(ps, table, ids);
-    const detail::ConsolidationTable reference = reference_table(ps, ids);
-    mask.reset(table, active);
+    const IncrementalConsolidator own(share_model(survivors_room(room, ids)));
+    const ConsolidationTable reference = reference_table(ps, ids);
+    view.reset(inc.table(), active);
     inc.set_active(active);
     for (const double frac : {0.25, 0.6, 0.9}) {
       const double load = frac * capacity;
-      expect_masked_queries_match(ps, *model, table, mask, same, load,
-                                  MaskMatch::kSameEvents);
-      expect_masked_queries_match(ps, *model, table, mask, reference, load,
-                                  MaskMatch::kBits);
+      expect_view_is_survivors_query(inc, view, own, ids, load);
+      EXPECT_EQ(expect_select_matches_table(inc.table(), &view, ps, *model,
+                                            reference, load),
+                0u);
       // The stored mask answers as the caller's: the head of the full
       // ranking, each entry's power its choice's (ranking_of checks it).
       const std::vector<ConsolidationChoice> ranked =
-          ranking_of(inc, load, &mask);
+          ranking_of(inc, load, &view);
       ConsolidationChoice best;
       const bool got = inc.query_best_into(load, best);
       ASSERT_EQ(got, !ranked.empty());
       if (got) expect_choices_identical({best}, {ranked.front()});
     }
-    // Last: it reads every cursor from k = 0, so it would restart cursors
-    // the queries above must find in whatever state the last step left.
-    expect_masked_table_is(ps, table, mask, same);
     if (testing::Test::HasFatalFailure()) return;
   }
 }
@@ -142,25 +137,21 @@ TEST(IncrementalConsolidator, DiverseChurnMatchesColdRebuildBitForBit) {
   run_churn(diverse_model(16, 29), /*seed=*/77, /*steps=*/40);
 }
 
-/// One Mask reused across 40 passes, its bytes toggled in place one to
-/// three machines between passes, over an SKU room (8 classes over 400
-/// slots) and a room of distinct particles (where a stale cursor's sums
-/// cannot match by accident, as runs of one class's equal values can):
-/// each reset must start every cursor over, also for the segments the
-/// previous pass left behind or far ahead of the next pass's first read.
-/// Within a pass the queries move cursors forward and back (maxL at a
-/// middle k, the ranking to width(), the head at small k), and every
-/// answer must be a cold build's over the survivors, to the bit.
+/// One View reused across 40 passes, its mask bytes toggled one to three
+/// machines between passes, over an SKU room (8 classes over 400 slots)
+/// and a room of distinct particles: each reset must start from the
+/// survivors' counts and their order at t_lo, whatever order and time the
+/// previous pass left behind, and every answer must be the survivors' own
+/// query's, to the bit.
 TEST(IncrementalConsolidator, ReusedMaskMatchesColdRebuildAcrossPasses) {
   for (const RoomModel& room : {sku_model(400, 8, 17), diverse_model(48, 19)}) {
     const SharedRoomModel model = share_model(room);
     const size_t n = model->size();
     const double capacity = model->total_capacity();
     const IncrementalConsolidator inc(model);
-    const ParticleSystem& ps = inc.particles();
     SCOPED_TRACE("room of " + std::to_string(inc.class_count()) + " classes");
     std::vector<char> active(n, 1);
-    detail::ConsolidationTable::Mask mask;
+    IncrementalConsolidator::View view;
     util::Rng rng(2718);
     for (size_t pass = 0; pass < 40; ++pass) {
       SCOPED_TRACE("pass " + std::to_string(pass));
@@ -168,16 +159,17 @@ TEST(IncrementalConsolidator, ReusedMaskMatchesColdRebuildAcrossPasses) {
       for (size_t d = 0; d < run; ++d) {
         active[static_cast<size_t>(rng.next_u64() % n)] ^= 1;
       }
-      mask.reset(inc.table(), active);
-      const detail::ConsolidationTable same =
-          survivors_table(ps, inc.table(), admitted_ids(active));
+      view.reset(inc.table(), active);
+      const std::vector<uint32_t> ids = admitted_ids(active);
+      const IncrementalConsolidator own(
+          share_model(survivors_room(room, ids)));
       const double load = rng.uniform(0.05, 0.95) * capacity;
-      expect_masked_queries_match(ps, *model, inc.table(), mask, same, load,
-                                  MaskMatch::kSameEvents);
+      expect_view_is_survivors_query(inc, view, own, ids, load);
       if (testing::Test::HasFailure()) return;
     }
   }
 }
+
 /// The ranking folds the subset idle draw as a running sum only when every
 /// w2 is the same double; a room whose w2 agree only within the uniformity
 /// tolerance sums each subset machine by machine. Either way each entry's
@@ -212,7 +204,7 @@ TEST(IncrementalConsolidator, BadMaskSizeNamesBothCounts) {
 }
 
 /// The engine-level guarantee: quarantined (restricted) solves read the
-/// one shared table through per-thread masks, and the batch result is
+/// one shared selector through per-thread views, and the batch result is
 /// identical at 1, 2 and 8 workers AND to a fresh engine solving each
 /// request alone — on an SKU room and on a room of distinct particles,
 /// where every quarantine empties a class.

@@ -1,10 +1,11 @@
-// The power-floor stop of ConsolidationTable::query_best_into against the
-// unpruned scan, on masked tables. A seeded quarantine churn walk moves a
-// Mask over one cold-built table one to three machines per step (every
+// The power-floor stop of ClassSelector::query_best_into against the
+// unpruned scan, through masked views. A seeded quarantine churn walk
+// moves a View over one selector one to three machines per step (every
 // ninth step a large jump); at every step and at loads from 0 to the
-// largest servable one, including segment starts, the production query
-// must return the unpruned scan's k, segment, subset and power to the last
-// bit, under every cooler variant the floor's exactness argument leans on.
+// largest servable one, including g_k at each k's operating time for
+// another load, the production query must return the unpruned scan's k,
+// subset, time and power to the last bit, under every cooler variant the
+// floor's exactness argument leans on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,11 +29,12 @@ using test_support::with_cooler;
 void check_churn(const RoomModel& room, uint64_t seed, size_t steps) {
   const IncrementalConsolidator cons(share_model(room));
   const ParticleSystem& ps = cons.particles();
-  const detail::ConsolidationTable& table = cons.table();
+  const detail::ClassSelector& select = cons.table();
   const size_t n = ps.size();
   util::Rng rng(seed);
   std::vector<char> active(n, 1);
-  detail::ConsolidationTable::Mask mask;
+  IncrementalConsolidator::View view;
+  std::vector<RankEntry> ranked;
   for (size_t step = 0; step < steps; ++step) {
     SCOPED_TRACE("churn step " + std::to_string(step));
     if (step > 0) {
@@ -43,21 +45,27 @@ void check_churn(const RoomModel& room, uint64_t seed, size_t steps) {
       }
       active[step % n] = 1;  // never empty
     }
-    mask.reset(table, active);
-    const size_t width = table.width(&mask);
-    const double most = table.g(ps, width, ps.t_lo, &mask);
+    view.reset(select, active);
+    const size_t width = select.width(&view);
+    const double most = select.g(ps, width, ps.t_lo, &view);
     std::vector<double> loads = {0.0, most};
     for (const double f : {0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95}) {
       loads.push_back(f * most);
     }
-    for (const size_t k : {size_t{1}, (width + 1) / 2, width}) {
-      const size_t s = static_cast<size_t>(rng.next_u64() % table.segments.size());
-      loads.push_back(table.g_in(ps, s, k, table.segments[s].start, &mask));
+    // g_k at other k's operating times: loads whose root sits on a
+    // breakpoint of the fill.
+    select.rank_all_k_into(ps, cons.model(), rng.uniform(0.1, 0.9) * most,
+                           ranked, &view);
+    for (const RankEntry& e : ranked) {
+      for (const size_t k : {size_t{1}, (width + 1) / 2, width}) {
+        loads.push_back(select.g(ps, k, e.t, &view));
+      }
+      if (loads.size() > 40) break;
     }
     for (const double load : loads) {
       if (!(load >= 0.0)) continue;
-      test_support::expect_best_matches_unpruned(table, ps, cons.model(), load,
-                                                 &mask);
+      test_support::expect_best_matches_unpruned(select, ps, cons.model(),
+                                                 load, &view);
     }
     if (testing::Test::HasFailure()) return;
   }

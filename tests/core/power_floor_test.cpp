@@ -1,11 +1,12 @@
 // The exact power floor that stops the Algorithm 2 k-scans
-// (ConsolidationTable::power_floor). The floor is the scan's own power
+// (ClassSelector::power_floor). The floor is the scan's own power
 // expression with the subset run at the warmest allowed air. Every rounded
 // step of that expression is monotone, so at any load the floor never
-// decreases in k and never exceeds the peek_k power of any feasible
-// k' >= k. Both claims are checked here as exact double comparisons, with
-// no tolerance, on seeded synthetic and SKU rooms (n = 1..200), at loads of
-// 0, at segment starts, low enough to pin t_ac at t_ac_max, and at
+// decreases in k and never exceeds the power of any feasible k' >= k at
+// its operating time. Both claims are checked here as exact double
+// comparisons, with no tolerance, on seeded synthetic and SKU rooms
+// (n = 1..200), at loads of 0, at the reference table's segment starts,
+// low enough to pin t_ac at t_ac_max, and at
 // capacity, under every cooler variant the argument leans on, for both idle
 // folds production uses (k * w2 and the iterated w2 prefix). The production
 // query_best_into must then equal the unpruned scan bit for bit.
@@ -30,49 +31,56 @@ using test_support::sku_room;
 using test_support::with_cooler;
 
 /// Loads where the bound could be tight: none, every segment start of a
-/// few k (sampled when the table has many segments), loads at and below
-/// g_k(t_hi) that pin t_ac at t_ac_max, fractions of the largest servable
-/// load, that load itself and the room's capacity.
+/// few k in the reference table (sampled when it has many segments), loads
+/// at and below g_k(t_hi) that pin t_ac at t_ac_max, fractions of the
+/// largest servable load, that load itself and the room's capacity.
 std::vector<double> probe_loads(const IncrementalConsolidator& cons) {
-  const detail::ConsolidationTable& table = cons.table();
+  const detail::ClassSelector& select = cons.table();
   const ParticleSystem& ps = cons.particles();
-  const size_t n = table.width();
+  const ConsolidationTable table = reference_table(ps);
+  const size_t n = select.width();
   const size_t ks[] = {1, (n + 1) / 2, n};
   std::vector<double> loads = {0.0, cons.model().total_capacity(),
-                               table.g(ps, n, ps.t_lo)};
+                               select.g(ps, n, ps.t_lo)};
   const size_t step = std::max<size_t>(1, table.segments.size() / 12);
   for (size_t s = 0; s < table.segments.size(); s += step) {
     for (const size_t k : ks) {
-      loads.push_back(table.g_in(ps, s, k, table.segments[s].start));
+      loads.push_back(table.g(k, table.segments[s].start));
     }
   }
   for (const size_t k : ks) {
-    const double pinned = table.g(ps, k, ps.t_hi);
+    const double pinned = select.g(ps, k, ps.t_hi);
     loads.push_back(pinned);
     loads.push_back(0.5 * pinned);
   }
   for (const double f : {0.1, 0.3, 0.5, 0.7, 0.9}) {
-    loads.push_back(f * table.g(ps, n, ps.t_lo));
+    loads.push_back(f * select.g(ps, n, ps.t_lo));
   }
   std::erase_if(loads, [](double l) { return !(l >= 0.0) || !std::isfinite(l); });
   return loads;
 }
 
 /// Checks the lemma at one load for one idle fold; returns false (after
-/// one ADD_FAILURE naming the k) on the first violation.
+/// one ADD_FAILURE naming the k) on the first violation. Each feasible k's
+/// power is the scan's expression with that fold at the k's operating time.
 bool floor_holds(const IncrementalConsolidator& cons, double load,
                  const std::vector<double>& fold, const std::string& what) {
-  const detail::ConsolidationTable& table = cons.table();
+  const detail::ClassSelector& select = cons.table();
   const ParticleSystem& ps = cons.particles();
   const RoomModel& model = cons.model();
-  const size_t n = table.width();
-  const detail::ConsolidationTable::Anchors at = table.anchors(ps);
+  const size_t n = select.width();
   std::vector<double> floors(n + 1);
   std::vector<double> powers(n + 1, std::numeric_limits<double>::infinity());
+  std::vector<RankEntry> ranked;
+  select.rank_all_k_into(ps, model, load, ranked);
+  ConsolidationChoice choice;
+  for (const RankEntry& e : ranked) {
+    select.make_choice_into(ps, model, e.t, e.k, load, choice);
+    const double heat = fold[e.k] + ps.w1 * load;
+    powers[e.k] = heat + model.cooler.predict(choice.t_ac, heat);
+  }
   for (size_t k = 1; k <= n; ++k) {
-    floors[k] = detail::ConsolidationTable::power_floor(ps, model, load, fold[k]);
-    size_t s = 0;
-    table.peek_k(ps, model, at, load, k, fold[k], &s, &powers[k]);
+    floors[k] = detail::ClassSelector::power_floor(ps, model, load, fold[k]);
     if (k > 1 && !(floors[k - 1] <= floors[k])) {
       ADD_FAILURE() << what << ": floor decreases at k " << k << " (load "
                     << load << ")";
@@ -147,8 +155,8 @@ TEST(PowerFloor, NegativeHeatTermPrunesNothing) {
       with_cooler(seeded_room(12, 5), CoolerVariant::kNegativeHeatTerm);
   const IncrementalConsolidator cons(share_model(room));
   for (const double load : {0.0, 100.0, 300.0}) {
-    EXPECT_EQ(detail::ConsolidationTable::power_floor(cons.particles(), room,
-                                                      load, 36.0),
+    EXPECT_EQ(detail::ClassSelector::power_floor(cons.particles(), room, load,
+                                                 36.0),
               -HUGE_VAL);
   }
 }

@@ -200,7 +200,7 @@ TEST(MetricsRegistry, InstrumentReferencesStayValid) {
 TEST(MetricsRegistry, JsonExportIsSyntaxValidAndComplete) {
   MetricsRegistry registry;
   registry.counter("optimizer.lp.solves").inc(3);
-  registry.gauge("consolidation.events").set(12.0);
+  registry.gauge("engine.alloc_bytes").set(12.0);
   registry.histogram("optimizer.lp.solve_us").observe(100.0);
   registry.histogram("optimizer.lp.solve_us").observe(200.0);
 
@@ -211,7 +211,7 @@ TEST(MetricsRegistry, JsonExportIsSyntaxValidAndComplete) {
   std::string error;
   EXPECT_TRUE(service::parse_json(doc, parsed, error)) << error;
   EXPECT_NE(doc.find("\"optimizer.lp.solves\":3"), std::string::npos) << doc;
-  EXPECT_NE(doc.find("\"consolidation.events\":12"), std::string::npos) << doc;
+  EXPECT_NE(doc.find("\"engine.alloc_bytes\":12"), std::string::npos) << doc;
   EXPECT_NE(doc.find("\"p50\""), std::string::npos) << doc;
 }
 

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace coolopt::core {
 namespace {
@@ -44,15 +46,14 @@ std::optional<ConsolidationChoice> evaluate_consolidation_subset(
   return choice;
 }
 
-std::vector<PaperStatus> all_status(const detail::ConsolidationTable& table,
-                                    const ParticleSystem& ps) {
+std::vector<PaperStatus> all_status(const ConsolidationTable& table) {
   const uint32_t n = static_cast<uint32_t>(table.width());
   std::vector<PaperStatus> statuses;
   statuses.reserve(table.segments.size() * n);
   for (uint32_t s = 0; s < table.segments.size(); ++s) {
     const double start = table.segments[s].start;
     for (uint32_t k = 1; k <= n; ++k) {
-      const detail::ConsolidationTable::Prefix p = table.prefix(ps, s, k);
+      const ConsolidationTable::Prefix p = table.prefix(s, k);
       statuses.push_back(PaperStatus{p.a - start * p.b, s, k});
     }
   }
@@ -64,7 +65,7 @@ std::vector<PaperStatus> all_status(const detail::ConsolidationTable& table,
 }
 
 std::optional<ConsolidationChoice> query_paper(
-    const detail::ConsolidationTable& table, const ParticleSystem& ps,
+    const ConsolidationTable& table, const ParticleSystem& ps,
     const RoomModel& model, const std::vector<PaperStatus>& statuses,
     double load) {
   // The paper's Algorithm 2: binary search allStatus (sorted by Lmax) for
@@ -77,24 +78,29 @@ std::optional<ConsolidationChoice> query_paper(
     // Walk forward past statuses whose subset violates the actuation
     // bounds (the paper has no such bounds; with them the first hit can be
     // infeasible).
-    const detail::ConsolidationTable::Prefix p =
-        table.prefix(ps, cand->segment, cand->k);
+    const ConsolidationTable::Prefix p = table.prefix(cand->segment, cand->k);
     const double t_subset = (p.a - load) / p.b;
     if (t_subset < ps.t_lo - kFeasEps) continue;
     ConsolidationChoice choice;
-    table.make_choice_into(ps, model, cand->segment, cand->k, load, choice);
+    table.make_choice_into(ps, model, table.segments[cand->segment].start,
+                           cand->k, load, choice);
     return choice;
   }
   return std::nullopt;
 }
 
-detail::ConsolidationTable reference_table(const ParticleSystem& ps,
-                                           const std::vector<uint32_t>& ids) {
+namespace {
+
+/// Algorithm 1 over `ids` (ascending), with crossing times taken over every
+/// pair of `crossers` (ascending, p < q in the paper's orientation).
+ConsolidationTable table_from_pairs(const ParticleSystem& ps,
+                                    const std::vector<uint32_t>& crossers,
+                                    const std::vector<uint32_t>& ids) {
   std::vector<double> times;
-  for (size_t x = 0; x < ids.size(); ++x) {
-    for (size_t y = x + 1; y < ids.size(); ++y) {
-      const uint32_t p = ids[x];
-      const uint32_t q = ids[y];
+  for (size_t x = 0; x < crossers.size(); ++x) {
+    for (size_t y = x + 1; y < crossers.size(); ++y) {
+      const uint32_t p = crossers[x];
+      const uint32_t q = crossers[y];
       const double db = ps.b[p] - ps.b[q];
       if (db == 0.0) continue;  // parallel particles never cross
       const double t = (ps.a[p] - ps.a[q]) / db;
@@ -103,44 +109,53 @@ detail::ConsolidationTable reference_table(const ParticleSystem& ps,
   }
   std::sort(times.begin(), times.end());
   std::vector<double> events;
-  for (const double t : times) {
-    detail::ConsolidationTable::collapse_append(events, t);
-  }
-  detail::ConsolidationTable table;
+  for (const double t : times) ConsolidationTable::collapse_append(events, t);
+  ConsolidationTable table;
   table.build(ps, ids, events);
   return table;
 }
 
-detail::ConsolidationTable reference_table(const ParticleSystem& ps) {
+}  // namespace
+
+ConsolidationTable reference_table(const ParticleSystem& ps,
+                                   const std::vector<uint32_t>& ids) {
+  return table_from_pairs(ps, ids, ids);
+}
+
+ConsolidationTable class_pair_table(const ParticleSystem& ps,
+                                    const std::vector<uint32_t>& ids) {
+  std::vector<uint32_t> reps;
+  std::set<std::pair<uint64_t, uint64_t>> seen;
+  for (const uint32_t i : ids) {
+    if (seen.insert({std::bit_cast<uint64_t>(ps.a[i]),
+                     std::bit_cast<uint64_t>(ps.b[i])})
+            .second) {
+      reps.push_back(i);
+    }
+  }
+  return table_from_pairs(ps, reps, ids);
+}
+
+ConsolidationTable reference_table(const ParticleSystem& ps) {
   std::vector<uint32_t> ids(ps.size());
   std::iota(ids.begin(), ids.end(), 0u);
   return reference_table(ps, ids);
 }
 
-bool unpruned_best_into(const detail::ConsolidationTable& table,
+bool unpruned_best_into(const detail::ClassSelector& select,
                         const ParticleSystem& ps, const RoomModel& model,
                         double load, ConsolidationChoice& out,
-                        detail::ConsolidationTable::Mask* mask) {
-  const detail::ConsolidationTable::Anchors at = table.anchors(ps);
-  size_t best_k = 0;
-  size_t best_segment = 0;
-  double best_power = 0.0;
-  double sum_w2_k = 0.0;
-  for (size_t k = 1; k <= table.width(mask); ++k) {
-    sum_w2_k += ps.w2;
-    size_t s = 0;
-    double power = 0.0;
-    if (!table.peek_k(ps, model, at, load, k, sum_w2_k, &s, &power, mask)) {
-      continue;
-    }
-    if (best_k == 0 || power < best_power) {
-      best_k = k;
-      best_segment = s;
-      best_power = power;
-    }
+                        detail::ClassSelector::View* view) {
+  if (!ps.w2_identical) {
+    throw std::invalid_argument(
+        "unpruned_best_into: the ranking folds w2 as the scan does only "
+        "when every w2 is the same double");
   }
-  if (best_k == 0) return false;
-  table.make_choice_into(ps, model, best_segment, best_k, load, out, mask);
+  std::vector<RankEntry> ranked;
+  select.rank_all_k_into(ps, model, load, ranked, view);
+  if (ranked.empty()) return false;
+  select.make_choice_into(ps, model, ranked.front().t, ranked.front().k, load,
+                          out, view);
   return true;
 }
 

@@ -170,6 +170,64 @@ TEST(PlanningService, ConcurrentClientsAreBitForBitDeterministic) {
   }
 }
 
+/// An admission is counted before its response can arrive: clients
+/// pipeline plan requests, and as each response arrives the responses
+/// received so far, across every client, must not exceed stats().admitted.
+/// A count taken after the push races the worker that answers the job.
+/// The registry counter reads what the Stats field reads.
+TEST(PlanningService, AdmissionIsCountedBeforeItsResponseArrives) {
+  obs::MetricsRegistry registry;
+  obs::ScopedObservation scope(&registry);
+  ServiceConfig config = model_config();
+  config.workers = 4;
+  PlanningService server(std::move(config));
+  server.start();
+
+  // Rounds of 20 pipelined requests per client keep at most 160 in flight,
+  // within the queue's capacity, so nothing sheds.
+  constexpr size_t kClients = 8;
+  constexpr size_t kRounds = 40;
+  constexpr size_t kBatch = 20;
+  std::atomic<uint64_t> received{0};
+  std::atomic<size_t> short_reads{0};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      ServiceClient client;
+      if (!client.connect("127.0.0.1", server.port())) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (size_t round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < kBatch; ++i) {
+          const WireRequest request = plan_point(i, c * 131 + round + i);
+          if (!client.send_line(encode_request(request))) {
+            failures.fetch_add(1);
+            return;
+          }
+        }
+        for (size_t i = 0; i < kBatch; ++i) {
+          if (!client.recv_line().has_value()) {
+            failures.fetch_add(1);
+            return;
+          }
+          const uint64_t answered = received.fetch_add(1) + 1;
+          if (server.stats().admitted < answered) short_reads.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(short_reads.load(), 0u);
+  EXPECT_EQ(server.stats().admitted, kClients * kRounds * kBatch);
+  EXPECT_EQ(server.stats().shed, 0u);
+  EXPECT_EQ(registry.counter("service.requests.admitted").value(),
+            kClients * kRounds * kBatch);
+  server.stop();
+}
+
 TEST(PlanningService, MalformedAndUnknownRequestsAnswerBadRequest) {
   PlanningService server(model_config());
   server.start();

@@ -82,6 +82,54 @@ TEST(Cooloptctl, ProfileThenPlanThenAuditPipeline) {
   std::remove(model.c_str());
 }
 
+/// A 12-machine room (`cooloptctl profile --servers 12 --seed 5`), fixed
+/// here so the frontier below depends on nothing but the solver.
+constexpr const char* kFrontierModel = R"(kind,id,w1,w2,alpha,beta,gamma,capacity
+constraints,,48,10,28,,,
+cooler,,46.664895671079826,29,-160.4784197837505,0.26952290761248404,140,
+machine,0,1.5065543830909542,36.601918107183813,0.98030378842471677,0.19356056129833787,0.61029372545798422,40.639793245459764
+machine,1,1.5065543830909542,36.601918107183813,0.98706027539348073,0.16036599138351482,0.66730350359032964,40.06046955037619
+machine,2,1.5065543830909542,36.601918107183813,0.9456464840762796,0.20560619761596774,1.5122480187102294,40.480356637174886
+machine,3,1.5065543830909542,36.601918107183813,0.94299503417798991,0.19645774986188713,1.2645767150383589,38.931251871653842
+machine,4,1.5065543830909542,36.601918107183813,0.93171422020245243,0.19566884279045338,1.9522872172000001,37.960430545294791
+machine,5,1.5065543830909542,36.601918107183813,0.92545153437046201,0.20703819740765192,2.3636146974565269,39.330936895044751
+machine,6,1.5065543830909542,36.601918107183813,0.89550092521562763,0.19233739067124619,3.2460761780909215,40.466994213854221
+machine,7,1.5065543830909542,36.601918107183813,0.89148830408044821,0.19914996229264767,3.1755226544310657,41.225304054673572
+machine,8,1.5065543830909542,36.601918107183813,0.89225484683906953,0.25367928446359539,3.3922653610312503,39.025826685362595
+machine,9,1.5065543830909542,36.601918107183813,0.85450515754583634,0.15549784819045079,4.2864914460757344,40.471871646239933
+machine,10,1.5065543830909542,36.601918107183813,0.83880402476420191,0.27039090427902324,4.7609973777717869,40.043398664315689
+machine,11,1.5065543830909542,36.601918107183813,0.82924708156469451,0.16346184708355002,4.9747778538400178,38.954636807370477
+)";
+
+/// The whole stdout of `frontier` over that room: maxL(A, P_b, k) by
+/// bisection at every (budget, k), the 0 ("-"), capped and interior cases.
+constexpr const char* kFrontierTable = R"(Servable load (files/s) per budget and fleet size:
+budget (W)  k=1  k=2  k=3  k=4  k=6  k=8  k=12
+----------------------------------------------
+300         77   58   33   9    -    -    -   
+500         92   155  166  142  93   45   -   
+700         107  180  230  259  226  177  80  
+1000        129  218  279  317  366  376  279 
+1400        131  257  344  395  462  499  500 
+1900        131  257  373  478  582  636  666 
+2500        131  257  373  478  680  800  856 
+3200        131  257  373  478  680  875  1077
+)";
+
+TEST(Cooloptctl, FrontierPrintsThePinnedTable) {
+  const std::string model = temp_model_path();
+  {
+    std::ofstream csv(model);
+    csv << kFrontierModel;
+  }
+  const CtlResult r = run({"frontier", ("--model=" + model).c_str(),
+                           "--k=1,2,3,4,6,8,12",
+                           "--budgets=300,500,700,1000,1400,1900,2500,3200"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(r.out, kFrontierTable);
+  std::remove(model.c_str());
+}
+
 TEST(Cooloptctl, PlanWithMissingModelFails) {
   const CtlResult r = run({"plan", "--model=/no/such/model.csv"});
   EXPECT_EQ(r.code, 2);
